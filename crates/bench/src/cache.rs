@@ -75,17 +75,16 @@ impl ResultCache {
         payload.push('\n');
         // The canonical JSON covers everything that determines the result,
         // including the optional engine override (hardware timings). The
-        // shard count, scheduler choice, pipeline flag and Q-table paging
-        // threshold are *stripped* first: all four are pinned bit-for-bit
-        // result-invariant (shard_differential / scheduler_differential /
-        // pipeline_differential, and the paged-vs-dense pins in
-        // pipeline_determinism), so a cache warmed without `--shards`
+        // shard count, pipeline flag and Q-table paging threshold are
+        // *stripped* first: all three are pinned bit-for-bit
+        // result-invariant (shard_differential / pipeline_differential,
+        // and the paged-vs-dense pins in pipeline_determinism), so a
+        // cache warmed without `--shards`
         // keeps serving hits when the user later turns sharding,
         // pipelining or table paging on or off.
         let mut canonical = spec.clone();
         if let Some(engine) = canonical.engine.as_mut() {
             engine.shards = Default::default();
-            engine.scheduler = Default::default();
             engine.pipeline = dragonfly_engine::EngineConfig::default().pipeline;
             engine.qtable_page_rows_threshold =
                 dragonfly_engine::EngineConfig::default().qtable_page_rows_threshold;
@@ -240,19 +239,18 @@ mod tests {
             ResultCache::point_key(&slow),
             "hardware timings are part of the key"
         );
-        // ...but the shard count and scheduler do not (results are pinned
-        // bit-for-bit identical across both), so a warm cache survives
-        // turning `--shards` on.
+        // ...but the shard count does not (results are pinned bit-for-bit
+        // identical across it), so a warm cache survives turning
+        // `--shards` on.
         let mut sharded = tiny_spec(1);
         sharded.engine = Some(dragonfly_engine::EngineConfig {
             shards: dragonfly_engine::ShardKind::Fixed(2),
-            scheduler: dragonfly_engine::SchedulerKind::BinaryHeap,
             ..Default::default()
         });
         assert_eq!(
             ResultCache::point_key(&default_engine),
             ResultCache::point_key(&sharded),
-            "shard/scheduler choice must not invalidate the cache"
+            "the shard count must not invalidate the cache"
         );
         assert_ne!(
             ResultCache::point_key(&tiny_spec(1)),
@@ -298,11 +296,11 @@ mod tests {
 
     #[test]
     fn keys_are_invariant_to_every_execution_mode_field() {
-        // All three execution knobs — pipeline, shards, scheduler — are
-        // pinned result-invariant by the differential suites, so none of
-        // them may change the cache key: a cache warmed with the default
-        // (pipelined) engine keeps serving hits after `--no-pipeline`,
-        // `--shards N` or a scheduler swap, in any combination.
+        // Both execution knobs — pipeline and shards — are pinned
+        // result-invariant by the differential suites, so neither may
+        // change the cache key: a cache warmed with the default
+        // (pipelined) engine keeps serving hits after `--no-pipeline` or
+        // `--shards N`, in any combination.
         let plain = ResultCache::point_key(&tiny_spec(1));
         for pipeline in [true, false] {
             for shards in [
@@ -310,24 +308,17 @@ mod tests {
                 dragonfly_engine::ShardKind::Fixed(4),
                 dragonfly_engine::ShardKind::Auto,
             ] {
-                for scheduler in [
-                    dragonfly_engine::SchedulerKind::Calendar,
-                    dragonfly_engine::SchedulerKind::BinaryHeap,
-                ] {
-                    let mut spec = tiny_spec(1);
-                    spec.engine = Some(dragonfly_engine::EngineConfig {
-                        pipeline,
-                        shards,
-                        scheduler,
-                        ..Default::default()
-                    });
-                    assert_eq!(
-                        plain,
-                        ResultCache::point_key(&spec),
-                        "pipeline={pipeline} shards={shards:?} scheduler={scheduler:?} \
-                         must not invalidate the cache"
-                    );
-                }
+                let mut spec = tiny_spec(1);
+                spec.engine = Some(dragonfly_engine::EngineConfig {
+                    pipeline,
+                    shards,
+                    ..Default::default()
+                });
+                assert_eq!(
+                    plain,
+                    ResultCache::point_key(&spec),
+                    "pipeline={pipeline} shards={shards:?} must not invalidate the cache"
+                );
             }
         }
         // Hardware timings still matter even with execution knobs set.
@@ -413,7 +404,6 @@ mod tests {
         sharded.engine = Some(dragonfly_engine::EngineConfig {
             shards: dragonfly_engine::ShardKind::Fixed(2),
             pipeline: false,
-            scheduler: dragonfly_engine::SchedulerKind::BinaryHeap,
             ..Default::default()
         });
         assert_eq!(
@@ -428,9 +418,9 @@ mod tests {
         use dragonfly_workload::WorkloadSpec;
         // End-to-end satellite contract: warm the cache with a collective
         // workload under the default engine, then toggle every
-        // execution-mode knob at once (shards, scheduler, pipeline) — the
-        // sweep must be served entirely from the cache with identical
-        // completion metrics.
+        // execution-mode knob at once (shards, pipeline) — the sweep must
+        // be served entirely from the cache with identical completion
+        // metrics.
         let cache = ResultCache::new(tmp_dir("workload-toggle")).unwrap();
         let mut sweep = SweepSpec {
             name: String::new(),
@@ -454,14 +444,13 @@ mod tests {
         assert!(first.reports[0].job_completion_us > 0.0);
         sweep.engine = Some(dragonfly_engine::EngineConfig {
             shards: dragonfly_engine::ShardKind::Fixed(2),
-            scheduler: dragonfly_engine::SchedulerKind::BinaryHeap,
             pipeline: false,
             ..Default::default()
         });
         let (second, hits_warm) = run_sweep_cached(&sweep, 1, Some(&cache));
         assert_eq!(
             hits_warm, 1,
-            "shards + scheduler + pipeline toggles keep a workload cache warm"
+            "shards + pipeline toggles keep a workload cache warm"
         );
         assert_eq!(
             first.reports[0].job_completion_us,

@@ -3,10 +3,9 @@
 //!
 //! Each figure is a [`FigurePlan`] built from the serialisable
 //! [`SweepSpec`] / [`ExperimentSpec`] types of `dragonfly-sim` — the same
-//! types scenario files use — plus shared rendering. The eight
-//! `src/bin/*.rs` binaries and the `qadaptive-cli figure` subcommand are
-//! thin wrappers over [`main_for`] / [`run_plan`]; none of them constructs
-//! a sweep by hand.
+//! types scenario files use — plus shared rendering. `qadaptive-cli
+//! figure <id>` is a thin wrapper over [`run_figure`]; nothing else
+//! constructs a paper sweep by hand.
 
 use crate::cache::{run_convergence_cached, run_sweep_cached, ResultCache};
 use crate::harness::{apply_engine_overrides, markdown_table, BenchArgs, RunMode};
@@ -23,7 +22,7 @@ use qadaptive_core::table::QValueTable;
 use qadaptive_core::{QAdaptiveParams, QTable, TwoLevelQTable};
 use serde::{Serialize, Value};
 
-/// Which columns a sweep panel prints (mirrors the legacy binaries).
+/// Which columns a sweep panel prints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnSet {
     /// Load sweeps: throughput + mean/p99 latency + hops (Figure 5).
@@ -201,6 +200,32 @@ pub fn canonical_id(id: &str) -> Option<&'static str> {
 pub fn figure(id: &str) -> Option<Figure> {
     let id = canonical_id(id)?;
     catalog().into_iter().find(|f| f.id == id)
+}
+
+/// The `scale` figure's system: a 110,976-node Dragonfly (p=16, a=24, h=12
+/// → 289 groups, 6,936 routers) — two orders of magnitude beyond the
+/// paper's 1,056 nodes. Its two-level Q-tables have 4,624 rows per router,
+/// above the default `qtable_page_rows_threshold` of 4,096, so the engine
+/// picks the lazily paged representation without any override.
+fn scale_system() -> DragonflyConfig {
+    DragonflyConfig {
+        p: 16,
+        a: 24,
+        h: 12,
+    }
+}
+
+/// Offered load and measurement window of the `scale` figure. The load is
+/// kept low (5% quick / 30% full) and the window short: at 110k nodes even
+/// a microsecond of simulated time is tens of millions of events, and every
+/// packet a router forwards can materialise a new Q-table page, so these
+/// settings bound both the wall clock and the memory the figure reports.
+fn scale_params(quick: bool) -> (f64, u64) {
+    if quick {
+        (0.05, 1_500)
+    } else {
+        (0.3, 2_000)
+    }
 }
 
 /// The two Dragonfly systems of the paper, with display names.
@@ -613,20 +638,17 @@ pub fn paper_specs(id: &str, args: &BenchArgs) -> Option<FigurePlan> {
         }
         "memory" => static_memory(),
         "scale" => {
-            // The ROADMAP's 100x-scale check as a runnable figure: the
-            // same system and knobs as the `bench` scale leg (see
-            // `crate::smoke::scale_workload`), lifted into a SweepSpec so
-            // the run shards/pipelines through the normal figure path. MIN
+            // The ROADMAP's 100x-scale check as a runnable figure. MIN
             // carries no Q-state and anchors the memory column; Q-adaptive
             // pays for exactly the table pages its traffic touched.
-            let (load, measure_ns) = crate::smoke::scale_params(args.mode == RunMode::Quick);
+            let (load, measure_ns) = scale_params(args.mode == RunMode::Quick);
             let loads = match args.mode {
                 RunMode::Quick => vec![load],
                 RunMode::Full => vec![0.05, load],
             };
             let sweep = SweepSpec {
                 name: "scale/UR".to_string(),
-                topology: crate::smoke::scale_system().into(),
+                topology: scale_system().into(),
                 traffics: vec![TrafficSpec::UniformRandom],
                 workload: None,
                 routings: vec![
@@ -1127,8 +1149,8 @@ fn print_convergence_panel(result: &ConvergenceResult, curve: CurveKind) {
 }
 
 /// Run one figure end to end — banner, panels, paper notes — and return
-/// its structured results. This is the whole implementation of the
-/// `fig5`/`fig6`/... binaries and of `qadaptive-cli figure`.
+/// its structured results. This is the whole implementation of
+/// `qadaptive-cli figure`.
 pub fn run_figure(id: &str, args: &BenchArgs) -> Result<FigureResult, String> {
     let figure = figure(id).ok_or_else(|| {
         format!(
@@ -1149,22 +1171,12 @@ pub fn run_figure(id: &str, args: &BenchArgs) -> Result<FigureResult, String> {
     Ok(result)
 }
 
-/// `fn main` body shared by the figure binaries: parse standard arguments
-/// from the environment and run the figure.
-pub fn main_for(id: &str) {
-    let args = BenchArgs::from_env();
-    if let Err(message) = run_figure(id, &args) {
-        eprintln!("{message}");
-        std::process::exit(2);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn quick_args() -> BenchArgs {
-        BenchArgs::from_slice(&["prog".to_string(), "--quick".to_string()])
+        BenchArgs::default()
     }
 
     #[test]
@@ -1195,65 +1207,43 @@ mod tests {
 
     #[test]
     fn fig5_quick_matches_the_legacy_definition() {
-        // The exact grids the pre-registry fig5 binary hand-assembled.
+        // The exact grids the pre-registry fig5 binary hand-assembled,
+        // written out field by field: cached results are keyed on them.
         let args = quick_args();
-        let plan = paper_specs("fig5", &args).unwrap();
-        match plan {
-            FigurePlan::Sweeps {
-                panels,
-                columns,
-                saturation_summary,
-            } => {
-                assert_eq!(columns, ColumnSet::LoadSweep);
-                assert!(saturation_summary);
-                assert_eq!(panels.len(), 3);
-                let (_, ur) = &panels[0];
-                assert_eq!(ur.topology, DragonflyConfig::paper_1056().into());
-                assert_eq!(ur.effective_routings(), RoutingSpec::paper_lineup());
-                assert_eq!(ur.loads, args.ur_loads());
-                assert_eq!(ur.warmup_ns, args.warmup_ns());
-                assert_eq!(ur.measure_ns, args.measure_ns());
-                assert_eq!(ur.seed, Some(args.seed));
-                let (_, adv4) = &panels[2];
-                assert_eq!(adv4.traffics, vec![TrafficSpec::Adversarial { shift: 4 }]);
-                assert_eq!(adv4.loads, args.adv_loads());
-            }
-            _ => panic!("fig5 must be a sweep plan"),
-        }
-    }
-
-    #[test]
-    fn fig5_registry_panels_equal_the_legacy_load_sweeps() {
-        // Before the registry existed, the fig5 binary hand-assembled one
-        // `LoadSweep` per traffic pattern. Rebuilding those sweeps and
-        // lifting them into `SweepSpec` must give exactly the registry's
-        // panels (modulo the display name) — and
-        // `sweep_spec_reproduces_load_sweep_exactly` in dragonfly-sim
-        // proves equal definitions produce identical `SweepResult`s, so
-        // together these pin `figure 5 --quick` to the legacy output.
-        let args = quick_args();
-        let legacy_patterns = [
+        let FigurePlan::Sweeps {
+            panels,
+            columns,
+            saturation_summary,
+        } = paper_specs("fig5", &args).unwrap()
+        else {
+            panic!("fig5 must be a sweep plan");
+        };
+        assert_eq!(columns, ColumnSet::LoadSweep);
+        assert!(saturation_summary);
+        let patterns = [
             (TrafficSpec::UniformRandom, args.ur_loads()),
             (TrafficSpec::Adversarial { shift: 1 }, args.adv_loads()),
             (TrafficSpec::Adversarial { shift: 4 }, args.adv_loads()),
         ];
-        let FigurePlan::Sweeps { panels, .. } = paper_specs("fig5", &args).unwrap() else {
-            panic!("fig5 must be a sweep plan");
-        };
-        assert_eq!(panels.len(), legacy_patterns.len());
-        for ((_, registry_panel), (traffic, loads)) in panels.iter().zip(legacy_patterns) {
-            let legacy = dragonfly_sim::sweep::LoadSweep {
-                topology: DragonflyConfig::paper_1056(),
-                traffic,
+        assert_eq!(panels.len(), patterns.len());
+        for ((_, panel), (traffic, loads)) in panels.iter().zip(patterns) {
+            let expected = SweepSpec {
+                name: panel.name.clone(),
+                topology: DragonflyConfig::paper_1056().into(),
+                traffics: vec![traffic],
+                workload: None,
                 routings: RoutingSpec::paper_lineup(),
                 loads,
                 warmup_ns: args.warmup_ns(),
                 measure_ns: args.measure_ns(),
-                seed: args.seed,
+                seed: Some(args.seed),
+                seeds_per_point: None,
+                engine: None,
+                series_bin_ns: None,
+                faults: Vec::new(),
+                metrics: None,
             };
-            let mut lifted = SweepSpec::from(legacy);
-            lifted.name = registry_panel.name.clone();
-            assert_eq!(&lifted, registry_panel);
+            assert_eq!(panel, &expected);
         }
     }
 
@@ -1351,10 +1341,31 @@ mod tests {
     }
 
     #[test]
+    fn scale_system_engages_the_paged_tables() {
+        // The figure exists to exercise the bounded-memory
+        // representations: the system must exceed 100k nodes and its
+        // two-level table rows must sit above the default paging threshold.
+        let cfg = scale_system();
+        assert!(cfg.nodes() > 100_000, "{} nodes", cfg.nodes());
+        let rows = cfg.groups() * cfg.p;
+        assert!(
+            rows > dragonfly_engine::config::EngineConfig::default().qtable_page_rows_threshold,
+            "{rows} two-level rows must engage paging"
+        );
+        // Both modes keep the window short enough that the figure
+        // terminates in minutes and low-loaded enough that memory stays
+        // bounded.
+        for quick in [true, false] {
+            let (load, measure_ns) = scale_params(quick);
+            assert!(load <= 0.3 && measure_ns <= 2_000);
+        }
+    }
+
+    #[test]
     fn scale_panel_is_the_bounded_memory_configuration() {
-        // The figure must match the `bench` scale leg: 100k+ nodes,
-        // streaming metrics, a window short enough to terminate, and a
-        // MIN memory floor next to the Q-adaptive paged tables.
+        // 100k+ nodes, streaming metrics, a window short enough to
+        // terminate, and a MIN memory floor next to the Q-adaptive paged
+        // tables.
         use dragonfly_sim::spec::MetricsMode;
         let FigurePlan::Sweeps {
             panels, columns, ..

@@ -1,5 +1,5 @@
-//! Shared command-line handling and table formatting for the figure
-//! binaries.
+//! Run settings, engine-override helpers and table formatting shared by
+//! the figure registry and the CLI.
 
 use dragonfly_engine::config::ShardKind;
 use dragonfly_engine::time::SimTime;
@@ -14,7 +14,8 @@ pub enum RunMode {
     Full,
 }
 
-/// Parsed command-line arguments shared by all figure binaries.
+/// The settings of one figure run (`qadaptive-cli figure` fills them in
+/// from its flags).
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
     /// Quick or full windows.
@@ -40,70 +41,22 @@ pub struct BenchArgs {
     pub no_cache: bool,
 }
 
-impl BenchArgs {
-    /// Parse from `std::env::args`; unknown flags are ignored so the
-    /// binaries stay forgiving.
-    pub fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        Self::from_slice(&args)
-    }
-
-    /// Parse from an explicit argument list (testable).
-    pub fn from_slice(args: &[String]) -> Self {
-        let mut mode = RunMode::Quick;
-        let mut threads = 0usize;
-        let mut seed = 1u64;
-        let mut shards = None;
-        let mut pipeline = None;
-        let mut cache_dir = None;
-        let mut no_cache = false;
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--full" => mode = RunMode::Full,
-                "--quick" => mode = RunMode::Quick,
-                "--pipeline" => pipeline = Some(true),
-                "--no-pipeline" => pipeline = Some(false),
-                "--threads" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        threads = v;
-                        i += 1;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        seed = v;
-                        i += 1;
-                    }
-                }
-                "--shards" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| parse_shards(s).ok()) {
-                        shards = Some(v);
-                        i += 1;
-                    }
-                }
-                "--cache-dir" => {
-                    if let Some(v) = args.get(i + 1) {
-                        cache_dir = Some(std::path::PathBuf::from(v));
-                        i += 1;
-                    }
-                }
-                "--no-cache" => no_cache = true,
-                _ => {}
-            }
-            i += 1;
-        }
+impl Default for BenchArgs {
+    /// Quick mode, seed 1, all CPUs, engine defaults, no cache.
+    fn default() -> Self {
         Self {
-            mode,
-            threads,
-            seed,
-            shards,
-            pipeline,
-            cache_dir,
-            no_cache,
+            mode: RunMode::Quick,
+            threads: 0,
+            seed: 1,
+            shards: None,
+            pipeline: None,
+            cache_dir: None,
+            no_cache: false,
         }
     }
+}
 
+impl BenchArgs {
     /// The shard override figure runs actually apply: an explicit
     /// `--shards` wins; otherwise multi-core hosts default to `Auto` so
     /// the big 1,056/2,550-node paper runs shard (and, with the engine
@@ -240,22 +193,11 @@ mod tests {
 
     #[test]
     fn default_args_are_quick_mode() {
-        let a = BenchArgs::from_slice(&s(&["prog"]));
+        let a = BenchArgs::default();
         assert_eq!(a.mode, RunMode::Quick);
         assert_eq!(a.threads, 0);
         assert_eq!(a.seed, 1);
         assert!(a.warmup_ns() < 300_000);
-    }
-
-    #[test]
-    fn full_mode_and_options_parse() {
-        let a = BenchArgs::from_slice(&s(&["prog", "--full", "--threads", "8", "--seed", "9"]));
-        assert_eq!(a.mode, RunMode::Full);
-        assert_eq!(a.threads, 8);
-        assert_eq!(a.seed, 9);
-        assert_eq!(a.measure_ns(), 100_000);
-        assert!(a.ur_loads().len() > a.adv_loads().len());
-        assert!(a.banner("fig5").contains("fig5"));
         assert_eq!(a.shards, None);
         assert_eq!(a.pipeline, None, "engine default unless a flag is given");
         assert_eq!(a.cache_dir, None);
@@ -263,27 +205,21 @@ mod tests {
     }
 
     #[test]
-    fn shard_and_cache_flags_parse() {
-        let a = BenchArgs::from_slice(&s(&[
-            "prog",
-            "--shards",
-            "4",
-            "--no-pipeline",
-            "--cache-dir",
-            "/tmp/qcache",
-            "--no-cache",
-        ]));
-        assert_eq!(a.shards, Some(ShardKind::Fixed(4)));
-        assert_eq!(a.pipeline, Some(false));
-        assert_eq!(
-            a.cache_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/qcache"))
-        );
-        assert!(a.no_cache);
-        assert_eq!(
-            BenchArgs::from_slice(&s(&["prog", "--pipeline"])).pipeline,
-            Some(true)
-        );
+    fn full_mode_widens_the_windows_and_grids() {
+        let quick = BenchArgs::default();
+        let full = BenchArgs {
+            mode: RunMode::Full,
+            ..BenchArgs::default()
+        };
+        assert_eq!(full.measure_ns(), 100_000);
+        assert!(full.warmup_ns() > quick.warmup_ns());
+        assert!(full.ur_loads().len() > full.adv_loads().len());
+        assert!(full.ur_loads().len() > quick.ur_loads().len());
+        assert!(full.banner("fig5").contains("fig5"));
+    }
+
+    #[test]
+    fn shard_values_parse() {
         assert_eq!(parse_shards("auto"), Ok(ShardKind::Auto));
         assert_eq!(parse_shards("single"), Ok(ShardKind::Single));
         assert_eq!(parse_shards("6"), Ok(ShardKind::Fixed(6)));
@@ -292,13 +228,16 @@ mod tests {
 
     #[test]
     fn effective_shards_defaults_to_auto_on_multi_core_hosts() {
-        let explicit = BenchArgs::from_slice(&s(&["prog", "--shards", "2"]));
+        let explicit = BenchArgs {
+            shards: Some(ShardKind::Fixed(2)),
+            ..BenchArgs::default()
+        };
         assert_eq!(
             explicit.effective_shards(),
             Some(ShardKind::Fixed(2)),
             "an explicit --shards always wins"
         );
-        let defaulted = BenchArgs::from_slice(&s(&["prog"]));
+        let defaulted = BenchArgs::default();
         let cpus = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -327,10 +266,11 @@ mod tests {
 
     #[test]
     fn load_grids_are_sorted_and_in_range() {
-        for args in [
-            BenchArgs::from_slice(&s(&["p"])),
-            BenchArgs::from_slice(&s(&["p", "--full"])),
-        ] {
+        for mode in [RunMode::Quick, RunMode::Full] {
+            let args = BenchArgs {
+                mode,
+                ..BenchArgs::default()
+            };
             for grid in [args.ur_loads(), args.adv_loads()] {
                 assert!(grid.windows(2).all(|w| w[0] < w[1]));
                 assert!(grid.iter().all(|l| *l > 0.0 && *l <= 1.0));

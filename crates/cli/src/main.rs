@@ -13,6 +13,7 @@
 //! qadaptive-cli topologies                              # registered topologies + parameter schemas
 //! qadaptive-cli workloads                               # closed-loop workload kinds + scenario forms
 //! qadaptive-cli show  scenarios/adv1_qadaptive.toml     # parse, validate, echo as TOML + JSON
+//! qadaptive-cli checkpoint dump run.ckpt                # print a snapshot as JSON
 //! ```
 
 use dragonfly_bench::figures;
@@ -59,16 +60,12 @@ struct CommonFlags {
     out: Option<String>,
     quick_full: Option<bool>, // Some(false) = --quick, Some(true) = --full
     seed: Option<u64>,
-    baseline: Option<String>,
-    tolerance_pct: Option<f64>,
-    allow_cpu_mismatch: bool,
     shards: Option<ShardKind>,
     pipeline: Option<bool>,
     cache_dir: Option<String>,
     no_cache: bool,
     checkpoint_every: Option<u64>,
     checkpoint_path: Option<String>,
-    checkpoint_format: Option<dragonfly_sim::checkpoint::CheckpointFormat>,
     resume_from: Option<String>,
     positional: Vec<String>,
 }
@@ -80,16 +77,12 @@ fn parse_flags(args: &[String]) -> Result<CommonFlags, String> {
         out: None,
         quick_full: None,
         seed: None,
-        baseline: None,
-        tolerance_pct: None,
-        allow_cpu_mismatch: false,
         shards: None,
         pipeline: None,
         cache_dir: None,
         no_cache: false,
         checkpoint_every: None,
         checkpoint_path: None,
-        checkpoint_format: None,
         resume_from: None,
         positional: Vec::new(),
     };
@@ -108,14 +101,6 @@ fn parse_flags(args: &[String]) -> Result<CommonFlags, String> {
                         .map_err(|e| format!("--seed: {e}"))?,
                 );
             }
-            "--baseline" => flags.baseline = Some(next_value(args, &mut i, "--baseline")?),
-            "--tolerance-pct" => {
-                flags.tolerance_pct = Some(
-                    next_value(args, &mut i, "--tolerance-pct")?
-                        .parse()
-                        .map_err(|e| format!("--tolerance-pct: {e}"))?,
-                );
-            }
             "--format" => {
                 flags.format = match next_value(args, &mut i, "--format")?.as_str() {
                     "text" => Format::Text,
@@ -130,7 +115,6 @@ fn parse_flags(args: &[String]) -> Result<CommonFlags, String> {
             }
             "--pipeline" => flags.pipeline = Some(true),
             "--no-pipeline" => flags.pipeline = Some(false),
-            "--allow-cpu-mismatch" => flags.allow_cpu_mismatch = true,
             "--cache-dir" => flags.cache_dir = Some(next_value(args, &mut i, "--cache-dir")?),
             "--no-cache" => flags.no_cache = true,
             "--checkpoint-every" => {
@@ -142,13 +126,6 @@ fn parse_flags(args: &[String]) -> Result<CommonFlags, String> {
             }
             "--checkpoint-path" => {
                 flags.checkpoint_path = Some(next_value(args, &mut i, "--checkpoint-path")?);
-            }
-            "--checkpoint-format" => {
-                flags.checkpoint_format = Some(
-                    next_value(args, &mut i, "--checkpoint-format")?
-                        .parse()
-                        .map_err(|e| format!("--checkpoint-format: {e}"))?,
-                );
             }
             "--resume-from" => {
                 flags.resume_from = Some(next_value(args, &mut i, "--resume-from")?);
@@ -193,8 +170,8 @@ fn usage() -> String {
          USAGE:\n\
          \u{20}   qadaptive-cli run    <spec.toml|spec.json>  [--seed S] [--shards auto|single|N]\n\
          \u{20}                        [--pipeline|--no-pipeline] [--format text|csv|json] [--out FILE]\n\
-         \u{20}                        [--checkpoint-every NS [--checkpoint-path FILE]\n\
-         \u{20}                        [--checkpoint-format binary|json]] [--resume-from FILE]\n\
+         \u{20}                        [--checkpoint-every NS [--checkpoint-path FILE]]\n\
+         \u{20}                        [--resume-from FILE]\n\
          \u{20}   qadaptive-cli sweep  <spec.toml|spec.json>  [--threads N] [--seed S] [--shards ...]\n\
          \u{20}                        [--pipeline|--no-pipeline] [--format text|csv|json] [--out FILE]\n\
          \u{20}   qadaptive-cli figure <id>  [--quick|--full] [--threads N] [--seed S] [--shards ...]\n\
@@ -204,13 +181,7 @@ fn usage() -> String {
          \u{20}   qadaptive-cli list                           (catalog of figures and their titles)\n\
          \u{20}   qadaptive-cli topologies                     (registered topologies + parameter schemas)\n\
          \u{20}   qadaptive-cli workloads                      (closed-loop workload kinds + scenario forms)\n\
-         \u{20}   qadaptive-cli bench  [--quick|--full] [--seed S] [--shards N] [--out BENCH.json]\n\
-         \u{20}                        [--baseline BENCH.json] [--tolerance-pct 30] [--allow-cpu-mismatch]\n\
-         \u{20}                        (1,056-node engine smoke benchmark: calendar vs binary-heap\n\
-         \u{20}                         scheduler plus barrier-vs-pipelined sharded legs;\n\
-         \u{20}                         --baseline fails on an events/sec regression and refuses a\n\
-         \u{20}                         baseline from a host with a different CPU count unless\n\
-         \u{20}                         --allow-cpu-mismatch gates on the speedup ratio instead)\n\
+         \u{20}   qadaptive-cli checkpoint dump <FILE>         (print a snapshot as JSON)\n\
          \n\
          FIGURE IDS: {}\n\
          \n\
@@ -220,18 +191,15 @@ fn usage() -> String {
          to `auto` on multi-core hosts) and `--no-pipeline` selects the\n\
          lockstep barrier instead of overlapped windows; results are\n\
          bit-for-bit identical for every combination. `figure --cache-dir`\n\
-         reuses results of unchanged points across invocations — shard,\n\
-         pipeline and scheduler choices never invalidate the cache.\n\
+         reuses results of unchanged points across invocations — shard\n\
+         and pipeline choices never invalidate the cache.\n\
          \n\
          `run --checkpoint-every NS` snapshots the full simulation state\n\
          every NS simulated nanoseconds (to --checkpoint-path, default\n\
          <scenario>.ckpt, each snapshot atomically overwriting the\n\
-         last). Snapshots default to a compact binary encoding;\n\
-         `--checkpoint-format json` writes diffable JSON instead (default\n\
-         path <scenario>.ckpt.json), and `--resume-from` reads either\n\
-         format, sniffing it from the file. `--resume-from FILE`\n\
-         continues a snapshotted run\n\
-         bit-for-bit — the resumed run reproduces the uninterrupted\n\
+         last). Snapshots are compact binary files; `checkpoint dump`\n\
+         prints one as JSON. `--resume-from FILE` continues a snapshotted\n\
+         run bit-for-bit — the resumed run reproduces the uninterrupted\n\
          report exactly. Works with any --shards/--pipeline setting, and\n\
          the resuming run may use a different one (snapshots are\n\
          partition-independent); the scenario, seed and all other\n\
@@ -245,18 +213,7 @@ fn usage() -> String {
 fn reject_mode_flags(flags: &CommonFlags, command: &str) -> Result<(), String> {
     if flags.quick_full.is_some() {
         return Err(format!(
-            "--quick/--full only apply to `figure` and `bench`; `{command}` takes its windows from the spec file"
-        ));
-    }
-    reject_bench_flags(flags, command)
-}
-
-/// `--baseline`/`--tolerance-pct`/`--allow-cpu-mismatch` only make sense
-/// for `bench`.
-fn reject_bench_flags(flags: &CommonFlags, command: &str) -> Result<(), String> {
-    if flags.baseline.is_some() || flags.tolerance_pct.is_some() || flags.allow_cpu_mismatch {
-        return Err(format!(
-            "--baseline/--tolerance-pct/--allow-cpu-mismatch only apply to `bench`, not `{command}`"
+            "--quick/--full only apply to `figure`; `{command}` takes its windows from the spec file"
         ));
     }
     Ok(())
@@ -277,12 +234,11 @@ fn reject_cache_flags(flags: &CommonFlags, command: &str) -> Result<(), String> 
 fn reject_checkpoint_flags(flags: &CommonFlags, command: &str) -> Result<(), String> {
     if flags.checkpoint_every.is_some()
         || flags.checkpoint_path.is_some()
-        || flags.checkpoint_format.is_some()
         || flags.resume_from.is_some()
     {
         return Err(format!(
-            "--checkpoint-every/--checkpoint-path/--checkpoint-format/--resume-from \
-             only apply to `run`, not `{command}`"
+            "--checkpoint-every/--checkpoint-path/--resume-from only apply to `run`, \
+             not `{command}`"
         ));
     }
     Ok(())
@@ -293,7 +249,7 @@ fn reject_checkpoint_flags(flags: &CommonFlags, command: &str) -> Result<(), Str
 ///
 /// Checkpoints are written atomically (temp file + rename, see
 /// `RunCheckpoint::save`) to `--checkpoint-path`, defaulting to the
-/// scenario path with `.ckpt.json` appended; each snapshot replaces the
+/// scenario path with `.ckpt` appended; each snapshot replaces the
 /// previous one, so the path always holds a complete resumable state even
 /// if the process dies mid-write.
 fn run_spec_maybe_checkpointed(
@@ -301,10 +257,9 @@ fn run_spec_maybe_checkpointed(
     scenario_path: &str,
     spec: &ExperimentSpec,
 ) -> Result<dragonfly_metrics::report::SimulationReport, String> {
-    use dragonfly_sim::checkpoint::{CheckpointFormat, RunCheckpoint};
+    use dragonfly_sim::checkpoint::RunCheckpoint;
     let plain = flags.checkpoint_every.is_none()
         && flags.checkpoint_path.is_none()
-        && flags.checkpoint_format.is_none()
         && flags.resume_from.is_none();
     if plain {
         return Ok(spec.run());
@@ -314,14 +269,6 @@ fn run_spec_maybe_checkpointed(
             "--checkpoint-path needs --checkpoint-every NS to decide when to snapshot".to_string(),
         );
     }
-    if flags.checkpoint_format.is_some() && flags.checkpoint_every.is_none() {
-        return Err(
-            "--checkpoint-format needs --checkpoint-every NS (it only affects written snapshots; \
-             --resume-from sniffs the format from the file itself)"
-                .to_string(),
-        );
-    }
-    let format = flags.checkpoint_format.unwrap_or_default();
     let resume = match &flags.resume_from {
         Some(file) => {
             let ck = RunCheckpoint::load(file).map_err(|e| e.to_string())?;
@@ -336,15 +283,12 @@ fn run_spec_maybe_checkpointed(
     let ck_path = flags
         .checkpoint_path
         .clone()
-        .unwrap_or_else(|| match format {
-            CheckpointFormat::Binary => format!("{scenario_path}.ckpt"),
-            CheckpointFormat::Json => format!("{scenario_path}.ckpt.json"),
-        });
+        .unwrap_or_else(|| format!("{scenario_path}.ckpt"));
     let mut save_error: Option<String> = None;
     let report = spec
         .run_checkpointed(resume.as_ref(), flags.checkpoint_every, |ck| {
             if save_error.is_none() {
-                match ck.save_format(&ck_path, format) {
+                match ck.save(&ck_path) {
                     Ok(()) => eprintln!(
                         "checkpoint: {ck_path} @ t = {} ns (simulated)",
                         ck.engine.now
@@ -551,177 +495,47 @@ fn cmd_sweep(flags: &CommonFlags) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_bench(flags: &CommonFlags) -> Result<(), CliError> {
-    if let Some(extra) = flags.positional.first() {
-        return Err(format!("`bench` takes no positional argument (got `{extra}`)").into());
+/// `checkpoint dump FILE`: print a snapshot as JSON. Read-only, no flags.
+fn cmd_checkpoint(args: &[String]) -> Result<(), String> {
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!(
+            "unknown flag `{flag}` (`checkpoint dump` takes none)"
+        ));
     }
-    reject_cache_flags(flags, "bench")?;
-    reject_checkpoint_flags(flags, "bench")?;
-    // Reject accepted-but-ignored flags, matching the other subcommands.
-    if flags.threads != 0 {
-        return Err(
-            "--threads does not apply to `bench` (the smoke workload is one simulation at a time)"
-                .to_string()
-                .into(),
-        );
-    }
-    if flags.format != Format::Json && flags.format != Format::Text {
-        return Err(
-            "`bench` output is JSON (use --format json or omit the flag)"
-                .to_string()
-                .into(),
-        );
-    }
-    if flags.pipeline.is_some() {
-        return Err(
-            "--pipeline/--no-pipeline do not apply to `bench` — it always measures both the \
-             barrier and the pipelined leg"
-                .to_string()
-                .into(),
-        );
-    }
-    let quick = !matches!(flags.quick_full, Some(true));
-    let seed = flags.seed.unwrap_or(1);
-    // The sharded leg's shard count (0 = the bench default of 4).
-    let bench_shards = match flags.shards {
-        None => 0,
-        Some(ShardKind::Single) => 1,
-        Some(ShardKind::Fixed(n)) => n,
-        Some(ShardKind::Auto) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    };
-    // Load the baseline before the (expensive) run so a bad path fails fast.
-    let baseline: Option<dragonfly_bench::SmokeBench> = match &flags.baseline {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-            Some(serde_json::from_str(&text).map_err(|e| format!("bad baseline {path}: {e}"))?)
+    match args {
+        [action, file] if action == "dump" => {
+            let ck =
+                dragonfly_sim::checkpoint::RunCheckpoint::load(file).map_err(|e| e.to_string())?;
+            println!("{}", ck.to_json());
+            Ok(())
         }
-        None => None,
-    };
-    eprintln!(
-        "benchmarking the 1,056-node engine smoke workload plus the 110,976-node \
-         bounded-memory scale leg ({}, seed {seed})...",
-        if quick { "quick" } else { "full" }
-    );
-    let bench = dragonfly_bench::run_smoke_sharded(quick, seed, bench_shards);
-    eprintln!(
-        "calendar:    {:>12.0} events/s  ({} events in {:.3} s)",
-        bench.calendar.events_per_sec, bench.calendar.events, bench.calendar.wall_s
-    );
-    eprintln!(
-        "binary heap: {:>12.0} events/s  ({} events in {:.3} s)",
-        bench.binary_heap.events_per_sec, bench.binary_heap.events, bench.binary_heap.wall_s
-    );
-    eprintln!(
-        "barrier x{}:   {:>12.0} events/s  ({} events in {:.3} s)",
-        bench.shards, bench.sharded.events_per_sec, bench.sharded.events, bench.sharded.wall_s
-    );
-    eprintln!(
-        "pipelined x{}: {:>12.0} events/s  ({} events in {:.3} s)",
-        bench.shards,
-        bench.pipelined.events_per_sec,
-        bench.pipelined.events,
-        bench.pipelined.wall_s
-    );
-    eprintln!(
-        "closed loop: {:>12.0} events/s  ({} events in {:.3} s; AllReduce JCT {:.1} us, {} ranks)",
-        bench.closed_loop.events_per_sec,
-        bench.closed_loop.events,
-        bench.closed_loop.wall_s,
-        bench.closed_loop_jct_us,
-        bench.closed_loop_ranks
-    );
-    eprintln!(
-        "faulted UGAL:{:>12.0} events/s  ({} events in {:.3} s; {} dropped, {:.2}x of healthy)",
-        bench.faulted.events_per_sec,
-        bench.faulted.events,
-        bench.faulted.wall_s,
-        bench.faulted_dropped,
-        bench.fault_overhead_ratio
-    );
-    eprintln!(
-        "scale x{}:    {:>12.0} events/s  ({} events in {:.3} s; {} nodes, {} delivered, \
-         {:.2} GiB resident)",
-        bench.shards,
-        bench.scale.events_per_sec,
-        bench.scale.events,
-        bench.scale.wall_s,
-        bench.scale_nodes,
-        bench.scale_delivered,
-        bench.scale_memory_bytes as f64 / (1024.0 * 1024.0 * 1024.0)
-    );
-    eprintln!(
-        "snapshot:    {:.2} MiB JSON -> {:.2} MiB binary ({:.1}x smaller; save {:.1}x, \
-         load {:.1}x faster)",
-        bench.snapshot.json_bytes as f64 / (1024.0 * 1024.0),
-        bench.snapshot.binary_bytes as f64 / (1024.0 * 1024.0),
-        bench.snapshot.size_ratio,
-        bench.snapshot.save_speedup,
-        bench.snapshot.load_speedup
-    );
-    eprintln!("calendar-vs-heap speedup:  {:.2}x", bench.speedup);
-    eprintln!(
-        "shard speedup:             {:.2}x on {} host CPUs{}",
-        bench.shard_speedup,
-        bench.host_cpus,
-        if bench.speedups_overhead_only {
-            " (overhead-only: fewer CPUs than shards, ratio records lockstep cost, not speedup)"
-        } else {
-            ""
-        }
-    );
-    eprintln!(
-        "pipelined-vs-barrier:      {:.2}x{}",
-        bench.pipeline_speedup,
-        if bench.speedups_overhead_only {
-            " (overhead-only: fewer CPUs than shards, overlap cannot show as wall-clock speedup)"
-        } else {
-            ""
-        }
-    );
-    if let Some(baseline) = &baseline {
-        let tolerance = flags.tolerance_pct.unwrap_or(30.0) / 100.0;
-        let verdict = dragonfly_bench::check_against_baseline(
-            &bench,
-            baseline,
-            tolerance,
-            flags.allow_cpu_mismatch,
-        )?;
-        eprintln!("baseline ok: {verdict}");
+        _ => Err(format!(
+            "`checkpoint` takes exactly `dump <FILE>`\n\n{}",
+            usage()
+        )),
     }
-    let json = serde_json::to_string_pretty(&bench).map_err(|e| {
-        CliError::runtime(format!(
-            "cannot serialise the finished bench results as JSON: {e}"
-        ))
-    })?;
-    Ok(emit(flags, &json)?)
 }
 
 fn cmd_figure(flags: &CommonFlags) -> Result<(), String> {
-    reject_bench_flags(flags, "figure")?;
     reject_checkpoint_flags(flags, "figure")?;
     let id = flags
         .positional
         .first()
         .ok_or_else(|| format!("`figure` needs an id\n\n{}", usage()))?;
-    let mut bench_args = BenchArgs::from_slice(&[]);
-    if let Some(full) = flags.quick_full {
-        bench_args.mode = if full {
-            dragonfly_bench::RunMode::Full
-        } else {
-            dragonfly_bench::RunMode::Quick
-        };
-    }
-    bench_args.threads = flags.threads;
-    if let Some(seed) = flags.seed {
-        bench_args.seed = seed;
-    }
-    bench_args.shards = flags.shards;
-    bench_args.pipeline = flags.pipeline;
-    bench_args.cache_dir = flags.cache_dir.as_ref().map(std::path::PathBuf::from);
-    bench_args.no_cache = flags.no_cache;
+    let defaults = BenchArgs::default();
+    let bench_args = BenchArgs {
+        mode: match flags.quick_full {
+            Some(true) => dragonfly_bench::RunMode::Full,
+            Some(false) => dragonfly_bench::RunMode::Quick,
+            None => defaults.mode,
+        },
+        threads: flags.threads,
+        seed: flags.seed.unwrap_or(defaults.seed),
+        shards: flags.shards,
+        pipeline: flags.pipeline,
+        cache_dir: flags.cache_dir.as_ref().map(std::path::PathBuf::from),
+        no_cache: flags.no_cache,
+    };
     if flags.format == Format::Text && flags.out.is_some() {
         // Text output streams to stdout as the figure runs; silently
         // producing no file would look like success.
@@ -739,7 +553,6 @@ fn cmd_figure(flags: &CommonFlags) -> Result<(), String> {
 }
 
 fn cmd_show(flags: &CommonFlags) -> Result<(), String> {
-    reject_bench_flags(flags, "show")?;
     reject_cache_flags(flags, "show")?;
     reject_checkpoint_flags(flags, "show")?;
     if flags.shards.is_some() || flags.pipeline.is_some() {
@@ -840,13 +653,14 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::from(2);
     };
-    let outcome: Result<(), CliError> = match parse_flags(rest) {
-        Err(e) => Err(e.into()),
-        Ok(flags) => match command.as_str() {
+    let outcome: Result<(), CliError> = match (command.as_str(), parse_flags(rest)) {
+        // `checkpoint dump` takes no flags, not even the common ones.
+        ("checkpoint", _) => cmd_checkpoint(rest).map_err(CliError::from),
+        (_, Err(e)) => Err(e.into()),
+        (command, Ok(flags)) => match command {
             "run" => cmd_run(&flags),
             "sweep" => cmd_sweep(&flags),
             "figure" => cmd_figure(&flags).map_err(CliError::from),
-            "bench" => cmd_bench(&flags),
             "show" => cmd_show(&flags).map_err(CliError::from),
             "list" => cmd_list().map_err(CliError::from),
             "topologies" | "--list-topologies" => cmd_topologies().map_err(CliError::from),

@@ -136,3 +136,78 @@ fn static_figures_run_through_the_cli_binary() {
         assert!(stdout.contains("1,056-node"), "figure {id}: {stdout}");
     }
 }
+
+/// `checkpoint dump` prints a snapshot written by `run --checkpoint-every`
+/// as JSON carrying the one supported format tag.
+#[test]
+fn checkpoint_dump_prints_a_snapshot_as_json() {
+    let dir = std::env::temp_dir().join("qadaptive-cli-dump-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let snapshot = dir.join("retransmit.ckpt");
+    let cli = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_qadaptive-cli"))
+            .args(args)
+            .output()
+            .expect("binary runs")
+    };
+    let scenario = scenarios_dir().join("faults_retransmit_tiny.toml");
+    let run = cli(&[
+        "run",
+        scenario.to_str().unwrap(),
+        "--checkpoint-every",
+        "20000",
+        "--checkpoint-path",
+        snapshot.to_str().unwrap(),
+    ]);
+    assert!(
+        run.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let dump = cli(&["checkpoint", "dump", snapshot.to_str().unwrap()]);
+    std::fs::remove_file(&snapshot).ok();
+    assert!(
+        dump.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&dump.stderr)
+    );
+    let tree = serde_json::parse_value(&String::from_utf8_lossy(&dump.stdout))
+        .expect("the dump is valid JSON");
+    assert_eq!(
+        tree.get("version"),
+        Some(&serde_json::Value::Str(
+            "qadaptive-checkpoint-v4".to_string()
+        ))
+    );
+    assert!(tree.get("engine").is_some() && tree.get("collector").is_some());
+    // Read-only and flag-free.
+    let flagged = cli(&["checkpoint", "dump", "x.ckpt", "--format", "json"]);
+    assert_eq!(flagged.status.code(), Some(2));
+}
+
+/// The retired `bench` subcommand and its flags, and the retired snapshot
+/// format flag, are refused like any other unknown command or flag.
+#[test]
+fn retired_commands_and_flags_exit_2_as_unknown() {
+    let scenario = scenarios_dir().join("quickstart_tiny.toml");
+    let scenario = scenario.to_str().unwrap();
+    for (args, complaint) in [
+        (vec!["bench"], "unknown command `bench`"),
+        (
+            vec!["run", scenario, "--checkpoint-format", "json"],
+            "unknown flag `--checkpoint-format`",
+        ),
+        (
+            vec!["run", scenario, "--baseline", "x"],
+            "unknown flag `--baseline`",
+        ),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_qadaptive-cli"))
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(complaint), "{args:?}: {stderr}");
+    }
+}

@@ -297,8 +297,8 @@ impl QValueTable for PagedQTable {
 
     /// Memory actually allocated: the page table plus every materialised
     /// page's value slab and argmin cache. Untouched rows cost nothing
-    /// beyond their `Option` slot — this is the number the scale bench
-    /// rolls up into `memory_bytes`.
+    /// beyond their `Option` slot — this is the number reports roll up
+    /// into `memory_bytes`.
     fn memory_bytes(&self) -> usize {
         let mut bytes = self.pages.capacity() * std::mem::size_of::<Option<Box<Page>>>();
         for page in self.pages.iter().flatten() {

@@ -56,8 +56,8 @@ impl QAdaptiveParams {
         }
     }
 
-    /// Plain (non-hysteretic) Q-learning: both learning rates equal.
-    /// Used by the learning-rule ablation bench.
+    /// Plain (non-hysteretic) Q-learning: both learning rates equal
+    /// (the baseline of a learning-rule ablation).
     pub fn plain_q_learning(alpha: f64) -> Self {
         Self {
             alpha,

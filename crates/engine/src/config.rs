@@ -8,21 +8,6 @@ use crate::time::SimTime;
 use dragonfly_topology::paths::HopKind;
 use serde::{Deserialize, Serialize};
 
-/// Which event-scheduler implementation drives the simulation loop.
-///
-/// Both schedulers pop the exact same deterministic `(time, seq)` order, so
-/// all simulation outputs are bit-for-bit identical either way; only the
-/// wall-clock speed differs. See [`crate::event`] for the designs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchedulerKind {
-    /// Two-level calendar/bucket queue — the fast default.
-    #[default]
-    Calendar,
-    /// The classic `BinaryHeap` min-queue, kept as the reference
-    /// implementation for differential testing and A/B benchmarking.
-    BinaryHeap,
-}
-
 /// How many conservative-parallel shards execute one simulation.
 ///
 /// The engine partitions routers by locality domain (Dragonfly group,
@@ -90,10 +75,6 @@ pub struct EngineConfig {
     /// Number of virtual channels. This is dictated by the routing
     /// algorithm (MIN 2, VALg 3, VALn/UGALn 4, PAR 5, Q-adaptive 5).
     pub num_vcs: usize,
-    /// Event-scheduler implementation (identical results either way; the
-    /// calendar queue is faster and the default).
-    #[serde(default)]
-    pub scheduler: SchedulerKind,
     /// Conservative-parallel shard count (identical results for every
     /// value; `Single` is the sequential default).
     #[serde(default)]
@@ -177,7 +158,6 @@ impl Default for EngineConfig {
             vc_buffer_packets: 20,
             output_queue_packets: 20,
             num_vcs: 5,
-            scheduler: SchedulerKind::default(),
             shards: ShardKind::default(),
             pipeline: default_pipeline(),
             max_retries: default_max_retries(),

@@ -1,4 +1,4 @@
-//! The discrete-event schedulers.
+//! The discrete-event scheduler.
 //!
 //! Events are ordered by `(time, key, seq)`:
 //!
@@ -20,24 +20,20 @@
 //! therefore pop identical per-shard event sequences — see
 //! `tests/shard_differential.rs`.
 //!
-//! Two [`Scheduler`] implementations share the contract:
+//! [`EventQueue`] is a [`CalendarQueue`]: a two-level calendar/bucket
+//! queue with a power-of-two wheel of 1 ns buckets for near-future events
+//! plus a binary-heap overflow level for the rare far-future event. Every
+//! bucket holds events of exactly one nanosecond; buckets are sorted by
+//! `(key, seq)` lazily when first popped from, so pushes stay O(1)
+//! amortised.
 //!
-//! * [`BinaryHeapScheduler`] — the classic `BinaryHeap<Event>` min-queue
-//!   (O(log n) per operation). Kept as the reference implementation for
-//!   differential tests and selectable via
-//!   [`crate::config::SchedulerKind::BinaryHeap`].
-//! * [`CalendarQueue`] — a two-level calendar/bucket queue: a power-of-two
-//!   wheel of 1 ns buckets for near-future events plus a binary-heap
-//!   overflow level for the rare far-future event. Every bucket holds
-//!   events of exactly one nanosecond; buckets are sorted by `(key, seq)`
-//!   lazily when first popped from, so pushes stay O(1) amortised.
-//!
-//! Both schedulers pop the exact same `(time, key, seq)` total order, so
-//! pinned simulation outputs are bit-for-bit identical whichever one runs —
-//! see the `scheduler_differential` integration test.
+//! The [`Scheduler`] trait states the ordering contract. The unit tests
+//! hold the calendar queue to it against a plain `BinaryHeap<Event>`
+//! oracle, on hand-written cases and on a randomised engine-shaped event
+//! stream with a checkpoint/restore in the middle.
 
 use crate::arena::PacketRef;
-use crate::config::{EngineConfig, SchedulerKind};
+use crate::config::EngineConfig;
 use crate::routing::FeedbackMsg;
 use crate::time::SimTime;
 use dragonfly_topology::ids::{NodeId, Port, RouterId};
@@ -252,70 +248,6 @@ pub trait Scheduler {
     /// Total number of events popped so far (for performance reporting).
     fn processed(&self) -> u64;
 }
-
-// ---------------------------------------------------------------------
-// Reference implementation: binary heap
-// ---------------------------------------------------------------------
-
-/// The classic `BinaryHeap<Event>` scheduler (the pre-calendar design).
-#[derive(Debug, Default)]
-pub struct BinaryHeapScheduler {
-    heap: BinaryHeap<Event>,
-    next_seq: u64,
-    popped: u64,
-}
-
-impl BinaryHeapScheduler {
-    /// Create an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for BinaryHeapScheduler {
-    fn push(&mut self, time: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Event {
-            time,
-            key: event_key(&kind),
-            seq,
-            kind,
-        });
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        let e = self.heap.pop();
-        if e.is_some() {
-            self.popped += 1;
-        }
-        e
-    }
-
-    fn pop_before(&mut self, t_end: SimTime) -> Option<Event> {
-        if self.heap.peek().is_some_and(|e| e.time <= t_end) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn processed(&self) -> u64 {
-        self.popped
-    }
-}
-
-// ---------------------------------------------------------------------
-// Calendar queue
-// ---------------------------------------------------------------------
 
 /// Default wheel horizon (buckets × 1 ns) when no engine config is at hand.
 const DEFAULT_HORIZON: SimTime = 2048;
@@ -615,6 +547,41 @@ impl CalendarQueue {
             self.overflow.push(event);
         }
     }
+
+    /// Snapshot the pending event set and the push/pop counters in
+    /// canonical `(time, key, seq)` order. Non-destructive.
+    pub fn checkpoint(&self) -> SchedulerCheckpoint {
+        let mut events: Vec<Event> = self
+            .buckets
+            .iter()
+            .flatten()
+            .chain(self.current.iter())
+            .chain(self.overflow.iter())
+            .copied()
+            .collect();
+        events.sort_unstable_by_key(Event::order);
+        SchedulerCheckpoint {
+            events,
+            next_seq: self.next_seq,
+            popped: self.popped,
+        }
+    }
+
+    /// Refill this (empty, freshly built) queue from a checkpoint,
+    /// preserving every event's sequence number and the counters that
+    /// future pushes and `processed()` continue from. `now` anchors the
+    /// wheel window; every restored event must fire at or after it
+    /// (guaranteed after `run_until(now)`, which drains everything up to
+    /// and including `now`).
+    pub fn restore(&mut self, ck: &SchedulerCheckpoint, now: SimTime) {
+        assert!(self.len() == 0, "restore requires an empty queue");
+        self.cursor = now;
+        for event in &ck.events {
+            self.insert(*event);
+        }
+        self.next_seq = ck.next_seq;
+        self.popped = ck.popped;
+    }
 }
 
 impl Scheduler for CalendarQueue {
@@ -667,134 +634,13 @@ impl Scheduler for CalendarQueue {
     }
 }
 
-// ---------------------------------------------------------------------
-// The engine-facing queue: runtime-selectable scheduler
-// ---------------------------------------------------------------------
+/// The engine's event queue.
+pub type EventQueue = CalendarQueue;
 
-/// A deterministic min-queue of events, dispatching to the scheduler
-/// selected by [`SchedulerKind`] (enum dispatch keeps the hot path free of
-/// virtual calls).
-#[derive(Debug)]
-pub enum EventQueue {
-    /// Reference binary-heap scheduler.
-    Heap(BinaryHeapScheduler),
-    /// Calendar/bucket-queue scheduler (the default).
-    Calendar(CalendarQueue),
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue::Calendar(CalendarQueue::default())
-    }
-}
-
-macro_rules! delegate {
-    ($self:ident, $q:ident => $body:expr) => {
-        match $self {
-            EventQueue::Heap($q) => $body,
-            EventQueue::Calendar($q) => $body,
-        }
-    };
-}
-
-impl EventQueue {
-    /// An event queue with the default (calendar) scheduler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The scheduler selected by `cfg.scheduler`, with the calendar wheel
-    /// sized to `cfg`'s timing constants.
-    pub fn for_config(cfg: &EngineConfig) -> Self {
-        match cfg.scheduler {
-            SchedulerKind::Calendar => EventQueue::Calendar(CalendarQueue::for_config(cfg)),
-            SchedulerKind::BinaryHeap => EventQueue::Heap(BinaryHeapScheduler::new()),
-        }
-    }
-
-    /// [`EventQueue::for_config`] with storage pre-sized for a shard of
-    /// `entities` entities (see
-    /// [`CalendarQueue::for_config_with_entities`]; a no-op for the heap
-    /// scheduler, which sizes itself). Capacity only — pop order and
-    /// results are identical to [`EventQueue::for_config`].
-    pub fn for_config_with_entities(cfg: &EngineConfig, entities: usize) -> Self {
-        match cfg.scheduler {
-            SchedulerKind::Calendar => {
-                EventQueue::Calendar(CalendarQueue::for_config_with_entities(cfg, entities))
-            }
-            SchedulerKind::BinaryHeap => EventQueue::Heap(BinaryHeapScheduler::new()),
-        }
-    }
-
-    /// Which scheduler is driving this queue.
-    pub fn kind(&self) -> SchedulerKind {
-        match self {
-            EventQueue::Heap(_) => SchedulerKind::BinaryHeap,
-            EventQueue::Calendar(_) => SchedulerKind::Calendar,
-        }
-    }
-
-    /// Snapshot the pending event set and the push/pop counters in
-    /// canonical `(time, key, seq)` order. Non-destructive; the snapshot
-    /// is scheduler-independent (restoring into the other scheduler kind
-    /// pops the same sequence, because ordering is total on the triple).
-    pub fn checkpoint(&self) -> SchedulerCheckpoint {
-        let (mut events, next_seq, popped) = match self {
-            EventQueue::Heap(s) => (
-                s.heap.iter().copied().collect::<Vec<Event>>(),
-                s.next_seq,
-                s.popped,
-            ),
-            EventQueue::Calendar(s) => (
-                s.buckets
-                    .iter()
-                    .flatten()
-                    .chain(s.current.iter())
-                    .chain(s.overflow.iter())
-                    .copied()
-                    .collect(),
-                s.next_seq,
-                s.popped,
-            ),
-        };
-        events.sort_unstable_by_key(Event::order);
-        SchedulerCheckpoint {
-            events,
-            next_seq,
-            popped,
-        }
-    }
-
-    /// Refill this (empty, freshly built) queue from a checkpoint,
-    /// preserving every event's sequence number and the counters that
-    /// future pushes and `processed()` continue from. `now` anchors the
-    /// calendar wheel window; every restored event must fire at or after
-    /// it (guaranteed after `run_until(now)`, which drains everything up
-    /// to and including `now`).
-    pub fn restore(&mut self, ck: &SchedulerCheckpoint, now: SimTime) {
-        assert!(self.len() == 0, "restore requires an empty queue");
-        match self {
-            EventQueue::Heap(s) => {
-                s.heap = ck.events.iter().copied().collect();
-                s.next_seq = ck.next_seq;
-                s.popped = ck.popped;
-            }
-            EventQueue::Calendar(s) => {
-                s.cursor = now;
-                for event in &ck.events {
-                    s.insert(*event);
-                }
-                s.next_seq = ck.next_seq;
-                s.popped = ck.popped;
-            }
-        }
-    }
-}
-
-/// A serialisable snapshot of a scheduler (see [`EventQueue::checkpoint`]):
-/// the pending events in canonical order plus the counters that keep
-/// sequence numbers — and therefore tie-breaking — identical after a
-/// restore.
+/// A serialisable snapshot of the event queue (see
+/// [`CalendarQueue::checkpoint`]): the pending events in canonical order
+/// plus the counters that keep sequence numbers — and therefore
+/// tie-breaking — identical after a restore.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerCheckpoint {
     /// Pending events, ascending by `(time, key, seq)`.
@@ -805,35 +651,65 @@ pub struct SchedulerCheckpoint {
     pub popped: u64,
 }
 
-impl Scheduler for EventQueue {
-    fn push(&mut self, time: SimTime, kind: EventKind) {
-        delegate!(self, q => q.push(time, kind))
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        delegate!(self, q => q.pop())
-    }
-
-    fn pop_before(&mut self, t_end: SimTime) -> Option<Event> {
-        delegate!(self, q => q.pop_before(t_end))
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        delegate!(self, q => q.peek_time())
-    }
-
-    fn len(&self) -> usize {
-        delegate!(self, q => q.len())
-    }
-
-    fn processed(&self) -> u64 {
-        delegate!(self, q => q.processed())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The oracle: a plain `BinaryHeap<Event>` min-queue, O(log n) per
+    /// operation, whose pop order is the contract by construction.
+    #[derive(Debug, Default)]
+    struct BinaryHeapScheduler {
+        heap: BinaryHeap<Event>,
+        next_seq: u64,
+        popped: u64,
+    }
+
+    impl BinaryHeapScheduler {
+        fn new() -> Self {
+            Self::default()
+        }
+    }
+
+    impl Scheduler for BinaryHeapScheduler {
+        fn push(&mut self, time: SimTime, kind: EventKind) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Event {
+                time,
+                key: event_key(&kind),
+                seq,
+                kind,
+            });
+        }
+
+        fn pop(&mut self) -> Option<Event> {
+            let e = self.heap.pop();
+            if e.is_some() {
+                self.popped += 1;
+            }
+            e
+        }
+
+        fn pop_before(&mut self, t_end: SimTime) -> Option<Event> {
+            if self.heap.peek().is_some_and(|e| e.time <= t_end) {
+                self.pop()
+            } else {
+                None
+            }
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.time)
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        fn processed(&self) -> u64 {
+            self.popped
+        }
+    }
 
     fn schedulers() -> Vec<(&'static str, Box<dyn Scheduler>)> {
         vec![
@@ -1068,20 +944,6 @@ mod tests {
     }
 
     #[test]
-    fn event_queue_selects_scheduler_from_config() {
-        let mut cfg = EngineConfig::default();
-        assert!(matches!(
-            EventQueue::for_config(&cfg).kind(),
-            SchedulerKind::Calendar
-        ));
-        cfg.scheduler = SchedulerKind::BinaryHeap;
-        assert!(matches!(
-            EventQueue::for_config(&cfg).kind(),
-            SchedulerKind::BinaryHeap
-        ));
-    }
-
-    #[test]
     fn random_workload_matches_heap_order_exactly() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -1123,6 +985,117 @@ mod tests {
                 }
                 other => panic!("schedulers disagree on emptiness: {other:?}"),
             }
+        }
+    }
+
+    /// A same-tick-collision-prone event of a random class, the way the
+    /// engine's dispatch loop produces them.
+    fn engine_event(rng: &mut impl rand::Rng) -> EventKind {
+        let node = NodeId(rng.gen_range(0..64u32));
+        let router = RouterId(rng.gen_range(0..16u32));
+        let port = Port(rng.gen_range(0..8u32) as u16);
+        let vc = rng.gen_range(0..5u32) as u8;
+        match rng.gen_range(0..8u32) {
+            0 => EventKind::TrafficArrival,
+            1 => EventKind::NicTryInject { node },
+            2 => EventKind::NicCredit { node },
+            3 => EventKind::RouterArrive {
+                router,
+                port,
+                vc,
+                packet: PacketRef(rng.gen_range(0..1_000u32)),
+            },
+            4 => EventKind::SwitchAttempt { router, port, vc },
+            5 => EventKind::OutputAttempt { router, port },
+            6 => EventKind::CreditArrive { router, port, vc },
+            _ => EventKind::TaskWake { node },
+        }
+    }
+
+    #[test]
+    fn engine_shaped_stream_with_mid_stream_restore_matches_heap_order() {
+        // The order contract on the stream shape the engine produces: a
+        // hold model over the engine's own scheduling distances (every pop
+        // schedules a successor one of the five `EngineConfig` latencies
+        // ahead), same-tick bursts of mixed event classes, pushes at the
+        // just-popped time, far-future injections that live in the
+        // overflow level, and a checkpoint restored into a fresh queue
+        // half-way through.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let cfg = EngineConfig::default();
+        let deltas = [
+            cfg.serialization_ns(),
+            cfg.local_latency_ns,
+            cfg.global_latency_ns,
+            cfg.router_latency_ns,
+            cfg.host_latency_ns,
+        ];
+        const STEPS: usize = 20_000;
+        fn push(heap: &mut BinaryHeapScheduler, cal: &mut CalendarQueue, t: SimTime, k: EventKind) {
+            heap.push(t, k);
+            cal.push(t, k);
+        }
+        // The engine's wheel, and one narrower than the global latency so
+        // ordinary hops overflow too.
+        for horizon in [CalendarQueue::for_config(&cfg).horizon, 64] {
+            let mut rng = StdRng::seed_from_u64(horizon);
+            let mut heap = BinaryHeapScheduler::new();
+            let mut cal = CalendarQueue::with_horizon(horizon);
+            for _ in 0..256 {
+                let t = rng.gen_range(0..cfg.global_latency_ns);
+                push(&mut heap, &mut cal, t, engine_event(&mut rng));
+            }
+            for step in 0..STEPS {
+                // A burst leaves extra events behind; some steps pop twice
+                // so the population stays near its starting size.
+                let pops = if rng.gen_range(0..4u32) == 0 { 2 } else { 1 };
+                let mut now = 0;
+                for _ in 0..pops {
+                    let (Some(h), Some(c)) = (heap.pop(), cal.pop()) else {
+                        panic!("horizon {horizon} step {step}: a queue ran dry");
+                    };
+                    assert_eq!(h.order(), c.order(), "horizon {horizon} step {step}");
+                    now = h.time;
+                }
+                // Hold: every pop schedules a successor one engine latency
+                // ahead.
+                let delta = deltas[rng.gen_range(0..deltas.len())];
+                push(&mut heap, &mut cal, now + delta, engine_event(&mut rng));
+                match rng.gen_range(0..32u32) {
+                    // A burst of mixed classes on one future tick.
+                    0 => {
+                        let t = now + deltas[rng.gen_range(0..deltas.len())];
+                        for _ in 0..rng.gen_range(2..12u32) {
+                            push(&mut heap, &mut cal, t, engine_event(&mut rng));
+                        }
+                    }
+                    // Same-tick work generated while the tick drains.
+                    1 | 2 => push(&mut heap, &mut cal, now, engine_event(&mut rng)),
+                    // A far-future traffic injection.
+                    3 => {
+                        let t = now + rng.gen_range(10_000..200_000u64);
+                        push(&mut heap, &mut cal, t, EventKind::TrafficArrival);
+                    }
+                    _ => {}
+                }
+                assert_eq!(heap.len(), cal.len(), "horizon {horizon} step {step}");
+                if step == STEPS / 2 {
+                    // `now` is the last popped time, as after `run_until`.
+                    let snapshot = cal.checkpoint();
+                    assert_eq!(snapshot.events.len(), heap.len());
+                    let mut fresh = CalendarQueue::with_horizon(horizon);
+                    fresh.restore(&snapshot, now);
+                    assert_eq!(fresh.processed(), cal.processed());
+                    cal = fresh;
+                }
+            }
+            while let Some(h) = heap.pop() {
+                let c = cal.pop().expect("calendar ran dry before the oracle");
+                assert_eq!(h.order(), c.order(), "horizon {horizon} final drain");
+            }
+            assert!(cal.pop().is_none());
+            assert_eq!(heap.processed(), cal.processed());
         }
     }
 }

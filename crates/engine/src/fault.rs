@@ -13,9 +13,9 @@
 //! conservative lookahead). Every shard holds the full schedule and applies
 //! each entry to its own topology clone *immediately before dispatching the
 //! first event with `time >= t_q`* — a point in the per-shard event
-//! sequence that is identical across shard counts, execution modes and
-//! scheduler implementations, because events are totally ordered by
-//! `(time, key, seq)` and faults always win ties at `t_q`. Fault
+//! sequence that is identical across shard counts and execution modes,
+//! because events are totally ordered by `(time, key, seq)` and faults
+//! always win ties at `t_q`. Fault
 //! application never sends cross-shard messages: a link kill carries
 //! `PortDown` ops for **both** endpoints, so every liveness query any
 //! router makes is answered from shard-local state.

@@ -48,10 +48,9 @@
 //!   the fabric ever schedules) plus a binary-heap overflow level for the
 //!   rare far-future event. Push and pop are O(1) amortised instead of the
 //!   binary heap's O(log n), and pops walk a compact occupancy bitmap
-//!   instead of chasing a heap. The classic `BinaryHeap` scheduler is kept
-//!   behind the same [`event::Scheduler`] trait
-//!   ([`config::SchedulerKind::BinaryHeap`]) as the reference
-//!   implementation for differential tests and A/B benchmarks.
+//!   instead of chasing a heap. It is the only queue the engine runs
+//!   ([`event::EventQueue`]); a plain `BinaryHeap` survives as the oracle
+//!   its unit tests compare pop order against.
 //! * **Packets** live in a slab-style [`arena::PacketArena`] for their
 //!   whole life *within a shard*; events, NIC queues and router buffers
 //!   move 4-byte [`arena::PacketRef`] handles instead of boxed packets, so
@@ -154,15 +153,14 @@
 //! sorts into the destination queue exactly where the single-queue engine
 //! would have processed it, making **every shard count bit-for-bit
 //! identical** — `shards = 1` vs `shards = N` is pinned by the
-//! `shard_differential` integration test, and calendar-vs-heap by
-//! `scheduler_differential`. Arena slot assignment recycles through a
-//! per-shard LIFO free list and packet ids are assigned by the coordinator
-//! in injector order, so neither introduces run-to-run or
+//! `shard_differential` integration test. Arena slot assignment recycles
+//! through a per-shard LIFO free list and packet ids are assigned by the
+//! coordinator in injector order, so neither introduces run-to-run or
 //! across-shard-count variation.
 //!
 //! The engine is deterministic for a fixed seed, traffic injector and
-//! routing algorithm — independent of scheduler choice, shard count and
-//! thread scheduling.
+//! routing algorithm — independent of shard count, pipelining and thread
+//! scheduling.
 //!
 //! **Streaming statistics and determinism.** The contract extends to the
 //! measurement side. Per-shard observers are merged in ascending shard
@@ -289,7 +287,7 @@ pub mod workload;
 
 pub use arena::{PacketArena, PacketRef};
 pub use checkpoint::{AgentCheckpoint, EngineCheckpoint, InjectorCheckpoint};
-pub use config::{EngineConfig, SchedulerKind, ShardKind};
+pub use config::{EngineConfig, ShardKind};
 pub use engine::{Engine, EngineStats, ShardDrain};
 pub use fault::{CompiledFault, FaultOp, FaultSchedule};
 pub use injector::{Injection, TrafficInjector};

@@ -469,8 +469,8 @@ impl<O: ShardObserver> Shard<O> {
     /// Fault entries interleave with event dispatch here: an entry at
     /// `t_q` is applied immediately before the first event with
     /// `time >= t_q` (faults win ties). Because the event total order is
-    /// identical across shard counts, execution modes and schedulers, so
-    /// is the fault application point.
+    /// identical across shard counts and execution modes, so is the fault
+    /// application point.
     pub fn run_window(&mut self, end_incl: SimTime) -> u64 {
         self.min_sent = NO_EVENT;
         let mut processed = 0;

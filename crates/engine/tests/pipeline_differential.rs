@@ -15,7 +15,7 @@
 //! mid-run, `sum(resident) + sum(inbound_mail) == outstanding` even while
 //! packets sit in double-buffered parity mailboxes between windows.
 
-use dragonfly_engine::config::{EngineConfig, SchedulerKind, ShardKind};
+use dragonfly_engine::config::{EngineConfig, ShardKind};
 use dragonfly_engine::engine::EngineStats;
 use dragonfly_engine::injector::{Injection, ScriptedInjector};
 use dragonfly_engine::observer::CountingObserver;
@@ -112,12 +112,7 @@ fn script_for(case: &Case, topo: &Dragonfly) -> Vec<Injection> {
         .collect()
 }
 
-fn make_engine(
-    case: &Case,
-    shards: ShardKind,
-    pipeline: bool,
-    scheduler: SchedulerKind,
-) -> Engine<CountingObserver> {
+fn make_engine(case: &Case, shards: ShardKind, pipeline: bool) -> Engine<CountingObserver> {
     let (p, a, h) = case.topo;
     let topo = Dragonfly::new(DragonflyConfig::new(p, a, h).expect("generator draws valid sizes"));
     let script = script_for(case, &topo);
@@ -125,7 +120,6 @@ fn make_engine(
     let mut cfg = EngineConfig::paper(3);
     cfg.shards = shards;
     cfg.pipeline = pipeline;
-    cfg.scheduler = scheduler;
     Engine::new(
         topo,
         cfg,
@@ -141,7 +135,7 @@ fn run_case(
     shards: ShardKind,
     pipeline: bool,
 ) -> (EngineStats, CountingObserver, Vec<usize>, u64) {
-    let mut engine = make_engine(case, shards, pipeline, SchedulerKind::Calendar);
+    let mut engine = make_engine(case, shards, pipeline);
     let (_, processed) = engine.run_to_drain(500_000_000);
     let live = engine.arena_live_counts();
     (engine.stats(), engine.merged_observer(), live, processed)
@@ -277,28 +271,6 @@ fn closed_loop_task_programs_are_pipeline_invariant() {
     }
 }
 
-/// Pipelined and barrier executions must also agree with each other under
-/// the reference binary-heap scheduler (three orthogonal determinism
-/// axes: shard count, pipelining, scheduler).
-#[test]
-fn pipelined_heap_scheduler_matches_barrier_calendar() {
-    let case = Case {
-        topo: (2, 4, 2),
-        pattern: Pattern::Adversarial(1),
-        count: 1_200,
-        gap_ns: 25,
-        seed: 99,
-    };
-    let mut barrier = make_engine(&case, ShardKind::Fixed(3), false, SchedulerKind::Calendar);
-    let mut pipelined = make_engine(&case, ShardKind::Fixed(3), true, SchedulerKind::BinaryHeap);
-    barrier.run_to_drain(500_000_000);
-    pipelined.run_to_drain(500_000_000);
-    assert_eq!(barrier.stats(), pipelined.stats());
-    let (a, b) = (barrier.merged_observer(), pipelined.merged_observer());
-    assert_eq!(a.total_latency_ns, b.total_latency_ns);
-    assert_eq!(a.total_hops, b.total_hops);
-}
-
 /// Capped `run_until` windows cut the pipelined epochs at arbitrary
 /// points (mail parked in parity mailboxes, epochs re-origined); the
 /// stitched-together run must equal one uninterrupted drain.
@@ -311,14 +283,14 @@ fn split_run_until_windows_match_one_drain_under_pipelining() {
         gap_ns: 55,
         seed: 7,
     };
-    let mut stepped = make_engine(&case, ShardKind::Fixed(4), true, SchedulerKind::Calendar);
+    let mut stepped = make_engine(&case, ShardKind::Fixed(4), true);
     let mut processed = 0;
     // Deliberately awkward cut points: mid-window, on a window boundary
     // (300 ns lookahead → 150 ns windows), and far beyond the traffic.
     for t in [137u64, 150, 4_650, 20_000, 100_000_000] {
         processed += stepped.run_until(t);
     }
-    let mut drained = make_engine(&case, ShardKind::Fixed(4), true, SchedulerKind::Calendar);
+    let mut drained = make_engine(&case, ShardKind::Fixed(4), true);
     let (_, one_shot) = drained.run_to_drain(100_000_000);
     assert_eq!(processed, one_shot, "split windows vs one drain");
     assert_eq!(stepped.stats(), drained.stats());
@@ -350,12 +322,7 @@ fn shard_drain_accounting_holds_under_pipelining() {
     };
     let cuts = [400u64, 1_500, 3_000, 7_777, 15_000, 24_000];
     for pipeline in [false, true] {
-        let mut engine = make_engine(
-            &case,
-            ShardKind::Fixed(4),
-            pipeline,
-            SchedulerKind::Calendar,
-        );
+        let mut engine = make_engine(&case, ShardKind::Fixed(4), pipeline);
         let mut saw_mailbox_transit = false;
         for &t_end in &cuts {
             engine.run_until(t_end);

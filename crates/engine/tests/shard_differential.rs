@@ -7,15 +7,15 @@
 //! with cross-shard events travelling through mailboxes — cannot change
 //! any observable: engine counters, processed event counts, delivered
 //! packets, latency and hop totals all match exactly. This file drives the
-//! same seeded random workloads through 1, 2 and 4 shards (and through
-//! both scheduler implementations while sharded) and asserts exactly that.
+//! same seeded random workloads through 1, 2 and 4 shards and asserts
+//! exactly that.
 //!
 //! It also pins the arena-segment contract: packets cross shard
 //! boundaries **by value**, so `PacketRef` handles never leave the arena
 //! that issued them, and per-shard arena residency plus mailbox transit
 //! always accounts for every outstanding packet.
 
-use dragonfly_engine::config::{EngineConfig, SchedulerKind, ShardKind};
+use dragonfly_engine::config::{EngineConfig, ShardKind};
 use dragonfly_engine::engine::EngineStats;
 use dragonfly_engine::injector::{Injection, ScriptedInjector};
 use dragonfly_engine::observer::CountingObserver;
@@ -48,16 +48,11 @@ fn random_script(seed: u64, count: u64, gap_ns: u64, num_nodes: usize) -> Vec<In
         .collect()
 }
 
-fn make_engine(
-    shards: ShardKind,
-    scheduler: SchedulerKind,
-    script: Vec<Injection>,
-) -> Engine<CountingObserver> {
+fn make_engine(shards: ShardKind, script: Vec<Injection>) -> Engine<CountingObserver> {
     let topo = Dragonfly::new(DragonflyConfig::tiny());
     let algo = MinimalTestRouting;
     let mut cfg = EngineConfig::paper(3);
     cfg.shards = shards;
-    cfg.scheduler = scheduler;
     Engine::new(
         topo,
         cfg,
@@ -70,11 +65,10 @@ fn make_engine(
 
 fn run_with(
     shards: ShardKind,
-    scheduler: SchedulerKind,
     script: Vec<Injection>,
     t_end: SimTime,
 ) -> (EngineStats, CountingObserver, Vec<usize>, u64) {
-    let mut engine = make_engine(shards, scheduler, script);
+    let mut engine = make_engine(shards, script);
     let (_, processed) = engine.run_to_drain(t_end);
     let live = engine.arena_live_counts();
     (engine.stats(), engine.merged_observer(), live, processed)
@@ -88,19 +82,11 @@ fn sharded_runs_are_bit_identical_to_single_shard() {
     // waiter lists, credit stalls) and bursty same-tick injections.
     for (seed, count, gap) in [(3u64, 2_000u64, 80u64), (7, 3_000, 20), (11, 1_000, 0)] {
         let script = random_script(seed, count, gap, n);
-        let (base_stats, base_obs, base_live, base_events) = run_with(
-            ShardKind::Single,
-            SchedulerKind::Calendar,
-            script.clone(),
-            500_000_000,
-        );
+        let (base_stats, base_obs, base_live, base_events) =
+            run_with(ShardKind::Single, script.clone(), 500_000_000);
         for shard_count in [2usize, 4] {
-            let (stats, obs, live, events) = run_with(
-                ShardKind::Fixed(shard_count),
-                SchedulerKind::Calendar,
-                script.clone(),
-                500_000_000,
-            );
+            let (stats, obs, live, events) =
+                run_with(ShardKind::Fixed(shard_count), script.clone(), 500_000_000);
             assert_eq!(
                 (stats.generated, stats.injected, stats.delivered),
                 (
@@ -195,11 +181,11 @@ impl AggregateFields for EngineStats {
 }
 
 #[test]
-fn closed_loop_task_programs_are_shard_and_scheduler_invariant() {
+fn closed_loop_task_programs_are_shard_invariant() {
     // Hand-rolled task programs (no workload crate: the engine contract is
     // pinned at the Op level): a ring exchange, a phase marker, a pairwise
     // barrier exchange and trailing compute. TaskWake/TaskRecv events must
-    // commit in the same order on every shard count and scheduler.
+    // commit in the same order on every shard count.
     use dragonfly_engine::injector::EmptyInjector;
     use dragonfly_engine::{NodeProgram, Op};
     let n = Dragonfly::new(DragonflyConfig::tiny()).num_nodes();
@@ -236,11 +222,10 @@ fn closed_loop_task_programs_are_shard_and_scheduler_invariant() {
             ]
         })
         .collect();
-    let run = |shards: ShardKind, scheduler: SchedulerKind| {
+    let run = |shards: ShardKind| {
         let algo = MinimalTestRouting;
         let mut cfg = EngineConfig::paper(3);
         cfg.shards = shards;
-        cfg.scheduler = scheduler;
         let mut engine = Engine::new(
             Dragonfly::new(DragonflyConfig::tiny()),
             cfg,
@@ -259,57 +244,45 @@ fn closed_loop_task_programs_are_shard_and_scheduler_invariant() {
             processed,
         )
     };
-    let (base_stats, base_obs, base_events) = run(ShardKind::Single, SchedulerKind::Calendar);
+    let (base_stats, base_obs, base_events) = run(ShardKind::Single);
     // 2 ring + 1 pairwise message per node.
     assert_eq!(base_stats.2, 3 * n as u64, "delivered count");
     for shard_count in [2usize, 4] {
-        for scheduler in [SchedulerKind::Calendar, SchedulerKind::BinaryHeap] {
-            let (stats, obs, events) = run(ShardKind::Fixed(shard_count), scheduler);
-            let label = format!("shards={shard_count} scheduler={scheduler:?}");
-            assert_eq!(stats, base_stats, "{label}");
-            assert_eq!(events, base_events, "{label}");
-            assert_eq!(obs.delivered, base_obs.delivered, "{label}");
-            assert_eq!(obs.total_latency_ns, base_obs.total_latency_ns, "{label}");
-            assert_eq!(obs.total_hops, base_obs.total_hops, "{label}");
-        }
+        let (stats, obs, events) = run(ShardKind::Fixed(shard_count));
+        let label = format!("shards={shard_count}");
+        assert_eq!(stats, base_stats, "{label}");
+        assert_eq!(events, base_events, "{label}");
+        assert_eq!(obs.delivered, base_obs.delivered, "{label}");
+        assert_eq!(obs.total_latency_ns, base_obs.total_latency_ns, "{label}");
+        assert_eq!(obs.total_hops, base_obs.total_hops, "{label}");
     }
 }
 
+/// One engine stepped in two `run_until` windows must process the same
+/// events as one engine drained in a single call.
+fn assert_split_windows_match_one_drain(shards: ShardKind, script: Vec<Injection>) {
+    let mut stepped = make_engine(shards, script.clone());
+    let a = stepped.run_until(20_000);
+    let b = stepped.run_until(100_000_000);
+    let mut drained = make_engine(shards, script);
+    let (_, c) = drained.run_to_drain(100_000_000);
+    assert_eq!(a + b, c, "split run_until windows vs run_to_drain");
+    assert_eq!(stepped.stats(), drained.stats());
+    assert_eq!(stepped.stats().events, c, "stats.events counts all pops");
+}
+
 #[test]
-fn sharded_heap_scheduler_matches_sharded_calendar() {
-    // Scheduler choice and shard count are orthogonal determinism axes:
-    // both must pop the same (time, key, seq) order per shard.
+fn run_until_and_run_to_drain_agree_on_event_accounting() {
     let topo = Dragonfly::new(DragonflyConfig::tiny());
-    let script = random_script(5, 1_500, 40, topo.num_nodes());
-    let (cal_stats, cal_obs, _, _) = run_with(
-        ShardKind::Fixed(3),
-        SchedulerKind::Calendar,
-        script.clone(),
-        500_000_000,
-    );
-    let (heap_stats, heap_obs, _, _) = run_with(
-        ShardKind::Fixed(3),
-        SchedulerKind::BinaryHeap,
-        script,
-        500_000_000,
-    );
-    assert_eq!(cal_stats, heap_stats);
-    assert_eq!(cal_obs.total_latency_ns, heap_obs.total_latency_ns);
-    assert_eq!(cal_obs.total_hops, heap_obs.total_hops);
+    let script = random_script(5, 500, 60, topo.num_nodes());
+    assert_split_windows_match_one_drain(ShardKind::Single, script);
 }
 
 #[test]
 fn split_run_until_windows_match_one_drain_across_shards() {
     let topo = Dragonfly::new(DragonflyConfig::tiny());
     let script = random_script(9, 800, 60, topo.num_nodes());
-    let mut stepped = make_engine(ShardKind::Fixed(2), SchedulerKind::Calendar, script.clone());
-    let a = stepped.run_until(20_000);
-    let b = stepped.run_until(100_000_000);
-    let mut drained = make_engine(ShardKind::Fixed(2), SchedulerKind::Calendar, script);
-    let (_, c) = drained.run_to_drain(100_000_000);
-    assert_eq!(a + b, c, "split run_until windows vs run_to_drain");
-    assert_eq!(stepped.stats(), drained.stats());
-    assert_eq!(stepped.stats().events, c, "stats.events counts all pops");
+    assert_split_windows_match_one_drain(ShardKind::Fixed(2), script);
 }
 
 /// The arena-segment contract: a packet lives in exactly one shard's arena
@@ -322,7 +295,7 @@ fn arena_segments_account_for_every_packet_mid_run() {
     let topo = Dragonfly::new(DragonflyConfig::tiny());
     let n = topo.num_nodes();
     let script = random_script(13, 2_000, 15, n); // hot enough to queue up
-    let mut engine = make_engine(ShardKind::Fixed(4), SchedulerKind::Calendar, script);
+    let mut engine = make_engine(ShardKind::Fixed(4), script);
     // Observe mid-flight at several cut points, including ones that leave
     // packets parked inside cross-shard mailboxes.
     for t_end in [500u64, 2_000, 5_000, 11_111, 20_000] {

@@ -12,8 +12,8 @@
 //!
 //! The paper uses this scheme to show why vanilla Q-routing does not work
 //! well on Dragonfly: no single `maxQ` suits both uniform and adversarial
-//! traffic, and the huge table suffers from stale values. The
-//! `ablation_maxq` bench binary reproduces that study.
+//! traffic, and the huge table suffers from stale values.
+//! `qadaptive-cli figure maxq` reproduces that study.
 
 use dragonfly_engine::checkpoint::AgentCheckpoint;
 use dragonfly_engine::config::EngineConfig;

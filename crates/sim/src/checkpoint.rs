@@ -13,21 +13,12 @@
 //! * the [`MetricsCollector`], which the engine snapshot deliberately
 //!   excludes (observers are a sim-layer concern).
 //!
-//! Files come in two encodings sharing one logical layout:
-//!
-//! * **Binary** (default, version tag `qadaptive-checkpoint-v4`) — the
-//!   compact magic-prefixed codec of `serde_json::binary`. On the
-//!   110k-node scale system it is several times smaller and faster than
-//!   JSON, which matters when a snapshot is taken every few simulated
-//!   microseconds.
-//! * **JSON** (version tags v1–v3) — self-describing and diffable in
-//!   tests. Still written on request ([`CheckpointFormat::Json`]) and
-//!   always accepted on load.
-//!
-//! [`RunCheckpoint::load`] sniffs the encoding from the first bytes of
-//! the file (binary streams carry a magic header; JSON documents start
-//! with `{`), so `--resume-from` needs no format flag. A version tag
-//! guards against silently resuming from an incompatible layout.
+//! A file is one `serde_json::binary` stream: the `QADBIN` magic, then
+//! the snapshot tagged [`CHECKPOINT_VERSION`]. The magic, the codec
+//! version byte and the tag are all checked on load, so a foreign,
+//! damaged or incompatible file is refused with an error naming it
+//! rather than resumed from. `qadaptive-cli checkpoint dump FILE` prints
+//! a snapshot as JSON for reading and diffing.
 
 use crate::collector::MetricsCollector;
 use crate::spec::{ExperimentSpec, SpecError};
@@ -36,59 +27,9 @@ use dragonfly_engine::EngineConfig;
 use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 
-/// Format tag stored in every checkpoint file. Bump when any serialized
-/// layout changes incompatibly.
-///
-/// v2 added the bounded-memory state: streaming latency-sketch bins in
-/// the collector and sparse (`q_rows`-keyed) paged Q-table rows in agent
-/// snapshots.
-///
-/// v3 generalises the engine snapshot to the canonical
-/// single-shard-equivalent form (see `dragonfly_engine::checkpoint`):
-/// sharded and pipelined runs checkpoint too, and a snapshot taken at
-/// `shards = N` resumes at any `shards = M`. The serialized layout is
-/// unchanged — earlier files were always single-shard, which *is* the
-/// canonical form — but v3 resumes no longer require the execution-mode
-/// knobs (shards, pipeline, scheduler, Q-table paging threshold) of the
-/// checkpointing run, so the version tag records the semantic change.
-pub const CHECKPOINT_VERSION: &str = "qadaptive-checkpoint-v3";
-
-/// Format tag of binary snapshot files. The logical layout is exactly
-/// v3's — only the container changed from JSON text to the
-/// `serde_json::binary` codec — but the tag records which encoder wrote
-/// the file, and pre-v4 builds reject it cleanly instead of choking on
-/// the magic bytes.
-pub const BINARY_CHECKPOINT_VERSION: &str = "qadaptive-checkpoint-v4";
-
-/// Older format tags this build still reads. Every field added since v1
-/// is `#[serde(default)]`-compatible (exact-mode sketches, dense Q-table
-/// rows), and v2 files are already in the canonical single-shard form v3
-/// expects, so both tags deserialize into the current layout unchanged.
-pub const COMPATIBLE_VERSIONS: &[&str] = &["qadaptive-checkpoint-v1", "qadaptive-checkpoint-v2"];
-
-/// On-disk encoding of a checkpoint file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckpointFormat {
-    /// Compact magic-prefixed binary (`qadaptive-checkpoint-v4`).
-    #[default]
-    Binary,
-    /// Human-readable JSON (`qadaptive-checkpoint-v3`), for diffing and
-    /// for tooling that predates the binary codec.
-    Json,
-}
-
-impl std::str::FromStr for CheckpointFormat {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "binary" => Ok(Self::Binary),
-            "json" => Ok(Self::Json),
-            other => Err(format!(
-                "unknown checkpoint format {other:?} (expected `binary` or `json`)"
-            )),
-        }
-    }
-}
+/// Format tag stored in every checkpoint file; the only one this build
+/// writes or reads. Bump when any serialized layout changes incompatibly.
+pub const CHECKPOINT_VERSION: &str = "qadaptive-checkpoint-v4";
 
 /// A complete, self-contained snapshot of a running experiment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -118,60 +59,35 @@ impl RunCheckpoint {
         }
     }
 
-    /// Serialize to JSON.
+    /// Render as JSON, for people and `diff` (`checkpoint dump`); no
+    /// loader reads it back.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("checkpoints always serialize")
     }
 
-    /// Serialize to the compact binary encoding. The stored version tag
-    /// becomes [`BINARY_CHECKPOINT_VERSION`] — the tag records the
-    /// encoder, and the in-memory `version` field (v3) must not leak
-    /// into a container it does not describe.
+    /// Serialize to the on-disk encoding.
     pub fn to_binary(&self) -> Vec<u8> {
-        let mut tree = self.to_value();
-        if let Value::Map(entries) = &mut tree {
-            for (k, v) in entries.iter_mut() {
-                if k == "version" {
-                    *v = Value::Str(BINARY_CHECKPOINT_VERSION.to_string());
-                }
-            }
-        }
-        serde_json::binary::value_to_vec(&tree)
+        serde_json::binary::to_vec(self)
     }
 
-    /// Parse from JSON, rejecting unknown format versions with a
-    /// contextual error.
-    pub fn from_json(text: &str) -> Result<Self, SpecError> {
-        let ck: Self = serde_json::from_str(text)
-            .map_err(|e| SpecError(format!("malformed checkpoint file: {e}")))?;
-        ck.check_version()?;
-        Ok(ck)
-    }
-
-    /// Parse from the binary encoding (the caller has already sniffed
-    /// the magic), rejecting unknown format versions.
+    /// Parse the on-disk encoding, rejecting streams without the magic
+    /// and unknown format versions.
     pub fn from_binary(bytes: &[u8]) -> Result<Self, SpecError> {
-        let ck: Self = serde_json::binary::from_slice(bytes)
-            .map_err(|e| SpecError(format!("malformed checkpoint file: {e}")))?;
-        ck.check_version()?;
-        Ok(ck)
-    }
-
-    /// Reject version tags this build does not read. Both containers
-    /// share the check: the logical layout is identical, so a v3 tag in
-    /// a binary file or a v4 tag in JSON is tolerated — only genuinely
-    /// unknown tags (a future incompatible layout) are refused.
-    fn check_version(&self) -> Result<(), SpecError> {
-        if self.version != CHECKPOINT_VERSION
-            && self.version != BINARY_CHECKPOINT_VERSION
-            && !COMPATIBLE_VERSIONS.contains(&self.version.as_str())
-        {
+        if !serde_json::binary::looks_binary(bytes) {
             return Err(SpecError(format!(
-                "checkpoint version {:?} is not supported (this build reads {:?}, {:?} and {:?})",
-                self.version, BINARY_CHECKPOINT_VERSION, CHECKPOINT_VERSION, COMPATIBLE_VERSIONS
+                "malformed checkpoint file: no QADBIN magic (this build reads only \
+                 binary {CHECKPOINT_VERSION:?} snapshots)"
             )));
         }
-        Ok(())
+        let ck: Self = serde_json::binary::from_slice(bytes)
+            .map_err(|e| SpecError(format!("malformed checkpoint file: {e}")))?;
+        if ck.version != CHECKPOINT_VERSION {
+            return Err(SpecError(format!(
+                "checkpoint version {:?} is not supported (this build reads {:?})",
+                ck.version, CHECKPOINT_VERSION
+            )));
+        }
+        Ok(ck)
     }
 
     /// Write the checkpoint to a file, atomically: the bytes go to a
@@ -181,16 +97,6 @@ impl RunCheckpoint {
     /// path a later `--resume-from` will read — the old snapshot (if
     /// any) survives intact and at worst a stale `.tmp` file remains.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SpecError> {
-        self.save_format(path, CheckpointFormat::default())
-    }
-
-    /// [`save`](Self::save) with an explicit on-disk encoding (the CLI's
-    /// `--checkpoint-format` flag lands here).
-    pub fn save_format(
-        &self,
-        path: impl AsRef<Path>,
-        format: CheckpointFormat,
-    ) -> Result<(), SpecError> {
         let path = path.as_ref();
         let file_name = path.file_name().ok_or_else(|| {
             SpecError(format!(
@@ -199,11 +105,7 @@ impl RunCheckpoint {
             ))
         })?;
         let tmp = path.with_file_name(format!("{}.tmp", file_name.to_string_lossy()));
-        let bytes = match format {
-            CheckpointFormat::Binary => self.to_binary(),
-            CheckpointFormat::Json => self.to_json().into_bytes(),
-        };
-        std::fs::write(&tmp, bytes)
+        std::fs::write(&tmp, self.to_binary())
             .map_err(|e| SpecError(format!("cannot write checkpoint {}: {e}", tmp.display())))?;
         std::fs::rename(&tmp, path).map_err(|e| {
             let _ = std::fs::remove_file(&tmp);
@@ -214,26 +116,15 @@ impl RunCheckpoint {
         })
     }
 
-    /// Read a checkpoint from a file, sniffing the encoding from its
-    /// first bytes (binary magic vs JSON text) — no format flag needed.
-    /// Both I/O and parse failures name the offending file, so a
-    /// truncated or corrupted snapshot yields a clean contextual error
-    /// rather than a panic.
+    /// Read a checkpoint from a file. Both I/O and parse failures name
+    /// the offending file, so a truncated or corrupted snapshot yields a
+    /// clean contextual error rather than a panic.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, SpecError> {
         let path = path.as_ref();
         let bytes = std::fs::read(path)
             .map_err(|e| SpecError(format!("cannot read checkpoint {}: {e}", path.display())))?;
-        let parsed = if serde_json::binary::looks_binary(&bytes) {
-            Self::from_binary(&bytes)
-        } else {
-            let text = std::str::from_utf8(&bytes).map_err(|_| {
-                SpecError(
-                    "malformed checkpoint file: neither a binary stream nor UTF-8 JSON".to_string(),
-                )
-            });
-            text.and_then(Self::from_json)
-        };
-        parsed.map_err(|e| SpecError(format!("checkpoint {}: {}", path.display(), e.0)))
+        Self::from_binary(&bytes)
+            .map_err(|e| SpecError(format!("checkpoint {}: {}", path.display(), e.0)))
     }
 
     /// Verify that `spec` describes the same experiment this checkpoint
@@ -241,12 +132,12 @@ impl RunCheckpoint {
     /// cannot rebuild, so resuming under a different spec would silently
     /// mix two experiments.
     ///
-    /// Execution-mode knobs — shard count, pipelining, event-scheduler
-    /// kind, Q-table paging threshold — are deliberately **excluded**
-    /// from the comparison: the snapshot is partition-independent, and
-    /// resuming a `shards = N` checkpoint at `shards = M` is part of the
-    /// v3 contract. Everything else must match exactly; the error names
-    /// the first mismatched field.
+    /// Execution-mode knobs — shard count, pipelining, Q-table paging
+    /// threshold — are deliberately **excluded** from the comparison: the
+    /// snapshot is partition-independent, and resuming a `shards = N`
+    /// checkpoint at `shards = M` is part of the contract. Everything
+    /// else must match exactly; the error names the first mismatched
+    /// field.
     pub fn check_spec_matches(&self, spec: &ExperimentSpec) -> Result<(), SpecError> {
         let ours = resume_relevant(&self.spec).to_value();
         let theirs = resume_relevant(spec).to_value();
@@ -254,8 +145,8 @@ impl RunCheckpoint {
             return Err(SpecError(format!(
                 "checkpoint was taken from experiment {:?}, which differs from the \
                  requested experiment {:?} at {diff}; resume with the same scenario \
-                 file, seed and overrides (execution-mode knobs — shards, pipeline, \
-                 scheduler — may differ)",
+                 file, seed and overrides (execution-mode knobs — shards, pipeline — \
+                 may differ)",
                 self.spec.name, spec.name
             )));
         }
@@ -265,15 +156,14 @@ impl RunCheckpoint {
 
 /// The spec with every execution-mode knob reset to its default: two
 /// specs that agree on this projection describe the same simulation
-/// (engine determinism makes shard count, pipelining and scheduler kind
-/// unobservable), so resume accepts them interchangeably. A fully
+/// (engine determinism makes shard count and pipelining unobservable), so
+/// resume accepts them interchangeably. A fully
 /// default engine block collapses to `None`, since CLI overrides
 /// materialise a default block just to set a knob on it.
 fn resume_relevant(spec: &ExperimentSpec) -> ExperimentSpec {
     let mut s = spec.clone();
     if let Some(engine) = &mut s.engine {
         let defaults = EngineConfig::default();
-        engine.scheduler = defaults.scheduler;
         engine.shards = defaults.shards;
         engine.pipeline = defaults.pipeline;
         engine.qtable_page_rows_threshold = defaults.qtable_page_rows_threshold;
@@ -356,43 +246,11 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_everything() {
-        let back = RunCheckpoint::from_json(&sample().to_json()).unwrap();
-        assert_eq!(back.version, CHECKPOINT_VERSION);
-        assert_eq!(back.engine.now, 123);
-        assert_eq!(back.engine.shard.generated, 5);
-        assert_eq!(back.collector.window_end_ns, 1_000);
-        back.check_spec_matches(&spec()).unwrap();
-    }
-
-    #[test]
     fn unknown_version_is_rejected_with_context() {
         let mut ck = sample();
         ck.version = "qadaptive-checkpoint-v999".to_string();
-        let err = RunCheckpoint::from_json(&ck.to_json()).unwrap_err();
+        let err = RunCheckpoint::from_binary(&ck.to_binary()).unwrap_err();
         assert!(err.0.contains("v999"), "error names the bad version: {err}");
-    }
-
-    #[test]
-    fn v1_checkpoints_are_still_accepted() {
-        // Every field v2 added (sketch bins, sparse q_rows) is
-        // serde-default-compatible, so the v1 tag stays readable.
-        let mut ck = sample();
-        ck.version = "qadaptive-checkpoint-v1".to_string();
-        let back = RunCheckpoint::from_json(&ck.to_json()).unwrap();
-        assert_eq!(back.version, "qadaptive-checkpoint-v1");
-        assert_eq!(back.engine.now, 123);
-    }
-
-    #[test]
-    fn v2_checkpoints_are_still_accepted() {
-        // v2 files are already in the canonical single-shard form the v3
-        // restore path expects, so the tag stays readable too.
-        let mut ck = sample();
-        ck.version = "qadaptive-checkpoint-v2".to_string();
-        let back = RunCheckpoint::from_json(&ck.to_json()).unwrap();
-        assert_eq!(back.version, "qadaptive-checkpoint-v2");
-        assert_eq!(back.engine.shard.generated, 5);
     }
 
     #[test]
@@ -413,9 +271,9 @@ mod tests {
 
     #[test]
     fn execution_mode_overrides_do_not_block_resume() {
-        // The v3 contract: a resume may change shards / pipeline /
-        // scheduler / paging threshold freely — only knobs that alter the
-        // simulated experiment must match.
+        // A resume may change shards / pipeline / paging threshold
+        // freely — only knobs that alter the simulated experiment must
+        // match.
         use dragonfly_engine::config::ShardKind;
         let ck = sample(); // engine: None
         let mut other = spec();
@@ -440,27 +298,11 @@ mod tests {
     }
 
     #[test]
-    fn truncated_file_is_a_contextual_error_naming_the_path() {
-        let dir = std::env::temp_dir().join("qadaptive-ck-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("truncated.ckpt.json");
-        let mut text = sample().to_json();
-        text.truncate(text.len() / 2); // simulate a torn non-atomic write
-        std::fs::write(&path, text).unwrap();
-        let err = RunCheckpoint::load(&path).unwrap_err();
-        assert!(
-            err.0.contains("truncated.ckpt.json") && err.0.contains("malformed"),
-            "error names the file and the cause: {err}"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn save_is_atomic_and_overwrites_cleanly() {
         let dir = std::env::temp_dir().join("qadaptive-ck-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("atomic.ckpt.json");
-        let tmp = dir.join("atomic.ckpt.json.tmp");
+        let path = dir.join("atomic.ckpt");
+        let tmp = dir.join("atomic.ckpt.tmp");
 
         // First write, then overwrite with a different snapshot — the
         // rename must replace the old file and leave no temp file behind.
@@ -477,17 +319,13 @@ mod tests {
     #[test]
     fn binary_round_trip_preserves_everything() {
         let back = RunCheckpoint::from_binary(&sample().to_binary()).unwrap();
-        // The binary container re-tags the snapshot as v4.
-        assert_eq!(back.version, BINARY_CHECKPOINT_VERSION);
+        assert_eq!(back.version, CHECKPOINT_VERSION);
         assert_eq!(back.engine.now, 123);
         assert_eq!(back.engine.shard.generated, 5);
         assert_eq!(back.collector.window_end_ns, 1_000);
         back.check_spec_matches(&spec()).unwrap();
-        // And the logical content matches the JSON encoding exactly
-        // (modulo the version tag).
-        let mut via_json = RunCheckpoint::from_json(&sample().to_json()).unwrap();
-        via_json.version = BINARY_CHECKPOINT_VERSION.to_string();
-        assert_eq!(via_json.to_json(), back.to_json());
+        // Nothing is lost on the way: the JSON rendering is unchanged.
+        assert_eq!(sample().to_json(), back.to_json());
     }
 
     #[test]
@@ -499,7 +337,7 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         assert!(
             serde_json::binary::looks_binary(&bytes),
-            "save() must default to the binary encoding"
+            "save() writes the binary encoding"
         );
         let back = RunCheckpoint::load(&path).unwrap();
         assert_eq!(back.engine.now, 123);
@@ -549,13 +387,19 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wrongmagic.ckpt");
         let mut bytes = sample().to_binary();
-        bytes[0] = b'X'; // no longer the binary magic, and not JSON either
-        std::fs::write(&path, &bytes).unwrap();
-        let err = RunCheckpoint::load(&path).unwrap_err();
-        assert!(
-            err.0.contains("wrongmagic.ckpt") && err.0.contains("malformed"),
-            "error names the file and the cause: {err}"
-        );
+        bytes[0] = b'X';
+        // A damaged magic and a JSON rendering are the same case: no
+        // magic, so not a snapshot this build reads.
+        for content in [bytes, sample().to_json().into_bytes()] {
+            std::fs::write(&path, &content).unwrap();
+            let err = RunCheckpoint::load(&path).unwrap_err();
+            assert!(
+                err.0.contains("wrongmagic.ckpt")
+                    && err.0.contains("malformed")
+                    && err.0.contains(CHECKPOINT_VERSION),
+                "error names the file, the cause and the supported tag: {err}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -568,49 +412,10 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_format_parses_and_defaults_to_binary() {
-        assert_eq!(
-            "binary".parse::<CheckpointFormat>().unwrap(),
-            CheckpointFormat::Binary
-        );
-        assert_eq!(
-            "json".parse::<CheckpointFormat>().unwrap(),
-            CheckpointFormat::Json
-        );
-        assert_eq!(CheckpointFormat::default(), CheckpointFormat::Binary);
-        let err = "yaml".parse::<CheckpointFormat>().unwrap_err();
-        assert!(err.contains("yaml"), "{err}");
-    }
-
-    #[test]
-    fn json_fixtures_of_every_legacy_version_still_load_from_disk() {
-        // The compatibility matrix as actual files on disk: a v1, v2 and
-        // v3 JSON snapshot must all still load through the sniffing
-        // `load()` path even now that binary is the default encoding.
-        let dir = std::env::temp_dir().join("qadaptive-ck-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        for version in [
-            "qadaptive-checkpoint-v1",
-            "qadaptive-checkpoint-v2",
-            CHECKPOINT_VERSION,
-        ] {
-            let mut ck = sample();
-            ck.version = version.to_string();
-            let path = dir.join(format!("{version}.ckpt.json"));
-            ck.save_format(&path, CheckpointFormat::Json).unwrap();
-            let back = RunCheckpoint::load(&path)
-                .unwrap_or_else(|e| panic!("fixture {version} must load: {e}"));
-            assert_eq!(back.version, version);
-            assert_eq!(back.engine.now, 123);
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
-    #[test]
     fn save_and_load_round_trip_through_a_file() {
         let dir = std::env::temp_dir().join("qadaptive-ck-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.ckpt.json");
+        let path = dir.join("roundtrip.ckpt");
         sample().save(&path).unwrap();
         let back = RunCheckpoint::load(&path).unwrap();
         assert_eq!(back.engine.now, 123);
@@ -619,7 +424,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_a_contextual_error() {
-        let err = RunCheckpoint::load("/nonexistent/qadaptive.ckpt.json").unwrap_err();
+        let err = RunCheckpoint::load("/nonexistent/qadaptive.ckpt").unwrap_err();
         assert!(err.0.contains("cannot read checkpoint"), "{err}");
     }
 }

@@ -25,9 +25,9 @@
 //!   files) and [`spec::SweepSpec`] (cartesian grids of runs). Every
 //!   figure/table of the paper and every scenario file in `scenarios/` is
 //!   expressed as one of these two values.
-//! * [`sweep`] — load sweeps across several routing algorithms, executed in
-//!   parallel with crossbeam scoped threads (each point is an independent
-//!   simulation).
+//! * [`sweep`] — parallel execution of a sweep's points with crossbeam
+//!   scoped threads (each point is an independent simulation) and the
+//!   [`sweep::SweepResult`] they produce.
 //! * [`convergence`] — helpers for the convergence and dynamic-load studies
 //!   (Figures 7 and 8).
 
@@ -46,4 +46,4 @@ pub use collector::MetricsCollector;
 pub use fault::{compile_faults, FaultSpecEntry};
 pub use injector::PatternInjector;
 pub use spec::{ExperimentSpec, SweepSpec};
-pub use sweep::{LoadSweep, SweepResult};
+pub use sweep::SweepResult;

@@ -7,10 +7,8 @@
 //!   TOML or JSON scenario files, convertible to/from
 //!   [`SimulationBuilder`], runnable directly.
 //! * [`SweepSpec`] — a cartesian grid (traffics × routings × loads ×
-//!   seeds-per-point) of experiment points, subsuming the older
-//!   [`LoadSweep`](crate::sweep::LoadSweep). The per-point seed derivation
-//!   matches `LoadSweep` exactly, so spec-driven runs reproduce legacy runs
-//!   bit for bit.
+//!   seeds-per-point) of experiment points, each with a seed derived
+//!   from the base seed and its position in the grid.
 //!
 //! ```
 //! use dragonfly_sim::spec::ExperimentSpec;
@@ -396,14 +394,14 @@ impl ExperimentSpec {
 
     /// Parse from TOML text and validate.
     pub fn from_toml(text: &str) -> Result<Self, SpecError> {
-        let spec: Self = toml::from_str(text)?;
+        let spec: Self = spec_from_tree(&toml::parse_value(text)?)?;
         spec.validate()?;
         Ok(spec)
     }
 
     /// Parse from JSON text and validate.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
-        let spec: Self = serde_json::from_str(text)?;
+        let spec: Self = spec_from_tree(&serde_json::parse_value(text)?)?;
         spec.validate()?;
         Ok(spec)
     }
@@ -438,10 +436,7 @@ impl From<ExperimentSpec> for SimulationBuilder {
 /// A cartesian experiment grid: every traffic × routing × load × seed
 /// combination becomes one [`ExperimentSpec`] point.
 ///
-/// The legacy [`LoadSweep`](crate::sweep::LoadSweep) is the special case of
-/// one traffic pattern and one seed per point; [`SweepSpec::points`]
-/// derives per-point seeds exactly the way `LoadSweep` does, so results are
-/// identical for identical definitions.
+/// [`SweepSpec::points`] fixes the point order and the per-point seeds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// Human-readable sweep name.
@@ -490,7 +485,7 @@ pub struct SweepSpec {
     pub metrics: Option<MetricsSpec>,
 }
 
-/// Seed stride between consecutive points (matches `LoadSweep`).
+/// Seed stride between consecutive `(routing, load)` points of one traffic.
 const POINT_SEED_STRIDE: u64 = 7919;
 /// Seed stride between repetitions of the same point.
 const REPEAT_SEED_STRIDE: u64 = 15_485_863;
@@ -602,10 +597,9 @@ impl SweepSpec {
     /// Expand the grid into concrete experiment points.
     ///
     /// Point order is: traffic-major, then routing, then load, then
-    /// repetition — and within one traffic block the `(routing, load)`
-    /// enumeration and seed derivation are identical to
-    /// [`LoadSweep`](crate::sweep::LoadSweep), which is what makes legacy
-    /// and spec-driven runs bit-for-bit comparable.
+    /// repetition. The `(routing, load)` index restarts at 0 in every
+    /// traffic block, so point `i` of each block shares a seed:
+    /// `seed + i · 7919 + repeat · 15_485_863` (wrapping).
     pub fn points(&self) -> Vec<ExperimentSpec> {
         let base_seed = self.seed.unwrap_or(DEFAULT_SEED);
         let repeats = self.effective_seeds_per_point();
@@ -696,14 +690,14 @@ impl SweepSpec {
 
     /// Parse from TOML text and validate.
     pub fn from_toml(text: &str) -> Result<Self, SpecError> {
-        let spec: Self = toml::from_str(text)?;
+        let spec: Self = spec_from_tree(&toml::parse_value(text)?)?;
         spec.validate()?;
         Ok(spec)
     }
 
     /// Parse from JSON text and validate.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
-        let spec: Self = serde_json::from_str(text)?;
+        let spec: Self = spec_from_tree(&serde_json::parse_value(text)?)?;
         spec.validate()?;
         Ok(spec)
     }
@@ -727,6 +721,29 @@ impl SweepSpec {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("serialisation is infallible")
     }
+}
+
+/// Deserialize a scenario file's value tree, refusing `[engine]` keys
+/// [`EngineConfig`] does not have. The derive drops unknown fields, so
+/// without this a typo (`pipline = false`) or a retired knob would parse
+/// and silently do nothing.
+fn spec_from_tree<T: Deserialize>(tree: &serde::Value) -> Result<T, SpecError> {
+    use serde::Value::Map;
+    if let (Some(Map(engine)), Map(known)) =
+        (tree.get("engine"), EngineConfig::default().to_value())
+    {
+        let valid: Vec<&str> = known.iter().map(|(name, _)| name.as_str()).collect();
+        if let Some((key, _)) = engine
+            .iter()
+            .find(|(key, _)| !valid.contains(&key.as_str()))
+        {
+            return Err(SpecError(format!(
+                "unknown [engine] key `{key}` (valid keys: {})",
+                valid.join(", ")
+            )));
+        }
+    }
+    Ok(T::from_value(tree)?)
 }
 
 /// Split a sweep-level thread budget between inter-run workers and
@@ -772,7 +789,6 @@ fn read_spec_file(path: &Path) -> Result<(String, bool), SpecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::LoadSweep;
     use dragonfly_topology::config::DragonflyConfig;
     use qadaptive_core::QAdaptiveParams;
 
@@ -941,27 +957,88 @@ mod tests {
     }
 
     #[test]
-    fn sweep_spec_reproduces_load_sweep_exactly() {
-        let sweep = sample_sweep();
-        let legacy = LoadSweep {
-            topology: DragonflyConfig::tiny(),
-            traffic: sweep.traffics[0],
-            routings: sweep.routings.clone(),
-            loads: sweep.loads.clone(),
-            warmup_ns: sweep.warmup_ns,
-            measure_ns: sweep.measure_ns,
-            seed: 2,
-        };
-        let new = sweep.run_parallel(2);
-        let old = legacy.run_parallel(2);
-        assert_eq!(new.reports.len(), old.reports.len());
-        for (a, b) in new.reports.iter().zip(old.reports.iter()) {
-            assert_eq!(a.routing, b.routing);
-            assert_eq!(a.offered_load, b.offered_load);
-            assert_eq!(a.packets_delivered, b.packets_delivered);
-            assert_eq!(a.mean_latency_us, b.mean_latency_us);
-            assert_eq!(a.throughput, b.throughput);
+    fn sweep_points_derive_their_seeds_from_grid_position() {
+        // 2 traffics x (2 routings x 2 loads) x 2 repetitions from base
+        // seed 2: the (routing, load) index restarts in every traffic
+        // block, consecutive points are 7919 apart, repetitions
+        // 15_485_863 apart. Cached results and published figures depend
+        // on these exact values.
+        let mut sweep = sample_sweep();
+        sweep.traffics = vec![
+            TrafficSpec::UniformRandom,
+            TrafficSpec::Adversarial { shift: 1 },
+        ];
+        sweep.seeds_per_point = Some(2);
+        let block = [
+            (RoutingSpec::Minimal, 0.1, 2),
+            (RoutingSpec::Minimal, 0.1, 15_485_865),
+            (RoutingSpec::Minimal, 0.3, 7_921),
+            (RoutingSpec::Minimal, 0.3, 15_493_784),
+            (RoutingSpec::UgalG, 0.1, 15_840),
+            (RoutingSpec::UgalG, 0.1, 15_501_703),
+            (RoutingSpec::UgalG, 0.3, 23_759),
+            (RoutingSpec::UgalG, 0.3, 15_509_622),
+        ];
+        let points = sweep.points();
+        assert_eq!(points.len(), 16);
+        for (traffic, chunk) in sweep.traffics.iter().zip(points.chunks(block.len())) {
+            for (point, (routing, load, seed)) in chunk.iter().zip(block) {
+                assert_eq!(point.traffic, *traffic);
+                assert_eq!(point.routing, routing);
+                assert_eq!(point.load, Some(load));
+                assert_eq!(point.seed, Some(seed), "{routing:?} @ {load}");
+            }
         }
+    }
+
+    /// `from_toml` / `from_json` of one spec type must refuse a misspelt
+    /// and a retired `[engine]` key, naming it and listing the valid ones.
+    fn assert_unknown_engine_keys_are_refused<T: std::fmt::Debug>(
+        toml: &str,
+        json: &str,
+        from_toml: fn(&str) -> Result<T, SpecError>,
+        from_json: fn(&str) -> Result<T, SpecError>,
+    ) {
+        assert!(toml.contains("pipeline = true") && json.contains("\"pipeline\""));
+        from_toml(toml).expect("the unedited TOML parses");
+        from_json(json).expect("the unedited JSON parses");
+        let typo = from_toml(&toml.replace("pipeline = true", "pipline = true")).unwrap_err();
+        assert!(typo.0.contains("unknown [engine] key `pipline`"), "{typo}");
+        assert!(
+            typo.0.contains("pipeline") && typo.0.contains("qtable_page_rows_threshold"),
+            "lists the valid keys: {typo}"
+        );
+        let typo = from_json(&json.replace("\"pipeline\"", "\"pipline\"")).unwrap_err();
+        assert!(typo.0.contains("unknown [engine] key `pipline`"), "{typo}");
+        let retired = "pipeline = true\nscheduler = \"BinaryHeap\"";
+        let retired = from_toml(&toml.replace("pipeline = true", retired)).unwrap_err();
+        assert!(
+            retired.0.contains("unknown [engine] key `scheduler`"),
+            "{retired}"
+        );
+    }
+
+    #[test]
+    fn experiment_specs_refuse_unknown_engine_keys() {
+        let spec = sample_spec();
+        assert_unknown_engine_keys_are_refused(
+            &spec.to_toml(),
+            &spec.to_json(),
+            ExperimentSpec::from_toml,
+            ExperimentSpec::from_json,
+        );
+    }
+
+    #[test]
+    fn sweep_specs_refuse_unknown_engine_keys() {
+        let mut sweep = sample_sweep();
+        sweep.engine = Some(EngineConfig::default());
+        assert_unknown_engine_keys_are_refused(
+            &sweep.to_toml(),
+            &sweep.to_json(),
+            SweepSpec::from_toml,
+            SweepSpec::from_json,
+        );
     }
 
     #[test]

@@ -1,16 +1,12 @@
-//! Load sweeps across several routing algorithms, executed in parallel.
+//! Sweep execution and results.
 //!
-//! Each `(routing, load)` point is an independent simulation, so the sweep
-//! is embarrassingly parallel: a crossbeam scope spawns one worker per CPU
-//! (bounded by the number of jobs) and the workers pull jobs from a shared
-//! queue.
+//! Each point of a [`crate::spec::SweepSpec`] is an independent
+//! simulation, so a sweep is embarrassingly parallel: a crossbeam scope
+//! spawns one worker per CPU (bounded by the number of jobs) and the
+//! workers pull jobs from a shared queue.
 
 use crate::builder::SimulationBuilder;
-use dragonfly_engine::time::SimTime;
 use dragonfly_metrics::report::{AggregatedReport, SimulationReport};
-use dragonfly_routing::RoutingSpec;
-use dragonfly_topology::config::DragonflyConfig;
-use dragonfly_traffic::TrafficSpec;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -126,8 +122,7 @@ pub struct SweepOutput {
 
 /// Run a batch of prepared simulations in parallel across `threads`
 /// workers (0 = one per available CPU), preserving input order. This is the
-/// shared execution engine behind [`LoadSweep::run_parallel`] and
-/// [`crate::spec::SweepSpec::run_parallel`].
+/// execution engine behind [`crate::spec::SweepSpec::run_parallel`].
 pub fn run_builders_parallel(
     builders: Vec<SimulationBuilder>,
     threads: usize,
@@ -172,135 +167,30 @@ pub fn run_builders_parallel(
         .collect()
 }
 
-/// A sweep definition: the cartesian product of routings and offered loads
-/// under one traffic pattern.
-///
-/// This is the legacy single-traffic grid; the serialisable
-/// [`crate::spec::SweepSpec`] subsumes it (multiple traffics, repeated
-/// seeds, scenario files) and the two produce identical results for
-/// identical definitions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadSweep {
-    /// Dragonfly configuration.
-    pub topology: DragonflyConfig,
-    /// Traffic pattern.
-    pub traffic: TrafficSpec,
-    /// Routing algorithms to compare.
-    pub routings: Vec<RoutingSpec>,
-    /// Offered loads to evaluate.
-    pub loads: Vec<f64>,
-    /// Warmup time per point (ns).
-    pub warmup_ns: SimTime,
-    /// Measurement window per point (ns).
-    pub measure_ns: SimTime,
-    /// Base RNG seed (each point derives its own).
-    pub seed: u64,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::SweepSpec;
+    use dragonfly_routing::RoutingSpec;
+    use dragonfly_topology::config::DragonflyConfig;
+    use dragonfly_traffic::TrafficSpec;
 
-impl LoadSweep {
-    /// A sweep with the paper's six-algorithm lineup.
-    pub fn paper_lineup(
-        topology: DragonflyConfig,
-        traffic: TrafficSpec,
-        loads: Vec<f64>,
-        warmup_ns: SimTime,
-        measure_ns: SimTime,
-    ) -> Self {
-        Self {
-            topology,
-            traffic,
-            routings: RoutingSpec::paper_lineup(),
-            loads,
-            warmup_ns,
-            measure_ns,
-            seed: 1,
-        }
-    }
-
-    /// Number of simulation points in the sweep.
-    pub fn len(&self) -> usize {
-        self.routings.len() * self.loads.len()
-    }
-
-    /// Whether the sweep is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn builder_for(&self, routing: RoutingSpec, load: f64, index: usize) -> SimulationBuilder {
-        SimulationBuilder::new(self.topology)
-            .routing(routing)
-            .traffic(self.traffic)
-            .offered_load(load)
-            .warmup_ns(self.warmup_ns)
-            .measure_ns(self.measure_ns)
-            .seed(self.seed.wrapping_add(index as u64 * 7919))
-    }
-
-    /// Run every point sequentially (useful for tests and debugging).
-    pub fn run_sequential(&self) -> SweepResult {
-        let mut reports = Vec::with_capacity(self.len());
-        let mut index = 0;
-        for routing in &self.routings {
-            for &load in &self.loads {
-                reports.push(self.builder_for(*routing, load, index).run());
-                index += 1;
-            }
-        }
-        SweepResult { reports }
-    }
-
-    /// Run every point in parallel across `threads` workers
-    /// (0 = one per available CPU).
-    pub fn run_parallel(&self, threads: usize) -> SweepResult {
-        let builders: Vec<SimulationBuilder> = self
-            .routings
-            .iter()
-            .flat_map(|r| self.loads.iter().map(move |l| (*r, *l)))
-            .enumerate()
-            .map(|(i, (r, l))| self.builder_for(r, l, i))
-            .collect();
-        SweepResult {
-            reports: run_builders_parallel(builders, threads),
-        }
-    }
-}
-
-/// Every `LoadSweep` is expressible as a (single-traffic) [`SweepSpec`].
-impl From<LoadSweep> for crate::spec::SweepSpec {
-    fn from(sweep: LoadSweep) -> Self {
-        crate::spec::SweepSpec {
+    fn tiny_sweep() -> SweepSpec {
+        SweepSpec {
             name: String::new(),
-            topology: sweep.topology.into(),
-            traffics: vec![sweep.traffic],
+            topology: DragonflyConfig::tiny().into(),
+            traffics: vec![TrafficSpec::UniformRandom],
             workload: None,
-            routings: sweep.routings,
-            loads: sweep.loads,
-            warmup_ns: sweep.warmup_ns,
-            measure_ns: sweep.measure_ns,
-            seed: Some(sweep.seed),
+            routings: vec![RoutingSpec::Minimal, RoutingSpec::UgalG],
+            loads: vec![0.1, 0.3],
+            warmup_ns: 5_000,
+            measure_ns: 10_000,
+            seed: Some(2),
             seeds_per_point: None,
             engine: None,
             series_bin_ns: None,
             faults: Vec::new(),
             metrics: None,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny_sweep() -> LoadSweep {
-        LoadSweep {
-            topology: DragonflyConfig::tiny(),
-            traffic: TrafficSpec::UniformRandom,
-            routings: vec![RoutingSpec::Minimal, RoutingSpec::UgalG],
-            loads: vec![0.1, 0.3],
-            warmup_ns: 5_000,
-            measure_ns: 10_000,
-            seed: 2,
         }
     }
 
@@ -322,7 +212,7 @@ mod tests {
 
     #[test]
     fn aggregation_collapses_repeated_seeds() {
-        let mut spec: crate::spec::SweepSpec = tiny_sweep().into();
+        let mut spec = tiny_sweep();
         spec.seeds_per_point = Some(3);
         let result = spec.run_parallel(0);
         assert_eq!(result.reports.len(), 12, "3 repetitions of 4 points");

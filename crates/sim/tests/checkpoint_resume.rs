@@ -108,8 +108,8 @@ fn pin_resume_equals_uninterrupted(spec: &ExperimentSpec, every_ns: u64, label: 
 
     for (i, ck) in checkpoints.iter().enumerate() {
         // The CLI always goes through the file format: round-trip the
-        // JSON so serialization is part of what the test pins.
-        let ck = RunCheckpoint::from_json(&ck.to_json()).expect("round trip");
+        // encoding so serialization is part of what the test pins.
+        let ck = RunCheckpoint::from_binary(&ck.to_binary()).expect("round trip");
         let resumed = spec
             .run_checkpointed(Some(&ck), None, |_| {})
             .unwrap_or_else(|e| panic!("{label}: resume from checkpoint {i} failed: {e}"));
@@ -215,7 +215,7 @@ fn pin_sharded_matrix(
     );
 
     for (i, ck) in checkpoints.iter().enumerate() {
-        let ck = RunCheckpoint::from_json(&ck.to_json()).expect("round trip");
+        let ck = RunCheckpoint::from_binary(&ck.to_binary()).expect("round trip");
         for &(shards, pipeline) in resume_modes {
             let resumed = with_engine(base.clone(), shards, pipeline)
                 .run_checkpointed(Some(&ck), None, |_| {})
@@ -341,7 +341,7 @@ fn sharded_closedloop_resume_preserves_midcollective_state() {
 
     let picks = [0, checkpoints.len() - 1];
     for &i in &picks {
-        let ck = RunCheckpoint::from_json(&checkpoints[i].to_json()).expect("round trip");
+        let ck = RunCheckpoint::from_binary(&checkpoints[i].to_binary()).expect("round trip");
         for (shards, pipeline) in [(ShardKind::Single, false), (ShardKind::Fixed(4), true)] {
             let resumed = with_engine(base.clone(), shards, pipeline)
                 .run_checkpointed(Some(&ck), None, |_| {})
@@ -373,12 +373,13 @@ fn resume_under_a_different_spec_is_rejected() {
 }
 
 #[test]
-fn binary_and_json_checkpoint_files_resume_identically() {
-    // The cross-format contract behind `--checkpoint-format`: the same
-    // snapshot written as binary (v4) and as JSON (v3) must both load
-    // back and resume to the exact report of the uninterrupted run —
-    // learning state included, so Q-adaptive is the algorithm under test.
-    use dragonfly_sim::checkpoint::{CheckpointFormat, BINARY_CHECKPOINT_VERSION};
+fn only_v4_binary_checkpoint_files_load() {
+    // One container, one tag: the saved file resumes to the exact report
+    // of the uninterrupted run — learning state included, so Q-adaptive
+    // is the algorithm under test — while the same snapshot as JSON text
+    // or under the retired v3 tag is refused, naming the file and the
+    // tag this build reads.
+    use dragonfly_sim::checkpoint::CHECKPOINT_VERSION;
     let spec = openloop_spec(RoutingSpec::QAdaptive(QAdaptiveParams::paper_1056()), 49);
     let reference = spec.run();
 
@@ -389,31 +390,29 @@ fn binary_and_json_checkpoint_files_resume_identically() {
 
     let dir = std::env::temp_dir().join("qadaptive-ck-crossformat-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let bin_path = dir.join("cross.ckpt");
-    let json_path = dir.join("cross.ckpt.json");
-    ck.save_format(&bin_path, CheckpointFormat::Binary).unwrap();
-    ck.save_format(&json_path, CheckpointFormat::Json).unwrap();
-    let bin_len = std::fs::metadata(&bin_path).unwrap().len();
-    let json_len = std::fs::metadata(&json_path).unwrap().len();
-    assert!(
-        bin_len < json_len,
-        "binary must be smaller than JSON ({bin_len} vs {json_len} bytes)"
-    );
+    let path = dir.join("cross.ckpt");
+    ck.save(&path).unwrap();
+    let loaded = RunCheckpoint::load(&path).unwrap();
+    assert_eq!(loaded.version, CHECKPOINT_VERSION);
+    let resumed = spec
+        .run_checkpointed(Some(&loaded), None, |_| {})
+        .expect("resume from file succeeds");
+    assert_reports_identical(&reference, &resumed, "file resume");
 
-    let from_bin = RunCheckpoint::load(&bin_path).unwrap();
-    let from_json = RunCheckpoint::load(&json_path).unwrap();
-    std::fs::remove_file(&bin_path).ok();
-    std::fs::remove_file(&json_path).ok();
-    assert_eq!(from_bin.version, BINARY_CHECKPOINT_VERSION);
-
-    let resumed_bin = spec
-        .run_checkpointed(Some(&from_bin), None, |_| {})
-        .expect("resume from binary file succeeds");
-    let resumed_json = spec
-        .run_checkpointed(Some(&from_json), None, |_| {})
-        .expect("resume from JSON file succeeds");
-    assert_reports_identical(&reference, &resumed_bin, "binary file resume");
-    assert_reports_identical(&reference, &resumed_json, "json file resume");
+    let mut v3 = ck.clone();
+    v3.version = "qadaptive-checkpoint-v3".to_string();
+    for (what, bytes) in [
+        ("JSON text", ck.to_json().into_bytes()),
+        ("v3 tag", v3.to_binary()),
+    ] {
+        std::fs::write(&path, bytes).unwrap();
+        let err = RunCheckpoint::load(&path).expect_err(what);
+        assert!(
+            err.0.contains("cross.ckpt") && err.0.contains(CHECKPOINT_VERSION),
+            "{what}: error names the file and the supported tag: {err}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -428,7 +427,7 @@ fn checkpoint_files_round_trip_through_disk() {
         .expect("stepped run succeeds");
     let dir = std::env::temp_dir().join("qadaptive-ck-resume-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("mid.ckpt.json");
+    let path = dir.join("mid.ckpt");
     checkpoints.last().unwrap().save(&path).unwrap();
 
     let loaded = RunCheckpoint::load(&path).unwrap();

@@ -103,7 +103,7 @@ pub mod prelude {
     pub use dragonfly_routing::RoutingSpec;
     pub use dragonfly_sim::builder::SimulationBuilder;
     pub use dragonfly_sim::spec::{ExperimentSpec, SweepSpec};
-    pub use dragonfly_sim::sweep::{LoadSweep, SweepResult};
+    pub use dragonfly_sim::sweep::SweepResult;
     pub use dragonfly_topology::config::DragonflyConfig;
     pub use dragonfly_topology::{
         AnyTopology, Dragonfly, FatTree, FatTreeConfig, HyperX, HyperXConfig, Topology,
