@@ -18,7 +18,7 @@
 use dragonfly_metrics::report::SimulationReport;
 use dragonfly_sim::convergence::ConvergenceResult;
 use dragonfly_sim::spec::{budget_workers, ExperimentSpec, SweepSpec};
-use dragonfly_sim::sweep::{run_builders_parallel, SweepResult};
+use dragonfly_sim::sweep::{run_specs_parallel, SweepResult};
 use std::path::{Path, PathBuf};
 
 /// Bump when the cached JSON schema or the simulation semantics change in
@@ -74,28 +74,11 @@ impl ResultCache {
         let mut payload = String::from(CACHE_VERSION);
         payload.push('\n');
         // The canonical JSON covers everything that determines the result,
-        // including the optional engine override (hardware timings). The
-        // shard count, pipeline flag and Q-table paging threshold are
-        // *stripped* first: all three are pinned bit-for-bit
-        // result-invariant (shard_differential / pipeline_differential,
-        // and the paged-vs-dense pins in pipeline_determinism), so a
-        // cache warmed without `--shards`
-        // keeps serving hits when the user later turns sharding,
+        // including the optional engine override (hardware timings), with
+        // the execution-mode knobs stripped: a cache warmed without
+        // `--shards` keeps serving hits when the user later turns sharding,
         // pipelining or table paging on or off.
-        let mut canonical = spec.clone();
-        if let Some(engine) = canonical.engine.as_mut() {
-            engine.shards = Default::default();
-            engine.pipeline = dragonfly_engine::EngineConfig::default().pipeline;
-            engine.qtable_page_rows_threshold =
-                dragonfly_engine::EngineConfig::default().qtable_page_rows_threshold;
-        }
-        // `--shards` materialises a default engine override where the spec
-        // had none; after stripping, a pure-default override means the
-        // same hardware as no override at all.
-        if canonical.engine == Some(dragonfly_engine::EngineConfig::default()) {
-            canonical.engine = None;
-        }
-        payload.push_str(&canonical.to_json());
+        payload.push_str(&spec.result_identity().to_json());
         format!("{prefix}_{:016x}", fnv1a(payload.as_bytes()))
     }
 
@@ -158,9 +141,8 @@ pub fn run_sweep_cached(
         .filter(|i| reports[*i].is_none())
         .collect();
     if !misses.is_empty() {
-        let builders = misses.iter().map(|&i| points[i].to_builder()).collect();
-        let fresh =
-            run_builders_parallel(builders, budget_workers(threads, sweep.shards_per_point()));
+        let todo: Vec<ExperimentSpec> = misses.iter().map(|&i| points[i].clone()).collect();
+        let fresh = run_specs_parallel(&todo, budget_workers(threads, sweep.shards_per_point()));
         for (&index, report) in misses.iter().zip(fresh) {
             cache.store_report(&keys[index], &report);
             reports[index] = Some(report);

@@ -32,16 +32,17 @@ enum Format {
 
 /// A CLI failure: the message printed to stderr plus the process exit
 /// code. Usage and configuration mistakes exit 2 (the historical code
-/// for every error); runtime failures after a simulation ran — e.g. the
-/// finished report failing to serialise — exit 1, so scripts can tell
-/// "you called it wrong" from "it broke late".
+/// for every error); runtime failures once a simulation is under way —
+/// a checkpoint that cannot be written, the finished report failing to
+/// serialise — exit 1, so scripts can tell "you called it wrong" from
+/// "it broke late".
 struct CliError {
     message: String,
     code: u8,
 }
 
 impl CliError {
-    /// A post-run runtime failure (exit code 1).
+    /// A runtime failure (exit code 1).
     fn runtime(message: String) -> Self {
         Self { message, code: 1 }
     }
@@ -244,29 +245,28 @@ fn reject_checkpoint_flags(flags: &CommonFlags, command: &str) -> Result<(), Str
     Ok(())
 }
 
-/// Execute one experiment, through the checkpoint/resume path when any of
-/// `--checkpoint-every`/`--checkpoint-path`/`--resume-from` was given.
+/// Execute one experiment, honouring `--checkpoint-every`,
+/// `--checkpoint-path` and `--resume-from` (without them the run takes one
+/// step to its end and the sink below is never called).
 ///
 /// Checkpoints are written atomically (temp file + rename, see
 /// `RunCheckpoint::save`) to `--checkpoint-path`, defaulting to the
 /// scenario path with `.ckpt` appended; each snapshot replaces the
 /// previous one, so the path always holds a complete resumable state even
-/// if the process dies mid-write.
-fn run_spec_maybe_checkpointed(
+/// if the process dies mid-write. The first snapshot that cannot be
+/// written stops the run (exit 1): simulating on would only produce a
+/// report the caller asked to be able to resume towards and cannot.
+fn run_spec(
     flags: &CommonFlags,
     scenario_path: &str,
     spec: &ExperimentSpec,
-) -> Result<dragonfly_metrics::report::SimulationReport, String> {
+) -> Result<dragonfly_metrics::report::SimulationReport, CliError> {
     use dragonfly_sim::checkpoint::RunCheckpoint;
-    let plain = flags.checkpoint_every.is_none()
-        && flags.checkpoint_path.is_none()
-        && flags.resume_from.is_none();
-    if plain {
-        return Ok(spec.run());
-    }
     if flags.checkpoint_path.is_some() && flags.checkpoint_every.is_none() {
         return Err(
-            "--checkpoint-path needs --checkpoint-every NS to decide when to snapshot".to_string(),
+            "--checkpoint-path needs --checkpoint-every NS to decide when to snapshot"
+                .to_string()
+                .into(),
         );
     }
     let resume = match &flags.resume_from {
@@ -284,24 +284,24 @@ fn run_spec_maybe_checkpointed(
         .checkpoint_path
         .clone()
         .unwrap_or_else(|| format!("{scenario_path}.ckpt"));
-    let mut save_error: Option<String> = None;
-    let report = spec
-        .run_checkpointed(resume.as_ref(), flags.checkpoint_every, |ck| {
-            if save_error.is_none() {
-                match ck.save(&ck_path) {
-                    Ok(()) => eprintln!(
-                        "checkpoint: {ck_path} @ t = {} ns (simulated)",
-                        ck.engine.now
-                    ),
-                    Err(e) => save_error = Some(e.to_string()),
-                }
-            }
-        })
-        .map_err(|e| e.to_string())?;
-    match save_error {
-        Some(e) => Err(e),
-        None => Ok(report),
-    }
+    let mut save_failed = false;
+    spec.run_checkpointed(resume.as_ref(), flags.checkpoint_every, |ck| {
+        ck.save(&ck_path).inspect_err(|_| save_failed = true)?;
+        eprintln!(
+            "checkpoint: {ck_path} @ t = {} ns (simulated)",
+            ck.engine.now
+        );
+        Ok(())
+    })
+    .map_err(|e| {
+        if save_failed {
+            CliError::runtime(format!(
+                "stopped at the first failed checkpoint write to {ck_path}: {e}"
+            ))
+        } else {
+            e.to_string().into()
+        }
+    })
 }
 
 fn cmd_run(flags: &CommonFlags) -> Result<(), CliError> {
@@ -330,7 +330,7 @@ fn cmd_run(flags: &CommonFlags) -> Result<(), CliError> {
     }
     apply_engine_overrides(&mut spec.engine, flags.shards, flags.pipeline);
     eprintln!("running: {}", spec.label());
-    let report = run_spec_maybe_checkpointed(flags, path, &spec)?;
+    let report = run_spec(flags, path, &spec)?;
     eprintln!(
         "perf: {} events in {:.3} s wall ({:.2} M events/s)",
         report.events_processed,

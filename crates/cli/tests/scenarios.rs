@@ -211,3 +211,37 @@ fn retired_commands_and_flags_exit_2_as_unknown() {
         assert!(stderr.contains(complaint), "{args:?}: {stderr}");
     }
 }
+
+/// A checkpoint that cannot be written stops the run there: exit 1 (a
+/// runtime failure, not a usage error), the path named on stderr, and no
+/// report left behind for a run that was abandoned.
+#[test]
+fn failed_checkpoint_write_stops_the_run_with_exit_1() {
+    let dir = std::env::temp_dir().join("qadaptive-cli-ckpt-fail-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let report = dir.join("report.json");
+    std::fs::remove_file(&report).ok();
+    let snapshot = dir.join("no-such-dir").join("x.ckpt");
+    let output = Command::new(env!("CARGO_BIN_EXE_qadaptive-cli"))
+        .args([
+            "run",
+            scenarios_dir()
+                .join("faults_retransmit_tiny.toml")
+                .to_str()
+                .unwrap(),
+            "--checkpoint-every",
+            "20000",
+            "--checkpoint-path",
+            snapshot.to_str().unwrap(),
+            "--format",
+            "json",
+            "--out",
+            report.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains(snapshot.to_str().unwrap()), "{stderr}");
+    assert!(!report.exists(), "an abandoned run must not write a report");
+}

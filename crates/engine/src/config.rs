@@ -178,6 +178,30 @@ impl EngineConfig {
         }
     }
 
+    /// Refuse hardware values no run can make sense of: a link that moves
+    /// no (or a non-finite number of) bytes, empty packets, and buffers
+    /// that can never hold the packet they must forward. The error names
+    /// the field and the value. Zero latencies stay legal — they leave no
+    /// lookahead window, and the engine then runs on a single shard.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.link_bytes_per_ns.is_finite() && self.link_bytes_per_ns > 0.0) {
+            return Err(format!(
+                "link_bytes_per_ns must be a finite positive number, got {}",
+                self.link_bytes_per_ns
+            ));
+        }
+        for (field, value) in [
+            ("packet_bytes", self.packet_bytes as usize),
+            ("vc_buffer_packets", self.vc_buffer_packets),
+            ("output_queue_packets", self.output_queue_packets),
+        ] {
+            if value == 0 {
+                return Err(format!("{field} must be at least 1, got 0"));
+            }
+        }
+        Ok(())
+    }
+
     /// Serialisation time of one packet over a link, in ns.
     #[inline]
     pub fn serialization_ns(&self) -> SimTime {

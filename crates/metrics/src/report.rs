@@ -1,7 +1,7 @@
 //! The per-simulation result record consumed by the experiment harness,
 //! the examples and the figure-reproduction binaries.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Everything measured in one simulation run (one routing algorithm, one
 /// traffic pattern, one offered load).
@@ -165,6 +165,83 @@ impl SimulationReport {
             self.packets_delivered as f64 / self.packets_generated as f64
         }
     }
+
+    /// The first field on which two reports disagree, as
+    /// [`first_tree_difference`] renders it, or `None` when they describe
+    /// the same simulated outcome. `wall_seconds` and `memory_bytes` are
+    /// skipped: both legitimately vary with the host, the execution mode
+    /// and resume's exact-length buffers, so they are outside the
+    /// bit-for-bit contract between runs of one experiment.
+    pub fn first_difference(&self, other: &Self) -> Option<String> {
+        first_tree_difference(
+            "report",
+            &self.to_value(),
+            &other.to_value(),
+            ("self", "other"),
+            &["wall_seconds", "memory_bytes"],
+        )
+    }
+}
+
+/// First leaf where two serialised trees disagree, as a dotted path rooted
+/// at `path` followed by the two values, or `None` when the trees are
+/// equal. `sides` names where `a` and `b` came from in the message; map
+/// keys listed in `skip` are ignored at every depth.
+pub fn first_tree_difference(
+    path: &str,
+    a: &Value,
+    b: &Value,
+    sides: (&str, &str),
+    skip: &[&str],
+) -> Option<String> {
+    let (in_a, in_b) = sides;
+    match (a, b) {
+        (Value::Map(ea), Value::Map(eb)) => {
+            for (k, va) in ea.iter().filter(|(k, _)| !skip.contains(&k.as_str())) {
+                match b.get(k) {
+                    Some(vb) => {
+                        let inner = format!("{path}.{k}");
+                        if let Some(d) = first_tree_difference(&inner, va, vb, sides, skip) {
+                            return Some(d);
+                        }
+                    }
+                    None => return Some(format!("{path}.{k} (set in {in_a}, absent in {in_b})")),
+                }
+            }
+            eb.iter()
+                .find(|(k, _)| !skip.contains(&k.as_str()) && a.get(k).is_none())
+                .map(|(k, _)| format!("{path}.{k} (absent in {in_a}, set in {in_b})"))
+        }
+        (Value::Seq(sa), Value::Seq(sb)) if sa.len() != sb.len() => Some(format!(
+            "{path} (length {} in {in_a} vs {} in {in_b})",
+            sa.len(),
+            sb.len()
+        )),
+        (Value::Seq(sa), Value::Seq(sb)) => {
+            sa.iter().zip(sb).enumerate().find_map(|(i, (va, vb))| {
+                first_tree_difference(&format!("{path}[{i}]"), va, vb, sides, skip)
+            })
+        }
+        _ if a == b => None,
+        _ => Some(format!(
+            "{path} ({} in {in_a} vs {} in {in_b})",
+            render(a),
+            render(b)
+        )),
+    }
+}
+
+/// A leaf as a scenario file would spell it (shape mismatches fall back to
+/// the debug rendering of the whole subtree).
+fn render(value: &Value) -> String {
+    match value {
+        Value::Null => "null".to_string(),
+        Value::Bool(b) => b.to_string(),
+        Value::Int(i) => i.to_string(),
+        Value::Float(f) => format!("{f:?}"),
+        Value::Str(s) => format!("{s:?}"),
+        Value::Seq(_) | Value::Map(_) => format!("{value:?}"),
+    }
 }
 
 /// Mean and standard error of one measured quantity across repetitions.
@@ -279,6 +356,27 @@ impl AggregatedReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn first_difference_names_the_field_and_skips_wall_clock_and_memory() {
+        let reference = report();
+        let mut tail = report();
+        tail.p99_latency_us = 1.5;
+        let diff = reference.first_difference(&tail).expect("p99 differs");
+        assert_eq!(diff, "report.p99_latency_us (1.42 in self vs 1.5 in other)");
+        let mut phases = report();
+        phases.phase_completion_us = vec![1.0];
+        let diff = reference.first_difference(&phases).expect("phases differ");
+        assert!(
+            diff.starts_with("report.phase_completion_us (length 2 in self vs 1"),
+            "{diff}"
+        );
+        // Host- and mode-dependent fields are outside the contract.
+        let mut elsewhere = report();
+        elsewhere.wall_seconds = 99.0;
+        elsewhere.memory_bytes = 1 << 30;
+        assert_eq!(reference.first_difference(&elsewhere), None);
+    }
 
     fn report() -> SimulationReport {
         SimulationReport {

@@ -1,300 +1,184 @@
-//! One-stop construction and execution of a single simulation point.
+//! The one staged driver behind every front-end: build the engine from an
+//! [`ExperimentSpec`], advance it, snapshot it mid-run, resume it, and
+//! assemble the report.
+//!
+//! [`ExperimentSpec::run`], `run_with_series` and `run_checkpointed`,
+//! sweeps, convergence studies, the figure cache and the CLI all reach the
+//! engine through [`Simulation`], so each decision is made once, here:
+//!
+//! * **the engine build** — [`Simulation::start`]: topology, routing, the
+//!   open-loop pattern injector or the compiled closed-loop programs, the
+//!   exact or streaming collector, faults. The traffic pattern draws from
+//!   its own RNG stream, the run seed XOR `TRAFFIC_SEED_SALT`, so it
+//!   never shares draws with the injector's per-node phases;
+//! * **the stopping rule** — [`Simulation::advance_to`]: open-loop runs
+//!   stop at the clock, closed-loop runs drain their task programs, capped
+//!   at the same clock so a deadlocked program cannot hang the run;
+//! * **the report** — [`Simulation::report`], the fault-recovery time read
+//!   off the time series included.
 
+use crate::checkpoint::RunCheckpoint;
 use crate::collector::MetricsCollector;
 use crate::fault::{compile_faults, FaultSpecEntry};
 use crate::injector::PatternInjector;
-use dragonfly_engine::config::EngineConfig;
+use crate::spec::{ExperimentSpec, MetricsMode, SpecError};
 use dragonfly_engine::injector::{EmptyInjector, TrafficInjector};
 use dragonfly_engine::time::SimTime;
 use dragonfly_engine::Engine;
 use dragonfly_metrics::report::SimulationReport;
 use dragonfly_metrics::timeseries::TimeSeries;
-use dragonfly_routing::RoutingSpec;
-use dragonfly_topology::{Topology, TopologySpec};
-use dragonfly_traffic::schedule::LoadSchedule;
-use dragonfly_traffic::TrafficSpec;
-use dragonfly_workload::WorkloadSpec;
+use dragonfly_topology::Topology;
 use std::time::Instant;
 
-/// Builder for a single simulation run: one topology, one routing
-/// algorithm, one traffic pattern, one offered-load schedule.
+/// XORed into the run seed to seed the traffic pattern.
+const TRAFFIC_SEED_SALT: u64 = 0xA5A5_5A5A;
+
+/// One experiment in flight: the spec it was built from, the engine, and
+/// the wall clock since the build began.
 ///
 /// ```
-/// use dragonfly_sim::builder::SimulationBuilder;
+/// use dragonfly_sim::builder::Simulation;
+/// use dragonfly_sim::spec::ExperimentSpec;
 /// use dragonfly_topology::config::DragonflyConfig;
-/// use dragonfly_routing::RoutingSpec;
-/// use dragonfly_traffic::TrafficSpec;
 ///
-/// let report = SimulationBuilder::new(DragonflyConfig::tiny())
-///     .routing(RoutingSpec::Minimal)
-///     .traffic(TrafficSpec::UniformRandom)
-///     .offered_load(0.2)
-///     .warmup_ns(10_000)
-///     .measure_ns(10_000)
-///     .seed(1)
-///     .run();
-/// assert!(report.packets_delivered > 0);
+/// let spec = ExperimentSpec {
+///     load: Some(0.2),
+///     warmup_ns: 10_000,
+///     measure_ns: 10_000,
+///     ..ExperimentSpec::new(DragonflyConfig::tiny())
+/// };
+/// let mut sim = Simulation::start(&spec).unwrap();
+/// sim.advance_to(12_000);
+/// let snapshot = sim.snapshot();
+/// sim.advance_to(spec.total_ns());
+///
+/// // A second process picks the run up from the snapshot.
+/// let mut resumed = Simulation::resume(&spec, &snapshot).unwrap();
+/// assert_eq!(resumed.now(), 12_000);
+/// resumed.advance_to(spec.total_ns());
+/// assert_eq!(sim.report().first_difference(&resumed.report()), None);
 /// ```
-#[derive(Debug, Clone)]
-pub struct SimulationBuilder {
-    topology: TopologySpec,
-    routing: RoutingSpec,
-    traffic: TrafficSpec,
-    schedule: LoadSchedule,
-    warmup_ns: SimTime,
-    measure_ns: SimTime,
-    seed: u64,
-    series_bin_ns: Option<u64>,
-    engine_config: Option<EngineConfig>,
-    /// Keep generating traffic after the measurement window ends (the extra
-    /// tail is not measured; it only exists so the window is not biased by
-    /// an emptying network).
-    tail_ns: SimTime,
-    /// Closed-loop workload (spec + intensity multiplier). When set, the
-    /// open-loop pattern injector is replaced by per-node task programs
-    /// and the run drains instead of stopping at a wall-clock boundary.
-    workload: Option<(WorkloadSpec, f64)>,
-    /// Fault-injection events, compiled against the topology and
-    /// installed before the run starts. Empty = fault-free.
-    faults: Vec<FaultSpecEntry>,
-    /// Use the bounded-memory streaming latency sketch instead of exact
-    /// sample storage (see [`MetricsCollector::streaming`]).
-    streaming_metrics: bool,
+pub struct Simulation {
+    spec: ExperimentSpec,
+    engine: Engine<MetricsCollector>,
+    started: Instant,
 }
 
-impl SimulationBuilder {
-    /// Start building a simulation on the given topology (a
-    /// [`TopologySpec`], or any concrete config via `Into` — e.g. a
-    /// `DragonflyConfig`, `FatTreeConfig` or `HyperXConfig`).
-    pub fn new(topology: impl Into<TopologySpec>) -> Self {
-        Self {
-            topology: topology.into(),
-            routing: RoutingSpec::Minimal,
-            traffic: TrafficSpec::UniformRandom,
-            schedule: LoadSchedule::constant(0.1),
-            warmup_ns: 20_000,
-            measure_ns: 100_000,
-            seed: 1,
-            series_bin_ns: None,
-            engine_config: None,
-            tail_ns: 0,
-            workload: None,
-            faults: Vec::new(),
-            streaming_metrics: false,
-        }
-    }
-
-    /// Select the routing algorithm.
-    pub fn routing(mut self, routing: RoutingSpec) -> Self {
-        self.routing = routing;
-        self
-    }
-
-    /// Select the traffic pattern.
-    pub fn traffic(mut self, traffic: TrafficSpec) -> Self {
-        self.traffic = traffic;
-        self
-    }
-
-    /// Use a constant offered load.
-    pub fn offered_load(mut self, load: f64) -> Self {
-        self.schedule = LoadSchedule::constant(load);
-        self
-    }
-
-    /// Run a closed-loop workload at intensity 1.0 instead of an open-loop
-    /// traffic pattern.
-    pub fn workload(self, workload: WorkloadSpec) -> Self {
-        self.workload_at(workload, 1.0)
-    }
-
-    /// Run a closed-loop workload with an explicit message-count intensity
-    /// multiplier (may exceed 1.0).
-    pub fn workload_at(mut self, workload: WorkloadSpec, intensity: f64) -> Self {
-        self.workload = Some((workload, intensity));
-        self
-    }
-
-    /// Inject faults (link/router kills and restores) during the run.
-    pub fn faults(mut self, faults: Vec<FaultSpecEntry>) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Use an arbitrary offered-load schedule (dynamic-load experiments).
-    pub fn schedule(mut self, schedule: LoadSchedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Warmup period excluded from measurement.
-    pub fn warmup_ns(mut self, warmup_ns: SimTime) -> Self {
-        self.warmup_ns = warmup_ns;
-        self
-    }
-
-    /// Measurement-window length.
-    pub fn measure_ns(mut self, measure_ns: SimTime) -> Self {
-        self.measure_ns = measure_ns;
-        self
-    }
-
-    /// RNG seed (controls traffic, exploration and arbitration-independent
-    /// reproducibility).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Unmeasured tail after the measurement window: traffic keeps flowing
-    /// so the window is not biased by an emptying network.
-    pub fn tail_ns(mut self, tail_ns: SimTime) -> Self {
-        self.tail_ns = tail_ns;
-        self
-    }
-
-    /// Record a time series with the given bin width (enables
-    /// [`SimulationBuilder::run_with_series`]).
-    pub fn series_bin_ns(mut self, bin_ns: u64) -> Self {
-        self.series_bin_ns = Some(bin_ns);
-        self
-    }
-
-    /// Collect latency statistics with the log-binned streaming sketch
-    /// instead of the exact sample vector: metrics memory stays bounded no
-    /// matter how many packets are delivered, quantiles are within one
-    /// sketch bucket (≲ 1.6 % relative) of exact, and sharded runs remain
-    /// bit-for-bit identical to single-shard runs. The scale benches and
-    /// the `[metrics] mode = "streaming"` scenario knob use this.
-    pub fn streaming_metrics(mut self, streaming: bool) -> Self {
-        self.streaming_metrics = streaming;
-        self
-    }
-
-    /// Override the engine (hardware) configuration. The number of virtual
-    /// channels is still forced to the routing algorithm's requirement.
-    pub fn engine_config(mut self, config: EngineConfig) -> Self {
-        self.engine_config = Some(config);
-        self
-    }
-
-    /// Select the conservative-parallel shard count (results are identical
-    /// for every value; only wall-clock speed and thread usage change).
-    pub fn shards(mut self, shards: dragonfly_engine::config::ShardKind) -> Self {
-        self.engine_config
-            .get_or_insert_with(Default::default)
-            .shards = shards;
-        self
-    }
-
-    /// The total simulated time of the run.
-    pub fn total_ns(&self) -> SimTime {
-        self.warmup_ns + self.measure_ns + self.tail_ns
-    }
-
-    /// Capture the builder as a serialisable [`crate::spec::ExperimentSpec`]
-    /// (the reverse of [`crate::spec::ExperimentSpec::to_builder`]), e.g. to
-    /// save a programmatically built experiment as a scenario file.
-    pub fn to_spec(&self, name: &str) -> crate::spec::ExperimentSpec {
-        // Closed-loop runs serialise their intensity back into `load`
-        // (schedules are open-loop only and would fail validation).
-        let (load, schedule) = match &self.workload {
-            Some((_, intensity)) => (Some(*intensity), None),
-            None => (None, Some(self.schedule.clone())),
-        };
-        crate::spec::ExperimentSpec {
-            name: name.to_string(),
-            topology: self.topology,
-            routing: self.routing,
-            traffic: self.traffic,
-            workload: self.workload.as_ref().map(|(w, _)| w.clone()),
-            load,
-            schedule,
-            warmup_ns: self.warmup_ns,
-            measure_ns: self.measure_ns,
-            tail_ns: self.tail_ns,
-            seed: Some(self.seed),
-            series_bin_ns: self.series_bin_ns,
-            engine: self.engine_config,
-            faults: self.faults.clone(),
-            metrics: self.streaming_metrics.then_some(crate::spec::MetricsSpec {
-                mode: crate::spec::MetricsMode::Streaming,
-            }),
-        }
-    }
-
-    fn build_engine(&self) -> Engine<MetricsCollector> {
-        let topo = self.topology.build();
-        let algorithm = self.routing.build();
-        let mut cfg = self.engine_config.unwrap_or_default();
+impl Simulation {
+    /// Validate `spec` and build its engine at simulated time zero.
+    pub fn start(spec: &ExperimentSpec) -> Result<Self, SpecError> {
+        spec.validate()?;
+        let started = Instant::now();
+        let seed = spec.effective_seed();
+        let topo = spec.topology.build();
+        let algorithm = spec.routing.build();
+        let mut cfg = spec.engine.unwrap_or_default();
         cfg.num_vcs = algorithm.num_vcs();
-        let end = self.total_ns();
         // Closed-loop runs compile their task programs against the
         // topology before it is moved into the engine; open-loop runs
         // build the pattern injector instead.
         let mut programs = None;
-        let injector: Box<dyn TrafficInjector> = match &self.workload {
-            Some((workload, intensity)) => {
+        let injector: Box<dyn TrafficInjector> = match &spec.workload {
+            Some(workload) => {
                 programs = Some(
                     workload
-                        .compile(&topo, *intensity)
-                        .expect("workload specs are validated before running"),
+                        .compile(&topo, spec.effective_intensity())
+                        .map_err(|e| SpecError(format!("workload: {e}")))?,
                 );
                 Box::new(EmptyInjector)
             }
             None => Box::new(PatternInjector::new(
                 &topo,
                 &cfg,
-                self.traffic.build(&topo, self.seed ^ 0xA5A5_5A5A),
-                self.schedule.clone(),
-                end,
-                self.seed,
+                spec.traffic.build(&topo, seed ^ TRAFFIC_SEED_SALT),
+                spec.effective_schedule(),
+                spec.total_ns(),
+                seed,
             )),
         };
-        let mut collector = if self.streaming_metrics {
-            MetricsCollector::streaming(self.warmup_ns, self.warmup_ns + self.measure_ns)
+        let window_end = spec.warmup_ns + spec.measure_ns;
+        let streaming = spec
+            .metrics
+            .is_some_and(|m| m.mode == MetricsMode::Streaming);
+        let mut collector = if streaming {
+            MetricsCollector::streaming(spec.warmup_ns, window_end)
         } else {
-            MetricsCollector::new(self.warmup_ns, self.warmup_ns + self.measure_ns)
+            MetricsCollector::new(spec.warmup_ns, window_end)
         };
-        if let Some(bin) = self.series_bin_ns {
+        if let Some(bin) = spec.series_bin_ns {
             collector = collector.with_series(bin);
         }
-        let mut engine = Engine::new(
-            topo,
-            cfg,
-            algorithm.as_ref(),
-            injector,
-            collector,
-            self.seed,
-        );
+        let mut engine = Engine::new(topo, cfg, algorithm.as_ref(), injector, collector, seed);
         if let Some(programs) = programs {
             engine.install_workload(programs);
         }
-        if !self.faults.is_empty() {
-            let schedule = compile_faults(&self.faults, engine.topology())
-                .expect("fault entries are validated before running");
-            engine.install_faults(&schedule);
+        if !spec.faults.is_empty() {
+            engine.install_faults(&compile_faults(&spec.faults, engine.topology())?);
         }
-        engine
+        Ok(Self {
+            spec: spec.clone(),
+            engine,
+            started,
+        })
     }
 
-    fn report_from(
-        &self,
-        engine: &mut Engine<MetricsCollector>,
-        wall_seconds: f64,
-    ) -> SimulationReport {
-        let stats = engine.stats();
-        let cfg = *engine.config();
+    /// Rebuild the engine of `spec` and restore `checkpoint` into it, after
+    /// checking that the checkpoint was taken from the same experiment
+    /// (execution-mode knobs may differ, see
+    /// [`ExperimentSpec::result_identity`]). The continued run is
+    /// bit-for-bit identical to an uninterrupted one.
+    pub fn resume(spec: &ExperimentSpec, checkpoint: &RunCheckpoint) -> Result<Self, SpecError> {
+        checkpoint.check_spec_matches(spec)?;
+        let mut sim = Self::start(spec)?;
+        sim.engine.restore(&checkpoint.engine);
+        sim.engine.seed_observer(checkpoint.collector.clone());
+        Ok(sim)
+    }
+
+    /// Current simulated time (ns).
+    pub fn now(&self) -> SimTime {
+        self.engine.now()
+    }
+
+    /// Advance to simulated time `t_ns`, clamped to the end of the run.
+    /// Returns whether anything is left to simulate afterwards: `false`
+    /// once the end of the run is reached or a closed-loop run has drained.
+    pub fn advance_to(&mut self, t_ns: SimTime) -> bool {
+        let end = self.spec.total_ns();
+        let t = t_ns.min(end);
+        if self.spec.workload.is_some() {
+            self.engine.run_to_drain(t);
+            t < end && self.engine.has_pending_events()
+        } else {
+            self.engine.run_until(t);
+            t < end
+        }
+    }
+
+    /// Capture the complete state of the run. Every point `advance_to`
+    /// returns at is a globally consistent cut, and the snapshot is stored
+    /// in canonical partition-independent form, so one taken at
+    /// `shards = N` resumes at any `shards = M`, pipeline on or off.
+    pub fn snapshot(&mut self) -> RunCheckpoint {
+        let engine = self.engine.checkpoint();
+        RunCheckpoint::new(self.spec.clone(), engine, self.engine.merged_observer())
+    }
+
+    /// Assemble the measurement report from the engine as it stands.
+    pub fn report(&self) -> SimulationReport {
+        let spec = &self.spec;
+        let engine = &self.engine;
         let nodes = engine.topology().num_nodes();
         // Merge the per-shard collectors (a single-shard engine merges
         // trivially); quantile queries need the merged sample set anyway.
         let mut collector = engine.merged_observer();
         let memory_bytes = (engine.memory_bytes() + collector.memory_bytes()) as u64;
         let window_ns = collector.window_ns();
-        let throughput =
-            collector
-                .throughput
-                .normalized(window_ns, nodes, cfg.injection_bytes_per_ns());
+        let throughput = collector.throughput.normalized(
+            window_ns,
+            nodes,
+            engine.config().injection_bytes_per_ns(),
+        );
         // Closed-loop completion metrics (all zero for open-loop runs).
         let ranks_finished = collector.ranks_finished;
         let (job_completion_us, collective_skew_us) = if ranks_finished > 0 {
@@ -309,21 +193,21 @@ impl SimulationBuilder {
             (0.0, 0.0)
         };
         let recovery_time_us = match (
-            self.faults.iter().map(FaultSpecEntry::at_ns).min(),
+            spec.faults.iter().map(FaultSpecEntry::at_ns).min(),
             collector.series.as_ref(),
         ) {
             (Some(fault_at_ns), Some(series)) => recovery_time_us(series, fault_at_ns),
             _ => 0.0,
         };
         SimulationReport {
-            routing: self.routing.label(),
-            traffic: match &self.workload {
-                Some((workload, _)) => workload.label(),
-                None => self.traffic.label(),
+            routing: spec.routing.label(),
+            traffic: match &spec.workload {
+                Some(workload) => workload.label(),
+                None => spec.traffic.label(),
             },
-            offered_load: match &self.workload {
-                Some((_, intensity)) => *intensity,
-                None => self.schedule.peak_load(),
+            offered_load: match &spec.workload {
+                Some(_) => spec.effective_intensity(),
+                None => spec.effective_schedule().peak_load(),
             },
             window_ns,
             packets_generated: collector.generated_in_window,
@@ -338,8 +222,8 @@ impl SimulationBuilder {
             max_latency_us: collector.latency.max_ns() as f64 / 1_000.0,
             mean_hops: collector.hops.mean(),
             fraction_below_2us: collector.latency.fraction_below(2_000),
-            wall_seconds,
-            events_processed: stats.events,
+            wall_seconds: self.started.elapsed().as_secs_f64(),
+            events_processed: engine.stats().events,
             job_completion_us,
             ranks_finished,
             phase_completion_us: collector
@@ -357,107 +241,10 @@ impl SimulationBuilder {
         }
     }
 
-    /// Run the engine to the builder's stopping rule: open-loop runs stop
-    /// at the wall-clock boundary, closed-loop runs drain their task
-    /// programs (capped at the same boundary so a deadlocked program
-    /// cannot hang the simulation).
-    fn run_engine(&self, engine: &mut Engine<MetricsCollector>) {
-        if self.workload.is_some() {
-            engine.run_to_drain(self.total_ns());
-        } else {
-            engine.run_until(self.total_ns());
-        }
-    }
-
-    /// Run the simulation and return the measurement report.
-    pub fn run(self) -> SimulationReport {
-        let started = Instant::now();
-        let mut engine = self.build_engine();
-        self.run_engine(&mut engine);
-        let wall = started.elapsed().as_secs_f64();
-        self.report_from(&mut engine, wall)
-    }
-
-    /// Stepped execution with optional mid-run state capture and optional
-    /// resume from an earlier capture — the machinery behind the CLI's
-    /// `--checkpoint-every` and `--resume-from` flags.
-    ///
-    /// Works on any engine configuration — sequential, sharded, or
-    /// pipelined. Each step boundary is a globally consistent cut (every
-    /// shard completes its windows up to the boundary before the engine
-    /// returns), and the snapshot is stored in canonical
-    /// partition-independent form, so a checkpoint taken at `shards = N`
-    /// resumes bit-identically at `shards = M` for any `M`, pipeline on
-    /// or off.
-    ///
-    /// `sink` receives the engine snapshot and the merged collector at
-    /// every `checkpoint_every_ns` boundary strictly before the end of
-    /// the run. When `resume` is given, the engine and collector are
-    /// restored before running; the continued run is bit-for-bit
-    /// identical to an uninterrupted one (pinned by the
-    /// `checkpoint_resume` differential suite).
-    pub fn run_resumable(
-        self,
-        resume: Option<(
-            &dragonfly_engine::checkpoint::EngineCheckpoint,
-            &MetricsCollector,
-        )>,
-        checkpoint_every_ns: Option<SimTime>,
-        mut sink: impl FnMut(&dragonfly_engine::checkpoint::EngineCheckpoint, &MetricsCollector),
-    ) -> Result<SimulationReport, String> {
-        let started = Instant::now();
-        let mut engine = self.build_engine();
-        if let Some((ck, collector)) = resume {
-            engine.restore(ck);
-            engine.seed_observer(collector.clone());
-        }
-        let total = self.total_ns();
-        match checkpoint_every_ns {
-            None => self.run_engine(&mut engine),
-            Some(every) => {
-                let every = every.max(1);
-                let mut t = engine.now();
-                while t < total {
-                    t = t.saturating_add(every).min(total);
-                    if self.workload.is_some() {
-                        engine.run_to_drain(t);
-                    } else {
-                        engine.run_until(t);
-                    }
-                    // A drained closed-loop run stops advancing long before
-                    // its drain cap; keeping on stepping would rewrite an
-                    // identical snapshot at every remaining boundary.
-                    if self.workload.is_some() && !engine.has_pending_events() {
-                        break;
-                    }
-                    if t < total {
-                        let snapshot = engine.checkpoint();
-                        let observer = engine.merged_observer();
-                        sink(&snapshot, &observer);
-                    }
-                }
-            }
-        }
-        let wall = started.elapsed().as_secs_f64();
-        Ok(self.report_from(&mut engine, wall))
-    }
-
-    /// Run the simulation and return both the report and the recorded time
-    /// series (requires [`SimulationBuilder::series_bin_ns`]).
-    pub fn run_with_series(mut self) -> (SimulationReport, TimeSeries) {
-        if self.series_bin_ns.is_none() {
-            self.series_bin_ns = Some(10_000);
-        }
-        let started = Instant::now();
-        let mut engine = self.build_engine();
-        self.run_engine(&mut engine);
-        let wall = started.elapsed().as_secs_f64();
-        let report = self.report_from(&mut engine, wall);
-        let series = engine
-            .into_observer()
-            .series
-            .expect("series collection was enabled above");
-        (report, series)
+    /// Consume the run and return its whole-run time series (`None`
+    /// unless the spec set `series_bin_ns`).
+    pub fn into_series(self) -> Option<TimeSeries> {
+        self.engine.into_observer().series
     }
 }
 
@@ -467,7 +254,7 @@ impl SimulationBuilder {
 /// latency is within 10 % of the baseline. A run that never recovers
 /// counts the whole remaining series. 0.0 when the fault precedes any
 /// delivery (no baseline to recover to).
-fn recovery_time_us(series: &dragonfly_metrics::timeseries::TimeSeries, fault_at_ns: u64) -> f64 {
+fn recovery_time_us(series: &TimeSeries, fault_at_ns: u64) -> f64 {
     let width = series.bin_width_ns();
     let fault_bin = (fault_at_ns / width) as usize;
     let (mut packets, mut latency_sum) = (0u64, 0u128);
@@ -496,19 +283,25 @@ fn recovery_time_us(series: &dragonfly_metrics::timeseries::TimeSeries, fault_at
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dragonfly_engine::config::{EngineConfig, ShardKind};
+    use dragonfly_routing::RoutingSpec;
     use dragonfly_topology::config::DragonflyConfig;
+    use dragonfly_traffic::TrafficSpec;
+    use dragonfly_workload::WorkloadSpec;
     use qadaptive_core::QAdaptiveParams;
 
     #[test]
     fn minimal_ur_low_load_has_near_theoretical_latency() {
-        let report = SimulationBuilder::new(DragonflyConfig::tiny())
-            .routing(RoutingSpec::Minimal)
-            .traffic(TrafficSpec::UniformRandom)
-            .offered_load(0.1)
-            .warmup_ns(20_000)
-            .measure_ns(40_000)
-            .seed(3)
-            .run();
+        let report = ExperimentSpec {
+            routing: RoutingSpec::Minimal,
+            traffic: TrafficSpec::UniformRandom,
+            load: Some(0.1),
+            warmup_ns: 20_000,
+            measure_ns: 40_000,
+            seed: Some(3),
+            ..ExperimentSpec::new(DragonflyConfig::tiny())
+        }
+        .run();
         assert!(report.packets_delivered > 100);
         // Zero-load minimal latency on the tiny system is ~0.6-0.9 us;
         // at 10% load it must stay well under 2 us.
@@ -524,14 +317,16 @@ mod tests {
 
     #[test]
     fn qadaptive_runs_end_to_end_on_the_tiny_system() {
-        let report = SimulationBuilder::new(DragonflyConfig::tiny())
-            .routing(RoutingSpec::QAdaptive(QAdaptiveParams::paper_1056()))
-            .traffic(TrafficSpec::Adversarial { shift: 1 })
-            .offered_load(0.2)
-            .warmup_ns(30_000)
-            .measure_ns(30_000)
-            .seed(5)
-            .run();
+        let report = ExperimentSpec {
+            routing: RoutingSpec::QAdaptive(QAdaptiveParams::paper_1056()),
+            traffic: TrafficSpec::Adversarial { shift: 1 },
+            load: Some(0.2),
+            warmup_ns: 30_000,
+            measure_ns: 30_000,
+            seed: Some(5),
+            ..ExperimentSpec::new(DragonflyConfig::tiny())
+        }
+        .run();
         assert!(report.packets_delivered > 100);
         assert!(report.throughput > 0.05);
         assert!(report.mean_hops >= 1.0);
@@ -539,15 +334,17 @@ mod tests {
 
     #[test]
     fn run_with_series_produces_bins() {
-        let (report, series) = SimulationBuilder::new(DragonflyConfig::tiny())
-            .routing(RoutingSpec::UgalG)
-            .traffic(TrafficSpec::UniformRandom)
-            .offered_load(0.3)
-            .warmup_ns(10_000)
-            .measure_ns(20_000)
-            .series_bin_ns(5_000)
-            .seed(9)
-            .run_with_series();
+        let (report, series) = ExperimentSpec {
+            routing: RoutingSpec::UgalG,
+            traffic: TrafficSpec::UniformRandom,
+            load: Some(0.3),
+            warmup_ns: 10_000,
+            measure_ns: 20_000,
+            series_bin_ns: Some(5_000),
+            seed: Some(9),
+            ..ExperimentSpec::new(DragonflyConfig::tiny())
+        }
+        .run_with_series();
         assert!(report.packets_delivered > 0);
         assert!(series.len() >= 4);
         let total: u64 = series.iter().map(|(_, b)| b.packets).sum();
@@ -556,13 +353,16 @@ mod tests {
 
     #[test]
     fn closed_loop_allreduce_reports_completion_metrics() {
-        let report = SimulationBuilder::new(DragonflyConfig::tiny())
-            .routing(RoutingSpec::UgalG)
-            .workload(WorkloadSpec::AllReduce { messages: 2 })
-            .warmup_ns(0)
-            .measure_ns(10_000_000)
-            .seed(7)
-            .run();
+        let report = ExperimentSpec {
+            routing: RoutingSpec::UgalG,
+            workload: Some(WorkloadSpec::AllReduce { messages: 2 }),
+            load: None,
+            warmup_ns: 0,
+            measure_ns: 10_000_000,
+            seed: Some(7),
+            ..ExperimentSpec::new(DragonflyConfig::tiny())
+        }
+        .run();
         assert_eq!(report.ranks_finished, 72, "every rank must finish");
         assert!(report.job_completion_us > 0.0);
         assert!(report.collective_skew_us >= 0.0);
@@ -576,27 +376,30 @@ mod tests {
     #[test]
     fn closed_loop_runs_are_shard_invariant() {
         let make = |shards| {
-            SimulationBuilder::new(DragonflyConfig::tiny())
-                .routing(RoutingSpec::Minimal)
-                .workload_at(
-                    WorkloadSpec::Sequence(vec![
-                        WorkloadSpec::HaloExchange {
-                            phases: 2,
-                            messages: 2,
-                            compute_ns: 100,
-                        },
-                        WorkloadSpec::Barrier,
-                    ]),
-                    2.0,
-                )
-                .warmup_ns(0)
-                .measure_ns(10_000_000)
-                .seed(11)
-                .shards(shards)
-                .run()
+            ExperimentSpec {
+                routing: RoutingSpec::Minimal,
+                workload: Some(WorkloadSpec::Sequence(vec![
+                    WorkloadSpec::HaloExchange {
+                        phases: 2,
+                        messages: 2,
+                        compute_ns: 100,
+                    },
+                    WorkloadSpec::Barrier,
+                ])),
+                load: Some(2.0),
+                warmup_ns: 0,
+                measure_ns: 10_000_000,
+                seed: Some(11),
+                engine: Some(EngineConfig {
+                    shards,
+                    ..Default::default()
+                }),
+                ..ExperimentSpec::new(DragonflyConfig::tiny())
+            }
+            .run()
         };
-        let single = make(dragonfly_engine::config::ShardKind::Single);
-        let sharded = make(dragonfly_engine::config::ShardKind::Fixed(3));
+        let single = make(ShardKind::Single);
+        let sharded = make(ShardKind::Fixed(3));
         assert_eq!(single.ranks_finished, 72);
         assert_eq!(single.job_completion_us, sharded.job_completion_us);
         assert_eq!(single.phase_completion_us, sharded.phase_completion_us);
@@ -609,14 +412,16 @@ mod tests {
     #[test]
     fn same_seed_reproduces_the_same_report() {
         let make = || {
-            SimulationBuilder::new(DragonflyConfig::tiny())
-                .routing(RoutingSpec::UgalN)
-                .traffic(TrafficSpec::UniformRandom)
-                .offered_load(0.4)
-                .warmup_ns(10_000)
-                .measure_ns(20_000)
-                .seed(42)
-                .run()
+            ExperimentSpec {
+                routing: RoutingSpec::UgalN,
+                traffic: TrafficSpec::UniformRandom,
+                load: Some(0.4),
+                warmup_ns: 10_000,
+                measure_ns: 20_000,
+                seed: Some(42),
+                ..ExperimentSpec::new(DragonflyConfig::tiny())
+            }
+            .run()
         };
         let a = make();
         let b = make();

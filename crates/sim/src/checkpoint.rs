@@ -23,8 +23,8 @@
 use crate::collector::MetricsCollector;
 use crate::spec::{ExperimentSpec, SpecError};
 use dragonfly_engine::checkpoint::EngineCheckpoint;
-use dragonfly_engine::EngineConfig;
-use serde::{Deserialize, Serialize, Value};
+use dragonfly_metrics::report::first_tree_difference;
+use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Format tag stored in every checkpoint file; the only one this build
@@ -139,9 +139,10 @@ impl RunCheckpoint {
     /// else must match exactly; the error names the first mismatched
     /// field.
     pub fn check_spec_matches(&self, spec: &ExperimentSpec) -> Result<(), SpecError> {
-        let ours = resume_relevant(&self.spec).to_value();
-        let theirs = resume_relevant(spec).to_value();
-        if let Some(diff) = first_diff("spec", &ours, &theirs) {
+        let ours = self.spec.result_identity().to_value();
+        let theirs = spec.result_identity().to_value();
+        let sides = ("the checkpoint", "the request");
+        if let Some(diff) = first_tree_difference("spec", &ours, &theirs, sides, &[]) {
             return Err(SpecError(format!(
                 "checkpoint was taken from experiment {:?}, which differs from the \
                  requested experiment {:?} at {diff}; resume with the same scenario \
@@ -154,80 +155,10 @@ impl RunCheckpoint {
     }
 }
 
-/// The spec with every execution-mode knob reset to its default: two
-/// specs that agree on this projection describe the same simulation
-/// (engine determinism makes shard count and pipelining unobservable), so
-/// resume accepts them interchangeably. A fully
-/// default engine block collapses to `None`, since CLI overrides
-/// materialise a default block just to set a knob on it.
-fn resume_relevant(spec: &ExperimentSpec) -> ExperimentSpec {
-    let mut s = spec.clone();
-    if let Some(engine) = &mut s.engine {
-        let defaults = EngineConfig::default();
-        engine.shards = defaults.shards;
-        engine.pipeline = defaults.pipeline;
-        engine.qtable_page_rows_threshold = defaults.qtable_page_rows_threshold;
-        if *engine == defaults {
-            s.engine = None;
-        }
-    }
-    s
-}
-
-/// First leaf where two JSON values disagree, as a dotted path rooted at
-/// `path`, or `None` when equal. Drives the spec-mismatch message: naming
-/// the exact field beats asking the user to diff two TOML files.
-fn first_diff(path: &str, a: &Value, b: &Value) -> Option<String> {
-    match (a, b) {
-        (Value::Map(ea), Value::Map(eb)) => {
-            for (k, va) in ea {
-                match eb.iter().find(|(kb, _)| kb == k) {
-                    Some((_, vb)) => {
-                        if let Some(d) = first_diff(&format!("{path}.{k}"), va, vb) {
-                            return Some(d);
-                        }
-                    }
-                    None => {
-                        return Some(format!(
-                            "{path}.{k} (set in the checkpoint, absent in the request)"
-                        ))
-                    }
-                }
-            }
-            eb.iter()
-                .find(|(k, _)| !ea.iter().any(|(ka, _)| ka == k))
-                .map(|(k, _)| format!("{path}.{k} (absent in the checkpoint, set in the request)"))
-        }
-        (Value::Seq(sa), Value::Seq(sb)) => {
-            if sa.len() != sb.len() {
-                return Some(format!(
-                    "{path} (length {} in the checkpoint vs {} requested)",
-                    sa.len(),
-                    sb.len()
-                ));
-            }
-            sa.iter()
-                .zip(sb)
-                .enumerate()
-                .find_map(|(i, (va, vb))| first_diff(&format!("{path}[{i}]"), va, vb))
-        }
-        _ => {
-            if a == b {
-                None
-            } else {
-                Some(format!(
-                    "{path} ({} in the checkpoint vs {} requested)",
-                    serde_json::to_string(a).unwrap_or_default(),
-                    serde_json::to_string(b).unwrap_or_default()
-                ))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dragonfly_engine::EngineConfig;
     use dragonfly_topology::config::DragonflyConfig;
 
     fn spec() -> ExperimentSpec {

@@ -4,13 +4,8 @@
 //! and reporting the per-bin latency or throughput curve.
 
 use crate::spec::ExperimentSpec;
-use dragonfly_engine::time::SimTime;
 use dragonfly_metrics::report::SimulationReport;
 use dragonfly_metrics::timeseries::TimeSeries;
-use dragonfly_routing::RoutingSpec;
-use dragonfly_topology::config::DragonflyConfig;
-use dragonfly_traffic::schedule::LoadSchedule;
-use dragonfly_traffic::TrafficSpec;
 use serde::{Deserialize, Serialize};
 
 /// The outcome of a convergence / dynamic-load run.
@@ -46,78 +41,58 @@ impl ConvergenceResult {
 /// Run a convergence study described by an [`ExperimentSpec`]: start from
 /// an empty network and record how the latency evolves over the whole run.
 /// The spec's warmup/measure windows play their usual roles (the aggregate
-/// report covers the tail once converged); `series_bin_ns` defaults to
-/// 10 µs when unset.
+/// report covers the tail once converged); the series bin width is the
+/// spec's, or [`ExperimentSpec::run_with_series`]'s default when unset.
 pub fn run_convergence_spec(spec: &ExperimentSpec) -> ConvergenceResult {
-    let bin_ns = spec.series_bin_ns.unwrap_or(10_000);
-    let mut spec = spec.clone();
-    spec.series_bin_ns = Some(bin_ns);
     let (report, series) = spec.run_with_series();
     let convergence_us = series
         .convergence_bin(5, 0.25)
-        .map(|bin| bin as f64 * bin_ns as f64 / 1_000.0);
-    let nodes = spec.topology.num_nodes();
+        .map(|bin| bin as f64 * series.bin_width_ns() as f64 / 1_000.0);
     ConvergenceResult {
         report,
         series,
         convergence_us,
-        nodes,
+        nodes: spec.topology.num_nodes(),
         injection_bytes_per_ns: spec.engine.unwrap_or_default().injection_bytes_per_ns(),
     }
-}
-
-/// Run a convergence study: start from an empty network under a constant
-/// (or scheduled) load and record how the latency evolves.
-///
-/// Thin wrapper over [`run_convergence_spec`], kept for the examples and
-/// any code predating [`ExperimentSpec`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_convergence(
-    topology: DragonflyConfig,
-    routing: RoutingSpec,
-    traffic: TrafficSpec,
-    schedule: LoadSchedule,
-    duration_ns: SimTime,
-    bin_ns: SimTime,
-    measure_tail_ns: SimTime,
-    seed: u64,
-) -> ConvergenceResult {
-    run_convergence_spec(&ExperimentSpec {
-        name: String::new(),
-        topology: topology.into(),
-        routing,
-        traffic,
-        workload: None,
-        load: None,
-        schedule: Some(schedule),
-        warmup_ns: duration_ns.saturating_sub(measure_tail_ns),
-        measure_ns: measure_tail_ns.min(duration_ns),
-        tail_ns: 0,
-        seed: Some(seed),
-        series_bin_ns: Some(bin_ns),
-        engine: None,
-        faults: Vec::new(),
-        metrics: None,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dragonfly_routing::RoutingSpec;
+    use dragonfly_topology::config::DragonflyConfig;
+    use dragonfly_traffic::schedule::LoadSchedule;
     use qadaptive_core::QAdaptiveParams;
+
+    /// A study over `duration_ns` in 10 µs bins whose report covers the
+    /// final 20 µs.
+    fn study(
+        routing: RoutingSpec,
+        schedule: LoadSchedule,
+        duration_ns: u64,
+        seed: u64,
+    ) -> ExperimentSpec {
+        ExperimentSpec {
+            routing,
+            load: None,
+            schedule: Some(schedule),
+            warmup_ns: duration_ns - 20_000,
+            measure_ns: 20_000,
+            seed: Some(seed),
+            series_bin_ns: Some(10_000),
+            ..ExperimentSpec::new(DragonflyConfig::tiny())
+        }
+    }
 
     #[test]
     fn convergence_run_produces_curves() {
-        let result = run_convergence(
-            DragonflyConfig::tiny(),
+        let result = run_convergence_spec(&study(
             RoutingSpec::QAdaptive(QAdaptiveParams::paper_1056()),
-            TrafficSpec::UniformRandom,
             LoadSchedule::constant(0.3),
             60_000,
-            10_000,
-            20_000,
             7,
-        );
+        ));
         assert!(result.report.packets_delivered > 0);
         let lat = result.latency_curve();
         let tput = result.throughput_curve();
@@ -129,16 +104,12 @@ mod tests {
 
     #[test]
     fn dynamic_load_step_shows_up_in_the_throughput_curve() {
-        let result = run_convergence(
-            DragonflyConfig::tiny(),
+        let result = run_convergence_spec(&study(
             RoutingSpec::Minimal,
-            TrafficSpec::UniformRandom,
             LoadSchedule::step(0.1, 0.4, 40_000),
             80_000,
-            10_000,
-            20_000,
             3,
-        );
+        ));
         let curve = result.throughput_curve();
         // Average throughput before the step must be clearly below after.
         let before: f64 = curve[1..4].iter().map(|(_, v)| v).sum::<f64>() / 3.0;

@@ -13,18 +13,22 @@
 //!   period, then collect latency/hop/throughput statistics over the
 //!   measurement window (the paper averages over 100 µs after the system
 //!   stabilises) and optionally a binned time series.
-//! * [`builder::SimulationBuilder`] — one-stop construction and execution
-//!   of a single simulation point, returning a
-//!   [`dragonfly_metrics::SimulationReport`].
+//! * [`builder::Simulation`] — **the one staged driver**: `start` (or
+//!   `resume` from a snapshot) builds the engine a spec describes,
+//!   `advance_to` applies the stopping rule, `snapshot` captures a
+//!   resumable [`RunCheckpoint`], `report` assembles the
+//!   [`dragonfly_metrics::SimulationReport`]. Every front-end below reaches
+//!   the engine through these four stages.
 //! * [`fault`] — serialisable fault injection (`[[faults]]` scenario
 //!   sections): link/router kill+restore events and seeded random
 //!   global-link loss, compiled into the engine's deterministic
 //!   [`dragonfly_engine::fault::FaultSchedule`].
-//! * [`spec`] — **the serialisable experiment API**:
-//!   [`spec::ExperimentSpec`] (one run, loadable from TOML/JSON scenario
-//!   files) and [`spec::SweepSpec`] (cartesian grids of runs). Every
-//!   figure/table of the paper and every scenario file in `scenarios/` is
-//!   expressed as one of these two values.
+//! * [`spec`] — **the one description of an experiment**:
+//!   [`spec::ExperimentSpec`] (one run: plain public fields, loadable from
+//!   TOML/JSON scenario files, `run` / `run_with_series` /
+//!   `run_checkpointed` compose the stages above) and [`spec::SweepSpec`]
+//!   (cartesian grids of runs). Every figure/table of the paper and every
+//!   scenario file in `scenarios/` is expressed as one of these two values.
 //! * [`sweep`] — parallel execution of a sweep's points with crossbeam
 //!   scoped threads (each point is an independent simulation) and the
 //!   [`sweep::SweepResult`] they produce.
@@ -40,7 +44,7 @@ pub mod injector;
 pub mod spec;
 pub mod sweep;
 
-pub use builder::SimulationBuilder;
+pub use builder::Simulation;
 pub use checkpoint::RunCheckpoint;
 pub use collector::MetricsCollector;
 pub use fault::{compile_faults, FaultSpecEntry};

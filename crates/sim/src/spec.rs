@@ -4,8 +4,8 @@
 //! * [`ExperimentSpec`] — one simulation point: topology, routing, traffic,
 //!   load (constant or scheduled), measurement windows, seed, optional
 //!   engine (hardware) overrides and time-series collection. Loadable from
-//!   TOML or JSON scenario files, convertible to/from
-//!   [`SimulationBuilder`], runnable directly.
+//!   TOML or JSON scenario files and runnable directly; its `run*` methods
+//!   are short compositions of the [`Simulation`] stages.
 //! * [`SweepSpec`] — a cartesian grid (traffics × routings × loads ×
 //!   seeds-per-point) of experiment points, each with a seed derived
 //!   from the base seed and its position in the grid.
@@ -30,10 +30,10 @@
 //! assert!(report.packets_delivered > 0);
 //! ```
 
-use crate::builder::SimulationBuilder;
+use crate::builder::Simulation;
 use crate::checkpoint::RunCheckpoint;
 use crate::fault::FaultSpecEntry;
-use crate::sweep::{run_builders_parallel, SweepResult};
+use crate::sweep::{run_specs_parallel, SweepResult};
 use dragonfly_engine::config::EngineConfig;
 use dragonfly_engine::time::SimTime;
 use dragonfly_metrics::report::SimulationReport;
@@ -169,9 +169,10 @@ pub struct ExperimentSpec {
 }
 
 impl ExperimentSpec {
-    /// A spec with the same defaults as [`SimulationBuilder::new`]:
-    /// minimal routing, uniform-random traffic at 10 % load, 20 µs warmup,
-    /// 100 µs measurement.
+    /// The defaults every field-by-field construction starts from (fill
+    /// in the rest with struct-update syntax): minimal routing,
+    /// uniform-random traffic at 10 % load, 20 µs warmup, 100 µs
+    /// measurement.
     pub fn new(topology: impl Into<TopologySpec>) -> Self {
         Self {
             name: String::new(),
@@ -212,13 +213,36 @@ impl ExperimentSpec {
         self.load.unwrap_or(1.0)
     }
 
-    /// Total simulated time of the run.
+    /// Total simulated time of the run ([`ExperimentSpec::validate`]
+    /// refuses windows whose sum overflows).
     pub fn total_ns(&self) -> SimTime {
         self.warmup_ns + self.measure_ns + self.tail_ns
     }
 
+    /// The spec with every execution-mode knob — shard count, pipelining,
+    /// Q-table paging threshold — reset to its default. All three are
+    /// pinned bit-for-bit result-invariant by the differential suites, so
+    /// two specs that agree on this projection describe the same simulated
+    /// outcome: the figure cache keys results by it and resume accepts them
+    /// interchangeably. A fully default engine block collapses to `None`,
+    /// since CLI overrides materialise one just to set a knob on it.
+    pub fn result_identity(&self) -> Self {
+        let mut identity = self.clone();
+        if let Some(engine) = &mut identity.engine {
+            let defaults = EngineConfig::default();
+            engine.shards = defaults.shards;
+            engine.pipeline = defaults.pipeline;
+            engine.qtable_page_rows_threshold = defaults.qtable_page_rows_threshold;
+            if *engine == defaults {
+                identity.engine = None;
+            }
+        }
+        identity
+    }
+
     /// Check the spec for structural problems (bad topology, out-of-range
-    /// loads, contradictory fields, empty windows).
+    /// loads, contradictory fields, empty or overflowing windows, hardware
+    /// values no run can make sense of).
     pub fn validate(&self) -> Result<(), SpecError> {
         self.topology
             .validate()
@@ -261,14 +285,11 @@ impl ExperimentSpec {
         if let Some(schedule) = &self.schedule {
             schedule.validate().map_err(SpecError)?;
         }
-        if self.measure_ns == 0 {
-            return Err(SpecError("measure_ns must be positive".to_string()));
-        }
-        if let Some(bin) = self.series_bin_ns {
-            if bin == 0 {
-                return Err(SpecError("series_bin_ns must be positive".to_string()));
-            }
-        }
+        validate_hardware_and_windows(
+            &self.engine,
+            [self.warmup_ns, self.measure_ns, self.tail_ns],
+            self.series_bin_ns,
+        )?;
         validate_traffic(&self.traffic, &self.topology)?;
         if !self.faults.is_empty() {
             // Compiling checks both the entry structure and the targets
@@ -288,82 +309,66 @@ impl ExperimentSpec {
         }
     }
 
-    /// Convert to a [`SimulationBuilder`] (the reverse of
-    /// [`SimulationBuilder::to_spec`]).
-    pub fn to_builder(&self) -> SimulationBuilder {
-        // Closed-loop runs reuse the schedule slot to carry the intensity
-        // multiplier (its peak load) down to the builder.
-        let schedule = if self.workload.is_some() {
-            LoadSchedule::constant(self.effective_intensity().min(1.0))
-        } else {
-            self.effective_schedule()
-        };
-        let mut builder = SimulationBuilder::new(self.topology)
-            .routing(self.routing)
-            .traffic(self.traffic)
-            .schedule(schedule)
-            .warmup_ns(self.warmup_ns)
-            .measure_ns(self.measure_ns)
-            .tail_ns(self.tail_ns)
-            .seed(self.effective_seed());
-        if let Some(workload) = &self.workload {
-            builder = builder.workload_at(workload.clone(), self.effective_intensity());
-        }
-        if let Some(bin) = self.series_bin_ns {
-            builder = builder.series_bin_ns(bin);
-        }
-        if let Some(engine) = self.engine {
-            builder = builder.engine_config(engine);
-        }
-        if !self.faults.is_empty() {
-            builder = builder.faults(self.faults.clone());
-        }
-        if let Some(metrics) = self.metrics {
-            builder = builder.streaming_metrics(metrics.mode == MetricsMode::Streaming);
-        }
-        builder
-    }
-
     /// Run, returning the measurement report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec does not pass [`ExperimentSpec::validate`]
+    /// (specs loaded through `from_toml` / `from_json` / `from_path`
+    /// always do).
     pub fn run(&self) -> SimulationReport {
-        self.to_builder().run()
+        self.run_to_end().report()
     }
 
     /// Run with a whole-run time series (a default 10 µs bin width is used
-    /// when `series_bin_ns` is unset).
+    /// when `series_bin_ns` is unset). Panics like [`ExperimentSpec::run`].
     pub fn run_with_series(&self) -> (SimulationReport, TimeSeries) {
-        self.to_builder().run_with_series()
+        let sim = Self {
+            series_bin_ns: self.series_bin_ns.or(Some(10_000)),
+            ..self.clone()
+        }
+        .run_to_end();
+        let report = sim.report();
+        let series = sim.into_series().expect("a series bin width is set above");
+        (report, series)
+    }
+
+    fn run_to_end(&self) -> Simulation {
+        let mut sim = Simulation::start(self).expect("running needs a spec that validates");
+        sim.advance_to(self.total_ns());
+        sim
     }
 
     /// Run with checkpoint/resume support (the CLI's `--checkpoint-every`
-    /// / `--resume-from`): verifies a given `resume` checkpoint belongs to
-    /// this spec, restores it, and hands a fresh [`RunCheckpoint`] to
-    /// `sink` every `checkpoint_every_ns` of simulated time. Works under
-    /// any engine configuration — snapshots are partition-independent, so
-    /// the checkpointing and resuming runs may use different shard counts
-    /// and pipeline settings.
+    /// / `--resume-from`): continue from `resume` when given — after
+    /// verifying it belongs to this spec — and hand a fresh
+    /// [`RunCheckpoint`] to `sink` at every `checkpoint_every_ns` boundary
+    /// strictly before the end of the run. A closed-loop run that has
+    /// drained stops stepping (further boundaries would rewrite the same
+    /// snapshot). The first error `sink` returns stops the run and is
+    /// returned. Works under any engine configuration — snapshots are
+    /// partition-independent, so the checkpointing and resuming runs may
+    /// use different shard counts and pipeline settings.
     pub fn run_checkpointed(
         &self,
         resume: Option<&RunCheckpoint>,
         checkpoint_every_ns: Option<SimTime>,
-        mut sink: impl FnMut(RunCheckpoint),
+        mut sink: impl FnMut(RunCheckpoint) -> Result<(), SpecError>,
     ) -> Result<SimulationReport, SpecError> {
-        if let Some(ck) = resume {
-            ck.check_spec_matches(self)?;
+        let mut sim = match resume {
+            Some(checkpoint) => Simulation::resume(self, checkpoint)?,
+            None => Simulation::start(self)?,
+        };
+        let total = self.total_ns();
+        let every = checkpoint_every_ns.unwrap_or(total).max(1);
+        let mut t = sim.now();
+        loop {
+            t = t.saturating_add(every).min(total);
+            if !sim.advance_to(t) {
+                return Ok(sim.report());
+            }
+            sink(sim.snapshot())?;
         }
-        self.to_builder()
-            .run_resumable(
-                resume.map(|ck| (&ck.engine, &ck.collector)),
-                checkpoint_every_ns,
-                |engine, collector| {
-                    sink(RunCheckpoint::new(
-                        self.clone(),
-                        engine.clone(),
-                        collector.clone(),
-                    ));
-                },
-            )
-            .map_err(SpecError)
     }
 
     /// A one-line description used in output headers.
@@ -424,12 +429,6 @@ impl ExperimentSpec {
     /// Render as pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("serialisation is infallible")
-    }
-}
-
-impl From<ExperimentSpec> for SimulationBuilder {
-    fn from(spec: ExperimentSpec) -> Self {
-        spec.to_builder()
     }
 }
 
@@ -577,16 +576,13 @@ impl SweepSpec {
                 .validate(&self.topology.build())
                 .map_err(|e| SpecError(format!("workload: {e}")))?;
         }
-        if self.measure_ns == 0 {
-            return Err(SpecError("measure_ns must be positive".to_string()));
-        }
+        validate_hardware_and_windows(
+            &self.engine,
+            [self.warmup_ns, self.measure_ns, 0],
+            self.series_bin_ns,
+        )?;
         for traffic in self.effective_traffics() {
             validate_traffic(&traffic, &self.topology)?;
-        }
-        if let Some(bin) = self.series_bin_ns {
-            if bin == 0 {
-                return Err(SpecError("series_bin_ns must be positive".to_string()));
-            }
         }
         if !self.faults.is_empty() {
             crate::fault::compile_faults(&self.faults, &self.topology.build())?;
@@ -611,15 +607,12 @@ impl SweepSpec {
                     for repeat in 0..repeats {
                         points.push(ExperimentSpec {
                             name: self.name.clone(),
-                            topology: self.topology,
                             routing,
                             traffic,
                             workload: self.workload.clone(),
                             load: Some(load),
-                            schedule: None,
                             warmup_ns: self.warmup_ns,
                             measure_ns: self.measure_ns,
-                            tail_ns: 0,
                             seed: Some(
                                 base_seed
                                     .wrapping_add(index * POINT_SEED_STRIDE)
@@ -629,6 +622,7 @@ impl SweepSpec {
                             engine: self.engine,
                             faults: self.faults.clone(),
                             metrics: self.metrics,
+                            ..ExperimentSpec::new(self.topology)
                         });
                     }
                     index += 1;
@@ -636,12 +630,6 @@ impl SweepSpec {
             }
         }
         points
-    }
-
-    /// Run every point sequentially.
-    pub fn run_sequential(&self) -> SweepResult {
-        let reports = self.points().iter().map(|p| p.to_builder().run()).collect();
-        SweepResult { reports }
     }
 
     /// The number of intra-run shards (threads) each point of this sweep
@@ -673,14 +661,9 @@ impl SweepSpec {
     /// divided by the per-run shard count so `sweep workers × shards`
     /// stays within the requested budget.
     pub fn run_parallel(&self, threads: usize) -> SweepResult {
-        let builders: Vec<SimulationBuilder> = self
-            .points()
-            .iter()
-            .map(ExperimentSpec::to_builder)
-            .collect();
         SweepResult {
-            reports: run_builders_parallel(
-                builders,
+            reports: run_specs_parallel(
+                &self.points(),
                 budget_workers(threads, self.shards_per_point()),
             ),
         }
@@ -759,6 +742,40 @@ pub fn budget_workers(threads: usize, shards_per_run: usize) -> usize {
         threads
     };
     (budget / shards_per_run.max(1)).max(1)
+}
+
+/// The checks both spec kinds share: `[engine]` overrides the hardware
+/// model can run on, a non-empty measurement window, `[warmup, measure,
+/// tail]` lengths whose sum fits the simulated clock (a wrapped total
+/// would end the run inside its own warmup), and a positive series bin.
+fn validate_hardware_and_windows(
+    engine: &Option<EngineConfig>,
+    windows_ns: [SimTime; 3],
+    series_bin_ns: Option<u64>,
+) -> Result<(), SpecError> {
+    if let Some(engine) = engine {
+        engine
+            .validate()
+            .map_err(|e| SpecError(format!("[engine] {e}")))?;
+    }
+    let [warmup_ns, measure_ns, tail_ns] = windows_ns;
+    if measure_ns == 0 {
+        return Err(SpecError("measure_ns must be positive".to_string()));
+    }
+    if windows_ns
+        .iter()
+        .try_fold(0, |total: SimTime, ns| total.checked_add(*ns))
+        .is_none()
+    {
+        return Err(SpecError(format!(
+            "warmup_ns ({warmup_ns}) + measure_ns ({measure_ns}) + tail_ns ({tail_ns}) \
+             overflows the 64-bit simulated clock"
+        )));
+    }
+    if series_bin_ns == Some(0) {
+        return Err(SpecError("series_bin_ns must be positive".to_string()));
+    }
+    Ok(())
 }
 
 /// Catch traffic/topology combinations whose pattern constructor would
@@ -848,6 +865,64 @@ mod tests {
         let mut bad_window = sample_spec();
         bad_window.measure_ns = 0;
         assert!(bad_window.validate().is_err());
+        // Windows whose sum wraps the simulated clock would end the run
+        // inside its own warmup.
+        bad_window.measure_ns = 3_000;
+        bad_window.warmup_ns = u64::MAX;
+        let err = bad_window.validate().unwrap_err().0;
+        assert!(
+            err.contains("warmup_ns (18446744073709551615)") && err.contains("overflows"),
+            "{err}"
+        );
+        let mut sweep = sample_sweep();
+        sweep.warmup_ns = u64::MAX;
+        assert!(sweep.validate().unwrap_err().0.contains("overflows"));
+        // Hostile `[engine]` values are refused by field and value, for
+        // runs and sweeps alike; zero latencies and every execution-mode
+        // knob stay legal.
+        type Break = fn(&mut EngineConfig);
+        let hostile: [(Break, &str, &str); 6] = [
+            (|e| e.link_bytes_per_ns = 0.0, "link_bytes_per_ns", "got 0"),
+            (
+                |e| e.link_bytes_per_ns = -1.0,
+                "link_bytes_per_ns",
+                "got -1",
+            ),
+            (
+                |e| e.link_bytes_per_ns = f64::NAN,
+                "link_bytes_per_ns",
+                "got NaN",
+            ),
+            (|e| e.packet_bytes = 0, "packet_bytes", "got 0"),
+            (|e| e.vc_buffer_packets = 0, "vc_buffer_packets", "got 0"),
+            (
+                |e| e.output_queue_packets = 0,
+                "output_queue_packets",
+                "got 0",
+            ),
+        ];
+        for (break_it, field, value) in hostile {
+            let mut engine = EngineConfig::default();
+            break_it(&mut engine);
+            let mut spec = sample_spec();
+            spec.engine = Some(engine);
+            let err = spec.validate().unwrap_err().0;
+            assert!(err.contains(field) && err.contains(value), "{err}");
+            let mut sweep = sample_sweep();
+            sweep.engine = Some(engine);
+            let err = sweep.validate().unwrap_err().0;
+            assert!(err.contains(field) && err.contains(value), "{err}");
+        }
+        let mut legal = sample_spec();
+        legal.engine = Some(EngineConfig {
+            local_latency_ns: 0,
+            global_latency_ns: 0,
+            host_latency_ns: 0,
+            router_latency_ns: 0,
+            qtable_page_rows_threshold: 1,
+            ..Default::default()
+        });
+        legal.validate().expect("zero latencies are a tested path");
     }
 
     #[test]
@@ -882,43 +957,6 @@ mod tests {
         let mut sweep = sample_sweep();
         sweep.traffics = vec![TrafficSpec::Adversarial { shift: 0 }];
         assert!(sweep.validate().is_err());
-    }
-
-    #[test]
-    fn spec_and_builder_convert_both_ways() {
-        let spec = sample_spec();
-        let back = spec.to_builder().to_spec(&spec.name);
-        // `load` is canonicalised into a schedule by the builder.
-        assert_eq!(back.effective_schedule(), spec.effective_schedule());
-        assert_eq!(back.topology, spec.topology);
-        assert_eq!(back.routing, spec.routing);
-        assert_eq!(back.traffic, spec.traffic);
-        assert_eq!(back.warmup_ns, spec.warmup_ns);
-        assert_eq!(back.measure_ns, spec.measure_ns);
-        assert_eq!(back.tail_ns, spec.tail_ns);
-        assert_eq!(back.effective_seed(), spec.effective_seed());
-        assert_eq!(back.series_bin_ns, spec.series_bin_ns);
-        assert_eq!(back.engine, spec.engine);
-    }
-
-    #[test]
-    fn spec_run_equals_builder_run() {
-        let mut spec = sample_spec();
-        spec.series_bin_ns = None;
-        spec.engine = None;
-        spec.tail_ns = 0;
-        let from_spec = spec.run();
-        let from_builder = SimulationBuilder::new(spec.topology)
-            .routing(spec.routing)
-            .traffic(spec.traffic)
-            .offered_load(0.25)
-            .warmup_ns(spec.warmup_ns)
-            .measure_ns(spec.measure_ns)
-            .seed(9)
-            .run();
-        assert_eq!(from_spec.packets_delivered, from_builder.packets_delivered);
-        assert_eq!(from_spec.mean_latency_us, from_builder.mean_latency_us);
-        assert_eq!(from_spec.throughput, from_builder.throughput);
     }
 
     fn sample_sweep() -> SweepSpec {

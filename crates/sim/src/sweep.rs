@@ -2,13 +2,14 @@
 //!
 //! Each point of a [`crate::spec::SweepSpec`] is an independent
 //! simulation, so a sweep is embarrassingly parallel: a crossbeam scope
-//! spawns one worker per CPU (bounded by the number of jobs) and the
-//! workers pull jobs from a shared queue.
+//! spawns the budgeted number of workers (bounded by the number of jobs)
+//! and the workers pull jobs from a shared counter.
 
-use crate::builder::SimulationBuilder;
+use crate::spec::ExperimentSpec;
 use dragonfly_metrics::report::{AggregatedReport, SimulationReport};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The result of a sweep: one report per `(routing, load)` point, in the
 /// order the points were defined.
@@ -120,41 +121,22 @@ pub struct SweepOutput {
     pub aggregated: Vec<AggregatedReport>,
 }
 
-/// Run a batch of prepared simulations in parallel across `threads`
-/// workers (0 = one per available CPU), preserving input order. This is the
-/// execution engine behind [`crate::spec::SweepSpec::run_parallel`].
-pub fn run_builders_parallel(
-    builders: Vec<SimulationBuilder>,
-    threads: usize,
-) -> Vec<SimulationReport> {
-    let workers = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        threads
-    }
-    .min(builders.len().max(1));
-
-    let jobs: Vec<(usize, SimulationBuilder)> = builders.into_iter().enumerate().collect();
-    let next_job = Mutex::new(0usize);
-    let results: Mutex<Vec<Option<SimulationReport>>> = Mutex::new(vec![None; jobs.len()]);
+/// Run a batch of experiments on `workers` threads (a count from
+/// [`crate::spec::budget_workers`]), preserving input order. This is the
+/// execution engine behind [`crate::spec::SweepSpec::run_parallel`] and
+/// the figure cache's miss path.
+pub fn run_specs_parallel(specs: &[ExperimentSpec], workers: usize) -> Vec<SimulationReport> {
+    let next_job = AtomicUsize::new(0);
+    let results: Mutex<Vec<Option<SimulationReport>>> = Mutex::new(vec![None; specs.len()]);
 
     crossbeam::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..workers.clamp(1, specs.len().max(1)) {
             scope.spawn(|_| loop {
-                let job_index = {
-                    let mut guard = next_job.lock();
-                    let i = *guard;
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    *guard += 1;
-                    i
-                };
-                let (index, builder) = &jobs[job_index];
-                let report = builder.clone().run();
-                results.lock()[*index] = Some(report);
+                // A plain ticket counter: it publishes no other data.
+                let job = next_job.fetch_add(1, Ordering::Relaxed);
+                let Some(spec) = specs.get(job) else { break };
+                let report = spec.run();
+                results.lock()[job] = Some(report);
             });
         }
     })
@@ -198,8 +180,8 @@ mod tests {
     fn sequential_and_parallel_agree() {
         let sweep = tiny_sweep();
         assert_eq!(sweep.len(), 4);
-        let seq = sweep.run_sequential();
-        let par = sweep.run_parallel(2);
+        let seq = sweep.run_parallel(1);
+        let par = sweep.run_parallel(3);
         assert_eq!(seq.reports.len(), 4);
         assert_eq!(par.reports.len(), 4);
         for (a, b) in seq.reports.iter().zip(par.reports.iter()) {

@@ -9,14 +9,17 @@
 //! engine, state restored from the serialized checkpoint) reproduces the
 //! uninterrupted run's report **bit for bit**.
 
+mod common;
+
+use common::{assert_same_report, in_mode};
 use dragonfly_engine::config::{EngineConfig, ShardKind};
 use dragonfly_metrics::report::SimulationReport;
 use dragonfly_routing::RoutingSpec;
+use dragonfly_sim::builder::Simulation;
 use dragonfly_sim::checkpoint::RunCheckpoint;
 use dragonfly_sim::fault::FaultSpecEntry;
 use dragonfly_sim::spec::ExperimentSpec;
 use dragonfly_topology::config::DragonflyConfig;
-use dragonfly_traffic::TrafficSpec;
 use dragonfly_workload::WorkloadSpec;
 use qadaptive_core::QAdaptiveParams;
 
@@ -24,24 +27,19 @@ use qadaptive_core::QAdaptiveParams;
 fn openloop_spec(routing: RoutingSpec, seed: u64) -> ExperimentSpec {
     ExperimentSpec {
         name: format!("ck-{routing:?}"),
-        topology: DragonflyConfig::tiny().into(),
         routing,
-        traffic: TrafficSpec::UniformRandom,
-        workload: None,
         load: Some(0.3),
-        schedule: None,
         warmup_ns: 15_000,
         measure_ns: 30_000,
         tail_ns: 5_000,
         seed: Some(seed),
         series_bin_ns: Some(5_000),
-        engine: None,
         faults: vec![
             FaultSpecEntry::random_global_down(20.0, 0.05, 11),
             FaultSpecEntry::router_down(25.0, 1),
             FaultSpecEntry::router_up(40.0, 1),
         ],
-        metrics: None,
+        ..ExperimentSpec::new(DragonflyConfig::tiny())
     }
 }
 
@@ -51,38 +49,36 @@ fn openloop_spec(routing: RoutingSpec, seed: u64) -> ExperimentSpec {
 fn closedloop_spec(seed: u64) -> ExperimentSpec {
     ExperimentSpec {
         name: "ck-allreduce".to_string(),
-        topology: DragonflyConfig::tiny().into(),
         routing: RoutingSpec::UgalG,
-        traffic: TrafficSpec::UniformRandom,
         workload: Some(WorkloadSpec::AllReduce { messages: 2 }),
         load: Some(1.0),
-        schedule: None,
         warmup_ns: 0,
         measure_ns: 10_000_000,
-        tail_ns: 0,
         seed: Some(seed),
-        series_bin_ns: None,
-        engine: None,
         faults: vec![
             FaultSpecEntry::router_down(5.0, 2),
             FaultSpecEntry::router_up(60.0, 2),
         ],
-        metrics: None,
+        ..ExperimentSpec::new(DragonflyConfig::tiny())
     }
 }
 
-/// Full-report equality, every field except the wall clock and the
-/// memory estimate (capacity-derived, so a resumed process — whose
-/// buffers deserialize at exact length — legitimately reports less than
-/// an uninterrupted one whose Vecs grew geometrically).
-fn assert_reports_identical(a: &SimulationReport, b: &SimulationReport, label: &str) {
-    let strip = |r: &SimulationReport| {
-        let mut r = r.clone();
-        r.wall_seconds = 0.0;
-        r.memory_bytes = 0;
-        serde_json::to_string(&r).expect("reports serialize")
-    };
-    assert_eq!(strip(a), strip(b), "{label}: reports diverged");
+/// Run `spec` to the end, collecting a snapshot every `every_ns`.
+fn run_collecting(spec: &ExperimentSpec, every_ns: u64) -> (SimulationReport, Vec<RunCheckpoint>) {
+    let mut checkpoints = Vec::new();
+    let report = spec
+        .run_checkpointed(None, Some(every_ns), |ck| {
+            checkpoints.push(ck);
+            Ok(())
+        })
+        .expect("stepped run succeeds");
+    (report, checkpoints)
+}
+
+/// Continue `spec` from `checkpoint` to the end of the run.
+fn resume(spec: &ExperimentSpec, checkpoint: &RunCheckpoint) -> SimulationReport {
+    spec.run_checkpointed(Some(checkpoint), None, |_| Ok(()))
+        .unwrap_or_else(|e| panic!("resume of {:?} failed: {e}", spec.name))
 }
 
 /// Run uninterrupted, then re-run collecting checkpoints every
@@ -95,11 +91,8 @@ fn pin_resume_equals_uninterrupted(spec: &ExperimentSpec, every_ns: u64, label: 
         "{label}: workload too small to pin anything"
     );
 
-    let mut checkpoints: Vec<RunCheckpoint> = Vec::new();
-    let stepped = spec
-        .run_checkpointed(None, Some(every_ns), |ck| checkpoints.push(ck))
-        .expect("stepped run succeeds");
-    assert_reports_identical(&reference, &stepped, &format!("{label}: stepped vs plain"));
+    let (stepped, checkpoints) = run_collecting(spec, every_ns);
+    assert_same_report(&reference, &stepped, &format!("{label}: stepped vs plain"));
     assert!(
         checkpoints.len() >= 2,
         "{label}: expected several mid-run checkpoints, got {}",
@@ -110,12 +103,9 @@ fn pin_resume_equals_uninterrupted(spec: &ExperimentSpec, every_ns: u64, label: 
         // The CLI always goes through the file format: round-trip the
         // encoding so serialization is part of what the test pins.
         let ck = RunCheckpoint::from_binary(&ck.to_binary()).expect("round trip");
-        let resumed = spec
-            .run_checkpointed(Some(&ck), None, |_| {})
-            .unwrap_or_else(|e| panic!("{label}: resume from checkpoint {i} failed: {e}"));
-        assert_reports_identical(
+        assert_same_report(
             &reference,
-            &resumed,
+            &resume(spec, &ck),
             &format!("{label}: resume from checkpoint {i}"),
         );
     }
@@ -174,16 +164,6 @@ fn streaming_sketch_and_paged_tables_survive_resume() {
     pin_resume_equals_uninterrupted(&spec, 9_000, "streaming+paged");
 }
 
-/// Override only the execution mode (shards × pipeline) of a spec,
-/// keeping any other engine knobs it already carries.
-fn with_engine(mut spec: ExperimentSpec, shards: ShardKind, pipeline: bool) -> ExperimentSpec {
-    let mut engine = spec.engine.unwrap_or_default();
-    engine.shards = shards;
-    engine.pipeline = pipeline;
-    spec.engine = Some(engine);
-    spec
-}
-
 /// The v3 contract: snapshots are partition-independent, so a checkpoint
 /// taken under `take` must resume bit-identically under **any** execution
 /// mode. Runs the stepped (checkpointing) pass under `take`, then resumes
@@ -202,12 +182,8 @@ fn pin_sharded_matrix(
         "{label}: workload too small to pin anything"
     );
 
-    let stepped_spec = with_engine(base.clone(), take.0, take.1);
-    let mut checkpoints: Vec<RunCheckpoint> = Vec::new();
-    let stepped = stepped_spec
-        .run_checkpointed(None, Some(every_ns), |ck| checkpoints.push(ck))
-        .expect("sharded stepped run succeeds");
-    assert_reports_identical(&reference, &stepped, &format!("{label}: stepped vs plain"));
+    let (stepped, checkpoints) = run_collecting(&in_mode(base.clone(), take.0, take.1), every_ns);
+    assert_same_report(&reference, &stepped, &format!("{label}: stepped vs plain"));
     assert!(
         checkpoints.len() >= 2,
         "{label}: expected several mid-run checkpoints, got {}",
@@ -217,17 +193,9 @@ fn pin_sharded_matrix(
     for (i, ck) in checkpoints.iter().enumerate() {
         let ck = RunCheckpoint::from_binary(&ck.to_binary()).expect("round trip");
         for &(shards, pipeline) in resume_modes {
-            let resumed = with_engine(base.clone(), shards, pipeline)
-                .run_checkpointed(Some(&ck), None, |_| {})
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "{label}: resume from checkpoint {i} at \
-                         {shards:?}/pipeline={pipeline} failed: {e}"
-                    )
-                });
-            assert_reports_identical(
+            assert_same_report(
                 &reference,
-                &resumed,
+                &resume(&in_mode(base.clone(), shards, pipeline), &ck),
                 &format!("{label}: checkpoint {i} resumed at {shards:?}/pipeline={pipeline}"),
             );
         }
@@ -288,23 +256,17 @@ fn sharded_checkpoints_are_fabric_generic() {
     for topology in topologies {
         let base = ExperimentSpec {
             name: format!("ck-fabric-{topology:?}"),
-            topology,
             routing: RoutingSpec::UgalG,
-            traffic: TrafficSpec::UniformRandom,
-            workload: None,
             load: Some(0.3),
-            schedule: None,
             warmup_ns: 12_000,
             measure_ns: 20_000,
             tail_ns: 4_000,
             seed: Some(47),
-            series_bin_ns: None,
-            engine: None,
             faults: vec![
                 FaultSpecEntry::router_down(25.0, 1),
                 FaultSpecEntry::router_up(40.0, 1),
             ],
-            metrics: None,
+            ..ExperimentSpec::new(topology)
         };
         let label = format!("fabric {:?}", base.topology);
         pin_sharded_matrix(
@@ -331,24 +293,18 @@ fn sharded_closedloop_resume_preserves_midcollective_state() {
         "the mid-collective router kill must force retransmissions"
     );
 
-    let stepped_spec = with_engine(base.clone(), ShardKind::Fixed(2), true);
-    let mut checkpoints: Vec<RunCheckpoint> = Vec::new();
-    let stepped = stepped_spec
-        .run_checkpointed(None, Some(20_000), |ck| checkpoints.push(ck))
-        .expect("sharded closed-loop stepped run succeeds");
-    assert_reports_identical(&reference, &stepped, "closedloop sharded: stepped vs plain");
+    let (stepped, checkpoints) =
+        run_collecting(&in_mode(base.clone(), ShardKind::Fixed(2), true), 20_000);
+    assert_same_report(&reference, &stepped, "closedloop sharded: stepped vs plain");
     assert!(checkpoints.len() >= 2, "expected several snapshots");
 
     let picks = [0, checkpoints.len() - 1];
     for &i in &picks {
         let ck = RunCheckpoint::from_binary(&checkpoints[i].to_binary()).expect("round trip");
         for (shards, pipeline) in [(ShardKind::Single, false), (ShardKind::Fixed(4), true)] {
-            let resumed = with_engine(base.clone(), shards, pipeline)
-                .run_checkpointed(Some(&ck), None, |_| {})
-                .unwrap_or_else(|e| panic!("closedloop resume {i} at {shards:?} failed: {e}"));
-            assert_reports_identical(
+            assert_same_report(
                 &reference,
-                &resumed,
+                &resume(&in_mode(base.clone(), shards, pipeline), &ck),
                 &format!("closedloop sharded: checkpoint {i} at {shards:?}/{pipeline}"),
             );
         }
@@ -358,13 +314,11 @@ fn sharded_closedloop_resume_preserves_midcollective_state() {
 #[test]
 fn resume_under_a_different_spec_is_rejected() {
     let spec = openloop_spec(RoutingSpec::UgalG, 44);
-    let mut checkpoints = Vec::new();
-    spec.run_checkpointed(None, Some(15_000), |ck| checkpoints.push(ck))
-        .expect("stepped run succeeds");
+    let (_, checkpoints) = run_collecting(&spec, 15_000);
     let mut other = spec.clone();
     other.seed = Some(999);
     let err = other
-        .run_checkpointed(Some(&checkpoints[0]), None, |_| {})
+        .run_checkpointed(Some(&checkpoints[0]), None, |_| Ok(()))
         .expect_err("spec mismatch must be rejected");
     assert!(
         err.0.contains("differs"),
@@ -383,9 +337,7 @@ fn only_v4_binary_checkpoint_files_load() {
     let spec = openloop_spec(RoutingSpec::QAdaptive(QAdaptiveParams::paper_1056()), 49);
     let reference = spec.run();
 
-    let mut checkpoints = Vec::new();
-    spec.run_checkpointed(None, Some(18_000), |ck| checkpoints.push(ck))
-        .expect("stepped run succeeds");
+    let (_, checkpoints) = run_collecting(&spec, 18_000);
     let ck = checkpoints.last().unwrap();
 
     let dir = std::env::temp_dir().join("qadaptive-ck-crossformat-test");
@@ -394,10 +346,7 @@ fn only_v4_binary_checkpoint_files_load() {
     ck.save(&path).unwrap();
     let loaded = RunCheckpoint::load(&path).unwrap();
     assert_eq!(loaded.version, CHECKPOINT_VERSION);
-    let resumed = spec
-        .run_checkpointed(Some(&loaded), None, |_| {})
-        .expect("resume from file succeeds");
-    assert_reports_identical(&reference, &resumed, "file resume");
+    assert_same_report(&reference, &resume(&spec, &loaded), "file resume");
 
     let mut v3 = ck.clone();
     v3.version = "qadaptive-checkpoint-v3".to_string();
@@ -422,9 +371,7 @@ fn checkpoint_files_round_trip_through_disk() {
     let spec = openloop_spec(RoutingSpec::UgalG, 45);
     let reference = spec.run();
 
-    let mut checkpoints = Vec::new();
-    spec.run_checkpointed(None, Some(18_000), |ck| checkpoints.push(ck))
-        .expect("stepped run succeeds");
+    let (_, checkpoints) = run_collecting(&spec, 18_000);
     let dir = std::env::temp_dir().join("qadaptive-ck-resume-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("mid.ckpt");
@@ -432,8 +379,47 @@ fn checkpoint_files_round_trip_through_disk() {
 
     let loaded = RunCheckpoint::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    let resumed = spec
-        .run_checkpointed(Some(&loaded), None, |_| {})
-        .expect("resume from file succeeds");
-    assert_reports_identical(&reference, &resumed, "file round trip");
+    assert_same_report(&reference, &resume(&spec, &loaded), "file round trip");
+}
+
+#[test]
+fn failing_sink_stops_the_run_at_the_first_snapshot() {
+    // The sink's first error ends the run there: no later snapshot is
+    // taken and no report is produced for a result the caller cannot keep.
+    let spec = openloop_spec(RoutingSpec::UgalG, 50);
+    let mut offered = 0;
+    let err = spec
+        .run_checkpointed(None, Some(12_000), |_| {
+            offered += 1;
+            Err(dragonfly_sim::spec::SpecError("disk full".to_string()))
+        })
+        .expect_err("the sink's error is returned");
+    assert_eq!((offered, err.0.as_str()), (1, "disk full"));
+}
+
+#[test]
+fn staged_run_snapshot_and_resume_agree_with_run() {
+    // What only the staged API can say: one `Simulation` advanced to a
+    // cut, snapshotted and advanced to the end reports what a second one
+    // resumed from that snapshot reports, and both report what `run()`
+    // does — open loop with learning state, and closed loop to drain.
+    let openloop = openloop_spec(RoutingSpec::QAdaptive(QAdaptiveParams::paper_1056()), 51);
+    for (spec, cut_ns) in [(openloop, 22_000), (closedloop_spec(9), 30_000)] {
+        let end = spec.total_ns();
+        let mut first = Simulation::start(&spec).expect("valid spec");
+        assert!(
+            first.advance_to(cut_ns),
+            "{}: the cut is mid-run",
+            spec.name
+        );
+        let snapshot = first.snapshot();
+        first.advance_to(end);
+        let mut second = Simulation::resume(&spec, &snapshot).expect("same spec");
+        assert_eq!(second.now(), snapshot.engine.now);
+        second.advance_to(end);
+        let reference = spec.run();
+        assert!(reference.packets_delivered > 100, "{}", spec.name);
+        assert_same_report(&reference, &first.report(), "uninterrupted stages vs run()");
+        assert_same_report(&reference, &second.report(), "resumed stages vs run()");
+    }
 }

@@ -14,9 +14,11 @@
 //! assertion message carries the case tuple, so a failure is immediately
 //! reproducible without shrinking.
 
+mod common;
+
+use common::{assert_same_report, run_mode};
 use dragonfly_engine::config::ShardKind;
 use dragonfly_engine::EngineConfig;
-use dragonfly_metrics::report::SimulationReport;
 use dragonfly_routing::RoutingSpec;
 use dragonfly_sim::spec::ExperimentSpec;
 use dragonfly_topology::config::DragonflyConfig;
@@ -54,88 +56,24 @@ fn draw_case(rng: &mut StdRng) -> Case {
 fn spec_for(case: &Case, routing: RoutingSpec) -> ExperimentSpec {
     let (p, a, h) = case.topo;
     ExperimentSpec {
-        name: String::new(),
-        topology: DragonflyConfig { p, a, h }.into(),
-        routing,
         traffic: case.traffic,
-        workload: None,
         load: Some(case.load),
-        schedule: None,
-        warmup_ns: 12_000,
-        measure_ns: 20_000,
-        tail_ns: 4_000,
         seed: Some(case.seed),
-        series_bin_ns: None,
-        engine: None,
-        faults: Vec::new(),
-        metrics: None,
+        ..open_loop(DragonflyConfig { p, a, h }.into(), routing)
     }
 }
 
-fn run_mode(mut spec: ExperimentSpec, shards: ShardKind, pipeline: bool) -> SimulationReport {
-    spec.engine = Some(EngineConfig {
-        shards,
-        pipeline,
-        ..Default::default()
-    });
-    spec.run()
-}
-
-/// Every report field except wall-clock timing, compared exactly.
-fn assert_identical(reference: &SimulationReport, got: &SimulationReport, label: &str) {
-    assert_eq!(
-        reference.packets_generated, got.packets_generated,
-        "{label}"
-    );
-    assert_eq!(
-        reference.packets_delivered, got.packets_delivered,
-        "{label}"
-    );
-    assert_eq!(reference.throughput, got.throughput, "{label}");
-    assert_eq!(reference.mean_latency_us, got.mean_latency_us, "{label}");
-    assert_eq!(
-        reference.median_latency_us, got.median_latency_us,
-        "{label}"
-    );
-    assert_eq!(reference.q1_latency_us, got.q1_latency_us, "{label}");
-    assert_eq!(reference.q3_latency_us, got.q3_latency_us, "{label}");
-    assert_eq!(reference.p95_latency_us, got.p95_latency_us, "{label}");
-    assert_eq!(reference.p99_latency_us, got.p99_latency_us, "{label}");
-    assert_eq!(reference.max_latency_us, got.max_latency_us, "{label}");
-    assert_eq!(reference.mean_hops, got.mean_hops, "{label}");
-    assert_eq!(
-        reference.fraction_below_2us, got.fraction_below_2us,
-        "{label}"
-    );
-    assert_eq!(
-        reference.events_processed, got.events_processed,
-        "{label}: even the event count matches"
-    );
-    // Closed-loop completion metrics (all zero on open-loop runs) are part
-    // of the bit-for-bit contract too.
-    assert_eq!(reference.ranks_finished, got.ranks_finished, "{label}");
-    assert_eq!(
-        reference.job_completion_us, got.job_completion_us,
-        "{label}"
-    );
-    assert_eq!(
-        reference.phase_completion_us, got.phase_completion_us,
-        "{label}"
-    );
-    assert_eq!(reference.barrier_wait_us, got.barrier_wait_us, "{label}");
-    assert_eq!(
-        reference.collective_skew_us, got.collective_skew_us,
-        "{label}"
-    );
-    // Resilience accounting (all zero on fault-free runs) must survive
-    // the pipeline bit-for-bit too.
-    assert_eq!(reference.dropped_packets, got.dropped_packets, "{label}");
-    assert_eq!(reference.retransmits, got.retransmits, "{label}");
-    assert_eq!(
-        reference.unreachable_pairs, got.unreachable_pairs,
-        "{label}"
-    );
-    assert_eq!(reference.recovery_time_us, got.recovery_time_us, "{label}");
+/// The open-loop window every case of this suite runs: 12 µs warmup,
+/// 20 µs measured, 4 µs tail, uniform-random at load 0.3 unless overridden.
+fn open_loop(topology: dragonfly_topology::TopologySpec, routing: RoutingSpec) -> ExperimentSpec {
+    ExperimentSpec {
+        routing,
+        load: Some(0.3),
+        warmup_ns: 12_000,
+        measure_ns: 20_000,
+        tail_ns: 4_000,
+        ..ExperimentSpec::new(topology)
+    }
 }
 
 /// The property, instantiated per algorithm: pipelined sharded runs of
@@ -153,7 +91,7 @@ fn property(routing: RoutingSpec, master_seed: u64, cases: usize) {
         for shards in [2usize, 4] {
             for pipeline in [false, true] {
                 let got = run_mode(base.clone(), ShardKind::Fixed(shards), pipeline);
-                assert_identical(
+                assert_same_report(
                     &reference,
                     &got,
                     &format!("case {case_no} {case:?} shards={shards} pipeline={pipeline}"),
@@ -162,7 +100,7 @@ fn property(routing: RoutingSpec, master_seed: u64, cases: usize) {
         }
         // `shards = 1` must ignore the pipeline flag entirely.
         let single_pipelined = run_mode(base, ShardKind::Single, true);
-        assert_identical(
+        assert_same_report(
             &reference,
             &single_pipelined,
             &format!("case {case_no} {case:?} single+pipeline"),
@@ -215,21 +153,9 @@ fn fattree_and_hyperx_workloads_are_pipeline_invariant() {
             ),
         ] {
             let base = ExperimentSpec {
-                name: String::new(),
-                topology,
-                routing,
                 traffic,
-                workload: None,
-                load: Some(0.3),
-                schedule: None,
-                warmup_ns: 12_000,
-                measure_ns: 20_000,
-                tail_ns: 4_000,
                 seed: Some(seed),
-                series_bin_ns: None,
-                engine: None,
-                faults: Vec::new(),
-                metrics: None,
+                ..open_loop(topology, routing)
             };
             let reference = run_mode(base.clone(), ShardKind::Single, false);
             assert!(
@@ -239,7 +165,7 @@ fn fattree_and_hyperx_workloads_are_pipeline_invariant() {
             for shards in [2usize, 4] {
                 for pipeline in [false, true] {
                     let got = run_mode(base.clone(), ShardKind::Fixed(shards), pipeline);
-                    assert_identical(
+                    assert_same_report(
                         &reference,
                         &got,
                         &format!("{topology:?}/{routing:?} shards={shards} pipeline={pipeline}"),
@@ -281,21 +207,13 @@ fn closed_loop_workloads_are_pipeline_invariant() {
     for topology in topologies {
         for workload in &workloads {
             let base = ExperimentSpec {
-                name: String::new(),
-                topology,
                 routing: RoutingSpec::QAdaptive(QAdaptiveParams::paper_1056()),
-                traffic: TrafficSpec::UniformRandom,
                 workload: Some(workload.clone()),
                 load: Some(1.0),
-                schedule: None,
                 warmup_ns: 0,
                 measure_ns: 10_000_000,
-                tail_ns: 0,
                 seed: Some(71),
-                series_bin_ns: None,
-                engine: None,
-                faults: Vec::new(),
-                metrics: None,
+                ..ExperimentSpec::new(topology)
             };
             let reference = run_mode(base.clone(), ShardKind::Single, false);
             assert_eq!(
@@ -306,7 +224,7 @@ fn closed_loop_workloads_are_pipeline_invariant() {
             for shards in [2usize, 4] {
                 for pipeline in [false, true] {
                     let got = run_mode(base.clone(), ShardKind::Fixed(shards), pipeline);
-                    assert_identical(
+                    assert_same_report(
                         &reference,
                         &got,
                         &format!("{topology:?}/{workload:?} shards={shards} pipeline={pipeline}"),
@@ -339,21 +257,13 @@ fn faulted_workloads_are_pipeline_invariant() {
     for topology in topologies {
         // Open-loop: random global-link loss under Q-adaptive.
         let open = ExperimentSpec {
-            name: String::new(),
-            topology,
-            routing: RoutingSpec::QAdaptive(QAdaptiveParams::paper_1056()),
-            traffic: TrafficSpec::UniformRandom,
-            workload: None,
-            load: Some(0.3),
-            schedule: None,
-            warmup_ns: 12_000,
-            measure_ns: 20_000,
-            tail_ns: 4_000,
             seed: Some(97),
             series_bin_ns: Some(5_000),
-            engine: None,
             faults: vec![FaultSpecEntry::random_global_down(18.0, 0.05, 13)],
-            metrics: None,
+            ..open_loop(
+                topology,
+                RoutingSpec::QAdaptive(QAdaptiveParams::paper_1056()),
+            )
         };
         open.validate().expect("fault schedule compiles everywhere");
         // Closed-loop: a router dies mid-collective and comes back.
@@ -377,7 +287,7 @@ fn faulted_workloads_are_pipeline_invariant() {
             for shards in [2usize, 4] {
                 for pipeline in [false, true] {
                     let got = run_mode(base.clone(), ShardKind::Fixed(shards), pipeline);
-                    assert_identical(
+                    assert_same_report(
                         &reference,
                         &got,
                         &format!(
@@ -405,7 +315,7 @@ fn auto_sharding_with_pipelining_matches_single() {
     let base = spec_for(&case, RoutingSpec::QAdaptive(QAdaptiveParams::paper_1056()));
     let reference = run_mode(base.clone(), ShardKind::Single, false);
     let auto = run_mode(base, ShardKind::Auto, true);
-    assert_identical(&reference, &auto, "auto+pipeline");
+    assert_same_report(&reference, &auto, "auto+pipeline");
 }
 
 #[test]
@@ -421,12 +331,10 @@ fn streaming_metrics_and_paged_tables_are_pipeline_invariant() {
     let run = |spec: &ExperimentSpec, shards: ShardKind, pipeline: bool, threshold: usize| {
         let mut spec = spec.clone();
         spec.engine = Some(EngineConfig {
-            shards,
-            pipeline,
             qtable_page_rows_threshold: threshold,
             ..Default::default()
         });
-        spec.run()
+        run_mode(spec, shards, pipeline)
     };
     for (routing, seed) in [
         (
@@ -466,7 +374,7 @@ fn streaming_metrics_and_paged_tables_are_pipeline_invariant() {
                         ShardKind::Fixed(shards)
                     };
                     let got = run(&base, kind, pipeline, threshold);
-                    assert_identical(
+                    assert_same_report(
                         &reference,
                         &got,
                         &format!(

@@ -5,11 +5,13 @@
 //! workloads — adaptive decisions, per-router RNGs, Q-table updates fed by
 //! cross-shard RL feedback — through the full spec/metrics pipeline and
 //! asserts that `shards = 2` and `shards = 4` reproduce the `shards = 1`
-//! report bit for bit (every field except wall-clock timings).
+//! report bit for bit (every field except wall-clock timings), under the
+//! default pipelined engine unless a test sweeps the flag too.
 
+mod common;
+
+use common::{assert_same_report, run_mode};
 use dragonfly_engine::config::ShardKind;
-use dragonfly_engine::EngineConfig;
-use dragonfly_metrics::report::SimulationReport;
 use dragonfly_routing::RoutingSpec;
 use dragonfly_sim::spec::ExperimentSpec;
 use dragonfly_topology::config::DragonflyConfig;
@@ -28,87 +30,15 @@ fn spec_on(
     seed: u64,
 ) -> ExperimentSpec {
     ExperimentSpec {
-        name: String::new(),
-        topology,
         routing,
         traffic,
-        workload: None,
         load: Some(0.35),
-        schedule: None,
         warmup_ns: 15_000,
         measure_ns: 25_000,
         tail_ns: 5_000,
         seed: Some(seed),
-        series_bin_ns: None,
-        engine: None,
-        faults: Vec::new(),
-        metrics: None,
+        ..ExperimentSpec::new(topology)
     }
-}
-
-fn run_sharded(mut spec: ExperimentSpec, shards: ShardKind) -> SimulationReport {
-    spec.engine = Some(EngineConfig {
-        shards,
-        ..Default::default()
-    });
-    spec.run()
-}
-
-fn assert_identical(single: &SimulationReport, sharded: &SimulationReport, label: &str) {
-    assert_eq!(
-        single.packets_generated, sharded.packets_generated,
-        "{label}"
-    );
-    assert_eq!(
-        single.packets_delivered, sharded.packets_delivered,
-        "{label}"
-    );
-    assert_eq!(single.throughput, sharded.throughput, "{label}");
-    assert_eq!(single.mean_latency_us, sharded.mean_latency_us, "{label}");
-    assert_eq!(
-        single.median_latency_us, sharded.median_latency_us,
-        "{label}"
-    );
-    assert_eq!(single.q1_latency_us, sharded.q1_latency_us, "{label}");
-    assert_eq!(single.q3_latency_us, sharded.q3_latency_us, "{label}");
-    assert_eq!(single.p95_latency_us, sharded.p95_latency_us, "{label}");
-    assert_eq!(single.p99_latency_us, sharded.p99_latency_us, "{label}");
-    assert_eq!(single.max_latency_us, sharded.max_latency_us, "{label}");
-    assert_eq!(single.mean_hops, sharded.mean_hops, "{label}");
-    assert_eq!(
-        single.fraction_below_2us, sharded.fraction_below_2us,
-        "{label}"
-    );
-    assert_eq!(
-        single.events_processed, sharded.events_processed,
-        "{label}: even the event count matches"
-    );
-    // Closed-loop completion metrics (all zero on open-loop runs) are part
-    // of the bit-for-bit contract too.
-    assert_eq!(single.ranks_finished, sharded.ranks_finished, "{label}");
-    assert_eq!(
-        single.job_completion_us, sharded.job_completion_us,
-        "{label}"
-    );
-    assert_eq!(
-        single.phase_completion_us, sharded.phase_completion_us,
-        "{label}"
-    );
-    assert_eq!(single.barrier_wait_us, sharded.barrier_wait_us, "{label}");
-    assert_eq!(
-        single.collective_skew_us, sharded.collective_skew_us,
-        "{label}"
-    );
-    // Resilience accounting (all zero on fault-free runs) must be
-    // bit-for-bit too: drops, retransmissions, abandoned pairs and the
-    // series-derived recovery time.
-    assert_eq!(single.dropped_packets, sharded.dropped_packets, "{label}");
-    assert_eq!(single.retransmits, sharded.retransmits, "{label}");
-    assert_eq!(
-        single.unreachable_pairs, sharded.unreachable_pairs,
-        "{label}"
-    );
-    assert_eq!(single.recovery_time_us, sharded.recovery_time_us, "{label}");
 }
 
 #[test]
@@ -118,11 +48,11 @@ fn ugal_workload_is_shard_count_invariant() {
         (TrafficSpec::Adversarial { shift: 1 }, 22),
     ] {
         let base = spec(RoutingSpec::UgalG, traffic, seed);
-        let single = run_sharded(base.clone(), ShardKind::Single);
+        let single = run_mode(base.clone(), ShardKind::Single, true);
         assert!(single.packets_delivered > 200, "workload too small to pin");
         for shards in [2usize, 4] {
-            let sharded = run_sharded(base.clone(), ShardKind::Fixed(shards));
-            assert_identical(
+            let sharded = run_mode(base.clone(), ShardKind::Fixed(shards), true);
+            assert_same_report(
                 &single,
                 &sharded,
                 &format!("UGALg/{} shards={shards}", single.traffic),
@@ -146,11 +76,11 @@ fn qadaptive_workload_is_shard_count_invariant() {
             traffic,
             seed,
         );
-        let single = run_sharded(base.clone(), ShardKind::Single);
+        let single = run_mode(base.clone(), ShardKind::Single, true);
         assert!(single.packets_delivered > 200, "workload too small to pin");
         for shards in [2usize, 4] {
-            let sharded = run_sharded(base.clone(), ShardKind::Fixed(shards));
-            assert_identical(
+            let sharded = run_mode(base.clone(), ShardKind::Fixed(shards), true);
+            assert_same_report(
                 &single,
                 &sharded,
                 &format!("Q-adaptive/{} shards={shards}", single.traffic),
@@ -174,12 +104,12 @@ fn streaming_sketch_is_shard_count_invariant() {
     base.metrics = Some(MetricsSpec {
         mode: MetricsMode::Streaming,
     });
-    let single = run_sharded(base.clone(), ShardKind::Single);
+    let single = run_mode(base.clone(), ShardKind::Single, true);
     assert!(single.packets_delivered > 200, "workload too small to pin");
     assert!(single.memory_bytes > 0, "memory rollup must be reported");
     for shards in [2usize, 4] {
-        let sharded = run_sharded(base.clone(), ShardKind::Fixed(shards));
-        assert_identical(&single, &sharded, &format!("streaming shards={shards}"));
+        let sharded = run_mode(base.clone(), ShardKind::Fixed(shards), true);
+        assert_same_report(&single, &sharded, &format!("streaming shards={shards}"));
     }
 }
 
@@ -204,11 +134,11 @@ fn fattree_and_hyperx_workloads_are_shard_count_invariant() {
             (RoutingSpec::QAdaptive(QAdaptiveParams::paper_1056()), 52),
         ] {
             let base = spec_on(topology, routing, TrafficSpec::UniformRandom, seed);
-            let single = run_sharded(base.clone(), ShardKind::Single);
+            let single = run_mode(base.clone(), ShardKind::Single, true);
             assert!(single.packets_delivered > 100, "workload too small to pin");
             for shards in [2usize, 4] {
-                let sharded = run_sharded(base.clone(), ShardKind::Fixed(shards));
-                assert_identical(
+                let sharded = run_mode(base.clone(), ShardKind::Fixed(shards), true);
+                assert_same_report(
                     &single,
                     &sharded,
                     &format!("{topology:?}/{routing:?} shards={shards}"),
@@ -259,7 +189,7 @@ fn closed_loop_workloads_are_shard_count_invariant() {
                 base.warmup_ns = 0;
                 base.measure_ns = 10_000_000;
                 base.tail_ns = 0;
-                let single = run_sharded(base.clone(), ShardKind::Single);
+                let single = run_mode(base.clone(), ShardKind::Single, true);
                 assert_eq!(
                     single.ranks_finished,
                     topology.build().num_nodes() as u64,
@@ -267,8 +197,8 @@ fn closed_loop_workloads_are_shard_count_invariant() {
                 );
                 assert!(single.job_completion_us > 0.0);
                 for shards in [2usize, 4] {
-                    let sharded = run_sharded(base.clone(), ShardKind::Fixed(shards));
-                    assert_identical(
+                    let sharded = run_mode(base.clone(), ShardKind::Fixed(shards), true);
+                    assert_same_report(
                         &single,
                         &sharded,
                         &format!("{topology:?}/{routing:?}/{workload:?} shards={shards}"),
@@ -311,15 +241,15 @@ fn faulted_workloads_are_shard_count_invariant() {
             base.faults = faults.clone();
             base.series_bin_ns = Some(5_000);
             base.validate().expect("fault schedule compiles everywhere");
-            let single = run_sharded(base.clone(), ShardKind::Single);
+            let single = run_mode(base.clone(), ShardKind::Single, true);
             assert!(single.packets_delivered > 100, "workload too small to pin");
             assert!(
                 single.dropped_packets > 0,
                 "{topology:?}/{routing:?}: a router kill mid-run must drop packets"
             );
             for shards in [2usize, 4] {
-                let sharded = run_sharded(base.clone(), ShardKind::Fixed(shards));
-                assert_identical(
+                let sharded = run_mode(base.clone(), ShardKind::Fixed(shards), true);
+                assert_same_report(
                     &single,
                     &sharded,
                     &format!("faulted {topology:?}/{routing:?} shards={shards}"),
@@ -344,22 +274,16 @@ fn five_percent_link_loss_survives_all_six_algorithms() {
         base.faults = vec![FaultSpecEntry::random_global_down(20.0, 0.05, 17)];
         base.series_bin_ns = Some(5_000);
         base.validate().expect("fault schedule compiles");
-        let single = run_sharded(base.clone(), ShardKind::Single);
+        let single = run_mode(base.clone(), ShardKind::Single, true);
         assert!(
             single.packets_delivered > 100,
             "{routing:?}: run must complete despite the link loss"
         );
         for shards in [2usize, 4] {
             for pipeline in [true, false] {
-                let mut spec = base.clone();
-                spec.engine = Some(EngineConfig {
-                    shards: ShardKind::Fixed(shards),
-                    pipeline,
-                    ..Default::default()
-                });
-                assert_identical(
+                assert_same_report(
                     &single,
-                    &spec.run(),
+                    &run_mode(base.clone(), ShardKind::Fixed(shards), pipeline),
                     &format!("5% link loss {routing:?} shards={shards} pipeline={pipeline}"),
                 );
             }
@@ -376,7 +300,7 @@ fn auto_sharding_matches_single_too() {
         TrafficSpec::UniformRandom,
         33,
     );
-    let single = run_sharded(base.clone(), ShardKind::Single);
-    let auto = run_sharded(base, ShardKind::Auto);
-    assert_identical(&single, &auto, "auto");
+    let single = run_mode(base.clone(), ShardKind::Single, true);
+    let auto = run_mode(base, ShardKind::Auto, true);
+    assert_same_report(&single, &auto, "auto");
 }

@@ -15,14 +15,16 @@ use qadaptive::prelude::*;
 use qadaptive::routing::RoutingSpec as Spec;
 
 fn run(routing: Spec, load: f64) -> SimulationReport {
-    SimulationBuilder::new(DragonflyConfig::small())
-        .routing(routing)
-        .traffic(TrafficSpec::Adversarial { shift: 1 })
-        .offered_load(load)
-        .warmup_ns(80_000)
-        .measure_ns(60_000)
-        .seed(7)
-        .run()
+    ExperimentSpec {
+        routing,
+        traffic: TrafficSpec::Adversarial { shift: 1 },
+        load: Some(load),
+        warmup_ns: 80_000,
+        measure_ns: 60_000,
+        seed: Some(7),
+        ..ExperimentSpec::new(DragonflyConfig::small())
+    }
+    .run()
 }
 
 fn main() {

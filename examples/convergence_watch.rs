@@ -8,20 +8,19 @@
 
 use qadaptive::prelude::*;
 use qadaptive::routing::RoutingSpec as Spec;
-use qadaptive::sim::convergence::run_convergence;
-use qadaptive::traffic::schedule::LoadSchedule;
+use qadaptive::sim::convergence::run_convergence_spec;
 
 fn main() {
-    let result = run_convergence(
-        DragonflyConfig::small(),
-        Spec::QAdaptive(QAdaptiveParams::paper_1056()),
-        TrafficSpec::Adversarial { shift: 1 },
-        LoadSchedule::constant(0.35),
-        400_000, // 400 µs total
-        10_000,  // 10 µs bins
-        100_000, // measure the final 100 µs
-        21,
-    );
+    let result = run_convergence_spec(&ExperimentSpec {
+        routing: Spec::QAdaptive(QAdaptiveParams::paper_1056()),
+        traffic: TrafficSpec::Adversarial { shift: 1 },
+        load: Some(0.35),
+        warmup_ns: 300_000,          // 400 µs total ...
+        measure_ns: 100_000,         // ... reporting on the final 100 µs
+        series_bin_ns: Some(10_000), // 10 µs bins
+        seed: Some(21),
+        ..ExperimentSpec::new(DragonflyConfig::small())
+    });
 
     println!("Q-adaptive convergence under ADV+1, offered load 0.35\n");
     println!("{:>10} {:>18}", "time (µs)", "mean latency (µs)");

@@ -97,8 +97,8 @@ impl RouterAgent for CoinFlipAgent {
 }
 
 /// Drive the custom algorithm directly through the engine with a scripted
-/// uniform workload (the high-level `SimulationBuilder` only knows the
-/// built-in algorithms, so this example shows the lower-level API).
+/// uniform workload (an `ExperimentSpec` only names the built-in
+/// algorithms, so this example shows the lower-level API).
 fn evaluate(algo: &dyn RoutingAlgorithm) -> CountingObserver {
     let topo = Dragonfly::new(DragonflyConfig::tiny());
     let n = topo.num_nodes() as u64;

@@ -31,14 +31,16 @@ fn main() {
             "routing", "throughput", "mean lat (µs)", "p99 (µs)", "hops"
         );
         for (label, spec) in routings {
-            let report = SimulationBuilder::new(config)
-                .routing(spec)
-                .traffic(pattern)
-                .offered_load(0.5)
-                .warmup_ns(60_000)
-                .measure_ns(60_000)
-                .seed(11)
-                .run();
+            let report = ExperimentSpec {
+                routing: spec,
+                traffic: pattern,
+                load: Some(0.5),
+                warmup_ns: 60_000,
+                measure_ns: 60_000,
+                seed: Some(11),
+                ..ExperimentSpec::new(config)
+            }
+            .run();
             println!(
                 "{:<8} {:>10.3} {:>14.2} {:>10.2} {:>8.2}",
                 label,

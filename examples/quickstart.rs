@@ -14,14 +14,16 @@ fn main() {
     let config = DragonflyConfig::small();
     println!("Topology: {config}");
 
-    let report = SimulationBuilder::new(config)
-        .routing(Spec::QAdaptive(QAdaptiveParams::paper_1056()))
-        .traffic(TrafficSpec::UniformRandom)
-        .offered_load(0.5)
-        .warmup_ns(50_000) // 50 µs to let the agents learn
-        .measure_ns(50_000) // measure over the next 50 µs
-        .seed(42)
-        .run();
+    let qadaptive = ExperimentSpec {
+        routing: Spec::QAdaptive(QAdaptiveParams::paper_1056()),
+        traffic: TrafficSpec::UniformRandom,
+        load: Some(0.5),
+        warmup_ns: 50_000,  // 50 µs to let the agents learn
+        measure_ns: 50_000, // measure over the next 50 µs
+        seed: Some(42),
+        ..ExperimentSpec::new(config)
+    };
+    let report = qadaptive.run();
 
     println!("\n== Q-adaptive under uniform random traffic, offered load 0.5 ==");
     println!("packets delivered   : {}", report.packets_delivered);
@@ -33,14 +35,11 @@ fn main() {
     println!("wall-clock time     : {:.2} s", report.wall_seconds);
 
     // Compare against plain minimal routing on the same workload.
-    let min_report = SimulationBuilder::new(config)
-        .routing(Spec::Minimal)
-        .traffic(TrafficSpec::UniformRandom)
-        .offered_load(0.5)
-        .warmup_ns(50_000)
-        .measure_ns(50_000)
-        .seed(42)
-        .run();
+    let min_report = ExperimentSpec {
+        routing: Spec::Minimal,
+        ..qadaptive
+    }
+    .run();
 
     println!("\n== Minimal routing on the same workload ==");
     println!("{}", min_report.summary());

@@ -20,11 +20,13 @@
 //! * [`traffic`] — traffic patterns (UR, ADV+i, 3D Stencil, Many-to-Many,
 //!   Random Neighbors) and dynamic load schedules.
 //! * [`metrics`] — latency/throughput/hop statistics and time series.
-//! * [`sim`] — the experiment harness: the **serializable experiment API**
-//!   ([`sim::spec::ExperimentSpec`] / [`sim::spec::SweepSpec`], loadable
-//!   from the TOML/JSON scenario files under `scenarios/`), the
-//!   [`sim::builder::SimulationBuilder`] it wraps, parallel sweeps and
-//!   convergence studies.
+//! * [`sim`] — the experiment harness: **one description of an
+//!   experiment** ([`sim::spec::ExperimentSpec`], with
+//!   [`sim::spec::SweepSpec`] for grids of them, both loadable from the
+//!   TOML/JSON scenario files under `scenarios/`) and **one staged driver**
+//!   ([`sim::builder::Simulation`]: start or resume → advance → snapshot →
+//!   report) that every run, sweep, convergence study, figure and CLI
+//!   command goes through.
 //!
 //! ## Quickstart
 //!
@@ -37,13 +39,16 @@
 //! use qadaptive::prelude::*;
 //!
 //! // A small Dragonfly (p=2, a=4, h=2 → 72 nodes) under uniform-random
-//! // traffic, routed by Q-adaptive.
-//! let mut spec = ExperimentSpec::new(DragonflyConfig::new(2, 4, 2).unwrap());
-//! spec.routing = RoutingSpec::QAdaptive(QAdaptiveParams::default());
-//! spec.load = Some(0.3);
-//! spec.warmup_ns = 20_000;
-//! spec.measure_ns = 20_000;
-//! spec.seed = Some(7);
+//! // traffic, routed by Q-adaptive. Fields are plain and public; start
+//! // from `ExperimentSpec::new` and name the ones that differ.
+//! let spec = ExperimentSpec {
+//!     routing: RoutingSpec::QAdaptive(QAdaptiveParams::default()),
+//!     load: Some(0.3),
+//!     warmup_ns: 20_000,
+//!     measure_ns: 20_000,
+//!     seed: Some(7),
+//!     ..ExperimentSpec::new(DragonflyConfig::new(2, 4, 2).unwrap())
+//! };
 //!
 //! let report = spec.run();
 //! assert!(report.packets_delivered > 0);
@@ -53,23 +58,13 @@
 //! assert_eq!(round_tripped, spec);
 //! ```
 //!
-//! The fluent [`SimulationBuilder`] is equivalent (and convertible both
-//! ways via [`ExperimentSpec::to_builder`] /
-//! [`SimulationBuilder::to_spec`]):
-//!
-//! ```
-//! use qadaptive::prelude::*;
-//!
-//! let report = SimulationBuilder::new(DragonflyConfig::new(2, 4, 2).unwrap())
-//!     .routing(RoutingSpec::QAdaptive(QAdaptiveParams::default()))
-//!     .traffic(TrafficSpec::UniformRandom)
-//!     .offered_load(0.3)
-//!     .warmup_ns(20_000)
-//!     .measure_ns(20_000)
-//!     .seed(7)
-//!     .run();
-//! assert!(report.packets_delivered > 0);
-//! ```
+//! `run()` is three of the four stages of the one driver, [`Simulation`],
+//! back to back: `Simulation::start(&spec)` validates the spec and builds
+//! its engine, `advance_to(t)` applies the stopping rule (open loop: to the
+//! clock; closed loop: to drain), `report()` assembles the
+//! [`SimulationReport`]. The fourth stage, `snapshot()`, captures a
+//! resumable checkpoint that `Simulation::resume` continues bit for bit at
+//! any shard count — see the example on [`Simulation`].
 //!
 //! Grids over routings × loads × traffics × seeds are [`SweepSpec`]s:
 //!
@@ -86,6 +81,11 @@
 //! let result = sweep.run_parallel(0); // one worker per CPU
 //! println!("{}", result.to_csv());
 //! ```
+//!
+//! [`ExperimentSpec`]: sim::spec::ExperimentSpec
+//! [`SweepSpec`]: sim::spec::SweepSpec
+//! [`Simulation`]: sim::builder::Simulation
+//! [`SimulationReport`]: metrics::SimulationReport
 
 pub use dragonfly_engine as engine;
 pub use dragonfly_metrics as metrics;
@@ -101,7 +101,7 @@ pub mod prelude {
     pub use dragonfly_metrics::latency::LatencyStats;
     pub use dragonfly_metrics::report::SimulationReport;
     pub use dragonfly_routing::RoutingSpec;
-    pub use dragonfly_sim::builder::SimulationBuilder;
+    pub use dragonfly_sim::builder::Simulation;
     pub use dragonfly_sim::spec::{ExperimentSpec, SweepSpec};
     pub use dragonfly_sim::sweep::SweepResult;
     pub use dragonfly_topology::config::DragonflyConfig;

@@ -13,14 +13,16 @@ fn run(
     measure: u64,
     seed: u64,
 ) -> SimulationReport {
-    SimulationBuilder::new(DragonflyConfig::tiny())
-        .routing(routing)
-        .traffic(traffic)
-        .offered_load(load)
-        .warmup_ns(warmup)
-        .measure_ns(measure)
-        .seed(seed)
-        .run()
+    ExperimentSpec {
+        routing,
+        traffic,
+        load: Some(load),
+        warmup_ns: warmup,
+        measure_ns: measure,
+        seed: Some(seed),
+        ..ExperimentSpec::new(DragonflyConfig::tiny())
+    }
+    .run()
 }
 
 #[test]

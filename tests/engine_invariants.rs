@@ -47,14 +47,16 @@ fn simulation_invariants() {
         let traffic = traffics[i % traffics.len()];
         let load = 0.10 + 0.05 * (i % 8) as f64;
         let seed = 1 + 97 * i as u64;
-        let report = SimulationBuilder::new(DragonflyConfig::tiny())
-            .routing(routing)
-            .traffic(traffic)
-            .offered_load(load)
-            .warmup_ns(10_000)
-            .measure_ns(15_000)
-            .seed(seed)
-            .run();
+        let report = ExperimentSpec {
+            routing,
+            traffic,
+            load: Some(load),
+            warmup_ns: 10_000,
+            measure_ns: 15_000,
+            seed: Some(seed),
+            ..ExperimentSpec::new(DragonflyConfig::tiny())
+        }
+        .run();
         let context = format!("routing={routing:?} traffic={traffic:?} load={load} seed={seed}");
         assert!(report.packets_delivered > 0, "{context}");
         assert!(report.throughput <= load + 0.05, "{context}");
