@@ -32,10 +32,11 @@ enum Format {
 
 /// A CLI failure: the message printed to stderr plus the process exit
 /// code. Usage and configuration mistakes exit 2 (the historical code
-/// for every error); runtime failures once a simulation is under way —
-/// a checkpoint that cannot be written, the finished report failing to
+/// for every error); runtime failures — a snapshot that cannot be read
+/// back (`--resume-from` on a missing, damaged or foreign file), a
+/// checkpoint that cannot be written, the finished report failing to
 /// serialise — exit 1, so scripts can tell "you called it wrong" from
-/// "it broke late".
+/// "it broke".
 struct CliError {
     message: String,
     code: u8,
@@ -271,7 +272,7 @@ fn run_spec(
     }
     let resume = match &flags.resume_from {
         Some(file) => {
-            let ck = RunCheckpoint::load(file).map_err(|e| e.to_string())?;
+            let ck = RunCheckpoint::load(file).map_err(|e| CliError::runtime(e.to_string()))?;
             eprintln!(
                 "resuming from {file} at t = {} ns (simulated)",
                 ck.engine.now

@@ -245,3 +245,41 @@ fn failed_checkpoint_write_stops_the_run_with_exit_1() {
     assert!(stderr.contains(snapshot.to_str().unwrap()), "{stderr}");
     assert!(!report.exists(), "an abandoned run must not write a report");
 }
+
+/// A snapshot that cannot be read back is a runtime failure naming the
+/// file — and a clean one even for the 30 bytes that claim 2^40 floats in
+/// one run, which used to abort the process inside the allocator.
+#[test]
+fn unreadable_snapshot_fails_resume_with_exit_1_naming_the_file() {
+    let dir = std::env::temp_dir().join("qadaptive-cli-resume-fail-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let snapshot = dir.join("bomb.ckpt");
+    let mut bytes = b"QADBIN\x00\x01".to_vec();
+    bytes.push(0); // empty key dictionary
+    bytes.push(9); // a run-length encoded float sequence…
+    let two_to_the_40 = [0x80, 0x80, 0x80, 0x80, 0x80, 0x20];
+    bytes.extend_from_slice(&two_to_the_40); // …of 2^40 elements…
+    bytes.extend_from_slice(&two_to_the_40); // …in one run…
+    bytes.extend_from_slice(&1.0f64.to_le_bytes()); // …of 1.0
+    assert_eq!(bytes.len(), 30);
+    std::fs::write(&snapshot, bytes).unwrap();
+    let output = Command::new(env!("CARGO_BIN_EXE_qadaptive-cli"))
+        .args([
+            "run",
+            scenarios_dir()
+                .join("quickstart_tiny.toml")
+                .to_str()
+                .unwrap(),
+            "--resume-from",
+            snapshot.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    std::fs::remove_file(&snapshot).ok();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains(snapshot.to_str().unwrap()) && stderr.contains("at byte"),
+        "{stderr}"
+    );
+}

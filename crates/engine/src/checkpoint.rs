@@ -47,7 +47,10 @@
 //! the caller rebuilds them from its experiment spec and the checkpoint
 //! only carries the mutable remainder. The `dragonfly-sim` layer embeds
 //! the full spec next to the engine state so a resume can verify it is
-//! rebuilding the same experiment.
+//! rebuilding the same experiment, and owns the file format: the derived
+//! `Serialize` / `Deserialize` impls of the types below are event streams,
+//! which its `QADBIN` writer and reader turn straight into and out of
+//! bytes, so no tree-shaped copy of a snapshot is ever built.
 
 use crate::arena::PacketRef;
 use crate::event::{EventKind, SchedulerCheckpoint};

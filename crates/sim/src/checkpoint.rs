@@ -13,13 +13,20 @@
 //! * the [`MetricsCollector`], which the engine snapshot deliberately
 //!   excludes (observers are a sim-layer concern).
 //!
-//! A file is one `serde_json::binary` stream: the `QADBIN` magic, then
-//! the snapshot tagged [`CHECKPOINT_VERSION`]. The magic, the codec
-//! version byte and the tag are all checked on load, so a foreign,
-//! damaged or incompatible file is refused with an error naming it
-//! rather than resumed from. `qadaptive-cli checkpoint dump FILE` prints
-//! a snapshot as JSON for reading and diffing.
+//! A file is one `QADBIN` stream (the private `binary` module of this
+//! crate holds the format): the magic, the key dictionary, then the
+//! snapshot tagged [`CHECKPOINT_VERSION`]. [`RunCheckpoint::to_binary`]
+//! walks the typed snapshot once and writes packets, Q-rows, events and
+//! NIC queues straight into the bytes; [`RunCheckpoint::from_binary`]
+//! fills the typed structs straight from them. No `serde::Value` tree of
+//! the snapshot is built in either direction, so a checkpoint costs about
+//! what it stores; [`RunCheckpoint::to_json`] (`qadaptive-cli checkpoint
+//! dump FILE`, for reading and diffing) is the only code that builds one.
+//! The magic, the codec version byte and the tag are all checked on load,
+//! so a foreign, damaged or incompatible file is refused with an error
+//! naming it rather than resumed from.
 
+use crate::binary;
 use crate::collector::MetricsCollector;
 use crate::spec::{ExperimentSpec, SpecError};
 use dragonfly_engine::checkpoint::EngineCheckpoint;
@@ -60,26 +67,26 @@ impl RunCheckpoint {
     }
 
     /// Render as JSON, for people and `diff` (`checkpoint dump`); no
-    /// loader reads it back.
+    /// loader reads it back. The one place a whole snapshot becomes a tree.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("checkpoints always serialize")
     }
 
     /// Serialize to the on-disk encoding.
     pub fn to_binary(&self) -> Vec<u8> {
-        serde_json::binary::to_vec(self)
+        binary::to_vec(self)
     }
 
     /// Parse the on-disk encoding, rejecting streams without the magic
     /// and unknown format versions.
     pub fn from_binary(bytes: &[u8]) -> Result<Self, SpecError> {
-        if !serde_json::binary::looks_binary(bytes) {
+        if !binary::looks_binary(bytes) {
             return Err(SpecError(format!(
                 "malformed checkpoint file: no QADBIN magic (this build reads only \
                  binary {CHECKPOINT_VERSION:?} snapshots)"
             )));
         }
-        let ck: Self = serde_json::binary::from_slice(bytes)
+        let ck: Self = binary::from_slice(bytes)
             .map_err(|e| SpecError(format!("malformed checkpoint file: {e}")))?;
         if ck.version != CHECKPOINT_VERSION {
             return Err(SpecError(format!(
@@ -267,7 +274,7 @@ mod tests {
         sample().save(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         assert!(
-            serde_json::binary::looks_binary(&bytes),
+            binary::looks_binary(&bytes),
             "save() writes the binary encoding"
         );
         let back = RunCheckpoint::load(&path).unwrap();

@@ -19,6 +19,8 @@
 //!   resumable [`RunCheckpoint`], `report` assembles the
 //!   [`dragonfly_metrics::SimulationReport`]. Every front-end below reaches
 //!   the engine through these four stages.
+//! * [`checkpoint`] — snapshot files: [`RunCheckpoint`] and its `QADBIN`
+//!   byte stream, written and read without an intermediate tree.
 //! * [`fault`] — serialisable fault injection (`[[faults]]` scenario
 //!   sections): link/router kill+restore events and seeded random
 //!   global-link loss, compiled into the engine's deterministic
@@ -35,6 +37,7 @@
 //! * [`convergence`] — helpers for the convergence and dynamic-load studies
 //!   (Figures 7 and 8).
 
+mod binary;
 pub mod builder;
 pub mod checkpoint;
 pub mod collector;

@@ -1,0 +1,196 @@
+//! What a checkpoint costs in heap, counted: the gate behind "a checkpoint
+//! costs what it stores".
+//!
+//! An integration test is its own binary, so this one installs a counting
+//! allocator (the pattern of `benchmark/src/alloc.rs`: live and peak bytes
+//! in two relaxed atomics around `System`). Live heap repeats to the byte
+//! at a fixed seed, so the bounds below are exact where a timing of the
+//! same code carries 25 %:
+//!
+//! * `to_binary` peaks at most 2.5 × the stream above what was live (the
+//!   stream itself, at most doubled by `Vec` growth — no tree);
+//! * `from_binary` peaks at most the decoded snapshot + 1 × the stream
+//!   above what was live, and leaves no `Vec` with spare capacity;
+//! * no single damaged byte makes `from_binary` panic, or reserve more
+//!   than the bytes of the file could hold elements.
+
+mod common;
+
+use dragonfly_engine::packet::Packet;
+use dragonfly_routing::RoutingSpec;
+use dragonfly_sim::builder::Simulation;
+use dragonfly_sim::checkpoint::RunCheckpoint;
+use dragonfly_sim::spec::ExperimentSpec;
+use dragonfly_topology::config::DragonflyConfig;
+use dragonfly_traffic::TrafficSpec;
+use qadaptive_core::QAdaptiveParams;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+struct CountingAlloc;
+
+fn grew(by: usize) {
+    let live = LIVE.fetch_add(by, Relaxed) + by;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters publish no other data.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            if new_size >= layout.size() {
+                grew(new_size - layout.size());
+            } else {
+                LIVE.fetch_sub(layout.size() - new_size, Relaxed);
+            }
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The counters are the process's: one measurement at a time.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+/// `f`'s result, its peak heap above what was live when it started, and
+/// what it left live.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
+    let out = f();
+    let peak = PEAK.load(Relaxed) - before;
+    (out, peak, LIVE.load(Relaxed).saturating_sub(before))
+}
+
+/// Q-adaptive under ADV+1 on the 72-node system, cut while packets queue
+/// in router buffers and at the NICs.
+fn congested_snapshot() -> RunCheckpoint {
+    let spec = ExperimentSpec {
+        name: "heap-gate".to_string(),
+        routing: RoutingSpec::QAdaptive(QAdaptiveParams::paper_1056()),
+        traffic: TrafficSpec::Adversarial { shift: 1 },
+        load: Some(0.6),
+        warmup_ns: 3_000,
+        measure_ns: 6_000,
+        seed: Some(31),
+        ..ExperimentSpec::new(DragonflyConfig::tiny())
+    };
+    let mut sim = Simulation::start(&spec).expect("valid spec");
+    assert!(sim.advance_to(5_000), "the cut is mid-run");
+    let ck = sim.snapshot();
+    let shard = &ck.engine.shard;
+    assert!(
+        shard.arena.slots.len() > 1_000 && shard.nics.iter().any(|n| !n.source_queue.is_empty()),
+        "the snapshot must hold queued packets"
+    );
+    ck
+}
+
+#[test]
+fn a_checkpoint_costs_what_it_stores() {
+    let _one_at_a_time = MEASURING.lock().unwrap();
+    let ck = congested_snapshot();
+
+    let (bytes, peak, left) = measured(|| ck.to_binary());
+    assert_eq!(
+        (left, bytes.capacity()),
+        (bytes.len(), bytes.len()),
+        "the stream is all `to_binary` leaves behind"
+    );
+    assert!(
+        peak * 2 <= bytes.len() * 5,
+        "to_binary peaked {peak} B above live for a {} B stream (bound 2.5 x)",
+        bytes.len()
+    );
+
+    let (back, peak, decoded) = measured(|| RunCheckpoint::from_binary(&bytes).expect("decodes"));
+    assert!(
+        peak <= decoded + bytes.len(),
+        "from_binary peaked {peak} B above live for a {decoded} B snapshot \
+         and a {} B stream (bound: their sum)",
+        bytes.len()
+    );
+
+    // Nothing decoded was grown by doubling: on the 110,976-node system a
+    // Q-table is 161,840 values per agent, and spare capacity there is
+    // what the benchmark's checkpoint heap peak would be made of.
+    let shard = &back.engine.shard;
+    assert_eq!(shard.arena.slots.capacity(), shard.arena.slots.len());
+    assert_eq!(shard.arena.free.capacity(), shard.arena.free.len());
+    assert_eq!(shard.queue.events.capacity(), shard.queue.events.len());
+    assert_eq!(shard.agents.capacity(), shard.agents.len());
+    assert_eq!(shard.nics.capacity(), shard.nics.len());
+    for agent in &shard.agents {
+        assert!(!agent.q_values.is_empty(), "Q-adaptive agents carry tables");
+        assert_eq!(agent.q_values.capacity(), agent.q_values.len());
+        assert_eq!(agent.counters.capacity(), agent.counters.len());
+    }
+    for nic in &shard.nics {
+        assert_eq!(nic.source_queue.capacity(), nic.source_queue.len());
+    }
+    let injector = &back.engine.injector;
+    assert_eq!(injector.heap.capacity(), injector.heap.len());
+    assert_eq!(injector.residual.capacity(), injector.residual.len());
+    assert_eq!(back.to_binary(), bytes);
+}
+
+#[test]
+fn no_damaged_byte_buys_memory_or_a_panic() {
+    let _one_at_a_time = MEASURING.lock().unwrap();
+    // Every byte of a real snapshot flipped, one at a time. Each decode
+    // ends in an error that says where (or which tag or magic was refused)
+    // or in some well-formed snapshot. And none buys more heap than the
+    // file's size allows: a count is checked against the bytes left
+    // before anything is reserved for it (and a run-length total against
+    // the expansion budget), so the worst a flipped count can ask for is
+    // one element of the largest snapshot type — a packet — per byte of
+    // file.
+    let good = common::smallest_snapshot().to_binary();
+    let (_, _, decoded) = measured(|| RunCheckpoint::from_binary(&good).expect("decodes"));
+    let mut bad = good.clone();
+    for i in 0..good.len() {
+        bad[i] ^= 0xff;
+        let (result, peak, _) = measured(|| RunCheckpoint::from_binary(&bad).map(drop));
+        bad[i] = good[i];
+        assert!(
+            peak <= decoded + good.len() * std::mem::size_of::<Packet>(),
+            "byte {i} flipped: decode peaked {peak} B for a {} B file",
+            good.len()
+        );
+        if let Err(e) = result {
+            assert!(
+                [
+                    "at byte",
+                    "near byte",
+                    "QADBIN magic",
+                    "codec version",
+                    "checkpoint version"
+                ]
+                .iter()
+                .any(|clue| e.0.contains(clue)),
+                "byte {i} flipped: the error does not say where: {e}"
+            );
+        }
+    }
+}

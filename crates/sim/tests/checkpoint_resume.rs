@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::{assert_same_report, in_mode};
+use common::{assert_same_report, in_mode, through_the_file_encoding};
 use dragonfly_engine::config::{EngineConfig, ShardKind};
 use dragonfly_metrics::report::SimulationReport;
 use dragonfly_routing::RoutingSpec;
@@ -101,8 +101,9 @@ fn pin_resume_equals_uninterrupted(spec: &ExperimentSpec, every_ns: u64, label: 
 
     for (i, ck) in checkpoints.iter().enumerate() {
         // The CLI always goes through the file format: round-trip the
-        // encoding so serialization is part of what the test pins.
-        let ck = RunCheckpoint::from_binary(&ck.to_binary()).expect("round trip");
+        // encoding so serialization is part of what the test pins (and
+        // the tree encoder referees the bytes on the way).
+        let ck = through_the_file_encoding(ck);
         assert_same_report(
             &reference,
             &resume(spec, &ck),
@@ -191,7 +192,7 @@ fn pin_sharded_matrix(
     );
 
     for (i, ck) in checkpoints.iter().enumerate() {
-        let ck = RunCheckpoint::from_binary(&ck.to_binary()).expect("round trip");
+        let ck = through_the_file_encoding(ck);
         for &(shards, pipeline) in resume_modes {
             assert_same_report(
                 &reference,
@@ -300,7 +301,7 @@ fn sharded_closedloop_resume_preserves_midcollective_state() {
 
     let picks = [0, checkpoints.len() - 1];
     for &i in &picks {
-        let ck = RunCheckpoint::from_binary(&checkpoints[i].to_binary()).expect("round trip");
+        let ck = through_the_file_encoding(&checkpoints[i]);
         for (shards, pipeline) in [(ShardKind::Single, false), (ShardKind::Fixed(4), true)] {
             assert_same_report(
                 &reference,

@@ -1,13 +1,18 @@
 //! Helpers shared by the determinism and checkpoint/resume suites: put a
-//! spec into one execution mode, and compare two reports on every field of
-//! the bit-for-bit contract.
+//! spec into one execution mode, compare two reports on every field of
+//! the bit-for-bit contract, and send a snapshot through its file encoding
+//! with the tree encoder it replaced as the referee.
 
 // Each suite is its own crate and uses a subset of these.
 #![allow(dead_code)]
 
+pub mod tree_codec;
+
 use dragonfly_engine::config::ShardKind;
 use dragonfly_metrics::report::SimulationReport;
+use dragonfly_sim::checkpoint::RunCheckpoint;
 use dragonfly_sim::spec::ExperimentSpec;
+use serde::Serialize;
 
 /// `spec` with only its execution mode (shards × pipeline) overridden,
 /// keeping any other engine knobs it already carries.
@@ -32,4 +37,53 @@ pub fn assert_same_report(reference: &SimulationReport, got: &SimulationReport, 
     if let Some(diff) = reference.first_difference(got) {
         panic!("{label}: reports diverge at {diff}");
     }
+}
+
+/// `ck` as a later process would load it: encoded and decoded. On the way,
+/// the differential check of the streaming codec: the bytes are the ones
+/// the tree encoder writes for the same snapshot, and the decoded snapshot
+/// encodes to them again.
+pub fn through_the_file_encoding(ck: &RunCheckpoint) -> RunCheckpoint {
+    let bytes = ck.to_binary();
+    assert!(
+        bytes == tree_codec::value_to_vec(&ck.to_value()),
+        "{}: the streaming writer and the tree encoder disagree",
+        ck.spec.name
+    );
+    let back = RunCheckpoint::from_binary(&bytes).expect("a snapshot just written decodes");
+    assert!(
+        back.to_binary() == bytes,
+        "{}: decoding and re-encoding changed the bytes",
+        ck.spec.name
+    );
+    back
+}
+
+/// A real snapshot small enough to damage byte by byte: Q-adaptive under
+/// ADV+1 on the smallest Dragonfly there is (`p=1, a=2, h=1`: 3 groups, 6
+/// routers, 6 nodes), cut with learning state, queued packets and pending
+/// events in it.
+pub fn smallest_snapshot() -> RunCheckpoint {
+    use dragonfly_sim::builder::Simulation;
+    let spec = ExperimentSpec {
+        name: "smallest".to_string(),
+        routing: dragonfly_routing::RoutingSpec::QAdaptive(
+            qadaptive_core::QAdaptiveParams::paper_1056(),
+        ),
+        traffic: dragonfly_traffic::TrafficSpec::Adversarial { shift: 1 },
+        load: Some(0.3),
+        warmup_ns: 200,
+        measure_ns: 1_000,
+        seed: Some(5),
+        ..ExperimentSpec::new(dragonfly_topology::config::DragonflyConfig { p: 1, a: 2, h: 1 })
+    };
+    let mut sim = Simulation::start(&spec).expect("valid spec");
+    assert!(sim.advance_to(300), "the cut is mid-run");
+    let ck = sim.snapshot();
+    let shard = &ck.engine.shard;
+    assert!(
+        shard.arena.slots.len() > shard.arena.free.len() && !shard.queue.events.is_empty(),
+        "the snapshot must hold packets in flight"
+    );
+    ck
 }
