@@ -218,8 +218,9 @@ fn scale_system() -> DragonflyConfig {
 /// Offered load and measurement window of the `scale` figure. The load is
 /// kept low (5% quick / 30% full) and the window short: at 110k nodes even
 /// a microsecond of simulated time is tens of millions of events, and every
-/// packet a router forwards can materialise a new Q-table page, so these
-/// settings bound both the wall clock and the memory the figure reports.
+/// hop's feedback can be the first write to a Q-table row (0.3 KB from then
+/// on), so these settings bound both the wall clock and the memory the
+/// figure reports.
 fn scale_params(quick: bool) -> (f64, u64) {
     if quick {
         (0.05, 1_500)
@@ -640,7 +641,7 @@ pub fn paper_specs(id: &str, args: &BenchArgs) -> Option<FigurePlan> {
         "scale" => {
             // The ROADMAP's 100x-scale check as a runnable figure. MIN
             // carries no Q-state and anchors the memory column; Q-adaptive
-            // pays for exactly the table pages its traffic touched.
+            // pays for exactly the table rows its feedback has written.
             let (load, measure_ns) = scale_params(args.mode == RunMode::Quick);
             let loads = match args.mode {
                 RunMode::Quick => vec![load],

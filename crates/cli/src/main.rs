@@ -33,7 +33,8 @@ enum Format {
 /// A CLI failure: the message printed to stderr plus the process exit
 /// code. Usage and configuration mistakes exit 2 (the historical code
 /// for every error); runtime failures — a snapshot that cannot be read
-/// back (`--resume-from` on a missing, damaged or foreign file), a
+/// back or restored (`--resume-from` on a missing, damaged or foreign
+/// file, or one whose contents do not fit the engine it describes), a
 /// checkpoint that cannot be written, the finished report failing to
 /// serialise — exit 1, so scripts can tell "you called it wrong" from
 /// "it broke".
@@ -273,6 +274,9 @@ fn run_spec(
     let resume = match &flags.resume_from {
         Some(file) => {
             let ck = RunCheckpoint::load(file).map_err(|e| CliError::runtime(e.to_string()))?;
+            // The wrong scenario for this snapshot is a usage error; once
+            // it matches, whatever still stops the resume is in the file.
+            ck.check_spec_matches(spec).map_err(|e| e.to_string())?;
             eprintln!(
                 "resuming from {file} at t = {} ns (simulated)",
                 ck.engine.now
@@ -299,6 +303,8 @@ fn run_spec(
             CliError::runtime(format!(
                 "stopped at the first failed checkpoint write to {ck_path}: {e}"
             ))
+        } else if let Some(file) = &flags.resume_from {
+            CliError::runtime(format!("{file}: {e}"))
         } else {
             e.to_string().into()
         }

@@ -283,3 +283,56 @@ fn unreadable_snapshot_fails_resume_with_exit_1_naming_the_file() {
         "{stderr}"
     );
 }
+
+/// A snapshot that reads back but does not fit the engine it describes — a
+/// Q-row index far outside the table — is the same kind of failure: exit 1
+/// naming the file, the router and the field, where the table loader used
+/// to panic (exit 101) half-way through the restore.
+#[test]
+fn unrestorable_snapshot_fails_resume_with_exit_1_naming_the_file() {
+    use dragonfly_sim::checkpoint::RunCheckpoint;
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../sim/tests/data/paged_qadp_tiny.ckpt");
+    let mut ck = RunCheckpoint::load(&fixture).expect("fixture");
+    let dir = std::env::temp_dir().join("qadaptive-cli-unrestorable-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let scenario = dir.join("scenario.toml");
+    std::fs::write(&scenario, ck.spec.to_toml()).unwrap();
+    let snapshot = dir.join("bad-rows.ckpt");
+    *ck.engine.shard.agents[1].q_rows.last_mut().unwrap() = 1_000_000;
+    ck.save(&snapshot).unwrap();
+    let output = Command::new(env!("CARGO_BIN_EXE_qadaptive-cli"))
+        .args([
+            "run",
+            scenario.to_str().unwrap(),
+            "--resume-from",
+            snapshot.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains(snapshot.to_str().unwrap())
+            && stderr.contains("agent of router 1: q_rows[17] = 1000000"),
+        "{stderr}"
+    );
+
+    // The untouched fixture under a scenario it was not taken from is
+    // still a usage error.
+    let output = Command::new(env!("CARGO_BIN_EXE_qadaptive-cli"))
+        .args([
+            "run",
+            scenario.to_str().unwrap(),
+            "--seed",
+            "999",
+            "--resume-from",
+            fixture.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("differs"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -190,7 +190,7 @@ impl TwoLevelStorage {
     }
 
     /// Checkpoint form: `(q_values, q_rows)` — full row-major values with
-    /// empty rows for dense storage, the sparse materialised-rows form for
+    /// empty rows for dense storage, the sparse written-rows form for
     /// paged storage.
     pub(crate) fn checkpoint_values(&self) -> (Vec<f64>, Vec<u32>) {
         match self {
@@ -489,6 +489,10 @@ impl RouterAgent for QAdaptiveAgent {
         }
     }
 
+    fn check_state(&self, state: &AgentCheckpoint) -> Result<(), String> {
+        crate::table::check_checkpoint_values(self.table.as_table(), &state.q_rows, &state.q_values)
+    }
+
     fn load_state(&mut self, state: &AgentCheckpoint) {
         if let Some(s) = state.rng {
             self.rng = StdRng::from_state(s);
@@ -683,10 +687,11 @@ mod tests {
             paged.table.as_table().values()
         );
         assert!(dense.table.as_table().memory_bytes() > 0);
-        // An untouched paged agent pays only for the page table, not the
-        // values (at tiny scale a single materialised page can exceed the
-        // whole dense table, so the bound is on the fresh agent).
+        // A paged agent pays for the rows it has written (plus, at this
+        // scale, an index larger than they are); an untouched one for no
+        // table at all.
         let fresh_paged = QAdaptiveAgent::new(&t, &paged_cfg, RouterId(0), params, 9);
+        assert!(fresh_paged.memory_bytes() < paged.memory_bytes());
         assert!(fresh_paged.memory_bytes() < dense.memory_bytes());
 
         // Checkpoints cross-restore: the sparse form into dense storage and
@@ -710,7 +715,7 @@ mod tests {
             paged.table.as_table().values()
         );
 
-        // Sparse → fresh paged agent restores values AND materialisation.
+        // Sparse → fresh paged agent restores values AND the stored rows.
         let mut paged_resume = QAdaptiveAgent::new(&t, &paged_cfg, RouterId(0), params, 9);
         paged_resume.load_state(&paged_ck);
         assert_eq!(
@@ -718,6 +723,7 @@ mod tests {
             paged.table.as_table().values()
         );
         assert_eq!(paged_resume.memory_bytes(), paged.memory_bytes());
+        assert_eq!(paged_resume.save_state(), paged_ck);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub fn theoretical_to_domain(
     router: RouterId,
     domain: GroupId,
 ) -> f64 {
-    cfg.theoretical_delivery_ns(&topo.estimate_hops_to_domain(router, domain)) as f64
+    cfg.theoretical_delivery_ns(topo.estimate_hops_to_domain(router, domain)) as f64
 }
 
 /// Congestion-free delivery-time estimate from `router` to a specific
@@ -113,10 +113,11 @@ pub fn init_qtable(topo: &AnyTopology, cfg: &EngineConfig, router: RouterId) -> 
 }
 
 /// The paged counterpart of [`init_two_level_table`]: same shape, same
-/// deterministic init values, but rows materialise lazily on first write.
-/// The init closure owns a clone of the topology (topologies are O(1)
-/// arithmetic over their configuration, so the clone is cheap) and is
-/// evaluated on demand instead of eagerly filling `rows × columns` cells.
+/// deterministic init values, but a row is stored only once written. The
+/// init closure owns a clone of the topology (topologies are O(1)
+/// arithmetic over their configuration, so the clone is cheap) and
+/// evaluates one row on demand, without allocating, instead of eagerly
+/// filling `rows × columns` cells.
 pub fn init_two_level_paged(
     topo: &AnyTopology,
     cfg: &EngineConfig,
@@ -130,18 +131,20 @@ pub fn init_two_level_paged(
     PagedQTable::new(
         rows,
         columns,
-        Arc::new(move |row, col| {
+        Arc::new(move |row, out| {
             // The two-level init is slot-independent: row j·p + n maps to
             // domain j, and the slot does not enter the estimate.
             let domain = GroupId::from_index(row / nodes_per_router);
-            let port = topo.port_for_column(router, col);
-            port_then_domain_estimate(&topo, &cfg, router, port, domain)
+            for (col, value) in out.iter_mut().enumerate() {
+                let port = topo.port_for_column(router, col);
+                *value = port_then_domain_estimate(&topo, &cfg, router, port, domain);
+            }
         }),
     )
 }
 
 /// The paged counterpart of [`init_qtable`]: one row per destination
-/// router, materialised lazily on first write.
+/// router, stored only once written.
 pub fn init_qtable_paged(topo: &AnyTopology, cfg: &EngineConfig, router: RouterId) -> PagedQTable {
     let rows = topo.num_routers();
     let columns = topo.fabric_ports(router);
@@ -150,15 +153,17 @@ pub fn init_qtable_paged(topo: &AnyTopology, cfg: &EngineConfig, router: RouterI
     PagedQTable::new(
         rows,
         columns,
-        Arc::new(move |row, col| {
+        Arc::new(move |row, out| {
             let dest = RouterId::from_index(row);
-            let port = topo.port_for_column(router, col);
-            let kind = topo.link_kind(router, port);
-            let neighbor = topo.neighbor_router(router, port);
-            if neighbor == dest {
-                cfg.hop_ns(kind) as f64 + cfg.ejection_ns() as f64
-            } else {
-                cfg.hop_ns(kind) as f64 + theoretical_to_router(&topo, &cfg, neighbor, dest)
+            for (col, value) in out.iter_mut().enumerate() {
+                let port = topo.port_for_column(router, col);
+                let kind = topo.link_kind(router, port);
+                let neighbor = topo.neighbor_router(router, port);
+                *value = if neighbor == dest {
+                    cfg.hop_ns(kind) as f64 + cfg.ejection_ns() as f64
+                } else {
+                    cfg.hop_ns(kind) as f64 + theoretical_to_router(&topo, &cfg, neighbor, dest)
+                };
             }
         }),
     )

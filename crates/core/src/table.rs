@@ -1,8 +1,8 @@
 //! The common interface of Q-value tables.
 //!
 //! The original destination-router-indexed table ([`crate::QTable`]), the
-//! paper's two-level table ([`crate::TwoLevelQTable`]) and the sparse
-//! [`crate::PagedQTable`] all implement this trait, which lets the routing
+//! paper's two-level table ([`crate::TwoLevelQTable`]) and the sparse,
+//! row-granular [`crate::PagedQTable`] all implement this trait, which lets the routing
 //! agents, the ablation benches and the memory-comparison experiment treat
 //! them interchangeably.
 //!
@@ -110,7 +110,7 @@ pub trait QValueTable {
 
     /// Row-major values of a selected set of rows — the **sparse**
     /// checkpoint representation used by paged tables, which only persist
-    /// their materialised rows (every other row is the deterministic init
+    /// the rows ever written (every other row is the deterministic init
     /// value and is rebuilt by the factory).
     fn sparse_values(&self, rows: &[u32]) -> Vec<f64> {
         let mut v = Vec::with_capacity(rows.len() * self.columns());
@@ -146,18 +146,60 @@ pub trait QValueTable {
 /// sparse representation ([`QValueTable::load_sparse_values`]), an empty
 /// `rows` with full-length `values` the dense one, and empty `rows` with
 /// empty `values` means nothing was ever written (a paged table with no
-/// materialised pages) — the freshly built table is already correct.
+/// written row) — the freshly built table is already correct.
 ///
 /// Both forms restore into either storage kind: a sparse checkpoint
 /// applied to a dense table only overwrites the listed rows (the rest are
 /// at their init values, exactly what the sparse form implies), and a
-/// dense checkpoint applied to a paged table materialises everything.
+/// dense checkpoint applied to a paged table writes every row.
+///
+/// The loaders assert the shape; a checkpoint read from a file goes
+/// through [`check_checkpoint_values`] first.
 pub fn load_checkpoint_values(table: &mut dyn QValueTable, rows: &[u32], values: &[f64]) {
     if !rows.is_empty() {
         table.load_sparse_values(rows, values);
     } else if !values.is_empty() || table.is_empty() {
         table.load_values(values);
     }
+}
+
+/// Whether [`load_checkpoint_values`] can restore `(rows, values)` into
+/// `table`: `q_rows` strictly ascending and inside the table, `q_values`
+/// holding exactly the listed rows (sparse) or the whole table (dense).
+/// The error names the offending `AgentCheckpoint` field.
+pub fn check_checkpoint_values(
+    table: &dyn QValueTable,
+    rows: &[u32],
+    values: &[f64],
+) -> Result<(), String> {
+    let (table_rows, columns) = (table.rows(), table.columns());
+    for (i, &row) in rows.iter().enumerate() {
+        if row as usize >= table_rows {
+            return Err(format!(
+                "q_rows[{i}] = {row} is outside a table of {table_rows} rows"
+            ));
+        }
+        if i > 0 && rows[i - 1] >= row {
+            return Err(format!(
+                "q_rows is not strictly ascending: q_rows[{}] = {}, q_rows[{i}] = {row}",
+                i - 1,
+                rows[i - 1]
+            ));
+        }
+    }
+    let (listed, what) = match rows.len() {
+        0 if values.is_empty() => return Ok(()),
+        0 => (table_rows, "the whole table".to_string()),
+        n => (n, format!("the {n} rows of q_rows")),
+    };
+    if values.len() != listed * columns {
+        return Err(format!(
+            "q_values holds {} values, {what} at {columns} columns need {}",
+            values.len(),
+            listed * columns
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -214,6 +256,29 @@ mod tests {
         };
         dst.load_sparse_values(&rows, &sparse);
         assert_eq!(dst.v, vec![1.0, 2.0, 0.0, 0.0, 5.0, 6.0]);
+    }
+
+    #[test]
+    fn checkpoint_values_are_checked_against_the_table() {
+        let t = Dense {
+            rows: 3,
+            cols: 2,
+            v: vec![0.0; 6],
+        };
+        let check = |rows: &[u32], n: usize| check_checkpoint_values(&t, rows, &vec![0.0; n]);
+        for (rows, n) in [(&[][..], 0), (&[], 6), (&[0, 2], 4), (&[1], 2)] {
+            check(rows, n).unwrap_or_else(|e| panic!("{rows:?} x {n}: {e}"));
+        }
+        for (rows, n, field) in [
+            (&[0u32, 3][..], 4, "q_rows[1] = 3"),
+            (&[2, 0], 4, "not strictly ascending"),
+            (&[1, 1], 4, "not strictly ascending"),
+            (&[0, 2], 3, "q_values holds 3 values"),
+            (&[], 5, "q_values holds 5 values"),
+        ] {
+            let err = check(rows, n).expect_err(field);
+            assert!(err.contains(field), "{rows:?} x {n}: {err}");
+        }
     }
 
     #[test]

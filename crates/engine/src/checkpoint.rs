@@ -86,12 +86,14 @@ pub struct AgentCheckpoint {
     pub q_values: Vec<f64>,
     /// Algorithm-specific counters (e.g. Q-adaptive decision statistics).
     pub counters: Vec<u64>,
-    /// Ascending row indices of the rows carried in `q_values` — the
-    /// materialised rows of a paged Q-table. Empty for dense tables
-    /// (including every checkpoint written before paged tables existed,
-    /// which this serde default keeps readable). Restoring the listed
-    /// rows into a fresh paged table reproduces both the learned values
-    /// and the page-materialisation pattern.
+    /// Strictly ascending row indices of the rows carried in `q_values` —
+    /// the rows of a paged Q-table that were ever written. Empty for dense
+    /// tables (including every checkpoint written before paged tables
+    /// existed, which this serde default keeps readable). Restoring the
+    /// listed rows into a fresh paged table reproduces the learned values
+    /// and the set of stored rows. Snapshots written while the table's
+    /// unit was a 64-row page list whole pages, page-mates at their init
+    /// values; they restore the same way.
     #[serde(default)]
     pub q_rows: Vec<u32>,
 }

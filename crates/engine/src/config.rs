@@ -105,12 +105,14 @@ pub struct EngineConfig {
     #[serde(default = "default_ttl_hops")]
     pub ttl_hops: u8,
     /// Row-count threshold above which learning agents switch their
-    /// Q-value storage from a dense table to the lazily materialised
-    /// paged table (`qadaptive_core::PagedQTable`). Paged and dense
-    /// storage are observationally identical — same values, same argmin
-    /// tie-breaks, same RNG consumption — so this knob only trades a
-    /// small per-access indirection against memory that no longer grows
-    /// with system size. The default keeps every paper-scale system
+    /// Q-value storage from a dense table to the lazy paged table
+    /// (`qadaptive_core::PagedQTable`), which stores a row from its first
+    /// write on and answers every other row with its deterministic
+    /// initial value. Paged and dense storage are observationally
+    /// identical — same values, same argmin tie-breaks, same RNG
+    /// consumption — so this knob only trades a small per-access
+    /// indirection against memory that grows with the rows learned about,
+    /// not with system size. The default keeps every paper-scale system
     /// (≤ a few thousand table rows) dense and pages the 100k-node-class
     /// systems.
     #[serde(default = "default_qtable_page_rows_threshold")]

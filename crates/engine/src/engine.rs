@@ -394,6 +394,34 @@ impl<O: ShardObserver> Engine<O> {
         }
     }
 
+    /// Whether [`Engine::restore`] can take `ck`: entity counts match this
+    /// engine's topology and every agent accepts its section
+    /// ([`crate::routing::RouterAgent::check_state`]). Callers restoring a
+    /// snapshot they did not just take themselves ask first; `restore`
+    /// panics on what this refuses. The error names the router and the
+    /// field.
+    pub fn check_restorable(&self, ck: &crate::checkpoint::EngineCheckpoint) -> Result<(), String> {
+        let (routers, nodes) = (self.topo.num_routers(), self.topo.num_nodes());
+        let shard = &ck.shard;
+        for (field, have, want) in [
+            ("routers", shard.routers.len(), routers),
+            ("agents", shard.agents.len(), routers),
+            ("nics", shard.nics.len(), nodes),
+        ] {
+            if have != want {
+                return Err(format!(
+                    "snapshot holds {have} {field}, this topology has {want}"
+                ));
+            }
+        }
+        for (r, state) in shard.agents.iter().enumerate() {
+            self.agent(RouterId::from_index(r))
+                .check_state(state)
+                .map_err(|e| format!("agent of router {r}: {e}"))?;
+        }
+        Ok(())
+    }
+
     /// Replace this freshly built engine's state with a checkpoint's. The
     /// engine must have been constructed from the same topology, config,
     /// algorithm, injector type, seed and (if any) workload and fault

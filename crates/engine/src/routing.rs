@@ -215,6 +215,16 @@ pub trait RouterAgent: Send {
     /// freshly built by the same factory for the same router and seed.
     fn load_state(&mut self, _state: &crate::checkpoint::AgentCheckpoint) {}
 
+    /// Whether [`RouterAgent::load_state`] can take `state`. A snapshot
+    /// read from a file decodes into any shape; an agent whose restore
+    /// indexes by what the snapshot says (Q-row lists, table lengths)
+    /// refuses a bad one here, naming the field, so that
+    /// [`crate::Engine::check_restorable`] can answer before anything is
+    /// restored.
+    fn check_state(&self, _state: &crate::checkpoint::AgentCheckpoint) -> Result<(), String> {
+        Ok(())
+    }
+
     /// Approximate heap footprint of this agent's learned state in bytes
     /// (Q-tables, caches). Rolled up by `Engine::memory_bytes` into the
     /// bounded-memory accounting of the scale benches; stateless agents

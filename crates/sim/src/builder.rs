@@ -130,6 +130,9 @@ impl Simulation {
     pub fn resume(spec: &ExperimentSpec, checkpoint: &RunCheckpoint) -> Result<Self, SpecError> {
         checkpoint.check_spec_matches(spec)?;
         let mut sim = Self::start(spec)?;
+        sim.engine
+            .check_restorable(&checkpoint.engine)
+            .map_err(|e| SpecError(format!("checkpoint cannot be restored: {e}")))?;
         sim.engine.restore(&checkpoint.engine);
         sim.engine.seed_observer(checkpoint.collector.clone());
         Ok(sim)

@@ -12,6 +12,13 @@
 //! * `allreduce_tiny` — closed-loop AllReduce under UGALg, cut
 //!   mid-collective at 5,994 ns.
 //!
+//! `paged_qadp_tiny` and `paged_qrouting_tiny` were written by the commit
+//! before the lazy Q-table's unit became the row (`run …
+//! --checkpoint-every 700`, ADV+1 at load 0.3 on the 72-node system,
+//! `qtable_page_rows_threshold = 0`): their `q_rows` are page-granular — a
+//! router that had learned anything lists its whole page, page-mates at
+//! their init values — and nine routers had not yet learned anything.
+//!
 //! The differential half — streaming writer against tree encoder on every
 //! snapshot `checkpoint_resume.rs` builds — rides on that suite's round
 //! trips (`common::through_the_file_encoding`); the byte-flip half of the
@@ -19,9 +26,12 @@
 
 mod common;
 
-use common::{assert_same_report, smallest_snapshot, through_the_file_encoding};
+use common::{assert_same_report, in_mode, smallest_snapshot, through_the_file_encoding};
+use dragonfly_engine::config::{EngineConfig, ShardKind};
 use dragonfly_metrics::report::SimulationReport;
+use dragonfly_sim::builder::Simulation;
 use dragonfly_sim::checkpoint::{RunCheckpoint, CHECKPOINT_VERSION};
+use dragonfly_sim::spec::ExperimentSpec;
 
 fn fixture(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -51,6 +61,97 @@ fn files_written_by_the_tree_encoder_load_reencode_and_resume() {
             .run_checkpointed(Some(&ck), None, |_| Ok(()))
             .expect("resume under the file's own spec");
         assert_same_report(&uninterrupted, &resumed, name);
+    }
+}
+
+#[test]
+fn page_granular_snapshots_resume_and_are_rewritten_by_the_row() {
+    for (name, table_rows) in [("paged_qadp_tiny", 18), ("paged_qrouting_tiny", 36)] {
+        let path = fixture(&format!("{name}.ckpt"));
+        let file = RunCheckpoint::load(&path).expect("a page-granular file loads");
+        assert!(
+            file.to_binary() == std::fs::read(&path).expect("fixture"),
+            "{name}: re-encoding the file must reproduce it to the byte"
+        );
+        let spec = file.spec.clone();
+        assert_eq!(
+            spec.engine.map(|e| e.qtable_page_rows_threshold),
+            Some(0),
+            "{name}"
+        );
+        let listed: Vec<&[u32]> = (file.engine.shard.agents.iter())
+            .map(|a| a.q_rows.as_slice())
+            .collect();
+        let whole_page: Vec<u32> = (0..table_rows).collect();
+        assert!(
+            listed.iter().all(|r| r.is_empty() || *r == whole_page)
+                && listed.iter().any(|r| r.is_empty())
+                && listed.iter().any(|r| !r.is_empty()),
+            "{name}: the fixture is page-granular, with untouched routers"
+        );
+
+        // It resumes to the report of that commit's uninterrupted run.
+        let report = std::fs::read_to_string(fixture(&format!("{name}.report.json")))
+            .expect("the uninterrupted run's report");
+        let uninterrupted: SimulationReport = serde_json::from_str(&report).expect("a report");
+        assert!(uninterrupted.packets_delivered > 100, "{name}");
+        let mut later = None;
+        for shards in [ShardKind::Single, ShardKind::Fixed(2)] {
+            let mode = in_mode(spec.clone(), shards, true);
+            let mut sim = Simulation::resume(&mode, &file).expect("the file's own spec");
+            assert!(sim.advance_to(1_000), "{name}: 1,000 ns is mid-run");
+            later = Some(through_the_file_encoding(&sim.snapshot()));
+            sim.advance_to(spec.total_ns());
+            assert_same_report(
+                &uninterrupted,
+                &sim.report(),
+                &format!("{name} at {shards:?}"),
+            );
+        }
+
+        // A later snapshot of the resumed run lists what the file listed
+        // (its init-valued page-mates count as written from now on) plus
+        // the rows an uninterrupted run of this build has written by then,
+        // and nothing else; a page-mate nothing wrote still holds its init
+        // values, which a dense table of the same experiment spells out.
+        let mut fresh = Simulation::start(&spec).expect("the file's own spec");
+        fresh.advance_to(1_000);
+        let fresh = fresh.snapshot();
+        let dense = ExperimentSpec {
+            engine: Some(EngineConfig::default()),
+            ..spec.clone()
+        };
+        let init = Simulation::start(&dense).expect("dense tables").snapshot();
+        let later = later.expect("two modes ran");
+        let mut by_the_row = 0;
+        for (r, agent) in later.engine.shard.agents.iter().enumerate() {
+            let (fresh, init) = (&fresh.engine.shard.agents[r], &init.engine.shard.agents[r]);
+            let mut expected: Vec<u32> = [listed[r], &fresh.q_rows].concat();
+            expected.sort_unstable();
+            expected.dedup();
+            assert_eq!(agent.q_rows, expected, "{name}: router {r}");
+            let columns = init.q_values.len() / table_rows as usize;
+            let row_of = |values: &[f64], k: usize| values[k * columns..(k + 1) * columns].to_vec();
+            for (i, &row) in agent.q_rows.iter().enumerate() {
+                let want = match fresh.q_rows.iter().position(|&f| f == row) {
+                    Some(k) => row_of(&fresh.q_values, k),
+                    None => row_of(&init.q_values, row as usize),
+                };
+                assert_eq!(
+                    row_of(&agent.q_values, i),
+                    want,
+                    "{name}: router {r} row {row}"
+                );
+            }
+            if listed[r].is_empty() && !agent.q_rows.is_empty() {
+                assert!(
+                    agent.q_rows.len() < table_rows as usize,
+                    "{name}: router {r}"
+                );
+                by_the_row += 1;
+            }
+        }
+        assert!(by_the_row > 0, "{name}: no router learned between the cuts");
     }
 }
 

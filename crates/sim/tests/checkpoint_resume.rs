@@ -424,3 +424,95 @@ fn staged_run_snapshot_and_resume_agree_with_run() {
         assert_same_report(&reference, &second.report(), "resumed stages vs run()");
     }
 }
+
+/// The smallest system with paged tables under uniform random traffic
+/// (under ADV+1 a router learns about one destination group only), cut at
+/// 900 ns: agent sections then list several written rows.
+fn smallest_paged_snapshot() -> (ExperimentSpec, RunCheckpoint) {
+    let spec = ExperimentSpec {
+        traffic: dragonfly_traffic::TrafficSpec::UniformRandom,
+        engine: Some(EngineConfig {
+            qtable_page_rows_threshold: 0,
+            ..Default::default()
+        }),
+        ..common::smallest_spec()
+    };
+    let mut sim = Simulation::start(&spec).expect("valid spec");
+    assert!(sim.advance_to(900), "the cut is mid-run");
+    (spec, sim.snapshot())
+}
+
+#[test]
+fn a_snapshot_with_a_bad_q_row_list_is_refused_not_restored() {
+    // Every one of these decodes: the codec knows lists of integers and
+    // floats, not tables. The resume must say which router and which field
+    // it cannot take, before anything is restored — they used to die on an
+    // index or an assertion inside the table loader.
+    let (spec, good) = smallest_paged_snapshot();
+    let router = good
+        .engine
+        .shard
+        .agents
+        .iter()
+        .position(|a| a.q_rows.len() >= 2)
+        .expect("some router has learned about two destinations");
+    Simulation::resume(&spec, &through_the_file_encoding(&good)).expect("the good one resumes");
+
+    type Damage = fn(&mut dragonfly_engine::checkpoint::AgentCheckpoint);
+    let cases: [(&str, Damage, &str); 5] = [
+        (
+            "a row outside the table",
+            |a| *a.q_rows.last_mut().unwrap() = 1_000_000,
+            "q_rows[",
+        ),
+        (
+            "a value short",
+            |a| {
+                a.q_values.pop();
+            },
+            "q_values holds",
+        ),
+        ("unsorted rows", |a| a.q_rows.swap(0, 1), "q_rows is not"),
+        (
+            "a duplicated row",
+            |a| a.q_rows[1] = a.q_rows[0],
+            "q_rows is not",
+        ),
+        (
+            "a dense table of the wrong length",
+            |a| {
+                a.q_rows.clear();
+                a.q_values.truncate(1);
+            },
+            "q_values holds",
+        ),
+    ];
+    for (what, damage, field) in cases {
+        let mut bad = good.clone();
+        damage(&mut bad.engine.shard.agents[router]);
+        let bad = RunCheckpoint::from_binary(&bad.to_binary()).expect("it still decodes");
+        for shards in [ShardKind::Single, ShardKind::Fixed(2)] {
+            let err = match Simulation::resume(&in_mode(spec.clone(), shards, true), &bad) {
+                Ok(_) => panic!("{what}: resumed"),
+                Err(e) => e.0,
+            };
+            assert!(
+                err.contains(&format!("agent of router {router}:")) && err.contains(field),
+                "{what}: {err}"
+            );
+        }
+    }
+
+    // The dense loader had the same hole.
+    let dense_spec = common::smallest_spec();
+    let mut bad = common::smallest_snapshot();
+    bad.engine.shard.agents[0].q_values.pop();
+    let err = match Simulation::resume(&dense_spec, &bad) {
+        Ok(_) => panic!("a short dense table resumed"),
+        Err(e) => e.0,
+    };
+    assert!(
+        err.contains("agent of router 0:") && err.contains("the whole table"),
+        "{err}"
+    );
+}

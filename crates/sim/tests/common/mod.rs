@@ -59,13 +59,10 @@ pub fn through_the_file_encoding(ck: &RunCheckpoint) -> RunCheckpoint {
     back
 }
 
-/// A real snapshot small enough to damage byte by byte: Q-adaptive under
-/// ADV+1 on the smallest Dragonfly there is (`p=1, a=2, h=1`: 3 groups, 6
-/// routers, 6 nodes), cut with learning state, queued packets and pending
-/// events in it.
-pub fn smallest_snapshot() -> RunCheckpoint {
-    use dragonfly_sim::builder::Simulation;
-    let spec = ExperimentSpec {
+/// Q-adaptive under ADV+1 on the smallest Dragonfly there is (`p=1, a=2,
+/// h=1`: 3 groups, 6 routers, 6 nodes).
+pub fn smallest_spec() -> ExperimentSpec {
+    ExperimentSpec {
         name: "smallest".to_string(),
         routing: dragonfly_routing::RoutingSpec::QAdaptive(
             qadaptive_core::QAdaptiveParams::paper_1056(),
@@ -76,7 +73,14 @@ pub fn smallest_snapshot() -> RunCheckpoint {
         measure_ns: 1_000,
         seed: Some(5),
         ..ExperimentSpec::new(dragonfly_topology::config::DragonflyConfig { p: 1, a: 2, h: 1 })
-    };
+    }
+}
+
+/// A real snapshot small enough to damage byte by byte: [`smallest_spec`]
+/// cut with learning state, queued packets and pending events in it.
+pub fn smallest_snapshot() -> RunCheckpoint {
+    use dragonfly_sim::builder::Simulation;
+    let spec = smallest_spec();
     let mut sim = Simulation::start(&spec).expect("valid spec");
     assert!(sim.advance_to(300), "the cut is mid-run");
     let ck = sim.snapshot();

@@ -209,7 +209,7 @@ impl Topology for AnyTopology {
         delegate!(self, t => Topology::minimal_hops(t, src, dst))
     }
 
-    fn estimate_hops_to_domain(&self, router: RouterId, domain: GroupId) -> Vec<HopKind> {
+    fn estimate_hops_to_domain(&self, router: RouterId, domain: GroupId) -> &'static [HopKind] {
         delegate!(self, t => t.estimate_hops_to_domain(router, domain))
     }
 

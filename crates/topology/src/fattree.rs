@@ -415,19 +415,15 @@ impl Topology for FatTree {
         Some(port)
     }
 
-    fn estimate_hops_to_domain(&self, router: RouterId, domain: GroupId) -> Vec<HopKind> {
+    fn estimate_hops_to_domain(&self, router: RouterId, domain: GroupId) -> &'static [HopKind] {
+        use HopKind::{Global, Local};
         let d = domain.index();
         match self.switch(router) {
-            Switch::Edge { pod, .. } if pod == d => vec![HopKind::Local, HopKind::Local],
-            Switch::Agg { pod, .. } if pod == d => vec![HopKind::Local],
-            Switch::Core { .. } => vec![HopKind::Global, HopKind::Local],
-            Switch::Edge { .. } => vec![
-                HopKind::Local,
-                HopKind::Global,
-                HopKind::Global,
-                HopKind::Local,
-            ],
-            Switch::Agg { .. } => vec![HopKind::Global, HopKind::Global, HopKind::Local],
+            Switch::Edge { pod, .. } if pod == d => &[Local, Local],
+            Switch::Agg { pod, .. } if pod == d => &[Local],
+            Switch::Core { .. } => &[Global, Local],
+            Switch::Edge { .. } => &[Local, Global, Global, Local],
+            Switch::Agg { .. } => &[Global, Global, Local],
         }
     }
 

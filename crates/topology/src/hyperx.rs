@@ -275,11 +275,11 @@ impl Topology for HyperX {
         Some(self.col_port_to(current, self.row(dest)))
     }
 
-    fn estimate_hops_to_domain(&self, router: RouterId, domain: GroupId) -> Vec<HopKind> {
+    fn estimate_hops_to_domain(&self, router: RouterId, domain: GroupId) -> &'static [HopKind] {
         if self.row(router) == domain.index() {
-            vec![HopKind::Local]
+            &[HopKind::Local]
         } else {
-            vec![HopKind::Global, HopKind::Local]
+            &[HopKind::Global, HopKind::Local]
         }
     }
 

@@ -365,21 +365,16 @@ impl crate::traits::Topology for Dragonfly {
         &self,
         router: RouterId,
         domain: GroupId,
-    ) -> Vec<crate::paths::HopKind> {
-        use crate::paths::HopKind;
+    ) -> &'static [crate::paths::HopKind] {
+        use crate::paths::HopKind::{Global, Local};
         let my_group = self.group_of_router(router);
-        let mut kinds = Vec::with_capacity(3);
         if my_group == domain {
-            kinds.push(HopKind::Local);
+            &[Local]
+        } else if self.gateway(my_group, domain).0 == router {
+            &[Global, Local]
         } else {
-            let (gateway, _) = self.gateway(my_group, domain);
-            if gateway != router {
-                kinds.push(HopKind::Local);
-            }
-            kinds.push(HopKind::Global);
-            kinds.push(HopKind::Local);
+            &[Local, Global, Local]
         }
-        kinds
     }
 
     fn port_toward_domain(&self, router: RouterId, domain: GroupId) -> Port {

@@ -271,8 +271,10 @@ pub trait Topology: Send + Sync {
 
     /// The hop kinds of a *typical* congestion-free minimal route from
     /// `router` to a node-bearing router of `domain` (Q-table
-    /// initialisation; an average-case estimate, not an exact path).
-    fn estimate_hops_to_domain(&self, router: RouterId, domain: GroupId) -> Vec<HopKind>;
+    /// initialisation; an average-case estimate, not an exact path). One
+    /// of a handful of constant sequences per fabric, so nothing is
+    /// allocated: the init of a lazy Q-table row calls this per column.
+    fn estimate_hops_to_domain(&self, router: RouterId, domain: GroupId) -> &'static [HopKind];
 
     // ------------------------------------------------------------------
     // Non-minimal routing primitives
