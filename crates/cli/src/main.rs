@@ -262,7 +262,7 @@ fn run_spec(
     flags: &CommonFlags,
     scenario_path: &str,
     spec: &ExperimentSpec,
-) -> Result<dragonfly_metrics::report::SimulationReport, CliError> {
+) -> Result<dragonfly_sim::builder::Simulation, CliError> {
     use dragonfly_sim::checkpoint::RunCheckpoint;
     if flags.checkpoint_path.is_some() && flags.checkpoint_every.is_none() {
         return Err(
@@ -290,7 +290,7 @@ fn run_spec(
         .clone()
         .unwrap_or_else(|| format!("{scenario_path}.ckpt"));
     let mut save_failed = false;
-    spec.run_checkpointed(resume.as_ref(), flags.checkpoint_every, |ck| {
+    spec.run_checkpointed_to_end(resume.as_ref(), flags.checkpoint_every, |ck| {
         ck.save(&ck_path).inspect_err(|_| save_failed = true)?;
         eprintln!(
             "checkpoint: {ck_path} @ t = {} ns (simulated)",
@@ -337,13 +337,15 @@ fn cmd_run(flags: &CommonFlags) -> Result<(), CliError> {
     }
     apply_engine_overrides(&mut spec.engine, flags.shards, flags.pipeline);
     eprintln!("running: {}", spec.label());
-    let report = run_spec(flags, path, &spec)?;
+    let sim = run_spec(flags, path, &spec)?;
+    let report = sim.report();
     eprintln!(
         "perf: {} events in {:.3} s wall ({:.2} M events/s)",
         report.events_processed,
         report.wall_seconds,
         report.events_processed as f64 / report.wall_seconds.max(1e-9) / 1e6
     );
+    eprintln!("heap: {}", sim.memory_breakdown());
     match flags.format {
         Format::Text => emit(flags, &report.summary())?,
         Format::Csv => emit(

@@ -89,6 +89,44 @@ impl EngineStats {
     }
 }
 
+/// Where the engine's heap is, by owner, in bytes at retained capacity
+/// (see [`Engine::memory_breakdown`]). A side channel like
+/// `memory_bytes`: never part of a report.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct MemoryBreakdown {
+    /// Every routing agent's Q-table storage.
+    pub tables: usize,
+    /// The packet arenas.
+    pub arena: usize,
+    /// The calendar queues: bucket tables, the buffers of occupied
+    /// buckets, side slabs.
+    pub event_queues: usize,
+    /// Router input/output buffers, credits and wait lists.
+    pub router_state: usize,
+    /// NIC records and their source queues.
+    pub nic_state: usize,
+    /// The cross-shard mail grid and, on pipelined runs, the window
+    /// frontier.
+    pub mailboxes: usize,
+}
+
+impl std::fmt::Display for MemoryBreakdown {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mb = |bytes: usize| bytes as f64 / 1e6;
+        write!(
+            f,
+            "tables {:.2} MB, arena {:.2} MB, event queues {:.2} MB, \
+             router state {:.2} MB, NIC state {:.2} MB, mailboxes {:.2} MB",
+            mb(self.tables),
+            mb(self.arena),
+            mb(self.event_queues),
+            mb(self.router_state),
+            mb(self.nic_state),
+            mb(self.mailboxes)
+        )
+    }
+}
+
 /// The flit-level network simulator (topology-agnostic: any
 /// [`Topology`] implementation wrapped in [`AnyTopology`]).
 pub struct Engine<O: ShardObserver> {
@@ -277,12 +315,31 @@ impl<O: ShardObserver> Engine<O> {
     /// `MetricsCollector::memory_bytes` in `dragonfly-sim`.
     pub fn memory_bytes(&self) -> usize {
         let shards: usize = self.shards.iter().map(|s| s.memory_bytes()).sum();
+        shards + self.mailbox_bytes()
+    }
+
+    /// The mail grid plus, on pipelined runs, the window-frontier state.
+    fn mailbox_bytes(&self) -> usize {
         let deque = if self.cfg.pipeline && self.shards.len() > 1 {
             crate::sync::WindowDeque::memory_bytes_for(self.shards.len())
         } else {
             0
         };
-        shards + self.mail.memory_bytes() + deque
+        self.mail.memory_bytes() + deque
+    }
+
+    /// [`Engine::memory_bytes`] by owner, plus what it does not count: the
+    /// event queues and the router and NIC state. Summed over shards;
+    /// `tables + arena + mailboxes` is `memory_bytes()`.
+    pub fn memory_breakdown(&self) -> MemoryBreakdown {
+        let mut heap = MemoryBreakdown {
+            mailboxes: self.mailbox_bytes(),
+            ..MemoryBreakdown::default()
+        };
+        for shard in &self.shards {
+            shard.add_memory(&mut heap);
+        }
+        heap
     }
 
     /// Total packets currently buffered inside the router fabric.

@@ -27,10 +27,61 @@
 //! `(key, seq)` lazily when first popped from, so pushes stay O(1)
 //! amortised.
 //!
+//! ## What the queue stores, and what that costs
+//!
+//! The queue's heap follows the events *in flight*, not the wheel's width
+//! times the busiest tick it has ever seen:
+//!
+//! * **Entry vs [`Event`].** [`Event`] (80 B: [`EventKind`] is 56 B because
+//!   `RlFeedback` carries a 48-byte [`FeedbackMsg`] by value) is what
+//!   [`Scheduler::pop`] returns and what [`SchedulerCheckpoint`] stores —
+//!   the wire form. Inside the queue an event is a private 40-byte entry:
+//!   `(time, key, seq)` plus a 12-byte compact kind. The nine small kinds
+//!   are held inline; the three fat ones (`RlFeedback`, `DropNotice`,
+//!   `NicResend`) as a `u32` index into a queue-owned **side slab** of
+//!   `EventKind`s with a LIFO free list, filled on push, read back (and
+//!   the slot freed) on pop, read without freeing by
+//!   [`CalendarQueue::checkpoint`]. Slab indices never leave the queue, so
+//!   they cannot influence the pop order or a snapshot. What the second
+//!   type buys was measured against this same queue holding `Event`s (ten
+//!   rotating triples per benchmark workload): hardly any heap once empty
+//!   buckets own nothing (1.2 MB of a 16.8 MB peak on `ur_ugal_1056`), but
+//!   14 % of that workload's `setup_s` and `run_s`, in 9 of 10 pairs each
+//!   — a tick's buffer now regrows from nothing every revolution and is
+//!   sorted while hot, so the bytes a doubling copies and a sort swaps are
+//!   time again. Nothing resolved on the other three workloads.
+//! * **Buckets own a buffer only while their tick holds events.** The pop
+//!   that empties a bucket frees its `Vec`; the first push into an empty
+//!   bucket starts a new one. Invariant: *a bucket with capacity holds
+//!   events*. A buffer is at most twice its tick's events (`Vec`
+//!   doubling, from four), so the wheel's heap is at most twice the
+//!   entries pending in it plus the fixed 2,048-header bucket table
+//!   (49 KB) — whatever the wheel's width and however busy a tick once
+//!   was. Buckets that kept their buffers made `ur_ugal_1056` (~408
+//!   events per tick, every one of the 2,048 buckets grown to capacity
+//!   512) hold 2,048 × 512 × 80 B = 84 MB for ~29,000 pending events; the
+//!   same events now sit in 2.1 MB.
+//! * **The allocator is the buffer pool.** Recycling emptied buffers
+//!   through a queue-owned LIFO pool was built and measured first, and
+//!   lost: a pooled buffer keeps the capacity of the busiest tick it ever
+//!   served, and the sequential run loop files 1,024 ns of
+//!   `TrafficArrival` markers ahead, so 1,024 full-size buffers stayed in
+//!   circulation — most of them under ticks holding sixteen markers.
+//!   Pooled: 21.5 MB of queue and a 35.0 MB heap peak on `ur_ugal_1056`;
+//!   freed on empty: 2.1 MB and 15.7 MB, that workload's `run_s` about 15 %
+//!   lower again (the working set shrinks with the heap) and the other
+//!   three workloads' timings inside their run-to-run noise. The system
+//!   allocator's size-class bins hand a freed 20 KB block to the next
+//!   bucket growing to that size, which is the reuse the pool was for.
+//! * Entries keep `time` although a bucket holds one tick: dropping it
+//!   (32 B) would need a second entry type for the same-tick and overflow
+//!   heaps and save a fifth of 2.1 MB. One 40-byte type it is.
+//!
 //! The [`Scheduler`] trait states the ordering contract. The unit tests
 //! hold the calendar queue to it against a plain `BinaryHeap<Event>`
 //! oracle, on hand-written cases and on a randomised engine-shaped event
-//! stream with a checkpoint/restore in the middle.
+//! stream of all twelve kinds with a checkpoint/restore in the middle,
+//! comparing payloads as well as order.
 
 use crate::arena::PacketRef;
 use crate::config::EngineConfig;
@@ -46,7 +97,7 @@ use std::collections::BinaryHeap;
 /// All variants are small and `Copy`: packets are not carried by value but
 /// as 4-byte [`PacketRef`] handles into the owning shard's
 /// [`crate::arena::PacketArena`], so moving an event never allocates.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum EventKind {
     /// The next queued traffic injection of this shard is due: materialise
     /// the packet at its source NIC. The injection itself (src, dst,
@@ -249,6 +300,193 @@ pub trait Scheduler {
     fn processed(&self) -> u64;
 }
 
+/// [`EventKind`] as the queue stores it: the nine small kinds inline, the
+/// three fat ones as an index into the queue's [`FatSlab`]. 12 bytes.
+#[derive(Debug, Clone, Copy)]
+enum CompactKind {
+    TrafficArrival,
+    NicTryInject {
+        node: NodeId,
+    },
+    NicCredit {
+        node: NodeId,
+    },
+    RouterArrive {
+        router: RouterId,
+        port: Port,
+        vc: u8,
+        packet: PacketRef,
+    },
+    SwitchAttempt {
+        router: RouterId,
+        port: Port,
+        vc: u8,
+    },
+    OutputAttempt {
+        router: RouterId,
+        port: Port,
+    },
+    CreditArrive {
+        router: RouterId,
+        port: Port,
+        vc: u8,
+    },
+    TaskWake {
+        node: NodeId,
+    },
+    TaskRecv {
+        node: NodeId,
+        src: NodeId,
+    },
+    /// `RlFeedback`, `DropNotice` or `NicResend`, held in this slab slot.
+    Fat(u32),
+}
+
+/// Side storage for the event kinds too large for a [`CompactKind`]: a
+/// slab with a LIFO free list, so it grows to the largest number of fat
+/// events ever pending at once and then stops allocating.
+#[derive(Debug, Default)]
+struct FatSlab {
+    slots: Vec<EventKind>,
+    free: Vec<u32>,
+}
+
+impl FatSlab {
+    /// The stored form of `kind`, claiming a slab slot if it is a fat one.
+    fn pack(&mut self, kind: EventKind) -> CompactKind {
+        match kind {
+            EventKind::TrafficArrival => CompactKind::TrafficArrival,
+            EventKind::NicTryInject { node } => CompactKind::NicTryInject { node },
+            EventKind::NicCredit { node } => CompactKind::NicCredit { node },
+            EventKind::RouterArrive {
+                router,
+                port,
+                vc,
+                packet,
+            } => CompactKind::RouterArrive {
+                router,
+                port,
+                vc,
+                packet,
+            },
+            EventKind::SwitchAttempt { router, port, vc } => {
+                CompactKind::SwitchAttempt { router, port, vc }
+            }
+            EventKind::OutputAttempt { router, port } => {
+                CompactKind::OutputAttempt { router, port }
+            }
+            EventKind::CreditArrive { router, port, vc } => {
+                CompactKind::CreditArrive { router, port, vc }
+            }
+            EventKind::TaskWake { node } => CompactKind::TaskWake { node },
+            EventKind::TaskRecv { node, src } => CompactKind::TaskRecv { node, src },
+            EventKind::RlFeedback { .. }
+            | EventKind::DropNotice { .. }
+            | EventKind::NicResend { .. } => CompactKind::Fat(match self.free.pop() {
+                Some(slot) => {
+                    self.slots[slot as usize] = kind;
+                    slot
+                }
+                None => {
+                    let slot = u32::try_from(self.slots.len())
+                        .expect("event slab exceeded u32::MAX pending fat events");
+                    self.slots.push(kind);
+                    slot
+                }
+            }),
+        }
+    }
+
+    /// The [`EventKind`] behind `kind`; a slab slot stays claimed.
+    fn read(&self, kind: CompactKind) -> EventKind {
+        match kind {
+            CompactKind::TrafficArrival => EventKind::TrafficArrival,
+            CompactKind::NicTryInject { node } => EventKind::NicTryInject { node },
+            CompactKind::NicCredit { node } => EventKind::NicCredit { node },
+            CompactKind::RouterArrive {
+                router,
+                port,
+                vc,
+                packet,
+            } => EventKind::RouterArrive {
+                router,
+                port,
+                vc,
+                packet,
+            },
+            CompactKind::SwitchAttempt { router, port, vc } => {
+                EventKind::SwitchAttempt { router, port, vc }
+            }
+            CompactKind::OutputAttempt { router, port } => {
+                EventKind::OutputAttempt { router, port }
+            }
+            CompactKind::CreditArrive { router, port, vc } => {
+                EventKind::CreditArrive { router, port, vc }
+            }
+            CompactKind::TaskWake { node } => EventKind::TaskWake { node },
+            CompactKind::TaskRecv { node, src } => EventKind::TaskRecv { node, src },
+            CompactKind::Fat(slot) => self.slots[slot as usize],
+        }
+    }
+
+    /// [`FatSlab::read`], releasing the slab slot: the event is leaving
+    /// the queue.
+    fn unpack(&mut self, kind: CompactKind) -> EventKind {
+        if let CompactKind::Fat(slot) = kind {
+            self.free.push(slot);
+        }
+        self.read(kind)
+    }
+}
+
+/// A pending event as the queue stores it (see the module docs): 40 bytes
+/// against the 80 of an [`Event`].
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    time: SimTime,
+    key: u64,
+    seq: u64,
+    kind: CompactKind,
+}
+
+impl Entry {
+    #[inline]
+    fn order(&self) -> (SimTime, u64, u64) {
+        (self.time, self.key, self.seq)
+    }
+
+    /// The public form of this entry, given its expanded kind.
+    #[inline]
+    fn event(&self, kind: EventKind) -> Event {
+        Event {
+            time: self.time,
+            key: self.key,
+            seq: self.seq,
+            kind,
+        }
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.order() == other.order()
+    }
+}
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; invert so the earliest entry pops first.
+        other.order().cmp(&self.order())
+    }
+}
+
 /// Default wheel horizon (buckets × 1 ns) when no engine config is at hand.
 const DEFAULT_HORIZON: SimTime = 2048;
 
@@ -264,6 +502,8 @@ const MAX_HORIZON: SimTime = 1 << 22;
 /// * `cursor` is the time of the last popped event (or 0); all wheel events
 ///   have `time` in `[cursor, cursor + horizon)`, so the bucket at slot
 ///   `time % horizon` holds events of exactly one time value.
+/// * A bucket with capacity holds events: the pop that empties a bucket
+///   frees its buffer.
 /// * A bucket is either *unsorted* (its dirty bit is set; events were
 ///   appended in push order) or sorted **descending** by `(key, seq)` so
 ///   the next event to fire is at the back and pops are O(1). Buckets are
@@ -281,7 +521,7 @@ const MAX_HORIZON: SimTime = 1 << 22;
 pub struct CalendarQueue {
     /// `horizon` buckets; bucket `t % horizon` holds events firing at `t`
     /// for the unique `t` in the current window congruent to the slot.
-    buckets: Vec<Vec<Event>>,
+    buckets: Vec<Vec<Entry>>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupancy: Vec<u64>,
     /// One bit per bucket: set iff the bucket needs sorting before popping.
@@ -299,9 +539,12 @@ pub struct CalendarQueue {
     /// bucket would cost O(bucket_len) per push — quadratic per tick once
     /// thousands of events share a nanosecond at high entity counts; the
     /// min-heap makes it O(log same-tick-arrivals).
-    current: BinaryHeap<Event>,
+    current: BinaryHeap<Entry>,
     /// Far-future events (and, defensively, any push outside the window).
-    overflow: BinaryHeap<Event>,
+    overflow: BinaryHeap<Entry>,
+    /// The `RlFeedback` / `DropNotice` / `NicResend` payloads of pending
+    /// entries.
+    fat: FatSlab,
     next_seq: u64,
     popped: u64,
 }
@@ -335,6 +578,7 @@ impl CalendarQueue {
             cursor: 0,
             current: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
+            fat: FatSlab::default(),
             next_seq: 0,
             popped: 0,
         }
@@ -352,24 +596,12 @@ impl CalendarQueue {
         Self::with_horizon((span * 4).max(DEFAULT_HORIZON))
     }
 
-    /// [`CalendarQueue::for_config`] with bucket storage pre-sized for the
-    /// event density of an `entities`-entity shard (routers + nodes). At
-    /// high entity counts thousands of events share each wheel tick;
-    /// seeding the buckets and the same-tick heap with a fraction of that
-    /// skips the early reallocation ramp every bucket would otherwise go
-    /// through. A no-op for shards smaller than the wheel.
-    pub fn for_config_with_entities(cfg: &EngineConfig, entities: usize) -> Self {
-        let mut q = Self::for_config(cfg);
-        if entities > q.horizon as usize {
-            let per_bucket = (entities / q.horizon as usize)
-                .clamp(1, 64)
-                .next_power_of_two();
-            for bucket in &mut q.buckets {
-                bucket.reserve(per_bucket);
-            }
-            q.current = BinaryHeap::with_capacity(4 * per_bucket);
-        }
-        q
+    /// [`CalendarQueue::for_config`]. The entity count used to pre-size
+    /// every bucket; a bucket's buffer now lives only as long as its tick
+    /// holds events, so there is nothing left to size up front. Kept
+    /// because the frozen `benchmark/` builds its queues through it.
+    pub fn for_config_with_entities(cfg: &EngineConfig, _entities: usize) -> Self {
+        Self::for_config(cfg)
     }
 
     #[inline]
@@ -478,16 +710,17 @@ impl CalendarQueue {
     }
 
     fn pop_from(&mut self, location: NextEvent) -> Event {
-        let event = match location {
+        let entry = match location {
             NextEvent::Wheel(slot) => {
-                let event = self.buckets[slot]
-                    .pop()
-                    .expect("next_event located an event here");
+                let bucket = &mut self.buckets[slot];
+                let entry = bucket.pop().expect("next_event located an event here");
                 self.wheel_len -= 1;
-                if self.buckets[slot].is_empty() {
+                if bucket.is_empty() {
                     self.occupancy[slot >> 6] &= !(1u64 << (slot & 63));
+                    // An empty bucket owns no heap (see the module docs).
+                    *bucket = Vec::new();
                 }
-                event
+                entry
             }
             NextEvent::Current => self
                 .current
@@ -501,17 +734,22 @@ impl CalendarQueue {
         // Advancing the cursor keeps the wheel window anchored at the last
         // popped time; `max` guards against defensive out-of-window pushes
         // that went to the overflow heap with times behind the cursor.
-        self.cursor = self.cursor.max(event.time);
+        self.cursor = self.cursor.max(entry.time);
         self.popped += 1;
-        event
+        entry.event(self.fat.unpack(entry.kind))
     }
 }
 
 impl CalendarQueue {
     /// File an already-sequenced event into the wheel or the overflow heap
     /// (the shared tail of [`Scheduler::push`] and checkpoint restore).
-    fn insert(&mut self, event: Event) {
-        let time = event.time;
+    fn insert(&mut self, time: SimTime, key: u64, seq: u64, kind: EventKind) {
+        let entry = Entry {
+            time,
+            key,
+            seq,
+            kind: self.fat.pack(kind),
+        };
         debug_assert!(
             time >= self.cursor,
             "push at {time} behind the scheduler cursor {}",
@@ -521,7 +759,7 @@ impl CalendarQueue {
             // The tick being drained right now: a heap push keeps the
             // event's ordered place among the remaining same-tick events
             // at O(log n) instead of a positional insert's O(n) memmove.
-            self.current.push(event);
+            self.current.push(entry);
         } else if time > self.cursor && time - self.cursor < self.horizon {
             let slot = (time & self.mask) as usize;
             debug_assert!(
@@ -531,12 +769,12 @@ impl CalendarQueue {
             );
             let bucket = &mut self.buckets[slot];
             if bucket.is_empty() {
-                bucket.push(event);
+                bucket.push(entry);
                 self.set_dirty(slot, false);
             } else {
                 // Future tick: O(1) append now, one sort when a pop first
                 // targets the bucket (see `ensure_sorted`).
-                bucket.push(event);
+                bucket.push(entry);
                 self.set_dirty(slot, true);
             }
             self.occupancy[slot >> 6] |= 1u64 << (slot & 63);
@@ -544,8 +782,23 @@ impl CalendarQueue {
         } else {
             // Far future (or, defensively, behind the cursor): the heap
             // level handles any time correctly, just more slowly.
-            self.overflow.push(event);
+            self.overflow.push(entry);
         }
+    }
+
+    /// Heap footprint of the queue in bytes: the bucket table and bitmaps
+    /// (fixed), the buffers of occupied buckets, the same-tick and
+    /// overflow heaps and the side slab, at their capacities.
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let entries = self.buckets.iter().map(Vec::capacity).sum::<usize>()
+            + self.current.capacity()
+            + self.overflow.capacity();
+        entries * size_of::<Entry>()
+            + self.buckets.capacity() * size_of::<Vec<Entry>>()
+            + (self.occupancy.capacity() + self.dirty.capacity()) * size_of::<u64>()
+            + self.fat.slots.capacity() * size_of::<EventKind>()
+            + self.fat.free.capacity() * size_of::<u32>()
     }
 
     /// Snapshot the pending event set and the push/pop counters in
@@ -557,7 +810,7 @@ impl CalendarQueue {
             .flatten()
             .chain(self.current.iter())
             .chain(self.overflow.iter())
-            .copied()
+            .map(|entry| entry.event(self.fat.read(entry.kind)))
             .collect();
         events.sort_unstable_by_key(Event::order);
         SchedulerCheckpoint {
@@ -577,7 +830,7 @@ impl CalendarQueue {
         assert!(self.len() == 0, "restore requires an empty queue");
         self.cursor = now;
         for event in &ck.events {
-            self.insert(*event);
+            self.insert(event.time, event.key, event.seq, event.kind);
         }
         self.next_seq = ck.next_seq;
         self.popped = ck.popped;
@@ -588,12 +841,7 @@ impl Scheduler for CalendarQueue {
     fn push(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.insert(Event {
-            time,
-            key: event_key(&kind),
-            seq,
-            kind,
-        });
+        self.insert(time, event_key(&kind), seq, kind);
     }
 
     fn pop(&mut self) -> Option<Event> {
@@ -717,6 +965,22 @@ mod tests {
             ("calendar", Box::new(CalendarQueue::default())),
             ("small-calendar", Box::new(CalendarQueue::with_horizon(64))),
         ]
+    }
+
+    /// Order *and* payload: what a queue hands back must be the event that
+    /// was pushed, not just one that sorts like it.
+    fn assert_same_event(oracle: &Event, queue: &Event, context: &str) {
+        assert_eq!(
+            (oracle.order(), oracle.kind),
+            (queue.order(), queue.kind),
+            "{context}"
+        );
+    }
+
+    #[test]
+    fn queue_entry_is_at_most_40_bytes() {
+        assert!(std::mem::size_of::<CompactKind>() <= 12);
+        assert!(std::mem::size_of::<Entry>() <= 40);
     }
 
     #[test]
@@ -956,20 +1220,16 @@ mod tests {
         for round in 0..200 {
             for _ in 0..rng.gen_range(1..20) {
                 let t = now + rng.gen_range(0..2_000u64);
-                let node = NodeId(rng.gen_range(0..1_000u32));
-                heap.push(t, EventKind::NicTryInject { node });
-                cal.push(t, EventKind::NicTryInject { node });
+                let kind = engine_event(&mut rng);
+                heap.push(t, kind);
+                cal.push(t, kind);
             }
             for _ in 0..rng.gen_range(1..15) {
                 let (h, c) = (heap.pop(), cal.pop());
                 match (h, c) {
                     (None, None) => break,
                     (Some(h), Some(c)) => {
-                        assert_eq!(
-                            (h.time, h.key, h.seq),
-                            (c.time, c.key, c.seq),
-                            "round {round}"
-                        );
+                        assert_same_event(&h, &c, &format!("round {round}"));
                         now = h.time;
                     }
                     other => panic!("schedulers disagree on emptiness: {other:?}"),
@@ -980,22 +1240,24 @@ mod tests {
         loop {
             match (heap.pop(), cal.pop()) {
                 (None, None) => break,
-                (Some(h), Some(c)) => {
-                    assert_eq!((h.time, h.key, h.seq), (c.time, c.key, c.seq))
-                }
+                (Some(h), Some(c)) => assert_same_event(&h, &c, "final drain"),
                 other => panic!("schedulers disagree on emptiness: {other:?}"),
             }
         }
     }
 
-    /// A same-tick-collision-prone event of a random class, the way the
-    /// engine's dispatch loop produces them.
+    /// A same-tick-collision-prone event of any of the twelve kinds, the
+    /// way the engine's dispatch loop produces them. The payload fields no
+    /// key covers (`reward_ns`, `dst`, ...) are drawn too, so a queue that
+    /// hands back the wrong payload for the right key is caught.
     fn engine_event(rng: &mut impl rand::Rng) -> EventKind {
         let node = NodeId(rng.gen_range(0..64u32));
+        let other = NodeId(rng.gen_range(0..64u32));
         let router = RouterId(rng.gen_range(0..16u32));
         let port = Port(rng.gen_range(0..8u32) as u16);
         let vc = rng.gen_range(0..5u32) as u8;
-        match rng.gen_range(0..8u32) {
+        let id = rng.gen_range(0..1_000_000u64);
+        match rng.gen_range(0..12u32) {
             0 => EventKind::TrafficArrival,
             1 => EventKind::NicTryInject { node },
             2 => EventKind::NicCredit { node },
@@ -1008,7 +1270,32 @@ mod tests {
             4 => EventKind::SwitchAttempt { router, port, vc },
             5 => EventKind::OutputAttempt { router, port },
             6 => EventKind::CreditArrive { router, port, vc },
-            _ => EventKind::TaskWake { node },
+            7 => EventKind::TaskWake { node },
+            8 => EventKind::TaskRecv { node, src: other },
+            9 => EventKind::DropNotice {
+                node,
+                dst: other,
+                id,
+            },
+            10 => EventKind::NicResend {
+                node,
+                dst: other,
+                id,
+            },
+            _ => EventKind::RlFeedback {
+                router,
+                msg: FeedbackMsg {
+                    packet_id: id,
+                    src: node,
+                    dst: other,
+                    dst_router: RouterId(rng.gen_range(0..16u32)),
+                    dst_group: dragonfly_topology::ids::GroupId(rng.gen_range(0..4u32)),
+                    src_slot: rng.gen_range(0..4u32) as u8,
+                    port,
+                    reward_ns: rng.gen_range(0..5_000u32) as f64,
+                    downstream_estimate_ns: rng.gen_range(0..5_000u32) as f64,
+                },
+            },
         }
     }
 
@@ -1055,7 +1342,7 @@ mod tests {
                     let (Some(h), Some(c)) = (heap.pop(), cal.pop()) else {
                         panic!("horizon {horizon} step {step}: a queue ran dry");
                     };
-                    assert_eq!(h.order(), c.order(), "horizon {horizon} step {step}");
+                    assert_same_event(&h, &c, &format!("horizon {horizon} step {step}"));
                     now = h.time;
                 }
                 // Hold: every pop schedules a successor one engine latency
@@ -1083,7 +1370,14 @@ mod tests {
                 if step == STEPS / 2 {
                     // `now` is the last popped time, as after `run_until`.
                     let snapshot = cal.checkpoint();
-                    assert_eq!(snapshot.events.len(), heap.len());
+                    // `Event`'s `Ord` is inverted for the max-heap, so its
+                    // sorted order is the canonical order backwards.
+                    let mut pending = heap.heap.clone().into_sorted_vec();
+                    pending.reverse();
+                    assert_eq!(snapshot.events.len(), pending.len());
+                    for (want, got) in pending.iter().zip(&snapshot.events) {
+                        assert_same_event(want, got, &format!("horizon {horizon} snapshot"));
+                    }
                     let mut fresh = CalendarQueue::with_horizon(horizon);
                     fresh.restore(&snapshot, now);
                     assert_eq!(fresh.processed(), cal.processed());
@@ -1092,10 +1386,57 @@ mod tests {
             }
             while let Some(h) = heap.pop() {
                 let c = cal.pop().expect("calendar ran dry before the oracle");
-                assert_eq!(h.order(), c.order(), "horizon {horizon} final drain");
+                assert_same_event(&h, &c, &format!("horizon {horizon} final drain"));
             }
             assert!(cal.pop().is_none());
             assert_eq!(heap.processed(), cal.processed());
         }
+    }
+
+    #[test]
+    fn fat_slab_is_reused_not_grown() {
+        // A steady population of fat events, replaced one by one: the slab
+        // must reach the population's size and stop, however many pass
+        // through, and every payload must come back with its own event.
+        const PENDING: u64 = 64;
+        let fat = |i: u64| match i % 3 {
+            0 => EventKind::DropNotice {
+                node: NodeId(i as u32),
+                dst: NodeId(1),
+                id: i,
+            },
+            1 => EventKind::NicResend {
+                node: NodeId(i as u32),
+                dst: NodeId(2),
+                id: i,
+            },
+            _ => EventKind::RlFeedback {
+                router: RouterId(i as u32),
+                msg: FeedbackMsg {
+                    packet_id: i,
+                    src: NodeId(0),
+                    dst: NodeId(0),
+                    dst_router: RouterId(0),
+                    dst_group: dragonfly_topology::ids::GroupId(0),
+                    src_slot: 0,
+                    port: Port(0),
+                    reward_ns: i as f64,
+                    downstream_estimate_ns: 0.0,
+                },
+            },
+        };
+        let mut q = CalendarQueue::default();
+        for i in 0..PENDING {
+            q.push(i, fat(i));
+        }
+        let slots = q.fat.slots.len();
+        assert_eq!(slots as u64, PENDING);
+        for i in PENDING..PENDING + 10 * slots as u64 {
+            let popped = q.pop().expect("the population never drains");
+            assert_eq!(popped.kind, fat(i - PENDING));
+            q.push(i, fat(i));
+            assert_eq!(q.fat.slots.len(), slots, "slab grew at event {i}");
+        }
+        assert_eq!(q.fat.free.len(), 0, "every slot is claimed again");
     }
 }

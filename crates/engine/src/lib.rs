@@ -45,42 +45,57 @@
 //! * **Event scheduling** uses a two-level *calendar queue*
 //!   ([`event::CalendarQueue`]): a power-of-two wheel of 1 ns buckets
 //!   sized to the link/serialisation latencies (which bound how far ahead
-//!   the fabric ever schedules) plus a binary-heap overflow level for the
-//!   rare far-future event. Push and pop are O(1) amortised instead of the
-//!   binary heap's O(log n), and pops walk a compact occupancy bitmap
-//!   instead of chasing a heap. It is the only queue the engine runs
-//!   ([`event::EventQueue`]); a plain `BinaryHeap` survives as the oracle
-//!   its unit tests compare pop order against.
+//!   the fabric ever schedules; 2,048 ticks with the paper's constants)
+//!   plus a binary-heap overflow level for the rare far-future event. Push
+//!   and pop are O(1) amortised instead of the binary heap's O(log n), and
+//!   pops walk a compact occupancy bitmap instead of chasing a heap. It is
+//!   the only queue the engine runs ([`event::EventQueue`]); a plain
+//!   `BinaryHeap` survives as the oracle its unit tests compare pop order
+//!   and payloads against.
 //! * **Packets** live in a slab-style [`arena::PacketArena`] for their
 //!   whole life *within a shard*; events, NIC queues and router buffers
 //!   move 4-byte [`arena::PacketRef`] handles instead of boxed packets, so
 //!   a fabric hop performs no heap allocation and no pointer chase.
 //!
-//! Three further per-event overheads matter only once systems reach the
-//! 100k-node scale, where the event count per run is in the millions and
-//! every queue and mailbox is three orders of magnitude busier than on
-//! the paper's 1,056 nodes:
+//! Both cost what is in flight, in heap as well as in time
+//! (`crates/engine/tests/hot_path_heap.rs` pins each count below):
 //!
-//! * **Same-tick ordering is a heap, not an insertion sort.** The
-//!   calendar queue keeps each 1 ns bucket's events in a small min-heap
-//!   ordered by `(key, seq)` rather than a sorted Vec with positional
-//!   inserts: at scale a single nanosecond can hold hundreds of events
-//!   for one bucket, and the positional insert's memmove made bucket
-//!   maintenance quadratic in the tick population. The heap preserves
-//!   the exact `(time, key, seq)` total order the determinism contract
-//!   requires (pop order is identical; only the transient in-bucket
-//!   layout differs).
+//! * **A bucket is an unsorted `Vec`, sorted once.** Pushes to a future
+//!   tick append; the first pop that targets a bucket sorts it descending
+//!   by `(key, seq)` so later pops take from the back. Only events pushed
+//!   *at* the tick being drained — same-tick work generated by the
+//!   dispatch loop — go to a small min-heap instead, because a positional
+//!   insert into the sorted bucket is a memmove per push, quadratic in the
+//!   tick population at scale. The pop order is the exact
+//!   `(time, key, seq)` total order the determinism contract requires.
+//! * **The queue stores 40-byte entries, and a bucket owns a buffer only
+//!   while its tick holds events.** The public [`event::Event`] is 80 B
+//!   (its `RlFeedback` kind carries a 48-byte message by value); the queue
+//!   keeps `(time, key, seq)` and a 12-byte compact kind, with the three
+//!   fat kinds in a side slab, and expands on pop. The pop that empties a
+//!   bucket frees its buffer. When buckets kept their buffers,
+//!   `ur_ugal_1056` (~408 events per tick) grew all 2,048 of them to
+//!   capacity 512: 2,048 × 512 × 80 B = 84 MB of that run's 98 MB heap
+//!   peak, for ~29,000 pending events that now take 2.1 MB. Nothing is
+//!   pre-sized from the entity count any more
+//!   (`EventQueue::for_config_with_entities` is `for_config`).
+//! * **The arena grows by 4,096-packet chunks (416 KB) and never moves a
+//!   packet.** One contiguous `Vec<Packet>` doubled: at the 262,144th
+//!   queued packet of `adv_qadp_1056` the old 27.3 MB and the new 54.5 MB
+//!   block were live together, 82 MB of that run's 112 MB peak, and the
+//!   exact-length `Vec` of a restored arena made the first packet after
+//!   every resume copy all of it again. Slot numbering, the LIFO free list
+//!   and the flat checkpoint are unchanged.
 //! * **Mailbox draining reuses buffers.** Window exchange drains
 //!   cross-shard mail directly from the [`sync::MailGrid`] into a
 //!   per-shard scratch buffer that lives for the whole run
 //!   (`Shard::deliver_from_grid`), instead of collecting each window's
 //!   mail into a fresh `Vec` — at half-lookahead window granularity the
 //!   allocator was on the per-window critical path.
-//! * **Queues are pre-sized for the fabric.** Event queues are sized
-//!   from the entity count (routers + NICs) at construction and restore
-//!   (`EventQueue::for_config_with_entities`), so the first measured
-//!   window does not pay a cascade of geometric regrowths on a fabric
-//!   whose steady-state event population is predictable up front.
+//!
+//! [`engine::Engine::memory_breakdown`] says where the heap is — tables,
+//! arena, event queues, router state, NIC state, mailboxes — and
+//! `qadaptive-cli run` prints it on stderr under its `perf:` line.
 //!
 //! ## Sharded conservative-parallel execution
 //!
@@ -288,7 +303,7 @@ pub mod workload;
 pub use arena::{PacketArena, PacketRef};
 pub use checkpoint::{AgentCheckpoint, EngineCheckpoint, InjectorCheckpoint};
 pub use config::{EngineConfig, ShardKind};
-pub use engine::{Engine, EngineStats, ShardDrain};
+pub use engine::{Engine, EngineStats, MemoryBreakdown, ShardDrain};
 pub use fault::{CompiledFault, FaultOp, FaultSchedule};
 pub use injector::{Injection, TrafficInjector};
 pub use observer::{ShardObserver, SimObserver};

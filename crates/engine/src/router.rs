@@ -80,6 +80,32 @@ impl RouterState {
         }
     }
 
+    /// Heap footprint of this router's buffers, credits and wait lists in
+    /// bytes (capacities, not occupancy), excluding the struct itself.
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let queues = |qs: &Vec<VecDeque<PacketRef>>| {
+            qs.capacity() * size_of::<VecDeque<PacketRef>>()
+                + qs.iter()
+                    .map(|q| q.capacity() * size_of::<PacketRef>())
+                    .sum::<usize>()
+        };
+        queues(&self.input)
+            + queues(&self.output)
+            + self.waiters.capacity() * size_of::<VecDeque<Waiter>>()
+            + self
+                .waiters
+                .iter()
+                .map(|w| w.capacity() * size_of::<Waiter>())
+                .sum::<usize>()
+            + (self.credits.capacity() + self.output_occupancy.capacity()) * size_of::<usize>()
+            + self.link_free_at.capacity() * size_of::<SimTime>()
+            + self.output_event_pending.capacity()
+            + self.vc_rr.capacity()
+            + self.waiting_flag.capacity()
+            + self.port_is_host.capacity()
+    }
+
     #[inline]
     fn cell(&self, port: Port, vc: u8) -> usize {
         debug_assert!(port.index() < self.num_ports);

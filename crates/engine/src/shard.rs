@@ -135,7 +135,7 @@ impl<O: ShardObserver> Shard<O> {
             routers,
             agents,
             nics,
-            queue: EventQueue::for_config_with_entities(cfg, router_count + node_count),
+            queue: EventQueue::for_config(cfg),
             arena: PacketArena::new(),
             observer,
             now: 0,
@@ -237,7 +237,31 @@ impl<O: ShardObserver> Shard<O> {
     /// concurrently live packets — not with the number of packets
     /// delivered, which is what keeps long scale runs in bounded memory.
     pub fn memory_bytes(&self) -> usize {
-        self.agents.iter().map(|a| a.memory_bytes()).sum::<usize>() + self.arena.memory_bytes()
+        self.table_bytes() + self.arena.memory_bytes()
+    }
+
+    fn table_bytes(&self) -> usize {
+        self.agents.iter().map(|a| a.memory_bytes()).sum()
+    }
+
+    /// Add this shard's share to [`crate::engine::Engine::memory_breakdown`].
+    pub fn add_memory(&self, heap: &mut crate::engine::MemoryBreakdown) {
+        use std::mem::size_of;
+        heap.tables += self.table_bytes();
+        heap.arena += self.arena.memory_bytes();
+        heap.event_queues += self.queue.memory_bytes();
+        heap.router_state += self.routers.capacity() * size_of::<RouterState>()
+            + self
+                .routers
+                .iter()
+                .map(RouterState::memory_bytes)
+                .sum::<usize>();
+        heap.nic_state += self.nics.capacity() * size_of::<NicState>()
+            + self
+                .nics
+                .iter()
+                .map(|n| n.source_queue.capacity() * size_of::<PacketRef>())
+                .sum::<usize>();
     }
 
     /// Packets buffered in this shard's router fabric.
@@ -309,8 +333,7 @@ impl<O: ShardObserver> Shard<O> {
         // A fresh engine may already hold bootstrap events (workload start
         // markers, the first traffic arrival); the checkpointed queue
         // replaces them wholesale.
-        self.queue =
-            EventQueue::for_config_with_entities(&self.cfg, self.routers.len() + self.nics.len());
+        self.queue = EventQueue::for_config(&self.cfg);
         self.queue.restore(&ck.queue, ck.now);
         self.arena.restore(&ck.arena);
         self.faults = ck.faults.clone();

@@ -1,0 +1,329 @@
+//! What the engine's two containers of in-flight work cost in heap,
+//! counted: the gates behind "the queue and the arena cost what is in
+//! flight".
+//!
+//! An integration test is its own binary, so this one installs a counting
+//! allocator (the pattern of `benchmark/src/alloc.rs`: live and peak bytes
+//! in relaxed atomics around `System`). Heap counts repeat to the byte, so
+//! the bounds below are tight where a timing of the same code carries 25 %.
+//!
+//! What they replaced: one `Vec<Event>` per wheel bucket that never gave
+//! capacity back (2,048 × 512 × 80 B = 84 MB of `ur_ugal_1056`'s 98 MB
+//! peak), and one doubling `Vec<Packet>` (82 MB of `adv_qadp_1056`'s
+//! 112 MB at the last doubling).
+
+use dragonfly_engine::arena::{PacketArena, PacketRef, CHUNK_SLOTS};
+use dragonfly_engine::config::{EngineConfig, ShardKind};
+use dragonfly_engine::event::{Event, EventKind, EventQueue, Scheduler};
+use dragonfly_engine::injector::{Injection, ScriptedInjector};
+use dragonfly_engine::observer::CountingObserver;
+use dragonfly_engine::packet::{Packet, RouteInfo};
+use dragonfly_engine::routing::FeedbackMsg;
+use dragonfly_engine::testing::MinimalTestRouting;
+use dragonfly_engine::Engine;
+use dragonfly_topology::config::DragonflyConfig;
+use dragonfly_topology::ids::{GroupId, NodeId, Port, RouterId};
+use dragonfly_topology::Dragonfly;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::mem::size_of;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+struct CountingAlloc;
+
+fn grew(by: usize) {
+    let live = LIVE.fetch_add(by, Relaxed) + by;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters publish no other data.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            // Old and new block count as live together, as they are while
+            // the allocator copies.
+            grew(new_size);
+            LIVE.fetch_sub(layout.size(), Relaxed);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+fn live() -> usize {
+    LIVE.load(Relaxed)
+}
+
+/// `reported` is within 1 % of `counted`.
+fn assert_within_1_percent(reported: usize, counted: usize, what: &str) {
+    let (r, c) = (reported as f64, counted as f64);
+    assert!(
+        (r - c).abs() <= 0.01 * c,
+        "{what}: reports {reported} B, allocator counted {counted} B"
+    );
+}
+
+fn packet(id: u64) -> Packet {
+    Packet {
+        id,
+        src: NodeId(0),
+        dst: NodeId(1),
+        src_router: RouterId(0),
+        dst_router: RouterId(0),
+        dst_group: GroupId(0),
+        src_group: GroupId(0),
+        src_slot: 0,
+        size_bytes: 128,
+        created_ns: 0,
+        injected_ns: 0,
+        hops: 0,
+        vc: 0,
+        route: RouteInfo::default(),
+        last_router: None,
+        last_out_port: None,
+        last_decision_ns: 0,
+        pending_decision: None,
+    }
+}
+
+/// A cheap deterministic stream for event contents.
+fn lcg(x: &mut u64) -> u64 {
+    *x = x
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *x >> 33
+}
+
+/// Hold model: `pending` events, every pop scheduling a successor one of
+/// the five `EngineConfig` latencies ahead, run until the clock has passed
+/// each of `marks`; the queue's live heap at each mark, then the queue.
+fn hold_model(
+    cfg: &EngineConfig,
+    pending: usize,
+    marks: &[u64],
+    kind: impl Fn(&mut u64) -> EventKind,
+) -> (Vec<usize>, EventQueue) {
+    let deltas = [
+        cfg.serialization_ns(),
+        cfg.local_latency_ns,
+        cfg.global_latency_ns,
+        cfg.router_latency_ns,
+        cfg.host_latency_ns,
+    ];
+    let mut x = 7u64;
+    let before = live();
+    let mut queue = EventQueue::for_config(cfg);
+    for _ in 0..pending {
+        let at = lcg(&mut x) % cfg.global_latency_ns;
+        queue.push(at, kind(&mut x));
+    }
+    let mut heap_at = Vec::new();
+    for &mark in marks {
+        loop {
+            let event = queue.pop().expect("the hold model never drains");
+            if event.time >= mark {
+                queue.push(event.time, event.kind);
+                break;
+            }
+            let delta = deltas[(lcg(&mut x) % 5) as usize];
+            queue.push(event.time + delta, kind(&mut x));
+        }
+        assert_eq!(queue.len(), pending);
+        heap_at.push(live() - before);
+    }
+    (heap_at, queue)
+}
+
+fn switch_attempt(x: &mut u64) -> EventKind {
+    EventKind::SwitchAttempt {
+        router: RouterId((lcg(x) % 264) as u32),
+        port: Port((lcg(x) % 16) as u16),
+        vc: (lcg(x) % 4) as u8,
+    }
+}
+
+/// Every third event one of the kinds that live in the queue's side slab.
+fn mixed(x: &mut u64) -> EventKind {
+    let node = NodeId((lcg(x) % 1_056) as u32);
+    match lcg(x) % 6 {
+        0 => EventKind::RlFeedback {
+            router: RouterId((lcg(x) % 264) as u32),
+            msg: FeedbackMsg {
+                packet_id: lcg(x),
+                src: node,
+                dst: node,
+                dst_router: RouterId(0),
+                dst_group: GroupId(0),
+                src_slot: 0,
+                port: Port(3),
+                reward_ns: 100.0,
+                downstream_estimate_ns: 900.0,
+            },
+        },
+        1 => EventKind::DropNotice {
+            node,
+            dst: node,
+            id: lcg(x),
+        },
+        2 => EventKind::NicCredit { node },
+        _ => switch_attempt(x),
+    }
+}
+
+fn event_queue_heap_follows_pending_events() {
+    // (c) The wire types did not move (a change there is a format change).
+    assert_eq!(size_of::<Event>(), 80);
+    assert_eq!(size_of::<EventKind>(), 56);
+
+    // (a) Eight revolutions of the default 2,048 ns wheel.
+    const PENDING: usize = 32_768;
+    const ENTRY: usize = 40;
+    let cfg = EngineConfig::default();
+    let horizon = 2_048;
+    let marks: Vec<u64> = (1..=8).map(|rev| rev * horizon).collect();
+    let (heap_at, queue) = hold_model(&cfg, PENDING, &marks, switch_attempt);
+    let (rev2, rev8) = (heap_at[1] as f64, heap_at[7] as f64);
+    assert!(
+        (rev8 - rev2).abs() <= 0.05 * rev2,
+        "queue heap moved between revolution 2 and 8: {heap_at:?}"
+    );
+    // 2,048 bucket headers and two 2,048-bit maps.
+    let bucket_table = horizon as usize * size_of::<Vec<u8>>() + 2 * horizon as usize / 8;
+    // A buffer is at most twice its tick's events (`Vec` doubling) and an
+    // empty tick owns none, so the slack is 2 ×, not the 4 × the gate was
+    // written for.
+    for &heap in &heap_at {
+        assert!(
+            heap <= 2 * PENDING * ENTRY + bucket_table,
+            "queue heap {heap} B for {PENDING} pending events: {heap_at:?}"
+        );
+    }
+    assert_within_1_percent(queue.memory_bytes(), heap_at[7], "small-kind queue");
+    drop(queue);
+
+    // The side slab is counted too.
+    let (heap_at, queue) = hold_model(&cfg, PENDING, &marks[..2], mixed);
+    assert_within_1_percent(queue.memory_bytes(), heap_at[1], "mixed-kind queue");
+}
+
+fn arena_growth_and_restore_copy_nothing() {
+    // (c)
+    assert!(size_of::<Packet>() <= 104);
+    let chunk_bytes = CHUNK_SLOTS * size_of::<Packet>();
+    // Debug builds mirror liveness in a `Vec<bool>`, one byte per slot,
+    // which `memory_bytes` leaves out.
+    let debug_mirror = |bytes: usize| if cfg!(debug_assertions) { bytes } else { 0 };
+
+    // (b) Growth: the peak is what ends up live, not 1.5 × it.
+    const PACKETS: usize = 300_000;
+    let before = live();
+    PEAK.store(before, Relaxed);
+    let mut arena = PacketArena::new();
+    for i in 0..PACKETS {
+        arena.alloc(packet(i as u64));
+    }
+    let peak = PEAK.load(Relaxed) - before;
+    let final_live = PACKETS * size_of::<Packet>();
+    // Pushed one by one, the mirror has doubled to a power of two.
+    let mirror = debug_mirror(PACKETS.next_power_of_two());
+    assert!(
+        peak as f64 <= 1.05 * final_live as f64 + (chunk_bytes + mirror) as f64,
+        "growing to {PACKETS} packets peaked at {peak} B for {final_live} B of packets"
+    );
+    let counted = live() - before;
+    assert!(arena.memory_bytes() <= counted);
+    assert_within_1_percent(arena.memory_bytes() + mirror, counted, "packet arena");
+
+    // Fill the last chunk, so the first allocation after a restore has to
+    // open a new one — the worst case.
+    while !arena.high_water().is_multiple_of(CHUNK_SLOTS) {
+        arena.alloc(packet(0));
+    }
+    let slots = arena.high_water();
+    let snapshot = arena.checkpoint();
+    assert_eq!(snapshot.slots.len(), slots);
+    let mut restored = PacketArena::new();
+    restored.restore(&snapshot);
+    drop(arena);
+    assert_eq!(restored.live_count(), slots);
+    let probes = [0, CHUNK_SLOTS - 1, CHUNK_SLOTS, slots / 2, slots - 1];
+    let address = |arena: &PacketArena, slot: usize| {
+        let packet = arena.get(PacketRef(slot as u32));
+        (packet as *const Packet as usize, packet.id)
+    };
+    let homes: Vec<_> = probes.iter().map(|&s| address(&restored, s)).collect();
+    let before = live();
+    let fresh = restored.alloc(packet(u64::MAX));
+    let growth = live() - before;
+    assert_eq!(fresh.index(), slots);
+    // One chunk and a doubled chunk table (and mirror), nothing else.
+    let table = (slots / CHUNK_SLOTS) * size_of::<Vec<Packet>>();
+    assert!(
+        growth <= chunk_bytes + table + debug_mirror(slots),
+        "the first alloc after a restore grew the heap by {growth} B"
+    );
+    let after: Vec<_> = probes.iter().map(|&s| address(&restored, s)).collect();
+    assert_eq!(homes, after, "a packet moved");
+}
+
+fn breakdown_names_what_memory_bytes_counts() {
+    let topo = Dragonfly::new(DragonflyConfig::tiny());
+    let script: Vec<Injection> = (0..2_000u64)
+        .map(|i| Injection {
+            time: i * 4,
+            src: NodeId((i % 72) as u32),
+            dst: NodeId(((i * 7 + 1) % 72) as u32),
+        })
+        .filter(|inj| inj.src != inj.dst)
+        .collect();
+    for shards in [ShardKind::Single, ShardKind::Fixed(3)] {
+        let cfg = EngineConfig {
+            shards,
+            ..EngineConfig::paper(3)
+        };
+        let mut engine = Engine::new(
+            topo.clone(),
+            cfg,
+            &MinimalTestRouting,
+            Box::new(ScriptedInjector::new(script.clone())),
+            CountingObserver::default(),
+            1,
+        );
+        engine.run_until(4_000);
+        let heap = engine.memory_breakdown();
+        assert_eq!(
+            heap.tables + heap.arena + heap.mailboxes,
+            engine.memory_bytes()
+        );
+        assert!(heap.arena >= CHUNK_SLOTS * size_of::<Packet>());
+        assert!(heap.event_queues > 0 && heap.router_state > 0 && heap.nic_state > 0);
+    }
+}
+
+// One test function: the counters are the process's, and the harness runs
+// test functions on parallel threads.
+#[test]
+fn the_hot_path_heap_costs_what_is_in_flight() {
+    event_queue_heap_follows_pending_events();
+    arena_growth_and_restore_copy_nothing();
+    breakdown_names_what_memory_bytes_counts();
+}

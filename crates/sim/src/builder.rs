@@ -244,6 +244,12 @@ impl Simulation {
         }
     }
 
+    /// Where the engine's heap is, by owner (a side channel like
+    /// `memory_bytes`; never part of the report).
+    pub fn memory_breakdown(&self) -> dragonfly_engine::MemoryBreakdown {
+        self.engine.memory_breakdown()
+    }
+
     /// Consume the run and return its whole-run time series (`None`
     /// unless the spec set `series_bin_ns`).
     pub fn into_series(self) -> Option<TimeSeries> {

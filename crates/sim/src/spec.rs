@@ -353,8 +353,21 @@ impl ExperimentSpec {
         &self,
         resume: Option<&RunCheckpoint>,
         checkpoint_every_ns: Option<SimTime>,
-        mut sink: impl FnMut(RunCheckpoint) -> Result<(), SpecError>,
+        sink: impl FnMut(RunCheckpoint) -> Result<(), SpecError>,
     ) -> Result<SimulationReport, SpecError> {
+        self.run_checkpointed_to_end(resume, checkpoint_every_ns, sink)
+            .map(|sim| sim.report())
+    }
+
+    /// [`ExperimentSpec::run_checkpointed`], handing back the finished
+    /// [`Simulation`] instead of its report, for callers that also want
+    /// the run's side channels (`Simulation::memory_breakdown`).
+    pub fn run_checkpointed_to_end(
+        &self,
+        resume: Option<&RunCheckpoint>,
+        checkpoint_every_ns: Option<SimTime>,
+        mut sink: impl FnMut(RunCheckpoint) -> Result<(), SpecError>,
+    ) -> Result<Simulation, SpecError> {
         let mut sim = match resume {
             Some(checkpoint) => Simulation::resume(self, checkpoint)?,
             None => Simulation::start(self)?,
@@ -365,7 +378,7 @@ impl ExperimentSpec {
         loop {
             t = t.saturating_add(every).min(total);
             if !sim.advance_to(t) {
-                return Ok(sim.report());
+                return Ok(sim);
             }
             sink(sim.snapshot())?;
         }
