@@ -336,3 +336,48 @@ fn unrestorable_snapshot_fails_resume_with_exit_1_naming_the_file() {
     assert!(stderr.contains("differs"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A router section that reads back but belongs to a router of another
+/// shape resumed silently, or panicked inside the router half-way through
+/// the run; it is refused the same way, naming the router and the field.
+#[test]
+fn misshapen_router_section_fails_resume_with_exit_1_naming_the_file() {
+    use dragonfly_sim::checkpoint::RunCheckpoint;
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../sim/tests/data/qadp_tiny.ckpt");
+    let mut ck = RunCheckpoint::load(&fixture).expect("fixture");
+    let dir = std::env::temp_dir().join("qadaptive-cli-misshapen-router-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let scenario = dir.join("scenario.toml");
+    std::fs::write(&scenario, ck.spec.to_toml()).unwrap();
+    let snapshot = dir.join("bad-router.ckpt");
+    let radix_3 = dragonfly_topology::Dragonfly::new(dragonfly_topology::DragonflyConfig {
+        p: 1,
+        a: 2,
+        h: 1,
+    });
+    ck.engine.shard.routers[1] = dragonfly_engine::router::RouterState::new(
+        &radix_3.into(),
+        dragonfly_topology::RouterId(0),
+        &dragonfly_engine::EngineConfig::paper(ck.engine.shard.routers[1].num_vcs()),
+    );
+    ck.save(&snapshot).unwrap();
+    let output = Command::new(env!("CARGO_BIN_EXE_qadaptive-cli"))
+        .args([
+            "run",
+            scenario.to_str().unwrap(),
+            "--resume-from",
+            snapshot.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains(snapshot.to_str().unwrap())
+            && stderr
+                .contains("state of router 1: num_ports = 3, the topology gives this router 7"),
+        "{stderr}"
+    );
+}

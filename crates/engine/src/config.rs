@@ -181,8 +181,9 @@ impl EngineConfig {
     }
 
     /// Refuse hardware values no run can make sense of: a link that moves
-    /// no (or a non-finite number of) bytes, empty packets, and buffers
-    /// that can never hold the packet they must forward. The error names
+    /// no (or a non-finite number of) bytes, empty packets, buffers that
+    /// can never hold the packet they must forward, and buffers deeper
+    /// than a router's 16-bit counters (65,535 packets). The error names
     /// the field and the value. Zero latencies stay legal — they leave no
     /// lookahead window, and the engine then runs on a single shard.
     pub fn validate(&self) -> Result<(), String> {
@@ -192,13 +193,26 @@ impl EngineConfig {
                 self.link_bytes_per_ns
             ));
         }
-        for (field, value) in [
-            ("packet_bytes", self.packet_bytes as usize),
-            ("vc_buffer_packets", self.vc_buffer_packets),
-            ("output_queue_packets", self.output_queue_packets),
+        // A router counts credits and output-queue lengths in 16 bits.
+        let router_counter = u16::MAX as usize;
+        for (field, value, max) in [
+            (
+                "packet_bytes",
+                self.packet_bytes as usize,
+                u32::MAX as usize,
+            ),
+            ("vc_buffer_packets", self.vc_buffer_packets, router_counter),
+            (
+                "output_queue_packets",
+                self.output_queue_packets,
+                router_counter,
+            ),
         ] {
             if value == 0 {
                 return Err(format!("{field} must be at least 1, got 0"));
+            }
+            if value > max {
+                return Err(format!("{field} must be at most {max}, got {value}"));
             }
         }
         Ok(())

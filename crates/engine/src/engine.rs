@@ -452,7 +452,8 @@ impl<O: ShardObserver> Engine<O> {
     }
 
     /// Whether [`Engine::restore`] can take `ck`: entity counts match this
-    /// engine's topology and every agent accepts its section
+    /// engine's topology, every router's port and VC counts match the
+    /// topology and the config, and every agent accepts its section
     /// ([`crate::routing::RouterAgent::check_state`]). Callers restoring a
     /// snapshot they did not just take themselves ask first; `restore`
     /// panics on what this refuses. The error names the router and the
@@ -470,6 +471,11 @@ impl<O: ShardObserver> Engine<O> {
                     "snapshot holds {have} {field}, this topology has {want}"
                 ));
             }
+        }
+        for (r, state) in shard.routers.iter().enumerate() {
+            state
+                .check_fits(self.topo.radix(RouterId::from_index(r)), &self.cfg)
+                .map_err(|e| format!("state of router {r}: {e}"))?;
         }
         for (r, state) in shard.agents.iter().enumerate() {
             self.agent(RouterId::from_index(r))

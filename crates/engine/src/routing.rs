@@ -103,12 +103,6 @@ impl<'a> RouterCtx<'a> {
         self.output_queue_len(port) + self.used_credits(port)
     }
 
-    /// Input-buffer occupancy of `(port, vc)` (mostly useful for tests and
-    /// debugging; the paper's algorithms only use output-side state).
-    pub fn input_buffer_len(&self, port: Port, vc: u8) -> usize {
-        self.state.input_buffer_len(port, vc)
-    }
-
     /// Locality domain of this router (a Dragonfly group, fat-tree pod
     /// or HyperX row).
     pub fn domain(&self) -> GroupId {

@@ -1037,8 +1037,7 @@ impl<O: ShardObserver> Shard<O> {
             return;
         }
         let state = &mut self.routers[router.index() - self.router_base];
-        let len = state.push_input(port, vc, packet, &self.cfg);
-        if len == 1 {
+        if state.push_input(port, vc, packet, &self.cfg) {
             self.queue.push(
                 self.now + self.cfg.router_latency_ns,
                 EventKind::SwitchAttempt { router, port, vc },
@@ -1071,7 +1070,7 @@ impl<O: ShardObserver> Shard<O> {
         if expired {
             self.arena.get_mut(pref).pending_decision = None;
             self.drop_packet(pref, Some((router, port, vc)));
-            if self.routers[r].input_buffer_len(port, vc) > 0 {
+            if self.routers[r].input_head(port, vc).is_some() {
                 self.queue
                     .push(self.now, EventKind::SwitchAttempt { router, port, vc });
             }
@@ -1127,7 +1126,7 @@ impl<O: ShardObserver> Shard<O> {
             // (total blackout at this router): the packet is undeliverable.
             self.arena.get_mut(pref).pending_decision = None;
             self.drop_packet(pref, Some((router, port, vc)));
-            if self.routers[r].input_buffer_len(port, vc) > 0 {
+            if self.routers[r].input_head(port, vc).is_some() {
                 self.queue
                     .push(self.now, EventKind::SwitchAttempt { router, port, vc });
             }
@@ -1208,7 +1207,7 @@ impl<O: ShardObserver> Shard<O> {
         // 4. The next packet in this input VC (if any) can now attempt the
         //    switch; it has already been charged the router latency while
         //    waiting behind the head-of-line packet.
-        if self.routers[r].input_buffer_len(port, vc) > 0 {
+        if self.routers[r].input_head(port, vc).is_some() {
             self.queue
                 .push(self.now, EventKind::SwitchAttempt { router, port, vc });
         }

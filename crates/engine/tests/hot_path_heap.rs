@@ -1,5 +1,5 @@
-//! What the engine's two containers of in-flight work cost in heap,
-//! counted: the gates behind "the queue and the arena cost what is in
+//! What the engine's containers of in-flight work cost in heap, counted:
+//! the gates behind "the queue, the arena and a router cost what is in
 //! flight".
 //!
 //! An integration test is its own binary, so this one installs a counting
@@ -9,8 +9,10 @@
 //!
 //! What they replaced: one `Vec<Event>` per wheel bucket that never gave
 //! capacity back (2,048 × 512 × 80 B = 84 MB of `ur_ugal_1056`'s 98 MB
-//! peak), and one doubling `Vec<Packet>` (82 MB of `adv_qadp_1056`'s
-//! 112 MB at the last doubling).
+//! peak), one doubling `Vec<Packet>` (82 MB of `adv_qadp_1056`'s 112 MB
+//! at the last doubling), and one `VecDeque` per router queue
+//! (21,216 B per router before a packet moved: 151 MB of the 110,976-node
+//! workload's 196 MB).
 
 use dragonfly_engine::arena::{PacketArena, PacketRef, CHUNK_SLOTS};
 use dragonfly_engine::config::{EngineConfig, ShardKind};
@@ -18,12 +20,13 @@ use dragonfly_engine::event::{Event, EventKind, EventQueue, Scheduler};
 use dragonfly_engine::injector::{Injection, ScriptedInjector};
 use dragonfly_engine::observer::CountingObserver;
 use dragonfly_engine::packet::{Packet, RouteInfo};
+use dragonfly_engine::router::RouterState;
 use dragonfly_engine::routing::FeedbackMsg;
 use dragonfly_engine::testing::MinimalTestRouting;
 use dragonfly_engine::Engine;
 use dragonfly_topology::config::DragonflyConfig;
 use dragonfly_topology::ids::{GroupId, NodeId, Port, RouterId};
-use dragonfly_topology::Dragonfly;
+use dragonfly_topology::{AnyTopology, Dragonfly, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -285,6 +288,52 @@ fn arena_growth_and_restore_copy_nothing() {
     assert_eq!(homes, after, "a packet moved");
 }
 
+fn router_state_costs_what_it_buffers() {
+    // Router 0 of the 110,976-node Dragonfly: radix 51, 5 VCs. A router
+    // of one deque per queue owned 21,216 B here before a packet moved.
+    let topo = AnyTopology::from(Dragonfly::new(DragonflyConfig {
+        p: 16,
+        a: 24,
+        h: 12,
+    }));
+    assert_eq!(topo.num_nodes(), 110_976);
+    assert_eq!(topo.radix(RouterId(0)), 51);
+    let cfg = EngineConfig::paper(5);
+    let before = live();
+    let mut router = RouterState::new(&topo, RouterId(0), &cfg);
+    let owned = live() - before;
+    assert!(owned <= 9_000, "a fresh scale router owns {owned} B");
+    assert_eq!(router.memory_bytes(), owned);
+
+    // Warm to 40 buffered packets spread over fabric cells, then move
+    // packets through the router: every cycle takes the oldest packet off
+    // an output queue, passes it through an input buffer and queues it
+    // again elsewhere, so the links are reused in every order.
+    let cell = |i: u32| (Port(16 + (i % 35) as u16), (i % 5) as u8);
+    for i in 0..40 {
+        let (port, vc) = cell(i);
+        router.push_output(port, vc, PacketRef(i));
+    }
+    let before = live();
+    PEAK.store(before, Relaxed);
+    for i in 0..100_000u32 {
+        let (port, vc) = cell(i);
+        let packet = router
+            .pop_output(port, vc)
+            .expect("each cell holds a packet");
+        let (port, vc) = cell(i.wrapping_mul(7) + 3);
+        router.push_input(port, vc, packet, &cfg);
+        let packet = router.pop_input(port, vc).expect("just pushed");
+        router.push_input_front(port, vc, packet);
+        let packet = router.pop_input(port, vc).expect("just pushed");
+        let (port, vc) = cell(i);
+        router.push_output(port, vc, packet);
+    }
+    assert_eq!(router.buffered_packets(), 40);
+    let grew = PEAK.load(Relaxed) - before;
+    assert_eq!(grew, 0, "100,000 push/pop cycles allocated {grew} B");
+}
+
 fn breakdown_names_what_memory_bytes_counts() {
     let topo = Dragonfly::new(DragonflyConfig::tiny());
     let script: Vec<Injection> = (0..2_000u64)
@@ -325,5 +374,6 @@ fn breakdown_names_what_memory_bytes_counts() {
 fn the_hot_path_heap_costs_what_is_in_flight() {
     event_queue_heap_follows_pending_events();
     arena_growth_and_restore_copy_nothing();
+    router_state_costs_what_it_buffers();
     breakdown_names_what_memory_bytes_counts();
 }

@@ -894,7 +894,7 @@ mod tests {
         // runs and sweeps alike; zero latencies and every execution-mode
         // knob stay legal.
         type Break = fn(&mut EngineConfig);
-        let hostile: [(Break, &str, &str); 6] = [
+        let hostile: [(Break, &str, &str); 8] = [
             (|e| e.link_bytes_per_ns = 0.0, "link_bytes_per_ns", "got 0"),
             (
                 |e| e.link_bytes_per_ns = -1.0,
@@ -912,6 +912,17 @@ mod tests {
                 |e| e.output_queue_packets = 0,
                 "output_queue_packets",
                 "got 0",
+            ),
+            // A router counts both buffers in 16 bits.
+            (
+                |e| e.vc_buffer_packets = 65_536,
+                "vc_buffer_packets must be at most 65535",
+                "got 65536",
+            ),
+            (
+                |e| e.output_queue_packets = 1 << 20,
+                "output_queue_packets must be at most 65535",
+                "got 1048576",
             ),
         ];
         for (break_it, field, value) in hostile {

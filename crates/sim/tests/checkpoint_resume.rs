@@ -516,3 +516,95 @@ fn a_snapshot_with_a_bad_q_row_list_is_refused_not_restored() {
         "{err}"
     );
 }
+
+#[test]
+fn a_snapshot_with_a_damaged_router_section_is_refused_not_restored() {
+    // Router sections that decoded and then panicked inside the router
+    // (index out of bounds) in the middle of the resumed run, or resumed
+    // silently with the wrong shape. Decoding refuses the inconsistent
+    // ones and the resume refuses the one that fits another router; both
+    // name the router and the field.
+    use serde::{Serialize, Value};
+    fn entry<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        match v {
+            Value::Map(entries) => &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            other => panic!("{key}: expected a map, found {}", other.kind()),
+        }
+    }
+    fn items(v: &mut Value) -> &mut Vec<Value> {
+        match v {
+            Value::Seq(items) => items,
+            other => panic!("expected a sequence, found {}", other.kind()),
+        }
+    }
+    let spec = common::smallest_spec();
+    let good = common::smallest_snapshot();
+    let with_router_0 = |damage: &dyn Fn(&mut Value)| {
+        let mut tree = good.to_value();
+        let routers = entry(entry(entry(&mut tree, "engine"), "shard"), "routers");
+        damage(&mut items(routers)[0]);
+        common::tree_codec::value_to_vec(&tree)
+    };
+    let refusal = |bytes: &[u8], shards: ShardKind| -> String {
+        let ck = match RunCheckpoint::from_binary(bytes) {
+            Ok(ck) => ck,
+            Err(e) => return e.0,
+        };
+        match Simulation::resume(&in_mode(spec.clone(), shards, true), &ck) {
+            Ok(_) => panic!("resumed"),
+            Err(e) => e.0,
+        }
+    };
+    let untouched = with_router_0(&|_| {});
+    let ck = RunCheckpoint::from_binary(&untouched).expect("the tree encoding decodes");
+    Simulation::resume(&spec, &ck).expect("the good one resumes");
+
+    let mut wrong_shape = good.clone();
+    wrong_shape.engine.shard.routers[0] = dragonfly_engine::router::RouterState::new(
+        &dragonfly_topology::Dragonfly::new(DragonflyConfig { p: 2, a: 2, h: 1 }).into(),
+        dragonfly_topology::ids::RouterId(0),
+        &EngineConfig::paper(5),
+    );
+    let cases: [(&str, Vec<u8>, &str); 5] = [
+        (
+            "a short input",
+            with_router_0(&|r| drop(items(entry(r, "input")).pop())),
+            "input holds 14 entries, 3 ports × 5 VCs need 15",
+        ),
+        (
+            "a short credits",
+            with_router_0(&|r| drop(items(entry(r, "credits")).pop())),
+            "credits holds 14 entries",
+        ),
+        (
+            "a waiter on input port 999",
+            with_router_0(&|r| {
+                let waiter = Value::Map(vec![
+                    ("in_port".into(), Value::Int(999)),
+                    ("vc".into(), Value::Int(0)),
+                ]);
+                items(entry(r, "waiters"))[0] = Value::Seq(vec![waiter]);
+            }),
+            "waiters[0] lists input port 999 VC 0, outside 3 ports × 5 VCs",
+        ),
+        (
+            "an empty output_occupancy",
+            with_router_0(&|r| items(entry(r, "output_occupancy")).clear()),
+            "output_occupancy holds 0 entries",
+        ),
+        (
+            "the section of a radix-4 router",
+            wrong_shape.to_binary(),
+            "num_ports = 4, the topology gives this router 3",
+        ),
+    ];
+    for (what, bytes, field) in cases {
+        for shards in [ShardKind::Single, ShardKind::Fixed(2)] {
+            let err = refusal(&bytes, shards);
+            assert!(
+                err.contains(&format!("state of router 0: {field}")),
+                "{what} at {shards:?}: {err}"
+            );
+        }
+    }
+}
