@@ -381,3 +381,40 @@ fn misshapen_router_section_fails_resume_with_exit_1_naming_the_file() {
         "{stderr}"
     );
 }
+
+/// A NIC source queue pointing outside the arena panicked with an index
+/// out of bounds half-way through the resume; it is refused the same way,
+/// naming the NIC and the field.
+#[test]
+fn damaged_nic_section_fails_resume_with_exit_1_naming_the_file() {
+    use dragonfly_sim::checkpoint::RunCheckpoint;
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../sim/tests/data/qadp_tiny.ckpt");
+    let mut ck = RunCheckpoint::load(&fixture).expect("fixture");
+    let dir = std::env::temp_dir().join("qadaptive-cli-damaged-nic-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let scenario = dir.join("scenario.toml");
+    std::fs::write(&scenario, ck.spec.to_toml()).unwrap();
+    let snapshot = dir.join("bad-nic.ckpt");
+    ck.engine.shard.nics[0]
+        .source_queue
+        .push_back(dragonfly_engine::PacketRef(1_000_000));
+    ck.save(&snapshot).unwrap();
+    let output = Command::new(env!("CARGO_BIN_EXE_qadaptive-cli"))
+        .args([
+            "run",
+            scenario.to_str().unwrap(),
+            "--resume-from",
+            snapshot.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains(snapshot.to_str().unwrap())
+            && stderr.contains("NIC 0: source_queue holds packet ref 1000000, outside the arena"),
+        "{stderr}"
+    );
+}

@@ -1,25 +1,28 @@
-//! A slab-style packet arena: the zero-allocation home of every in-flight
-//! [`Packet`].
+//! A slab-style packet arena: the zero-allocation home of every packet in
+//! the fabric.
 //!
-//! The simulation hot path moves one packet per fabric hop between a NIC
-//! queue, an event, an input buffer and an output queue. Boxing the packet
-//! for each hop (the original design) costs one heap allocation, one
-//! deallocation and a pointer chase per hop. Instead, every packet lives
-//! in one arena slot for its whole life and all queues and events carry a
+//! The simulation hot path moves one packet per fabric hop between an
+//! event, an input buffer and an output queue. Boxing the packet for each
+//! hop (the original design) costs one heap allocation, one deallocation
+//! and a pointer chase per hop. Instead, every packet lives in one arena
+//! slot from injection to delivery and all queues and events carry a
 //! 4-byte [`PacketRef`] index. Freed slots are recycled through a LIFO
 //! free list, so after warmup the arena performs no allocation at all and
-//! reuses the hottest (most recently touched) slots first.
+//! reuses the hottest (most recently touched) slots first. A message that
+//! has not left its NIC is not a packet yet: it waits as a 24-byte record
+//! in the NIC backlog ([`crate::nic`]) and enters the arena at injection.
 //!
-//! **Storage is chunked.** Slot `i` lives at offset `i % CHUNK_SLOTS` of
-//! chunk `i / CHUNK_SLOTS`; a chunk is a fixed 4,096-slot block (416 KB at
-//! 104 B per packet) allocated once and never resized. Growing the arena
-//! allocates one more chunk and moves no packet. One contiguous
-//! `Vec<Packet>` instead doubles: when the NIC backlog of `adv_qadp_1056`
-//! passed 262,144 packets, the old 27.3 MB and the new 54.5 MB copy of the
-//! same packets were live together — 82 MB of that run's 112 MB heap peak
-//! — and an exact-length restored `Vec` made the first allocation after
-//! every resume copy the whole arena once more. The price is one more
-//! dependent load in [`PacketArena::get`].
+//! **Storage is chunked** (`Chunked`, shared with the NIC backlog). Slot
+//! `i` lives at offset `i % CHUNK_SLOTS` of chunk `i / CHUNK_SLOTS`; a chunk
+//! is a fixed 4,096-slot block (416 KB at 104 B per packet) allocated once
+//! and never resized. Growing the arena allocates one more chunk and moves
+//! no packet. One contiguous `Vec<Packet>` instead doubles: while the arena
+//! also held the NIC backlog, `adv_qadp_1056` passed 262,144 queued packets
+//! and the old 27.3 MB and the new 54.5 MB copy of the same packets were
+//! live together — 82 MB of that run's 112 MB heap peak — and an
+//! exact-length restored `Vec` made the first allocation after every resume
+//! copy the whole arena once more. The price is one more dependent load in
+//! [`PacketArena::get`].
 //!
 //! Chunking is invisible from outside. Slot numbers are the same ones the
 //! contiguous arena handed out (fresh slots count up, freed ones come back
@@ -33,6 +36,7 @@
 
 use crate::packet::Packet;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A 4-byte handle to a packet stored in a [`PacketArena`].
 ///
@@ -50,6 +54,87 @@ impl PacketRef {
     }
 }
 
+/// A growable array stored as fixed blocks of `1 << SHIFT` elements, each
+/// allocated once at full size and never resized: growing allocates one
+/// more block and moves nothing, so the heap is what is stored plus at most
+/// one partly filled block and the block table.
+#[derive(Debug)]
+pub(crate) struct Chunked<T, const SHIFT: u32> {
+    /// Every block is allocated with capacity `1 << SHIFT` and never grows
+    /// past it; all but the last are full.
+    chunks: Vec<Vec<T>>,
+    /// Elements stored, over all blocks.
+    len: usize,
+}
+
+impl<T, const SHIFT: u32> Default for Chunked<T, SHIFT> {
+    fn default() -> Self {
+        Self {
+            chunks: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<T, const SHIFT: u32> Chunked<T, SHIFT> {
+    const SLOTS: usize = 1 << SHIFT;
+
+    /// Empty, with room for `capacity` elements (rounded up to whole
+    /// blocks) before it allocates again.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Self {
+            chunks: (0..capacity.div_ceil(Self::SLOTS))
+                .map(|_| Vec::with_capacity(Self::SLOTS))
+                .collect(),
+            len: 0,
+        }
+    }
+
+    /// Elements stored.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Append `value`, opening a block when the last one is full; returns
+    /// its index.
+    #[inline]
+    pub(crate) fn push(&mut self, value: T) -> usize {
+        let chunk = self.len >> SHIFT;
+        if chunk == self.chunks.len() {
+            self.chunks.push(Vec::with_capacity(Self::SLOTS));
+        }
+        self.chunks[chunk].push(value);
+        self.len += 1;
+        self.len - 1
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> &T {
+        &self.chunks[i >> SHIFT][i & (Self::SLOTS - 1)]
+    }
+
+    #[inline]
+    pub(crate) fn get_mut(&mut self, i: usize) -> &mut T {
+        &mut self.chunks[i >> SHIFT][i & (Self::SLOTS - 1)]
+    }
+
+    /// Every element, in index order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.chunks.iter().flatten()
+    }
+
+    /// Heap footprint in bytes: the blocks and the block table.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.chunks
+            .iter()
+            .map(|c| c.capacity() * size_of::<T>())
+            .sum::<usize>()
+            + self.chunks.capacity() * size_of::<Vec<T>>()
+    }
+}
+
 /// log2 of [`CHUNK_SLOTS`].
 const CHUNK_SHIFT: u32 = 12;
 
@@ -59,11 +144,8 @@ pub const CHUNK_SLOTS: usize = 1 << CHUNK_SHIFT;
 /// Slab of in-flight packets with a LIFO free list.
 #[derive(Debug, Default)]
 pub struct PacketArena {
-    /// Every chunk is allocated with capacity [`CHUNK_SLOTS`] and never
-    /// grows past it; all but the last are full.
-    chunks: Vec<Vec<Packet>>,
-    /// Slots ever created, over all chunks.
-    len: usize,
+    /// Every slot ever created.
+    slots: Chunked<Packet, CHUNK_SHIFT>,
     free: Vec<u32>,
     /// Liveness mirror for use-after-free detection in debug builds.
     #[cfg(debug_assertions)]
@@ -80,9 +162,7 @@ impl PacketArena {
     /// whole chunks) before it allocates again.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            chunks: (0..capacity.div_ceil(CHUNK_SLOTS))
-                .map(|_| Vec::with_capacity(CHUNK_SLOTS))
-                .collect(),
+            slots: Chunked::with_capacity(capacity),
             ..Self::default()
         }
     }
@@ -101,15 +181,9 @@ impl PacketArena {
                 r
             }
             None => {
-                let slot =
-                    u32::try_from(self.len).expect("packet arena exceeded u32::MAX live packets");
-                // A fresh slot: open a chunk when the last one is full.
-                let chunk = self.len >> CHUNK_SHIFT;
-                if chunk == self.chunks.len() {
-                    self.chunks.push(Vec::with_capacity(CHUNK_SLOTS));
-                }
-                self.chunks[chunk].push(packet);
-                self.len += 1;
+                let slot = u32::try_from(self.slots.len())
+                    .expect("packet arena exceeded u32::MAX live packets");
+                self.slots.push(packet);
                 #[cfg(debug_assertions)]
                 self.live.push(true);
                 PacketRef(slot)
@@ -122,7 +196,7 @@ impl PacketArena {
     pub fn get(&self, r: PacketRef) -> &Packet {
         #[cfg(debug_assertions)]
         debug_assert!(self.live[r.index()], "read of freed packet slot {}", r.0);
-        &self.chunks[r.index() >> CHUNK_SHIFT][r.index() & (CHUNK_SLOTS - 1)]
+        self.slots.get(r.index())
     }
 
     /// Mutably borrow the packet behind `r`.
@@ -130,7 +204,7 @@ impl PacketArena {
     pub fn get_mut(&mut self, r: PacketRef) -> &mut Packet {
         #[cfg(debug_assertions)]
         debug_assert!(self.live[r.index()], "write to freed packet slot {}", r.0);
-        &mut self.chunks[r.index() >> CHUNK_SHIFT][r.index() & (CHUNK_SLOTS - 1)]
+        self.slots.get_mut(r.index())
     }
 
     /// Return `r`'s slot to the free list. The packet data is left in place
@@ -147,13 +221,13 @@ impl PacketArena {
 
     /// Packets currently alive in the arena.
     pub fn live_count(&self) -> usize {
-        self.len - self.free.len()
+        self.slots.len() - self.free.len()
     }
 
     /// Total slots ever created (the high-water mark of concurrently live
     /// packets).
     pub fn high_water(&self) -> usize {
-        self.len
+        self.slots.len()
     }
 
     /// Heap footprint of the arena in bytes (chunks, the chunk table and
@@ -161,22 +235,15 @@ impl PacketArena {
     /// benches. Bounded by the peak number of concurrently live packets,
     /// not by the number of packets ever delivered.
     pub fn memory_bytes(&self) -> usize {
-        self.chunks
-            .iter()
-            .map(|c| c.capacity() * std::mem::size_of::<Packet>())
-            .sum::<usize>()
-            + self.chunks.capacity() * std::mem::size_of::<Vec<Packet>>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
+        self.slots.memory_bytes() + self.free.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Snapshot every slot and the free list for a checkpoint. Freed
     /// slots are included verbatim (their stale contents are never read),
     /// so restored allocation reuses exactly the same slot sequence.
     pub fn checkpoint(&self) -> crate::checkpoint::ArenaCheckpoint {
-        let mut slots = Vec::with_capacity(self.len);
-        for chunk in &self.chunks {
-            slots.extend_from_slice(chunk);
-        }
+        let mut slots = Vec::with_capacity(self.slots.len());
+        slots.extend(self.slots.iter().cloned());
         crate::checkpoint::ArenaCheckpoint {
             slots,
             free: self.free.clone(),
@@ -187,20 +254,30 @@ impl PacketArena {
     /// chunk so the next [`PacketArena::alloc`] grows it like any other
     /// (the debug-build liveness mirror is rebuilt from the free list).
     pub fn restore(&mut self, ck: &crate::checkpoint::ArenaCheckpoint) {
-        self.chunks = ck
-            .slots
-            .chunks(CHUNK_SLOTS)
-            .map(|part| {
-                let mut chunk = Vec::with_capacity(CHUNK_SLOTS);
-                chunk.extend_from_slice(part);
-                chunk
-            })
-            .collect();
-        self.len = ck.slots.len();
+        self.restore_without(ck, 0..0);
+    }
+
+    /// [`PacketArena::restore`] leaving out the slots in `skip`: the slots
+    /// after it move down by its length. A free list would have to move
+    /// with them, so `ck` must have none unless `skip` is empty.
+    pub(crate) fn restore_without(
+        &mut self,
+        ck: &crate::checkpoint::ArenaCheckpoint,
+        skip: Range<usize>,
+    ) {
+        assert!(
+            skip.is_empty() || ck.free.is_empty(),
+            "an arena with a free list restores whole"
+        );
+        let kept = ck.slots[..skip.start].iter().chain(&ck.slots[skip.end..]);
+        self.slots = Chunked::with_capacity(ck.slots.len() - skip.len());
+        for packet in kept {
+            self.slots.push(packet.clone());
+        }
         self.free = ck.free.clone();
         #[cfg(debug_assertions)]
         {
-            self.live = vec![true; self.len];
+            self.live = vec![true; self.slots.len()];
             for &slot in &self.free {
                 self.live[slot as usize] = false;
             }

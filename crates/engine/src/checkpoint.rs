@@ -24,9 +24,12 @@
 //! per-shard states is a globally consistent cut. [`merge_shards`] folds
 //! the N per-shard snapshots into one canonical partition-independent
 //! snapshot: cross-shard mail is drained into the owning queues first
-//! (exactly what the next window would do), packet slots are re-numbered
-//! into one canonical arena by a deterministic walk, events are merged in
-//! `(time, key, seq)` order and re-sequenced, and counters are summed.
+//! (exactly what the next window would do), events are merged in
+//! `(time, key, seq)` order and re-sequenced, the shards' packed arenas
+//! are joined and re-numbered into one canonical arena by one
+//! deterministic walk over the whole system (every router, every NIC,
+//! then the merged events — so a snapshot taken at any shard count has
+//! the single-shard bytes), and counters are summed.
 //! [`split_for_plan`] is the inverse: it carves the canonical snapshot
 //! into per-shard snapshots for **any** target [`crate::sync::ShardPlan`].
 //! Because the canonical form is partition-independent, a snapshot taken
@@ -116,9 +119,11 @@ pub struct InjectorCheckpoint {
     pub counters: Vec<u64>,
 }
 
-/// The packet arena: every slot ever allocated plus the LIFO free list
-/// (slot reuse order is part of the determinism contract, so the free
-/// list is restored verbatim).
+/// The packet arena. [`crate::arena::PacketArena::checkpoint`] gives every
+/// slot ever allocated plus the LIFO free list; a snapshot instead holds
+/// exactly the packets the canonical walk reaches, in walk order, with no
+/// free list — one packet per message queued at a NIC among them
+/// ([`crate::nic`]).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ArenaCheckpoint {
     /// All slots, live and freed (freed slots hold stale packet data that
@@ -227,9 +232,12 @@ fn retry_owner(id: u64, plan: &ShardPlan, topo: &AnyTopology) -> usize {
 /// router buffers in id order (inputs then outputs per router), NIC
 /// source queues in id order, then `RouterArrive` events in queue order —
 /// through `translate`. This walk order defines the canonical arena slot
-/// numbering; merge and split both use it, so it must never change
-/// without a format-version bump.
-fn map_refs(ck: &mut ShardCheckpoint, translate: &mut impl FnMut(PacketRef) -> PacketRef) {
+/// numbering; `Shard::checkpoint`, merge and split all use it, so it must
+/// never change without a format-version bump.
+pub(crate) fn map_refs(
+    ck: &mut ShardCheckpoint,
+    translate: &mut impl FnMut(PacketRef) -> PacketRef,
+) {
     for router in &mut ck.routers {
         router.map_packet_refs(translate);
     }
@@ -246,7 +254,8 @@ fn map_refs(ck: &mut ShardCheckpoint, translate: &mut impl FnMut(PacketRef) -> P
 }
 
 /// Merge N per-shard snapshots (ascending shard order, mailboxes already
-/// drained) into the canonical single-shard-equivalent form.
+/// drained, arenas packed by `Shard::checkpoint`) into the canonical
+/// single-shard-equivalent form.
 ///
 /// `now` is the engine clock (the window-boundary cut time `t_cap`): the
 /// per-shard clocks are partition-dependent (each shard's clock lags at
@@ -255,18 +264,21 @@ fn map_refs(ck: &mut ShardCheckpoint, translate: &mut impl FnMut(PacketRef) -> P
 /// injections re-materialise at `time.max(now)` with every pending
 /// injection time beyond the cut, `run_window` re-derives per-event time,
 /// and fault quantization puts every unapplied fault at or beyond the cut.
+///
+/// The shards are joined first — routers, NICs and events in global
+/// order, arenas end to end — and the slots then numbered by one
+/// [`map_refs`] walk over the union, so a snapshot taken at any shard
+/// count has the bytes of the single-shard one.
 pub(crate) fn merge_shards(now: SimTime, shards: Vec<ShardCheckpoint>) -> ShardCheckpoint {
     debug_assert!(!shards.is_empty());
-    let live_total: usize = shards
-        .iter()
-        .map(|s| s.arena.slots.len() - s.arena.free.len())
-        .sum();
     debug_assert!(
         shards
             .windows(2)
             .all(|w| w[0].fault_cursor == w[1].fault_cursor),
         "fault cursors diverged across shards at a window boundary"
     );
+    let total: usize = shards.iter().map(|s| s.arena.slots.len()).sum();
+    let sharded = shards.len() > 1;
 
     let mut merged = ShardCheckpoint {
         now,
@@ -275,17 +287,22 @@ pub(crate) fn merge_shards(now: SimTime, shards: Vec<ShardCheckpoint>) -> ShardC
         has_tasks: shards[0].has_tasks,
         ..ShardCheckpoint::default()
     };
-    let mut slots: Vec<Packet> = Vec::with_capacity(live_total);
+    let mut slots: Vec<Packet> = Vec::new();
     let mut pending: Vec<QueuedInjection> = Vec::new();
 
-    for mut s in shards {
-        let shard_slots = std::mem::take(&mut s.arena.slots);
-        let mut translate = |r: PacketRef| -> PacketRef {
-            let canonical = PacketRef(slots.len() as u32);
-            slots.push(shard_slots[r.index()].clone());
-            canonical
-        };
-        map_refs(&mut s, &mut translate);
+    for (k, mut s) in shards.into_iter().enumerate() {
+        debug_assert!(s.arena.free.is_empty(), "shard arenas come packed");
+        // Each shard's refs move past the slots of the shards before it.
+        let base = u32::try_from(slots.len()).expect("u32 packet refs");
+        if base > 0 {
+            map_refs(&mut s, &mut |r| PacketRef(r.0 + base));
+        }
+        if k == 0 {
+            slots = std::mem::take(&mut s.arena.slots);
+            slots.reserve_exact(total - slots.len());
+        } else {
+            slots.append(&mut s.arena.slots);
+        }
 
         merged.generated += s.generated;
         merged.injected += s.injected;
@@ -329,12 +346,37 @@ pub(crate) fn merge_shards(now: SimTime, shards: Vec<ShardCheckpoint>) -> ShardC
     pending.sort_unstable_by_key(|q| q.id);
     merged.pending_injections = pending.into();
 
-    merged.arena = ArenaCheckpoint {
-        slots,
-        free: Vec::new(),
-    };
-    debug_assert_eq!(merged.arena.slots.len(), live_total);
+    // Slot `i` of the canonical arena is the `i`-th ref the walk meets. A
+    // single shard's arena is packed in this walk's order already.
+    if sharded {
+        let mut order: Vec<u32> = Vec::with_capacity(slots.len());
+        map_refs(&mut merged, &mut |r| {
+            order.push(r.0);
+            PacketRef(order.len() as u32 - 1)
+        });
+        debug_assert_eq!(order.len(), slots.len(), "the walk meets every slot once");
+        permute(&mut slots, &mut order);
+    }
+    merged.arena.slots = slots;
     merged
+}
+
+/// Rearrange `slots` so that slot `i` holds what slot `order[i]` held, in
+/// place: each cycle of the permutation is rotated by swaps (`order` is
+/// used up as the record of what is placed).
+fn permute(slots: &mut [Packet], order: &mut [u32]) {
+    const PLACED: u32 = u32::MAX;
+    for start in 0..slots.len() {
+        let mut i = start;
+        while order[i] != PLACED {
+            let from = std::mem::replace(&mut order[i], PLACED) as usize;
+            if from == start {
+                break;
+            }
+            slots.swap(i, from);
+            i = from;
+        }
+    }
 }
 
 /// Split the canonical single-shard-equivalent snapshot into one
@@ -406,9 +448,9 @@ pub(crate) fn split_for_plan(
             };
 
             // Re-allocate this shard's packets into a local arena by the
-            // canonical walk order (allocation order is deterministic and
-            // matches what a fresh run of this partition would produce:
-            // ascending slot indices, no free list).
+            // canonical walk order (ascending slot indices, no free list):
+            // router packets, then one run of NIC packets, then event
+            // packets — the layout `Shard::restore` takes the NIC run from.
             let mut slots: Vec<Packet> = Vec::new();
             let mut translate = |r: PacketRef| -> PacketRef {
                 let local = PacketRef(slots.len() as u32);

@@ -8,7 +8,6 @@
 //! [`ShardObserver`] so that callers can retrieve their metric collectors
 //! by value after the run.
 
-use crate::arena::PacketArena;
 use crate::config::EngineConfig;
 use crate::injector::{Injection, TrafficInjector};
 use crate::observer::ShardObserver;
@@ -37,8 +36,8 @@ pub struct ShardDrain {
     pub delivered: u64,
     /// Packets dropped by this shard's routers (faults / TTL).
     pub dropped: u64,
-    /// Live packets resident in this shard's arena (NIC source queues,
-    /// router buffers and in-flight intra-shard link traversals).
+    /// Generated packets this shard holds: queued at its NICs, in its
+    /// router buffers or on an intra-shard link.
     pub resident: u64,
     /// Packets currently travelling *towards* this shard inside
     /// cross-shard mailboxes (counted by the engine, since mailboxes live
@@ -52,9 +51,9 @@ pub struct ShardDrain {
 /// observer, so they are always available).
 ///
 /// `shards` reports per-shard drain progress: during `run_to_drain` a
-/// packet can be resident in a shard's arena *or* sitting in a cross-shard
-/// mailbox between windows, and `sum(resident) + sum(inbound_mail)` always
-/// equals [`EngineStats::outstanding`].
+/// packet can be resident in a shard (NIC backlog or arena) *or* sitting in
+/// a cross-shard mailbox between windows, and `sum(resident) +
+/// sum(inbound_mail)` always equals [`EngineStats::outstanding`].
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct EngineStats {
     /// Messages generated at NICs.
@@ -98,12 +97,15 @@ pub struct MemoryBreakdown {
     pub tables: usize,
     /// The packet arenas.
     pub arena: usize,
+    /// The NIC backlog pools: a 24-byte record per generated message that
+    /// has not been injected.
+    pub backlog: usize,
     /// The calendar queues: bucket tables, the buffers of occupied
     /// buckets, side slabs.
     pub event_queues: usize,
     /// Router input/output buffers, credits and wait lists.
     pub router_state: usize,
-    /// NIC records and their source queues.
+    /// The per-node NIC records.
     pub nic_state: usize,
     /// The cross-shard mail grid and, on pipelined runs, the window
     /// frontier.
@@ -115,10 +117,12 @@ impl std::fmt::Display for MemoryBreakdown {
         let mb = |bytes: usize| bytes as f64 / 1e6;
         write!(
             f,
-            "tables {:.2} MB, arena {:.2} MB, event queues {:.2} MB, \
-             router state {:.2} MB, NIC state {:.2} MB, mailboxes {:.2} MB",
+            "tables {:.2} MB, arena {:.2} MB, NIC backlog {:.2} MB, \
+             event queues {:.2} MB, router state {:.2} MB, NIC state {:.2} MB, \
+             mailboxes {:.2} MB",
             mb(self.tables),
             mb(self.arena),
+            mb(self.backlog),
             mb(self.event_queues),
             mb(self.router_state),
             mb(self.nic_state),
@@ -240,7 +244,7 @@ impl<O: ShardObserver> Engine<O> {
                 generated: shard.generated,
                 delivered: shard.delivered,
                 dropped: shard.dropped,
-                resident: shard.arena().live_count() as u64,
+                resident: shard.resident() as u64,
                 inbound_mail: self.mail.packets_bound_for(i),
                 events: shard.events_processed(),
             };
@@ -307,8 +311,9 @@ impl<O: ShardObserver> Engine<O> {
     }
 
     /// Heap footprint of the simulation state in bytes, rolled up across
-    /// shards: every routing agent's Q-table storage, every shard's
-    /// packet arena, the cross-shard mail grid (both double-buffered
+    /// shards: every routing agent's Q-table storage, every shard's packet
+    /// arena and NIC backlog pool (so every generated but undelivered
+    /// packet is counted), the cross-shard mail grid (both double-buffered
     /// parity planes at their retained capacity), and — on pipelined runs
     /// — the window-frontier state. The metrics side (sketches, time
     /// series) is accounted separately by the observer — see
@@ -330,7 +335,7 @@ impl<O: ShardObserver> Engine<O> {
 
     /// [`Engine::memory_bytes`] by owner, plus what it does not count: the
     /// event queues and the router and NIC state. Summed over shards;
-    /// `tables + arena + mailboxes` is `memory_bytes()`.
+    /// `tables + arena + backlog + mailboxes` is `memory_bytes()`.
     pub fn memory_breakdown(&self) -> MemoryBreakdown {
         let mut heap = MemoryBreakdown {
             mailboxes: self.mailbox_bytes(),
@@ -347,28 +352,9 @@ impl<O: ShardObserver> Engine<O> {
         self.shards.iter().map(|s| s.fabric_occupancy()).sum()
     }
 
-    /// Total packets waiting in NIC source queues.
+    /// Total packets waiting in NIC backlogs.
     pub fn nic_backlog(&self) -> usize {
         self.shards.iter().map(|s| s.nic_backlog()).sum()
-    }
-
-    /// The packet arena (single-shard engines only; sharded engines have
-    /// one arena per shard — see [`Engine::arena_live_counts`]).
-    pub fn arena(&self) -> &PacketArena {
-        assert_eq!(
-            self.shards.len(),
-            1,
-            "arena() needs a single-shard engine; use arena_live_counts()"
-        );
-        self.shards[0].arena()
-    }
-
-    /// Live packet count of every shard's arena, in shard order. Together
-    /// with [`EngineStats::in_mailboxes`] this accounts for every
-    /// outstanding packet: `sum(arena_live_counts) + in_mailboxes ==
-    /// stats().outstanding()`.
-    pub fn arena_live_counts(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.arena().live_count()).collect()
     }
 
     // ------------------------------------------------------------------
@@ -453,11 +439,14 @@ impl<O: ShardObserver> Engine<O> {
 
     /// Whether [`Engine::restore`] can take `ck`: entity counts match this
     /// engine's topology, every router's port and VC counts match the
-    /// topology and the config, and every agent accepts its section
-    /// ([`crate::routing::RouterAgent::check_state`]). Callers restoring a
-    /// snapshot they did not just take themselves ask first; `restore`
-    /// panics on what this refuses. The error names the router and the
-    /// field.
+    /// topology and the config, every agent accepts its section
+    /// ([`crate::routing::RouterAgent::check_state`]), and the arena is
+    /// canonical — no free list, and the walk over router buffers, NIC
+    /// source queues and `RouterArrive` events holds every slot exactly
+    /// once — with every NIC-queued packet one its NIC generates. Callers
+    /// restoring a snapshot they did not just take themselves ask first;
+    /// `restore` panics on (or silently mis-restores) what this refuses.
+    /// The error names the router, NIC or event and the field.
     pub fn check_restorable(&self, ck: &crate::checkpoint::EngineCheckpoint) -> Result<(), String> {
         let (routers, nodes) = (self.topo.num_routers(), self.topo.num_nodes());
         let shard = &ck.shard;
@@ -482,7 +471,74 @@ impl<O: ShardObserver> Engine<O> {
                 .check_state(state)
                 .map_err(|e| format!("agent of router {r}: {e}"))?;
         }
-        Ok(())
+        self.check_arena(shard)
+    }
+
+    /// The arena half of [`Engine::check_restorable`].
+    fn check_arena(&self, shard: &crate::checkpoint::ShardCheckpoint) -> Result<(), String> {
+        let slots = &shard.arena.slots;
+        if !shard.arena.free.is_empty() {
+            return Err(format!(
+                "the arena's free list holds {} slots, a snapshot's holds none",
+                shard.arena.free.len()
+            ));
+        }
+        let mut held = vec![false; slots.len()];
+        let mut hold = |r: crate::arena::PacketRef, owner: &dyn Fn() -> String| match held
+            .get_mut(r.index())
+        {
+            None => Err(format!(
+                "{} holds packet ref {}, outside the arena's {} slots",
+                owner(),
+                r.0,
+                slots.len()
+            )),
+            Some(true) => Err(format!(
+                "{} holds arena slot {}, which the walk already met",
+                owner(),
+                r.0
+            )),
+            Some(slot) => {
+                *slot = true;
+                Ok(())
+            }
+        };
+        for (r, state) in shard.routers.iter().enumerate() {
+            for (field, pref) in state.packet_refs() {
+                hold(pref, &|| format!("state of router {r}: {field}"))?;
+            }
+        }
+        for (n, nic) in shard.nics.iter().enumerate() {
+            if nic.credits > self.cfg.vc_buffer_packets {
+                return Err(format!(
+                    "NIC {n}: credits = {}, above vc_buffer_packets = {}",
+                    nic.credits, self.cfg.vc_buffer_packets
+                ));
+            }
+            for &pref in &nic.source_queue {
+                hold(pref, &|| format!("NIC {n}: source_queue"))?;
+                crate::nic::queued_of(
+                    &self.topo,
+                    &self.cfg,
+                    NodeId::from_index(n),
+                    &slots[pref.index()],
+                )
+                .map_err(|e| format!("NIC {n}: source_queue {e}"))?;
+            }
+        }
+        for (i, ev) in shard.queue.events.iter().enumerate() {
+            if let crate::event::EventKind::RouterArrive { packet, .. } = ev.kind {
+                hold(packet, &|| {
+                    format!("event {i} (RouterArrive at {} ns): packet", ev.time)
+                })?;
+            }
+        }
+        match held.iter().position(|&h| !h) {
+            Some(slot) => Err(format!(
+                "arena slot {slot} is held by no router, NIC or event"
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Replace this freshly built engine's state with a checkpoint's. The
@@ -526,8 +582,8 @@ impl<O: ShardObserver> Engine<O> {
         self.pending_injection = ck.pending_injection;
         self.injector.load_state(&ck.injector);
         let parts = crate::checkpoint::split_for_plan(&ck.shard, &self.plan, &self.topo);
-        for (shard, part) in self.shards.iter_mut().zip(&parts) {
-            shard.restore(part);
+        for (shard, part) in self.shards.iter_mut().zip(parts) {
+            shard.restore(&part);
         }
     }
 

@@ -827,10 +827,22 @@ impl CalendarQueue {
     /// (guaranteed after `run_until(now)`, which drains everything up to
     /// and including `now`).
     pub fn restore(&mut self, ck: &SchedulerCheckpoint, now: SimTime) {
+        self.restore_mapped(ck, now, |kind| kind);
+    }
+
+    /// [`CalendarQueue::restore`], passing every event's kind through `map`
+    /// on its way in (the shard renumbers packet refs with it, so the event
+    /// list is read once and never copied).
+    pub(crate) fn restore_mapped(
+        &mut self,
+        ck: &SchedulerCheckpoint,
+        now: SimTime,
+        mut map: impl FnMut(EventKind) -> EventKind,
+    ) {
         assert!(self.len() == 0, "restore requires an empty queue");
         self.cursor = now;
         for event in &ck.events {
-            self.insert(event.time, event.key, event.seq, event.kind);
+            self.insert(event.time, event.key, event.seq, map(event.kind));
         }
         self.next_seq = ck.next_seq;
         self.popped = ck.popped;

@@ -27,7 +27,7 @@
 //!   The network is lossless.
 //! * **Links** have 30 ns (local) / 300 ns (global) latency and 4 GB/s
 //!   bandwidth, matching the paper's experimental setup.
-//! * **NICs** hold an unbounded source queue per compute node (offered load
+//! * **NICs** hold an unbounded backlog per compute node (offered load
 //!   beyond what the network accepts accumulates there, which is what lets
 //!   the measured throughput saturate below the offered load).
 //! * **Reinforcement-learning feedback**: whenever router *y* forwards a
@@ -52,10 +52,12 @@
 //!   the only queue the engine runs ([`event::EventQueue`]); a plain
 //!   `BinaryHeap` survives as the oracle its unit tests compare pop order
 //!   and payloads against.
-//! * **Packets** live in a slab-style [`arena::PacketArena`] for their
-//!   whole life *within a shard*; events, NIC queues and router buffers
+//! * **Packets** live in a slab-style [`arena::PacketArena`] from
+//!   injection to delivery *within a shard*; events and router buffers
 //!   move 4-byte [`arena::PacketRef`] handles instead of boxed packets, so
-//!   a fabric hop performs no heap allocation and no pointer chase.
+//!   a fabric hop performs no heap allocation and no pointer chase. NIC
+//!   backlogs hold no packets and no handles: a queued message is a
+//!   24-byte record ([`nic`]) until it is injected.
 //!
 //! Both cost what is in flight, in heap as well as in time
 //! (`crates/engine/tests/hot_path_heap.rs` pins each count below):
@@ -81,11 +83,22 @@
 //!   (`EventQueue::for_config_with_entities` is `for_config`).
 //! * **The arena grows by 4,096-packet chunks (416 KB) and never moves a
 //!   packet.** One contiguous `Vec<Packet>` doubled: at the 262,144th
-//!   queued packet of `adv_qadp_1056` the old 27.3 MB and the new 54.5 MB
-//!   block were live together, 82 MB of that run's 112 MB peak, and the
-//!   exact-length `Vec` of a restored arena made the first packet after
-//!   every resume copy all of it again. Slot numbering, the LIFO free list
-//!   and the flat checkpoint are unchanged.
+//!   queued packet of `adv_qadp_1056` (when the arena still held the NIC
+//!   backlog) the old 27.3 MB and the new 54.5 MB block were live
+//!   together, 82 MB of that run's 112 MB peak, and the exact-length `Vec`
+//!   of a restored arena made the first packet after every resume copy all
+//!   of it again. Slot numbering, the LIFO free list and the flat
+//!   checkpoint are unchanged.
+//! * **A queued message is a 24-byte record, not a 104-byte packet**
+//!   ([`nic`]): `{id, created_ns, dst, next}` in one per-shard pool of
+//!   1,024-record chunks, every NIC's FIFO threaded through it, freed
+//!   records reused LIFO; a NIC is 48 bytes with the FIFO's head, tail and
+//!   length. The packet is built at injection — everything else in it
+//!   derives from the NIC and the topology. `adv_qadp_1056`'s arena held
+//!   41.4 MB, nearly all of it backlog, and its heap peak was 57.9 MB; now
+//!   the arena holds 7.5 MB of fabric packets, the backlog 8.5 MB of
+//!   records and the peak is 28.9 MB. Snapshots still carry the backlog as
+//!   packets, byte for byte.
 //! * **A router is two flat arrays and a link pool** ([`router`]): one
 //!   24-byte cell per `(port, vc)` (both FIFOs as head/tail indices,
 //!   output length, credits, wait-list link), one 24-byte record per port,
@@ -102,7 +115,7 @@
 //!   allocator was on the per-window critical path.
 //!
 //! [`engine::Engine::memory_breakdown`] says where the heap is — tables,
-//! arena, event queues, router state, NIC state, mailboxes — and
+//! arena, NIC backlog, event queues, router state, NIC state, mailboxes — and
 //! `qadaptive-cli run` prints it on stderr under its `perf:` line.
 //!
 //! ## Sharded conservative-parallel execution
@@ -176,10 +189,10 @@
 //! sorts into the destination queue exactly where the single-queue engine
 //! would have processed it, making **every shard count bit-for-bit
 //! identical** — `shards = 1` vs `shards = N` is pinned by the
-//! `shard_differential` integration test. Arena slot assignment recycles
-//! through a per-shard LIFO free list and packet ids are assigned by the
-//! coordinator in injector order, so neither introduces run-to-run or
-//! across-shard-count variation.
+//! `shard_differential` integration test. Arena slot and backlog record
+//! assignment recycle through per-shard LIFO free lists and packet ids
+//! are assigned by the coordinator in injector order, so none of them
+//! introduces run-to-run or across-shard-count variation.
 //!
 //! The engine is deterministic for a fixed seed, traffic injector and
 //! routing algorithm — independent of shard count, pipelining and thread

@@ -522,6 +522,18 @@ impl RouterState {
         }
     }
 
+    /// Every buffered [`PacketRef`] in [`RouterState::map_packet_refs`]
+    /// order, each with the wire field that holds it.
+    pub(crate) fn packet_refs(&self) -> impl Iterator<Item = (&'static str, PacketRef)> + '_ {
+        let queue = move |field, q| self.pool.iter(q).map(move |r| (field, r));
+        let input = self.cells.iter().flat_map(move |c| queue("input", c.input));
+        let output = self
+            .cells
+            .iter()
+            .flat_map(move |c| queue("output", c.output));
+        input.chain(output)
+    }
+
     // ------------------------------------------------------------------
     // Snapshots
     // ------------------------------------------------------------------

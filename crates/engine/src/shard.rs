@@ -1,6 +1,7 @@
 //! One conservative-parallel shard: the routers, NICs and agents of a
 //! contiguous range of locality domains (Dragonfly groups, fat-tree
-//! pods, HyperX rows), with their own event queue and packet arena.
+//! pods, HyperX rows), with their own event queue, packet arena and NIC
+//! backlog.
 //!
 //! A shard is the unit of parallelism. Within a lookahead window it runs
 //! completely lock-free on its own [`EventQueue`]; anything addressed to a
@@ -19,9 +20,9 @@ use crate::arena::{PacketArena, PacketRef};
 use crate::config::EngineConfig;
 use crate::event::{EventKind, EventQueue, Scheduler};
 use crate::fault::{CompiledFault, FaultOp};
-use crate::nic::NicState;
+use crate::nic::{self, Backlog, Nic, Queued};
 use crate::observer::ShardObserver;
-use crate::packet::{Packet, RouteInfo};
+use crate::packet::Packet;
 use crate::router::{RouterState, Waiter};
 use crate::routing::{Decision, FeedbackMsg, RouterAgent, RouterCtx, RoutingAlgorithm};
 use crate::sync::{QueuedInjection, ShardMsg, ShardPlan, NO_EVENT};
@@ -46,7 +47,9 @@ pub struct Shard<O: ShardObserver> {
     node_base: usize,
     routers: Vec<RouterState>,
     agents: Vec<Box<dyn RouterAgent>>,
-    nics: Vec<NicState>,
+    nics: Vec<Nic>,
+    /// The messages queued at `nics`, not yet packets (see [`crate::nic`]).
+    backlog: Backlog,
     queue: EventQueue,
     arena: PacketArena,
     observer: O,
@@ -123,7 +126,7 @@ impl<O: ShardObserver> Shard<O> {
                 algorithm.make_agent(topo, cfg, r, router_seed)
             })
             .collect();
-        let nics = (0..node_count).map(|_| NicState::new(cfg)).collect();
+        let nics = (0..node_count).map(|_| Nic::new(cfg)).collect();
         let num_shards = plan.num_shards();
         Self {
             id,
@@ -135,6 +138,7 @@ impl<O: ShardObserver> Shard<O> {
             routers,
             agents,
             nics,
+            backlog: Backlog::new(),
             queue: EventQueue::for_config(cfg),
             arena: PacketArena::new(),
             observer,
@@ -221,23 +225,19 @@ impl<O: ShardObserver> Shard<O> {
         self.observer
     }
 
-    /// Borrow this shard's packet arena.
-    pub fn arena(&self) -> &PacketArena {
-        &self.arena
-    }
-
     /// Borrow the agent of a router owned by this shard.
     pub fn agent(&self, router: RouterId) -> &dyn RouterAgent {
         self.agents[self.rlocal(router)].as_ref()
     }
 
     /// Heap footprint of this shard's learned and in-flight state in
-    /// bytes: every agent's Q-table storage plus the packet arena. Grows
-    /// with the number of *materialised* table rows and the peak number of
-    /// concurrently live packets — not with the number of packets
-    /// delivered, which is what keeps long scale runs in bounded memory.
+    /// bytes: every agent's Q-table storage, the packet arena and the NIC
+    /// backlog pool. Grows with the number of *materialised* table rows and
+    /// the peak number of concurrently generated-but-undelivered packets —
+    /// not with the number of packets delivered, which is what keeps long
+    /// scale runs in bounded memory.
     pub fn memory_bytes(&self) -> usize {
-        self.table_bytes() + self.arena.memory_bytes()
+        self.table_bytes() + self.arena.memory_bytes() + self.backlog.memory_bytes()
     }
 
     fn table_bytes(&self) -> usize {
@@ -249,6 +249,7 @@ impl<O: ShardObserver> Shard<O> {
         use std::mem::size_of;
         heap.tables += self.table_bytes();
         heap.arena += self.arena.memory_bytes();
+        heap.backlog += self.backlog.memory_bytes();
         heap.event_queues += self.queue.memory_bytes();
         heap.router_state += self.routers.capacity() * size_of::<RouterState>()
             + self
@@ -256,12 +257,13 @@ impl<O: ShardObserver> Shard<O> {
                 .iter()
                 .map(RouterState::memory_bytes)
                 .sum::<usize>();
-        heap.nic_state += self.nics.capacity() * size_of::<NicState>()
-            + self
-                .nics
-                .iter()
-                .map(|n| n.source_queue.capacity() * size_of::<PacketRef>())
-                .sum::<usize>();
+        heap.nic_state += self.nics.capacity() * size_of::<Nic>();
+    }
+
+    /// Generated packets this shard holds: in the arena (router buffers
+    /// and intra-shard link traversals) or queued at its NICs.
+    pub fn resident(&self) -> usize {
+        self.arena.live_count() + self.backlog.len()
     }
 
     /// Packets buffered in this shard's router fabric.
@@ -269,9 +271,9 @@ impl<O: ShardObserver> Shard<O> {
         self.routers.iter().map(|r| r.buffered_packets()).sum()
     }
 
-    /// Packets waiting in this shard's NIC source queues.
+    /// Packets waiting in this shard's NIC backlogs.
     pub fn nic_backlog(&self) -> usize {
-        self.nics.iter().map(|n| n.backlog()).sum()
+        self.backlog.len()
     }
 
     // ------------------------------------------------------------------
@@ -282,12 +284,32 @@ impl<O: ShardObserver> Shard<O> {
     /// [`crate::checkpoint`]). Only valid at a window boundary: the
     /// outboxes must be empty, which is always true on a single-shard
     /// engine between `run_until` calls.
+    ///
+    /// The arena comes out packed: its live packets only, numbered by the
+    /// canonical walk, with each queued message written as the packet its
+    /// NIC builds ([`nic::packet_of`]) where the NIC's source queue points
+    /// — the wire form has no backlog records. A single shard's snapshot
+    /// is thereby already canonical.
     pub fn checkpoint(&self) -> crate::checkpoint::ShardCheckpoint {
         debug_assert!(
             self.outboxes.iter().all(Vec::is_empty),
             "checkpoint with undelivered cross-shard mail"
         );
-        crate::checkpoint::ShardCheckpoint {
+        // Queued messages take the slots after the arena's until the walk
+        // numbers them with everything else.
+        let first_queued = self.arena.high_water();
+        let mut next = first_queued;
+        let nics = self
+            .nics
+            .iter()
+            .map(|nic| {
+                let slots = next..next + nic.backlog();
+                next = slots.end;
+                let refs = slots.map(|i| PacketRef(u32::try_from(i).expect("u32 packet refs")));
+                nic.to_wire(refs.collect())
+            })
+            .collect();
+        let mut ck = crate::checkpoint::ShardCheckpoint {
             now: self.now,
             generated: self.generated,
             injected: self.injected,
@@ -296,16 +318,34 @@ impl<O: ShardObserver> Shard<O> {
             retransmits: self.retransmits,
             routers: self.routers.clone(),
             agents: self.agents.iter().map(|a| a.save_state()).collect(),
-            nics: self.nics.clone(),
+            nics,
             queue: self.queue.checkpoint(),
-            arena: self.arena.checkpoint(),
+            arena: crate::checkpoint::ArenaCheckpoint::default(),
             faults: self.faults.clone(),
             fault_cursor: self.fault_cursor,
             retry_counts: self.retry_counts.clone(),
             pending_injections: self.pending_injections.clone(),
             tasks: self.tasks.clone(),
             has_tasks: self.has_tasks,
-        }
+        };
+        // The walk meets the queued messages in NIC order.
+        let mut queued = self.nics.iter().enumerate().flat_map(|(n, nic)| {
+            let src = NodeId::from_index(self.node_base + n);
+            self.backlog.iter(nic).map(move |msg| (src, msg))
+        });
+        let mut slots = Vec::with_capacity(self.resident());
+        crate::checkpoint::map_refs(&mut ck, &mut |r| {
+            slots.push(if r.index() < first_queued {
+                self.arena.get(r).clone()
+            } else {
+                let (src, msg) = queued.next().expect("one message per queued slot");
+                self.packet_of(src, msg)
+            });
+            PacketRef(slots.len() as u32 - 1)
+        });
+        debug_assert_eq!(slots.len(), self.resident());
+        ck.arena.slots = slots;
+        ck
     }
 
     /// Replace this freshly built shard's state with a checkpoint's. The
@@ -313,6 +353,16 @@ impl<O: ShardObserver> Shard<O> {
     /// algorithm, seed, plan)` tuple — everything the checkpoint does not
     /// store is reconstructed by [`Shard::new`], and the topology liveness
     /// mask is re-derived by replaying the already-applied fault prefix.
+    ///
+    /// `ck` is one part of [`crate::checkpoint::split_for_plan`], whose
+    /// arena lists router packets, then NIC packets, then event packets.
+    /// The NIC packets turn back into backlog records and are left out of
+    /// the restored arena; event refs behind them move down.
+    ///
+    /// # Panics
+    ///
+    /// If a NIC packet is not one its NIC generates
+    /// ([`crate::Engine::check_restorable`] refuses those first).
     pub fn restore(&mut self, ck: &crate::checkpoint::ShardCheckpoint) {
         self.now = ck.now;
         self.generated = ck.generated;
@@ -329,13 +379,48 @@ impl<O: ShardObserver> Shard<O> {
         for (agent, state) in self.agents.iter_mut().zip(&ck.agents) {
             agent.load_state(state);
         }
-        self.nics = ck.nics.clone();
+        // The NIC packets are one run of arena slots, in NIC order.
+        let nic_run = ck
+            .nics
+            .iter()
+            .find_map(|n| n.source_queue.front())
+            .map_or(0, |first| first.index());
+        let mut next = nic_run;
+        self.backlog = Backlog::new();
+        self.nics = Vec::with_capacity(ck.nics.len());
+        for (n, wire) in ck.nics.iter().enumerate() {
+            let src = NodeId::from_index(self.node_base + n);
+            let mut nic = Nic::from_wire(wire);
+            for &pref in &wire.source_queue {
+                assert_eq!(pref.index(), next, "NIC packets out of walk order");
+                next += 1;
+                let msg = nic::queued_of(&self.topo, &self.cfg, src, &ck.arena.slots[pref.index()])
+                    .unwrap_or_else(|e| panic!("NIC {}: source_queue {e}", src.index()));
+                self.backlog.push_back(&mut nic, msg);
+            }
+            self.nics.push(nic);
+        }
+        let nic_run = nic_run..next;
         // A fresh engine may already hold bootstrap events (workload start
         // markers, the first traffic arrival); the checkpointed queue
         // replaces them wholesale.
         self.queue = EventQueue::for_config(&self.cfg);
-        self.queue.restore(&ck.queue, ck.now);
-        self.arena.restore(&ck.arena);
+        self.queue
+            .restore_mapped(&ck.queue, ck.now, |kind| match kind {
+                EventKind::RouterArrive {
+                    router,
+                    port,
+                    vc,
+                    packet,
+                } if packet.index() >= nic_run.end => EventKind::RouterArrive {
+                    router,
+                    port,
+                    vc,
+                    packet: PacketRef(packet.0 - nic_run.len() as u32),
+                },
+                kind => kind,
+            });
+        self.arena.restore_without(&ck.arena, nic_run);
         self.faults = ck.faults.clone();
         self.fault_cursor = ck.fault_cursor;
         // Replay the liveness flips of every already-applied fault entry;
@@ -672,7 +757,7 @@ impl<O: ShardObserver> Shard<O> {
             EventKind::NicCredit { node } => {
                 let nic = &mut self.nics[node.index() - self.node_base];
                 nic.credits += 1;
-                debug_assert!(nic.credits <= self.cfg.vc_buffer_packets);
+                debug_assert!(nic.credits as usize <= self.cfg.vc_buffer_packets);
                 self.try_nic_inject(node);
             }
             EventKind::RouterArrive {
@@ -745,22 +830,8 @@ impl<O: ShardObserver> Shard<O> {
     /// packet instance under the same workload id, through the normal
     /// generation path (so conservation counts the new instance).
     fn handle_nic_resend(&mut self, node: NodeId, dst: NodeId, id: u64) {
-        let inj = QueuedInjection {
-            time: self.now,
-            src: node,
-            dst,
-            id,
-        };
-        let packet = self.make_packet(inj);
-        let pref = self.arena.alloc(packet);
-        self.observer
-            .packet_retransmitted(self.arena.get(pref), self.now);
-        self.generated += 1;
         self.retransmits += 1;
-        let n = self.nlocal(node);
-        self.nics[n].generated += 1;
-        self.nics[n].source_queue.push_back(pref);
-        self.try_nic_inject(node);
+        self.generate(node, dst, id, true);
     }
 
     /// Drop a packet: refund the input-buffer credit it held (if any),
@@ -909,20 +980,7 @@ impl<O: ShardObserver> Shard<O> {
             task.next_send_seq += 1;
             seq
         };
-        let inj = QueuedInjection {
-            time: self.now,
-            src,
-            dst,
-            id: workload_packet_id(src, seq),
-        };
-        let packet = self.make_packet(inj);
-        let pref = self.arena.alloc(packet);
-        self.observer
-            .packet_generated(self.arena.get(pref), self.now);
-        self.generated += 1;
-        self.nics[n].generated += 1;
-        self.nics[n].source_queue.push_back(pref);
-        self.try_nic_inject(src);
+        self.generate(src, dst, workload_packet_id(src, seq), false);
     }
 
     // ------------------------------------------------------------------
@@ -935,40 +993,33 @@ impl<O: ShardObserver> Shard<O> {
             None => return,
         };
         debug_assert!(inj.time <= self.now, "marker fired before its injection");
-        let packet = self.make_packet(inj);
-        let pref = self.arena.alloc(packet);
-        self.observer
-            .packet_generated(self.arena.get(pref), self.now);
-        self.generated += 1;
-        let nic = self.nlocal(inj.src);
-        self.nics[nic].generated += 1;
-        self.nics[nic].source_queue.push_back(pref);
-        self.try_nic_inject(inj.src);
+        self.generate(inj.src, inj.dst, inj.id, false);
     }
 
-    fn make_packet(&mut self, inj: QueuedInjection) -> Packet {
-        let src_router = self.topo.router_of_node(inj.src);
-        let dst_router = self.topo.router_of_node(inj.dst);
-        Packet {
-            id: inj.id,
-            src: inj.src,
-            dst: inj.dst,
-            src_router,
-            dst_router,
-            dst_group: self.topo.domain_of_router(dst_router),
-            src_group: self.topo.domain_of_router(src_router),
-            src_slot: self.topo.node_slot(inj.src) as u8,
-            size_bytes: self.cfg.packet_bytes,
+    /// Queue a message generated now at `src`'s NIC (a retransmission of a
+    /// dropped one, or a new one) and try to inject. The observer sees the
+    /// packet the NIC will build; the backlog keeps only the record.
+    fn generate(&mut self, src: NodeId, dst: NodeId, id: u64, retransmit: bool) {
+        let msg = Queued {
+            id,
+            dst,
             created_ns: self.now,
-            injected_ns: self.now,
-            hops: 0,
-            vc: 0,
-            route: RouteInfo::default(),
-            last_router: None,
-            last_out_port: None,
-            last_decision_ns: self.now,
-            pending_decision: None,
+        };
+        let packet = self.packet_of(src, msg);
+        if retransmit {
+            self.observer.packet_retransmitted(&packet, self.now);
+        } else {
+            self.observer.packet_generated(&packet, self.now);
         }
+        self.generated += 1;
+        let n = self.nlocal(src);
+        self.nics[n].generated += 1;
+        self.backlog.push_back(&mut self.nics[n], msg);
+        self.try_nic_inject(src);
+    }
+
+    fn packet_of(&self, src: NodeId, msg: Queued) -> Packet {
+        nic::packet_of(&self.topo, &self.cfg, src, msg)
     }
 
     fn try_nic_inject(&mut self, node: NodeId) {
@@ -980,7 +1031,7 @@ impl<O: ShardObserver> Shard<O> {
         let ser = self.cfg.serialization_ns();
         let host_lat = self.cfg.host_latency_ns;
         let nic = &mut self.nics[node.index() - self.node_base];
-        if nic.source_queue.is_empty() || nic.credits == 0 {
+        if nic.backlog() == 0 || nic.credits == 0 {
             // A NicCredit event (or new traffic) will retry later.
             return;
         }
@@ -992,21 +1043,21 @@ impl<O: ShardObserver> Shard<O> {
             }
             return;
         }
-        let pref = nic.source_queue.pop_front().expect("checked non-empty");
+        let msg = self.backlog.pop_front(nic).expect("checked non-empty");
         nic.credits -= 1;
         nic.injected += 1;
         nic.link_free_at = self.now + ser;
-        let more = !nic.source_queue.is_empty() && nic.credits > 0 && !nic.retry_pending;
+        let more = nic.backlog() > 0 && nic.credits > 0 && !nic.retry_pending;
         if more {
             nic.retry_pending = true;
             let at = nic.link_free_at;
             self.queue.push(at, EventKind::NicTryInject { node });
         }
-        {
-            let packet = self.arena.get_mut(pref);
-            packet.injected_ns = self.now;
-            packet.last_decision_ns = self.now;
-        }
+        // The message becomes a packet here.
+        let mut packet = self.packet_of(node, msg);
+        packet.injected_ns = self.now;
+        packet.last_decision_ns = self.now;
+        let pref = self.arena.alloc(packet);
         self.observer
             .packet_injected(self.arena.get(pref), self.now);
         self.injected += 1;

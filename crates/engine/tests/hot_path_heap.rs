@@ -1,6 +1,6 @@
 //! What the engine's containers of in-flight work cost in heap, counted:
-//! the gates behind "the queue, the arena and a router cost what is in
-//! flight".
+//! the gates behind "the queue, the arena, a router and the NIC backlog
+//! cost what is in flight".
 //!
 //! An integration test is its own binary, so this one installs a counting
 //! allocator (the pattern of `benchmark/src/alloc.rs`: live and peak bytes
@@ -10,14 +10,16 @@
 //! What they replaced: one `Vec<Event>` per wheel bucket that never gave
 //! capacity back (2,048 × 512 × 80 B = 84 MB of `ur_ugal_1056`'s 98 MB
 //! peak), one doubling `Vec<Packet>` (82 MB of `adv_qadp_1056`'s 112 MB
-//! at the last doubling), and one `VecDeque` per router queue
-//! (21,216 B per router before a packet moved: 151 MB of the 110,976-node
-//! workload's 196 MB).
+//! at the last doubling), one `VecDeque` per router queue (21,216 B per
+//! router before a packet moved: 151 MB of the 110,976-node workload's
+//! 196 MB), and a NIC backlog of 104-byte arena packets behind one
+//! `VecDeque` per NIC (41.4 MB of `adv_qadp_1056`'s 57.4 MB).
 
 use dragonfly_engine::arena::{PacketArena, PacketRef, CHUNK_SLOTS};
 use dragonfly_engine::config::{EngineConfig, ShardKind};
 use dragonfly_engine::event::{Event, EventKind, EventQueue, Scheduler};
 use dragonfly_engine::injector::{Injection, ScriptedInjector};
+use dragonfly_engine::nic::{Backlog, Nic, Queued, CHUNK_RECORDS};
 use dragonfly_engine::observer::CountingObserver;
 use dragonfly_engine::packet::{Packet, RouteInfo};
 use dragonfly_engine::router::RouterState;
@@ -334,6 +336,68 @@ fn router_state_costs_what_it_buffers() {
     assert_eq!(grew, 0, "100,000 push/pop cycles allocated {grew} B");
 }
 
+fn nic_backlog_costs_what_it_queues() {
+    const RECORD: usize = 24;
+    let message = |id: u64| Queued {
+        id,
+        dst: NodeId((id % 72) as u32),
+        created_ns: id,
+    };
+    // A fresh engine's NICs own no backlog memory, and a NIC record is all
+    // a node costs.
+    let topo = Dragonfly::new(DragonflyConfig::tiny());
+    let nodes = topo.num_nodes();
+    for shards in [ShardKind::Single, ShardKind::Fixed(3)] {
+        let engine = Engine::new(
+            topo.clone(),
+            EngineConfig {
+                shards,
+                ..EngineConfig::paper(3)
+            },
+            &MinimalTestRouting,
+            Box::new(ScriptedInjector::new(Vec::new())),
+            CountingObserver::default(),
+            1,
+        );
+        let heap = engine.memory_breakdown();
+        assert_eq!(heap.backlog, 0, "{shards:?}");
+        assert_eq!(heap.nic_state, nodes * size_of::<Nic>(), "{shards:?}");
+    }
+    assert!(size_of::<Nic>() <= 48);
+    let cfg = EngineConfig::default();
+    let mut nics: Vec<Nic> = (0..64).map(|_| Nic::new(&cfg)).collect();
+    let before = live();
+    let mut pool = Backlog::new();
+    assert_eq!(live(), before, "an empty pool allocates");
+
+    // N records cost 24 B each plus at most one chunk (the last one's
+    // unused tail and the chunk table together stay under one here).
+    const QUEUED: usize = 100_000;
+    for i in 0..QUEUED {
+        pool.push_back(&mut nics[i % 64], message(i as u64));
+    }
+    let counted = live() - before;
+    assert!(
+        counted <= RECORD * QUEUED + RECORD * CHUNK_RECORDS,
+        "{QUEUED} queued messages hold {counted} B"
+    );
+    assert_eq!(pool.memory_bytes(), counted);
+
+    // At a steady backlog, moving messages through the pool allocates
+    // nothing: every pop frees the record the next push takes.
+    let before = live();
+    PEAK.store(before, Relaxed);
+    for i in 0..100_000 {
+        let msg = pool
+            .pop_front(&mut nics[i % 64])
+            .expect("every NIC holds messages");
+        pool.push_back(&mut nics[(i * 7 + 3) % 64], msg);
+    }
+    assert_eq!(pool.len(), QUEUED);
+    let grew = PEAK.load(Relaxed) - before;
+    assert_eq!(grew, 0, "100,000 push/pop cycles allocated {grew} B");
+}
+
 fn breakdown_names_what_memory_bytes_counts() {
     let topo = Dragonfly::new(DragonflyConfig::tiny());
     let script: Vec<Injection> = (0..2_000u64)
@@ -360,10 +424,14 @@ fn breakdown_names_what_memory_bytes_counts() {
         engine.run_until(4_000);
         let heap = engine.memory_breakdown();
         assert_eq!(
-            heap.tables + heap.arena + heap.mailboxes,
+            heap.tables + heap.arena + heap.backlog + heap.mailboxes,
             engine.memory_bytes()
         );
         assert!(heap.arena >= CHUNK_SLOTS * size_of::<Packet>());
+        assert!(
+            heap.backlog >= CHUNK_RECORDS * 24,
+            "every message queues first"
+        );
         assert!(heap.event_queues > 0 && heap.router_state > 0 && heap.nic_state > 0);
     }
 }
@@ -375,5 +443,6 @@ fn the_hot_path_heap_costs_what_is_in_flight() {
     event_queue_heap_follows_pending_events();
     arena_growth_and_restore_copy_nothing();
     router_state_costs_what_it_buffers();
+    nic_backlog_costs_what_it_queues();
     breakdown_names_what_memory_bytes_counts();
 }

@@ -137,8 +137,9 @@ fn run_case(
 ) -> (EngineStats, CountingObserver, Vec<usize>, u64) {
     let mut engine = make_engine(case, shards, pipeline);
     let (_, processed) = engine.run_to_drain(500_000_000);
-    let live = engine.arena_live_counts();
-    (engine.stats(), engine.merged_observer(), live, processed)
+    let stats = engine.stats();
+    let live = stats.shards.iter().map(|s| s.resident as usize).collect();
+    (stats, engine.merged_observer(), live, processed)
 }
 
 /// The property: for any generated case, every `(shards, pipeline)`
@@ -239,7 +240,7 @@ fn closed_loop_task_programs_are_pipeline_invariant() {
         engine.install_workload(programs.clone());
         let (_, processed) = engine.run_to_drain(500_000_000);
         assert_eq!(engine.tasks_finished(), n as u64, "program must drain");
-        assert!(engine.arena_live_counts().iter().all(|l| *l == 0));
+        assert!(engine.stats().shards.iter().all(|s| s.resident == 0));
         (
             (
                 engine.stats().generated,
@@ -307,7 +308,7 @@ fn split_run_until_windows_match_one_drain_under_pipelining() {
 /// inside the grid (`inbound_mail > 0` at hot cut points), while the
 /// pipelined epoch loop always recovers grid mail into the owning queues
 /// before returning, so a pipelined stop must report `inbound_mail == 0`
-/// with every outstanding packet resident in some arena. Both are
+/// with every outstanding packet resident in some shard. Both are
 /// asserted exactly, so the transit leg of the accounting is genuinely
 /// exercised (by the barrier stops) and the pipelined drain-on-exit
 /// contract is pinned rather than silently assumed.
@@ -333,8 +334,11 @@ fn shard_drain_accounting_holds_under_pipelining() {
                 stats.outstanding(),
                 "pipeline={pipeline} t={t_end}: residency + mailbox transit must equal outstanding"
             );
-            let live: u64 = engine.arena_live_counts().iter().map(|l| *l as u64).sum();
-            assert_eq!(resident, live, "per-shard resident mirrors the arenas");
+            let held = (engine.nic_backlog() + engine.fabric_occupancy()) as u64;
+            assert!(
+                held <= resident,
+                "per-shard resident covers the NIC backlogs and router buffers"
+            );
             if pipeline {
                 assert_eq!(
                     stats.in_mailboxes(),

@@ -63,6 +63,11 @@ fn make_engine(shards: ShardKind, script: Vec<Injection>) -> Engine<CountingObse
     )
 }
 
+/// Packets each shard holds, in shard order.
+fn resident_counts(stats: &EngineStats) -> Vec<usize> {
+    stats.shards.iter().map(|s| s.resident as usize).collect()
+}
+
 fn run_with(
     shards: ShardKind,
     script: Vec<Injection>,
@@ -70,7 +75,7 @@ fn run_with(
 ) -> (EngineStats, CountingObserver, Vec<usize>, u64) {
     let mut engine = make_engine(shards, script);
     let (_, processed) = engine.run_to_drain(t_end);
-    let live = engine.arena_live_counts();
+    let live = resident_counts(&engine.stats());
     (engine.stats(), engine.merged_observer(), live, processed)
 }
 
@@ -145,7 +150,7 @@ fn sharded_runs_are_bit_identical_on_fattree_and_hyperx() {
                 42,
             );
             let (_, processed) = engine.run_to_drain(500_000_000);
-            let live = engine.arena_live_counts();
+            let live = resident_counts(&engine.stats());
             (engine.stats(), engine.merged_observer(), live, processed)
         };
         let (base_stats, base_obs, base_live, base_events) = run(ShardKind::Single);
@@ -237,7 +242,7 @@ fn closed_loop_task_programs_are_shard_invariant() {
         engine.install_workload(programs.clone());
         let (_, processed) = engine.run_to_drain(500_000_000);
         assert_eq!(engine.tasks_finished(), n as u64, "program must drain");
-        assert!(engine.arena_live_counts().iter().all(|l| *l == 0));
+        assert!(engine.stats().shards.iter().all(|s| s.resident == 0));
         (
             engine.stats().aggregate_fields(),
             engine.merged_observer(),
@@ -301,7 +306,7 @@ fn arena_segments_account_for_every_packet_mid_run() {
     for t_end in [500u64, 2_000, 5_000, 11_111, 20_000] {
         engine.run_until(t_end);
         let stats = engine.stats();
-        let live: u64 = engine.arena_live_counts().iter().map(|l| *l as u64).sum();
+        let live: u64 = stats.shards.iter().map(|s| s.resident).sum();
         assert_eq!(
             live + stats.in_mailboxes(),
             stats.outstanding(),
@@ -319,7 +324,7 @@ fn arena_segments_account_for_every_packet_mid_run() {
     let (_, _) = engine.run_to_drain(500_000_000);
     let stats = engine.stats();
     assert_eq!(stats.delivered, 2_000);
-    let final_live: u64 = engine.arena_live_counts().iter().map(|l| *l as u64).sum();
+    let final_live: u64 = stats.shards.iter().map(|s| s.resident).sum();
     assert_eq!(final_live, 0, "every arena slot recycled after drain");
     assert_eq!(stats.in_mailboxes(), 0, "no mailbox residue after drain");
     // Every shard both delivered something and processed events.

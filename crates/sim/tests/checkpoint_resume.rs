@@ -22,6 +22,7 @@ use dragonfly_sim::spec::ExperimentSpec;
 use dragonfly_topology::config::DragonflyConfig;
 use dragonfly_workload::WorkloadSpec;
 use qadaptive_core::QAdaptiveParams;
+use std::collections::VecDeque;
 
 /// A faulted open-loop base spec on the tiny Dragonfly.
 fn openloop_spec(routing: RoutingSpec, seed: u64) -> ExperimentSpec {
@@ -605,6 +606,167 @@ fn a_snapshot_with_a_damaged_router_section_is_refused_not_restored() {
                 err.contains(&format!("state of router 0: {field}")),
                 "{what} at {shards:?}: {err}"
             );
+        }
+    }
+}
+
+#[test]
+fn a_sharded_snapshot_is_the_single_shard_snapshot() {
+    // The canonical form numbers arena slots by one walk over the whole
+    // system — every router, then every NIC, then the events in merged
+    // order. Walking shard by shard instead gave a sharded snapshot the
+    // same packets under permuted slot numbers (and different refs in
+    // every router, NIC queue and `RouterArrive` event).
+    use serde::Serialize;
+    let reference = common::congested_snapshot(ShardKind::Single, false).engine;
+    let want = reference.to_value();
+    for (shards, pipeline) in [
+        (ShardKind::Single, true),
+        (ShardKind::Fixed(2), false),
+        (ShardKind::Fixed(2), true),
+        (ShardKind::Fixed(4), false),
+        (ShardKind::Fixed(4), true),
+    ] {
+        let engine = common::congested_snapshot(shards, pipeline).engine;
+        assert!(
+            engine.to_value() == want,
+            "the engine section taken at {shards:?} pipeline={pipeline} differs from the \
+             single-shard one"
+        );
+    }
+}
+
+#[test]
+fn snapshot_restore_snapshot_is_a_fixpoint() {
+    // The NIC backlog leaves the snapshot as arena packets and comes back
+    // as records: a resumed engine's snapshot has the bytes it resumed from.
+    for shards in [ShardKind::Single, ShardKind::Fixed(2)] {
+        let ck = common::congested_snapshot(shards, true);
+        let bytes = ck.to_binary();
+        let spec = in_mode(common::congested_spec(), shards, true);
+        let mut sim = Simulation::resume(&spec, &RunCheckpoint::from_binary(&bytes).unwrap())
+            .expect("its own snapshot resumes");
+        assert!(
+            sim.snapshot().to_binary() == bytes,
+            "{shards:?}: the resumed engine's snapshot differs"
+        );
+    }
+}
+
+#[test]
+fn a_snapshot_with_a_damaged_nic_section_is_refused_not_restored() {
+    // A NIC ref outside the arena panicked in the middle of the resume
+    // (index out of bounds), and one aliasing a slot another owner holds
+    // resumed and ran. Both are refused now, with the rest of what the
+    // canonical arena promises, naming the NIC, router or event and the
+    // field.
+    use dragonfly_engine::arena::PacketRef;
+    use dragonfly_engine::packet::RouteMode;
+    use dragonfly_topology::ids::{NodeId, RouterId};
+    let spec = common::congested_spec();
+    let good = common::congested_snapshot(ShardKind::Single, false);
+    let shard = &good.engine.shard;
+    let n = shard
+        .nics
+        .iter()
+        .position(|nic| nic.source_queue.len() >= 2)
+        .expect("a NIC queues two packets");
+    let queued = shard.nics[n].source_queue[0].index();
+    let slots = shard.arena.slots.len();
+    fn queue(bad: &mut RunCheckpoint, n: usize) -> &mut VecDeque<PacketRef> {
+        &mut bad.engine.shard.nics[n].source_queue
+    }
+    fn slot(bad: &mut RunCheckpoint, slot: usize) -> &mut dragonfly_engine::Packet {
+        &mut bad.engine.shard.arena.slots[slot]
+    }
+    type Damage = Box<dyn Fn(&mut RunCheckpoint)>;
+    let at_nic = format!("NIC {n}: source_queue");
+    let id = shard.arena.slots[queued].id;
+    let generated = |field: &str| format!("{at_nic} packet {id} has a {field} that NIC {n}");
+    let cases: Vec<(&str, Damage, String)> = vec![
+        (
+            "a ref outside the arena",
+            Box::new(move |bad| queue(bad, n).push_back(PacketRef(1_000_000))),
+            format!("{at_nic} holds packet ref 1000000, outside the arena's {slots} slots"),
+        ),
+        (
+            "a ref to a slot its own queue already holds",
+            Box::new(move |bad| queue(bad, n).push_back(PacketRef(queued as u32))),
+            format!("{at_nic} holds arena slot {queued}, which the walk already met"),
+        ),
+        (
+            "a slot nobody holds",
+            Box::new(move |bad| {
+                let spare = bad.engine.shard.arena.slots[queued].clone();
+                bad.engine.shard.arena.slots.push(spare);
+            }),
+            format!("arena slot {slots} is held by no router, NIC or event"),
+        ),
+        (
+            "a dropped ref",
+            Box::new(move |bad| {
+                queue(bad, n).pop_back();
+            }),
+            "is held by no router, NIC or event".to_string(),
+        ),
+        (
+            "a free list",
+            Box::new(|bad| bad.engine.shard.arena.free.push(0)),
+            "the arena's free list holds 1 slots, a snapshot's holds none".to_string(),
+        ),
+        (
+            "another node's packet",
+            Box::new(move |bad| slot(bad, queued).src = NodeId::from_index((n + 1) % 72)),
+            generated("src"),
+        ),
+        (
+            "a packet that took a hop",
+            Box::new(move |bad| slot(bad, queued).hops = 1),
+            generated("hops"),
+        ),
+        (
+            "a packet on VC 1",
+            Box::new(move |bad| slot(bad, queued).vc = 1),
+            generated("vc"),
+        ),
+        (
+            "an injected packet",
+            Box::new(move |bad| slot(bad, queued).injected_ns += 1),
+            generated("injected_ns"),
+        ),
+        (
+            "a packet routed non-minimally",
+            Box::new(move |bad| slot(bad, queued).route.mode = RouteMode::Valiant),
+            generated("route"),
+        ),
+        (
+            "a packet with a previous router",
+            Box::new(move |bad| slot(bad, queued).last_router = Some(RouterId(0))),
+            generated("last_router"),
+        ),
+        (
+            "a packet with a pending decision",
+            Box::new(move |bad| {
+                slot(bad, queued).pending_decision = Some((dragonfly_topology::ids::Port(3), 0))
+            }),
+            generated("pending_decision"),
+        ),
+        (
+            "a packet for a node that does not exist",
+            Box::new(move |bad| slot(bad, queued).dst = NodeId(5_000)),
+            "dst = 5000, outside the 72 nodes".to_string(),
+        ),
+    ];
+    for (what, damage, clue) in cases {
+        let mut bad = good.clone();
+        damage(&mut bad);
+        let bad = RunCheckpoint::from_binary(&bad.to_binary()).expect("it still decodes");
+        for shards in [ShardKind::Single, ShardKind::Fixed(2)] {
+            let err = match Simulation::resume(&in_mode(spec.clone(), shards, true), &bad) {
+                Ok(_) => panic!("{what}: resumed at {shards:?}"),
+                Err(e) => e.0,
+            };
+            assert!(err.contains(&clue), "{what} at {shards:?}: {err}");
         }
     }
 }

@@ -76,6 +76,49 @@ pub fn smallest_spec() -> ExperimentSpec {
     }
 }
 
+/// Q-adaptive under ADV+1 at load 0.6 on the 72-node Dragonfly: by
+/// [`CONGESTED_CUT_NS`] the fabric is full and the NICs queue.
+pub fn congested_spec() -> ExperimentSpec {
+    ExperimentSpec {
+        name: "congested".to_string(),
+        routing: dragonfly_routing::RoutingSpec::QAdaptive(
+            qadaptive_core::QAdaptiveParams::paper_1056(),
+        ),
+        traffic: dragonfly_traffic::TrafficSpec::Adversarial { shift: 1 },
+        load: Some(0.6),
+        warmup_ns: 3_000,
+        measure_ns: 6_000,
+        seed: Some(31),
+        ..ExperimentSpec::new(dragonfly_topology::config::DragonflyConfig::tiny())
+    }
+}
+
+/// Where [`congested_snapshot`] cuts.
+pub const CONGESTED_CUT_NS: u64 = 5_000;
+
+/// [`congested_spec`] in one execution mode, cut at [`CONGESTED_CUT_NS`]
+/// with packets queued at NICs, in router buffers and on links.
+pub fn congested_snapshot(shards: ShardKind, pipeline: bool) -> RunCheckpoint {
+    use dragonfly_engine::event::EventKind;
+    use dragonfly_sim::builder::Simulation;
+    let spec = in_mode(congested_spec(), shards, pipeline);
+    let mut sim = Simulation::start(&spec).expect("valid spec");
+    assert!(sim.advance_to(CONGESTED_CUT_NS), "the cut is mid-run");
+    let ck = sim.snapshot();
+    let shard = &ck.engine.shard;
+    assert!(
+        shard.nics.iter().any(|n| !n.source_queue.is_empty())
+            && shard.routers.iter().any(|r| r.buffered_packets() > 0)
+            && shard
+                .queue
+                .events
+                .iter()
+                .any(|e| matches!(e.kind, EventKind::RouterArrive { .. })),
+        "the snapshot must hold packets at NICs, in routers and on links"
+    );
+    ck
+}
+
 /// A real snapshot small enough to damage byte by byte: [`smallest_spec`]
 /// cut with learning state, queued packets and pending events in it.
 pub fn smallest_snapshot() -> RunCheckpoint {
