@@ -30,9 +30,10 @@ pub struct BenchArgs {
     /// of the figure (`None` = the multi-core default, see
     /// [`BenchArgs::effective_shards`]).
     pub shards: Option<ShardKind>,
-    /// Overlapped-window pipelining override (`None` = the engine default,
-    /// which is on; `--no-pipeline` forces the lockstep barrier mode).
-    /// Results are bit-for-bit identical either way.
+    /// Window-grid override for sharded runs (`None` = the engine default,
+    /// which is on: half-lookahead windows, one window of slack;
+    /// `--no-pipeline` runs lockstep lookahead windows). Results are
+    /// bit-for-bit identical either way.
     pub pipeline: Option<bool>,
     /// Serve unchanged simulation points from this result-cache directory
     /// (see `dragonfly_bench::cache`).

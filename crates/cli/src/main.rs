@@ -191,9 +191,10 @@ fn usage() -> String {
          `run` takes a single-experiment spec, `sweep` a grid spec — see\n\
          scenarios/README.md for the file format. `--shards` runs each\n\
          simulation on N conservative-parallel cores (figure runs default\n\
-         to `auto` on multi-core hosts) and `--no-pipeline` selects the\n\
-         lockstep barrier instead of overlapped windows; results are\n\
-         bit-for-bit identical for every combination. `figure --cache-dir`\n\
+         to `auto` on multi-core hosts) and `--no-pipeline` runs the\n\
+         shards in lockstep on lookahead windows instead of one window\n\
+         apart on half-lookahead ones; results are bit-for-bit identical\n\
+         for every combination. `figure --cache-dir`\n\
          reuses results of unchanged points across invocations — shard\n\
          and pipeline choices never invalidate the cache.\n\
          \n\

@@ -698,7 +698,7 @@ mod tests {
         let mut reference = faulted_engine();
         reference.run_to_drain(2_000_000);
 
-        let mut first = faulted_engine();
+        let first = faulted_engine();
         let ck = first.checkpoint();
         let mut resumed = faulted_engine();
         resumed.restore(&ck);

@@ -79,15 +79,13 @@ pub struct EngineConfig {
     /// value; `Single` is the sequential default).
     #[serde(default)]
     pub shards: ShardKind,
-    /// Overlapped-window pipelined execution of the sharded engine
-    /// (default `true`). With pipelining on, each lookahead window is split
-    /// into half-window *compute* and *exchange* phases over
-    /// double-buffered mailboxes, and idle shards steal whole ready
-    /// windows from slower ones — see [`crate::sync`]. Results are
-    /// **bit-for-bit identical** either way (pinned by the
-    /// `pipeline_differential` tests); `false` selects the PR 3 lockstep
-    /// barrier as the reference execution mode. Ignored when `shards`
-    /// resolves to 1 or the lookahead is under 2 ns.
+    /// Which window grid a sharded run uses (default `true`): half-lookahead
+    /// windows with a gate that lets a shard run one window ahead of the
+    /// slowest, or (`false`) lookahead windows in lockstep — see
+    /// [`crate::sync`]. Both run the same loop, one worker per shard, and
+    /// results are **bit-for-bit identical** either way (pinned by the
+    /// `pipeline_differential` tests). Ignored when `shards` resolves to 1
+    /// or the lookahead is under 2 ns.
     #[serde(default = "default_pipeline")]
     pub pipeline: bool,
     /// How often a NIC retransmits a closed-loop workload message whose

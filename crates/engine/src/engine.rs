@@ -1,10 +1,20 @@
 //! The simulation coordinator: owns the shards, feeds them traffic and
-//! paces the conservative-parallel window loop.
+//! runs the window loop.
 //!
-//! See the crate-level documentation for the model and the sharding /
-//! determinism contract. With `shards = Single` (the default) the engine
-//! degenerates to the classic sequential event loop — same code path,
-//! no threads, no barriers. The engine is generic over the
+//! There is one loop for every shard count. `run_until` / `run_to_drain`
+//! run *epochs*; an epoch starts at the earliest pending event and runs
+//! one worker per shard over a fixed window grid ([`WindowGate`]), the
+//! calling thread being worker 0. A window of shard `s` is always run by
+//! worker `s`: it takes the injections due in the window (one cursor,
+//! injector order), drains the mail addressed to `s`, runs the shard's
+//! events and posts its outbound mail. The epoch ends when every shard is
+//! past the cap, or when an idle worker's audit finds nothing to do
+//! within the next `AUDIT_HORIZON_WINDOWS` windows; between epochs the
+//! world is stopped and all mail is delivered. With `shards = Single`
+//! (the default) this is the sequential event loop: one worker, the
+//! caller, no threads. See [`crate::sync`] for the grid, the gate and
+//! why there is no work stealing, and the crate-level documentation for
+//! the determinism contract. The engine is generic over the
 //! [`ShardObserver`] so that callers can retrieve their metric collectors
 //! by value after the run.
 
@@ -13,18 +23,16 @@ use crate::injector::{Injection, TrafficInjector};
 use crate::observer::ShardObserver;
 use crate::routing::RoutingAlgorithm;
 use crate::shard::Shard;
-use crate::sync::{MailGrid, QueuedInjection, ShardPlan, WindowDeque, WindowSync, NO_EVENT};
+use crate::sync::{pause, MailGrid, QueuedInjection, ShardPlan, WindowGate, NO_EVENT};
 use crate::time::SimTime;
 use dragonfly_topology::ids::{NodeId, RouterId};
 use dragonfly_topology::{AnyTopology, Topology};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How far ahead (in windows) the pipelined quiescence audit looks before
-/// ending an epoch: traffic gaps shorter than this are ground through as
-/// cheap empty windows, longer ones end the epoch so the coordinator can
-/// jump straight to the next event time.
+/// How far ahead (in windows) the quiescence audit looks before ending an
+/// epoch: traffic gaps shorter than this are ground through as cheap
+/// empty windows, longer ones end the epoch so the engine can jump
+/// straight to the next event time.
 const AUDIT_HORIZON_WINDOWS: u64 = 64;
 
 /// Drain progress of one shard (see [`EngineStats::shards`]).
@@ -39,9 +47,10 @@ pub struct ShardDrain {
     /// Generated packets this shard holds: queued at its NICs, in its
     /// router buffers or on an intra-shard link.
     pub resident: u64,
-    /// Packets currently travelling *towards* this shard inside
-    /// cross-shard mailboxes (counted by the engine, since mailboxes live
-    /// between shards).
+    /// Packets travelling *towards* this shard inside cross-shard
+    /// mailboxes. Always 0 between runs: a run delivers all its mail
+    /// before it returns. Kept because the benchmark's conservation check
+    /// reads it.
     pub inbound_mail: u64,
     /// Events processed by this shard.
     pub events: u64,
@@ -50,10 +59,9 @@ pub struct ShardDrain {
 /// Aggregate counters maintained by the engine itself (independent of the
 /// observer, so they are always available).
 ///
-/// `shards` reports per-shard drain progress: during `run_to_drain` a
-/// packet can be resident in a shard (NIC backlog or arena) *or* sitting in
-/// a cross-shard mailbox between windows, and `sum(resident) +
-/// sum(inbound_mail)` always equals [`EngineStats::outstanding`].
+/// `shards` reports per-shard drain progress: `sum(resident) +
+/// sum(inbound_mail)` always equals [`EngineStats::outstanding`], and
+/// between runs every outstanding packet is resident in some shard.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct EngineStats {
     /// Messages generated at NICs.
@@ -107,8 +115,8 @@ pub struct MemoryBreakdown {
     pub router_state: usize,
     /// The per-node NIC records.
     pub nic_state: usize,
-    /// The cross-shard mail grid and, on pipelined runs, the window
-    /// frontier.
+    /// The cross-shard mail grid: the retained capacity of its `N × N`
+    /// mailboxes (empty between runs, but each keeps its high-water mark).
     pub mailboxes: usize,
 }
 
@@ -213,13 +221,13 @@ impl<O: ShardObserver> Engine<O> {
         &self.topo
     }
 
-    /// Whether any event remains scheduled anywhere — in a shard queue,
-    /// the pending-injection slot, or an undelivered cross-shard mailbox.
-    /// `false` means a further `run_to_drain`/`run_until` cannot process
-    /// anything (closed-loop runs reach this long before their drain cap).
+    /// Whether any event remains scheduled anywhere — in a shard queue or
+    /// the pending-injection slot (a run delivers all cross-shard mail
+    /// before it returns). `false` means a further
+    /// `run_to_drain`/`run_until` cannot process anything (closed-loop
+    /// runs reach this long before their drain cap).
     pub fn has_pending_events(&self) -> bool {
         self.pending_injection.is_some()
-            || !self.mail.is_empty()
             || self
                 .shards
                 .iter()
@@ -313,24 +321,14 @@ impl<O: ShardObserver> Engine<O> {
     /// Heap footprint of the simulation state in bytes, rolled up across
     /// shards: every routing agent's Q-table storage, every shard's packet
     /// arena and NIC backlog pool (so every generated but undelivered
-    /// packet is counted), the cross-shard mail grid (both double-buffered
-    /// parity planes at their retained capacity), and — on pipelined runs
-    /// — the window-frontier state. The metrics side (sketches, time
-    /// series) is accounted separately by the observer — see
+    /// packet is counted) and the cross-shard mail grid at its retained
+    /// capacity. What exists only inside a run (the window gate, staged
+    /// injections) is not state. The metrics side (sketches, time series)
+    /// is accounted separately by the observer — see
     /// `MetricsCollector::memory_bytes` in `dragonfly-sim`.
     pub fn memory_bytes(&self) -> usize {
         let shards: usize = self.shards.iter().map(|s| s.memory_bytes()).sum();
-        shards + self.mailbox_bytes()
-    }
-
-    /// The mail grid plus, on pipelined runs, the window-frontier state.
-    fn mailbox_bytes(&self) -> usize {
-        let deque = if self.cfg.pipeline && self.shards.len() > 1 {
-            crate::sync::WindowDeque::memory_bytes_for(self.shards.len())
-        } else {
-            0
-        };
-        self.mail.memory_bytes() + deque
+        shards + self.mail.memory_bytes()
     }
 
     /// [`Engine::memory_bytes`] by owner, plus what it does not count: the
@@ -338,7 +336,7 @@ impl<O: ShardObserver> Engine<O> {
     /// `tables + arena + backlog + mailboxes` is `memory_bytes()`.
     pub fn memory_breakdown(&self) -> MemoryBreakdown {
         let mut heap = MemoryBreakdown {
-            mailboxes: self.mailbox_bytes(),
+            mailboxes: self.mail.memory_bytes(),
             ..MemoryBreakdown::default()
         };
         for shard in &self.shards {
@@ -411,21 +409,13 @@ impl<O: ShardObserver> Engine<O> {
 
     /// Snapshot the complete mutable simulation state (see
     /// [`crate::checkpoint`] for the resume contract). Valid between two
-    /// `run_*` calls on any engine — sequential, sharded, or pipelined:
-    /// every shard then sits at the same window boundary, so the union of
-    /// shard states is a globally consistent cut. The snapshot is stored
-    /// in canonical single-shard-equivalent form and resumes bit-for-bit
-    /// under **any** shard count and pipeline setting.
-    ///
-    /// Takes `&mut self` because cross-shard mail still sitting in the
-    /// grid is first delivered into the owning shards' queues — exactly
-    /// the drain the next `run_*` call would perform, so the run this
-    /// snapshot was taken from continues unperturbed.
-    pub fn checkpoint(&mut self) -> crate::checkpoint::EngineCheckpoint {
-        for i in 0..self.shards.len() {
-            let mail = &self.mail;
-            self.shards[i].deliver_from_grid(mail);
-        }
+    /// `run_*` calls on any engine, whatever its shard count: a run
+    /// returns between windows with all cross-shard mail delivered, so the
+    /// union of shard states is a globally consistent cut. The snapshot is
+    /// stored in canonical single-shard-equivalent form and resumes
+    /// bit-for-bit under **any** shard count and pipeline setting.
+    pub fn checkpoint(&self) -> crate::checkpoint::EngineCheckpoint {
+        debug_assert!(self.mail.is_empty(), "checkpoint with mail in the grid");
         let shard_cks: Vec<crate::checkpoint::ShardCheckpoint> =
             self.shards.iter().map(|s| s.checkpoint()).collect();
         crate::checkpoint::EngineCheckpoint {
@@ -617,507 +607,224 @@ impl<O: ShardObserver> Engine<O> {
         (self.now, processed)
     }
 
-    /// Process every event with `time <= t_cap`, across all shards.
+    /// Process every event with `time <= t_cap`, across all shards: epochs
+    /// of the window loop, each starting at the earliest pending event,
+    /// until nothing is left at or before `t_cap`.
     fn run_events(&mut self, t_cap: SimTime) -> u64 {
-        // A previous capped run may have left cross-shard messages (firing
-        // beyond its cap) in the mail grid: deliver them into the owning
-        // queues so the window planning below sees everything.
-        for i in 0..self.shards.len() {
-            let mail = &self.mail;
-            self.shards[i].deliver_from_grid(mail);
+        let mut processed = 0;
+        loop {
+            // Between epochs the world is stopped: deliver the mail still
+            // in the grid, so the origin below sees every event and a run
+            // leaves no mail behind.
+            for shard in &mut self.shards {
+                shard.deliver_from_grid(&self.mail);
+            }
+            let origin = self
+                .shards
+                .iter()
+                .filter_map(|s| s.next_local_time())
+                .chain(self.pending_injection.map(|i| i.time))
+                .min();
+            match origin {
+                Some(origin) if origin <= t_cap => processed += self.run_epoch(origin, t_cap),
+                _ => break,
+            }
         }
-        let processed = if self.shards.len() == 1 {
-            self.run_sequential(t_cap)
-        } else if self.cfg.pipeline && self.plan.lookahead() >= 2 {
-            self.run_pipelined(t_cap)
-        } else {
-            self.run_threaded(t_cap)
-        };
         let shard_now = self.shards.iter().map(|s| s.now()).max().unwrap_or(0);
         self.now = self.now.max(shard_now);
         processed
     }
 
-    /// The sequential specialisation: one shard, no threads, no mailboxes
-    /// — but the same windowed feed of injections, so results are
-    /// trivially identical to the threaded path.
-    fn run_sequential(&mut self, t_cap: SimTime) -> u64 {
-        // Without cross-shard traffic the window length is only a traffic
-        // feed granularity; keep it coarse enough to amortise the loop.
-        let window = self.plan.lookahead().max(1024);
-        let mut processed = 0;
-        loop {
-            let next_local = self.shards[0].next_local_time().unwrap_or(NO_EVENT);
-            let next_injection = self
-                .pending_injection
-                .as_ref()
-                .map(|i| i.time)
-                .unwrap_or(NO_EVENT);
-            let start = next_local.min(next_injection);
-            if start == NO_EVENT || start > t_cap {
-                break;
-            }
-            let end_incl = start.saturating_add(window - 1).min(t_cap);
-            self.distribute_sequential(end_incl);
-            processed += self.shards[0].run_window(end_incl);
-        }
-        processed
-    }
-
-    /// Hand every injection with `time <= end_incl` to shard 0.
-    fn distribute_sequential(&mut self, end_incl: SimTime) {
-        let Self {
-            shards,
-            injector,
-            pending_injection,
-            next_packet_id,
-            plan,
-            topo,
-            ..
-        } = self;
-        let shard = &mut shards[0];
-        distribute_injections(
-            injector.as_mut(),
-            pending_injection,
-            next_packet_id,
-            plan,
-            topo,
-            end_incl,
-            |_, q| shard.accept_injection(q),
-        );
-    }
-
-    /// The conservative-parallel path: one thread per shard, lockstep
-    /// windows of one lookahead each, shard 0's thread doubling as the
-    /// leader that plans windows and distributes injections between the
-    /// two barriers.
-    fn run_threaded(&mut self, t_cap: SimTime) -> u64 {
-        let Self {
-            topo,
-            plan,
-            shards,
-            mail,
-            injector,
-            pending_injection,
-            next_packet_id,
-            ..
-        } = self;
-        let lookahead = plan.lookahead();
-        let sync = WindowSync::new(shards.len());
-        for (i, shard) in shards.iter().enumerate() {
-            sync.next_hint[i].store(
-                shard.next_local_time().unwrap_or(NO_EVENT),
-                Ordering::Release,
-            );
-        }
-        let sync = &sync;
-        let mail: &MailGrid = mail;
-        let plan: &ShardPlan = plan;
-        let topo: &AnyTopology = topo;
-
-        // Leader-only traffic distribution state, moved into shard 0's
-        // thread.
-        struct Feeder<'a> {
-            injector: &'a mut Box<dyn TrafficInjector>,
-            pending: &'a mut Option<Injection>,
-            next_id: &'a mut u64,
-        }
-        let mut feeder = Some(Feeder {
-            injector,
-            pending: pending_injection,
-            next_id: next_packet_id,
-        });
-
-        crossbeam::scope(|scope| {
-            let mut handles = Vec::new();
-            for (i, shard) in shards.iter_mut().enumerate() {
-                let mut feeder = if i == 0 { feeder.take() } else { None };
-                handles.push(scope.spawn(move |_| {
-                    let mut processed = 0u64;
-                    loop {
-                        // Phase 1: everyone arrived; the previous window's
-                        // outboxes are all in the mail grid.
-                        sync.pre.wait();
-                        if let Some(f) = feeder.as_mut() {
-                            // Leader: plan the next window. The hints cover
-                            // every queued event and every in-flight
-                            // message; the pending injection is the only
-                            // source of work the shards cannot see.
-                            let mut start = sync.min_hint();
-                            if let Some(p) = f.pending.as_ref() {
-                                start = start.min(p.time);
-                            }
-                            if start == NO_EVENT || start > t_cap {
-                                sync.done.store(true, Ordering::Release);
-                            } else {
-                                let end_incl = start.saturating_add(lookahead - 1).min(t_cap);
-                                distribute_injections(
-                                    f.injector.as_mut(),
-                                    f.pending,
-                                    f.next_id,
-                                    plan,
-                                    topo,
-                                    end_incl,
-                                    |owner, q| sync.injections[owner].lock().push_back(q),
-                                );
-                                sync.window_end.store(end_incl, Ordering::Release);
-                                sync.done.store(false, Ordering::Release);
-                            }
-                        }
-                        // Phase 2: the window (or `done`) is published.
-                        sync.post.wait();
-                        if sync.done.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let end_incl = sync.window_end.load(Ordering::Acquire);
-                        {
-                            let mut inbox = sync.injections[i].lock();
-                            while let Some(q) = inbox.pop_front() {
-                                shard.accept_injection(q);
-                            }
-                        }
-                        shard.deliver_from_grid(mail);
-                        processed += shard.run_window(end_incl);
-                        shard.flush_outboxes(mail, 0);
-                        let hint = shard
-                            .next_local_time()
-                            .unwrap_or(NO_EVENT)
-                            .min(shard.min_sent());
-                        sync.next_hint[i].store(hint, Ordering::Release);
-                    }
-                    processed
-                }));
-            }
-            handles
+    /// One epoch of the window loop from `origin`: one worker per shard on
+    /// the grid [`WindowGate::grid`] picks, the calling thread being
+    /// worker 0. Ends when every shard is past `t_cap` or an audit finds
+    /// nothing to do within the horizon (the caller then jumps the gap).
+    fn run_epoch(&mut self, origin: SimTime, t_cap: SimTime) -> u64 {
+        let n = self.shards.len();
+        let (window_ns, lag) = WindowGate::grid(n, self.plan.lookahead(), self.cfg.pipeline);
+        let epoch = Epoch {
+            topo: &self.topo,
+            plan: &self.plan,
+            mail: &self.mail,
+            gate: WindowGate::new(n, origin, window_ns, lag, t_cap),
+            feeder: Mutex::new(Feeder {
+                injector: self.injector.as_mut(),
+                pending: self.pending_injection,
+                next_id: self.next_packet_id,
+                inboxes: vec![Vec::new(); n],
+            }),
+            cells: self.shards.iter_mut().map(Mutex::new).collect(),
+        };
+        let processed = crossbeam::scope(|scope| {
+            let epoch = &epoch;
+            let workers: Vec<_> = (1..n)
+                .map(|s| scope.spawn(move |_| epoch.work(s)))
+                .collect();
+            let own = epoch.work(0);
+            own + workers
                 .into_iter()
-                .map(|h| h.join().expect("shard thread panicked"))
+                .map(|h| h.join().expect("shard worker panicked"))
                 .sum::<u64>()
         })
-        .expect("shard scope panicked")
-    }
-
-    /// The overlapped-window pipelined path ([`EngineConfig::pipeline`]):
-    /// epochs of a fixed half-lookahead window grid, paced by the lagged
-    /// gate of a [`WindowDeque`] instead of a per-window barrier, with
-    /// idle workers stealing whole ready windows from slower shards. See
-    /// [`crate::sync`] for the two-phase/double-buffer argument; results
-    /// are bit-for-bit identical to the barrier and sequential modes.
-    fn run_pipelined(&mut self, t_cap: SimTime) -> u64 {
-        let mut processed = 0;
-        loop {
-            // Between epochs the world is stopped: recover in-flight mail
-            // so the epoch planning below sees every queued event.
-            for i in 0..self.shards.len() {
-                let mail = &self.mail;
-                self.shards[i].deliver_from_grid(mail);
-            }
-            let next_local = self
-                .shards
-                .iter()
-                .filter_map(|s| s.next_local_time())
-                .min()
-                .unwrap_or(NO_EVENT);
-            let next_injection = self
-                .pending_injection
-                .as_ref()
-                .map(|i| i.time)
-                .unwrap_or(NO_EVENT);
-            let origin = next_local.min(next_injection);
-            if origin == NO_EVENT || origin > t_cap {
-                break;
-            }
-            processed += self.run_pipeline_epoch(origin, t_cap);
-        }
+        .expect("shard scope panicked");
+        let feeder = epoch.feeder.into_inner();
+        // A shard's last window before the cap, and a quiescent audit,
+        // both find its inbox empty.
+        debug_assert!(
+            feeder.inboxes.iter().all(Vec::is_empty),
+            "an epoch ended with staged injections"
+        );
+        self.pending_injection = feeder.pending;
+        self.next_packet_id = feeder.next_id;
         processed
-    }
-
-    /// One pipelined epoch: windows `[origin + w·W, origin + (w+1)·W)`
-    /// with `W = lookahead / 2`, executed by one worker thread per shard.
-    /// Any worker may claim any shard's next window once the lagged gate
-    /// opens (whole-window work stealing); the epoch ends when everything
-    /// is parked beyond `t_cap` or the quiescence audit finds no work
-    /// within the audit horizon (the coordinator then jumps the gap).
-    fn run_pipeline_epoch(&mut self, origin: SimTime, t_cap: SimTime) -> u64 {
-        let Self {
-            topo,
-            plan,
-            shards,
-            mail,
-            injector,
-            pending_injection,
-            next_packet_id,
-            ..
-        } = self;
-        let n = shards.len();
-        let deque = WindowDeque::new(n, origin, (plan.lookahead() / 2).max(1), t_cap);
-        let deque = &deque;
-        let mail: &MailGrid = mail;
-        let plan: &ShardPlan = plan;
-        let topo: &AnyTopology = topo;
-
-        // The shared injection feeder: a single cursor over the (ordered)
-        // injector stream, so packet ids are assigned in injector order no
-        // matter which worker pumps it. `distributed_until` is a monotonic
-        // watermark — before any worker executes a window, it pumps the
-        // feeder to that window's end, so every shard's inbox holds its
-        // injections before the window containing them runs.
-        struct Feeder<'a> {
-            injector: &'a mut Box<dyn TrafficInjector>,
-            pending: &'a mut Option<Injection>,
-            next_id: &'a mut u64,
-            distributed_until: SimTime,
-        }
-        let initial_pending = pending_injection
-            .as_ref()
-            .map(|i| i.time)
-            .unwrap_or(NO_EVENT);
-        let feeder = Mutex::new(Feeder {
-            injector,
-            pending: pending_injection,
-            next_id: next_packet_id,
-            distributed_until: 0,
-        });
-        // Lock-free mirror of the feeder's pending-injection time, for the
-        // work-availability scan and the audit.
-        let pending_hint = AtomicU64::new(initial_pending);
-        let inboxes: Vec<Mutex<VecDeque<QueuedInjection>>> =
-            (0..n).map(|_| Mutex::new(VecDeque::new())).collect();
-        // Per-shard queue-head times published after each window (advisory
-        // only: correctness rests on the audit's world-stop re-check).
-        let hints: Vec<AtomicU64> = shards
-            .iter()
-            .map(|s| AtomicU64::new(s.next_local_time().unwrap_or(NO_EVENT)))
-            .collect();
-        let audit = Mutex::new(());
-        let epoch_processed;
-        {
-            let cells: Vec<Mutex<&mut Shard<O>>> = shards.iter_mut().map(Mutex::new).collect();
-            let cells = &cells;
-            let feeder = &feeder;
-            let inboxes = &inboxes;
-            let hints = &hints;
-            let pending_hint = &pending_hint;
-            let audit = &audit;
-
-            let pump = move |until: SimTime| {
-                let mut f = feeder.lock();
-                if f.distributed_until >= until {
-                    return;
-                }
-                let feeder_state = &mut *f;
-                distribute_injections(
-                    feeder_state.injector.as_mut(),
-                    feeder_state.pending,
-                    feeder_state.next_id,
-                    plan,
-                    topo,
-                    until,
-                    |owner, q| inboxes[owner].lock().push_back(q),
-                );
-                pending_hint.store(
-                    f.pending.as_ref().map(|i| i.time).unwrap_or(NO_EVENT),
-                    Ordering::Release,
-                );
-                f.distributed_until = until;
-            };
-            let pump = &pump;
-
-            // Execute shard `s`'s next window if it is claimable right now
-            // (unlocked, not parked, gate open). Returns the events
-            // processed, or `None` if the window could not be claimed.
-            let try_run = move |s: usize| -> Option<u64> {
-                let mut shard = cells[s].try_lock()?;
-                // `completed` only advances under this lock, so the window
-                // index read here is stable for the whole execution.
-                let w = deque.next_window(s);
-                if deque.parked(w) || !deque.gate_open(w) {
-                    return None;
-                }
-                let end_incl = deque.end_incl_of(w);
-                let parity = (w % 2) as usize;
-                pump(end_incl);
-                {
-                    let mut inbox = inboxes[s].lock();
-                    while let Some(q) = inbox.pop_front() {
-                        shard.accept_injection(q);
-                    }
-                }
-                shard.deliver_parity_from_grid(mail, parity);
-                let processed = shard.run_window(end_incl);
-                shard.flush_outboxes(mail, parity);
-                hints[s].store(
-                    shard.next_local_time().unwrap_or(NO_EVENT),
-                    Ordering::Release,
-                );
-                // Publishing the completion *after* the outbox flush is
-                // what guarantees window-w mail is visible before any
-                // shard opens window w + 2.
-                deque.complete(s, w);
-                Some(processed)
-            };
-            let try_run = &try_run;
-
-            // Advisory check: might shard `s`'s window `w` do real work?
-            let maybe_has_work = move |s: usize, w: u64| -> bool {
-                let end = deque.end_incl_of(w);
-                hints[s].load(Ordering::Acquire) <= end
-                    || pending_hint.load(Ordering::Acquire) <= end
-                    || !inboxes[s].lock().is_empty()
-                    || !mail.is_empty_for(s)
-            };
-            let maybe_has_work = &maybe_has_work;
-
-            // World-stopping quiescence audit. Returns `true` when the
-            // epoch is over. The blocking `lock()` here is safe: workers
-            // hold at most one shard lock and never block on another.
-            let try_audit = move || -> bool {
-                let Some(_guard) = audit.try_lock() else {
-                    return false;
-                };
-                if deque.is_done() {
-                    return true;
-                }
-                let world: Vec<_> = cells.iter().map(|c| c.lock()).collect();
-                let horizon = deque
-                    .end_incl_of(deque.min_completed() + AUDIT_HORIZON_WINDOWS)
-                    .min(t_cap);
-                let mut quiescent = pending_hint.load(Ordering::Acquire) > horizon;
-                for s in 0..n {
-                    if !quiescent {
-                        break;
-                    }
-                    if !inboxes[s].lock().is_empty() {
-                        quiescent = false;
-                        break;
-                    }
-                    if deque.parked(deque.next_window(s)) {
-                        // Beyond the cap: leftover mail addressed here
-                        // fires after t_cap and is recovered between
-                        // epochs; nothing more to run.
-                        continue;
-                    }
-                    if !mail.is_empty_for(s)
-                        || world[s].next_local_time().unwrap_or(NO_EVENT) <= horizon
-                    {
-                        quiescent = false;
-                    }
-                }
-                if quiescent {
-                    deque.finish();
-                }
-                quiescent
-            };
-            let try_audit = &try_audit;
-
-            epoch_processed = crossbeam::scope(|scope| {
-                let mut handles = Vec::new();
-                for worker in 0..n {
-                    handles.push(scope.spawn(move |_| {
-                        let mut processed = 0u64;
-                        let mut empty_streak = 0u32;
-                        while !deque.is_done() {
-                            // Prefer a window with probable work — own
-                            // shard first, then steal from the others.
-                            let mut ran = false;
-                            for offset in 0..n {
-                                let s = (worker + offset) % n;
-                                let w = deque.next_window(s);
-                                if deque.parked(w) || !deque.gate_open(w) || !maybe_has_work(s, w) {
-                                    continue;
-                                }
-                                if let Some(p) = try_run(s) {
-                                    processed += p;
-                                    if p > 0 {
-                                        empty_streak = 0;
-                                    }
-                                    ran = true;
-                                    break;
-                                }
-                            }
-                            if ran {
-                                continue;
-                            }
-                            if deque.all_parked() {
-                                deque.finish();
-                                break;
-                            }
-                            empty_streak += 1;
-                            if empty_streak >= 2 && try_audit() {
-                                break;
-                            }
-                            // Advance the slowest runnable shard one
-                            // (empty) window so gated work elsewhere can
-                            // proceed — still whole-window granularity.
-                            let laggard = (0..n)
-                                .filter(|&s| {
-                                    let w = deque.next_window(s);
-                                    !deque.parked(w) && deque.gate_open(w)
-                                })
-                                .min_by_key(|&s| deque.next_window(s));
-                            match laggard.and_then(try_run) {
-                                Some(p) => processed += p,
-                                None => std::thread::yield_now(),
-                            }
-                        }
-                        processed
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("pipeline worker panicked"))
-                    .sum::<u64>()
-            })
-            .expect("pipeline scope panicked");
-        }
-        // Defensive: re-queue any injection the epoch distributed but never
-        // consumed (both epoch exits leave the inboxes empty, see the
-        // audit; this keeps a future exit path from losing traffic).
-        for (i, inbox) in inboxes.into_iter().enumerate() {
-            let mut leftovers = inbox.into_inner();
-            debug_assert!(
-                leftovers.is_empty(),
-                "epoch ended with undelivered injections"
-            );
-            while let Some(q) = leftovers.pop_front() {
-                shards[i].accept_injection(q);
-            }
-        }
-        epoch_processed
     }
 }
 
-/// Advance the shared injection cursor: hand every pending injection with
-/// `time <= end_incl` to `push(owner_shard, queued)`, assigning packet
-/// ids in injector order. All three execution modes — sequential,
-/// lockstep barrier and pipelined — feed traffic through this single
-/// function; identical id assignment across them is part of the
-/// bit-for-bit determinism contract, so never fork this logic per mode.
-fn distribute_injections(
-    injector: &mut dyn TrafficInjector,
-    pending: &mut Option<Injection>,
-    next_id: &mut u64,
-    plan: &ShardPlan,
-    topo: &AnyTopology,
-    end_incl: SimTime,
-    mut push: impl FnMut(usize, QueuedInjection),
-) {
-    while let Some(injection) = *pending {
-        if injection.time > end_incl {
-            break;
+/// The injection cursor of one epoch, shared by its workers under one
+/// mutex, so packet ids follow injector order whichever worker pumps.
+struct Feeder<'a> {
+    injector: &'a mut dyn TrafficInjector,
+    /// The next injection, pulled from the injector but not handed out.
+    pending: Option<Injection>,
+    next_id: u64,
+    /// Per shard, injections another worker handed out, in injector
+    /// order, until the owner's next window.
+    inboxes: Vec<Vec<QueuedInjection>>,
+}
+
+/// What the workers of one epoch share.
+struct Epoch<'a, O: ShardObserver> {
+    topo: &'a AnyTopology,
+    plan: &'a ShardPlan,
+    mail: &'a MailGrid,
+    gate: WindowGate,
+    feeder: Mutex<Feeder<'a>>,
+    /// The shards: each locked by its own worker for one window at a
+    /// time, and only ever `try_lock`ed by the audit.
+    cells: Vec<Mutex<&'a mut Shard<O>>>,
+}
+
+/// Ends the epoch when its worker leaves the loop, panics included, so no
+/// other worker waits on a gate that will never open.
+struct EndEpochOnExit<'g>(&'g WindowGate);
+
+impl Drop for EndEpochOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.finish();
+    }
+}
+
+impl<O: ShardObserver> Epoch<'_, O> {
+    /// Worker `s`: run shard `s`'s windows in order until the epoch ends.
+    /// Every way out of the loop ends the epoch — all shards parked, a
+    /// quiescent audit, or another worker having ended it.
+    fn work(&self, s: usize) -> u64 {
+        let _end = EndEpochOnExit(&self.gate);
+        let (mut processed, mut idle, mut spins) = (0, 0u32, 0u32);
+        // The window whose injections shard `s` already holds.
+        let mut fed = None;
+        while !self.gate.is_done() {
+            let w = self.gate.next_window(s);
+            if self.gate.parked(w) {
+                if self.gate.all_parked() {
+                    break;
+                }
+                pause(&mut spins);
+            } else if !self.gate.gate_open(w) {
+                // Waiting on the gate is not idleness: it does not count
+                // towards an audit. Take the window's injections meanwhile,
+                // which pumps the one cursor off the critical path.
+                if fed != Some(w) {
+                    self.feed(&mut self.cells[s].lock(), s, self.gate.end_incl_of(w));
+                    fed = Some(w);
+                }
+                pause(&mut spins);
+            } else {
+                spins = 0;
+                let p = self.run_window(s, w);
+                processed += p;
+                idle = if p > 0 { 0 } else { idle + 1 };
+                if idle >= 2 && self.audit() {
+                    break;
+                }
+            }
         }
-        let id = *next_id;
-        *next_id += 1;
-        let owner = plan.shard_of_router(topo.router_of_node(injection.src));
-        push(
-            owner,
-            QueuedInjection {
+        processed
+    }
+
+    /// Shard `s`'s window `w`: feed, drain the mail, run, post the mail,
+    /// then publish the window as finished — after the post, which is
+    /// what makes window-`w` mail visible before any shard opens
+    /// `w + lag`.
+    fn run_window(&self, s: usize, w: u64) -> u64 {
+        let mut shard = self.cells[s].lock();
+        let end_incl = self.gate.end_incl_of(w);
+        self.feed(&mut shard, s, end_incl);
+        shard.deliver_from_grid(self.mail);
+        let processed = shard.run_window(end_incl);
+        shard.flush_outboxes(self.mail);
+        self.gate.complete(s, w);
+        processed
+    }
+
+    /// Hand shard `s` what other workers staged for it, then advance the
+    /// cursor to `end_incl`: `s`'s own injections go straight in, the
+    /// others' are staged for their owners. Every shard thereby accepts
+    /// its injections in injector order; with one shard nothing is staged.
+    fn feed(&self, shard: &mut Shard<O>, s: usize, end_incl: SimTime) {
+        let mut guard = self.feeder.lock();
+        let f = &mut *guard;
+        for q in f.inboxes[s].drain(..) {
+            shard.accept_injection(q);
+        }
+        while let Some(injection) = f.pending.filter(|i| i.time <= end_incl) {
+            let queued = QueuedInjection {
                 time: injection.time,
                 src: injection.src,
                 dst: injection.dst,
-                id,
-            },
-        );
-        *pending = injector.next_injection();
+                id: f.next_id,
+            };
+            f.next_id += 1;
+            let owner = self
+                .plan
+                .shard_of_router(self.topo.router_of_node(injection.src));
+            if owner == s {
+                shard.accept_injection(queued);
+            } else {
+                f.inboxes[owner].push(queued);
+            }
+            f.pending = f.injector.next_injection();
+        }
+    }
+
+    /// Whether the epoch can end: no shard is running, and no shard that
+    /// is not parked has an event, mail or injection within
+    /// [`AUDIT_HORIZON_WINDOWS`] of the slowest shard. A running shard
+    /// makes the answer "no" at once; the audit never waits for one.
+    fn audit(&self) -> bool {
+        let mut world = Vec::with_capacity(self.cells.len());
+        for cell in &self.cells {
+            match cell.try_lock() {
+                Some(shard) => world.push(shard),
+                None => return false,
+            }
+        }
+        let horizon = self
+            .gate
+            .end_incl_of(self.gate.min_completed() + AUDIT_HORIZON_WINDOWS);
+        // Uncontended: a worker takes the feeder only while it holds its
+        // own shard.
+        let feeder = self.feeder.lock();
+        feeder.pending.map_or(NO_EVENT, |i| i.time) > horizon
+            && world.iter().enumerate().all(|(s, shard)| {
+                // A parked shard has nothing left this run: mail addressed
+                // to it fires after the cap and is delivered between
+                // epochs.
+                feeder.inboxes[s].is_empty()
+                    && (self.gate.parked(self.gate.next_window(s))
+                        || (self.mail.is_empty_for(s)
+                            && shard.next_local_time().unwrap_or(NO_EVENT) > horizon))
+            })
     }
 }
 

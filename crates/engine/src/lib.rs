@@ -107,18 +107,18 @@
 //!   — 6,936 × 21.7 KB = 151 MB of the 110,976-node workload's 196 MB
 //!   heap peak, cloned again by every snapshot. Snapshots keep the old
 //!   layout as their wire form, byte for byte.
-//! * **Mailbox draining reuses buffers.** Window exchange drains
-//!   cross-shard mail directly from the [`sync::MailGrid`] into a
-//!   per-shard scratch buffer that lives for the whole run
-//!   (`Shard::deliver_from_grid`), instead of collecting each window's
-//!   mail into a fresh `Vec` — at half-lookahead window granularity the
-//!   allocator was on the per-window critical path.
+//! * **Mailbox draining reuses buffers.** A window drains cross-shard
+//!   mail directly from the [`sync::MailGrid`] into a per-shard scratch
+//!   buffer that lives for the whole run (`Shard::deliver_from_grid`),
+//!   instead of collecting each window's mail into a fresh `Vec` — at
+//!   half-lookahead window granularity the allocator was on the
+//!   per-window critical path.
 //!
 //! [`engine::Engine::memory_breakdown`] says where the heap is — tables,
 //! arena, NIC backlog, event queues, router state, NIC state, mailboxes — and
 //! `qadaptive-cli run` prints it on stderr under its `perf:` line.
 //!
-//! ## Sharded conservative-parallel execution
+//! ## Sharded execution: one window loop
 //!
 //! One simulation can run across several cores ([`config::ShardKind`]):
 //! routers are partitioned by **locality domain** — the topology's
@@ -126,60 +126,57 @@
 //! the core switches), HyperX rows — into shards ([`sync::ShardPlan`]).
 //! The [`dragonfly_topology::Topology`] contract guarantees each domain
 //! is a contiguous router/node id range and that every link between
-//! routers of different domains carries at least
-//! `Topology::min_cross_domain_latency` (the global-link latency on all
-//! shipped topologies). Each shard owns its own calendar queue, packet
-//! arena and observer clone ([`shard::Shard`]), and shards execute
-//! lockstep windows of one **lookahead** — that minimum cross-domain
-//! latency, the minimum delay of any cross-shard interaction (packet
-//! over a cross-domain link, returning credit, RL feedback). Cross-shard
-//! events are exchanged
-//! through per-pair mailboxes ([`sync::MailGrid`]) at window barriers;
-//! packets cross **by value**, so a `PacketRef` is never dereferenced
-//! outside the arena that issued it. Within a window every shard runs
-//! lock-free; no null messages and no rollback are needed
-//! (bounded-window conservative PDES).
+//! routers of different domains carries at least the **lookahead** `L =
+//! Topology::min_cross_domain_latency` (the global-link latency on all
+//! shipped topologies), the minimum delay of any cross-shard interaction
+//! (packet over a cross-domain link, returning credit, RL feedback). Each
+//! shard owns its own calendar queue, packet arena and observer clone
+//! ([`shard::Shard`]); cross-shard events travel through one mailbox per
+//! shard pair ([`sync::MailGrid`]), packets **by value**, so a `PacketRef`
+//! is never dereferenced outside the arena that issued it. Within a
+//! window every shard runs lock-free; no null messages and no rollback
+//! are needed (bounded-window conservative PDES, the scheme SST/Merlin
+//! uses to pace its partitions).
 //!
-//! ## The two-phase window pipeline (overlapped windows)
+//! Every shard count runs the same loop ([`engine`]): epochs over a fixed
+//! window grid `(W, lag)` that the engine picks ([`sync::WindowGate`]),
+//! one worker per shard, the calling thread being worker 0. Shard `s` may
+//! start window `w` once every shard has finished window `w − lag`; mail
+//! sent in window `w` fires at or after the start of window `w + lag`
+//! (`lag · W ≤ L`), and every window starts by draining the shard's whole
+//! inbound mail, so mail is always in time.
 //!
-//! With [`config::EngineConfig::pipeline`] (the default), the lockstep
-//! barrier is replaced by an **overlapped** schedule: windows shrink to
-//! half a lookahead (`W = L/2`), each window splits into a *compute*
-//! phase and an *exchange* phase over **double-buffered** per-pair
-//! mailboxes (one buffer per window parity `w mod 2`), and shards are
-//! paced by the lagged gate of a [`sync::WindowDeque`] — shard `k` may
-//! start window `w` as soon as every shard has finished window `w − 2`.
-//! Mail sent while computing window `w` fires at `≥ start(w) + L =
-//! start(w + 2)`, so it only has to reach its destination two windows
-//! later; posting into parity `w mod 2` at the end of window `w` and
-//! draining the same parity at the start of window `w + 2` meets that
-//! deadline exactly, while one shard's compute overlaps its neighbours'
-//! compute *and* the previous window's exchange. `pipeline = false`
-//! keeps the PR 3 lockstep barrier as the reference execution mode.
+//! * One shard: `(max(L, 1024), 1)`. The window only sets how much
+//!   traffic is fed at a time; no thread is spawned.
+//! * Sharded, [`config::EngineConfig::pipeline`] on (the default) and `L ≥
+//!   2`: `(L/2, 2)`. A shard may run one window ahead of the slowest, so
+//!   one shard's compute overlaps its neighbours' compute and mail.
+//! * Otherwise `(L, 1)`: lockstep.
 //!
-//! **Work stealing — whole windows only.** The `WindowDeque` doubles as
-//! a shared work frontier: an idle worker thread claims *any* shard
-//! whose next window has passed the gate and executes it (drain →
-//! compute → post) on that shard's own queue and arena. The granularity
-//! rule is load-bearing: a work item is always **one whole window of one
-//! shard**, never an individual event. Because a shard's windows execute
-//! in order under the shard's lock, the event sequence each shard
-//! processes is identical no matter which worker runs it — stealing
-//! redistributes wall-clock work, not events. Stealing at event
-//! granularity would interleave two shards' state and break both
-//! locality and the ordering argument below.
+//! **No work stealing.** Worker `s` runs only shard `s`'s windows, in
+//! order; a closed gate is waited out by spinning, then yielding, and a
+//! worker that waits feeds its next window meanwhile, which keeps the one
+//! injection cursor off the critical path. The loop this replaced let an
+//! idle worker claim any shard's ready window and ended epochs with a
+//! blocking audit; an auditor blocked on the shard its peer was running
+//! while holding all the others, so the two workers alternated on one
+//! core. On a 2-vCPU Xeon at 2.1 GHz, `ur_ugal_1056 --shards 2
+//! --pipeline` took 0.98–1.39 s in 7 of 10 runs with user CPU equal to
+//! wall time, 0.51 s in the other three; with a shard per worker and an
+//! audit that only `try_lock`s, all ten took 0.50–0.53 s on both cores.
+//! At `--shards 4 --pipeline` on the same host the same ten seeds went
+//! from 0.60–1.00 s to 0.53–0.65 s.
 //!
-//! **Why determinism survives both.** Events are totally ordered by the
-//! content-derived key (next section), so *when* a cross-shard message
-//! is merged into the destination queue — at the barrier, one window
-//! early from a racing parity drain, or two windows later after a
-//! drained-while-filling race — cannot change the order in which events
-//! are processed, only where in the queue the message briefly waits.
-//! Combined with the whole-window stealing rule and injector-order
-//! packet-id assignment under a single feeder cursor, `shards = 1` and
-//! `shards = N` are bit-for-bit identical with pipelining on or off
-//! (pinned by the `pipeline_differential` and `pipeline_determinism`
-//! property suites on top of the PR 3 differentials).
+//! **Why determinism survives.** Events are totally ordered by the
+//! content-derived key (next paragraph), so *when* a cross-shard message
+//! is merged into the destination queue — at the window it fires in or
+//! earlier — cannot change the order in which events are processed, only
+//! where in the queue the message briefly waits. Combined with packet ids
+//! assigned by one feeder cursor in injector order, and every shard
+//! accepting its own injections in that order, `shards = 1` and `shards =
+//! N` are bit-for-bit identical on every grid (pinned by the
+//! `pipeline_differential` and `pipeline_determinism` property suites on
+//! top of the `shard_differential` ones).
 //!
 //! **Determinism contract:** events are totally ordered by
 //! `(time, key, seq)` where `key` is a *content-derived* priority
@@ -195,7 +192,7 @@
 //! introduces run-to-run or across-shard-count variation.
 //!
 //! The engine is deterministic for a fixed seed, traffic injector and
-//! routing algorithm — independent of shard count, pipelining and thread
+//! routing algorithm — independent of shard count, window grid and thread
 //! scheduling.
 //!
 //! **Streaming statistics and determinism.** The contract extends to the
@@ -238,14 +235,14 @@
 //! * A packet is always ejected by the shard that owns its destination
 //!   node (host ports never cross shards), so the `TaskRecv` wakeup is a
 //!   **shard-local** push at the delivery time — no new cross-shard
-//!   channel, no lookahead interaction, and windows planned from
-//!   `next_local_time()` see task events automatically in all three
-//!   execution modes.
+//!   channel, no lookahead interaction, and epochs planned from
+//!   `next_local_time()` see task events automatically at every shard
+//!   count.
 //! * Workload sends post packets at the node's own NIC through the same
 //!   generation path as injector traffic, with ids from a disjoint
 //!   deterministic namespace ([`workload::workload_packet_id`]: source
 //!   node + per-node sequence), so id assignment cannot depend on which
-//!   mode executes a window first.
+//!   shard executes a window first.
 //!
 //! `Recv` matching is MPI-style per-source counting (no tags): order of
 //! arrival is irrelevant, which is exactly what makes the blocked/ready
@@ -259,7 +256,7 @@
 //! [`engine::Engine::install_faults`]): a compiled schedule of port/router
 //! liveness flips whose times are **quantized up to lookahead-window
 //! boundaries**, so a fault lands between the same two windows no matter
-//! the shard count or execution mode and the determinism contract above
+//! the shard count or window grid and the determinism contract above
 //! survives fault injection unchanged. Routing agents see liveness
 //! through [`routing::RouterCtx::port_up`] and fall back deterministically
 //! (no extra RNG draws) when a candidate port is dead; packets stranded at
@@ -273,15 +270,15 @@
 //!
 //! ## Checkpoint / resume
 //!
-//! The engine can snapshot its complete mutable state between runs under
-//! **any execution mode** — sharded, pipelined or sequential
+//! The engine can snapshot its complete mutable state between runs at
+//! **any shard count and window grid**
 //! ([`engine::Engine::checkpoint`] / [`engine::Engine::restore`], state
 //! shapes in [`checkpoint`]): router buffers, NIC queues, the packet
 //! arena, the pending event set *with its sequence counters* (so
 //! tie-breaks replay identically), fault cursor, task programs, agent
-//! RNG/Q-table state and the injector position. Snapshots are taken at a
-//! window boundary, which is a globally consistent cut (no cross-shard
-//! message is in flight), and are normalized to a canonical
+//! RNG/Q-table state and the injector position. Snapshots are taken
+//! between runs, which is a globally consistent cut (a run delivers all
+//! cross-shard mail before it returns), and are normalized to a canonical
 //! **single-shard-equivalent form** that is independent of the partition
 //! that produced it: a checkpoint taken at `shards = N` restores onto an
 //! engine running `shards = M` for any `M`, pipeline on or off.

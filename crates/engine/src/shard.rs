@@ -3,11 +3,11 @@
 //! pods, HyperX rows), with their own event queue, packet arena and NIC
 //! backlog.
 //!
-//! A shard is the unit of parallelism. Within a lookahead window it runs
-//! completely lock-free on its own [`EventQueue`]; anything addressed to a
-//! router it does not own — a packet crossing a cross-domain link, a
-//! returning credit, RL feedback — is appended to a per-destination outbox and
-//! shipped through the [`crate::sync::MailGrid`] at the window barrier.
+//! A shard is the unit of parallelism. Within a window it runs completely
+//! lock-free on its own [`EventQueue`]; anything addressed to a router it
+//! does not own — a packet crossing a cross-domain link, a returning
+//! credit, RL feedback — is appended to a per-destination outbox and
+//! posted to the [`crate::sync::MailGrid`] at the end of the window.
 //! Packets leave the sender's [`PacketArena`] **by value** and are
 //! re-allocated on arrival, so [`PacketRef`] handles never cross a shard
 //! boundary.
@@ -25,7 +25,7 @@ use crate::observer::ShardObserver;
 use crate::packet::Packet;
 use crate::router::{RouterState, Waiter};
 use crate::routing::{Decision, FeedbackMsg, RouterAgent, RouterCtx, RoutingAlgorithm};
-use crate::sync::{QueuedInjection, ShardMsg, ShardPlan, NO_EVENT};
+use crate::sync::{QueuedInjection, ShardMsg, ShardPlan};
 use crate::time::SimTime;
 use crate::workload::{workload_packet_id, NodeProgram, NodeTask, Op, WORKLOAD_ID_BIT};
 use dragonfly_topology::ids::{NodeId, Port, RouterId};
@@ -83,8 +83,6 @@ pub struct Shard<O: ShardObserver> {
     /// across windows so the per-window mailbox drain allocates nothing
     /// at steady state.
     inbox_buf: Vec<ShardMsg>,
-    /// Earliest firing time of any message sent in the current window.
-    min_sent: SimTime,
     /// Closed-loop task state per owned node (parallel to `nics`; empty
     /// unless a workload was installed).
     tasks: Vec<Option<NodeTask>>,
@@ -154,7 +152,6 @@ impl<O: ShardObserver> Shard<O> {
             pending_injections: VecDeque::new(),
             outboxes: (0..num_shards).map(|_| Vec::new()).collect(),
             inbox_buf: Vec::new(),
-            min_sent: NO_EVENT,
             tasks: Vec::new(),
             has_tasks: false,
         }
@@ -203,11 +200,6 @@ impl<O: ShardObserver> Shard<O> {
             Some(f) => Some(ev.map_or(f.at_ns, |t| t.min(f.at_ns))),
             None => ev,
         }
-    }
-
-    /// Earliest firing time among messages sent in the last window.
-    pub fn min_sent(&self) -> SimTime {
-        self.min_sent
     }
 
     /// Borrow this shard's observer.
@@ -458,7 +450,6 @@ impl<O: ShardObserver> Shard<O> {
         }
         self.tasks = ck.tasks.clone();
         self.has_tasks = ck.has_tasks;
-        self.min_sent = NO_EVENT;
     }
 
     // ------------------------------------------------------------------
@@ -479,34 +470,14 @@ impl<O: ShardObserver> Shard<O> {
         self.pending_injections.push_back(injection);
     }
 
-    /// Drain and deliver everything the mail grid holds for this shard
-    /// (both parities), reusing the shard's inbox buffer so the
-    /// steady-state window drain is allocation-free.
+    /// Drain and deliver everything the mail grid holds for this shard,
+    /// reusing the shard's inbox buffer so the steady-state window drain
+    /// is allocation-free. Packets are re-allocated into this shard's
+    /// arena here — the handle translation point.
     pub fn deliver_from_grid(&mut self, grid: &crate::sync::MailGrid) {
         let mut buf = std::mem::take(&mut self.inbox_buf);
         grid.collect_into(self.id, &mut buf);
-        self.deliver_buf(&mut buf);
-        self.inbox_buf = buf;
-    }
-
-    /// [`Shard::deliver_from_grid`] for a single window parity (the
-    /// pipelined per-window drain).
-    pub fn deliver_parity_from_grid(&mut self, grid: &crate::sync::MailGrid, parity: usize) {
-        let mut buf = std::mem::take(&mut self.inbox_buf);
-        grid.collect_parity_into(self.id, parity, &mut buf);
-        self.deliver_buf(&mut buf);
-        self.inbox_buf = buf;
-    }
-
-    /// Deliver a batch of cross-shard messages (drained from the mail
-    /// grid at a window barrier). Packets are re-allocated into this
-    /// shard's arena here — the handle translation point.
-    pub fn deliver(&mut self, mut msgs: Vec<ShardMsg>) {
-        self.deliver_buf(&mut msgs);
-    }
-
-    fn deliver_buf(&mut self, msgs: &mut Vec<ShardMsg>) {
-        for msg in msgs.drain(..) {
+        for msg in buf.drain(..) {
             match msg {
                 ShardMsg::RouterArrive {
                     time,
@@ -549,15 +520,14 @@ impl<O: ShardObserver> Shard<O> {
                 }
             }
         }
+        self.inbox_buf = buf;
     }
 
-    /// Move this window's outboxes into the shared mail grid, into the
-    /// buffers of the given window parity (`w % 2` in the pipelined mode;
-    /// the lockstep barrier mode always posts parity 0 and drains both).
-    pub fn flush_outboxes(&mut self, grid: &crate::sync::MailGrid, parity: usize) {
+    /// Move this window's outboxes into the shared mail grid.
+    pub fn flush_outboxes(&mut self, grid: &crate::sync::MailGrid) {
         for dst in 0..self.outboxes.len() {
             if dst != self.id {
-                grid.post(self.id, dst, parity, &mut self.outboxes[dst]);
+                grid.post(self.id, dst, &mut self.outboxes[dst]);
             }
         }
     }
@@ -572,7 +542,7 @@ impl<O: ShardObserver> Shard<O> {
     }
 
     /// Run every pending event with `time <= end_incl`, returning the
-    /// number processed. Resets the sent-message watermark first.
+    /// number processed.
     ///
     /// Fault entries interleave with event dispatch here: an entry at
     /// `t_q` is applied immediately before the first event with
@@ -580,7 +550,6 @@ impl<O: ShardObserver> Shard<O> {
     /// identical across shard counts and execution modes, so is the fault
     /// application point.
     pub fn run_window(&mut self, end_incl: SimTime) -> u64 {
-        self.min_sent = NO_EVENT;
         let mut processed = 0;
         loop {
             while self.fault_due(end_incl) {
@@ -737,7 +706,6 @@ impl<O: ShardObserver> Shard<O> {
                 time >= self.now + self.plan.lookahead(),
                 "cross-shard message inside the lookahead window"
             );
-            self.min_sent = self.min_sent.min(time);
             self.outboxes[shard].push(make());
         }
     }
@@ -1362,7 +1330,6 @@ impl<O: ShardObserver> Shard<O> {
                     );
                     let packet = self.arena.get(pref).clone();
                     self.arena.free(pref);
-                    self.min_sent = self.min_sent.min(at);
                     self.outboxes[dst_shard].push(ShardMsg::RouterArrive {
                         time: at,
                         router: down_router,

@@ -1,7 +1,6 @@
 //! Conservative-parallel synchronisation: the shard plan (who owns which
-//! locality domain), the lookahead window, double-buffered cross-shard
-//! mailboxes, the spin barrier that paces the lockstep reference mode,
-//! and the window deque that drives the pipelined mode.
+//! locality domain), the cross-shard mail grid and the window gate that
+//! paces the one window loop of [`crate::engine::Engine`].
 //!
 //! ## The conservative argument
 //!
@@ -13,62 +12,62 @@
 //! latency on all shipped topologies). Every cross-shard interaction — a
 //! packet traversing such a link, a credit or an RL feedback message
 //! returning across one — is therefore scheduled at least `L` into the
-//! future. Shards therefore execute
-//! windows of at most `L` simulated nanoseconds in lockstep: any message a
-//! shard sends while executing window `[S, S+L)` fires at `now + L ≥ S+L`,
-//! i.e. strictly after the window, so delivering mailboxes at the window
-//! barrier is always in time. No null messages, no rollback.
+//! future. No null messages, no rollback.
 //!
-//! ## The pipelined refinement (overlapped windows)
+//! ## The window grid and the gate
 //!
-//! The barrier mode above serialises compute and mailbox exchange: every
-//! shard stops at every window edge. The pipelined mode
-//! ([`crate::config::EngineConfig::pipeline`], the default) halves the
-//! window to `W = L/2` and splits each window into a *compute* phase and
-//! an *exchange* phase over **double-buffered** mailboxes:
+//! A run is a sequence of *epochs*; an epoch cuts simulated time into a
+//! fixed grid of windows `[origin + w·W, origin + (w+1)·W)`, and shard
+//! `s` may start window `w` once every shard has finished window
+//! `w − lag` ([`WindowGate::gate_open`]: `w < min_completed + lag`). The
+//! engine picks `(W, lag)` ([`WindowGate::grid`]); nobody else sets it:
 //!
-//! * A message sent while computing window `w` (time span
-//!   `[S + wW, S + (w+1)W)`) fires at `≥ S + wW + L ≥ S + (w+2)W` — the
-//!   start of window `w+2`. Window `w`'s outbound mail therefore only has
-//!   to reach its destination **two** windows later, not one.
-//! * Each `src → dst` mailbox pair has two buffers, indexed by the window
-//!   parity `w mod 2`. A shard finishing window `w` posts into parity
-//!   `w mod 2`; a shard starting window `w` drains parity `w mod 2` —
-//!   which last received mail in window `w-2`, exactly the deadline.
-//! * Shards are paced by a *lagged gate* instead of a full barrier: shard
-//!   `k` may start window `w` as soon as every shard has **finished
-//!   window `w-2`** (see [`WindowDeque`]). Fast shards run one window
-//!   ahead of slow ones, so one shard's compute overlaps its neighbours'
-//!   compute *and* the exchange of the previous window.
+//! * one shard: `(max(L, 1024), 1)` — nothing crosses a shard, so the
+//!   window is only the granularity at which injections are fed;
+//! * sharded with [`crate::config::EngineConfig::pipeline`] and `L ≥ 2`:
+//!   `(L/2, 2)` — a shard may run one window ahead of the slowest;
+//! * otherwise `(L, 1)` — lockstep.
 //!
-//! A racing sender may post window-`w` mail into a parity buffer the
-//! receiver has already drained this cycle; the mail simply waits for the
-//! next same-parity drain at window `w+2` — its deadline. Conversely a
-//! drain may pick up mail one cycle *early*; early delivery is harmless
-//! because events sort by content key (below), never by arrival.
+//! Mail sent while running window `w` fires at `≥ start(w) + L ≥
+//! start(w + lag)`, because `lag · W ≤ L`. Its sender posts it before
+//! publishing that `w` is finished, and the receiver drains its whole
+//! inbound mail at the start of every window, which the gate holds back
+//! until the sender has finished `w`. So mail always arrives before the
+//! window it fires in. It may arrive earlier (a drain picks up whatever
+//! has been posted, including mail from a sender that is ahead); early
+//! delivery is harmless because events sort by content key, never by
+//! arrival.
 //!
-//! ## Work stealing (whole windows only)
+//! ## One worker per shard, no stealing
 //!
-//! [`WindowDeque`] doubles as a shared deque of ready work items. A work
-//! item is one **whole window of one shard** — never an individual event:
-//! an idle worker thread claims any shard whose next window has passed the
-//! lagged gate and executes it (drain → compute → post) on that shard's
-//! own queue and arena. Because the item boundary is the window and each
-//! shard's windows execute in order under the shard's lock, the event
-//! sequence each shard processes is identical no matter which worker runs
-//! it — stealing redistributes wall-clock work, not events, so the
-//! content-derived ordering (and bit-for-bit determinism) is untouched.
-//! Stealing at event granularity would interleave two shards' state and
-//! break both locality and the ordering argument; the whole-window rule is
-//! what makes it safe.
+//! Worker `s` runs only shard `s`'s windows, in order; the calling thread
+//! is worker 0, so a one-shard run spawns nothing. A closed gate is
+//! waited out by spinning, then yielding ([`pause`]), which keeps more
+//! shards than cores moving, and a worker waiting at the gate takes its
+//! next window's injections meanwhile. An epoch ends when every shard is
+//! past the run's cap, or when a worker that keeps finding empty windows
+//! audits the world and finds nothing to do within a horizon. The audit
+//! only `try_lock`s the shards: a running shard means "not quiescent",
+//! never a wait.
+//!
+//! The loop this replaced let an idle worker claim any shard's next
+//! window and audited with blocking locks. An auditor then blocked on the
+//! shard its peer was running while holding every other shard, which made
+//! the peer's claims fail, so the two workers took turns on one core: on
+//! a 2-vCPU host, 7 of 10 runs of `ur_ugal_1056 --shards 2 --pipeline`
+//! took 0.98–1.39 s with user CPU equal to wall time, against 0.51 s for
+//! the other three. A shard per worker has nothing to claim and nothing
+//! to steal; the same ten runs now take 0.50–0.53 s on both cores.
 //!
 //! ## Determinism
 //!
 //! Mailbox delivery order does not matter: events are totally ordered by a
 //! content-derived key (see [`crate::event::event_key`]), so a message
 //! sorts into the destination queue exactly where the single-queue engine
-//! would have processed it. `shards = 1` and `shards = N` produce
-//! bit-for-bit identical outputs, with pipelining on or off.
+//! would have processed it. Injections are handed out by one cursor in
+//! injector order and every shard accepts its own in that order, so
+//! `shards = 1` and `shards = N` produce bit-for-bit identical outputs on
+//! either grid.
 
 use crate::packet::Packet;
 use crate::routing::FeedbackMsg;
@@ -77,10 +76,15 @@ use dragonfly_topology::ids::{Port, RouterId};
 use dragonfly_topology::{AnyTopology, Topology};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Sentinel for "no pending event" in the shared next-event hints.
+/// Sentinel for "no pending event".
 pub const NO_EVENT: SimTime = SimTime::MAX;
+
+/// The window of a one-shard run (unless the lookahead is longer): nothing
+/// crosses a shard, so the window only sets how much traffic is fed at a
+/// time; coarse enough to amortise the loop.
+const SINGLE_SHARD_WINDOW_NS: SimTime = 1024;
 
 /// How routers and nodes are partitioned into shards, plus the lookahead.
 ///
@@ -254,157 +258,95 @@ pub struct QueuedInjection {
     pub id: u64,
 }
 
-/// Number of buffers per mailbox pair: one per window parity, so the
-/// exchange of window `w`'s mail can overlap the compute of window `w+1`.
-pub const MAIL_PARITIES: usize = 2;
-
-/// The `N × N × 2` double-buffered cross-shard mailbox fabric.
+/// The `N × N` cross-shard mailbox fabric: one buffer per `(src, dst)`
+/// pair.
 ///
-/// `boxes[src][dst][parity]` is written by shard `src` when it finishes a
-/// window of that parity and drained by shard `dst` when it *starts* a
-/// window of the same parity — two windows later, the conservative
-/// delivery deadline (see the module docs). In the lockstep barrier mode
-/// only parity 0 is used and the two accesses are separated by the window
-/// barrier; in the pipelined mode a post and a drain of the *same* box can
-/// race, which the mutex arbitrates (a drained-while-filling message just
-/// waits for the next same-parity drain, still before its deadline).
+/// Shard `src` appends to `boxes[src][dst]` at the end of each window;
+/// shard `dst` drains its whole column at the start of each window. A
+/// post and a drain of the same box may race; a post that misses a drain
+/// waits for the receiver's next one, which the window gate guarantees is
+/// still in time (see the module docs).
 #[derive(Debug, Default)]
 pub struct MailGrid {
-    boxes: Vec<Vec<[Mutex<Vec<ShardMsg>>; MAIL_PARITIES]>>,
-    /// Per-destination count of undelivered messages (both parities),
-    /// maintained by `post`/`collect_*` so [`MailGrid::is_empty_for`] —
-    /// called inside the pipelined workers' spin loop — is one atomic
-    /// load instead of 2n mutex acquisitions. Exact whenever no post or
-    /// drain is concurrently in flight for `dst` (in particular under the
-    /// quiescence audit's world-stop); advisory otherwise.
-    bound_for: Vec<AtomicU64>,
+    boxes: Vec<Vec<Mutex<Vec<ShardMsg>>>>,
 }
 
 impl MailGrid {
-    /// An `n × n` grid of empty double-buffered mailboxes.
+    /// An `n × n` grid of empty mailboxes.
     pub fn new(n: usize) -> Self {
         Self {
             boxes: (0..n)
                 .map(|_| (0..n).map(|_| Default::default()).collect())
                 .collect(),
-            bound_for: (0..n).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    /// Append `msgs` to the `src → dst` mailbox of the given window parity
-    /// (cheap vector splice).
-    pub fn post(&self, src: usize, dst: usize, parity: usize, msgs: &mut Vec<ShardMsg>) {
+    /// Append `msgs` to the `src → dst` mailbox (cheap vector splice).
+    pub fn post(&self, src: usize, dst: usize, msgs: &mut Vec<ShardMsg>) {
         if !msgs.is_empty() {
-            let posted = msgs.len() as u64;
-            self.boxes[src][dst][parity % MAIL_PARITIES]
-                .lock()
-                .append(msgs);
-            self.bound_for[dst].fetch_add(posted, Ordering::Release);
+            self.boxes[src][dst].lock().append(msgs);
         }
     }
 
-    /// Take everything addressed to `dst` in the given parity, in
-    /// ascending sender order (the pipelined per-window drain).
-    pub fn collect_parity_for(&self, dst: usize, parity: usize) -> Vec<ShardMsg> {
-        let mut out = Vec::new();
-        self.collect_parity_into(dst, parity, &mut out);
-        out
-    }
-
-    /// [`MailGrid::collect_parity_for`] appending into a caller-provided
-    /// buffer, so a per-shard inbox buffer can be reused across windows
-    /// instead of allocating a fresh `Vec` per drain.
-    pub fn collect_parity_into(&self, dst: usize, parity: usize, out: &mut Vec<ShardMsg>) {
-        let before = out.len();
-        for row in &self.boxes {
-            out.append(&mut row[dst][parity % MAIL_PARITIES].lock());
-        }
-        self.bound_for[dst].fetch_sub((out.len() - before) as u64, Ordering::Release);
-    }
-
-    /// Take everything addressed to `dst` across both parities, in
-    /// ascending sender order (the full drain between runs/epochs and the
-    /// barrier-mode window drain).
-    pub fn collect_for(&self, dst: usize) -> Vec<ShardMsg> {
-        let mut out = Vec::new();
-        self.collect_into(dst, &mut out);
-        out
-    }
-
-    /// [`MailGrid::collect_for`] appending into a caller-provided buffer
-    /// (see [`MailGrid::collect_parity_into`] for why).
+    /// Take everything addressed to `dst`, in ascending sender order,
+    /// appending into a caller-provided buffer so a shard's inbox buffer
+    /// is reused across windows instead of allocated per drain.
     pub fn collect_into(&self, dst: usize, out: &mut Vec<ShardMsg>) {
-        let before = out.len();
         for row in &self.boxes {
-            for parity in &row[dst] {
-                out.append(&mut parity.lock());
-            }
+            out.append(&mut row[dst].lock());
         }
-        self.bound_for[dst].fetch_sub((out.len() - before) as u64, Ordering::Release);
     }
 
-    /// Packets currently travelling to `dst` inside mailboxes (both
-    /// parities).
+    /// Packets currently travelling to `dst` inside mailboxes.
     pub fn packets_bound_for(&self, dst: usize) -> u64 {
         self.boxes
             .iter()
             .map(|row| {
                 row[dst]
+                    .lock()
                     .iter()
-                    .map(|b| b.lock().iter().filter(|m| m.carries_packet()).count() as u64)
-                    .sum::<u64>()
+                    .filter(|m| m.carries_packet())
+                    .count() as u64
             })
             .sum()
     }
 
     /// Whether every mailbox is empty.
     pub fn is_empty(&self) -> bool {
-        self.boxes
-            .iter()
-            .all(|row| row.iter().flatten().all(|b| b.lock().is_empty()))
+        self.boxes.iter().flatten().all(|b| b.lock().is_empty())
     }
 
-    /// Whether no mailbox of either parity holds mail addressed to `dst`
-    /// (used by the pipelined quiescence audit and the work-availability
-    /// scan; a single atomic load, see `bound_for`).
+    /// Whether no mailbox holds mail addressed to `dst`.
     pub fn is_empty_for(&self, dst: usize) -> bool {
-        self.bound_for[dst].load(Ordering::Acquire) == 0
+        self.boxes.iter().all(|row| row[dst].lock().is_empty())
     }
 
     /// Heap footprint of the grid in bytes: the retained capacity of
-    /// every mailbox of **both** parities (double-buffered mailboxes stay
-    /// allocated at their high-water mark between windows) plus the
-    /// per-destination packet counters. Part of the engine's
-    /// `memory_bytes` residency rollup.
+    /// every mailbox (a mailbox keeps its high-water mark between
+    /// windows). Part of the engine's `memory_bytes` rollup.
     pub fn memory_bytes(&self) -> usize {
-        let mailboxes: usize = self
-            .boxes
+        self.boxes
             .iter()
             .flatten()
-            .flatten()
             .map(|b| b.lock().capacity() * std::mem::size_of::<ShardMsg>())
-            .sum();
-        mailboxes + self.bound_for.len() * std::mem::size_of::<AtomicU64>()
+            .sum()
     }
 }
 
-/// The shared frontier of the pipelined window loop — conceptually a
-/// deque of ready work items, where one item is **one whole window of one
-/// shard** (see the module docs on work-stealing granularity).
+/// The window grid of one epoch and each shard's progress through it.
 ///
-/// The grid of windows is fixed for one *epoch*: window `w` spans
-/// `[origin + w·W, origin + (w+1)·W)` with `W = lookahead / 2`, clamped
-/// to `t_cap`. Each shard's `completed` counter is its next window index;
-/// a worker may claim `(shard, w)` when the *lagged gate* is open —
-/// every shard has finished window `w - 2`, i.e.
-/// `w ≤ min(completed) + 1` — which is exactly the double-buffer
-/// delivery deadline. The counters only advance under the owning shard's
-/// lock, so windows of one shard always execute in order, no matter
-/// which worker runs them.
+/// Window `w` spans `[origin + w·W, origin + (w+1)·W)`, clamped to
+/// `t_cap`. Each shard's `completed` counter is its next window index,
+/// advanced only by the shard's own worker, so a shard's windows run in
+/// order. The gate opens window `w` once every shard has finished window
+/// `w − lag` (see the module docs for why that is in time).
 #[derive(Debug)]
-pub struct WindowDeque {
-    /// Half-lookahead window length in ns (≥ 1).
+pub struct WindowGate {
+    /// Window length in ns (≥ 1).
     window_ns: SimTime,
+    /// How many windows the fastest shard may run ahead of the slowest,
+    /// plus one (1 = lockstep).
+    lag: u64,
     /// Simulated time of window 0's start (the epoch origin).
     origin: SimTime,
     /// Inclusive simulated-time cap of this run.
@@ -415,32 +357,31 @@ pub struct WindowDeque {
     done: AtomicBool,
 }
 
-impl WindowDeque {
-    /// A fresh epoch frontier for `n` shards.
-    pub fn new(n: usize, origin: SimTime, window_ns: SimTime, t_cap: SimTime) -> Self {
-        assert!(window_ns >= 1, "pipelined windows need a positive length");
+impl WindowGate {
+    /// The `(window, lag)` grid for `num_shards` shards and a lookahead of
+    /// `lookahead` ns (see the module docs).
+    pub fn grid(num_shards: usize, lookahead: SimTime, pipeline: bool) -> (SimTime, u64) {
+        if num_shards == 1 {
+            (lookahead.max(SINGLE_SHARD_WINDOW_NS), 1)
+        } else if pipeline && lookahead >= 2 {
+            (lookahead / 2, 2)
+        } else {
+            (lookahead, 1)
+        }
+    }
+
+    /// A fresh epoch for `n` shards.
+    pub fn new(n: usize, origin: SimTime, window_ns: SimTime, lag: u64, t_cap: SimTime) -> Self {
+        assert!(window_ns >= 1, "windows need a positive length");
+        assert!(lag >= 1, "the gate needs a positive lag");
         Self {
             window_ns,
+            lag,
             origin,
             t_cap,
             completed: (0..n).map(|_| AtomicU64::new(0)).collect(),
             done: AtomicBool::new(false),
         }
-    }
-
-    /// Heap + inline footprint in bytes of the frontier state a pipelined
-    /// run keeps live for `n` shards (the per-shard completion counters
-    /// plus the fixed scalars). A fresh `WindowDeque` is built per epoch,
-    /// so this is the steady-state residency, not a high-water mark; used
-    /// by the engine's `memory_bytes` rollup.
-    pub fn memory_bytes_for(n: usize) -> usize {
-        std::mem::size_of::<Self>() + n * std::mem::size_of::<AtomicU64>()
-    }
-
-    /// The window length (ns).
-    #[inline]
-    pub fn window_ns(&self) -> SimTime {
-        self.window_ns
     }
 
     /// Start time of window `w`.
@@ -470,12 +411,11 @@ impl WindowDeque {
             .unwrap_or(0)
     }
 
-    /// The lagged gate: window `w` may start once every shard has
-    /// finished window `w - 2` (its inbound parity buffers last received
-    /// mail at their delivery deadline).
+    /// Whether window `w` may start: every shard has finished window
+    /// `w − lag`.
     #[inline]
     pub fn gate_open(&self, w: u64) -> bool {
-        w <= self.min_completed() + 1
+        w < self.min_completed() + self.lag
     }
 
     /// Whether window `w` lies wholly beyond the run cap (a shard whose
@@ -489,14 +429,13 @@ impl WindowDeque {
     pub fn all_parked(&self) -> bool {
         self.completed
             .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .all(|w| self.parked(w))
+            .all(|c| self.parked(c.load(Ordering::Acquire)))
     }
 
-    /// Publish the completion of `(shard s, window w)`. Must be called by
-    /// the worker holding shard `s`'s lock, after its outboxes are posted
-    /// — the release pairs with the acquire in [`WindowDeque::gate_open`]
-    /// to make window-`w` mail visible before any shard starts `w + 2`.
+    /// Publish that shard `s` finished window `w`. Called by shard `s`'s
+    /// worker after posting its outboxes — the release pairs with the
+    /// acquire in [`WindowGate::gate_open`] to make window-`w` mail
+    /// visible before any shard starts `w + lag`.
     #[inline]
     pub fn complete(&self, s: usize, w: u64) {
         debug_assert_eq!(self.completed[s].load(Ordering::Relaxed), w);
@@ -516,96 +455,15 @@ impl WindowDeque {
     }
 }
 
-/// A sense-reversing spin barrier for the per-window lockstep.
-///
-/// Windows are hundreds of nanoseconds of simulated time but only tens of
-/// microseconds of wall time, so a futex-based barrier would dominate; the
-/// spin loop keeps the synchronisation cost to a cache-line ping. After a
-/// bounded spin the waiters yield, so oversubscribed machines (more shards
-/// than cores) still make progress.
-#[derive(Debug)]
-pub struct SpinBarrier {
-    participants: usize,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-}
-
-impl SpinBarrier {
-    /// A barrier for `participants` threads.
-    pub fn new(participants: usize) -> Self {
-        Self {
-            participants,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-        }
-    }
-
-    /// Block until all participants arrive. Returns `true` on exactly one
-    /// thread per generation (the last arrival), which the caller may use
-    /// for leader-only work — the engine instead fixes shard 0 as the
-    /// leader between two barriers, so this return is informational.
-    pub fn wait(&self) -> bool {
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.participants {
-            self.arrived.store(0, Ordering::Release);
-            self.generation.store(generation + 1, Ordering::Release);
-            true
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == generation {
-                spins += 1;
-                if spins < 512 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-            false
-        }
-    }
-}
-
-/// Shared per-run state of the threaded window loop.
-#[derive(Debug)]
-pub struct WindowSync {
-    /// First barrier: all compute phases of the previous round finished.
-    pub pre: SpinBarrier,
-    /// Second barrier: the leader published the next window (or `done`).
-    pub post: SpinBarrier,
-    /// Exclusive end of the current window (valid after `post`).
-    pub window_end: AtomicU64,
-    /// Set by the leader when no further window will run.
-    pub done: AtomicBool,
-    /// Per-shard "earliest thing I know about" hints: the minimum of the
-    /// shard's queue head and every message it sent in the last window.
-    pub next_hint: Vec<AtomicU64>,
-    /// Injection inboxes, filled by the leader and drained by each shard
-    /// at the start of its compute phase (uncontended, like the mailboxes).
-    pub injections: Vec<Mutex<std::collections::VecDeque<QueuedInjection>>>,
-}
-
-impl WindowSync {
-    /// Fresh per-run state for `n` shards.
-    pub fn new(n: usize) -> Self {
-        Self {
-            pre: SpinBarrier::new(n),
-            post: SpinBarrier::new(n),
-            window_end: AtomicU64::new(0),
-            done: AtomicBool::new(false),
-            next_hint: (0..n).map(|_| AtomicU64::new(NO_EVENT)).collect(),
-            injections: (0..n)
-                .map(|_| Mutex::new(std::collections::VecDeque::new()))
-                .collect(),
-        }
-    }
-
-    /// The minimum of all shard hints.
-    pub fn min_hint(&self) -> SimTime {
-        self.next_hint
-            .iter()
-            .map(|h| h.load(Ordering::Acquire))
-            .min()
-            .unwrap_or(NO_EVENT)
+/// Wait a little for another worker: spin, then yield after 512 spins, so
+/// a host with fewer cores than shards still makes progress.
+#[inline]
+pub fn pause(spins: &mut u32) {
+    *spins += 1;
+    if *spins < 512 {
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
     }
 }
 
@@ -659,6 +517,12 @@ mod tests {
         ShardPlan::new(&topo, 2, 0);
     }
 
+    fn collect(grid: &MailGrid, dst: usize) -> Vec<ShardMsg> {
+        let mut out = Vec::new();
+        grid.collect_into(dst, &mut out);
+        out
+    }
+
     #[test]
     fn mailboxes_deliver_and_count_packets() {
         let grid = MailGrid::new(2);
@@ -685,14 +549,13 @@ mod tests {
                 },
             },
         ];
-        grid.post(0, 1, 0, &mut out);
+        grid.post(0, 1, &mut out);
         assert!(out.is_empty(), "post splices the batch out");
         assert!(!grid.is_empty());
         assert!(!grid.is_empty_for(1));
         assert!(grid.is_empty_for(0), "nothing is addressed to shard 0");
         assert_eq!(grid.packets_bound_for(1), 0, "no RouterArrive queued");
-        let got = grid.collect_for(1);
-        assert_eq!(got.len(), 2);
+        assert_eq!(collect(&grid, 1).len(), 2);
         assert!(grid.is_empty());
     }
 
@@ -735,41 +598,22 @@ mod tests {
     }
 
     #[test]
-    fn parities_are_independent_buffers() {
-        // Mail posted while finishing an even window must not be visible
-        // to an odd-parity drain, and vice versa — that separation is what
-        // lets window w+1's compute overlap window w's exchange.
-        let grid = MailGrid::new(2);
-        grid.post(0, 1, 0, &mut vec![credit_at(400)]);
-        grid.post(0, 1, 1, &mut vec![credit_at(550), credit_at(560)]);
-        assert_eq!(grid.collect_parity_for(1, 1).len(), 2, "odd parity");
-        assert!(!grid.is_empty(), "even-parity mail is still in transit");
-        assert_eq!(grid.collect_parity_for(1, 0).len(), 1, "even parity");
-        assert!(grid.is_empty());
-        // Parity indices wrap modulo MAIL_PARITIES, matching `w % 2`.
-        grid.post(0, 1, 4, &mut vec![credit_at(700)]);
-        assert_eq!(grid.collect_parity_for(1, 2).len(), 1);
-    }
-
-    #[test]
     fn drained_while_filling_mail_waits_for_the_next_same_parity_drain() {
-        // The pipelined race: shard 1 drains parity 0 for window w at the
-        // same wall-clock moment shard 0 posts its window-w outbox. If the
-        // drain ran first, the mail must simply sit in the buffer until
-        // the next parity-0 drain (window w+2) — before its conservative
-        // deadline — rather than being lost or delivered to parity 1.
+        // The race every window loop has: shard 1 drains at the start of
+        // a window at the same wall-clock moment shard 0 posts. If the
+        // drain ran first, the post must sit in the mailbox — counted in
+        // transit, neither lost nor duplicated — until the receiver's next
+        // drain, which the gate still holds before the mail's window.
         let grid = MailGrid::new(2);
-        assert!(grid.collect_parity_for(1, 0).is_empty(), "drain ran first");
-        grid.post(0, 1, 0, &mut vec![packet_arrive_at(900)]); // racing post
-        assert!(
-            grid.collect_parity_for(1, 1).is_empty(),
-            "the odd-parity drain of window w+1 must not see it"
-        );
+        assert!(collect(&grid, 1).is_empty(), "drain ran first");
+        grid.post(0, 1, &mut vec![packet_arrive_at(900)]); // racing post
         assert_eq!(grid.packets_bound_for(1), 1, "still counted in transit");
-        let late = grid.collect_parity_for(1, 0); // window w+2's drain
+        assert!(!grid.is_empty_for(1));
+        let late = collect(&grid, 1); // the next drain
         assert_eq!(late.len(), 1);
         assert_eq!(late[0].time(), 900);
         assert!(grid.is_empty());
+        assert_eq!(grid.packets_bound_for(1), 0);
     }
 
     #[test]
@@ -781,9 +625,9 @@ mod tests {
         let grid = MailGrid::new(3);
         let window = 150; // L/2 for the paper's 300 ns global latency
         let boundary = 4 * window; // start of window 4
-        grid.post(2, 0, 1, &mut vec![packet_arrive_at(boundary)]);
-        grid.post(1, 0, 1, &mut vec![credit_at(boundary - 1)]);
-        let got = grid.collect_parity_for(0, 3); // parity 3 % 2 == 1
+        grid.post(2, 0, &mut vec![packet_arrive_at(boundary)]);
+        grid.post(1, 0, &mut vec![credit_at(boundary - 1)]);
+        let got = collect(&grid, 0);
         assert_eq!(got.len(), 2);
         // Ascending sender order: shard 1's credit, then shard 2's packet.
         assert_eq!(got[0].time(), boundary - 1);
@@ -792,76 +636,64 @@ mod tests {
     }
 
     #[test]
-    fn full_collect_drains_both_parities() {
-        // Between runs (and in barrier mode) the engine must recover every
-        // in-flight message regardless of which parity it was posted to.
-        let grid = MailGrid::new(2);
-        grid.post(0, 1, 0, &mut vec![credit_at(10)]);
-        grid.post(0, 1, 1, &mut vec![credit_at(20)]);
-        assert_eq!(grid.collect_for(1).len(), 2);
-        assert!(grid.is_empty_for(1));
+    fn the_grid_follows_shards_pipeline_and_lookahead() {
+        assert_eq!(WindowGate::grid(1, 300, true), (1024, 1));
+        assert_eq!(WindowGate::grid(1, 0, false), (1024, 1));
+        assert_eq!(WindowGate::grid(1, 5_000, true), (5_000, 1));
+        assert_eq!(WindowGate::grid(4, 300, true), (150, 2));
+        assert_eq!(WindowGate::grid(4, 301, true), (150, 2), "2·W ≤ L");
+        assert_eq!(WindowGate::grid(4, 300, false), (300, 1));
+        assert_eq!(WindowGate::grid(2, 1, true), (1, 1), "L < 2: lockstep");
     }
 
     #[test]
     fn window_deque_gates_lag_two_windows() {
-        let dq = WindowDeque::new(3, 1_000, 150, 10_000);
-        assert_eq!(dq.window_ns(), 150);
-        assert_eq!(dq.start_of(0), 1_000);
-        assert_eq!(dq.end_incl_of(0), 1_149);
-        assert_eq!(dq.start_of(2), 1_300);
+        let gate = WindowGate::new(3, 1_000, 150, 2, 10_000);
+        assert_eq!(gate.start_of(0), 1_000);
+        assert_eq!(gate.end_incl_of(0), 1_149);
+        assert_eq!(gate.start_of(2), 1_300);
         // Windows 0 and 1 are gate-open from the start (lag 2)...
-        assert!(dq.gate_open(0));
-        assert!(dq.gate_open(1));
-        assert!(!dq.gate_open(2), "window 2 needs everyone past window 0");
+        assert!(gate.gate_open(0));
+        assert!(gate.gate_open(1));
+        assert!(!gate.gate_open(2), "window 2 needs everyone past window 0");
         // ...and the gate follows the *slowest* shard.
-        dq.complete(0, 0);
-        dq.complete(1, 0);
-        assert!(!dq.gate_open(2), "shard 2 has not finished window 0");
-        dq.complete(2, 0);
-        assert!(dq.gate_open(2));
-        assert!(!dq.gate_open(3));
-        assert_eq!(dq.min_completed(), 1);
-        assert_eq!(dq.next_window(0), 1);
+        gate.complete(0, 0);
+        gate.complete(1, 0);
+        assert!(!gate.gate_open(2), "shard 2 has not finished window 0");
+        gate.complete(2, 0);
+        assert!(gate.gate_open(2));
+        assert!(!gate.gate_open(3));
+        assert_eq!(gate.min_completed(), 1);
+        assert_eq!(gate.next_window(0), 1);
+    }
+
+    #[test]
+    fn window_gate_lag_one_is_lockstep() {
+        let gate = WindowGate::new(2, 0, 300, 1, 10_000);
+        assert!(gate.gate_open(0));
+        assert!(!gate.gate_open(1), "no shard runs ahead in lockstep");
+        gate.complete(0, 0);
+        assert!(!gate.gate_open(1), "shard 1 has not finished window 0");
+        gate.complete(1, 0);
+        assert!(gate.gate_open(1));
+        assert!(!gate.gate_open(2));
     }
 
     #[test]
     fn window_deque_parks_at_the_cap() {
         // Cap mid-window: the last runnable window is clamped, the next
         // one is parked.
-        let dq = WindowDeque::new(1, 0, 100, 250);
-        assert_eq!(dq.end_incl_of(2), 250, "clamped to the cap");
-        assert!(!dq.parked(2), "window 2 starts at 200 <= cap");
-        assert!(dq.parked(3), "window 3 starts at 300 > cap");
-        assert!(!dq.all_parked());
-        dq.complete(0, 0);
-        dq.complete(0, 1);
-        dq.complete(0, 2);
-        assert!(dq.all_parked());
-        assert!(!dq.is_done(), "parking is observed, done is declared");
-        dq.finish();
-        assert!(dq.is_done());
-    }
-
-    #[test]
-    fn spin_barrier_synchronises_phases() {
-        use std::sync::atomic::AtomicU32;
-        let barrier = SpinBarrier::new(4);
-        let phase_sum = AtomicU32::new(0);
-        crossbeam::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|_| {
-                    for round in 0..50u32 {
-                        phase_sum.fetch_add(1, Ordering::SeqCst);
-                        barrier.wait();
-                        // Between barriers every thread must observe the
-                        // full round's worth of increments.
-                        assert_eq!(phase_sum.load(Ordering::SeqCst), (round + 1) * 4);
-                        barrier.wait();
-                    }
-                });
-            }
-        })
-        .unwrap();
-        assert_eq!(phase_sum.load(Ordering::SeqCst), 200);
+        let gate = WindowGate::new(1, 0, 100, 1, 250);
+        assert_eq!(gate.end_incl_of(2), 250, "clamped to the cap");
+        assert!(!gate.parked(2), "window 2 starts at 200 <= cap");
+        assert!(gate.parked(3), "window 3 starts at 300 > cap");
+        assert!(!gate.all_parked());
+        gate.complete(0, 0);
+        gate.complete(0, 1);
+        gate.complete(0, 2);
+        assert!(gate.all_parked());
+        assert!(!gate.is_done(), "parking is observed, done is declared");
+        gate.finish();
+        assert!(gate.is_done());
     }
 }

@@ -1,8 +1,10 @@
-//! Property-based determinism stress tests for the overlapped-window
-//! pipelined engine: for *randomly generated* workload tuples
-//! `(topology size, traffic pattern, load, seed, shards ∈ {1,2,4},
-//! pipeline on/off)`, every execution mode must be bit-for-bit identical
-//! to the sequential single-shard reference.
+//! Property-based determinism stress tests for the window loop on both of
+//! its sharded grids — half-lookahead windows with a two-window gate
+//! (`pipeline` on) and lookahead windows in lockstep (`pipeline` off):
+//! for *randomly generated* workload tuples `(topology size, traffic
+//! pattern, load, seed, shards ∈ {1,2,4}, pipeline on/off)`, every grid
+//! must be bit-for-bit identical to the sequential single-shard
+//! reference.
 //!
 //! The harness is a deterministic `proptest`-style generator (the offline
 //! build has no proptest crate): a master seed drives a `StdRng` that
@@ -11,9 +13,10 @@
 //! is the tuple itself — no shrinking is needed because cases are small),
 //! and the whole suite is reproducible bit for bit.
 //!
-//! It also pins the `ShardDrain` accounting contract under pipelining:
-//! mid-run, `sum(resident) + sum(inbound_mail) == outstanding` even while
-//! packets sit in double-buffered parity mailboxes between windows.
+//! It also pins the `ShardDrain` accounting contract — `sum(resident) +
+//! sum(inbound_mail) == outstanding`, with no mail left in the grid when
+//! a run returns — and that each shard's windows run on its own worker,
+//! shard 0's on the calling thread.
 
 use dragonfly_engine::config::{EngineConfig, ShardKind};
 use dragonfly_engine::engine::EngineStats;
@@ -21,9 +24,9 @@ use dragonfly_engine::injector::{Injection, ScriptedInjector};
 use dragonfly_engine::observer::CountingObserver;
 use dragonfly_engine::testing::MinimalTestRouting;
 use dragonfly_engine::time::SimTime;
-use dragonfly_engine::Engine;
+use dragonfly_engine::{Engine, Packet, ShardObserver, ShardPlan, SimObserver};
 use dragonfly_topology::config::DragonflyConfig;
-use dragonfly_topology::ids::NodeId;
+use dragonfly_topology::ids::{NodeId, RouterId};
 use dragonfly_topology::Dragonfly;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,7 +37,7 @@ enum Pattern {
     /// Random distinct src/dst pairs.
     Uniform,
     /// Every node targets a node `shift` groups away (the paper's ADV+i,
-    /// the imbalanced case work stealing exists for).
+    /// the imbalanced case).
     Adversarial(usize),
     /// 20 % of packets converge on one hot node.
     Hotspot,
@@ -113,6 +116,15 @@ fn script_for(case: &Case, topo: &Dragonfly) -> Vec<Injection> {
 }
 
 fn make_engine(case: &Case, shards: ShardKind, pipeline: bool) -> Engine<CountingObserver> {
+    make_engine_with(case, shards, pipeline, CountingObserver::default())
+}
+
+fn make_engine_with<O: ShardObserver>(
+    case: &Case,
+    shards: ShardKind,
+    pipeline: bool,
+    observer: O,
+) -> Engine<O> {
     let (p, a, h) = case.topo;
     let topo = Dragonfly::new(DragonflyConfig::new(p, a, h).expect("generator draws valid sizes"));
     let script = script_for(case, &topo);
@@ -125,7 +137,7 @@ fn make_engine(case: &Case, shards: ShardKind, pipeline: bool) -> Engine<Countin
         cfg,
         &algo,
         Box::new(ScriptedInjector::new(script)),
-        CountingObserver::default(),
+        observer,
         42,
     )
 }
@@ -183,9 +195,9 @@ fn random_workloads_are_invariant_across_shards_and_pipelining() {
     }
 }
 
-/// Closed-loop task programs under the overlapped-window pipeline: task
-/// wakeups scheduled near window edges must commit identically whether
-/// windows overlap or run in lockstep, for every shard count.
+/// Closed-loop task programs on both grids: task wakeups scheduled near
+/// window edges must commit identically whether windows overlap or run in
+/// lockstep, for every shard count.
 #[test]
 fn closed_loop_task_programs_are_pipeline_invariant() {
     use dragonfly_engine::injector::EmptyInjector;
@@ -272,8 +284,8 @@ fn closed_loop_task_programs_are_pipeline_invariant() {
     }
 }
 
-/// Capped `run_until` windows cut the pipelined epochs at arbitrary
-/// points (mail parked in parity mailboxes, epochs re-origined); the
+/// Capped `run_until` windows cut the epochs at arbitrary points (mail
+/// delivered early at the stop, epochs re-origined); the
 /// stitched-together run must equal one uninterrupted drain.
 #[test]
 fn split_run_until_windows_match_one_drain_under_pipelining() {
@@ -300,18 +312,11 @@ fn split_run_until_windows_match_one_drain_under_pipelining() {
     assert_eq!(a.total_hops, b.total_hops);
 }
 
-/// `ShardDrain` accounting under pipelining:
-/// `sum(resident) + sum(inbound_mail) == outstanding` at every stop, in
-/// both execution modes — which park in-flight mail differently.
-///
-/// The barrier mode exits `run_until` with the final window's mail still
-/// inside the grid (`inbound_mail > 0` at hot cut points), while the
-/// pipelined epoch loop always recovers grid mail into the owning queues
-/// before returning, so a pipelined stop must report `inbound_mail == 0`
-/// with every outstanding packet resident in some shard. Both are
-/// asserted exactly, so the transit leg of the accounting is genuinely
-/// exercised (by the barrier stops) and the pipelined drain-on-exit
-/// contract is pinned rather than silently assumed.
+/// `ShardDrain` accounting on both grids:
+/// `sum(resident) + sum(inbound_mail) == outstanding` at every stop, and
+/// every stop finds the mail grid empty — a run delivers the mail of its
+/// last windows before it returns, so every outstanding packet is resident
+/// in some shard.
 #[test]
 fn shard_drain_accounting_holds_under_pipelining() {
     let case = Case {
@@ -324,7 +329,6 @@ fn shard_drain_accounting_holds_under_pipelining() {
     let cuts = [400u64, 1_500, 3_000, 7_777, 15_000, 24_000];
     for pipeline in [false, true] {
         let mut engine = make_engine(&case, ShardKind::Fixed(4), pipeline);
-        let mut saw_mailbox_transit = false;
         for &t_end in &cuts {
             engine.run_until(t_end);
             let stats = engine.stats();
@@ -334,32 +338,78 @@ fn shard_drain_accounting_holds_under_pipelining() {
                 stats.outstanding(),
                 "pipeline={pipeline} t={t_end}: residency + mailbox transit must equal outstanding"
             );
+            assert_eq!(
+                stats.in_mailboxes(),
+                0,
+                "pipeline={pipeline} t={t_end}: a run returns with no mail in the grid"
+            );
+            assert!(
+                stats.outstanding() > 0,
+                "t={t_end}: the cut must catch packets in flight, or it checks nothing"
+            );
             let held = (engine.nic_backlog() + engine.fabric_occupancy()) as u64;
             assert!(
                 held <= resident,
                 "per-shard resident covers the NIC backlogs and router buffers"
             );
-            if pipeline {
-                assert_eq!(
-                    stats.in_mailboxes(),
-                    0,
-                    "t={t_end}: the pipelined epoch loop recovers all grid mail before returning"
-                );
-            }
-            saw_mailbox_transit |= stats.in_mailboxes() > 0;
         }
         let (_, _) = engine.run_to_drain(500_000_000);
         let stats = engine.stats();
         assert_eq!(stats.delivered, case.count, "pipeline={pipeline}");
-        assert_eq!(stats.in_mailboxes(), 0, "no parity-buffer residue");
+        assert_eq!(stats.in_mailboxes(), 0, "no mailbox residue");
         assert_eq!(stats.outstanding(), 0);
-        if !pipeline {
-            // The transit term of the accounting must have been non-zero
-            // at least once, or the barrier leg of this test is vacuous.
-            assert!(
-                saw_mailbox_transit,
-                "no barrier-mode cut ever caught a packet inside a mailbox — \
-                 retune the cut times or the workload"
+    }
+}
+
+/// Records which thread delivered each packet, with the packet's
+/// destination router.
+#[derive(Debug, Default, Clone)]
+struct DeliveringThreads(Vec<(std::thread::ThreadId, RouterId)>);
+
+impl SimObserver for DeliveringThreads {
+    fn packet_delivered(&mut self, packet: &Packet, _now: SimTime) {
+        self.0
+            .push((std::thread::current().id(), packet.dst_router));
+    }
+}
+
+impl ShardObserver for DeliveringThreads {
+    fn absorb(&mut self, other: Self) {
+        self.0.extend(other.0);
+    }
+}
+
+/// One worker per shard, and the caller is worker 0: at `shards = 1`
+/// every delivery runs on the calling thread; at `shards = 4`, on either
+/// grid, exactly the deliveries to shard 0's routers do — no worker runs
+/// another shard's windows.
+#[test]
+fn each_shard_runs_on_its_own_worker_and_shard_0_on_the_caller() {
+    let case = Case {
+        topo: (2, 4, 2),
+        pattern: Pattern::Uniform,
+        count: 1_000,
+        gap_ns: 15,
+        seed: 5,
+    };
+    let caller = std::thread::current().id();
+    for (shards, pipeline) in [
+        (ShardKind::Single, true),
+        (ShardKind::Fixed(4), false),
+        (ShardKind::Fixed(4), true),
+    ] {
+        let mut engine = make_engine_with(&case, shards, pipeline, DeliveringThreads::default());
+        engine.run_to_drain(500_000_000);
+        let plan = ShardPlan::new(engine.topology(), engine.num_shards(), 1);
+        let deliveries = engine.merged_observer().0;
+        assert_eq!(deliveries.len() as u64, case.count);
+        for (thread, router) in deliveries {
+            let shard = plan.shard_of_router(router);
+            assert_eq!(
+                thread == caller,
+                shard == 0,
+                "{shards:?} pipeline={pipeline}: a delivery to router {router:?} of shard {shard} \
+                 ran on {thread:?}, the caller is {caller:?}"
             );
         }
     }
@@ -396,7 +446,7 @@ fn zero_lookahead_degrades_to_sequential_even_with_pipeline_on() {
 }
 
 /// A 1 ns lookahead supports sharding but not window-halving; the engine
-/// must fall back to the lockstep barrier (pipeline is "ignored when the
+/// must fall back to the lockstep grid (pipeline is "ignored when the
 /// lookahead is under 2 ns") and still match the sequential reference.
 #[test]
 fn sub_two_ns_lookahead_falls_back_to_the_barrier_mode() {
