@@ -279,7 +279,7 @@ mod tests {
     #[test]
     fn keys_are_invariant_to_every_execution_mode_field() {
         // Both execution knobs — pipeline and shards — are pinned
-        // result-invariant by the differential suites, so neither may
+        // result-invariant by the mode matrices, so neither may
         // change the cache key: a cache warmed with the default
         // (pipelined) engine keeps serving hits after `--no-pipeline` or
         // `--shards N`, in any combination.
@@ -317,7 +317,7 @@ mod tests {
     fn keys_strip_the_paging_threshold_but_not_the_metrics_mode() {
         use dragonfly_sim::spec::{MetricsMode, MetricsSpec};
         // The Q-table representation is pinned bit-for-bit
-        // result-invariant (paged-vs-dense in pipeline_determinism), so
+        // result-invariant (the paging axis of the sim mode matrix), so
         // forcing paging on or off must keep the cache warm...
         let plain = ResultCache::point_key(&tiny_spec(1));
         for threshold in [0, usize::MAX] {
@@ -530,7 +530,7 @@ mod tests {
             "the fault kind changes the key"
         );
         // Execution modes stay key-invariant on faulted specs too (the
-        // fault determinism suites pin shards/pipeline bit-for-bit).
+        // mode matrix's faulted cases pin shards/pipeline bit-for-bit).
         let mut sharded = faulted.clone();
         sharded.engine = Some(dragonfly_engine::EngineConfig {
             shards: dragonfly_engine::ShardKind::Fixed(2),

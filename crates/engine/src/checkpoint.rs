@@ -12,8 +12,8 @@
 //! configuration, routing algorithm, injector kind and seed — resumes the
 //! run **bit-for-bit**: the resumed half produces exactly the events, in
 //! exactly the order, that the uninterrupted run would have produced. The
-//! differential tests in `dragonfly-sim` pin this down to full-report
-//! equality.
+//! mode matrices (`tests/mode_matrix/` here and in `dragonfly-sim`) pin
+//! this down to the final snapshot and the full report.
 //!
 //! # The canonical single-shard-equivalent form
 //!
@@ -43,7 +43,8 @@
 //! tie-breaking deterministic. `TrafficArrival` markers (key 0, one per
 //! pending injection) are dropped at merge and regenerated from
 //! `pending_injections` at restore, which keeps the marker↔FIFO
-//! correspondence intact across re-partitioning.
+//! correspondence intact across re-partitioning; a snapshot that holds one
+//! is refused by [`crate::Engine::check_restorable`].
 //!
 //! The immutable parts — topology, engine configuration, routing
 //! algorithm, per-router agent seeds — are deliberately **not** stored;
@@ -91,12 +92,10 @@ pub struct AgentCheckpoint {
     pub counters: Vec<u64>,
     /// Strictly ascending row indices of the rows carried in `q_values` —
     /// the rows of a paged Q-table that were ever written. Empty for dense
-    /// tables (including every checkpoint written before paged tables
-    /// existed, which this serde default keeps readable). Restoring the
-    /// listed rows into a fresh paged table reproduces the learned values
-    /// and the set of stored rows. Snapshots written while the table's
-    /// unit was a 64-row page list whole pages, page-mates at their init
-    /// values; they restore the same way.
+    /// tables. Restoring the listed rows into a fresh paged table
+    /// reproduces the learned values and the set of stored rows. Snapshots
+    /// written while the table's unit was a 64-row page list whole pages,
+    /// page-mates at their init values; they restore the same way.
     #[serde(default)]
     pub q_rows: Vec<u32>,
 }
@@ -187,9 +186,8 @@ pub struct EngineCheckpoint {
     pub pending_injection: Option<Injection>,
     /// Mutable traffic-injector state.
     pub injector: InjectorCheckpoint,
-    /// The simulation state in canonical single-shard-equivalent form.
-    /// (The field name predates sharded checkpointing; v1/v2 files — which
-    /// were always single-shard — deserialise here unchanged.)
+    /// The simulation state in canonical single-shard-equivalent form
+    /// (the field name predates sharded checkpointing).
     pub shard: ShardCheckpoint,
 }
 
@@ -620,44 +618,6 @@ mod tests {
         resumed.run_to_drain(2_000_000);
         assert_eq!(global_counts(&resumed), global_counts(&reference));
         assert_eq!(resumed.merged_observer(), reference.merged_observer());
-    }
-
-    #[test]
-    fn legacy_checkpoints_with_stray_arrival_markers_still_restore() {
-        use crate::event::{Event, EventKind};
-        // Pre-v3 files restored their queue verbatim, so a file written
-        // by an older build may carry `TrafficArrival` markers (key 0).
-        // The v3 restore path strips markers and regenerates them from
-        // the pending-injection FIFO; a stray marker from a legacy file
-        // must therefore vanish rather than corrupt the resumed run.
-        let mut reference = faulted_engine();
-        reference.run_to_drain(2_000_000);
-
-        let mut first = faulted_engine();
-        first.run_until(90_000);
-        let obs = *first.observer();
-        let mut ck = first.checkpoint();
-        ck.shard.queue.events.insert(
-            0,
-            Event {
-                time: 100_000,
-                key: 0,
-                seq: ck.shard.queue.next_seq,
-                kind: EventKind::TrafficArrival,
-            },
-        );
-        ck.shard
-            .queue
-            .events
-            .sort_unstable_by_key(|e| (e.time, e.key, e.seq));
-        ck.shard.queue.next_seq += 1;
-
-        let mut resumed = faulted_engine();
-        resumed.restore(&ck);
-        *resumed.observer_mut() = obs;
-        resumed.run_to_drain(2_000_000);
-        assert_eq!(global_counts(&resumed), global_counts(&reference));
-        assert_eq!(*resumed.observer(), *reference.observer());
     }
 
     #[test]

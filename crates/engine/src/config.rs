@@ -83,8 +83,8 @@ pub struct EngineConfig {
     /// windows with a gate that lets a shard run one window ahead of the
     /// slowest, or (`false`) lookahead windows in lockstep — see
     /// [`crate::sync`]. Both run the same loop, one worker per shard, and
-    /// results are **bit-for-bit identical** either way (pinned by the
-    /// `pipeline_differential` tests). Ignored when `shards` resolves to 1
+    /// results are **bit-for-bit identical** either way (pinned by the mode
+    /// matrices' pipeline axis). Ignored when `shards` resolves to 1
     /// or the lookahead is under 2 ns.
     #[serde(default = "default_pipeline")]
     pub pipeline: bool,

@@ -433,10 +433,12 @@ impl<O: ShardObserver> Engine<O> {
     /// ([`crate::routing::RouterAgent::check_state`]), and the arena is
     /// canonical — no free list, and the walk over router buffers, NIC
     /// source queues and `RouterArrive` events holds every slot exactly
-    /// once — with every NIC-queued packet one its NIC generates. Callers
-    /// restoring a snapshot they did not just take themselves ask first;
-    /// `restore` panics on (or silently mis-restores) what this refuses.
-    /// The error names the router, NIC or event and the field.
+    /// once — with every NIC-queued packet one its NIC generates, and no
+    /// event is a `TrafficArrival` marker (merge strips them, restore
+    /// regenerates them from the pending injections). Callers restoring a
+    /// snapshot they did not just take themselves ask first; `restore`
+    /// panics on (or silently mis-restores) what this refuses. The error
+    /// names the router, NIC or event and the field.
     pub fn check_restorable(&self, ck: &crate::checkpoint::EngineCheckpoint) -> Result<(), String> {
         let (routers, nodes) = (self.topo.num_routers(), self.topo.num_nodes());
         let shard = &ck.shard;
@@ -460,6 +462,17 @@ impl<O: ShardObserver> Engine<O> {
             self.agent(RouterId::from_index(r))
                 .check_state(state)
                 .map_err(|e| format!("agent of router {r}: {e}"))?;
+        }
+        let events = &shard.queue.events;
+        let marker = events
+            .iter()
+            .enumerate()
+            .find(|(_, ev)| matches!(ev.kind, crate::event::EventKind::TrafficArrival));
+        if let Some((i, ev)) = marker {
+            return Err(format!(
+                "event {i} (TrafficArrival at {} ns): a snapshot holds no injection markers",
+                ev.time
+            ));
         }
         self.check_arena(shard)
     }

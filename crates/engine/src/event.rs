@@ -18,7 +18,7 @@
 //! races with, yet it sorts into exactly the same position the global
 //! single-queue engine would have given it. `shards = 1` and `shards = N`
 //! therefore pop identical per-shard event sequences — see
-//! `tests/shard_differential.rs`.
+//! `tests/mode_matrix/mod.rs`.
 //!
 //! [`EventQueue`] is a [`CalendarQueue`]: a two-level calendar/bucket
 //! queue with a power-of-two wheel of 1 ns buckets for near-future events

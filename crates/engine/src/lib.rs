@@ -174,9 +174,9 @@
 //! where in the queue the message briefly waits. Combined with packet ids
 //! assigned by one feeder cursor in injector order, and every shard
 //! accepting its own injections in that order, `shards = 1` and `shards =
-//! N` are bit-for-bit identical on every grid (pinned by the
-//! `pipeline_differential` and `pipeline_determinism` property suites on
-//! top of the `shard_differential` ones).
+//! N` are bit-for-bit identical on every grid (pinned by the mode
+//! matrices, `tests/mode_matrix/` here and in `dragonfly-sim`, which run
+//! every case at every shard count on both grids).
 //!
 //! **Determinism contract:** events are totally ordered by
 //! `(time, key, seq)` where `key` is a *content-derived* priority
@@ -185,8 +185,8 @@
 //! Because the key does not depend on push order, a cross-shard event
 //! sorts into the destination queue exactly where the single-queue engine
 //! would have processed it, making **every shard count bit-for-bit
-//! identical** — `shards = 1` vs `shards = N` is pinned by the
-//! `shard_differential` integration test. Arena slot and backlog record
+//! identical** — `shards = 1` vs `shards = N` is pinned by the engine's
+//! mode matrix down to the final checkpoint. Arena slot and backlog record
 //! assignment recycle through per-shard LIFO free lists and packet ids
 //! are assigned by the coordinator in injector order, so none of them
 //! introduces run-to-run or across-shard-count variation.
@@ -284,9 +284,9 @@
 //! engine running `shards = M` for any `M`, pipeline on or off.
 //! Restoring into a freshly built engine resumes **bit-for-bit**: the
 //! resumed run is indistinguishable from the uninterrupted one, which
-//! the `checkpoint_resume` differential suite in `dragonfly-sim` pins at
-//! full-report equality across shard counts, pipeline modes and all
-//! three fabrics.
+//! the split cells of both mode matrices pin — a snapshot taken in one
+//! execution mode and resumed in another — at equality of the report, the
+//! final snapshot and the time series, on all three fabrics.
 //!
 //! ## Who plugs in what
 //!

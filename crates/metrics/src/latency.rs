@@ -7,7 +7,7 @@
 //! * **Exact** (the default): every sample is retained in nanoseconds and a
 //!   sorted copy is built lazily when a quantile is first requested.
 //!   Memory grows linearly with delivered packets — fine for the ~1k-node
-//!   smoke runs and required by the differential suites.
+//!   smoke runs and required by the mode matrices.
 //! * **Streaming** ([`LatencyStats::streaming`]): samples land in a
 //!   log-binned HDR-style sketch with [`MANTISSA_BITS`] mantissa bits per
 //!   octave (64 sub-buckets, ≤ 1/64 ≈ 1.6 % relative bucket width), fixed

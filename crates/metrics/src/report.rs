@@ -186,7 +186,8 @@ impl SimulationReport {
 /// First leaf where two serialised trees disagree, as a dotted path rooted
 /// at `path` followed by the two values, or `None` when the trees are
 /// equal. `sides` names where `a` and `b` came from in the message; map
-/// keys listed in `skip` are ignored at every depth.
+/// keys listed in `skip` are ignored at every depth. Floats are equal when
+/// their bits are: a NaN equals the same NaN, and `-0.0` is not `0.0`.
 pub fn first_tree_difference(
     path: &str,
     a: &Value,
@@ -222,12 +223,19 @@ pub fn first_tree_difference(
                 first_tree_difference(&format!("{path}[{i}]"), va, vb, sides, skip)
             })
         }
-        _ if a == b => None,
-        _ => Some(format!(
-            "{path} ({} in {in_a} vs {} in {in_b})",
-            render(a),
-            render(b)
-        )),
+        _ => {
+            let same = match (a, b) {
+                (Value::Float(fa), Value::Float(fb)) => fa.to_bits() == fb.to_bits(),
+                _ => a == b,
+            };
+            (!same).then(|| {
+                format!(
+                    "{path} ({} in {in_a} vs {} in {in_b})",
+                    render(a),
+                    render(b)
+                )
+            })
+        }
     }
 }
 
@@ -376,6 +384,23 @@ mod tests {
         elsewhere.wall_seconds = 99.0;
         elsewhere.memory_bytes = 1 << 30;
         assert_eq!(reference.first_difference(&elsewhere), None);
+    }
+
+    #[test]
+    fn floats_compare_by_their_bits() {
+        let nan = f64::from_bits(0x7ff8_0000_0000_0abc);
+        let mut a = report();
+        a.mean_hops = nan;
+        let mut b = report();
+        b.mean_hops = nan;
+        assert_eq!(a.first_difference(&b), None, "the same NaN is equal");
+        let (mut zero, mut negative) = (report(), report());
+        zero.barrier_wait_us = 0.0;
+        negative.barrier_wait_us = -0.0;
+        assert_eq!(
+            zero.first_difference(&negative).as_deref(),
+            Some("report.barrier_wait_us (0.0 in self vs -0.0 in other)")
+        );
     }
 
     fn report() -> SimulationReport {

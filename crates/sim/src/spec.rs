@@ -221,7 +221,7 @@ impl ExperimentSpec {
 
     /// The spec with every execution-mode knob — shard count, pipelining,
     /// Q-table paging threshold — reset to its default. All three are
-    /// pinned bit-for-bit result-invariant by the differential suites, so
+    /// pinned bit-for-bit result-invariant by the mode matrix, so
     /// two specs that agree on this projection describe the same simulated
     /// outcome: the figure cache keys results by it and resume accepts them
     /// interchangeably. A fully default engine block collapses to `None`,

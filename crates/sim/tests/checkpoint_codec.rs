@@ -20,8 +20,8 @@
 //! their init values — and nine routers had not yet learned anything.
 //!
 //! The differential half — streaming writer against tree encoder on every
-//! snapshot `checkpoint_resume.rs` builds — rides on that suite's round
-//! trips (`common::through_the_file_encoding`); the byte-flip half of the
+//! snapshot the mode matrix resumes — rides on its split cells' round trips
+//! (`common::through_the_file_encoding`); the byte-flip half of the
 //! hostile suite runs under the counting allocator of `checkpoint_heap.rs`.
 
 mod common;

@@ -1,15 +1,13 @@
-//! Checkpoint/resume differential tests.
-//!
-//! The engine-level tests in `dragonfly_engine::checkpoint` pin the raw
-//! snapshot contract with scripted traffic and the cheap test router; this
-//! file drives the full spec pipeline — pattern injectors, real routing
-//! algorithms with learning state, fault schedules, closed-loop workloads
-//! and the metrics collector — and asserts that a run interrupted at an
-//! arbitrary checkpoint and resumed in a fresh process-equivalent (new
-//! engine, state restored from the serialized checkpoint) reproduces the
-//! uninterrupted run's report **bit for bit**.
+//! Checkpoint/resume through the spec pipeline: the cases of the sim mode
+//! matrix ([`mode_matrix`]) that this suite runs — faulted and mid-collective
+//! cuts, learning state, streaming metrics, congested cuts — each in every
+//! execution mode and one split cell (snapshot in one mode, resume in
+//! another); then what no mode changes — the spec guard, the one file
+//! format, the disk round trip, the sink's error, the staged API, and the
+//! refusal of damaged snapshots, naming what is wrong.
 
 mod common;
+mod mode_matrix;
 
 use common::{assert_same_report, in_mode, through_the_file_encoding};
 use dragonfly_engine::config::{EngineConfig, ShardKind};
@@ -21,6 +19,7 @@ use dragonfly_sim::fault::FaultSpecEntry;
 use dragonfly_sim::spec::ExperimentSpec;
 use dragonfly_topology::config::DragonflyConfig;
 use dragonfly_workload::WorkloadSpec;
+use mode_matrix::{run, Slice};
 use qadaptive_core::QAdaptiveParams;
 use std::collections::VecDeque;
 
@@ -82,235 +81,67 @@ fn resume(spec: &ExperimentSpec, checkpoint: &RunCheckpoint) -> SimulationReport
         .unwrap_or_else(|e| panic!("resume of {:?} failed: {e}", spec.name))
 }
 
-/// Run uninterrupted, then re-run collecting checkpoints every
-/// `every_ns`, then resume from each collected checkpoint (after a JSON
-/// round trip, as the CLI would) and require the identical report.
-fn pin_resume_equals_uninterrupted(spec: &ExperimentSpec, every_ns: u64, label: &str) {
-    let reference = spec.run();
-    assert!(
-        reference.packets_delivered > 100,
-        "{label}: workload too small to pin anything"
-    );
-
-    let (stepped, checkpoints) = run_collecting(spec, every_ns);
-    assert_same_report(&reference, &stepped, &format!("{label}: stepped vs plain"));
-    assert!(
-        checkpoints.len() >= 2,
-        "{label}: expected several mid-run checkpoints, got {}",
-        checkpoints.len()
-    );
-
-    for (i, ck) in checkpoints.iter().enumerate() {
-        // The CLI always goes through the file format: round-trip the
-        // encoding so serialization is part of what the test pins (and
-        // the tree encoder referees the bytes on the way).
-        let ck = through_the_file_encoding(ck);
-        assert_same_report(
-            &reference,
-            &resume(spec, &ck),
-            &format!("{label}: resume from checkpoint {i}"),
-        );
-    }
-}
-
 #[test]
 fn openloop_ugal_resume_is_bit_identical_across_faults() {
-    let spec = openloop_spec(RoutingSpec::UgalG, 41);
-    let reference = spec.run();
-    assert!(
-        reference.dropped_packets > 0,
-        "the fault schedule must actually bite"
-    );
-    pin_resume_equals_uninterrupted(&spec, 12_000, "ugal+faults");
+    run(Slice::ResumeUgalFaults);
 }
 
+/// Per-router RNG streams and Q-tables are in the compared snapshot
+/// section: a resume that lost them would diverge there first.
 #[test]
 fn qadaptive_learning_state_survives_resume() {
-    // Q-adaptive carries per-router RNG streams and Q-tables; a resume
-    // that failed to restore them would diverge immediately.
-    let spec = openloop_spec(RoutingSpec::QAdaptive(QAdaptiveParams::paper_1056()), 42);
-    pin_resume_equals_uninterrupted(&spec, 9_000, "qadaptive+faults");
+    run(Slice::ResumeQAdaptive);
 }
 
+/// A router killed mid-collective forces retransmissions, and the restored
+/// router lets every rank finish.
 #[test]
 fn closedloop_allreduce_resume_preserves_retransmit_state() {
-    let spec = closedloop_spec(7);
-    let reference = spec.run();
-    assert!(
-        reference.retransmits > 0,
-        "the mid-collective router kill must force retransmissions"
-    );
-    assert_eq!(
-        reference.ranks_finished, 72,
-        "the restored router must let the collective finish"
-    );
-    pin_resume_equals_uninterrupted(&spec, 20_000, "allreduce+kill/restore");
+    run(Slice::ResumeRetransmits);
 }
 
+/// Log-binned sketch counters ride the collector's section; paging is an
+/// axis of the matrix's modes.
 #[test]
 fn streaming_sketch_and_paged_tables_survive_resume() {
-    // PR 8's bounded-memory representations ride the v2 checkpoint:
-    // log-binned sketch counters in the collector snapshot and sparse
-    // `q_rows`-keyed pages in the agent snapshots (threshold 0 forces
-    // paging on the tiny topology). Resume must still be bit-identical to
-    // the uninterrupted run, including the streamed quantiles.
-    use dragonfly_sim::spec::{MetricsMode, MetricsSpec};
-    let mut spec = openloop_spec(RoutingSpec::QAdaptive(QAdaptiveParams::paper_1056()), 46);
-    spec.metrics = Some(MetricsSpec {
-        mode: MetricsMode::Streaming,
-    });
-    spec.engine = Some(EngineConfig {
-        qtable_page_rows_threshold: 0,
-        ..Default::default()
-    });
-    pin_resume_equals_uninterrupted(&spec, 9_000, "streaming+paged");
-}
-
-/// The v3 contract: snapshots are partition-independent, so a checkpoint
-/// taken under `take` must resume bit-identically under **any** execution
-/// mode. Runs the stepped (checkpointing) pass under `take`, then resumes
-/// every collected snapshot under each mode in `resume_modes`, comparing
-/// all of them against the uninterrupted reference.
-fn pin_sharded_matrix(
-    base: &ExperimentSpec,
-    every_ns: u64,
-    take: (ShardKind, bool),
-    resume_modes: &[(ShardKind, bool)],
-    label: &str,
-) {
-    let reference = base.run();
-    assert!(
-        reference.packets_delivered > 100,
-        "{label}: workload too small to pin anything"
-    );
-
-    let (stepped, checkpoints) = run_collecting(&in_mode(base.clone(), take.0, take.1), every_ns);
-    assert_same_report(&reference, &stepped, &format!("{label}: stepped vs plain"));
-    assert!(
-        checkpoints.len() >= 2,
-        "{label}: expected several mid-run checkpoints, got {}",
-        checkpoints.len()
-    );
-
-    for (i, ck) in checkpoints.iter().enumerate() {
-        let ck = through_the_file_encoding(ck);
-        for &(shards, pipeline) in resume_modes {
-            assert_same_report(
-                &reference,
-                &resume(&in_mode(base.clone(), shards, pipeline), &ck),
-                &format!("{label}: checkpoint {i} resumed at {shards:?}/pipeline={pipeline}"),
-            );
-        }
-    }
+    run(Slice::ResumeStreaming);
 }
 
 #[test]
 fn sharded_pipelined_checkpoint_resumes_at_any_shard_count() {
-    // The acceptance matrix from the issue: a snapshot taken at
-    // `--shards 4 --pipeline` (including one straddling the fault window)
-    // resumes bit-identically at shards 1, at shards 2 without the
-    // pipeline, and at shards 4 with it. The resume specs differ from the
-    // checkpointing spec only in execution-mode knobs, which the spec
-    // guard deliberately ignores.
-    let base = openloop_spec(RoutingSpec::UgalG, 43);
-    pin_sharded_matrix(
-        &base,
-        12_000,
-        (ShardKind::Fixed(4), true),
-        &[
-            (ShardKind::Single, false),
-            (ShardKind::Fixed(2), false),
-            (ShardKind::Fixed(4), true),
-        ],
-        "sharded matrix ugal+faults",
-    );
+    run(Slice::ResumeBeforeTheKill);
 }
 
 #[test]
 fn sharded_qadaptive_checkpoint_resumes_across_modes() {
-    // Q-adaptive adds per-router learning state and cross-shard RL
-    // feedback; the snapshot must stay partition-independent with it on.
-    let base = openloop_spec(RoutingSpec::QAdaptive(QAdaptiveParams::paper_1056()), 48);
-    pin_sharded_matrix(
-        &base,
-        15_000,
-        (ShardKind::Fixed(2), true),
-        &[(ShardKind::Single, false), (ShardKind::Fixed(4), true)],
-        "sharded matrix qadaptive+faults",
-    );
+    run(Slice::ResumeQAdaptiveOnHyperX);
 }
 
+/// Locality domains are fat-tree pods or HyperX rows instead of Dragonfly
+/// groups.
 #[test]
 fn sharded_checkpoints_are_fabric_generic() {
-    // The consistent cut is topology-generic: locality domains are
-    // fat-tree pods or HyperX rows instead of Dragonfly groups, and the
-    // sharded snapshot must still resume exactly under a different mode.
-    use dragonfly_topology::{FatTreeConfig, HyperXConfig, TopologySpec};
-    let topologies: Vec<TopologySpec> = vec![
-        FatTreeConfig { k: 4 }.into(),
-        HyperXConfig {
-            p: 2,
-            rows: 4,
-            cols: 4,
-        }
-        .into(),
-    ];
-    for topology in topologies {
-        let base = ExperimentSpec {
-            name: format!("ck-fabric-{topology:?}"),
-            routing: RoutingSpec::UgalG,
-            load: Some(0.3),
-            warmup_ns: 12_000,
-            measure_ns: 20_000,
-            tail_ns: 4_000,
-            seed: Some(47),
-            faults: vec![
-                FaultSpecEntry::router_down(25.0, 1),
-                FaultSpecEntry::router_up(40.0, 1),
-            ],
-            ..ExperimentSpec::new(topology)
-        };
-        let label = format!("fabric {:?}", base.topology);
-        pin_sharded_matrix(
-            &base,
-            10_000,
-            (ShardKind::Fixed(2), true),
-            &[(ShardKind::Single, false), (ShardKind::Fixed(4), true)],
-            &label,
-        );
-    }
+    run(Slice::ResumeOnFatTreeAndHyperX);
 }
 
 #[test]
 fn sharded_closedloop_resume_preserves_midcollective_state() {
-    // Mid-collective task state (pending ranks, NIC retransmit timers,
-    // retry counters) snapshotted under shards=2+pipeline must resume
-    // exactly at shards 1 and 4. Only the first and last snapshots are
-    // resumed — the closed-loop run is long and the openloop matrix
-    // already sweeps every snapshot.
-    let base = closedloop_spec(8);
-    let reference = base.run();
-    assert!(
-        reference.retransmits > 0,
-        "the mid-collective router kill must force retransmissions"
-    );
+    run(Slice::ResumeMidCollective);
+}
 
-    let (stepped, checkpoints) =
-        run_collecting(&in_mode(base.clone(), ShardKind::Fixed(2), true), 20_000);
-    assert_same_report(&reference, &stepped, "closedloop sharded: stepped vs plain");
-    assert!(checkpoints.len() >= 2, "expected several snapshots");
+/// The canonical form numbers arena slots by one walk over the whole
+/// system, so a cut with packets at NICs, in routers and on links is the
+/// same snapshot in every mode.
+#[test]
+fn a_sharded_snapshot_is_the_single_shard_snapshot() {
+    run(Slice::CongestedSnapshot);
+}
 
-    let picks = [0, checkpoints.len() - 1];
-    for &i in &picks {
-        let ck = through_the_file_encoding(&checkpoints[i]);
-        for (shards, pipeline) in [(ShardKind::Single, false), (ShardKind::Fixed(4), true)] {
-            assert_same_report(
-                &reference,
-                &resume(&in_mode(base.clone(), shards, pipeline), &ck),
-                &format!("closedloop sharded: checkpoint {i} at {shards:?}/{pipeline}"),
-            );
-        }
-    }
+/// Every split cell checks that the resumed run's first snapshot is the one
+/// it resumed from.
+#[test]
+fn snapshot_restore_snapshot_is_a_fixpoint() {
+    run(Slice::LateCongestedSnapshot);
 }
 
 #[test]
@@ -611,49 +442,6 @@ fn a_snapshot_with_a_damaged_router_section_is_refused_not_restored() {
 }
 
 #[test]
-fn a_sharded_snapshot_is_the_single_shard_snapshot() {
-    // The canonical form numbers arena slots by one walk over the whole
-    // system — every router, then every NIC, then the events in merged
-    // order. Walking shard by shard instead gave a sharded snapshot the
-    // same packets under permuted slot numbers (and different refs in
-    // every router, NIC queue and `RouterArrive` event).
-    use serde::Serialize;
-    let reference = common::congested_snapshot(ShardKind::Single, false).engine;
-    let want = reference.to_value();
-    for (shards, pipeline) in [
-        (ShardKind::Single, true),
-        (ShardKind::Fixed(2), false),
-        (ShardKind::Fixed(2), true),
-        (ShardKind::Fixed(4), false),
-        (ShardKind::Fixed(4), true),
-    ] {
-        let engine = common::congested_snapshot(shards, pipeline).engine;
-        assert!(
-            engine.to_value() == want,
-            "the engine section taken at {shards:?} pipeline={pipeline} differs from the \
-             single-shard one"
-        );
-    }
-}
-
-#[test]
-fn snapshot_restore_snapshot_is_a_fixpoint() {
-    // The NIC backlog leaves the snapshot as arena packets and comes back
-    // as records: a resumed engine's snapshot has the bytes it resumed from.
-    for shards in [ShardKind::Single, ShardKind::Fixed(2)] {
-        let ck = common::congested_snapshot(shards, true);
-        let bytes = ck.to_binary();
-        let spec = in_mode(common::congested_spec(), shards, true);
-        let mut sim = Simulation::resume(&spec, &RunCheckpoint::from_binary(&bytes).unwrap())
-            .expect("its own snapshot resumes");
-        assert!(
-            sim.snapshot().to_binary() == bytes,
-            "{shards:?}: the resumed engine's snapshot differs"
-        );
-    }
-}
-
-#[test]
 fn a_snapshot_with_a_damaged_nic_section_is_refused_not_restored() {
     // A NIC ref outside the arena panicked in the middle of the resume
     // (index out of bounds), and one aliasing a slot another owner holds
@@ -664,7 +452,7 @@ fn a_snapshot_with_a_damaged_nic_section_is_refused_not_restored() {
     use dragonfly_engine::packet::RouteMode;
     use dragonfly_topology::ids::{NodeId, RouterId};
     let spec = common::congested_spec();
-    let good = common::congested_snapshot(ShardKind::Single, false);
+    let good = common::congested_snapshot();
     let shard = &good.engine.shard;
     let n = shard
         .nics
@@ -760,13 +548,39 @@ fn a_snapshot_with_a_damaged_nic_section_is_refused_not_restored() {
     for (what, damage, clue) in cases {
         let mut bad = good.clone();
         damage(&mut bad);
-        let bad = RunCheckpoint::from_binary(&bad.to_binary()).expect("it still decodes");
-        for shards in [ShardKind::Single, ShardKind::Fixed(2)] {
-            let err = match Simulation::resume(&in_mode(spec.clone(), shards, true), &bad) {
-                Ok(_) => panic!("{what}: resumed at {shards:?}"),
-                Err(e) => e.0,
-            };
-            assert!(err.contains(&clue), "{what} at {shards:?}: {err}");
-        }
+        assert_refused(&spec, &bad, what, &clue);
     }
+}
+
+/// `bad`, through its file encoding, resumes at neither `Single` nor
+/// `Fixed(2)`, with an error that contains `clue`.
+fn assert_refused(spec: &ExperimentSpec, bad: &RunCheckpoint, what: &str, clue: &str) {
+    let bad = RunCheckpoint::from_binary(&bad.to_binary()).expect("it still decodes");
+    for shards in [ShardKind::Single, ShardKind::Fixed(2)] {
+        let err = match Simulation::resume(&in_mode(spec.clone(), shards, true), &bad) {
+            Ok(_) => panic!("{what}: resumed at {shards:?}"),
+            Err(e) => e.0,
+        };
+        assert!(err.contains(clue), "{what} at {shards:?}: {err}");
+    }
+}
+
+#[test]
+fn a_snapshot_with_an_injection_marker_is_refused_not_restored() {
+    // Merge strips the `TrafficArrival` markers from every snapshot and
+    // restore regenerates them from the pending injections, so a snapshot
+    // that holds one is damaged.
+    use dragonfly_engine::event::{Event, EventKind};
+    let mut bad = common::congested_snapshot();
+    let first = bad.engine.shard.queue.events[0];
+    let marker = Event {
+        kind: EventKind::TrafficArrival,
+        ..first
+    };
+    bad.engine.shard.queue.events.insert(0, marker);
+    let clue = format!(
+        "event 0 (TrafficArrival at {} ns): a snapshot holds no injection markers",
+        first.time
+    );
+    assert_refused(&common::congested_spec(), &bad, "a marker", &clue);
 }

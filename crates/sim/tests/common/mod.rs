@@ -1,6 +1,6 @@
-//! Helpers shared by the determinism and checkpoint/resume suites: put a
-//! spec into one execution mode, compare two reports on every field of
-//! the bit-for-bit contract, and send a snapshot through its file encoding
+//! Helpers shared by the mode matrix and the checkpoint suites: put a spec
+//! into one execution mode, compare two reports on every field of the
+//! bit-for-bit contract, and send a snapshot through its file encoding
 //! with the tree encoder it replaced as the referee.
 
 // Each suite is its own crate and uses a subset of these.
@@ -22,11 +22,6 @@ pub fn in_mode(mut spec: ExperimentSpec, shards: ShardKind, pipeline: bool) -> E
     engine.pipeline = pipeline;
     spec.engine = Some(engine);
     spec
-}
-
-/// Run `spec` under one execution mode.
-pub fn run_mode(spec: ExperimentSpec, shards: ShardKind, pipeline: bool) -> SimulationReport {
-    in_mode(spec, shards, pipeline).run()
 }
 
 /// Every report field must match, except the two outside the contract
@@ -96,13 +91,12 @@ pub fn congested_spec() -> ExperimentSpec {
 /// Where [`congested_snapshot`] cuts.
 pub const CONGESTED_CUT_NS: u64 = 5_000;
 
-/// [`congested_spec`] in one execution mode, cut at [`CONGESTED_CUT_NS`]
-/// with packets queued at NICs, in router buffers and on links.
-pub fn congested_snapshot(shards: ShardKind, pipeline: bool) -> RunCheckpoint {
+/// [`congested_spec`] cut at [`CONGESTED_CUT_NS`] with packets queued at
+/// NICs, in router buffers and on links.
+pub fn congested_snapshot() -> RunCheckpoint {
     use dragonfly_engine::event::EventKind;
     use dragonfly_sim::builder::Simulation;
-    let spec = in_mode(congested_spec(), shards, pipeline);
-    let mut sim = Simulation::start(&spec).expect("valid spec");
+    let mut sim = Simulation::start(&congested_spec()).expect("valid spec");
     assert!(sim.advance_to(CONGESTED_CUT_NS), "the cut is mid-run");
     let ck = sim.snapshot();
     let shard = &ck.engine.shard;

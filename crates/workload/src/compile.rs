@@ -6,7 +6,7 @@
 //! Every lowering is structurally matched — each `Send{dst, m}` has a
 //! `Recv{from, m}` counterpart in `dst`'s program and no node ever sends
 //! to itself — which is what lets the closed-loop engine drain to
-//! completion (pinned by the tests below and the determinism suites).
+//! completion (pinned by the tests below and the sim mode matrix).
 //!
 //! Offered *intensity* scales collective message counts (`max(1,
 //! ceil(m × intensity))`) so load sweeps can reuse one spec; barrier
