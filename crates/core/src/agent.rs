@@ -35,7 +35,7 @@ use crate::table::QValueTable;
 use crate::two_level::TwoLevelQTable;
 use dragonfly_engine::checkpoint::AgentCheckpoint;
 use dragonfly_engine::config::EngineConfig;
-use dragonfly_engine::packet::{Packet, RouteMode};
+use dragonfly_engine::packet::Packet;
 use dragonfly_engine::routing::{
     vc_for_next_hop, Decision, FeedbackMsg, RouterAgent, RouterCtx, RoutingAlgorithm,
     DEAD_PORT_PENALTY_NS,
@@ -344,7 +344,7 @@ impl QAdaptiveAgent {
         if ctx.port_up(decision.port) {
             return decision;
         }
-        let row = self.table.row(packet.dst_group, packet.src_slot);
+        let row = self.table.row(packet.dst_group(), packet.src_slot);
         if let Some(col) = ctx.topology.qtable_column(self.router, decision.port) {
             let current = self.table.get(row, col);
             let updated = self.learner.update(current, DEAD_PORT_PENALTY_NS, 0.0);
@@ -368,7 +368,7 @@ impl RouterAgent for QAdaptiveAgent {
     fn decide(&mut self, ctx: &RouterCtx<'_>, packet: &mut Packet) -> Decision {
         self.decisions_made += 1;
         let topo = ctx.topology;
-        let dst_domain = packet.dst_group;
+        let dst_domain = packet.dst_group();
 
         // (1) Destination-domain routers forward minimally.
         if self.domain == dst_domain {
@@ -384,7 +384,7 @@ impl RouterAgent for QAdaptiveAgent {
         let q_min = self.table.get(row, min_col);
 
         // (2) Source router: best-of-table vs minimal with q_thld1.
-        if packet.at_source_router(self.router) {
+        if packet.at_source_router(topo, self.router) {
             let (best_col, q_best) = self.best_column_randomized(row);
             let best_port = topo.port_for_column(self.router, best_col);
             let temp = select_with_bias(q_min, q_best, min_port, best_port, self.params.q_thld1);
@@ -396,7 +396,7 @@ impl RouterAgent for QAdaptiveAgent {
             );
             if port != min_port {
                 self.nonminimal_decisions += 1;
-                packet.route.mode = RouteMode::Valiant;
+                packet.commit_valiant(None);
             }
             let d = Decision {
                 port,
@@ -406,8 +406,8 @@ impl RouterAgent for QAdaptiveAgent {
         }
 
         // (3) First router visited in an intermediate domain.
-        if packet.is_intermediate_group(self.domain) && !packet.route.int_group_decision_done {
-            packet.route.int_group_decision_done = true;
+        if !packet.int_group_decision_done() && packet.is_intermediate_group(topo, self.domain) {
+            packet.set_int_group_decision_done();
             if let Some(direct) = topo.direct_port_to_domain(self.router, dst_domain) {
                 // Direct connection into the destination domain: take it.
                 let d = Decision {
@@ -441,7 +441,7 @@ impl RouterAgent for QAdaptiveAgent {
     }
 
     fn estimate(&self, _ctx: &RouterCtx<'_>, packet: &Packet) -> f64 {
-        let row = self.table.row(packet.dst_group, packet.src_slot);
+        let row = self.table.row(packet.dst_group(), packet.src_slot);
         self.table.min_in_row(row)
     }
 
@@ -455,7 +455,7 @@ impl RouterAgent for QAdaptiveAgent {
         // actually using for the packet. Most routers on a path are forced
         // to forward minimally, so the row minimum would hide congestion on
         // the minimal leg from upstream routers.
-        let row = self.table.row(packet.dst_group, packet.src_slot);
+        let row = self.table.row(packet.dst_group(), packet.src_slot);
         match ctx.topology.qtable_column(self.router, decision.port) {
             Some(col) => self.table.get(row, col),
             None => self.table.min_in_row(row),

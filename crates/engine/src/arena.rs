@@ -14,7 +14,7 @@
 //!
 //! **Storage is chunked** (`Chunked`, shared with the NIC backlog). Slot
 //! `i` lives at offset `i % CHUNK_SLOTS` of chunk `i / CHUNK_SLOTS`; a chunk
-//! is a fixed 4,096-slot block (416 KB at 104 B per packet) allocated once
+//! is a fixed 4,096-slot block (256 KB at 64 B per packet) allocated once
 //! and never resized. Growing the arena allocates one more chunk and moves
 //! no packet. One contiguous `Vec<Packet>` instead doubles: while the arena
 //! also held the NIC backlog, `adv_qadp_1056` passed 262,144 queued packets
@@ -25,10 +25,9 @@
 //! [`PacketArena::get`].
 //!
 //! Chunking is invisible from outside. Slot numbers are the same ones the
-//! contiguous arena handed out (fresh slots count up, freed ones come back
-//! LIFO), and a checkpoint is still the flat slot list plus the free list
-//! ([`crate::checkpoint::ArenaCheckpoint`], which shard merges and splits
-//! index directly), so snapshots keep their bytes.
+//! contiguous arena handed out: fresh slots count up, freed ones come back
+//! LIFO, and [`PacketArena::restore`] puts a snapshot's packets, in walk
+//! order, into slots `0..` chunk by chunk.
 //!
 //! Slot assignment is deterministic: allocation order and the LIFO free
 //! list depend only on the event order, which is itself deterministic, so
@@ -36,7 +35,6 @@
 
 use crate::packet::Packet;
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 
 /// A 4-byte handle to a packet stored in a [`PacketArena`].
 ///
@@ -119,11 +117,6 @@ impl<T, const SHIFT: u32> Chunked<T, SHIFT> {
         &mut self.chunks[i >> SHIFT][i & (Self::SLOTS - 1)]
     }
 
-    /// Every element, in index order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
-        self.chunks.iter().flatten()
-    }
-
     /// Heap footprint in bytes: the blocks and the block table.
     pub(crate) fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -141,15 +134,37 @@ const CHUNK_SHIFT: u32 = 12;
 /// Slots per storage chunk (see the module docs).
 pub const CHUNK_SLOTS: usize = 1 << CHUNK_SHIFT;
 
+/// End of the free list.
+const NIL: u32 = u32::MAX;
+
 /// Slab of in-flight packets with a LIFO free list.
-#[derive(Debug, Default)]
+///
+/// The free list is threaded through the freed slots themselves: a freed
+/// slot's `id` holds the next free slot (its other contents are stale and
+/// never read), so the list costs no memory of its own.
+#[derive(Debug)]
 pub struct PacketArena {
     /// Every slot ever created.
     slots: Chunked<Packet, CHUNK_SHIFT>,
-    free: Vec<u32>,
+    /// The most recently freed slot, or [`NIL`].
+    free: u32,
+    /// Slots on the free list.
+    free_len: usize,
     /// Liveness mirror for use-after-free detection in debug builds.
     #[cfg(debug_assertions)]
     live: Vec<bool>,
+}
+
+impl Default for PacketArena {
+    fn default() -> Self {
+        Self {
+            slots: Chunked::default(),
+            free: NIL,
+            free_len: 0,
+            #[cfg(debug_assertions)]
+            live: Vec::new(),
+        }
+    }
 }
 
 impl PacketArena {
@@ -170,23 +185,28 @@ impl PacketArena {
     /// Store `packet`, reusing a freed slot when one is available.
     #[inline]
     pub fn alloc(&mut self, packet: Packet) -> PacketRef {
-        match self.free.pop() {
-            Some(slot) => {
+        match self.free {
+            NIL => {
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&slot| slot < NIL)
+                    .expect("packet arena exceeded u32::MAX - 1 live packets");
+                self.slots.push(packet);
+                #[cfg(debug_assertions)]
+                self.live.push(true);
+                PacketRef(slot)
+            }
+            slot => {
                 let r = PacketRef(slot);
                 #[cfg(debug_assertions)]
                 {
                     self.live[r.index()] = true;
                 }
-                *self.get_mut(r) = packet;
+                let home = self.slots.get_mut(r.index());
+                self.free = home.id as u32;
+                self.free_len -= 1;
+                *home = packet;
                 r
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len())
-                    .expect("packet arena exceeded u32::MAX live packets");
-                self.slots.push(packet);
-                #[cfg(debug_assertions)]
-                self.live.push(true);
-                PacketRef(slot)
             }
         }
     }
@@ -207,8 +227,9 @@ impl PacketArena {
         self.slots.get_mut(r.index())
     }
 
-    /// Return `r`'s slot to the free list. The packet data is left in place
-    /// and overwritten by the next [`PacketArena::alloc`] that reuses it.
+    /// Return `r`'s slot to the free list. The packet's `id` becomes the
+    /// list's link; the rest is left in place and overwritten by the next
+    /// [`PacketArena::alloc`] that reuses the slot.
     #[inline]
     pub fn free(&mut self, r: PacketRef) {
         #[cfg(debug_assertions)]
@@ -216,12 +237,14 @@ impl PacketArena {
             debug_assert!(self.live[r.index()], "double free of packet slot {}", r.0);
             self.live[r.index()] = false;
         }
-        self.free.push(r.0);
+        self.slots.get_mut(r.index()).id = u64::from(self.free);
+        self.free = r.0;
+        self.free_len += 1;
     }
 
     /// Packets currently alive in the arena.
     pub fn live_count(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.slots.len() - self.free_len
     }
 
     /// Total slots ever created (the high-water mark of concurrently live
@@ -230,57 +253,21 @@ impl PacketArena {
         self.slots.len()
     }
 
-    /// Heap footprint of the arena in bytes (chunks, the chunk table and
-    /// the free list), for the bounded-memory accounting of the scale
-    /// benches. Bounded by the peak number of concurrently live packets,
-    /// not by the number of packets ever delivered.
+    /// Heap footprint of the arena in bytes (chunks and the chunk table),
+    /// for the bounded-memory accounting of the scale benches. Bounded by
+    /// the peak number of concurrently live packets, not by the number of
+    /// packets ever delivered.
     pub fn memory_bytes(&self) -> usize {
-        self.slots.memory_bytes() + self.free.capacity() * std::mem::size_of::<u32>()
+        self.slots.memory_bytes()
     }
 
-    /// Snapshot every slot and the free list for a checkpoint. Freed
-    /// slots are included verbatim (their stale contents are never read),
-    /// so restored allocation reuses exactly the same slot sequence.
-    pub fn checkpoint(&self) -> crate::checkpoint::ArenaCheckpoint {
-        let mut slots = Vec::with_capacity(self.slots.len());
-        slots.extend(self.slots.iter().cloned());
-        crate::checkpoint::ArenaCheckpoint {
-            slots,
-            free: self.free.clone(),
-        }
-    }
-
-    /// Replace this arena's contents with a checkpoint's, rebuilt chunk by
-    /// chunk so the next [`PacketArena::alloc`] grows it like any other
-    /// (the debug-build liveness mirror is rebuilt from the free list).
-    pub fn restore(&mut self, ck: &crate::checkpoint::ArenaCheckpoint) {
-        self.restore_without(ck, 0..0);
-    }
-
-    /// [`PacketArena::restore`] leaving out the slots in `skip`: the slots
-    /// after it move down by its length. A free list would have to move
-    /// with them, so `ck` must have none unless `skip` is empty.
-    pub(crate) fn restore_without(
-        &mut self,
-        ck: &crate::checkpoint::ArenaCheckpoint,
-        skip: Range<usize>,
-    ) {
-        assert!(
-            skip.is_empty() || ck.free.is_empty(),
-            "an arena with a free list restores whole"
-        );
-        let kept = ck.slots[..skip.start].iter().chain(&ck.slots[skip.end..]);
-        self.slots = Chunked::with_capacity(ck.slots.len() - skip.len());
-        for packet in kept {
-            self.slots.push(packet.clone());
-        }
-        self.free = ck.free.clone();
-        #[cfg(debug_assertions)]
-        {
-            self.live = vec![true; self.slots.len()];
-            for &slot in &self.free {
-                self.live[slot as usize] = false;
-            }
+    /// Replace this arena's contents with `packets`, live in slots `0..`,
+    /// with nothing free, stored chunk by chunk so the next
+    /// [`PacketArena::alloc`] grows the arena like any other.
+    pub fn restore(&mut self, packets: impl Iterator<Item = Packet>) {
+        *self = Self::with_capacity(packets.size_hint().0);
+        for packet in packets {
+            self.alloc(packet);
         }
     }
 }
@@ -288,30 +275,15 @@ impl PacketArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::RouteInfo;
-    use dragonfly_topology::ids::{GroupId, NodeId, RouterId};
+    use dragonfly_topology::config::DragonflyConfig;
+    use dragonfly_topology::ids::NodeId;
+    use dragonfly_topology::Dragonfly;
 
     fn packet(id: u64) -> Packet {
-        Packet {
-            id,
-            src: NodeId(0),
-            dst: NodeId(1),
-            src_router: RouterId(0),
-            dst_router: RouterId(0),
-            dst_group: GroupId(0),
-            src_group: GroupId(0),
-            src_slot: 0,
-            size_bytes: 128,
-            created_ns: 0,
-            injected_ns: 0,
-            hops: 0,
-            vc: 0,
-            route: RouteInfo::default(),
-            last_router: None,
-            last_out_port: None,
-            last_decision_ns: 0,
-            pending_decision: None,
+        thread_local! {
+            static TOPO: Dragonfly = Dragonfly::new(DragonflyConfig::tiny());
         }
+        TOPO.with(|topo| Packet::new(topo, id, NodeId(0), NodeId(1), 0))
     }
 
     #[test]
@@ -361,31 +333,28 @@ mod tests {
 
     #[test]
     fn chunk_boundaries_are_invisible() {
-        // Slots count up across chunks, a checkpoint is the flat slot list,
-        // and a restored arena continues the numbering and the free list.
-        let mut arena = PacketArena::new();
+        // Slots count up across chunks, freed slots on either side of a
+        // boundary come back LIFO, and a restored arena holds its packets in
+        // slots `0..` and continues the numbering.
         let total = CHUNK_SLOTS + 2;
-        for i in 0..total {
-            assert_eq!(arena.alloc(packet(i as u64)), PacketRef(i as u32));
-        }
-        arena.free(PacketRef(CHUNK_SLOTS as u32));
-        arena.free(PacketRef(3));
-        let ck = arena.checkpoint();
-        assert_eq!(ck.slots.len(), total);
-        assert!(ck.slots.iter().enumerate().all(|(i, p)| p.id == i as u64));
-        assert_eq!(ck.free, vec![CHUNK_SLOTS as u32, 3]);
-
         let mut restored = PacketArena::new();
-        restored.restore(&ck);
-        assert_eq!(restored.high_water(), total);
-        assert_eq!(restored.live_count(), total - 2);
-        assert_eq!(
-            restored.get(PacketRef(CHUNK_SLOTS as u32 + 1)).id,
-            total as u64 - 1
-        );
-        assert_eq!(restored.alloc(packet(100)), PacketRef(3));
-        assert_eq!(restored.alloc(packet(101)), PacketRef(CHUNK_SLOTS as u32));
-        assert_eq!(restored.alloc(packet(102)), PacketRef(total as u32));
-        assert_eq!(restored.get(PacketRef(CHUNK_SLOTS as u32)).id, 101);
+        restored.restore((0..total as u64).map(packet));
+        for arena in [&mut PacketArena::new(), &mut restored] {
+            for i in arena.high_water()..total {
+                assert_eq!(arena.alloc(packet(i as u64)), PacketRef(i as u32));
+            }
+            assert!((0..total).all(|i| arena.get(PacketRef(i as u32)).id == i as u64));
+            arena.free(PacketRef(CHUNK_SLOTS as u32));
+            arena.free(PacketRef(3));
+            assert_eq!(arena.live_count(), total - 2);
+            assert_eq!(arena.alloc(packet(100)), PacketRef(3));
+            assert_eq!(arena.alloc(packet(101)), PacketRef(CHUNK_SLOTS as u32));
+            assert_eq!(arena.alloc(packet(102)), PacketRef(total as u32));
+            assert_eq!(arena.get(PacketRef(CHUNK_SLOTS as u32)).id, 101);
+            assert_eq!(
+                arena.get(PacketRef(CHUNK_SLOTS as u32 + 1)).id,
+                total as u64 - 1
+            );
+        }
     }
 }

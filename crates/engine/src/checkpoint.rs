@@ -61,7 +61,7 @@ use crate::event::{EventKind, SchedulerCheckpoint};
 use crate::fault::CompiledFault;
 use crate::injector::Injection;
 use crate::nic::NicState;
-use crate::packet::Packet;
+use crate::packet::PacketState;
 use crate::router::RouterState;
 use crate::sync::{QueuedInjection, ShardPlan};
 use crate::time::SimTime;
@@ -118,16 +118,13 @@ pub struct InjectorCheckpoint {
     pub counters: Vec<u64>,
 }
 
-/// The packet arena. [`crate::arena::PacketArena::checkpoint`] gives every
-/// slot ever allocated plus the LIFO free list; a snapshot instead holds
-/// exactly the packets the canonical walk reaches, in walk order, with no
-/// free list — one packet per message queued at a NIC among them
-/// ([`crate::nic`]).
+/// The packet arena: exactly the packets the canonical walk reaches, in
+/// walk order, each in its wire form ([`PacketState`]), with no free list —
+/// one packet per message queued at a NIC among them ([`crate::nic`]).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ArenaCheckpoint {
-    /// All slots, live and freed (freed slots hold stale packet data that
-    /// the next allocation overwrites, exactly as at run time).
-    pub slots: Vec<Packet>,
+    /// The packets, one per slot.
+    pub slots: Vec<PacketState>,
     /// The free list, bottom of the stack first.
     pub free: Vec<u32>,
 }
@@ -285,7 +282,7 @@ pub(crate) fn merge_shards(now: SimTime, shards: Vec<ShardCheckpoint>) -> ShardC
         has_tasks: shards[0].has_tasks,
         ..ShardCheckpoint::default()
     };
-    let mut slots: Vec<Packet> = Vec::new();
+    let mut slots: Vec<PacketState> = Vec::new();
     let mut pending: Vec<QueuedInjection> = Vec::new();
 
     for (k, mut s) in shards.into_iter().enumerate() {
@@ -362,7 +359,7 @@ pub(crate) fn merge_shards(now: SimTime, shards: Vec<ShardCheckpoint>) -> ShardC
 /// Rearrange `slots` so that slot `i` holds what slot `order[i]` held, in
 /// place: each cycle of the permutation is rotated by swaps (`order` is
 /// used up as the record of what is placed).
-fn permute(slots: &mut [Packet], order: &mut [u32]) {
+fn permute(slots: &mut [PacketState], order: &mut [u32]) {
     const PLACED: u32 = u32::MAX;
     for start in 0..slots.len() {
         let mut i = start;
@@ -449,7 +446,7 @@ pub(crate) fn split_for_plan(
             // canonical walk order (ascending slot indices, no free list):
             // router packets, then one run of NIC packets, then event
             // packets — the layout `Shard::restore` takes the NIC run from.
-            let mut slots: Vec<Packet> = Vec::new();
+            let mut slots: Vec<PacketState> = Vec::new();
             let mut translate = |r: PacketRef| -> PacketRef {
                 let local = PacketRef(slots.len() as u32);
                 slots.push(canonical.arena.slots[r.index()].clone());

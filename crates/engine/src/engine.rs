@@ -21,6 +21,7 @@
 use crate::config::EngineConfig;
 use crate::injector::{Injection, TrafficInjector};
 use crate::observer::ShardObserver;
+use crate::packet::Packet;
 use crate::routing::RoutingAlgorithm;
 use crate::shard::Shard;
 use crate::sync::{pause, MailGrid, QueuedInjection, ShardPlan, WindowGate, NO_EVENT};
@@ -433,8 +434,10 @@ impl<O: ShardObserver> Engine<O> {
     /// ([`crate::routing::RouterAgent::check_state`]), and the arena is
     /// canonical — no free list, and the walk over router buffers, NIC
     /// source queues and `RouterArrive` events holds every slot exactly
-    /// once — with every NIC-queued packet one its NIC generates, and no
-    /// event is a `TrafficArrival` marker (merge strips them, restore
+    /// once — with every NIC-queued packet one its NIC generates and every
+    /// other one a packet this engine can hold
+    /// ([`crate::packet::Packet::from_state`]), and no event is a
+    /// `TrafficArrival` marker (merge strips them, restore
     /// regenerates them from the pending injections). Callers restoring a
     /// snapshot they did not just take themselves ask first; `restore`
     /// panics on (or silently mis-restores) what this refuses. The error
@@ -506,9 +509,18 @@ impl<O: ShardObserver> Engine<O> {
                 Ok(())
             }
         };
+        // A packet in a router buffer or on a link becomes a run-time packet
+        // again at restore.
+        let fabric = |pref: crate::arena::PacketRef, owner: &dyn Fn() -> String| {
+            Packet::from_state(&slots[pref.index()], &self.topo, &self.cfg)
+                .map(drop)
+                .map_err(|e| format!("{}, arena slot {}: {e}", owner(), pref.0))
+        };
         for (r, state) in shard.routers.iter().enumerate() {
-            for (field, pref) in state.packet_refs() {
-                hold(pref, &|| format!("state of router {r}: {field}"))?;
+            for (field, port, vc, pref) in state.packet_refs() {
+                let owner = || format!("state of router {r}: {field} port {} VC {vc}", port.0);
+                hold(pref, &owner)?;
+                fabric(pref, &owner)?;
             }
         }
         for (n, nic) in shard.nics.iter().enumerate() {
@@ -531,9 +543,9 @@ impl<O: ShardObserver> Engine<O> {
         }
         for (i, ev) in shard.queue.events.iter().enumerate() {
             if let crate::event::EventKind::RouterArrive { packet, .. } = ev.kind {
-                hold(packet, &|| {
-                    format!("event {i} (RouterArrive at {} ns): packet", ev.time)
-                })?;
+                let owner = || format!("event {i} (RouterArrive at {} ns): packet", ev.time);
+                hold(packet, &owner)?;
+                fabric(packet, &owner)?;
             }
         }
         match held.iter().position(|&h| !h) {

@@ -81,24 +81,30 @@
 //!   peak, for ~29,000 pending events that now take 2.1 MB. Nothing is
 //!   pre-sized from the entity count any more
 //!   (`EventQueue::for_config_with_entities` is `for_config`).
-//! * **The arena grows by 4,096-packet chunks (416 KB) and never moves a
+//! * **The arena grows by 4,096-packet chunks (256 KB) and never moves a
 //!   packet.** One contiguous `Vec<Packet>` doubled: at the 262,144th
 //!   queued packet of `adv_qadp_1056` (when the arena still held the NIC
 //!   backlog) the old 27.3 MB and the new 54.5 MB block were live
 //!   together, 82 MB of that run's 112 MB peak, and the exact-length `Vec`
 //!   of a restored arena made the first packet after every resume copy all
-//!   of it again. Slot numbering, the LIFO free list and the flat
-//!   checkpoint are unchanged.
-//! * **A queued message is a 24-byte record, not a 104-byte packet**
-//!   ([`nic`]): `{id, created_ns, dst, next}` in one per-shard pool of
-//!   1,024-record chunks, every NIC's FIFO threaded through it, freed
-//!   records reused LIFO; a NIC is 48 bytes with the FIFO's head, tail and
-//!   length. The packet is built at injection — everything else in it
-//!   derives from the NIC and the topology. `adv_qadp_1056`'s arena held
-//!   41.4 MB, nearly all of it backlog, and its heap peak was 57.9 MB; now
-//!   the arena holds 7.5 MB of fabric packets, the backlog 8.5 MB of
-//!   records and the peak is 28.9 MB. Snapshots still carry the backlog as
-//!   packets, byte for byte.
+//!   of it again. Slot numbering and the LIFO free list are unchanged; the
+//!   free list is threaded through the freed slots and owns no memory.
+//! * **A queued message is a 24-byte record, not a packet** ([`nic`]):
+//!   `{id, created_ns, dst, next}` in one per-shard pool of 1,024-record
+//!   chunks, every NIC's FIFO threaded through it, freed records reused
+//!   LIFO; a NIC is 48 bytes with the FIFO's head, tail and length. The
+//!   packet is built at injection — everything else in it derives from the
+//!   NIC and the topology. `adv_qadp_1056`'s arena held 41.4 MB of 104-byte
+//!   packets, nearly all of it backlog, and its heap peak was 57.9 MB; with
+//!   the backlog as records the arena held 7.5 MB and the backlog 8.5 MB.
+//!   Snapshots still carry the backlog as packets, byte for byte.
+//! * **A packet is one cache line** ([`packet`]): 64 bytes aligned to 64,
+//!   where it was 104 bytes over two or three lines. It keeps its times,
+//!   ids, packed route state and the two Q-table indices every decision
+//!   reads; `src_router`, `src_group` and the size derive from `src` and
+//!   the configuration. `adv_qadp_1056`'s arena went 7.5 → 4.5 MB (seed
+//!   21, end of run). Snapshots keep the 104-byte form
+//!   ([`packet::PacketState`]), byte for byte.
 //! * **A router is two flat arrays and a link pool** ([`router`]): one
 //!   24-byte cell per `(port, vc)` (both FIFOs as head/tail indices,
 //!   output length, credits, wait-list link), one 24-byte record per port,
@@ -325,7 +331,7 @@ pub use engine::{Engine, EngineStats, MemoryBreakdown, ShardDrain};
 pub use fault::{CompiledFault, FaultOp, FaultSchedule};
 pub use injector::{Injection, TrafficInjector};
 pub use observer::{ShardObserver, SimObserver};
-pub use packet::{Packet, RouteInfo};
+pub use packet::{Packet, PacketState, RouteInfo, RouteMode, Via};
 pub use routing::{
     Decision, FeedbackMsg, RouterAgent, RouterCtx, RoutingAlgorithm, DEAD_PORT_PENALTY_NS,
 };

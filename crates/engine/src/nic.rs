@@ -10,9 +10,8 @@
 //!
 //! A generated message that has not left its NIC is fully determined by
 //! the NIC and `(id, dst, created_ns)`: every other [`Packet`] field is
-//! derived from the topology and the configuration (`packet_of`), and
-//! nothing reads or writes the packet before injection. So that is all the
-//! backlog stores:
+//! derived from the topology ([`Packet::new`]), and nothing reads or
+//! writes the packet before injection. So that is all the backlog stores:
 //!
 //! * one 24-byte record per queued message, `{id, created_ns, dst, next}`,
 //!   in one [`Backlog`] pool per shard: fixed 1,024-record chunks (24 KB;
@@ -25,8 +24,10 @@
 //! call and into the arena at injection. Under congestion the backlog is
 //! most of what the engine holds. At the end of `adv_qadp_1056` (seed 0)
 //! the arena held 41.4 MB of 104-byte packets, nearly all of them queued
-//! at NICs, and the heap peaked at 57.9 MB; now the arena holds 7.5 MB of
-//! fabric packets, the backlog 8.5 MB of records and the peak is 28.9 MB.
+//! at NICs, and the heap peaked at 57.9 MB; with the backlog as records the
+//! arena held 7.5 MB of 104-byte fabric packets and the backlog 8.5 MB, and
+//! the peak was 28.9 MB. Fabric packets are now 64 bytes (see
+//! [`crate::packet`]).
 //! A `VecDeque` per NIC would cost 32 bytes for every NIC, queued or not
 //! (3.6 MB of headers at 110,976 nodes), and a doubling copy on every
 //! backlog that grows; one pool per shard grows by a chunk and never moves
@@ -39,18 +40,18 @@
 //!
 //! Snapshots keep their bytes: [`NicState`] is the former run-time struct,
 //! field for field, with its source queue of arena handles.
-//! `Shard::checkpoint` writes each queued message as the packet
-//! `packet_of` builds, into the arena slot the canonical walk gives it, and
-//! points the source queue there; `Shard::restore` turns those packets
-//! back into records (`queued_of` refuses a packet the NIC could not have
-//! generated).
+//! `Shard::checkpoint` writes each queued message as the [`PacketState`] of
+//! the packet [`Packet::new`] builds, into the arena slot the canonical
+//! walk gives it, and points the source queue there; `Shard::restore` turns
+//! those states back into records (`queued_of` refuses one the NIC could
+//! not have generated).
 
 use crate::arena::{Chunked, PacketRef};
 use crate::config::EngineConfig;
-use crate::packet::{Packet, RouteInfo};
+use crate::packet::{Packet, PacketState, RouteInfo};
 use crate::time::SimTime;
 use dragonfly_topology::ids::NodeId;
-use dragonfly_topology::{AnyTopology, Topology};
+use dragonfly_topology::AnyTopology;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -290,94 +291,47 @@ impl Backlog {
     }
 }
 
-/// The packet `src`'s NIC builds for `msg`: source and destination fields
-/// derived from the topology, no hop taken, fresh routing state, injected
-/// and last decided at `created_ns` (injection moves both to its own time).
-pub(crate) fn packet_of(
-    topo: &AnyTopology,
-    cfg: &EngineConfig,
-    src: NodeId,
-    msg: Queued,
-) -> Packet {
-    let src_router = topo.router_of_node(src);
-    let dst_router = topo.router_of_node(msg.dst);
-    Packet {
-        id: msg.id,
-        src,
-        dst: msg.dst,
-        src_router,
-        dst_router,
-        dst_group: topo.domain_of_router(dst_router),
-        src_group: topo.domain_of_router(src_router),
-        src_slot: topo.node_slot(src) as u8,
-        size_bytes: cfg.packet_bytes,
-        created_ns: msg.created_ns,
-        injected_ns: msg.created_ns,
-        hops: 0,
-        vc: 0,
-        route: RouteInfo::default(),
-        last_router: None,
-        last_out_port: None,
-        last_decision_ns: msg.created_ns,
-        pending_decision: None,
-    }
-}
-
-/// The message `src`'s NIC queued as `packet`, or why `packet` is not one
-/// that NIC generated (the error names the packet and the field).
+/// The message `src`'s NIC queued as `state`, or why `state` is not one
+/// that NIC generated: the checks of [`Packet::from_state`], then the
+/// fields of a packet no router has touched yet, as [`Packet::new`] builds
+/// it (the error names the packet and the field).
 pub(crate) fn queued_of(
     topo: &AnyTopology,
     cfg: &EngineConfig,
     src: NodeId,
-    packet: &Packet,
+    state: &PacketState,
 ) -> Result<Queued, String> {
-    let p = packet;
-    if p.dst.index() >= topo.num_nodes() {
-        return Err(format!(
-            "packet {} has dst = {}, outside the {} nodes",
-            p.id,
-            p.dst.index(),
-            topo.num_nodes()
-        ));
-    }
-    let msg = Queued {
-        id: p.id,
-        dst: p.dst,
-        created_ns: p.created_ns,
+    let s = state;
+    let not_generated = |field: &str| {
+        Err(format!(
+            "packet {} has a {field} that NIC {} does not generate",
+            s.id,
+            src.index()
+        ))
     };
-    let want = packet_of(topo, cfg, src, msg);
-    for (field, same) in [
-        ("src", p.src == want.src),
-        ("src_router", p.src_router == want.src_router),
-        ("dst_router", p.dst_router == want.dst_router),
-        ("dst_group", p.dst_group == want.dst_group),
-        ("src_group", p.src_group == want.src_group),
-        ("src_slot", p.src_slot == want.src_slot),
-        ("size_bytes", p.size_bytes == want.size_bytes),
-        ("injected_ns", p.injected_ns == want.injected_ns),
-        ("hops", p.hops == want.hops),
-        ("vc", p.vc == want.vc),
-        ("route", p.route == want.route),
-        ("last_router", p.last_router == want.last_router),
-        ("last_out_port", p.last_out_port == want.last_out_port),
-        (
-            "last_decision_ns",
-            p.last_decision_ns == want.last_decision_ns,
-        ),
-        (
-            "pending_decision",
-            p.pending_decision == want.pending_decision,
-        ),
+    if s.src != src {
+        return not_generated("src");
+    }
+    Packet::from_state(s, topo, cfg)?;
+    for (field, fresh) in [
+        ("injected_ns", s.injected_ns == s.created_ns),
+        ("hops", s.hops == 0),
+        ("vc", s.vc == 0),
+        ("route", s.route == RouteInfo::default()),
+        ("last_router", s.last_router.is_none()),
+        ("last_out_port", s.last_out_port.is_none()),
+        ("last_decision_ns", s.last_decision_ns == s.created_ns),
+        ("pending_decision", s.pending_decision.is_none()),
     ] {
-        if !same {
-            return Err(format!(
-                "packet {} has a {field} that NIC {} does not generate",
-                p.id,
-                src.index()
-            ));
+        if !fresh {
+            return not_generated(field);
         }
     }
-    Ok(msg)
+    Ok(Queued {
+        id: s.id,
+        dst: s.dst,
+        created_ns: s.created_ns,
+    })
 }
 
 #[cfg(test)]
@@ -411,6 +365,19 @@ mod tests {
         nic.link_free_at = 100;
         assert!(!nic.can_inject(50));
         assert!(nic.can_inject(100));
+    }
+
+    #[test]
+    fn the_packet_a_nic_builds_is_one_it_generated() {
+        let topo: AnyTopology =
+            dragonfly_topology::Dragonfly::new(dragonfly_topology::DragonflyConfig::tiny()).into();
+        let cfg = EngineConfig::paper(5);
+        for id in 0..72 {
+            let msg = message(id);
+            let src = NodeId((id * 5 % 72) as u32);
+            let state = Packet::new(&topo, id, src, msg.dst, msg.created_ns).to_state(&topo, &cfg);
+            assert_eq!(queued_of(&topo, &cfg, src, &state), Ok(msg));
+        }
     }
 
     #[test]

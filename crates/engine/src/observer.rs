@@ -22,10 +22,11 @@ pub trait SimObserver: Send {
         let _ = (packet, now);
     }
 
-    /// A packet was delivered to its destination node. `now` is the
-    /// delivery time (including the final ejection link).
-    fn packet_delivered(&mut self, packet: &Packet, now: SimTime) {
-        let _ = (packet, now);
+    /// A packet of `size_bytes` bytes was delivered to its destination
+    /// node. `now` is the delivery time (including the final ejection
+    /// link).
+    fn packet_delivered(&mut self, packet: &Packet, size_bytes: u32, now: SimTime) {
+        let _ = (packet, size_bytes, now);
     }
 
     /// A closed-loop task program completed phase `phase` on `node` at
@@ -123,7 +124,7 @@ impl SimObserver for CountingObserver {
         self.injected += 1;
     }
 
-    fn packet_delivered(&mut self, packet: &Packet, now: SimTime) {
+    fn packet_delivered(&mut self, packet: &Packet, _size_bytes: u32, now: SimTime) {
         self.delivered += 1;
         self.total_latency_ns += packet.latency_ns(now) as u128;
         self.total_hops += packet.hops as u64;
@@ -178,30 +179,14 @@ impl CountingObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::RouteInfo;
-    use dragonfly_topology::ids::{GroupId, NodeId, RouterId};
+    use dragonfly_topology::config::DragonflyConfig;
+    use dragonfly_topology::Dragonfly;
 
     fn packet(created: SimTime, hops: u8) -> Packet {
-        Packet {
-            id: 0,
-            src: NodeId(0),
-            dst: NodeId(1),
-            src_router: RouterId(0),
-            dst_router: RouterId(0),
-            dst_group: GroupId(0),
-            src_group: GroupId(0),
-            src_slot: 0,
-            size_bytes: 128,
-            created_ns: created,
-            injected_ns: created,
-            hops,
-            vc: 0,
-            route: RouteInfo::default(),
-            last_router: None,
-            last_out_port: None,
-            last_decision_ns: 0,
-            pending_decision: None,
-        }
+        let topo = Dragonfly::new(DragonflyConfig::tiny());
+        let mut p = Packet::new(&topo, 0, NodeId(0), NodeId(1), created);
+        p.hops = hops;
+        p
     }
 
     #[test]
@@ -209,8 +194,8 @@ mod tests {
         let mut obs = CountingObserver::default();
         obs.packet_generated(&packet(0, 0), 0);
         obs.packet_injected(&packet(0, 0), 10);
-        obs.packet_delivered(&packet(0, 3), 500);
-        obs.packet_delivered(&packet(100, 5), 700);
+        obs.packet_delivered(&packet(0, 3), 128, 500);
+        obs.packet_delivered(&packet(100, 5), 128, 700);
         assert_eq!(obs.generated, 1);
         assert_eq!(obs.injected, 1);
         assert_eq!(obs.delivered, 2);

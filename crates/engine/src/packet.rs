@@ -1,8 +1,67 @@
 //! Packets (single-flit messages) and their in-flight routing state.
+//!
+//! # A packet is one cache line
+//!
+//! A [`Packet`] is 64 bytes aligned to 64, so an arena slot is one cache
+//! line. It keeps what the packet carries and derives what the topology
+//! knows. 63 bytes of fields:
+//!
+//! | bytes | fields | encoding |
+//! |---|---|---|
+//! | 32 | `id`, `created_ns`, `injected_ns`, `last_decision_ns` | `u64` |
+//! | 20 | `src`, `dst`, `dst_router`, last router, Valiant `via` | `u32`; `u32::MAX` is none |
+//! | 4 | last output port, pending port | `u16`; `u16::MAX` is none |
+//! | 2 | `dst_group` | `u16` |
+//! | 4 | `src_slot`, `hops`, `vc`, pending VC | `u8` |
+//! | 1 | flags | route mode, `via` kind, three route bits |
+//!
+//! `via` is the intermediate group or the intermediate router of a
+//! Valiant leg; a route never has both.
+//!
+//! What is derived, and where:
+//!
+//! * `src_router` and `src_group` come from `src` through the topology
+//!   ([`Packet::src_router`], [`Packet::src_group`]). Agents read each at
+//!   most once per decision: the source-router test and the
+//!   intermediate-group test, plus UGAL's, Valiant's and PAR's source
+//!   domain.
+//! * The size is `EngineConfig::packet_bytes` for every packet. The engine
+//!   hands it to [`crate::observer::SimObserver::packet_delivered`].
+//!
+//! `dst_group` and `src_slot` stay stored: they index the two-level
+//! Q-table on every decision, and `dst_router` is read on every hop.
+//! `TopologySpec::validate` (`dragonfly-topology`) refuses a shape whose
+//! ids do not fit these widths: at most 256 host ports per router, radix
+//! 65,535, 65,536 domains, and router and node ids below the `u32::MAX`
+//! sentinel.
+//!
+//! # The wire form
+//!
+//! Snapshots keep their bytes. [`PacketState`] is the former 104-byte
+//! run-time struct, field for field, with the same serde. Fabric packets and
+//! NIC-queued messages are written as one ([`Packet::to_state`]) and read
+//! back through one conversion ([`Packet::from_state`]), which refuses a
+//! state whose derived fields disagree with `src`, `dst` and the
+//! configuration, or whose ids or VCs this engine cannot hold.
 
+use crate::config::EngineConfig;
 use crate::time::SimTime;
 use dragonfly_topology::ids::{GroupId, NodeId, Port, RouterId};
+use dragonfly_topology::Topology;
 use serde::{Deserialize, Serialize};
+
+/// No router and no Valiant target.
+const NO_ID: u32 = u32::MAX;
+/// No port.
+const NO_PORT: u16 = u16::MAX;
+
+// Bits of `Packet::flags`.
+const VALIANT: u8 = 1;
+const VIA_GROUP: u8 = 1 << 1;
+const VIA_ROUTER: u8 = 1 << 2;
+const REACHED_INTERMEDIATE: u8 = 1 << 3;
+const INT_GROUP_DECISION_DONE: u8 = 1 << 4;
+const PAR_REEVALUATED: u8 = 1 << 5;
 
 /// Which routing mode a packet is currently committed to.
 ///
@@ -18,10 +77,20 @@ pub enum RouteMode {
     Valiant,
 }
 
-/// Adaptive/Valiant routing bookkeeping carried by each packet.
+/// The intermediate target of a Valiant leg.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Via {
+    /// An intermediate group (VALg/UGALg-style paths).
+    Group(GroupId),
+    /// An intermediate router (VALn/UGALn/PAR-style paths).
+    Router(RouterId),
+}
+
+/// Adaptive/Valiant routing bookkeeping as one value: what
+/// [`Packet::route`] decodes and the wire form stores.
 ///
-/// Routing agents read and update this state; the engine itself never
-/// interprets it (except for debug assertions).
+/// Routing agents read and update it through [`Packet`]'s accessors; the
+/// engine itself never interprets it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RouteInfo {
     /// Minimal or Valiant.
@@ -55,9 +124,375 @@ impl Default for RouteInfo {
     }
 }
 
-/// A single-flit packet travelling through the network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A single-flit packet travelling through the network (see the module
+/// docs for the layout).
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[repr(align(64))]
 pub struct Packet {
+    /// Unique, monotonically increasing id.
+    pub id: u64,
+    /// Time the message was generated at the node.
+    pub created_ns: SimTime,
+    /// Time the packet left the NIC and entered the router fabric.
+    pub injected_ns: SimTime,
+    /// The time the previous router made its forwarding decision; the
+    /// per-hop RL reward is `now - last_decision_ns`.
+    pub last_decision_ns: SimTime,
+    /// Generating compute node.
+    pub src: NodeId,
+    /// Destination compute node.
+    pub dst: NodeId,
+    /// Router the destination node is attached to.
+    pub dst_router: RouterId,
+    last_router: u32,
+    via: u32,
+    last_out_port: u16,
+    pending_port: u16,
+    dst_group: u16,
+    /// Host-port slot of the source node on its router, in `0..p`
+    /// (second index of the two-level Q-table).
+    pub src_slot: u8,
+    /// Router-to-router hops taken so far.
+    pub hops: u8,
+    /// Current virtual channel.
+    pub vc: u8,
+    pending_vc: u8,
+    flags: u8,
+}
+
+impl Packet {
+    /// The packet `src`'s NIC generates for `dst` at `created_ns`: no hop
+    /// taken, minimal, injected and last decided at `created_ns` (injection
+    /// moves both to its own time).
+    ///
+    /// # Panics
+    ///
+    /// If `dst`'s domain or `src`'s host slot does not fit its field, which
+    /// `TopologySpec::validate` refuses.
+    pub fn new(
+        topo: &impl Topology,
+        id: u64,
+        src: NodeId,
+        dst: NodeId,
+        created_ns: SimTime,
+    ) -> Self {
+        let dst_router = topo.router_of_node(dst);
+        Self {
+            id,
+            created_ns,
+            injected_ns: created_ns,
+            last_decision_ns: created_ns,
+            src,
+            dst,
+            dst_router,
+            last_router: NO_ID,
+            via: NO_ID,
+            last_out_port: NO_PORT,
+            pending_port: NO_PORT,
+            dst_group: u16::try_from(topo.domain_of_router(dst_router).index())
+                .expect("a topology has at most 65,536 domains"),
+            src_slot: u8::try_from(topo.node_slot(src))
+                .expect("a router has at most 256 host ports"),
+            hops: 0,
+            vc: 0,
+            pending_vc: 0,
+            flags: 0,
+        }
+    }
+
+    /// End-to-end latency if the packet is delivered at `now`.
+    #[inline]
+    pub fn latency_ns(&self, now: SimTime) -> SimTime {
+        now.saturating_sub(self.created_ns)
+    }
+
+    /// Router the source node is attached to (derived from `src`).
+    #[inline]
+    pub fn src_router(&self, topo: &impl Topology) -> RouterId {
+        topo.router_of_node(self.src)
+    }
+
+    /// Group of the source node (derived from `src`).
+    #[inline]
+    pub fn src_group(&self, topo: &impl Topology) -> GroupId {
+        topo.domain_of_router(self.src_router(topo))
+    }
+
+    /// Group of the destination node (first index of the two-level
+    /// Q-table).
+    #[inline]
+    pub fn dst_group(&self) -> GroupId {
+        GroupId(u32::from(self.dst_group))
+    }
+
+    /// Whether the packet is still at its source router (no fabric hop yet).
+    #[inline]
+    pub fn at_source_router(&self, topo: &impl Topology, current: RouterId) -> bool {
+        self.hops == 0 && current == self.src_router(topo)
+    }
+
+    /// Whether `group` is neither the packet's source nor destination group
+    /// (i.e. an intermediate group).
+    #[inline]
+    pub fn is_intermediate_group(&self, topo: &impl Topology, group: GroupId) -> bool {
+        group != self.dst_group() && group != self.src_group(topo)
+    }
+
+    /// Minimal or Valiant.
+    #[inline]
+    pub fn route_mode(&self) -> RouteMode {
+        if self.flags & VALIANT != 0 {
+            RouteMode::Valiant
+        } else {
+            RouteMode::Minimal
+        }
+    }
+
+    /// The intermediate target of the Valiant leg, if one was committed.
+    #[inline]
+    pub fn via(&self) -> Option<Via> {
+        match self.flags & (VIA_GROUP | VIA_ROUTER) {
+            VIA_GROUP => Some(Via::Group(GroupId(self.via))),
+            VIA_ROUTER => Some(Via::Router(RouterId(self.via))),
+            _ => None,
+        }
+    }
+
+    /// Commit the packet to a Valiant leg through `via`, not yet reached.
+    /// `None` marks it non-minimal without a target (Q-adaptive's source
+    /// decision).
+    #[inline]
+    pub fn commit_valiant(&mut self, via: Option<Via>) {
+        let (kind, id) = match via {
+            Some(Via::Group(g)) => (VIA_GROUP, g.0),
+            Some(Via::Router(r)) => (VIA_ROUTER, r.0),
+            None => (0, NO_ID),
+        };
+        self.flags =
+            (self.flags & !(VIA_GROUP | VIA_ROUTER | REACHED_INTERMEDIATE)) | VALIANT | kind;
+        self.via = id;
+    }
+
+    /// Whether the packet has reached its intermediate target and switched
+    /// to the minimal leg.
+    #[inline]
+    pub fn reached_intermediate(&self) -> bool {
+        self.flags & REACHED_INTERMEDIATE != 0
+    }
+
+    /// Record that the intermediate target is reached.
+    #[inline]
+    pub fn set_reached_intermediate(&mut self) {
+        self.flags |= REACHED_INTERMEDIATE;
+    }
+
+    /// Q-adaptive: whether the first router visited in an intermediate
+    /// group has already made its (possibly rerouting) decision.
+    #[inline]
+    pub fn int_group_decision_done(&self) -> bool {
+        self.flags & INT_GROUP_DECISION_DONE != 0
+    }
+
+    /// Record the intermediate-group decision.
+    #[inline]
+    pub fn set_int_group_decision_done(&mut self) {
+        self.flags |= INT_GROUP_DECISION_DONE;
+    }
+
+    /// PAR: whether a source-group router has already re-evaluated the
+    /// minimal decision.
+    #[inline]
+    pub fn par_reevaluated(&self) -> bool {
+        self.flags & PAR_REEVALUATED != 0
+    }
+
+    /// Record the PAR re-evaluation.
+    #[inline]
+    pub fn set_par_reevaluated(&mut self) {
+        self.flags |= PAR_REEVALUATED;
+    }
+
+    /// The routing bookkeeping as one value.
+    pub fn route(&self) -> RouteInfo {
+        let via = self.via();
+        RouteInfo {
+            mode: self.route_mode(),
+            intermediate_group: match via {
+                Some(Via::Group(g)) => Some(g),
+                _ => None,
+            },
+            intermediate_router: match via {
+                Some(Via::Router(r)) => Some(r),
+                _ => None,
+            },
+            reached_intermediate: self.reached_intermediate(),
+            int_group_decision_done: self.int_group_decision_done(),
+            par_reevaluated: self.par_reevaluated(),
+        }
+    }
+
+    /// The previous router and the output port it used for this packet
+    /// (the Q-table column its feedback updates); `None` at the source
+    /// router.
+    #[inline]
+    pub fn last_hop(&self) -> Option<(RouterId, Port)> {
+        (self.last_router != NO_ID && self.last_out_port != NO_PORT)
+            .then_some((RouterId(self.last_router), Port(self.last_out_port)))
+    }
+
+    /// Record that `router` forwarded this packet on `port`.
+    #[inline]
+    pub fn set_last_hop(&mut self, router: RouterId, port: Port) {
+        self.last_router = router.0;
+        self.last_out_port = port.0;
+    }
+
+    /// Routing decision cached at the current router so that a blocked
+    /// packet retries the same output port and VC instead of re-rolling.
+    #[inline]
+    pub fn pending_decision(&self) -> Option<(Port, u8)> {
+        (self.pending_port != NO_PORT).then_some((Port(self.pending_port), self.pending_vc))
+    }
+
+    /// Cache (or, with `None`, clear) the pending decision.
+    #[inline]
+    pub fn set_pending_decision(&mut self, decision: Option<(Port, u8)>) {
+        (self.pending_port, self.pending_vc) = match decision {
+            Some((port, vc)) => (port.0, vc),
+            None => (NO_PORT, 0),
+        };
+    }
+
+    /// This packet's wire form.
+    pub fn to_state(&self, topo: &impl Topology, cfg: &EngineConfig) -> PacketState {
+        let src_router = self.src_router(topo);
+        PacketState {
+            id: self.id,
+            src: self.src,
+            dst: self.dst,
+            src_router,
+            dst_router: self.dst_router,
+            dst_group: self.dst_group(),
+            src_group: topo.domain_of_router(src_router),
+            src_slot: self.src_slot,
+            size_bytes: cfg.packet_bytes,
+            created_ns: self.created_ns,
+            injected_ns: self.injected_ns,
+            hops: self.hops,
+            vc: self.vc,
+            route: self.route(),
+            last_router: (self.last_router != NO_ID).then_some(RouterId(self.last_router)),
+            last_out_port: (self.last_out_port != NO_PORT).then_some(Port(self.last_out_port)),
+            last_decision_ns: self.last_decision_ns,
+            pending_decision: self.pending_decision(),
+        }
+    }
+
+    /// The packet `state` describes, or why this engine could hold no such
+    /// packet: a node, router or domain outside the topology, a derived
+    /// field that disagrees with `src`, `dst` or the configuration, a VC the
+    /// engine does not run, a port that is the none sentinel, or a route
+    /// with two intermediate targets. The error names the packet and the
+    /// field.
+    pub fn from_state(
+        state: &PacketState,
+        topo: &impl Topology,
+        cfg: &EngineConfig,
+    ) -> Result<Self, String> {
+        let s = state;
+        let refuse = |what: String| Err(format!("packet {} has {what}", s.id));
+        let (nodes, routers) = (topo.num_nodes(), topo.num_routers());
+        for (field, node) in [("src", s.src), ("dst", s.dst)] {
+            if node.index() >= nodes {
+                return refuse(format!("{field} = {}, outside the {nodes} nodes", node.0));
+            }
+        }
+        let mut packet = Packet::new(topo, s.id, s.src, s.dst, s.created_ns);
+        let src_router = packet.src_router(topo);
+        for (field, have, want, basis) in [
+            ("src_router", s.src_router.0, src_router.0, "src"),
+            (
+                "src_group",
+                s.src_group.0,
+                topo.domain_of_router(src_router).0,
+                "src",
+            ),
+            ("src_slot", s.src_slot.into(), packet.src_slot.into(), "src"),
+            ("dst_router", s.dst_router.0, packet.dst_router.0, "dst"),
+            ("dst_group", s.dst_group.0, packet.dst_group().0, "dst"),
+            ("size_bytes", s.size_bytes, cfg.packet_bytes, "config"),
+        ] {
+            if have != want {
+                return refuse(format!("{field} = {have}, its {basis} gives {want}"));
+            }
+        }
+        let pending = s.pending_decision;
+        let vcs = [
+            ("vc", Some(s.vc)),
+            ("pending_decision VC", pending.map(|d| d.1)),
+        ];
+        for (field, vc) in vcs {
+            if let Some(vc) = vc.filter(|&vc| usize::from(vc) >= cfg.num_vcs) {
+                let vcs = cfg.num_vcs;
+                return refuse(format!("{field} = {vc}, the engine runs {vcs} VCs"));
+            }
+        }
+        let ports = [
+            ("last_out_port", s.last_out_port),
+            ("pending_decision port", pending.map(|d| d.0)),
+        ];
+        for (field, port) in ports {
+            if port == Some(Port(NO_PORT)) {
+                return refuse(format!("{field} = {NO_PORT}, beyond every radix"));
+            }
+        }
+        let ids = [
+            ("last_router", s.last_router),
+            ("intermediate_router", s.route.intermediate_router),
+        ];
+        for (field, router) in ids {
+            if let Some(r) = router.filter(|r| r.index() >= routers) {
+                return refuse(format!("{field} = {}, outside the {routers} routers", r.0));
+            }
+        }
+        let domains = topo.num_domains();
+        let (kind, via) = match (s.route.intermediate_group, s.route.intermediate_router) {
+            (None, None) => (0, NO_ID),
+            (Some(g), None) if g.index() >= domains => {
+                return refuse(format!(
+                    "intermediate_group = {}, outside the {domains} domains",
+                    g.0
+                ))
+            }
+            (Some(g), None) => (VIA_GROUP, g.0),
+            (None, Some(r)) => (VIA_ROUTER, r.0),
+            (Some(_), Some(_)) => {
+                return refuse("both an intermediate_group and an intermediate_router".into())
+            }
+        };
+        let bit = |set: bool, bit: u8| if set { bit } else { 0 };
+        packet.flags = bit(s.route.mode == RouteMode::Valiant, VALIANT)
+            | kind
+            | bit(s.route.reached_intermediate, REACHED_INTERMEDIATE)
+            | bit(s.route.int_group_decision_done, INT_GROUP_DECISION_DONE)
+            | bit(s.route.par_reevaluated, PAR_REEVALUATED);
+        packet.via = via;
+        packet.last_router = s.last_router.map_or(NO_ID, |r| r.0);
+        packet.last_out_port = s.last_out_port.map_or(NO_PORT, |p| p.0);
+        packet.set_pending_decision(s.pending_decision);
+        packet.injected_ns = s.injected_ns;
+        packet.last_decision_ns = s.last_decision_ns;
+        packet.hops = s.hops;
+        packet.vc = s.vc;
+        Ok(packet)
+    }
+}
+
+/// A packet as snapshots store it: the 104-byte layout the run-time
+/// [`Packet`] had before it was packed, field for field, with the derived
+/// fields written out.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PacketState {
     /// Unique, monotonically increasing id.
     pub id: u64,
     /// Generating compute node.
@@ -68,12 +503,11 @@ pub struct Packet {
     pub src_router: RouterId,
     /// Router the destination node is attached to.
     pub dst_router: RouterId,
-    /// Group of the destination node (first index of the two-level Q-table).
+    /// Group of the destination node.
     pub dst_group: GroupId,
     /// Group of the source node.
     pub src_group: GroupId,
-    /// Host-port slot of the source node on its router, in `0..p`
-    /// (second index of the two-level Q-table).
+    /// Host-port slot of the source node on its router.
     pub src_slot: u8,
     /// Packet size in bytes.
     pub size_bytes: u32,
@@ -89,63 +523,36 @@ pub struct Packet {
     pub route: RouteInfo,
     /// The previous router on the path (None while at the source router).
     pub last_router: Option<RouterId>,
-    /// The output port the previous router used to forward this packet
-    /// (i.e. the Q-table column the feedback should update).
+    /// The output port the previous router used to forward this packet.
     pub last_out_port: Option<Port>,
-    /// The time the previous router made its forwarding decision; the
-    /// per-hop RL reward is `now - last_decision_ns`.
+    /// The time the previous router made its forwarding decision.
     pub last_decision_ns: SimTime,
-    /// Routing decision cached at the current router so that a blocked
-    /// packet retries the same output port instead of re-rolling.
+    /// Routing decision cached at the current router.
     pub pending_decision: Option<(Port, u8)>,
-}
-
-impl Packet {
-    /// End-to-end latency if the packet is delivered at `now`.
-    #[inline]
-    pub fn latency_ns(&self, now: SimTime) -> SimTime {
-        now.saturating_sub(self.created_ns)
-    }
-
-    /// Whether the packet is still at its source router (no fabric hop yet).
-    #[inline]
-    pub fn at_source_router(&self, current: RouterId) -> bool {
-        self.hops == 0 && current == self.src_router
-    }
-
-    /// Whether `group` is neither the packet's source nor destination group
-    /// (i.e. an intermediate group).
-    #[inline]
-    pub fn is_intermediate_group(&self, group: GroupId) -> bool {
-        group != self.src_group && group != self.dst_group
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dragonfly_topology::config::DragonflyConfig;
+    use dragonfly_topology::{
+        AnyTopology, Dragonfly, FatTree, FatTreeConfig, HyperX, HyperXConfig,
+    };
 
+    fn tiny() -> AnyTopology {
+        Dragonfly::new(DragonflyConfig::tiny()).into()
+    }
+
+    /// Node 0 (router 0, group 0) to node 10 (router 5, group 1) of the
+    /// tiny Dragonfly, generated at 100 ns.
     fn packet() -> Packet {
-        Packet {
-            id: 1,
-            src: NodeId(0),
-            dst: NodeId(10),
-            src_router: RouterId(0),
-            dst_router: RouterId(5),
-            dst_group: GroupId(1),
-            src_group: GroupId(0),
-            src_slot: 0,
-            size_bytes: 128,
-            created_ns: 100,
-            injected_ns: 150,
-            hops: 0,
-            vc: 0,
-            route: RouteInfo::default(),
-            last_router: None,
-            last_out_port: None,
-            last_decision_ns: 0,
-            pending_decision: None,
-        }
+        Packet::new(&tiny(), 1, NodeId(0), NodeId(10), 100)
+    }
+
+    #[test]
+    fn a_packet_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Packet>(), 64);
+        assert_eq!(std::mem::align_of::<Packet>(), 64);
     }
 
     #[test]
@@ -157,19 +564,25 @@ mod tests {
 
     #[test]
     fn source_router_detection() {
+        let topo = tiny();
         let mut p = packet();
-        assert!(p.at_source_router(RouterId(0)));
-        assert!(!p.at_source_router(RouterId(1)));
+        assert!(p.at_source_router(&topo, RouterId(0)));
+        assert!(!p.at_source_router(&topo, RouterId(1)));
         p.hops = 1;
-        assert!(!p.at_source_router(RouterId(0)));
+        assert!(!p.at_source_router(&topo, RouterId(0)));
     }
 
     #[test]
     fn intermediate_group_detection() {
+        let topo = tiny();
         let p = packet();
-        assert!(!p.is_intermediate_group(GroupId(0)));
-        assert!(!p.is_intermediate_group(GroupId(1)));
-        assert!(p.is_intermediate_group(GroupId(2)));
+        assert_eq!(
+            (p.src_group(&topo), p.dst_group()),
+            (GroupId(0), GroupId(1))
+        );
+        assert!(!p.is_intermediate_group(&topo, GroupId(0)));
+        assert!(!p.is_intermediate_group(&topo, GroupId(1)));
+        assert!(p.is_intermediate_group(&topo, GroupId(2)));
     }
 
     #[test]
@@ -178,5 +591,181 @@ mod tests {
         assert_eq!(r.mode, RouteMode::Minimal);
         assert!(r.intermediate_group.is_none());
         assert!(!r.reached_intermediate);
+        assert_eq!(packet().route(), r, "a fresh packet routes minimally");
+    }
+
+    #[test]
+    fn packed_fields_hold_every_id_below_the_sentinels() {
+        let mut p = packet();
+        assert_eq!(
+            (p.last_hop(), p.pending_decision(), p.via()),
+            (None, None, None)
+        );
+        let (router, port) = (RouterId(NO_ID - 1), Port(NO_PORT - 1));
+        p.set_last_hop(router, port);
+        p.set_pending_decision(Some((port, u8::MAX)));
+        assert_eq!(p.last_hop(), Some((router, port)));
+        assert_eq!(p.pending_decision(), Some((port, u8::MAX)));
+        p.set_pending_decision(None);
+        assert_eq!(p.pending_decision(), None);
+        for via in [Via::Router(router), Via::Group(GroupId(NO_ID - 1))] {
+            p.set_reached_intermediate();
+            p.commit_valiant(Some(via));
+            assert_eq!((p.route_mode(), p.via()), (RouteMode::Valiant, Some(via)));
+            assert!(!p.reached_intermediate(), "a new leg is not reached yet");
+        }
+    }
+
+    /// splitmix64: a seeded stream for the state generator.
+    fn next(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// One of `n` ids; every fourth draw is the largest, `n - 1`.
+    fn id(x: &mut u64, n: usize) -> usize {
+        match next(x) % 4 {
+            0 => n - 1,
+            _ => (next(x) % n as u64) as usize,
+        }
+    }
+
+    /// A random packet in a random route state: hops taken or not, Valiant
+    /// via a group, via a router or neither, route bits, a pending
+    /// decision, with ids and ports drawn up to the largest the topology
+    /// has.
+    fn random_packet(topo: &AnyTopology, cfg: &EngineConfig, x: &mut u64) -> Packet {
+        let (nodes, routers) = (topo.num_nodes(), topo.num_routers());
+        let src = NodeId::from_index(id(x, nodes));
+        let dst = NodeId::from_index(id(x, nodes));
+        let created = next(x) >> 1;
+        let mut p = Packet::new(topo, next(x), src, dst, created);
+        p.injected_ns = created + next(x) % 1_000;
+        match next(x) % 3 {
+            0 => {}
+            1 => {
+                let group = GroupId::from_index(id(x, topo.num_domains()));
+                p.commit_valiant(Some(Via::Group(group)));
+            }
+            _ => p.commit_valiant(Some(Via::Router(RouterId::from_index(id(x, routers))))),
+        }
+        if next(x).is_multiple_of(4) {
+            p.commit_valiant(None);
+        }
+        let bits = next(x);
+        if bits & 1 != 0 {
+            p.set_reached_intermediate();
+        }
+        if bits & 2 != 0 {
+            p.set_int_group_decision_done();
+        }
+        if bits & 4 != 0 {
+            p.set_par_reevaluated();
+        }
+        let vc = |x: &mut u64| (next(x) % cfg.num_vcs as u64) as u8;
+        if next(x).is_multiple_of(2) {
+            let last = RouterId::from_index(id(x, routers));
+            let port = Port::from_index(id(x, topo.radix(last)));
+            p.set_last_hop(last, port);
+            p.hops = (1 + next(x) % 7) as u8;
+            p.vc = vc(x);
+            p.last_decision_ns = p.injected_ns + next(x) % 5_000;
+        }
+        if next(x).is_multiple_of(2) {
+            let port = Port::from_index(id(x, topo.radix(p.dst_router)));
+            p.set_pending_decision(Some((port, vc(x))));
+        }
+        p
+    }
+
+    #[test]
+    fn packet_to_state_to_packet_is_the_identity_on_every_fabric() {
+        let cfg = EngineConfig::paper(5);
+        let fabrics: [AnyTopology; 3] = [
+            Dragonfly::new(DragonflyConfig::small()).into(),
+            FatTree::new(FatTreeConfig::small()).into(),
+            HyperX::new(HyperXConfig::small()).into(),
+        ];
+        for topo in &fabrics {
+            let mut x = 21;
+            for i in 0..2_000 {
+                let p = random_packet(topo, &cfg, &mut x);
+                let state = p.to_state(topo, &cfg);
+                // The derived fields are what the NIC used to store.
+                let src_router = topo.router_of_node(p.src);
+                let dst_router = topo.router_of_node(p.dst);
+                assert_eq!(state.src_router, src_router);
+                assert_eq!(state.dst_router, dst_router);
+                assert_eq!(state.src_group, topo.domain_of_router(src_router));
+                assert_eq!(state.dst_group, topo.domain_of_router(dst_router));
+                assert_eq!(state.src_slot as usize, topo.node_slot(p.src));
+                assert_eq!(state.size_bytes, cfg.packet_bytes);
+                let back = Packet::from_state(&state, topo, &cfg)
+                    .unwrap_or_else(|e| panic!("{} packet {i}: {e}", topo.kind_name()));
+                assert_eq!(back, p, "{} packet {i}", topo.kind_name());
+                assert_eq!(back.to_state(topo, &cfg), state);
+            }
+        }
+    }
+
+    #[test]
+    fn a_state_this_engine_cannot_hold_is_refused_by_field() {
+        let topo = tiny();
+        let cfg = EngineConfig::paper(5);
+        let good = packet().to_state(&topo, &cfg);
+        type Damage = fn(&mut PacketState);
+        let cases: [(Damage, &str); 12] = [
+            (|s| s.src = NodeId(72), "src = 72, outside the 72 nodes"),
+            (
+                |s| s.dst_group = GroupId(2),
+                "dst_group = 2, its dst gives 1",
+            ),
+            (
+                |s| s.dst_router = RouterId(4),
+                "dst_router = 4, its dst gives 5",
+            ),
+            (|s| s.src_slot = 1, "src_slot = 1, its src gives 0"),
+            (
+                |s| s.src_router = RouterId(1),
+                "src_router = 1, its src gives 0",
+            ),
+            (
+                |s| s.src_group = GroupId(3),
+                "src_group = 3, its src gives 0",
+            ),
+            (
+                |s| s.size_bytes = 64,
+                "size_bytes = 64, its config gives 128",
+            ),
+            (|s| s.vc = 5, "vc = 5, the engine runs 5 VCs"),
+            (
+                |s| s.pending_decision = Some((Port(NO_PORT), 0)),
+                "pending_decision port = 65535",
+            ),
+            (
+                |s| s.last_router = Some(RouterId(36)),
+                "last_router = 36, outside the 36 routers",
+            ),
+            (
+                |s| s.route.intermediate_group = Some(GroupId(9)),
+                "intermediate_group = 9, outside the 9 domains",
+            ),
+            (
+                |s| {
+                    s.route.intermediate_group = Some(GroupId(2));
+                    s.route.intermediate_router = Some(RouterId(9));
+                },
+                "both an intermediate_group and an intermediate_router",
+            ),
+        ];
+        for (damage, clue) in cases {
+            let mut bad = good.clone();
+            damage(&mut bad);
+            let err = Packet::from_state(&bad, &topo, &cfg).expect_err(clue);
+            assert!(err.starts_with(&format!("packet 1 has {clue}")), "{err}");
+        }
     }
 }

@@ -523,14 +523,17 @@ impl RouterState {
     }
 
     /// Every buffered [`PacketRef`] in [`RouterState::map_packet_refs`]
-    /// order, each with the wire field that holds it.
-    pub(crate) fn packet_refs(&self) -> impl Iterator<Item = (&'static str, PacketRef)> + '_ {
-        let queue = move |field, q| self.pool.iter(q).map(move |r| (field, r));
-        let input = self.cells.iter().flat_map(move |c| queue("input", c.input));
-        let output = self
-            .cells
-            .iter()
-            .flat_map(move |c| queue("output", c.output));
+    /// order, each with the wire field, port and VC that hold it.
+    pub(crate) fn packet_refs(
+        &self,
+    ) -> impl Iterator<Item = (&'static str, Port, u8, PacketRef)> + '_ {
+        let queue = move |field, i: usize, q| {
+            let (port, vc) = (Port::from_index(i / self.num_vcs), (i % self.num_vcs) as u8);
+            self.pool.iter(q).map(move |r| (field, port, vc, r))
+        };
+        let cells = || self.cells.iter().enumerate();
+        let input = cells().flat_map(move |(i, c)| queue("input", i, c.input));
+        let output = cells().flat_map(move |(i, c)| queue("output", i, c.output));
         input.chain(output)
     }
 

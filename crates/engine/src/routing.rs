@@ -250,29 +250,14 @@ pub trait RoutingAlgorithm: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::RouteInfo;
+    use dragonfly_topology::config::DragonflyConfig;
+    use dragonfly_topology::Dragonfly;
 
     fn dummy_packet(hops: u8) -> Packet {
-        Packet {
-            id: 0,
-            src: NodeId(0),
-            dst: NodeId(4),
-            src_router: RouterId(0),
-            dst_router: RouterId(2),
-            dst_group: GroupId(0),
-            src_group: GroupId(0),
-            src_slot: 0,
-            size_bytes: 128,
-            created_ns: 0,
-            injected_ns: 0,
-            hops,
-            vc: 0,
-            route: RouteInfo::default(),
-            last_router: None,
-            last_out_port: None,
-            last_decision_ns: 0,
-            pending_decision: None,
-        }
+        let topo = Dragonfly::new(DragonflyConfig::tiny());
+        let mut p = Packet::new(&topo, 0, NodeId(0), NodeId(4), 0);
+        p.hops = hops;
+        p
     }
 
     #[test]

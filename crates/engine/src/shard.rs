@@ -278,10 +278,10 @@ impl<O: ShardObserver> Shard<O> {
     /// engine between `run_until` calls.
     ///
     /// The arena comes out packed: its live packets only, numbered by the
-    /// canonical walk, with each queued message written as the packet its
-    /// NIC builds ([`nic::packet_of`]) where the NIC's source queue points
-    /// — the wire form has no backlog records. A single shard's snapshot
-    /// is thereby already canonical.
+    /// canonical walk, each in its wire form, with each queued message
+    /// written as the packet its NIC builds where the NIC's source queue
+    /// points — the wire form has no backlog records. A single shard's
+    /// snapshot is thereby already canonical.
     pub fn checkpoint(&self) -> crate::checkpoint::ShardCheckpoint {
         debug_assert!(
             self.outboxes.iter().all(Vec::is_empty),
@@ -328,10 +328,10 @@ impl<O: ShardObserver> Shard<O> {
         let mut slots = Vec::with_capacity(self.resident());
         crate::checkpoint::map_refs(&mut ck, &mut |r| {
             slots.push(if r.index() < first_queued {
-                self.arena.get(r).clone()
+                self.arena.get(r).to_state(&self.topo, &self.cfg)
             } else {
                 let (src, msg) = queued.next().expect("one message per queued slot");
-                self.packet_of(src, msg)
+                self.packet_of(src, msg).to_state(&self.topo, &self.cfg)
             });
             PacketRef(slots.len() as u32 - 1)
         });
@@ -349,12 +349,14 @@ impl<O: ShardObserver> Shard<O> {
     /// `ck` is one part of [`crate::checkpoint::split_for_plan`], whose
     /// arena lists router packets, then NIC packets, then event packets.
     /// The NIC packets turn back into backlog records and are left out of
-    /// the restored arena; event refs behind them move down.
+    /// the restored arena; event refs behind them move down. The others
+    /// become packets again ([`Packet::from_state`]).
     ///
     /// # Panics
     ///
-    /// If a NIC packet is not one its NIC generates
-    /// ([`crate::Engine::check_restorable`] refuses those first).
+    /// If a NIC packet is not one its NIC generates, or another packet is
+    /// not one this engine can hold ([`crate::Engine::check_restorable`]
+    /// refuses both first).
     pub fn restore(&mut self, ck: &crate::checkpoint::ShardCheckpoint) {
         self.now = ck.now;
         self.generated = ck.generated;
@@ -412,7 +414,16 @@ impl<O: ShardObserver> Shard<O> {
                 },
                 kind => kind,
             });
-        self.arena.restore_without(&ck.arena, nic_run);
+        assert!(
+            ck.arena.free.is_empty(),
+            "a snapshot's arena has no free list"
+        );
+        let slots = &ck.arena.slots;
+        let fabric = slots[..nic_run.start].iter().chain(&slots[nic_run.end..]);
+        self.arena.restore(fabric.map(|state| {
+            Packet::from_state(state, &self.topo, &self.cfg)
+                .unwrap_or_else(|e| panic!("arena: {e}"))
+        }));
         self.faults = ck.faults.clone();
         self.fault_cursor = ck.fault_cursor;
         // Replay the liveness flips of every already-applied fault entry;
@@ -623,7 +634,7 @@ impl<O: ShardObserver> Shard<O> {
         }
         while let Some(w) = self.routers[r].pop_waiter(port) {
             if let Some(pref) = self.routers[r].input_head(w.in_port, w.vc) {
-                self.arena.get_mut(pref).pending_decision = None;
+                self.arena.get_mut(pref).set_pending_decision(None);
             }
             self.queue.push(
                 self.now,
@@ -649,7 +660,7 @@ impl<O: ShardObserver> Shard<O> {
             let port = Port(port as u16);
             for vc in 0..self.cfg.num_vcs as u8 {
                 while let Some(pref) = self.routers[r].pop_input(port, vc) {
-                    self.arena.get_mut(pref).pending_decision = None;
+                    self.arena.get_mut(pref).set_pending_decision(None);
                     self.drop_packet(pref, Some((router, port, vc)));
                 }
                 while let Some(pref) = self.routers[r].pop_output(port, vc) {
@@ -987,7 +998,7 @@ impl<O: ShardObserver> Shard<O> {
     }
 
     fn packet_of(&self, src: NodeId, msg: Queued) -> Packet {
-        nic::packet_of(&self.topo, &self.cfg, src, msg)
+        Packet::new(&self.topo, msg.id, src, msg.dst, msg.created_ns)
     }
 
     fn try_nic_inject(&mut self, node: NodeId) {
@@ -1087,7 +1098,7 @@ impl<O: ShardObserver> Shard<O> {
             p.dst_router != router && p.hops >= self.cfg.ttl_hops
         };
         if expired {
-            self.arena.get_mut(pref).pending_decision = None;
+            self.arena.get_mut(pref).set_pending_decision(None);
             self.drop_packet(pref, Some((router, port, vc)));
             if self.routers[r].input_head(port, vc).is_some() {
                 self.queue
@@ -1102,12 +1113,12 @@ impl<O: ShardObserver> Shard<O> {
             // A decision made before a fault may point at a port that has
             // since died; re-decide instead of honouring it.
             let pending = packet
-                .pending_decision
+                .pending_decision()
                 .filter(|&(p, _)| self.topo.port_up(router, p));
             match pending {
                 Some((p, v)) => Decision { port: p, vc: v },
                 None => {
-                    packet.pending_decision = None;
+                    packet.set_pending_decision(None);
                     if packet.dst_router == router {
                         Decision {
                             port: self.topo.ejection_port(packet.dst),
@@ -1143,7 +1154,7 @@ impl<O: ShardObserver> Shard<O> {
         if !ejecting && !self.topo.port_up(router, decision.port) {
             // Every fabric port the agent could fall back to is dead
             // (total blackout at this router): the packet is undeliverable.
-            self.arena.get_mut(pref).pending_decision = None;
+            self.arena.get_mut(pref).set_pending_decision(None);
             self.drop_packet(pref, Some((router, port, vc)));
             if self.routers[r].input_head(port, vc).is_some() {
                 self.queue
@@ -1155,7 +1166,9 @@ impl<O: ShardObserver> Shard<O> {
         if !self.routers[r].output_has_space(decision.port, decision.vc, &self.cfg) {
             // Blocked: remember the decision, restore head-of-line position
             // and wait for the output queue to drain.
-            self.arena.get_mut(pref).pending_decision = Some((decision.port, decision.vc));
+            self.arena
+                .get_mut(pref)
+                .set_pending_decision(Some((decision.port, decision.vc)));
             self.routers[r].push_input_front(port, vc, pref);
             self.routers[r].add_waiter(decision.port, Waiter { in_port: port, vc });
             return;
@@ -1169,11 +1182,7 @@ impl<O: ShardObserver> Shard<O> {
         // 2. Deliver RL feedback to the router that forwarded the packet to
         //    us (the per-hop delay is the reward; our own estimate of the
         //    remaining time is the bootstrap value).
-        let (last_router, last_out_port) = {
-            let p = self.arena.get(pref);
-            (p.last_router, p.last_out_port)
-        };
-        if let (Some(up_router), Some(up_port)) = (last_router, last_out_port) {
+        if let Some((up_router, up_port)) = self.arena.get(pref).last_hop() {
             let packet = self.arena.get(pref);
             let reward_ns = (self.now - packet.last_decision_ns) as f64;
             let downstream_estimate_ns = if packet.dst_router == router {
@@ -1193,7 +1202,7 @@ impl<O: ShardObserver> Shard<O> {
                 src: packet.src,
                 dst: packet.dst,
                 dst_router: packet.dst_router,
-                dst_group: packet.dst_group,
+                dst_group: packet.dst_group(),
                 src_slot: packet.src_slot,
                 port: up_port,
                 reward_ns,
@@ -1213,12 +1222,11 @@ impl<O: ShardObserver> Shard<O> {
             let packet = self.arena.get_mut(pref);
             if !ejecting {
                 packet.hops += 1;
-                packet.last_router = Some(router);
-                packet.last_out_port = Some(decision.port);
+                packet.set_last_hop(router, decision.port);
                 packet.last_decision_ns = self.now;
                 packet.vc = decision.vc;
             }
-            packet.pending_decision = None;
+            packet.set_pending_decision(None);
         }
         self.routers[r].push_output(decision.port, decision.vc, pref);
         self.schedule_output_attempt(router, decision.port, self.now);
@@ -1277,8 +1285,11 @@ impl<O: ShardObserver> Shard<O> {
                 // packet's arena slot.
                 let delivery = self.now + ser + self.cfg.host_latency_ns;
                 debug_assert_eq!(self.topo.ejection_port(self.arena.get(pref).dst), port);
-                self.observer
-                    .packet_delivered(self.arena.get(pref), delivery);
+                self.observer.packet_delivered(
+                    self.arena.get(pref),
+                    self.cfg.packet_bytes,
+                    delivery,
+                );
                 self.delivered += 1;
                 if self.has_tasks {
                     // Closed-loop notification: the destination node is

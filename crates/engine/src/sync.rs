@@ -574,26 +574,13 @@ mod tests {
             router: RouterId(4),
             port: Port(1),
             vc: 0,
-            packet: Packet {
-                id: 7,
-                src: NodeId(0),
-                dst: NodeId(9),
-                src_router: RouterId(0),
-                dst_router: RouterId(4),
-                dst_group: dragonfly_topology::ids::GroupId(1),
-                src_group: dragonfly_topology::ids::GroupId(0),
-                src_slot: 0,
-                size_bytes: 128,
-                created_ns: 0,
-                injected_ns: 0,
-                hops: 0,
-                vc: 0,
-                route: crate::packet::RouteInfo::default(),
-                last_router: None,
-                last_out_port: None,
-                last_decision_ns: 0,
-                pending_decision: None,
-            },
+            packet: Packet::new(
+                &dragonfly_topology::Dragonfly::new(DragonflyConfig::tiny()),
+                7,
+                NodeId(0),
+                NodeId(9),
+                0,
+            ),
         }
     }
 

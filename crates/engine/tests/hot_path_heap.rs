@@ -12,8 +12,9 @@
 //! peak), one doubling `Vec<Packet>` (82 MB of `adv_qadp_1056`'s 112 MB
 //! at the last doubling), one `VecDeque` per router queue (21,216 B per
 //! router before a packet moved: 151 MB of the 110,976-node workload's
-//! 196 MB), and a NIC backlog of 104-byte arena packets behind one
-//! `VecDeque` per NIC (41.4 MB of `adv_qadp_1056`'s 57.4 MB).
+//! 196 MB), a NIC backlog of 104-byte arena packets behind one `VecDeque`
+//! per NIC (41.4 MB of `adv_qadp_1056`'s 57.4 MB), and 104-byte packets
+//! spanning two or three cache lines where one of 64 bytes holds them.
 
 use dragonfly_engine::arena::{PacketArena, PacketRef, CHUNK_SLOTS};
 use dragonfly_engine::config::{EngineConfig, ShardKind};
@@ -21,7 +22,7 @@ use dragonfly_engine::event::{Event, EventKind, EventQueue, Scheduler};
 use dragonfly_engine::injector::{Injection, ScriptedInjector};
 use dragonfly_engine::nic::{Backlog, Nic, Queued, CHUNK_RECORDS};
 use dragonfly_engine::observer::CountingObserver;
-use dragonfly_engine::packet::{Packet, RouteInfo};
+use dragonfly_engine::packet::Packet;
 use dragonfly_engine::router::RouterState;
 use dragonfly_engine::routing::FeedbackMsg;
 use dragonfly_engine::testing::MinimalTestRouting;
@@ -87,27 +88,8 @@ fn assert_within_1_percent(reported: usize, counted: usize, what: &str) {
     );
 }
 
-fn packet(id: u64) -> Packet {
-    Packet {
-        id,
-        src: NodeId(0),
-        dst: NodeId(1),
-        src_router: RouterId(0),
-        dst_router: RouterId(0),
-        dst_group: GroupId(0),
-        src_group: GroupId(0),
-        src_slot: 0,
-        size_bytes: 128,
-        created_ns: 0,
-        injected_ns: 0,
-        hops: 0,
-        vc: 0,
-        route: RouteInfo::default(),
-        last_router: None,
-        last_out_port: None,
-        last_decision_ns: 0,
-        pending_decision: None,
-    }
+fn packet(topo: &Dragonfly, id: u64) -> Packet {
+    Packet::new(topo, id, NodeId(0), NodeId(1), 0)
 }
 
 /// A cheap deterministic stream for event contents.
@@ -231,8 +213,10 @@ fn event_queue_heap_follows_pending_events() {
 }
 
 fn arena_growth_and_restore_copy_nothing() {
-    // (c)
-    assert!(size_of::<Packet>() <= 104);
+    // (c) One packet, one cache line.
+    assert_eq!(size_of::<Packet>(), 64);
+    assert_eq!(std::mem::align_of::<Packet>(), 64);
+    let topo = Dragonfly::new(DragonflyConfig::tiny());
     let chunk_bytes = CHUNK_SLOTS * size_of::<Packet>();
     // Debug builds mirror liveness in a `Vec<bool>`, one byte per slot,
     // which `memory_bytes` leaves out.
@@ -244,7 +228,7 @@ fn arena_growth_and_restore_copy_nothing() {
     PEAK.store(before, Relaxed);
     let mut arena = PacketArena::new();
     for i in 0..PACKETS {
-        arena.alloc(packet(i as u64));
+        arena.alloc(packet(&topo, i as u64));
     }
     let peak = PEAK.load(Relaxed) - before;
     let final_live = PACKETS * size_of::<Packet>();
@@ -261,14 +245,12 @@ fn arena_growth_and_restore_copy_nothing() {
     // Fill the last chunk, so the first allocation after a restore has to
     // open a new one — the worst case.
     while !arena.high_water().is_multiple_of(CHUNK_SLOTS) {
-        arena.alloc(packet(0));
+        arena.alloc(packet(&topo, 0));
     }
     let slots = arena.high_water();
-    let snapshot = arena.checkpoint();
-    assert_eq!(snapshot.slots.len(), slots);
-    let mut restored = PacketArena::new();
-    restored.restore(&snapshot);
     drop(arena);
+    let mut restored = PacketArena::new();
+    restored.restore((0..slots as u64).map(|id| packet(&topo, id)));
     assert_eq!(restored.live_count(), slots);
     let probes = [0, CHUNK_SLOTS - 1, CHUNK_SLOTS, slots / 2, slots - 1];
     let address = |arena: &PacketArena, slot: usize| {
@@ -277,7 +259,7 @@ fn arena_growth_and_restore_copy_nothing() {
     };
     let homes: Vec<_> = probes.iter().map(|&s| address(&restored, s)).collect();
     let before = live();
-    let fresh = restored.alloc(packet(u64::MAX));
+    let fresh = restored.alloc(packet(&topo, u64::MAX));
     let growth = live() - before;
     assert_eq!(fresh.index(), slots);
     // One chunk and a doubled chunk table (and mirror), nothing else.

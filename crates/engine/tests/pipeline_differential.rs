@@ -51,7 +51,7 @@ fn shard_drain_accounting_holds_under_pipelining() {
 struct DeliveringThreads(Vec<(std::thread::ThreadId, RouterId)>);
 
 impl SimObserver for DeliveringThreads {
-    fn packet_delivered(&mut self, packet: &Packet, _now: SimTime) {
+    fn packet_delivered(&mut self, packet: &Packet, _size_bytes: u32, _now: SimTime) {
         self.0
             .push((std::thread::current().id(), packet.dst_router));
     }

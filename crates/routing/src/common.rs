@@ -6,9 +6,9 @@
 //! state machine drives Valiant/UGAL on the Dragonfly, the fat-tree and
 //! the HyperX.
 
-use dragonfly_engine::packet::{Packet, RouteMode};
+use dragonfly_engine::packet::{Packet, RouteMode, Via};
 use dragonfly_engine::routing::{vc_for_next_hop, Decision, RouterCtx};
-use dragonfly_topology::ids::{GroupId, Port, RouterId};
+use dragonfly_topology::ids::{Port, RouterId};
 use dragonfly_topology::Topology;
 use serde::{Deserialize, Serialize};
 
@@ -89,54 +89,32 @@ pub fn prefer_minimal(
 ///   destination.
 pub fn valiant_port(ctx: &RouterCtx<'_>, router: RouterId, packet: &mut Packet) -> Port {
     let topo = ctx.topology;
-    debug_assert_eq!(packet.route.mode, RouteMode::Valiant);
+    debug_assert_eq!(packet.route_mode(), RouteMode::Valiant);
 
-    if !packet.route.reached_intermediate {
-        let reached = match (
-            packet.route.intermediate_router,
-            packet.route.intermediate_group,
-        ) {
-            (Some(ir), _) => router == ir,
-            (None, Some(ig)) => topo.domain_of_router(router) == ig,
-            (None, None) => true,
+    if !packet.reached_intermediate() {
+        let reached = match packet.via() {
+            Some(Via::Router(ir)) => router == ir,
+            Some(Via::Group(ig)) => topo.domain_of_router(router) == ig,
+            None => true,
         };
         if reached {
-            packet.route.reached_intermediate = true;
+            packet.set_reached_intermediate();
         }
     }
 
-    if packet.route.reached_intermediate {
+    if packet.reached_intermediate() {
         return topo
             .minimal_port(router, packet.dst_router)
             .expect("valiant_port is never called at the destination router");
     }
 
-    if let Some(ir) = packet.route.intermediate_router {
-        return topo
+    match packet.via() {
+        Some(Via::Router(ir)) => topo
             .minimal_port(router, ir)
-            .expect("intermediate router differs from the current router");
+            .expect("intermediate router differs from the current router"),
+        Some(Via::Group(ig)) => topo.port_toward_domain(router, ig),
+        None => unreachable!("an unreached Valiant leg has an intermediate target"),
     }
-    let ig = packet
-        .route
-        .intermediate_group
-        .expect("a Valiant packet must carry an intermediate target");
-    topo.port_toward_domain(router, ig)
-}
-
-/// Commit a packet to a Valiant leg through an intermediate *domain*.
-pub fn commit_valiant_domain(packet: &mut Packet, domain: GroupId) {
-    packet.route.mode = RouteMode::Valiant;
-    packet.route.intermediate_group = Some(domain);
-    packet.route.intermediate_router = None;
-    packet.route.reached_intermediate = false;
-}
-
-/// Commit a packet to a Valiant leg through an intermediate *router*.
-pub fn commit_valiant_router(packet: &mut Packet, router: RouterId) {
-    packet.route.mode = RouteMode::Valiant;
-    packet.route.intermediate_router = Some(router);
-    packet.route.intermediate_group = None;
-    packet.route.reached_intermediate = false;
 }
 
 #[cfg(test)]
@@ -217,37 +195,17 @@ mod tests {
 
     #[test]
     fn commit_helpers_set_the_expected_targets() {
-        let mut p = dummy_packet();
-        commit_valiant_domain(&mut p, GroupId(5));
-        assert_eq!(p.route.mode, RouteMode::Valiant);
-        assert_eq!(p.route.intermediate_group, Some(GroupId(5)));
-        assert_eq!(p.route.intermediate_router, None);
-        commit_valiant_router(&mut p, RouterId(17));
-        assert_eq!(p.route.intermediate_router, Some(RouterId(17)));
-        assert_eq!(p.route.intermediate_group, None);
-    }
-
-    fn dummy_packet() -> Packet {
-        use dragonfly_topology::ids::NodeId;
-        Packet {
-            id: 0,
-            src: NodeId(0),
-            dst: NodeId(40),
-            src_router: RouterId(0),
-            dst_router: RouterId(20),
-            dst_group: GroupId(5),
-            src_group: GroupId(0),
-            src_slot: 0,
-            size_bytes: 128,
-            created_ns: 0,
-            injected_ns: 0,
-            hops: 0,
-            vc: 0,
-            route: Default::default(),
-            last_router: None,
-            last_out_port: None,
-            last_decision_ns: 0,
-            pending_decision: None,
-        }
+        use dragonfly_topology::ids::{GroupId, NodeId};
+        let topo = Dragonfly::new(DragonflyConfig::tiny());
+        // Node 0 (group 0) to node 40 (router 20, group 5).
+        let mut p = Packet::new(&topo, 0, NodeId(0), NodeId(40), 0);
+        p.commit_valiant(Some(Via::Group(GroupId(5))));
+        assert_eq!(p.route_mode(), RouteMode::Valiant);
+        assert_eq!(p.route().intermediate_group, Some(GroupId(5)));
+        assert_eq!(p.route().intermediate_router, None);
+        p.commit_valiant(Some(Via::Router(RouterId(17))));
+        assert_eq!(p.route().intermediate_router, Some(RouterId(17)));
+        assert_eq!(p.route().intermediate_group, None);
+        assert!(!p.reached_intermediate());
     }
 }

@@ -9,17 +9,16 @@
 //! hops).
 
 use crate::common::{
-    commit_valiant_router, fallback_if_dead, live_congestion, prefer_minimal, valiant_port,
-    AdaptiveConfig,
+    fallback_if_dead, live_congestion, prefer_minimal, valiant_port, AdaptiveConfig,
 };
 use crate::ugal::{best_nonminimal_candidate, UgalMode};
 use dragonfly_engine::checkpoint::AgentCheckpoint;
 use dragonfly_engine::config::EngineConfig;
-use dragonfly_engine::packet::{Packet, RouteMode};
+use dragonfly_engine::packet::{Packet, RouteMode, Via};
 use dragonfly_engine::routing::{
     vc_for_next_hop, Decision, RouterAgent, RouterCtx, RoutingAlgorithm,
 };
-use dragonfly_topology::ids::RouterId;
+use dragonfly_topology::ids::{GroupId, RouterId};
 use dragonfly_topology::{AnyTopology, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,9 +65,15 @@ pub struct ParAgent {
 }
 
 impl ParAgent {
-    /// The UGALn-style adaptive choice, shared by the source-router decision
-    /// and the in-source-group re-evaluation.
-    fn adaptive_choice(&mut self, ctx: &RouterCtx<'_>, packet: &mut Packet) -> Decision {
+    /// The UGALn-style adaptive choice for a packet from `src_group`,
+    /// shared by the source-router decision and the in-source-group
+    /// re-evaluation.
+    fn adaptive_choice(
+        &mut self,
+        ctx: &RouterCtx<'_>,
+        src_group: GroupId,
+        packet: &mut Packet,
+    ) -> Decision {
         let topo = ctx.topology;
         let min_port = topo
             .minimal_port(self.router, packet.dst_router)
@@ -78,15 +83,17 @@ impl ParAgent {
             ctx,
             &mut self.rng,
             self.router,
+            src_group,
             packet,
             UgalMode::Node,
             self.cfg.nonminimal_candidates,
         ) {
             if !prefer_minimal(min_congestion, candidate.congestion, self.cfg.minimal_bias) {
-                let target = candidate
-                    .router
-                    .expect("node-level candidates always carry a router");
-                commit_valiant_router(packet, target);
+                debug_assert!(
+                    matches!(candidate.via, Via::Router(_)),
+                    "node-level candidates always carry a router"
+                );
+                packet.commit_valiant(Some(candidate.via));
                 return fallback_if_dead(
                     ctx,
                     packet,
@@ -114,22 +121,22 @@ impl RouterAgent for ParAgent {
         let my_domain = topo.domain_of_router(self.router);
 
         // Source router: the ordinary UGALn decision.
-        if packet.at_source_router(self.router) && packet.route.mode == RouteMode::Minimal {
-            return self.adaptive_choice(ctx, packet);
+        if packet.at_source_router(topo, self.router) && packet.route_mode() == RouteMode::Minimal {
+            return self.adaptive_choice(ctx, packet.src_group(topo), packet);
         }
 
         // Progressive re-evaluation: a *source-domain* router that receives
         // a packet still marked minimal may overturn the decision once.
-        if packet.route.mode == RouteMode::Minimal
-            && my_domain == packet.src_group
-            && my_domain != packet.dst_group
-            && !packet.route.par_reevaluated
+        if packet.route_mode() == RouteMode::Minimal
+            && !packet.par_reevaluated()
+            && my_domain != packet.dst_group()
+            && my_domain == packet.src_group(topo)
         {
-            packet.route.par_reevaluated = true;
-            return self.adaptive_choice(ctx, packet);
+            packet.set_par_reevaluated();
+            return self.adaptive_choice(ctx, my_domain, packet);
         }
 
-        let port = match packet.route.mode {
+        let port = match packet.route_mode() {
             RouteMode::Minimal => topo
                 .minimal_port(self.router, packet.dst_router)
                 .expect("decide() is never called at the destination router"),

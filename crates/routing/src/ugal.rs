@@ -15,16 +15,15 @@
 //!   [`crate::valiant::VALN_VCS`]).
 
 use crate::common::{
-    commit_valiant_domain, commit_valiant_router, fallback_if_dead, live_congestion,
-    prefer_minimal, valiant_port, AdaptiveConfig,
+    fallback_if_dead, live_congestion, prefer_minimal, valiant_port, AdaptiveConfig,
 };
 use dragonfly_engine::checkpoint::AgentCheckpoint;
 use dragonfly_engine::config::EngineConfig;
-use dragonfly_engine::packet::{Packet, RouteMode};
+use dragonfly_engine::packet::{Packet, RouteMode, Via};
 use dragonfly_engine::routing::{
     vc_for_next_hop, Decision, RouterAgent, RouterCtx, RoutingAlgorithm,
 };
-use dragonfly_topology::ids::{Port, RouterId};
+use dragonfly_topology::ids::{GroupId, Port, RouterId};
 use dragonfly_topology::{AnyTopology, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,47 +112,47 @@ impl RoutingAlgorithm for UgalN {
 pub(crate) struct NonMinimalCandidate {
     pub first_port: Port,
     pub congestion: usize,
-    pub domain: Option<dragonfly_topology::ids::GroupId>,
-    pub router: Option<RouterId>,
+    pub via: Via,
 }
 
-/// Sample `count` random non-minimal candidates and return the least
-/// congested one, or `None` when the topology has no intermediate domain.
+/// Sample `count` random non-minimal candidates for a packet from
+/// `src_group` and return the least congested one, or `None` when the
+/// topology has no intermediate domain.
 pub(crate) fn best_nonminimal_candidate(
     ctx: &RouterCtx<'_>,
     rng: &mut StdRng,
     router: RouterId,
+    src_group: GroupId,
     packet: &Packet,
     mode: UgalMode,
     count: usize,
 ) -> Option<NonMinimalCandidate> {
     let topo = ctx.topology;
-    if topo.num_domains() <= 2 || packet.src_group == packet.dst_group {
+    let dst_group = packet.dst_group();
+    if topo.num_domains() <= 2 || src_group == dst_group {
         return None;
     }
     let mut best: Option<NonMinimalCandidate> = None;
     for _ in 0..count.max(1) {
         let candidate = match mode {
             UgalMode::Global => {
-                let ig = topo.random_intermediate_domain(rng, packet.src_group, packet.dst_group);
+                let ig = topo.random_intermediate_domain(rng, src_group, dst_group);
                 let first_port = topo.port_toward_domain(router, ig);
                 NonMinimalCandidate {
                     first_port,
                     congestion: live_congestion(ctx, first_port),
-                    domain: Some(ig),
-                    router: None,
+                    via: Via::Group(ig),
                 }
             }
             UgalMode::Node => {
-                let ir = topo.random_intermediate_router(rng, packet.src_group, packet.dst_group);
+                let ir = topo.random_intermediate_router(rng, src_group, dst_group);
                 let first_port = topo
                     .minimal_port(router, ir)
                     .expect("intermediate router is never the current router");
                 NonMinimalCandidate {
                     first_port,
                     congestion: live_congestion(ctx, first_port),
-                    domain: None,
-                    router: Some(ir),
+                    via: Via::Router(ir),
                 }
             }
         };
@@ -177,7 +176,7 @@ impl RouterAgent for UgalAgent {
     fn decide(&mut self, ctx: &RouterCtx<'_>, packet: &mut Packet) -> Decision {
         let topo = ctx.topology;
 
-        if packet.at_source_router(self.router) && packet.route.mode == RouteMode::Minimal {
+        if packet.route_mode() == RouteMode::Minimal && packet.at_source_router(topo, self.router) {
             let min_port = topo
                 .minimal_port(self.router, packet.dst_router)
                 .expect("source router differs from the destination router");
@@ -186,16 +185,13 @@ impl RouterAgent for UgalAgent {
                 ctx,
                 &mut self.rng,
                 self.router,
+                packet.src_group(topo),
                 packet,
                 self.mode,
                 self.cfg.nonminimal_candidates,
             ) {
                 if !prefer_minimal(min_congestion, candidate.congestion, self.cfg.minimal_bias) {
-                    match (candidate.domain, candidate.router) {
-                        (Some(d), _) => commit_valiant_domain(packet, d),
-                        (_, Some(r)) => commit_valiant_router(packet, r),
-                        _ => unreachable!("candidate always carries a target"),
-                    }
+                    packet.commit_valiant(Some(candidate.via));
                     return fallback_if_dead(
                         ctx,
                         packet,
@@ -216,7 +212,7 @@ impl RouterAgent for UgalAgent {
             );
         }
 
-        let port = match packet.route.mode {
+        let port = match packet.route_mode() {
             RouteMode::Minimal => topo
                 .minimal_port(self.router, packet.dst_router)
                 .expect("decide() is never called at the destination router"),

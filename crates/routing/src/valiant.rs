@@ -13,10 +13,10 @@
 //! Both are optimal (up to ~50 % throughput) under adversarial traffic and
 //! waste half the bandwidth under uniform traffic.
 
-use crate::common::{commit_valiant_domain, commit_valiant_router, fallback_if_dead, valiant_port};
+use crate::common::{fallback_if_dead, valiant_port};
 use dragonfly_engine::checkpoint::AgentCheckpoint;
 use dragonfly_engine::config::EngineConfig;
-use dragonfly_engine::packet::{Packet, RouteMode};
+use dragonfly_engine::packet::{Packet, RouteMode, Via};
 use dragonfly_engine::routing::{
     vc_for_next_hop, Decision, RouterAgent, RouterCtx, RoutingAlgorithm,
 };
@@ -108,29 +108,26 @@ impl RouterAgent for ValiantAgent {
         // the destination is in the same domain, where the direct
         // intra-domain hop is already congestion-free by construction of
         // the pattern).
-        if packet.at_source_router(self.router)
-            && packet.route.mode == RouteMode::Minimal
-            && packet.src_group != packet.dst_group
+        if packet.at_source_router(topo, self.router)
+            && packet.route_mode() == RouteMode::Minimal
             && topo.num_domains() > 2
         {
-            if self.node_level {
-                let ir = topo.random_intermediate_router(
-                    &mut self.rng,
-                    packet.src_group,
-                    packet.dst_group,
-                );
-                commit_valiant_router(packet, ir);
-            } else {
-                let ig = topo.random_intermediate_domain(
-                    &mut self.rng,
-                    packet.src_group,
-                    packet.dst_group,
-                );
-                commit_valiant_domain(packet, ig);
+            let (src_group, dst_group) = (packet.src_group(topo), packet.dst_group());
+            if src_group != dst_group {
+                let via = if self.node_level {
+                    Via::Router(topo.random_intermediate_router(
+                        &mut self.rng,
+                        src_group,
+                        dst_group,
+                    ))
+                } else {
+                    Via::Group(topo.random_intermediate_domain(&mut self.rng, src_group, dst_group))
+                };
+                packet.commit_valiant(Some(via));
             }
         }
 
-        let port = match packet.route.mode {
+        let port = match packet.route_mode() {
             RouteMode::Minimal => topo
                 .minimal_port(self.router, packet.dst_router)
                 .expect("decide() is never called at the destination router"),

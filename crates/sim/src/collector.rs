@@ -175,16 +175,16 @@ impl SimObserver for MetricsCollector {
         }
     }
 
-    fn packet_delivered(&mut self, packet: &Packet, now: SimTime) {
+    fn packet_delivered(&mut self, packet: &Packet, size_bytes: u32, now: SimTime) {
         self.delivered_total += 1;
         let latency = packet.latency_ns(now);
         if let Some(series) = &mut self.series {
-            series.record(now, latency, packet.size_bytes);
+            series.record(now, latency, size_bytes);
         }
         if self.in_window(now) {
             self.latency.record(latency);
             self.hops.record(packet.hops as usize);
-            self.throughput.record(packet.size_bytes);
+            self.throughput.record(size_bytes);
         }
     }
 
@@ -225,38 +225,23 @@ impl SimObserver for MetricsCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dragonfly_engine::packet::RouteInfo;
-    use dragonfly_topology::ids::{GroupId, NodeId, RouterId};
+    use dragonfly_topology::config::DragonflyConfig;
+    use dragonfly_topology::ids::NodeId;
+    use dragonfly_topology::Dragonfly;
 
     fn packet(created: SimTime, hops: u8) -> Packet {
-        Packet {
-            id: 0,
-            src: NodeId(0),
-            dst: NodeId(1),
-            src_router: RouterId(0),
-            dst_router: RouterId(0),
-            dst_group: GroupId(0),
-            src_group: GroupId(0),
-            src_slot: 0,
-            size_bytes: 128,
-            created_ns: created,
-            injected_ns: created,
-            hops,
-            vc: 0,
-            route: RouteInfo::default(),
-            last_router: None,
-            last_out_port: None,
-            last_decision_ns: 0,
-            pending_decision: None,
-        }
+        let topo = Dragonfly::new(DragonflyConfig::tiny());
+        let mut p = Packet::new(&topo, 0, NodeId(0), NodeId(1), created);
+        p.hops = hops;
+        p
     }
 
     #[test]
     fn warmup_deliveries_are_excluded_from_the_window() {
         let mut c = MetricsCollector::new(1_000, 2_000);
-        c.packet_delivered(&packet(0, 3), 500); // warmup
-        c.packet_delivered(&packet(900, 3), 1_500); // in window
-        c.packet_delivered(&packet(1_900, 3), 2_500); // after window
+        c.packet_delivered(&packet(0, 3), 128, 500); // warmup
+        c.packet_delivered(&packet(900, 3), 128, 1_500); // in window
+        c.packet_delivered(&packet(1_900, 3), 128, 2_500); // after window
         assert_eq!(c.delivered_total, 3);
         assert_eq!(c.latency.count(), 1);
         assert_eq!(c.latency.mean_ns(), 600.0);
@@ -330,8 +315,8 @@ mod tests {
             let created = x % 900_000;
             let now = created + x % 90_000;
             let p = packet(created, (x % 6) as u8);
-            whole.packet_delivered(&p, now);
-            shards[(i % 3) as usize].packet_delivered(&p, now);
+            whole.packet_delivered(&p, 128, now);
+            shards[(i % 3) as usize].packet_delivered(&p, 128, now);
         }
         let mut merged = shards.pop().unwrap();
         for s in shards {
@@ -350,9 +335,9 @@ mod tests {
     #[test]
     fn time_series_covers_the_whole_run() {
         let mut c = MetricsCollector::new(1_000, 2_000).with_series(500);
-        c.packet_delivered(&packet(0, 2), 400);
-        c.packet_delivered(&packet(0, 2), 1_200);
-        c.packet_delivered(&packet(0, 2), 2_600);
+        c.packet_delivered(&packet(0, 2), 128, 400);
+        c.packet_delivered(&packet(0, 2), 128, 1_200);
+        c.packet_delivered(&packet(0, 2), 128, 2_600);
         let s = c.series.as_ref().unwrap();
         assert_eq!(s.bin(0).packets, 1);
         assert_eq!(s.bin(2).packets, 1);

@@ -820,6 +820,7 @@ fn read_spec_file(path: &Path) -> Result<(String, bool), SpecError> {
 mod tests {
     use super::*;
     use dragonfly_topology::config::DragonflyConfig;
+    use dragonfly_topology::{FatTreeConfig, HyperXConfig};
     use qadaptive_core::QAdaptiveParams;
 
     fn sample_spec() -> ExperimentSpec {
@@ -947,6 +948,75 @@ mod tests {
             ..Default::default()
         });
         legal.validate().expect("zero latencies are a tested path");
+    }
+
+    /// Each `(topology, what the error names)` is refused by `validate`,
+    /// naming the fabric and the field, without building the system.
+    fn assert_ids_refused(cases: &[(TopologySpec, &str)]) {
+        for (topology, clue) in cases {
+            let spec = ExperimentSpec {
+                topology: *topology,
+                traffic: TrafficSpec::UniformRandom,
+                ..sample_spec()
+            };
+            let err = spec.validate().expect_err(clue).0;
+            let fabric = format!("topology: {}: ", topology.kind_name());
+            assert!(err.starts_with(&fabric) && err.contains(clue), "{err}");
+        }
+    }
+
+    #[test]
+    fn dragonfly_ids_that_would_wrap_are_refused() {
+        let df = |p, a, h| TopologySpec::Dragonfly(DragonflyConfig { p, a, h });
+        assert_ids_refused(&[
+            (
+                df(257, 2, 1),
+                "257 host ports per router exceeds the limit of 256",
+            ),
+            (df(1, 70_000, 1), "70001 radix exceeds the limit of 65535"),
+            (df(1, 2, 40_000), "80001 domains exceeds the limit of 65536"),
+            (df(256, 32_767, 1), "nodes exceeds the limit of 4294967295"),
+            (
+                df(1, usize::MAX, 2),
+                "counting its radix overflows a machine word",
+            ),
+        ]);
+        for legal in [df(256, 2, 1), df(1, 2, 32_767)] {
+            legal.validate().expect("at the limits");
+        }
+    }
+
+    #[test]
+    fn fattree_ids_that_would_wrap_are_refused() {
+        let ft = |k| TopologySpec::FatTree(FatTreeConfig { k });
+        assert_ids_refused(&[
+            (
+                ft(514),
+                "257 host ports per router exceeds the limit of 256",
+            ),
+            (
+                ft(usize::MAX - 1),
+                "host ports per router exceeds the limit of 256",
+            ),
+        ]);
+        ft(512).validate().expect("256 host ports per edge switch");
+    }
+
+    #[test]
+    fn hyperx_ids_that_would_wrap_are_refused() {
+        let hx = |p, rows, cols| TopologySpec::HyperX(HyperXConfig { p, rows, cols });
+        assert_ids_refused(&[
+            (
+                hx(300, 2, 2),
+                "300 host ports per router exceeds the limit of 256",
+            ),
+            (hx(1, 2, 70_000), "70001 radix exceeds the limit of 65535"),
+            (
+                hx(256, 30_000, 30_000),
+                "nodes exceeds the limit of 4294967295",
+            ),
+        ]);
+        hx(256, 2, 2).validate().expect("at the limits");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 mod common;
 
-use dragonfly_engine::packet::Packet;
+use dragonfly_engine::packet::PacketState;
 use dragonfly_routing::RoutingSpec;
 use dragonfly_sim::builder::Simulation;
 use dragonfly_sim::checkpoint::RunCheckpoint;
@@ -174,7 +174,7 @@ fn no_damaged_byte_buys_memory_or_a_panic() {
         let (result, peak, _) = measured(|| RunCheckpoint::from_binary(&bad).map(drop));
         bad[i] = good[i];
         assert!(
-            peak <= decoded + good.len() * std::mem::size_of::<Packet>(),
+            peak <= decoded + good.len() * std::mem::size_of::<PacketState>(),
             "byte {i} flipped: decode peaked {peak} B for a {} B file",
             good.len()
         );

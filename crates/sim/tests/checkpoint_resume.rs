@@ -464,7 +464,7 @@ fn a_snapshot_with_a_damaged_nic_section_is_refused_not_restored() {
     fn queue(bad: &mut RunCheckpoint, n: usize) -> &mut VecDeque<PacketRef> {
         &mut bad.engine.shard.nics[n].source_queue
     }
-    fn slot(bad: &mut RunCheckpoint, slot: usize) -> &mut dragonfly_engine::Packet {
+    fn slot(bad: &mut RunCheckpoint, slot: usize) -> &mut dragonfly_engine::PacketState {
         &mut bad.engine.shard.arena.slots[slot]
     }
     type Damage = Box<dyn Fn(&mut RunCheckpoint)>;
@@ -549,6 +549,84 @@ fn a_snapshot_with_a_damaged_nic_section_is_refused_not_restored() {
         let mut bad = good.clone();
         damage(&mut bad);
         assert_refused(&spec, &bad, what, &clue);
+    }
+}
+
+#[test]
+fn a_snapshot_with_a_damaged_fabric_packet_is_refused_not_restored() {
+    // Only NIC-queued packets were checked: a packet in a router buffer or
+    // on a link was restored as it stood. One whose derived fields
+    // disagreed with its `src`/`dst` mis-indexed a Q-table, and one on a VC
+    // the engine does not run panicked mid-run. Both holders are refused
+    // now, naming the holder, the slot and the field.
+    use dragonfly_engine::event::EventKind;
+    use dragonfly_engine::packet::PacketState;
+    use dragonfly_topology::ids::{GroupId, Port, RouterId};
+    let spec = common::congested_spec();
+    let good = common::congested_snapshot();
+    let shard = &good.engine.shard;
+    let in_router = shard.routers.iter().enumerate().find_map(|(r, state)| {
+        (0..state.num_ports()).find_map(|port| {
+            (0..state.num_vcs() as u8).find_map(|vc| {
+                let head = state.input_head(Port::from_index(port), vc)?;
+                Some((
+                    format!("state of router {r}: input port {port} VC {vc}"),
+                    head,
+                ))
+            })
+        })
+    });
+    let on_link = shard
+        .queue
+        .events
+        .iter()
+        .enumerate()
+        .find_map(|(i, ev)| match ev.kind {
+            EventKind::RouterArrive { packet, .. } => Some((
+                format!("event {i} (RouterArrive at {} ns): packet", ev.time),
+                packet,
+            )),
+            _ => None,
+        });
+    let holders = [
+        in_router.expect("a router buffers a packet"),
+        on_link.expect("a packet is on a link"),
+    ];
+    type Damage = fn(&mut PacketState) -> String;
+    let damages: [(&str, Damage); 5] = [
+        ("a dst_group its dst does not give", |p| {
+            let want = p.dst_group.0;
+            p.dst_group = GroupId(want + 1);
+            format!("dst_group = {}, its dst gives {want}", want + 1)
+        }),
+        ("a src_slot its src does not give", |p| {
+            let want = p.src_slot;
+            p.src_slot ^= 1;
+            format!("src_slot = {}, its src gives {want}", want ^ 1)
+        }),
+        ("a dst_router its dst does not give", |p| {
+            let want = p.dst_router.0;
+            p.dst_router = RouterId(want ^ 1);
+            format!("dst_router = {}, its dst gives {want}", want ^ 1)
+        }),
+        ("a VC the engine does not run", |p| {
+            p.vc = 5;
+            "vc = 5, the engine runs 5 VCs".to_string()
+        }),
+        ("two intermediate targets", |p| {
+            p.route.intermediate_group = Some(GroupId(1));
+            p.route.intermediate_router = Some(RouterId(2));
+            "both an intermediate_group and an intermediate_router".to_string()
+        }),
+    ];
+    for (holder, slot) in &holders {
+        let id = shard.arena.slots[slot.index()].id;
+        for (what, damage) in damages {
+            let mut bad = good.clone();
+            let field = damage(&mut bad.engine.shard.arena.slots[slot.index()]);
+            let clue = format!("{holder}, arena slot {}: packet {id} has {field}", slot.0);
+            assert_refused(&spec, &bad, &format!("{what} at {holder}"), &clue);
+        }
     }
 }
 

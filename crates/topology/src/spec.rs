@@ -54,7 +54,8 @@ impl TopologySpec {
     }
 
     /// Validate the parameters, returning a friendly message naming the
-    /// topology and the violated constraint.
+    /// topology and the violated constraint: the structural rules of each
+    /// fabric, then [`TopologySpec::check_id_widths`].
     pub fn validate(&self) -> Result<(), String> {
         match self {
             TopologySpec::Dragonfly(cfg) => DragonflyConfig::new(cfg.p, cfg.a, cfg.h)
@@ -62,7 +63,91 @@ impl TopologySpec {
                 .map_err(|e| format!("dragonfly: {e}")),
             TopologySpec::FatTree(cfg) => cfg.validate().map_err(|e| format!("fattree: {e}")),
             TopologySpec::HyperX(cfg) => cfg.validate().map_err(|e| format!("hyperx: {e}")),
+        }?;
+        self.check_id_widths()
+    }
+
+    /// Whether every id of the built system fits the field a packet packs
+    /// it into: at most 256 host ports per router (an 8-bit source slot),
+    /// radix 65,535 (16-bit ports, `u16::MAX` meaning none), 65,536 domains
+    /// (a 16-bit destination group), and at most `u32::MAX` routers and
+    /// nodes, so every id stays below the `u32::MAX` sentinel. Counted
+    /// without building anything, in checked arithmetic.
+    fn check_id_widths(&self) -> Result<(), String> {
+        let mul = |a: usize, b: usize| a.checked_mul(b);
+        let (hosts, radix, domains, routers, nodes) = match *self {
+            TopologySpec::Dragonfly(DragonflyConfig { p, a, h }) => {
+                let groups = mul(a, h).and_then(|ah| ah.checked_add(1));
+                let routers = groups.and_then(|g| mul(g, a));
+                let radix = p.checked_add(a - 1).and_then(|r| r.checked_add(h));
+                (p, radix, groups, routers, routers.and_then(|m| mul(m, p)))
+            }
+            TopologySpec::FatTree(cfg) => {
+                let half = cfg.half();
+                let cores = mul(half, half);
+                let routers = mul(cfg.k, cfg.k).and_then(|r| r.checked_add(cores?));
+                (
+                    half,
+                    Some(cfg.k),
+                    Some(cfg.k),
+                    routers,
+                    cores.and_then(|c| mul(c, cfg.k)),
+                )
+            }
+            TopologySpec::HyperX(cfg) => {
+                let radix = cfg.p.checked_add(cfg.cols - 1);
+                let radix = radix.and_then(|r| r.checked_add(cfg.rows - 1));
+                let routers = mul(cfg.rows, cfg.cols);
+                (
+                    cfg.p,
+                    radix,
+                    Some(cfg.rows),
+                    routers,
+                    routers.and_then(|m| mul(m, cfg.p)),
+                )
+            }
+        };
+        let limits = [
+            (
+                "host ports per router",
+                Some(hosts),
+                256,
+                "8-bit source slot",
+            ),
+            ("radix", radix, 65_535, "16-bit port, 65,535 meaning none"),
+            ("domains", domains, 65_536, "16-bit destination group"),
+            (
+                "routers",
+                routers,
+                u32::MAX as usize,
+                "32-bit id, u32::MAX meaning none",
+            ),
+            (
+                "nodes",
+                nodes,
+                u32::MAX as usize,
+                "32-bit id, u32::MAX meaning none",
+            ),
+        ];
+        for (field, count, limit, why) in limits {
+            match count {
+                Some(count) if count <= limit => {}
+                Some(count) => {
+                    return Err(format!(
+                        "{}: {count} {field} exceeds the limit of {limit} (a packet's {why})",
+                        self.kind_name()
+                    ))
+                }
+                None => {
+                    return Err(format!(
+                        "{}: counting its {field} overflows a machine word; the limit is \
+                         {limit} (a packet's {why})",
+                        self.kind_name()
+                    ))
+                }
+            }
         }
+        Ok(())
     }
 
     /// Build the wired topology (the spec must be valid — run

@@ -14,7 +14,7 @@
 use qadaptive::engine::config::EngineConfig;
 use qadaptive::engine::injector::{Injection, TrafficInjector};
 use qadaptive::engine::observer::CountingObserver;
-use qadaptive::engine::packet::{Packet, RouteMode};
+use qadaptive::engine::packet::{Packet, RouteMode, Via};
 use qadaptive::engine::routing::{
     vc_for_next_hop, Decision, RouterAgent, RouterCtx, RoutingAlgorithm,
 };
@@ -60,21 +60,21 @@ struct CoinFlipAgent {
 impl RouterAgent for CoinFlipAgent {
     fn decide(&mut self, ctx: &RouterCtx<'_>, packet: &mut Packet) -> Decision {
         let topo = ctx.topology;
-        if packet.at_source_router(self.router)
-            && packet.route.mode == RouteMode::Minimal
-            && packet.src_group != packet.dst_group
+        // The source group derives from the source node; the destination
+        // group is stored (it indexes Q-tables on every decision).
+        let src_group = packet.src_group(topo);
+        if packet.at_source_router(topo, self.router)
+            && packet.route_mode() == RouteMode::Minimal
+            && src_group != packet.dst_group()
             && self.rng.gen_bool(0.5)
         {
-            let ig =
-                topo.random_intermediate_domain(&mut self.rng, packet.src_group, packet.dst_group);
-            packet.route.mode = RouteMode::Valiant;
-            packet.route.intermediate_group = Some(ig);
+            let ig = topo.random_intermediate_domain(&mut self.rng, src_group, packet.dst_group());
+            packet.commit_valiant(Some(Via::Group(ig)));
         }
-        let port = match packet.route.mode {
-            RouteMode::Valiant if !packet.route.reached_intermediate => {
-                let ig = packet.route.intermediate_group.unwrap();
+        let port = match (packet.route_mode(), packet.via()) {
+            (RouteMode::Valiant, Some(Via::Group(ig))) if !packet.reached_intermediate() => {
                 if topo.domain_of_router(self.router) == ig {
-                    packet.route.reached_intermediate = true;
+                    packet.set_reached_intermediate();
                     topo.minimal_port(self.router, packet.dst_router).unwrap()
                 } else {
                     // Topology-agnostic: the trait picks the Dragonfly
