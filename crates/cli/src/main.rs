@@ -291,7 +291,7 @@ fn run_spec(
         .clone()
         .unwrap_or_else(|| format!("{scenario_path}.ckpt"));
     let mut save_failed = false;
-    spec.run_checkpointed_to_end(resume.as_ref(), flags.checkpoint_every, |ck| {
+    spec.run_checkpointed_to_end(resume, flags.checkpoint_every, |ck| {
         ck.save(&ck_path).inspect_err(|_| save_failed = true)?;
         eprintln!(
             "checkpoint: {ck_path} @ t = {} ns (simulated)",

@@ -25,9 +25,9 @@
 //! [`PacketArena::get`].
 //!
 //! Chunking is invisible from outside. Slot numbers are the same ones the
-//! contiguous arena handed out: fresh slots count up, freed ones come back
-//! LIFO, and [`PacketArena::restore`] puts a snapshot's packets, in walk
-//! order, into slots `0..` chunk by chunk.
+//! contiguous arena handed out: fresh slots count up and freed ones come
+//! back LIFO, so a restore that allocates a snapshot's packets in walk
+//! order into a fresh arena puts them in slots `0..` chunk by chunk.
 //!
 //! Slot assignment is deterministic: allocation order and the LIFO free
 //! list depend only on the event order, which is itself deterministic, so
@@ -76,17 +76,6 @@ impl<T, const SHIFT: u32> Default for Chunked<T, SHIFT> {
 
 impl<T, const SHIFT: u32> Chunked<T, SHIFT> {
     const SLOTS: usize = 1 << SHIFT;
-
-    /// Empty, with room for `capacity` elements (rounded up to whole
-    /// blocks) before it allocates again.
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
-        Self {
-            chunks: (0..capacity.div_ceil(Self::SLOTS))
-                .map(|_| Vec::with_capacity(Self::SLOTS))
-                .collect(),
-            len: 0,
-        }
-    }
 
     /// Elements stored.
     #[inline]
@@ -173,15 +162,6 @@ impl PacketArena {
         Self::default()
     }
 
-    /// An empty arena with room for `capacity` packets (rounded up to
-    /// whole chunks) before it allocates again.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            slots: Chunked::with_capacity(capacity),
-            ..Self::default()
-        }
-    }
-
     /// Store `packet`, reusing a freed slot when one is available.
     #[inline]
     pub fn alloc(&mut self, packet: Packet) -> PacketRef {
@@ -260,16 +240,6 @@ impl PacketArena {
     pub fn memory_bytes(&self) -> usize {
         self.slots.memory_bytes()
     }
-
-    /// Replace this arena's contents with `packets`, live in slots `0..`,
-    /// with nothing free, stored chunk by chunk so the next
-    /// [`PacketArena::alloc`] grows the arena like any other.
-    pub fn restore(&mut self, packets: impl Iterator<Item = Packet>) {
-        *self = Self::with_capacity(packets.size_hint().0);
-        for packet in packets {
-            self.alloc(packet);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -319,7 +289,7 @@ mod tests {
 
     #[test]
     fn high_water_tracks_peak_live_packets() {
-        let mut arena = PacketArena::with_capacity(4);
+        let mut arena = PacketArena::new();
         let refs: Vec<PacketRef> = (0..4).map(|i| arena.alloc(packet(i))).collect();
         for r in &refs {
             arena.free(*r);
@@ -333,28 +303,24 @@ mod tests {
 
     #[test]
     fn chunk_boundaries_are_invisible() {
-        // Slots count up across chunks, freed slots on either side of a
-        // boundary come back LIFO, and a restored arena holds its packets in
-        // slots `0..` and continues the numbering.
+        // Slots count up across chunks, and freed slots on either side of a
+        // boundary come back LIFO.
         let total = CHUNK_SLOTS + 2;
-        let mut restored = PacketArena::new();
-        restored.restore((0..total as u64).map(packet));
-        for arena in [&mut PacketArena::new(), &mut restored] {
-            for i in arena.high_water()..total {
-                assert_eq!(arena.alloc(packet(i as u64)), PacketRef(i as u32));
-            }
-            assert!((0..total).all(|i| arena.get(PacketRef(i as u32)).id == i as u64));
-            arena.free(PacketRef(CHUNK_SLOTS as u32));
-            arena.free(PacketRef(3));
-            assert_eq!(arena.live_count(), total - 2);
-            assert_eq!(arena.alloc(packet(100)), PacketRef(3));
-            assert_eq!(arena.alloc(packet(101)), PacketRef(CHUNK_SLOTS as u32));
-            assert_eq!(arena.alloc(packet(102)), PacketRef(total as u32));
-            assert_eq!(arena.get(PacketRef(CHUNK_SLOTS as u32)).id, 101);
-            assert_eq!(
-                arena.get(PacketRef(CHUNK_SLOTS as u32 + 1)).id,
-                total as u64 - 1
-            );
+        let arena = &mut PacketArena::new();
+        for i in arena.high_water()..total {
+            assert_eq!(arena.alloc(packet(i as u64)), PacketRef(i as u32));
         }
+        assert!((0..total).all(|i| arena.get(PacketRef(i as u32)).id == i as u64));
+        arena.free(PacketRef(CHUNK_SLOTS as u32));
+        arena.free(PacketRef(3));
+        assert_eq!(arena.live_count(), total - 2);
+        assert_eq!(arena.alloc(packet(100)), PacketRef(3));
+        assert_eq!(arena.alloc(packet(101)), PacketRef(CHUNK_SLOTS as u32));
+        assert_eq!(arena.alloc(packet(102)), PacketRef(total as u32));
+        assert_eq!(arena.get(PacketRef(CHUNK_SLOTS as u32)).id, 101);
+        assert_eq!(
+            arena.get(PacketRef(CHUNK_SLOTS as u32 + 1)).id,
+            total as u64 - 1
+        );
     }
 }

@@ -30,12 +30,19 @@
 //! deterministic walk over the whole system (every router, every NIC,
 //! then the merged events — so a snapshot taken at any shard count has
 //! the single-shard bytes), and counters are summed.
-//! [`split_for_plan`] is the inverse: it carves the canonical snapshot
-//! into per-shard snapshots for **any** target [`crate::sync::ShardPlan`].
-//! Because the canonical form is partition-independent, a snapshot taken
-//! at `shards = N` resumes bit-identically at `shards = M` for any `M`,
-//! pipeline on or off — the same execution-mode invariance the engine
-//! guarantees for uninterrupted runs.
+//!
+//! Restore reads the canonical form in place: each shard of **any**
+//! target [`crate::sync::ShardPlan`] takes its share — its router and node
+//! ranges, the events ([`owner_shard`]) and pending injections it owns,
+//! its retry entries ([`retry_owner`]) — straight from the borrowed
+//! snapshot, and writes it into the fresh engine's own routers, agents,
+//! NICs, queue and arena, renumbering the packets by the same walk over
+//! its share. No per-shard copy of the snapshot is built, so a restore
+//! holds the snapshot and the engine it fills, nothing more. Because the
+//! canonical form is partition-independent, a snapshot taken at `shards =
+//! N` resumes bit-identically at `shards = M` for any `M`, pipeline on or
+//! off — the same execution-mode invariance the engine guarantees for
+//! uninterrupted runs.
 //!
 //! Event keys are content-derived and embed the owning entity, so two
 //! events from different shards can never tie on `(time, key)`; the merged
@@ -133,7 +140,8 @@ pub struct ArenaCheckpoint {
 /// single-shard-equivalent form (see the module docs): entity state in
 /// global id order, one merged event set, one packed arena. A
 /// single-shard engine's state already is this form; sharded engines
-/// reach it through [`merge_shards`] / [`split_for_plan`].
+/// reach it through [`merge_shards`], and each shard restores its share
+/// of it in place (`Shard::restore`).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ShardCheckpoint {
     /// The shard clock (time of the last processed event).
@@ -192,7 +200,7 @@ pub struct EngineCheckpoint {
 /// the `TrafficArrival` markers (which are regenerated from
 /// `pending_injections` at restore rather than carried across a
 /// re-partition).
-fn owner_shard(kind: &EventKind, plan: &ShardPlan, topo: &AnyTopology) -> Option<usize> {
+pub(crate) fn owner_shard(kind: &EventKind, plan: &ShardPlan, topo: &AnyTopology) -> Option<usize> {
     match *kind {
         EventKind::TrafficArrival => None,
         EventKind::NicTryInject { node }
@@ -214,7 +222,7 @@ fn owner_shard(kind: &EventKind, plan: &ShardPlan, topo: &AnyTopology) -> Option
 /// Shard that owns one `retry_counts` entry: keys are workload packet
 /// ids, which embed the source node (the retry bookkeeping lives with the
 /// shard owning that node's NIC).
-fn retry_owner(id: u64, plan: &ShardPlan, topo: &AnyTopology) -> usize {
+pub(crate) fn retry_owner(id: u64, plan: &ShardPlan, topo: &AnyTopology) -> usize {
     debug_assert!(
         id & WORKLOAD_ID_BIT != 0,
         "retry_counts keys are workload packet ids"
@@ -227,8 +235,9 @@ fn retry_owner(id: u64, plan: &ShardPlan, topo: &AnyTopology) -> usize {
 /// router buffers in id order (inputs then outputs per router), NIC
 /// source queues in id order, then `RouterArrive` events in queue order —
 /// through `translate`. This walk order defines the canonical arena slot
-/// numbering; `Shard::checkpoint`, merge and split all use it, so it must
-/// never change without a format-version bump.
+/// numbering; `Shard::checkpoint` and merge use it and `Shard::restore`
+/// walks its share in the same order, so it must never change without a
+/// format-version bump.
 pub(crate) fn map_refs(
     ck: &mut ShardCheckpoint,
     translate: &mut impl FnMut(PacketRef) -> PacketRef,
@@ -372,94 +381,6 @@ fn permute(slots: &mut [PacketState], order: &mut [u32]) {
             i = from;
         }
     }
-}
-
-/// Split the canonical single-shard-equivalent snapshot into one
-/// [`ShardCheckpoint`] per shard of `plan` — the inverse of
-/// [`merge_shards`], for any target partition (including the identity
-/// single-shard plan).
-///
-/// Global counters and the pop counter are carried whole on shard 0:
-/// only their sums are observable (per-shard counter splits are a
-/// partition artifact, not simulation state). Event sequence numbers are
-/// kept canonical — per-shard queues share the canonical `next_seq`, so
-/// newly pushed events sequence after every restored one on any shard.
-pub(crate) fn split_for_plan(
-    canonical: &ShardCheckpoint,
-    plan: &ShardPlan,
-    topo: &AnyTopology,
-) -> Vec<ShardCheckpoint> {
-    let n = plan.num_shards();
-    (0..n)
-        .map(|k| {
-            let domains = plan.domains_of(k);
-            let routers = topo.router_range_of_domain(domains.start).start
-                ..topo.router_range_of_domain(domains.end - 1).end;
-            let nodes = topo.node_range_of_domain(domains.start).start
-                ..topo.node_range_of_domain(domains.end - 1).end;
-
-            let mut part = ShardCheckpoint {
-                now: canonical.now,
-                generated: if k == 0 { canonical.generated } else { 0 },
-                injected: if k == 0 { canonical.injected } else { 0 },
-                delivered: if k == 0 { canonical.delivered } else { 0 },
-                dropped: if k == 0 { canonical.dropped } else { 0 },
-                retransmits: if k == 0 { canonical.retransmits } else { 0 },
-                routers: canonical.routers[routers.clone()].to_vec(),
-                agents: canonical.agents[routers].to_vec(),
-                nics: canonical.nics[nodes.clone()].to_vec(),
-                queue: SchedulerCheckpoint {
-                    events: canonical
-                        .queue
-                        .events
-                        .iter()
-                        .filter(|e| owner_shard(&e.kind, plan, topo) == Some(k))
-                        .copied()
-                        .collect(),
-                    next_seq: canonical.queue.next_seq,
-                    popped: if k == 0 { canonical.queue.popped } else { 0 },
-                },
-                arena: ArenaCheckpoint::default(),
-                faults: canonical.faults.clone(),
-                fault_cursor: canonical.fault_cursor,
-                retry_counts: canonical
-                    .retry_counts
-                    .iter()
-                    .filter(|(id, _)| retry_owner(**id, plan, topo) == k)
-                    .map(|(id, c)| (*id, *c))
-                    .collect(),
-                pending_injections: canonical
-                    .pending_injections
-                    .iter()
-                    .filter(|inj| plan.shard_of_router(topo.router_of_node(inj.src)) == k)
-                    .copied()
-                    .collect(),
-                tasks: if canonical.tasks.is_empty() {
-                    Vec::new()
-                } else {
-                    canonical.tasks[nodes].to_vec()
-                },
-                has_tasks: canonical.has_tasks,
-            };
-
-            // Re-allocate this shard's packets into a local arena by the
-            // canonical walk order (ascending slot indices, no free list):
-            // router packets, then one run of NIC packets, then event
-            // packets — the layout `Shard::restore` takes the NIC run from.
-            let mut slots: Vec<PacketState> = Vec::new();
-            let mut translate = |r: PacketRef| -> PacketRef {
-                let local = PacketRef(slots.len() as u32);
-                slots.push(canonical.arena.slots[r.index()].clone());
-                local
-            };
-            map_refs(&mut part, &mut translate);
-            part.arena = ArenaCheckpoint {
-                slots,
-                free: Vec::new(),
-            };
-            part
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -436,12 +436,16 @@ impl<O: ShardObserver> Engine<O> {
     /// source queues and `RouterArrive` events holds every slot exactly
     /// once — with every NIC-queued packet one its NIC generates and every
     /// other one a packet this engine can hold
-    /// ([`crate::packet::Packet::from_state`]), and no event is a
+    /// ([`crate::packet::Packet::from_state`]), no event is a
     /// `TrafficArrival` marker (merge strips them, restore
-    /// regenerates them from the pending injections). Callers restoring a
+    /// regenerates them from the pending injections), and the task section
+    /// fits the installed workload: one task per node exactly when one is
+    /// installed, each running the program compiled from the spec, with
+    /// its `pc` inside it and its `avail` counters ascending by existing
+    /// sources (restore keeps the compiled program). Callers restoring a
     /// snapshot they did not just take themselves ask first; `restore`
     /// panics on (or silently mis-restores) what this refuses. The error
-    /// names the router, NIC or event and the field.
+    /// names the router, NIC, event or node and the field.
     pub fn check_restorable(&self, ck: &crate::checkpoint::EngineCheckpoint) -> Result<(), String> {
         let (routers, nodes) = (self.topo.num_routers(), self.topo.num_nodes());
         let shard = &ck.shard;
@@ -476,6 +480,9 @@ impl<O: ShardObserver> Engine<O> {
                 "event {i} (TrafficArrival at {} ns): a snapshot holds no injection markers",
                 ev.time
             ));
+        }
+        for s in &self.shards {
+            s.check_tasks(shard)?;
         }
         self.check_arena(shard)
     }
@@ -565,8 +572,12 @@ impl<O: ShardObserver> Engine<O> {
     /// continue bit-for-bit identically to the uninterrupted run.
     ///
     /// The shard count and pipeline setting of this engine may differ
-    /// from the checkpointing engine's: the canonical snapshot is split
-    /// for this engine's [`crate::sync::ShardPlan`] on the way in.
+    /// from the checkpointing engine's: each shard reads its share of the
+    /// canonical snapshot in place, for this engine's
+    /// [`crate::sync::ShardPlan`], into the routers, agents, NICs and task
+    /// programs `new` and `install_workload` built (a task keeps its
+    /// compiled program and takes the saved counters), so the restore holds
+    /// no copy of the snapshot.
     ///
     /// # Panics
     ///
@@ -596,9 +607,8 @@ impl<O: ShardObserver> Engine<O> {
         // injector state and pending slot overwrite that pull entirely.
         self.pending_injection = ck.pending_injection;
         self.injector.load_state(&ck.injector);
-        let parts = crate::checkpoint::split_for_plan(&ck.shard, &self.plan, &self.topo);
-        for (shard, part) in self.shards.iter_mut().zip(parts) {
-            shard.restore(&part);
+        for shard in &mut self.shards {
+            shard.restore(&ck.shard);
         }
     }
 

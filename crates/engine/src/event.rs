@@ -827,25 +827,39 @@ impl CalendarQueue {
     /// (guaranteed after `run_until(now)`, which drains everything up to
     /// and including `now`).
     pub fn restore(&mut self, ck: &SchedulerCheckpoint, now: SimTime) {
-        self.restore_mapped(ck, now, |kind| kind);
+        assert!(self.len() == 0, "restore requires an empty queue");
+        self.restore_mapped(ck, now, ck.popped, Some);
     }
 
-    /// [`CalendarQueue::restore`], passing every event's kind through `map`
-    /// on its way in (the shard renumbers packet refs with it, so the event
-    /// list is read once and never copied).
+    /// [`CalendarQueue::restore`] into a queue that may hold events (they
+    /// are dropped, the wheel's buffers with them), passing every event's
+    /// kind through `map` on its way in and leaving out those it maps to
+    /// `None`: a shard takes its own events straight from the canonical
+    /// list, renumbering packet refs as they pass.
     pub(crate) fn restore_mapped(
         &mut self,
         ck: &SchedulerCheckpoint,
         now: SimTime,
-        mut map: impl FnMut(EventKind) -> EventKind,
+        popped: u64,
+        mut map: impl FnMut(EventKind) -> Option<EventKind>,
     ) {
-        assert!(self.len() == 0, "restore requires an empty queue");
+        for bucket in self.buckets.iter_mut().filter(|b| b.capacity() > 0) {
+            *bucket = Vec::new();
+        }
+        self.occupancy.fill(0);
+        self.dirty.fill(0);
+        self.wheel_len = 0;
+        self.current = BinaryHeap::new();
+        self.overflow = BinaryHeap::new();
+        self.fat = FatSlab::default();
         self.cursor = now;
         for event in &ck.events {
-            self.insert(event.time, event.key, event.seq, map(event.kind));
+            if let Some(kind) = map(event.kind) {
+                self.insert(event.time, event.key, event.seq, kind);
+            }
         }
         self.next_seq = ck.next_seq;
-        self.popped = ck.popped;
+        self.popped = popped;
     }
 }
 

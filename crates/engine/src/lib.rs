@@ -287,7 +287,12 @@
 //! cross-shard mail before it returns), and are normalized to a canonical
 //! **single-shard-equivalent form** that is independent of the partition
 //! that produced it: a checkpoint taken at `shards = N` restores onto an
-//! engine running `shards = M` for any `M`, pipeline on or off.
+//! engine running `shards = M` for any `M`, pipeline on or off. Restore
+//! reads the canonical form in place: each shard takes its share straight
+//! from the borrowed snapshot and writes it into the fresh engine's own
+//! routers, agent tables, NICs, queue and arena, and a task keeps the
+//! program compiled from the spec and takes only its counters, so a
+//! restore holds the snapshot and the engine, never a copy of either.
 //! Restoring into a freshly built engine resumes **bit-for-bit**: the
 //! resumed run is indistinguishable from the uninterrupted one, which
 //! the split cells of both mode matrices pin — a snapshot taken in one

@@ -42,9 +42,11 @@
 //! field for field, with its source queue of arena handles.
 //! `Shard::checkpoint` writes each queued message as the [`PacketState`] of
 //! the packet [`Packet::new`] builds, into the arena slot the canonical
-//! walk gives it, and points the source queue there; `Shard::restore` turns
-//! those states back into records (`queued_of` refuses one the NIC could
-//! not have generated).
+//! walk gives it, and points the source queue there. `Shard::restore`
+//! reads each NIC's source queue in the canonical snapshot in place and
+//! turns the states it points at straight back into records of the fresh
+//! engine's backlog (`queued_of` refuses one the NIC could not have
+//! generated); they never enter the restored arena.
 
 use crate::arena::{Chunked, PacketRef};
 use crate::config::EngineConfig;

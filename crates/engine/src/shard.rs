@@ -17,6 +17,7 @@
 //! upstream/downstream interactions that can cross a shard boundary.
 
 use crate::arena::{PacketArena, PacketRef};
+use crate::checkpoint::{owner_shard, retry_owner, ShardCheckpoint};
 use crate::config::EngineConfig;
 use crate::event::{EventKind, EventQueue, Scheduler};
 use crate::fault::{CompiledFault, FaultOp};
@@ -282,7 +283,7 @@ impl<O: ShardObserver> Shard<O> {
     /// written as the packet its NIC builds where the NIC's source queue
     /// points — the wire form has no backlog records. A single shard's
     /// snapshot is thereby already canonical.
-    pub fn checkpoint(&self) -> crate::checkpoint::ShardCheckpoint {
+    pub fn checkpoint(&self) -> ShardCheckpoint {
         debug_assert!(
             self.outboxes.iter().all(Vec::is_empty),
             "checkpoint with undelivered cross-shard mail"
@@ -301,7 +302,7 @@ impl<O: ShardObserver> Shard<O> {
                 nic.to_wire(refs.collect())
             })
             .collect();
-        let mut ck = crate::checkpoint::ShardCheckpoint {
+        let mut ck = ShardCheckpoint {
             now: self.now,
             generated: self.generated,
             injected: self.injected,
@@ -340,115 +341,110 @@ impl<O: ShardObserver> Shard<O> {
         ck
     }
 
-    /// Replace this freshly built shard's state with a checkpoint's. The
-    /// shard must have been constructed from the same `(topology, config,
-    /// algorithm, seed, plan)` tuple — everything the checkpoint does not
-    /// store is reconstructed by [`Shard::new`], and the topology liveness
-    /// mask is re-derived by replaying the already-applied fault prefix.
+    /// Write this shard's share of the canonical snapshot `ck` into this
+    /// freshly built shard, reading `ck` in place. The shard must have been
+    /// constructed from the same `(topology, config, algorithm, seed, plan)`
+    /// tuple and workload — everything the checkpoint does not store is
+    /// reconstructed by [`Shard::new`], a task keeps the program it was
+    /// installed with, and the topology liveness mask is re-derived by
+    /// replaying the already-applied fault prefix.
     ///
-    /// `ck` is one part of [`crate::checkpoint::split_for_plan`], whose
-    /// arena lists router packets, then NIC packets, then event packets.
-    /// The NIC packets turn back into backlog records and are left out of
-    /// the restored arena; event refs behind them move down. The others
-    /// become packets again ([`Packet::from_state`]).
+    /// The share is the shard's router and node ranges, the events and
+    /// pending injections it owns and its retry entries. The global counters
+    /// and the pop counter go whole to shard 0 (only their sums are
+    /// observable), and every shard's queue continues from the canonical
+    /// `next_seq`, so events pushed after the restore sequence after every
+    /// restored one. The canonical walk runs once, over the share:
+    /// each router buffer's packet, then each owned `RouterArrive` event's,
+    /// takes the next arena slot ([`Packet::from_state`]), and each NIC's
+    /// queued packets become backlog records again.
     ///
     /// # Panics
     ///
     /// If a NIC packet is not one its NIC generates, or another packet is
     /// not one this engine can hold ([`crate::Engine::check_restorable`]
     /// refuses both first).
-    pub fn restore(&mut self, ck: &crate::checkpoint::ShardCheckpoint) {
+    pub fn restore(&mut self, ck: &ShardCheckpoint) {
         self.now = ck.now;
-        self.generated = ck.generated;
-        self.injected = ck.injected;
-        self.delivered = ck.delivered;
-        self.dropped = ck.dropped;
-        self.retransmits = ck.retransmits;
-        self.routers = ck.routers.clone();
-        assert_eq!(
-            self.agents.len(),
-            ck.agents.len(),
-            "checkpoint was taken on a different topology or shard plan"
-        );
-        for (agent, state) in self.agents.iter_mut().zip(&ck.agents) {
+        if self.id == 0 {
+            (self.generated, self.injected, self.delivered) =
+                (ck.generated, ck.injected, ck.delivered);
+            (self.dropped, self.retransmits) = (ck.dropped, ck.retransmits);
+        }
+        let routers = self.router_base..self.router_base + self.routers.len();
+        let (topo, cfg, slots) = (&self.topo, &self.cfg, &ck.arena.slots);
+        let arena = &mut self.arena;
+        *arena = PacketArena::new();
+        let mut fabric = |pref: PacketRef| {
+            arena.alloc(
+                Packet::from_state(&slots[pref.index()], topo, cfg)
+                    .unwrap_or_else(|e| panic!("arena: {e}")),
+            )
+        };
+        for (router, state) in self.routers.iter_mut().zip(&ck.routers[routers.clone()]) {
+            router.clone_from(state);
+            router.map_packet_refs(&mut fabric);
+        }
+        for (agent, state) in self.agents.iter_mut().zip(&ck.agents[routers]) {
             agent.load_state(state);
         }
-        // The NIC packets are one run of arena slots, in NIC order.
-        let nic_run = ck
-            .nics
-            .iter()
-            .find_map(|n| n.source_queue.front())
-            .map_or(0, |first| first.index());
-        let mut next = nic_run;
         self.backlog = Backlog::new();
-        self.nics = Vec::with_capacity(ck.nics.len());
-        for (n, wire) in ck.nics.iter().enumerate() {
+        for (n, nic) in self.nics.iter_mut().enumerate() {
             let src = NodeId::from_index(self.node_base + n);
-            let mut nic = Nic::from_wire(wire);
+            let wire = &ck.nics[src.index()];
+            *nic = Nic::from_wire(wire);
             for &pref in &wire.source_queue {
-                assert_eq!(pref.index(), next, "NIC packets out of walk order");
-                next += 1;
-                let msg = nic::queued_of(&self.topo, &self.cfg, src, &ck.arena.slots[pref.index()])
+                let msg = nic::queued_of(topo, cfg, src, &slots[pref.index()])
                     .unwrap_or_else(|e| panic!("NIC {}: source_queue {e}", src.index()));
-                self.backlog.push_back(&mut nic, msg);
+                self.backlog.push_back(nic, msg);
             }
-            self.nics.push(nic);
         }
-        let nic_run = nic_run..next;
         // A fresh engine may already hold bootstrap events (workload start
-        // markers, the first traffic arrival); the checkpointed queue
-        // replaces them wholesale.
-        self.queue = EventQueue::for_config(&self.cfg);
+        // markers); the checkpointed queue replaces them wholesale.
+        let (id, plan) = (self.id, &self.plan);
+        let popped = if id == 0 { ck.queue.popped } else { 0 };
         self.queue
-            .restore_mapped(&ck.queue, ck.now, |kind| match kind {
-                EventKind::RouterArrive {
-                    router,
-                    port,
-                    vc,
-                    packet,
-                } if packet.index() >= nic_run.end => EventKind::RouterArrive {
-                    router,
-                    port,
-                    vc,
-                    packet: PacketRef(packet.0 - nic_run.len() as u32),
-                },
-                kind => kind,
+            .restore_mapped(&ck.queue, ck.now, popped, |kind| {
+                (owner_shard(&kind, plan, topo) == Some(id)).then(|| match kind {
+                    EventKind::RouterArrive {
+                        router,
+                        port,
+                        vc,
+                        packet,
+                    } => EventKind::RouterArrive {
+                        router,
+                        port,
+                        vc,
+                        packet: fabric(packet),
+                    },
+                    kind => kind,
+                })
             });
-        assert!(
-            ck.arena.free.is_empty(),
-            "a snapshot's arena has no free list"
-        );
-        let slots = &ck.arena.slots;
-        let fabric = slots[..nic_run.start].iter().chain(&slots[nic_run.end..]);
-        self.arena.restore(fabric.map(|state| {
-            Packet::from_state(state, &self.topo, &self.cfg)
-                .unwrap_or_else(|e| panic!("arena: {e}"))
-        }));
-        self.faults = ck.faults.clone();
+        self.faults.clone_from(&ck.faults);
         self.fault_cursor = ck.fault_cursor;
         // Replay the liveness flips of every already-applied fault entry;
         // the router-state side effects (quarantine, kill/revive) are
         // already baked into the checkpointed router and arena state.
         for fault in &self.faults[..self.fault_cursor] {
             for op in &fault.ops {
+                let live = self.topo.liveness_mut();
                 match *op {
-                    FaultOp::PortDown { router, port } => {
-                        self.topo.liveness_mut().set_port_down(router, port);
-                    }
-                    FaultOp::PortUp { router, port } => {
-                        self.topo.liveness_mut().set_port_up(router, port);
-                    }
-                    FaultOp::RouterDown { router } => {
-                        self.topo.liveness_mut().set_router_down(router);
-                    }
-                    FaultOp::RouterUp { router } => {
-                        self.topo.liveness_mut().set_router_up(router);
-                    }
+                    FaultOp::PortDown { router, port } => live.set_port_down(router, port),
+                    FaultOp::PortUp { router, port } => live.set_port_up(router, port),
+                    FaultOp::RouterDown { router } => live.set_router_down(router),
+                    FaultOp::RouterUp { router } => live.set_router_up(router),
                 }
             }
         }
-        self.retry_counts = ck.retry_counts.clone();
-        self.pending_injections = ck.pending_injections.clone();
+        let topo = &self.topo;
+        self.retry_counts = (ck.retry_counts.iter())
+            .filter(|&(&id, _)| retry_owner(id, &self.plan, topo) == self.id)
+            .map(|(&id, &count)| (id, count))
+            .collect();
+        self.pending_injections = (ck.pending_injections.iter())
+            .filter(|inj| self.plan.shard_of_router(topo.router_of_node(inj.src)) == self.id)
+            .copied()
+            .collect();
         // The canonical checkpoint form strips `TrafficArrival` markers
         // (they carry no payload — the injection FIFO is the state).
         // Regenerate one marker per pending injection, in FIFO (= id)
@@ -459,8 +455,41 @@ impl<O: ShardObserver> Shard<O> {
             self.queue
                 .push(inj.time.max(ck.now), EventKind::TrafficArrival);
         }
-        self.tasks = ck.tasks.clone();
-        self.has_tasks = ck.has_tasks;
+        for (n, task) in self.tasks.iter_mut().enumerate() {
+            if let (Some(task), Some(Some(saved))) = (task, ck.tasks.get(self.node_base + n)) {
+                task.resume_from(saved);
+            }
+        }
+    }
+
+    /// Whether the tasks of `ck` fit this shard's nodes: a task section
+    /// exactly when a workload is installed, one entry per node, and each
+    /// saved task one [`NodeTask::check_saved`] takes. The error names the
+    /// node and the field.
+    pub(crate) fn check_tasks(&self, ck: &ShardCheckpoint) -> Result<(), String> {
+        let nodes = self.topo.num_nodes();
+        let want = if self.has_tasks { nodes } else { 0 };
+        if (ck.has_tasks, ck.tasks.len()) != (self.has_tasks, want) {
+            return Err(format!(
+                "has_tasks = {} with {} tasks, this engine runs {want} task programs",
+                ck.has_tasks,
+                ck.tasks.len()
+            ));
+        }
+        for (n, task) in self.tasks.iter().enumerate() {
+            let node = self.node_base + n;
+            match (task, &ck.tasks[node]) {
+                (Some(task), Some(saved)) => task.check_saved(saved, nodes),
+                (None, None) => Ok(()),
+                (_, saved) => Err(format!(
+                    "the snapshot has {} task, this engine {}",
+                    if saved.is_some() { "a" } else { "no" },
+                    if task.is_some() { "one" } else { "none" }
+                )),
+            }
+            .map_err(|e| format!("task of node {node}: {e}"))?;
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------

@@ -118,6 +118,48 @@ impl NodeTask {
         }
     }
 
+    /// Whether `saved`, a snapshot's state of this task, can resume on this
+    /// program in a system of `nodes` nodes: the same program, a `pc` within
+    /// it, and `avail` strictly ascending by existing sources. The error
+    /// names the field.
+    pub(crate) fn check_saved(&self, saved: &NodeTask, nodes: usize) -> Result<(), String> {
+        let (ops, pc) = (&saved.ops, saved.pc);
+        let len = self.ops.len().max(ops.len());
+        if let Some(i) = (0..len).find(|&i| self.ops.get(i) != ops.get(i)) {
+            let (got, want) = (ops.get(i), self.ops.get(i));
+            return Err(format!("ops[{i}] = {got:?}, the spec compiles {want:?}"));
+        }
+        if pc > ops.len() {
+            return Err(format!("pc = {pc}, beyond the program's {} ops", ops.len()));
+        }
+        for (i, &(src, _)) in saved.avail.iter().enumerate() {
+            let node = src.index();
+            if node >= nodes {
+                return Err(format!(
+                    "avail[{i}] names node {node}, outside the {nodes} nodes"
+                ));
+            }
+            if i > 0 && saved.avail[i - 1].0 >= src {
+                return Err(format!(
+                    "avail[{i}] names node {node}, not above avail[{}]'s",
+                    i - 1
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Take `saved`'s run-time state, keeping this task's program (which
+    /// [`NodeTask::check_saved`] found equal to `saved`'s).
+    pub(crate) fn resume_from(&mut self, saved: &NodeTask) {
+        self.pc = saved.pc;
+        self.avail.clone_from(&saved.avail);
+        self.resume_at = saved.resume_at;
+        self.blocked_since = saved.blocked_since;
+        self.next_send_seq = saved.next_send_seq;
+        self.done = saved.done;
+    }
+
     /// Record one delivered message from `src`.
     pub(crate) fn record_delivery(&mut self, src: NodeId) {
         match self.avail.binary_search_by_key(&src, |&(s, _)| s) {

@@ -1,6 +1,8 @@
 //! What the engine's containers of in-flight work cost in heap, counted:
 //! the gates behind "the queue, the arena, a router and the NIC backlog
-//! cost what is in flight".
+//! cost what is in flight" and "a restore costs what it rebuilds" — it
+//! reads the snapshot in place and writes the fresh engine's own state,
+//! so its peak is what it leaves live plus small change.
 //!
 //! An integration test is its own binary, so this one installs a counting
 //! allocator (the pattern of `benchmark/src/alloc.rs`: live and peak bytes
@@ -13,19 +15,23 @@
 //! at the last doubling), one `VecDeque` per router queue (21,216 B per
 //! router before a packet moved: 151 MB of the 110,976-node workload's
 //! 196 MB), a NIC backlog of 104-byte arena packets behind one `VecDeque`
-//! per NIC (41.4 MB of `adv_qadp_1056`'s 57.4 MB), and 104-byte packets
-//! spanning two or three cache lines where one of 64 bytes holds them.
+//! per NIC (41.4 MB of `adv_qadp_1056`'s 57.4 MB), 104-byte packets
+//! spanning two or three cache lines where one of 64 bytes holds them, and
+//! a restore that copied the whole snapshot into per-shard parts and then
+//! cloned every router and task program again (+38.9 MB over 36.2 MB live
+//! on `adv_qadp_1056`).
 
 use dragonfly_engine::arena::{PacketArena, PacketRef, CHUNK_SLOTS};
 use dragonfly_engine::config::{EngineConfig, ShardKind};
 use dragonfly_engine::event::{Event, EventKind, EventQueue, Scheduler};
-use dragonfly_engine::injector::{Injection, ScriptedInjector};
+use dragonfly_engine::injector::{EmptyInjector, Injection, ScriptedInjector, TrafficInjector};
 use dragonfly_engine::nic::{Backlog, Nic, Queued, CHUNK_RECORDS};
 use dragonfly_engine::observer::CountingObserver;
 use dragonfly_engine::packet::Packet;
 use dragonfly_engine::router::RouterState;
 use dragonfly_engine::routing::FeedbackMsg;
 use dragonfly_engine::testing::MinimalTestRouting;
+use dragonfly_engine::workload::{NodeProgram, Op};
 use dragonfly_engine::Engine;
 use dragonfly_topology::config::DragonflyConfig;
 use dragonfly_topology::ids::{GroupId, NodeId, Port, RouterId};
@@ -33,6 +39,7 @@ use dragonfly_topology::{AnyTopology, Dragonfly, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Mutex, PoisonError};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -78,6 +85,9 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn live() -> usize {
     LIVE.load(Relaxed)
 }
+
+/// The counters are the process's: one measurement at a time.
+static MEASURING: Mutex<()> = Mutex::new(());
 
 /// `reported` is within 1 % of `counted`.
 fn assert_within_1_percent(reported: usize, counted: usize, what: &str) {
@@ -249,8 +259,12 @@ fn arena_growth_and_restore_copy_nothing() {
     }
     let slots = arena.high_water();
     drop(arena);
+    // A restore allocates a snapshot's packets, in walk order, into a fresh
+    // arena.
     let mut restored = PacketArena::new();
-    restored.restore((0..slots as u64).map(|id| packet(&topo, id)));
+    for id in 0..slots as u64 {
+        restored.alloc(packet(&topo, id));
+    }
     assert_eq!(restored.live_count(), slots);
     let probes = [0, CHUNK_SLOTS - 1, CHUNK_SLOTS, slots / 2, slots - 1];
     let address = |arena: &PacketArena, slot: usize| {
@@ -418,13 +432,123 @@ fn breakdown_names_what_memory_bytes_counts() {
     }
 }
 
-// One test function: the counters are the process's, and the harness runs
-// test functions on parallel threads.
+// One test function per measurement lock: the counters are the process's,
+// and the harness runs test functions on parallel threads.
 #[test]
 fn the_hot_path_heap_costs_what_is_in_flight() {
+    let _one_at_a_time = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
     event_queue_heap_follows_pending_events();
     arena_growth_and_restore_copy_nothing();
     router_state_costs_what_it_buffers();
     nic_backlog_costs_what_it_queues();
     breakdown_names_what_memory_bytes_counts();
+}
+
+/// A tiny-Dragonfly engine in `shards` mode running `programs` closed loop,
+/// or open loop a script that sends every node's traffic to four nodes,
+/// faster than they can take it.
+fn restore_subject(
+    shards: ShardKind,
+    programs: Option<&[NodeProgram]>,
+) -> Engine<CountingObserver> {
+    let script: Vec<Injection> = (0..16_000u64)
+        .map(|i| Injection {
+            time: i / 4,
+            src: NodeId((i % 72) as u32),
+            dst: NodeId((i % 4 * 18 + 1) as u32),
+        })
+        .filter(|inj| inj.src != inj.dst)
+        .collect();
+    let injector: Box<dyn TrafficInjector> = match programs {
+        Some(_) => Box::new(EmptyInjector),
+        None => Box::new(ScriptedInjector::new(script)),
+    };
+    let cfg = EngineConfig {
+        shards,
+        ..EngineConfig::paper(3)
+    };
+    let topo = Dragonfly::new(DragonflyConfig::tiny());
+    let mut engine = Engine::new(
+        topo,
+        cfg,
+        &MinimalTestRouting,
+        injector,
+        CountingObserver::default(),
+        3,
+    );
+    if let Some(programs) = programs {
+        engine.install_workload(programs.to_vec());
+    }
+    engine
+}
+
+#[test]
+fn a_restore_costs_what_it_rebuilds() {
+    // A restore reads the snapshot in place and writes the fresh engine's
+    // own routers, tables, NICs, queue and arena: above what it leaves
+    // live, it may hold one router's state in passing and small change.
+    // Copying the snapshot into per-shard parts first, or a router or
+    // program the engine already holds, costs the size of what is copied.
+    let _one_at_a_time = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
+    // Forty rounds per rank: eight messages out to two ranks, eight in from
+    // two others, a short compute.
+    let programs: Vec<NodeProgram> = (0..72u32)
+        .map(|i| {
+            let node = |off: u32| NodeId((i + off) % 72);
+            (0..40)
+                .flat_map(|_| {
+                    [
+                        Op::Send {
+                            dst: node(1),
+                            messages: 4,
+                        },
+                        Op::Send {
+                            dst: node(9),
+                            messages: 4,
+                        },
+                        Op::Recv {
+                            from: node(71),
+                            messages: 4,
+                            barrier: false,
+                        },
+                        Op::Recv {
+                            from: node(63),
+                            messages: 4,
+                            barrier: false,
+                        },
+                        Op::Compute { delay_ns: 20 },
+                    ]
+                })
+                .collect()
+        })
+        .collect();
+    for (what, programs) in [("open loop", None), ("closed loop", Some(&programs[..]))] {
+        for shards in [ShardKind::Single, ShardKind::Fixed(2)] {
+            let mut source = restore_subject(shards, programs);
+            source.run_until(3_000);
+            assert!(source.has_pending_events(), "{what}: the cut is mid-run");
+            let ck = source.checkpoint();
+            drop(source);
+            assert!(
+                ck.shard.arena.slots.len() > 200,
+                "{what}: the snapshot holds {} packets",
+                ck.shard.arena.slots.len()
+            );
+            let router = (ck.shard.routers.iter())
+                .map(|r| size_of::<RouterState>() + r.memory_bytes())
+                .max()
+                .expect("a router");
+            let mut fresh = restore_subject(shards, programs);
+            let before = live();
+            PEAK.store(before, Relaxed);
+            fresh.restore(&ck);
+            let peak = PEAK.load(Relaxed) - before;
+            let left = live().saturating_sub(before);
+            assert!(
+                peak <= left + router + 64 * 1024,
+                "{what} at {shards:?}: restore peaked {peak} B above live and left {left} B \
+                 (bound: that + one router's {router} B + 64 KiB)"
+            );
+        }
+    }
 }

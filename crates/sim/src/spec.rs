@@ -341,7 +341,8 @@ impl ExperimentSpec {
 
     /// Run with checkpoint/resume support (the CLI's `--checkpoint-every`
     /// / `--resume-from`): continue from `resume` when given — after
-    /// verifying it belongs to this spec — and hand a fresh
+    /// verifying it belongs to this spec; it is dropped once restored, so
+    /// the resumed run does not hold it to the end — and hand a fresh
     /// [`RunCheckpoint`] to `sink` at every `checkpoint_every_ns` boundary
     /// strictly before the end of the run. A closed-loop run that has
     /// drained stops stepping (further boundaries would rewrite the same
@@ -351,7 +352,7 @@ impl ExperimentSpec {
     /// use different shard counts and pipeline settings.
     pub fn run_checkpointed(
         &self,
-        resume: Option<&RunCheckpoint>,
+        resume: Option<RunCheckpoint>,
         checkpoint_every_ns: Option<SimTime>,
         sink: impl FnMut(RunCheckpoint) -> Result<(), SpecError>,
     ) -> Result<SimulationReport, SpecError> {
@@ -364,12 +365,12 @@ impl ExperimentSpec {
     /// the run's side channels (`Simulation::memory_breakdown`).
     pub fn run_checkpointed_to_end(
         &self,
-        resume: Option<&RunCheckpoint>,
+        resume: Option<RunCheckpoint>,
         checkpoint_every_ns: Option<SimTime>,
         mut sink: impl FnMut(RunCheckpoint) -> Result<(), SpecError>,
     ) -> Result<Simulation, SpecError> {
         let mut sim = match resume {
-            Some(checkpoint) => Simulation::resume(self, checkpoint)?,
+            Some(checkpoint) => Simulation::resume(self, &checkpoint)?,
             None => Simulation::start(self)?,
         };
         let total = self.total_ns();

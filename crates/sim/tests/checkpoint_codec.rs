@@ -58,7 +58,7 @@ fn files_written_by_the_tree_encoder_load_reencode_and_resume() {
         assert!(uninterrupted.packets_delivered > 100, "{name}");
         let resumed = ck
             .spec
-            .run_checkpointed(Some(&ck), None, |_| Ok(()))
+            .run_checkpointed(Some(ck.clone()), None, |_| Ok(()))
             .expect("resume under the file's own spec");
         assert_same_report(&uninterrupted, &resumed, name);
     }

@@ -13,6 +13,10 @@
 //!   above what was live, and leaves no `Vec` with spare capacity;
 //! * no single damaged byte makes `from_binary` panic, or reserve more
 //!   than the bytes of the file could hold elements.
+//!
+//! The third leg of a cycle, `Engine::restore`, reads the decoded snapshot
+//! in place and copies none of it; its gate is the engine's
+//! `hot_path_heap.rs::a_restore_costs_what_it_rebuilds`.
 
 mod common;
 

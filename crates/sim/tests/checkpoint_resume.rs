@@ -21,6 +21,7 @@ use dragonfly_topology::config::DragonflyConfig;
 use dragonfly_workload::WorkloadSpec;
 use mode_matrix::{run, Slice};
 use qadaptive_core::QAdaptiveParams;
+use serde::{Serialize, Value};
 use std::collections::VecDeque;
 
 /// A faulted open-loop base spec on the tiny Dragonfly.
@@ -77,7 +78,7 @@ fn run_collecting(spec: &ExperimentSpec, every_ns: u64) -> (SimulationReport, Ve
 
 /// Continue `spec` from `checkpoint` to the end of the run.
 fn resume(spec: &ExperimentSpec, checkpoint: &RunCheckpoint) -> SimulationReport {
-    spec.run_checkpointed(Some(checkpoint), None, |_| Ok(()))
+    spec.run_checkpointed(Some(checkpoint.clone()), None, |_| Ok(()))
         .unwrap_or_else(|e| panic!("resume of {:?} failed: {e}", spec.name))
 }
 
@@ -151,7 +152,7 @@ fn resume_under_a_different_spec_is_rejected() {
     let mut other = spec.clone();
     other.seed = Some(999);
     let err = other
-        .run_checkpointed(Some(&checkpoints[0]), None, |_| Ok(()))
+        .run_checkpointed(Some(checkpoints[0].clone()), None, |_| Ok(()))
         .expect_err("spec mismatch must be rejected");
     assert!(
         err.0.contains("differs"),
@@ -349,6 +350,22 @@ fn a_snapshot_with_a_bad_q_row_list_is_refused_not_restored() {
     );
 }
 
+/// The value under `key` of a map in a snapshot's value tree.
+fn entry<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    match v {
+        Value::Map(entries) => &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1,
+        other => panic!("{key}: expected a map, found {}", other.kind()),
+    }
+}
+
+/// The items of a sequence in a snapshot's value tree.
+fn items(v: &mut Value) -> &mut Vec<Value> {
+    match v {
+        Value::Seq(items) => items,
+        other => panic!("expected a sequence, found {}", other.kind()),
+    }
+}
+
 #[test]
 fn a_snapshot_with_a_damaged_router_section_is_refused_not_restored() {
     // Router sections that decoded and then panicked inside the router
@@ -356,19 +373,6 @@ fn a_snapshot_with_a_damaged_router_section_is_refused_not_restored() {
     // silently with the wrong shape. Decoding refuses the inconsistent
     // ones and the resume refuses the one that fits another router; both
     // name the router and the field.
-    use serde::{Serialize, Value};
-    fn entry<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
-        match v {
-            Value::Map(entries) => &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1,
-            other => panic!("{key}: expected a map, found {}", other.kind()),
-        }
-    }
-    fn items(v: &mut Value) -> &mut Vec<Value> {
-        match v {
-            Value::Seq(items) => items,
-            other => panic!("expected a sequence, found {}", other.kind()),
-        }
-    }
     let spec = common::smallest_spec();
     let good = common::smallest_snapshot();
     let with_router_0 = |damage: &dyn Fn(&mut Value)| {
@@ -661,4 +665,107 @@ fn a_snapshot_with_an_injection_marker_is_refused_not_restored() {
         first.time
     );
     assert_refused(&common::congested_spec(), &bad, "a marker", &clue);
+}
+
+#[test]
+fn a_snapshot_with_a_damaged_task_section_is_refused_not_restored() {
+    // A closed-loop snapshot carries every rank's program and counters.
+    // Restore keeps the program the spec compiles and takes only the
+    // counters, so a task section that does not fit the spec is refused,
+    // naming the node and the field. These used to resume silently (a
+    // program the spec does not compile, a `pc` past its end, `avail`
+    // counters for no source) or panic inside the restore (a short list).
+    let spec = closedloop_spec(9);
+    let mut sim = Simulation::start(&spec).expect("valid spec");
+    assert!(sim.advance_to(30_000), "the cut is mid-collective");
+    let good = sim.snapshot();
+    let tree = good.to_value();
+    let damaged = |damage: &dyn Fn(&mut Value)| {
+        let mut tree = tree.clone();
+        damage(entry(&mut tree, "engine"));
+        RunCheckpoint::from_binary(&common::tree_codec::value_to_vec(&tree))
+            .expect("the tree encoding decodes")
+    };
+    fn tasks(engine: &mut Value) -> &mut Vec<Value> {
+        items(entry(entry(engine, "shard"), "tasks"))
+    }
+    Simulation::resume(&spec, &damaged(&|_| {})).expect("the good one resumes");
+
+    // Node 5's first `Send`, and the length of its program.
+    let k = 5;
+    let mut probe = tree.clone();
+    let ops = items(entry(&mut tasks(entry(&mut probe, "engine"))[k], "ops"));
+    let len = ops.len();
+    let i = ops
+        .iter()
+        .position(|op| matches!(op, Value::Map(v) if v[0].0 == "Send"))
+        .expect("a rank of an all-reduce sends");
+    let send = entry(&mut ops[i], "Send");
+    let (Value::Int(dst), Value::Int(messages)) =
+        (entry(send, "dst").clone(), entry(send, "messages").clone())
+    else {
+        panic!("a send names its destination and message count as integers");
+    };
+    let send = |m: i128| format!("Some(Send {{ dst: NodeId({dst}), messages: {m} }})");
+    let at = format!("task of node {k}:");
+    let pair = |node: i128, count: i128| Value::Seq(vec![Value::Int(node), Value::Int(count)]);
+    type Damage = Box<dyn Fn(&mut Value)>;
+    let cases: Vec<(&str, Damage, String)> = vec![
+        (
+            "a task short",
+            Box::new(move |e| drop(tasks(e).pop())),
+            "has_tasks = true with 71 tasks, this engine runs 72 task programs".to_string(),
+        ),
+        (
+            "no workload",
+            Box::new(|e| *entry(entry(e, "shard"), "has_tasks") = Value::Bool(false)),
+            "has_tasks = false with 72 tasks, this engine runs 72 task programs".to_string(),
+        ),
+        (
+            "a rank without a task",
+            Box::new(move |e| tasks(e)[k] = Value::Null),
+            format!("{at} the snapshot has no task, this engine one"),
+        ),
+        (
+            "a program the spec does not compile",
+            Box::new(move |e| {
+                let op = &mut items(entry(&mut tasks(e)[k], "ops"))[i];
+                *entry(entry(op, "Send"), "messages") = Value::Int(messages + 1);
+            }),
+            format!(
+                "{at} ops[{i}] = {}, the spec compiles {}",
+                send(messages + 1),
+                send(messages)
+            ),
+        ),
+        (
+            "a pc past the program's end",
+            Box::new(move |e| *entry(&mut tasks(e)[k], "pc") = Value::Int(len as i128 + 1)),
+            format!("{at} pc = {}, beyond the program's {len} ops", len + 1),
+        ),
+        (
+            "a count from a node that does not exist",
+            Box::new(move |e| {
+                *entry(&mut tasks(e)[k], "avail") = Value::Seq(vec![pair(5_000, 1)]);
+            }),
+            format!("{at} avail[0] names node 5000, outside the 72 nodes"),
+        ),
+        (
+            "counts out of order",
+            Box::new(move |e| {
+                *entry(&mut tasks(e)[k], "avail") = Value::Seq(vec![pair(3, 1), pair(2, 1)]);
+            }),
+            format!("{at} avail[1] names node 2, not above avail[0]'s"),
+        ),
+        (
+            "two counts from one source",
+            Box::new(move |e| {
+                *entry(&mut tasks(e)[k], "avail") = Value::Seq(vec![pair(3, 1), pair(3, 1)]);
+            }),
+            format!("{at} avail[1] names node 3, not above avail[0]'s"),
+        ),
+    ];
+    for (what, damage, clue) in cases {
+        assert_refused(&spec, &damaged(&*damage), what, &clue);
+    }
 }
