@@ -15,43 +15,46 @@
 //! mode matrices (`tests/mode_matrix/` here and in `dragonfly-sim`) pin
 //! this down to the final snapshot and the full report.
 //!
-//! # The canonical single-shard-equivalent form
+//! # The canonical form and its walk
 //!
-//! Sharded and pipelined engines checkpoint through the **same**
-//! [`ShardCheckpoint`] shape a single-shard engine uses. Between two
-//! `run_until` calls every shard sits at the same window boundary (the
-//! engine clock `t_cap`, a lookahead-window multiple), so the union of
-//! per-shard states is a globally consistent cut. [`merge_shards`] folds
-//! the N per-shard snapshots into one canonical partition-independent
-//! snapshot: cross-shard mail is drained into the owning queues first
-//! (exactly what the next window would do), events are merged in
-//! `(time, key, seq)` order and re-sequenced, the shards' packed arenas
-//! are joined and re-numbered into one canonical arena by one
-//! deterministic walk over the whole system (every router, every NIC,
-//! then the merged events — so a snapshot taken at any shard count has
-//! the single-shard bytes), and counters are summed.
+//! Every engine checkpoints into the **same** [`ShardCheckpoint`], whatever
+//! its shard count. Between two `run_until` calls every shard sits at the
+//! same window boundary (the engine clock `t_cap`) with all cross-shard
+//! mail delivered, so the union of the shard states is a globally
+//! consistent cut. The snapshot holds entity state in global id order, one
+//! event set in `(time, key, seq)` order re-sequenced `0..n`, summed
+//! counters, the pending injections in id order, and one packed arena:
+//! exactly the packets the **canonical walk** meets, slot `i` the `i`-th.
+//! The walk, which `Engine::checkpoint` writes by and `Shard::restore`
+//! reads by, never changes without a format-version bump:
 //!
-//! Restore reads the canonical form in place: each shard of **any**
-//! target [`crate::sync::ShardPlan`] takes its share — its router and node
-//! ranges, the events ([`owner_shard`]) and pending injections it owns,
-//! its retry entries ([`retry_owner`]) — straight from the borrowed
-//! snapshot, and writes it into the fresh engine's own routers, agents,
-//! NICs, queue and arena, renumbering the packets by the same walk over
-//! its share. No per-shard copy of the snapshot is built, so a restore
-//! holds the snapshot and the engine it fills, nothing more. Because the
-//! canonical form is partition-independent, a snapshot taken at `shards =
-//! N` resumes bit-identically at `shards = M` for any `M`, pipeline on or
-//! off — the same execution-mode invariance the engine guarantees for
-//! uninterrupted runs.
+//! 1. every router buffer, in global router order — per router the input
+//!    cells, then the output cells, in `(port, vc)` order
+//!    ([`crate::router::RouterState::map_packet_refs`]);
+//! 2. then every NIC source queue, in global node order, oldest first;
+//! 3. then the packet of every `RouterArrive` event, in event order.
+//!
+//! The writer visits the shards in ascending order, whose router and node
+//! ranges ascend ([`crate::sync::ShardPlan`]), so one pass per phase follows
+//! the walk; each packet is read from the shard that holds it — for an
+//! event, `owner_shard`. One code path gives every shard count the
+//! single-shard bytes. Restore reads the canonical form in place: each
+//! shard of **any** target plan takes its share — its router and node
+//! ranges, the events (`owner_shard`) and pending injections it owns, its
+//! retry entries (`retry_owner`) — straight from the borrowed snapshot
+//! into the fresh engine's own routers, agents, NICs, queue and arena,
+//! following the walk over its share, so a restore holds the snapshot and
+//! the engine it fills, nothing more. A snapshot taken at `shards = N`
+//! therefore resumes bit-identically at `shards = M` for any `M`, pipeline
+//! on or off.
 //!
 //! Event keys are content-derived and embed the owning entity, so two
-//! events from different shards can never tie on `(time, key)`; the merged
-//! order is well-defined and re-sequencing by merged position keeps
-//! tie-breaking deterministic. `TrafficArrival` markers (key 0, one per
-//! pending injection) are dropped at merge and regenerated from
-//! `pending_injections` at restore, which keeps the marker↔FIFO
-//! correspondence intact across re-partitioning; a snapshot that holds one
-//! is refused by [`crate::Engine::check_restorable`].
+//! events from different shards can never tie on `(time, key)`, and
+//! re-sequencing by position keeps tie-breaking deterministic.
+//! `TrafficArrival` markers (one per pending injection) are left out and
+//! regenerated from `pending_injections` at restore, which keeps the
+//! marker↔FIFO correspondence intact across re-partitioning; a snapshot
+//! that holds one is refused by [`crate::Engine::check_restorable`].
 //!
 //! The immutable parts — topology, engine configuration, routing
 //! algorithm, per-router agent seeds — are deliberately **not** stored;
@@ -63,7 +66,6 @@
 //! which its `QADBIN` writer and reader turn straight into and out of
 //! bytes, so no tree-shaped copy of a snapshot is ever built.
 
-use crate::arena::PacketRef;
 use crate::event::{EventKind, SchedulerCheckpoint};
 use crate::fault::CompiledFault;
 use crate::injector::Injection;
@@ -72,7 +74,7 @@ use crate::packet::PacketState;
 use crate::router::RouterState;
 use crate::sync::{QueuedInjection, ShardPlan};
 use crate::time::SimTime;
-use crate::workload::{NodeTask, WORKLOAD_ID_BIT, WORKLOAD_SEQ_BITS};
+use crate::workload::{workload_source, NodeTask};
 use dragonfly_topology::ids::NodeId;
 use dragonfly_topology::{AnyTopology, Topology};
 use serde::{Deserialize, Serialize};
@@ -138,13 +140,15 @@ pub struct ArenaCheckpoint {
 
 /// Complete mutable state of the simulation in canonical
 /// single-shard-equivalent form (see the module docs): entity state in
-/// global id order, one merged event set, one packed arena. A
-/// single-shard engine's state already is this form; sharded engines
-/// reach it through [`merge_shards`], and each shard restores its share
-/// of it in place (`Shard::restore`).
+/// global id order, one event set, one arena packed by the canonical walk.
+/// `Engine::checkpoint` writes it in one walk over the shards, and each
+/// shard restores its share of it in place (`Shard::restore`).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ShardCheckpoint {
-    /// The shard clock (time of the last processed event).
+    /// The engine clock at the cut: the window boundary `t_cap`, not a
+    /// shard clock (each lags at its own last event, which depends on the
+    /// partition). Every pending injection, event and unapplied fault lies
+    /// at or beyond it, so the resumed run reads it back unchanged.
     pub now: SimTime,
     /// Messages generated at NICs.
     pub generated: u64,
@@ -223,164 +227,8 @@ pub(crate) fn owner_shard(kind: &EventKind, plan: &ShardPlan, topo: &AnyTopology
 /// ids, which embed the source node (the retry bookkeeping lives with the
 /// shard owning that node's NIC).
 pub(crate) fn retry_owner(id: u64, plan: &ShardPlan, topo: &AnyTopology) -> usize {
-    debug_assert!(
-        id & WORKLOAD_ID_BIT != 0,
-        "retry_counts keys are workload packet ids"
-    );
-    let node = NodeId::from_index(((id & !WORKLOAD_ID_BIT) >> WORKLOAD_SEQ_BITS) as usize);
-    plan.shard_of_router(topo.router_of_node(node))
-}
-
-/// Rewrite every [`PacketRef`] reachable from one shard snapshot —
-/// router buffers in id order (inputs then outputs per router), NIC
-/// source queues in id order, then `RouterArrive` events in queue order —
-/// through `translate`. This walk order defines the canonical arena slot
-/// numbering; `Shard::checkpoint` and merge use it and `Shard::restore`
-/// walks its share in the same order, so it must never change without a
-/// format-version bump.
-pub(crate) fn map_refs(
-    ck: &mut ShardCheckpoint,
-    translate: &mut impl FnMut(PacketRef) -> PacketRef,
-) {
-    for router in &mut ck.routers {
-        router.map_packet_refs(translate);
-    }
-    for nic in &mut ck.nics {
-        for r in nic.source_queue.iter_mut() {
-            *r = translate(*r);
-        }
-    }
-    for ev in &mut ck.queue.events {
-        if let EventKind::RouterArrive { packet, .. } = &mut ev.kind {
-            *packet = translate(*packet);
-        }
-    }
-}
-
-/// Merge N per-shard snapshots (ascending shard order, mailboxes already
-/// drained, arenas packed by `Shard::checkpoint`) into the canonical
-/// single-shard-equivalent form.
-///
-/// `now` is the engine clock (the window-boundary cut time `t_cap`): the
-/// per-shard clocks are partition-dependent (each shard's clock lags at
-/// its own last local event) and must not leak into the canonical form.
-/// Storing `t_cap` instead is safe everywhere the clock is read back:
-/// injections re-materialise at `time.max(now)` with every pending
-/// injection time beyond the cut, `run_window` re-derives per-event time,
-/// and fault quantization puts every unapplied fault at or beyond the cut.
-///
-/// The shards are joined first — routers, NICs and events in global
-/// order, arenas end to end — and the slots then numbered by one
-/// [`map_refs`] walk over the union, so a snapshot taken at any shard
-/// count has the bytes of the single-shard one.
-pub(crate) fn merge_shards(now: SimTime, shards: Vec<ShardCheckpoint>) -> ShardCheckpoint {
-    debug_assert!(!shards.is_empty());
-    debug_assert!(
-        shards
-            .windows(2)
-            .all(|w| w[0].fault_cursor == w[1].fault_cursor),
-        "fault cursors diverged across shards at a window boundary"
-    );
-    let total: usize = shards.iter().map(|s| s.arena.slots.len()).sum();
-    let sharded = shards.len() > 1;
-
-    let mut merged = ShardCheckpoint {
-        now,
-        faults: shards[0].faults.clone(),
-        fault_cursor: shards[0].fault_cursor,
-        has_tasks: shards[0].has_tasks,
-        ..ShardCheckpoint::default()
-    };
-    let mut slots: Vec<PacketState> = Vec::new();
-    let mut pending: Vec<QueuedInjection> = Vec::new();
-
-    for (k, mut s) in shards.into_iter().enumerate() {
-        debug_assert!(s.arena.free.is_empty(), "shard arenas come packed");
-        // Each shard's refs move past the slots of the shards before it.
-        let base = u32::try_from(slots.len()).expect("u32 packet refs");
-        if base > 0 {
-            map_refs(&mut s, &mut |r| PacketRef(r.0 + base));
-        }
-        if k == 0 {
-            slots = std::mem::take(&mut s.arena.slots);
-            slots.reserve_exact(total - slots.len());
-        } else {
-            slots.append(&mut s.arena.slots);
-        }
-
-        merged.generated += s.generated;
-        merged.injected += s.injected;
-        merged.delivered += s.delivered;
-        merged.dropped += s.dropped;
-        merged.retransmits += s.retransmits;
-        merged.routers.append(&mut s.routers);
-        merged.agents.append(&mut s.agents);
-        merged.nics.append(&mut s.nics);
-        merged.tasks.append(&mut s.tasks);
-        merged.queue.popped += s.queue.popped;
-        merged
-            .queue
-            .events
-            .extend(s.queue.events.into_iter().filter(|e| {
-                // Markers are regenerated from pending_injections at
-                // restore; carrying them would double-schedule.
-                !matches!(e.kind, EventKind::TrafficArrival)
-            }));
-        // Disjoint key spaces: each shard only tracks retries for the
-        // workload ids of its own source nodes.
-        merged.retry_counts.extend(s.retry_counts);
-        pending.extend(s.pending_injections);
-    }
-
-    // Entity-embedding keys make cross-shard `(time, key)` ties
-    // impossible, so the merged order is total and re-sequencing by
-    // merged position reproduces exactly the tie-break a single-shard
-    // run would have used.
-    merged
-        .queue
-        .events
-        .sort_unstable_by_key(|e| (e.time, e.key, e.seq));
-    for (i, ev) in merged.queue.events.iter_mut().enumerate() {
-        ev.seq = i as u64;
-    }
-    merged.queue.next_seq = merged.queue.events.len() as u64;
-
-    // Injections were distributed by the coordinator in global id order;
-    // ids are assigned sequentially, so sorting by id restores it.
-    pending.sort_unstable_by_key(|q| q.id);
-    merged.pending_injections = pending.into();
-
-    // Slot `i` of the canonical arena is the `i`-th ref the walk meets. A
-    // single shard's arena is packed in this walk's order already.
-    if sharded {
-        let mut order: Vec<u32> = Vec::with_capacity(slots.len());
-        map_refs(&mut merged, &mut |r| {
-            order.push(r.0);
-            PacketRef(order.len() as u32 - 1)
-        });
-        debug_assert_eq!(order.len(), slots.len(), "the walk meets every slot once");
-        permute(&mut slots, &mut order);
-    }
-    merged.arena.slots = slots;
-    merged
-}
-
-/// Rearrange `slots` so that slot `i` holds what slot `order[i]` held, in
-/// place: each cycle of the permutation is rotated by swaps (`order` is
-/// used up as the record of what is placed).
-fn permute(slots: &mut [PacketState], order: &mut [u32]) {
-    const PLACED: u32 = u32::MAX;
-    for start in 0..slots.len() {
-        let mut i = start;
-        while order[i] != PLACED {
-            let from = std::mem::replace(&mut order[i], PLACED) as usize;
-            if from == start {
-                break;
-            }
-            slots.swap(i, from);
-            i = from;
-        }
-    }
+    let node = workload_source(id).expect("retry_counts keys are workload packet ids");
+    plan.shard_of_router(topo.router_of_node(NodeId::from_index(node as usize)))
 }
 
 #[cfg(test)]

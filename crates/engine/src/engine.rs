@@ -412,40 +412,35 @@ impl<O: ShardObserver> Engine<O> {
     /// [`crate::checkpoint`] for the resume contract). Valid between two
     /// `run_*` calls on any engine, whatever its shard count: a run
     /// returns between windows with all cross-shard mail delivered, so the
-    /// union of shard states is a globally consistent cut. The snapshot is
-    /// stored in canonical single-shard-equivalent form and resumes
-    /// bit-for-bit under **any** shard count and pipeline setting.
+    /// union of shard states is a globally consistent cut. One walk over the
+    /// shards writes it in the canonical form, which has the same bytes at
+    /// every shard count and resumes bit-for-bit under **any** shard count
+    /// and pipeline setting.
     pub fn checkpoint(&self) -> crate::checkpoint::EngineCheckpoint {
         debug_assert!(self.mail.is_empty(), "checkpoint with mail in the grid");
-        let shard_cks: Vec<crate::checkpoint::ShardCheckpoint> =
-            self.shards.iter().map(|s| s.checkpoint()).collect();
         crate::checkpoint::EngineCheckpoint {
             now: self.now,
             next_packet_id: self.next_packet_id,
             pending_injection: self.pending_injection,
             injector: self.injector.save_state(),
-            shard: crate::checkpoint::merge_shards(self.now, shard_cks),
+            shard: Shard::canonical_checkpoint(&self.shards, self.now),
         }
     }
 
-    /// Whether [`Engine::restore`] can take `ck`: entity counts match this
-    /// engine's topology, every router's port and VC counts match the
-    /// topology and the config, every agent accepts its section
-    /// ([`crate::routing::RouterAgent::check_state`]), and the arena is
-    /// canonical — no free list, and the walk over router buffers, NIC
-    /// source queues and `RouterArrive` events holds every slot exactly
-    /// once — with every NIC-queued packet one its NIC generates and every
-    /// other one a packet this engine can hold
-    /// ([`crate::packet::Packet::from_state`]), no event is a
-    /// `TrafficArrival` marker (merge strips them, restore
-    /// regenerates them from the pending injections), and the task section
-    /// fits the installed workload: one task per node exactly when one is
-    /// installed, each running the program compiled from the spec, with
-    /// its `pc` inside it and its `avail` counters ascending by existing
-    /// sources (restore keeps the compiled program). Callers restoring a
-    /// snapshot they did not just take themselves ask first; `restore`
-    /// panics on (or silently mis-restores) what this refuses. The error
-    /// names the router, NIC, event or node and the field.
+    /// Whether [`Engine::restore`] can take `ck`: entity counts, router
+    /// shapes and agent sections ([`crate::routing::RouterAgent::check_state`])
+    /// fit this engine; every router, node, port and VC an event, pending
+    /// injection or retry entry names exists, no event is a marker and the
+    /// injections ascend by id; the fault schedule is the installed one, the
+    /// cursor inside it; the canonical walk meets every arena slot once (no
+    /// free list), each a packet its NIC generates or this engine can hold
+    /// ([`crate::packet::Packet::from_state`]); and the tasks fit the
+    /// installed workload: one per node exactly when one is installed, each
+    /// running the compiled program, `pc` inside it, `avail` counters
+    /// ascending by existing sources. Callers restoring a snapshot they did
+    /// not just take ask first; `restore` panics on (or silently
+    /// mis-restores) what this refuses. The error names the router, NIC,
+    /// event, node or entry and the field.
     pub fn check_restorable(&self, ck: &crate::checkpoint::EngineCheckpoint) -> Result<(), String> {
         let (routers, nodes) = (self.topo.num_routers(), self.topo.num_nodes());
         let shard = &ck.shard;
@@ -470,21 +465,74 @@ impl<O: ShardObserver> Engine<O> {
                 .check_state(state)
                 .map_err(|e| format!("agent of router {r}: {e}"))?;
         }
-        let events = &shard.queue.events;
-        let marker = events
-            .iter()
-            .enumerate()
-            .find(|(_, ev)| matches!(ev.kind, crate::event::EventKind::TrafficArrival));
-        if let Some((i, ev)) = marker {
-            return Err(format!(
-                "event {i} (TrafficArrival at {} ns): a snapshot holds no injection markers",
-                ev.time
-            ));
-        }
+        self.check_ids(shard)?;
+        self.shards[0].check_faults(shard)?;
         for s in &self.shards {
             s.check_tasks(shard)?;
         }
         self.check_arena(shard)
+    }
+
+    /// The id half of [`Engine::check_restorable`].
+    fn check_ids(&self, shard: &crate::checkpoint::ShardCheckpoint) -> Result<(), String> {
+        use crate::event::EventKind::*;
+        let (routers, nodes) = (self.topo.num_routers(), self.topo.num_nodes());
+        let within = |field: &str, i: usize, n: usize, of: &str| match i < n {
+            true => Ok(()),
+            false => Err(format!("{field} = {i}, outside the {n} {of}")),
+        };
+        let in_nodes = |field, n: NodeId| within(field, n.index(), nodes, "nodes");
+        let in_routers = |field, r: RouterId| within(field, r.index(), routers, "routers");
+        let in_ports = |field, r: RouterId, p: dragonfly_topology::ids::Port| {
+            in_routers("router", r)?;
+            within(field, p.index(), self.topo.radix(r), "ports of its router")
+        };
+        let in_vcs = |vc: u8| within("vc", vc.into(), self.cfg.num_vcs, "VCs");
+        for (i, ev) in shard.queue.events.iter().enumerate() {
+            match ev.kind {
+                TrafficArrival => Err("a snapshot holds no injection markers".to_string()),
+                NicTryInject { node } | NicCredit { node } | TaskWake { node } => {
+                    in_nodes("node", node)
+                }
+                TaskRecv { node, src } => in_nodes("node", node).and(in_nodes("src", src)),
+                DropNotice { node, dst, .. } | NicResend { node, dst, .. } => {
+                    in_nodes("node", node).and(in_nodes("dst", dst))
+                }
+                RouterArrive {
+                    router, port, vc, ..
+                }
+                | SwitchAttempt { router, port, vc }
+                | CreditArrive { router, port, vc } => {
+                    in_ports("port", router, port).and(in_vcs(vc))
+                }
+                OutputAttempt { router, port } => in_ports("port", router, port),
+                RlFeedback { router, msg } => (in_ports("msg.port", router, msg.port))
+                    .and(in_nodes("msg.src", msg.src).and(in_nodes("msg.dst", msg.dst)))
+                    .and(in_routers("msg.dst_router", msg.dst_router)),
+            }
+            .map_err(|e| {
+                let kind = format!("{:?}", ev.kind);
+                let kind = kind.split(' ').next().unwrap_or_default();
+                format!("event {i} ({kind} at {} ns): {e}", ev.time)
+            })?;
+        }
+        let pending = &shard.pending_injections;
+        for (i, inj) in pending.iter().enumerate() {
+            let order = match i > 0 && pending[i - 1].id >= inj.id {
+                true => Err(format!("id = {}, not above the one before", inj.id)),
+                false => Ok(()),
+            };
+            let ids = in_nodes("src", inj.src).and(in_nodes("dst", inj.dst));
+            ids.and(order)
+                .map_err(|e| format!("pending_injections[{i}]: {e}"))?;
+        }
+        let source = |id| crate::workload::workload_source(id).filter(|&n| n < nodes as u64);
+        match shard.retry_counts.keys().find(|&&id| source(id).is_none()) {
+            Some(id) => Err(format!(
+                "retry_counts key {id}: not a workload packet id of one of the {nodes} nodes"
+            )),
+            None => Ok(()),
+        }
     }
 
     /// The arena half of [`Engine::check_restorable`].
@@ -585,21 +633,11 @@ impl<O: ShardObserver> Engine<O> {
     /// taken on a different topology (entity counts disagree).
     pub fn restore(&mut self, ck: &crate::checkpoint::EngineCheckpoint) {
         assert_eq!(self.now, 0, "restore requires a freshly built engine");
+        let (routers, nodes) = (self.topo.num_routers(), self.topo.num_nodes());
         assert_eq!(
-            ck.shard.routers.len(),
-            self.topo.num_routers(),
-            "checkpoint topology mismatch: snapshot has state for {} routers, \
-             this engine's topology has {}",
-            ck.shard.routers.len(),
-            self.topo.num_routers()
-        );
-        assert_eq!(
-            ck.shard.nics.len(),
-            self.topo.num_nodes(),
-            "checkpoint topology mismatch: snapshot has state for {} nodes, \
-             this engine's topology has {}",
-            ck.shard.nics.len(),
-            self.topo.num_nodes()
+            (ck.shard.routers.len(), ck.shard.nics.len()),
+            (routers, nodes),
+            "checkpoint topology mismatch: (routers, nodes) of the snapshot and this engine"
         );
         self.now = ck.now;
         self.next_packet_id = ck.next_packet_id;

@@ -40,8 +40,8 @@
 //!   are held inline; the three fat ones (`RlFeedback`, `DropNotice`,
 //!   `NicResend`) as a `u32` index into a queue-owned **side slab** of
 //!   `EventKind`s with a LIFO free list, filled on push, read back (and
-//!   the slot freed) on pop, read without freeing by
-//!   [`CalendarQueue::checkpoint`]. Slab indices never leave the queue, so
+//!   the slot freed) on pop, read without freeing when a checkpoint
+//!   lists the pending events. Slab indices never leave the queue, so
 //!   they cannot influence the pop order or a snapshot. What the second
 //!   type buys was measured against this same queue holding `Event`s (ten
 //!   rotating triples per benchmark workload): hardly any heap once empty
@@ -241,8 +241,9 @@ pub struct Event {
 }
 
 impl Event {
+    /// The event's place in the total order: `(time, key, seq)`.
     #[inline]
-    fn order(&self) -> (SimTime, u64, u64) {
+    pub(crate) fn order(&self) -> (SimTime, u64, u64) {
         (self.time, self.key, self.seq)
     }
 }
@@ -801,41 +802,22 @@ impl CalendarQueue {
             + self.fat.free.capacity() * size_of::<u32>()
     }
 
-    /// Snapshot the pending event set and the push/pop counters in
-    /// canonical `(time, key, seq)` order. Non-destructive.
-    pub fn checkpoint(&self) -> SchedulerCheckpoint {
-        let mut events: Vec<Event> = self
-            .buckets
-            .iter()
-            .flatten()
-            .chain(self.current.iter())
-            .chain(self.overflow.iter())
-            .map(|entry| entry.event(self.fat.read(entry.kind)))
-            .collect();
-        events.sort_unstable_by_key(Event::order);
-        SchedulerCheckpoint {
-            events,
-            next_seq: self.next_seq,
-            popped: self.popped,
-        }
+    /// The pending events, in no particular order. Non-destructive.
+    pub(crate) fn events(&self) -> impl Iterator<Item = Event> + '_ {
+        let entries = self.buckets.iter().flatten().chain(&self.current);
+        let entries = entries.chain(&self.overflow);
+        entries.map(|entry| entry.event(self.fat.read(entry.kind)))
     }
 
-    /// Refill this (empty, freshly built) queue from a checkpoint,
-    /// preserving every event's sequence number and the counters that
-    /// future pushes and `processed()` continue from. `now` anchors the
-    /// wheel window; every restored event must fire at or after it
-    /// (guaranteed after `run_until(now)`, which drains everything up to
-    /// and including `now`).
-    pub fn restore(&mut self, ck: &SchedulerCheckpoint, now: SimTime) {
-        assert!(self.len() == 0, "restore requires an empty queue");
-        self.restore_mapped(ck, now, ck.popped, Some);
-    }
-
-    /// [`CalendarQueue::restore`] into a queue that may hold events (they
-    /// are dropped, the wheel's buffers with them), passing every event's
-    /// kind through `map` on its way in and leaving out those it maps to
-    /// `None`: a shard takes its own events straight from the canonical
-    /// list, renumbering packet refs as they pass.
+    /// Refill this queue from a checkpoint, preserving every event's
+    /// sequence number and the push counter, and continuing the pop counter
+    /// from `popped`. Events it holds are dropped, the wheel's buffers with
+    /// them. `now` anchors the wheel window; every restored event must fire
+    /// at or after it (guaranteed after `run_until(now)`, which drains
+    /// everything up to and including `now`). Every event's kind passes
+    /// through `map` on its way in, and those it maps to `None` stay out: a
+    /// shard takes its own events straight from the canonical list,
+    /// renumbering packet refs as they pass.
     pub(crate) fn restore_mapped(
         &mut self,
         ck: &SchedulerCheckpoint,
@@ -911,9 +893,9 @@ impl Scheduler for CalendarQueue {
 /// The engine's event queue.
 pub type EventQueue = CalendarQueue;
 
-/// A serialisable snapshot of the event queue (see
-/// [`CalendarQueue::checkpoint`]): the pending events in canonical order
-/// plus the counters that keep sequence numbers — and therefore
+/// A serialisable snapshot of the event queue (the `queue` of a
+/// [`crate::checkpoint::ShardCheckpoint`]): the pending events in canonical
+/// order plus the counters that keep sequence numbers — and therefore
 /// tie-breaking — identical after a restore.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerCheckpoint {
@@ -1395,7 +1377,14 @@ mod tests {
                 assert_eq!(heap.len(), cal.len(), "horizon {horizon} step {step}");
                 if step == STEPS / 2 {
                     // `now` is the last popped time, as after `run_until`.
-                    let snapshot = cal.checkpoint();
+                    let mut events: Vec<Event> = cal.events().collect();
+                    events.sort_unstable_by_key(Event::order);
+                    let (next_seq, popped) = (cal.next_seq, cal.popped);
+                    let snapshot = SchedulerCheckpoint {
+                        events,
+                        next_seq,
+                        popped,
+                    };
                     // `Event`'s `Ord` is inverted for the max-heap, so its
                     // sorted order is the canonical order backwards.
                     let mut pending = heap.heap.clone().into_sorted_vec();
@@ -1405,7 +1394,7 @@ mod tests {
                         assert_same_event(want, got, &format!("horizon {horizon} snapshot"));
                     }
                     let mut fresh = CalendarQueue::with_horizon(horizon);
-                    fresh.restore(&snapshot, now);
+                    fresh.restore_mapped(&snapshot, now, popped, Some);
                     assert_eq!(fresh.processed(), cal.processed());
                     cal = fresh;
                 }

@@ -284,10 +284,11 @@
 //! tie-breaks replay identically), fault cursor, task programs, agent
 //! RNG/Q-table state and the injector position. Snapshots are taken
 //! between runs, which is a globally consistent cut (a run delivers all
-//! cross-shard mail before it returns), and are normalized to a canonical
-//! **single-shard-equivalent form** that is independent of the partition
-//! that produced it: a checkpoint taken at `shards = N` restores onto an
-//! engine running `shards = M` for any `M`, pipeline on or off. Restore
+//! cross-shard mail before it returns), and are written in one walk over
+//! the shards in a canonical **single-shard-equivalent form**, the same
+//! bytes whatever the partition that produced it: a checkpoint taken at
+//! `shards = N` restores onto an engine running `shards = M` for any `M`,
+//! pipeline on or off. Restore
 //! reads the canonical form in place: each shard takes its share straight
 //! from the borrowed snapshot and writes it into the fresh engine's own
 //! routers, agent tables, NICs, queue and arena, and a task keeps the

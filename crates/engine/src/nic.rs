@@ -40,7 +40,7 @@
 //!
 //! Snapshots keep their bytes: [`NicState`] is the former run-time struct,
 //! field for field, with its source queue of arena handles.
-//! `Shard::checkpoint` writes each queued message as the [`PacketState`] of
+//! `Engine::checkpoint` writes each queued message as the [`PacketState`] of
 //! the packet [`Packet::new`] builds, into the arena slot the canonical
 //! walk gives it, and points the source queue there. `Shard::restore`
 //! reads each NIC's source queue in the canonical snapshot in place and

@@ -508,11 +508,9 @@ impl RouterState {
     /// Rewrite every buffered [`PacketRef`] in place, visiting input
     /// cells then output cells in `(port, vc)` index order.
     ///
-    /// This deterministic walk order is part of the checkpoint format:
-    /// merging shard snapshots into one canonical arena (and splitting it
-    /// back) re-numbers packet slots by walking routers in id order with
-    /// exactly this visitor, so the walk must enumerate refs the same way
-    /// on both sides.
+    /// This order is part of the checkpoint format: it is phase 1 of the
+    /// canonical walk ([`crate::checkpoint`]), which numbers the arena slots
+    /// of a snapshot when it is written and when it is restored.
     pub fn map_packet_refs(&mut self, f: &mut impl FnMut(PacketRef) -> PacketRef) {
         for cell in &self.cells {
             self.pool.map(cell.input, f);

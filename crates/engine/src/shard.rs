@@ -19,11 +19,11 @@
 use crate::arena::{PacketArena, PacketRef};
 use crate::checkpoint::{owner_shard, retry_owner, ShardCheckpoint};
 use crate::config::EngineConfig;
-use crate::event::{EventKind, EventQueue, Scheduler};
+use crate::event::{Event, EventKind, EventQueue, Scheduler};
 use crate::fault::{CompiledFault, FaultOp};
 use crate::nic::{self, Backlog, Nic, Queued};
 use crate::observer::ShardObserver;
-use crate::packet::Packet;
+use crate::packet::{Packet, PacketState};
 use crate::router::{RouterState, Waiter};
 use crate::routing::{Decision, FeedbackMsg, RouterAgent, RouterCtx, RoutingAlgorithm};
 use crate::sync::{QueuedInjection, ShardMsg, ShardPlan};
@@ -35,6 +35,12 @@ use dragonfly_topology::ports::PortKind;
 use dragonfly_topology::topology::Neighbor;
 use dragonfly_topology::{AnyTopology, Topology};
 use std::collections::{BTreeMap, VecDeque};
+
+/// Append `packet` to the canonical arena `slots`, returning its ref.
+fn push_slot(slots: &mut Vec<PacketState>, packet: PacketState) -> PacketRef {
+    slots.push(packet);
+    PacketRef(u32::try_from(slots.len() - 1).expect("u32 packet refs"))
+}
 
 /// Per-shard simulation state and event handlers.
 pub struct Shard<O: ShardObserver> {
@@ -273,97 +279,111 @@ impl<O: ShardObserver> Shard<O> {
     // Checkpoint / restore
     // ------------------------------------------------------------------
 
-    /// Snapshot this shard's complete mutable state (see
-    /// [`crate::checkpoint`]). Only valid at a window boundary: the
-    /// outboxes must be empty, which is always true on a single-shard
-    /// engine between `run_until` calls.
-    ///
-    /// The arena comes out packed: its live packets only, numbered by the
-    /// canonical walk, each in its wire form, with each queued message
-    /// written as the packet its NIC builds where the NIC's source queue
-    /// points — the wire form has no backlog records. A single shard's
-    /// snapshot is thereby already canonical.
-    pub fn checkpoint(&self) -> ShardCheckpoint {
-        debug_assert!(
-            self.outboxes.iter().all(Vec::is_empty),
-            "checkpoint with undelivered cross-shard mail"
-        );
-        // Queued messages take the slots after the arena's until the walk
-        // numbers them with everything else.
-        let first_queued = self.arena.high_water();
-        let mut next = first_queued;
-        let nics = self
-            .nics
-            .iter()
-            .map(|nic| {
-                let slots = next..next + nic.backlog();
-                next = slots.end;
-                let refs = slots.map(|i| PacketRef(u32::try_from(i).expect("u32 packet refs")));
-                nic.to_wire(refs.collect())
-            })
-            .collect();
+    /// The canonical snapshot of `shards`, every shard of one engine in
+    /// ascending order, cut at the window boundary `now`: one canonical walk
+    /// ([`crate::checkpoint`]), a queued message written as the packet its
+    /// NIC builds. Each list is allocated once, at its final length.
+    pub(crate) fn canonical_checkpoint(shards: &[Self], now: SimTime) -> ShardCheckpoint {
+        let sum = |count: fn(&Self) -> usize| shards.iter().map(count).sum::<usize>();
+        let first = &shards[0];
         let mut ck = ShardCheckpoint {
-            now: self.now,
-            generated: self.generated,
-            injected: self.injected,
-            delivered: self.delivered,
-            dropped: self.dropped,
-            retransmits: self.retransmits,
-            routers: self.routers.clone(),
-            agents: self.agents.iter().map(|a| a.save_state()).collect(),
-            nics,
-            queue: self.queue.checkpoint(),
-            arena: crate::checkpoint::ArenaCheckpoint::default(),
-            faults: self.faults.clone(),
-            fault_cursor: self.fault_cursor,
-            retry_counts: self.retry_counts.clone(),
-            pending_injections: self.pending_injections.clone(),
-            tasks: self.tasks.clone(),
-            has_tasks: self.has_tasks,
+            now,
+            faults: first.faults.clone(),
+            fault_cursor: first.fault_cursor,
+            has_tasks: first.has_tasks,
+            ..ShardCheckpoint::default()
         };
-        // The walk meets the queued messages in NIC order.
-        let mut queued = self.nics.iter().enumerate().flat_map(|(n, nic)| {
-            let src = NodeId::from_index(self.node_base + n);
-            self.backlog.iter(nic).map(move |msg| (src, msg))
-        });
-        let mut slots = Vec::with_capacity(self.resident());
-        crate::checkpoint::map_refs(&mut ck, &mut |r| {
-            slots.push(if r.index() < first_queued {
-                self.arena.get(r).to_state(&self.topo, &self.cfg)
-            } else {
-                let (src, msg) = queued.next().expect("one message per queued slot");
-                self.packet_of(src, msg).to_state(&self.topo, &self.cfg)
-            });
-            PacketRef(slots.len() as u32 - 1)
-        });
-        debug_assert_eq!(slots.len(), self.resident());
-        ck.arena.slots = slots;
+        ck.routers.reserve_exact(sum(|s| s.routers.len()));
+        ck.agents.reserve_exact(sum(|s| s.agents.len()));
+        ck.nics.reserve_exact(sum(|s| s.nics.len()));
+        ck.arena.slots.reserve_exact(sum(Self::resident));
+        ck.queue.events.reserve_exact(sum(|s| s.queue.len()));
+        let pending = sum(|s| s.pending_injections.len());
+        ck.pending_injections.reserve_exact(pending);
+        ck.tasks.reserve_exact(sum(|s| s.tasks.len()));
+        // Walk phase 1, router buffers; the rest of each shard's state rides
+        // along.
+        for s in shards {
+            debug_assert!(s.outboxes.iter().all(Vec::is_empty), "mail in an outbox");
+            debug_assert_eq!(s.fault_cursor, first.fault_cursor, "fault cursors diverged");
+            for router in &s.routers {
+                let mut state = router.clone();
+                state.map_packet_refs(&mut |r| push_slot(&mut ck.arena.slots, s.packet_state(r)));
+                ck.routers.push(state);
+            }
+            ck.agents.extend(s.agents.iter().map(|a| a.save_state()));
+            (ck.generated, ck.injected) = (ck.generated + s.generated, ck.injected + s.injected);
+            (ck.delivered, ck.dropped) = (ck.delivered + s.delivered, ck.dropped + s.dropped);
+            ck.retransmits += s.retransmits;
+            ck.queue.popped += s.queue.processed();
+            ck.queue.events.extend(s.queue.events());
+            // Each shard retries the ids of its own source nodes, ascending.
+            ck.retry_counts.extend(&s.retry_counts);
+            ck.pending_injections.extend(&s.pending_injections);
+            ck.tasks.extend(s.tasks.iter().cloned());
+        }
+        // Walk phase 2, NIC source queues.
+        for s in shards {
+            for (n, nic) in s.nics.iter().enumerate() {
+                let src = NodeId::from_index(s.node_base + n);
+                let mut refs = VecDeque::with_capacity(nic.backlog());
+                for msg in s.backlog.iter(nic) {
+                    let packet = s.packet_of(src, msg).to_state(&s.topo, &s.cfg);
+                    refs.push_back(push_slot(&mut ck.arena.slots, packet));
+                }
+                ck.nics.push(nic.to_wire(refs));
+            }
+        }
+        // Walk phase 3, `RouterArrive` events. Restore regenerates the
+        // `TrafficArrival` markers from the pending injections. Entity-embedding
+        // keys make cross-shard `(time, key)` ties impossible, so the order is
+        // total and re-sequencing by position reproduces the single-shard
+        // tie-break.
+        let events = &mut ck.queue.events;
+        events.retain(|e| e.kind != EventKind::TrafficArrival);
+        events.sort_unstable_by_key(Event::order);
+        for (seq, ev) in events.iter_mut().enumerate() {
+            ev.seq = seq as u64;
+            let owner = owner_shard(&ev.kind, &first.plan, &first.topo);
+            if let (EventKind::RouterArrive { packet, .. }, Some(owner)) = (&mut ev.kind, owner) {
+                *packet = push_slot(&mut ck.arena.slots, shards[owner].packet_state(*packet));
+            }
+        }
+        ck.queue.next_seq = events.len() as u64;
+        // The coordinator hands out injection ids in global order.
+        (ck.pending_injections.make_contiguous()).sort_unstable_by_key(|q| q.id);
         ck
+    }
+
+    /// The wire form of packet `r` of this shard's arena.
+    fn packet_state(&self, r: PacketRef) -> PacketState {
+        self.arena.get(r).to_state(&self.topo, &self.cfg)
     }
 
     /// Write this shard's share of the canonical snapshot `ck` into this
     /// freshly built shard, reading `ck` in place. The shard must have been
     /// constructed from the same `(topology, config, algorithm, seed, plan)`
-    /// tuple and workload — everything the checkpoint does not store is
-    /// reconstructed by [`Shard::new`], a task keeps the program it was
-    /// installed with, and the topology liveness mask is re-derived by
-    /// replaying the already-applied fault prefix.
+    /// tuple, workload and fault schedule — everything the checkpoint does
+    /// not store is reconstructed by [`Shard::new`], a task keeps the
+    /// program it was installed with, the installed schedule stays, and the
+    /// topology liveness mask is re-derived by replaying its applied prefix.
     ///
     /// The share is the shard's router and node ranges, the events and
     /// pending injections it owns and its retry entries. The global counters
     /// and the pop counter go whole to shard 0 (only their sums are
     /// observable), and every shard's queue continues from the canonical
     /// `next_seq`, so events pushed after the restore sequence after every
-    /// restored one. The canonical walk runs once, over the share:
-    /// each router buffer's packet, then each owned `RouterArrive` event's,
-    /// takes the next arena slot ([`Packet::from_state`]), and each NIC's
-    /// queued packets become backlog records again.
+    /// restored one. The canonical walk ([`crate::checkpoint`]) runs over
+    /// the share, reading slots where the writer put them: each router
+    /// buffer's packet, then each owned `RouterArrive` event's, takes the
+    /// next arena slot of this shard ([`Packet::from_state`]), and each
+    /// NIC's queued packets become backlog records again.
     ///
     /// # Panics
     ///
     /// If a NIC packet is not one its NIC generates, or another packet is
     /// not one this engine can hold ([`crate::Engine::check_restorable`]
-    /// refuses both first).
+    /// refuses both first, and a schedule other than the installed one).
     pub fn restore(&mut self, ck: &ShardCheckpoint) {
         self.now = ck.now;
         if self.id == 0 {
@@ -420,7 +440,10 @@ impl<O: ShardObserver> Shard<O> {
                     kind => kind,
                 })
             });
-        self.faults.clone_from(&ck.faults);
+        debug_assert!(
+            self.faults == ck.faults,
+            "restore keeps the installed faults"
+        );
         self.fault_cursor = ck.fault_cursor;
         // Replay the liveness flips of every already-applied fault entry;
         // the router-state side effects (quarantine, kill/revive) are
@@ -459,6 +482,26 @@ impl<O: ShardObserver> Shard<O> {
             if let (Some(task), Some(Some(saved))) = (task, ck.tasks.get(self.node_base + n)) {
                 task.resume_from(saved);
             }
+        }
+    }
+
+    /// Whether `ck` carries the fault schedule installed here, with its
+    /// cursor inside it; restore keeps the installed schedule. The error
+    /// names the first differing entry or the cursor.
+    pub(crate) fn check_faults(&self, ck: &ShardCheckpoint) -> Result<(), String> {
+        let (theirs, ours) = (&ck.faults, &self.faults);
+        match (0..theirs.len().max(ours.len())).find(|&i| theirs.get(i) != ours.get(i)) {
+            Some(i) => Err(format!(
+                "faults[{i}] = {:?}, this engine installed {:?}",
+                theirs.get(i),
+                ours.get(i)
+            )),
+            None if ck.fault_cursor > ours.len() => Err(format!(
+                "fault_cursor = {}, past the {} fault entries",
+                ck.fault_cursor,
+                ours.len()
+            )),
+            None => Ok(()),
         }
     }
 

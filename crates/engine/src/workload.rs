@@ -41,6 +41,13 @@ pub fn workload_packet_id(node: NodeId, seq: u64) -> u64 {
     WORKLOAD_ID_BIT | ((node.index() as u64) << WORKLOAD_SEQ_BITS) | seq
 }
 
+/// The index of the node that sends workload packet `id`, or `None` for an
+/// injector id.
+#[inline]
+pub(crate) fn workload_source(id: u64) -> Option<u64> {
+    (id & WORKLOAD_ID_BIT != 0).then_some((id & !WORKLOAD_ID_BIT) >> WORKLOAD_SEQ_BITS)
+}
+
 /// One primitive step of a node's task program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Op {

@@ -1,8 +1,11 @@
 //! What the engine's containers of in-flight work cost in heap, counted:
 //! the gates behind "the queue, the arena, a router and the NIC backlog
-//! cost what is in flight" and "a restore costs what it rebuilds" — it
-//! reads the snapshot in place and writes the fresh engine's own state,
-//! so its peak is what it leaves live plus small change.
+//! cost what is in flight", "a restore costs what it rebuilds" — it reads
+//! the snapshot in place and writes the fresh engine's own state, so its
+//! peak is what it leaves live plus small change — and "a checkpoint costs
+//! what it writes": one walk over the shards writes every packet straight
+//! into its canonical slot, so its peak is the snapshot it returns, the
+//! same at every shard count.
 //!
 //! An integration test is its own binary, so this one installs a counting
 //! allocator (the pattern of `benchmark/src/alloc.rs`: live and peak bytes
@@ -16,10 +19,12 @@
 //! router before a packet moved: 151 MB of the 110,976-node workload's
 //! 196 MB), a NIC backlog of 104-byte arena packets behind one `VecDeque`
 //! per NIC (41.4 MB of `adv_qadp_1056`'s 57.4 MB), 104-byte packets
-//! spanning two or three cache lines where one of 64 bytes holds them, and
-//! a restore that copied the whole snapshot into per-shard parts and then
+//! spanning two or three cache lines where one of 64 bytes holds them, a
+//! restore that copied the whole snapshot into per-shard parts and then
 //! cloned every router and task program again (+38.9 MB over 36.2 MB live
-//! on `adv_qadp_1056`).
+//! on `adv_qadp_1056`), and a checkpoint that wrote one snapshot per shard
+//! and joined them into a second copy of the arena (+1.19 MB over the
+//! 1.34 MB it kept, open loop below at two and four shards).
 
 use dragonfly_engine::arena::{PacketArena, PacketRef, CHUNK_SLOTS};
 use dragonfly_engine::config::{EngineConfig, ShardKind};
@@ -482,17 +487,10 @@ fn restore_subject(
     engine
 }
 
-#[test]
-fn a_restore_costs_what_it_rebuilds() {
-    // A restore reads the snapshot in place and writes the fresh engine's
-    // own routers, tables, NICs, queue and arena: above what it leaves
-    // live, it may hold one router's state in passing and small change.
-    // Copying the snapshot into per-shard parts first, or a router or
-    // program the engine already holds, costs the size of what is copied.
-    let _one_at_a_time = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
-    // Forty rounds per rank: eight messages out to two ranks, eight in from
-    // two others, a short compute.
-    let programs: Vec<NodeProgram> = (0..72u32)
+/// Forty rounds per rank: eight messages out to two ranks, eight in from
+/// two others, a short compute.
+fn exchange_programs() -> Vec<NodeProgram> {
+    (0..72u32)
         .map(|i| {
             let node = |off: u32| NodeId((i + off) % 72);
             (0..40)
@@ -521,7 +519,18 @@ fn a_restore_costs_what_it_rebuilds() {
                 })
                 .collect()
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn a_restore_costs_what_it_rebuilds() {
+    // A restore reads the snapshot in place and writes the fresh engine's
+    // own routers, tables, NICs, queue and arena: above what it leaves
+    // live, it may hold one router's state in passing and small change.
+    // Copying the snapshot into per-shard parts first, or a router or
+    // program the engine already holds, costs the size of what is copied.
+    let _one_at_a_time = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
+    let programs = exchange_programs();
     for (what, programs) in [("open loop", None), ("closed loop", Some(&programs[..]))] {
         for shards in [ShardKind::Single, ShardKind::Fixed(2)] {
             let mut source = restore_subject(shards, programs);
@@ -550,5 +559,50 @@ fn a_restore_costs_what_it_rebuilds() {
                  (bound: that + one router's {router} B + 64 KiB)"
             );
         }
+    }
+}
+
+#[test]
+fn a_checkpoint_costs_what_it_writes() {
+    // A checkpoint walks the shards once and writes every packet straight
+    // into its canonical slot: above what the snapshot keeps, it may hold
+    // one router's state in passing and small change, and what it keeps is
+    // the same at every shard count. Per-shard snapshots joined into one
+    // and renumbered cost a second copy of the arena.
+    let _one_at_a_time = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
+    let programs = exchange_programs();
+    for (what, programs) in [("open loop", None), ("closed loop", Some(&programs[..]))] {
+        let mut kept = Vec::new();
+        for shards in [ShardKind::Single, ShardKind::Fixed(2), ShardKind::Fixed(4)] {
+            let mut source = restore_subject(shards, programs);
+            source.run_until(3_000);
+            assert!(source.has_pending_events(), "{what}: the cut is mid-run");
+            let before = live();
+            PEAK.store(before, Relaxed);
+            let ck = source.checkpoint();
+            let peak = PEAK.load(Relaxed) - before;
+            let left = live().saturating_sub(before);
+            let shard = &ck.shard;
+            assert!(
+                shard.arena.slots.len() > 200
+                    && shard.nics.iter().any(|n| n.source_queue.len() > 1),
+                "{what}: the snapshot holds {} packets; some NIC must queue two or more",
+                shard.arena.slots.len()
+            );
+            let router = (shard.routers.iter())
+                .map(|r| size_of::<RouterState>() + r.memory_bytes())
+                .max()
+                .expect("a router");
+            assert!(
+                peak <= left + router + 64 * 1024,
+                "{what} at {shards:?}: the checkpoint peaked {peak} B above live and keeps \
+                 {left} B (bound: that + one router's {router} B + 64 KiB)"
+            );
+            kept.push((shards, left));
+        }
+        assert!(
+            kept.iter().all(|&(_, left)| left == kept[0].1),
+            "{what}: the snapshot keeps {kept:?} B, not the same at every shard count"
+        );
     }
 }

@@ -15,13 +15,14 @@
 
 use dragonfly_engine::checkpoint::EngineCheckpoint;
 use dragonfly_engine::config::ShardKind::{self, Auto, Fixed, Single};
+use dragonfly_engine::event::EventKind;
 use dragonfly_engine::injector::{EmptyInjector, ScriptedInjector, TrafficInjector};
 use dragonfly_engine::observer::CountingObserver;
 use dragonfly_engine::testing::MinimalTestRouting;
 use dragonfly_engine::time::SimTime;
 use dragonfly_engine::{
     CompiledFault, Engine, EngineConfig, FaultOp, FaultSchedule, Injection, NodeProgram, Op,
-    ShardDrain, ShardObserver,
+    ShardDrain, ShardObserver, ShardPlan,
 };
 use dragonfly_metrics::report::first_tree_difference;
 use dragonfly_topology::config::DragonflyConfig;
@@ -31,6 +32,7 @@ use dragonfly_topology::{AnyTopology, Dragonfly, FatTree, FatTreeConfig, HyperX,
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
+use std::collections::BTreeSet;
 
 /// One execution mode: `(shards, pipeline)`.
 pub type Mode = (ShardKind, bool);
@@ -89,6 +91,11 @@ struct Case {
     /// Where the split cell cuts; `None` is halfway through the reference
     /// run. The faulted case cuts between the kill and the restore.
     cut: Option<SimTime>,
+    /// Whether the cut snapshot holds packets in all three phases of the
+    /// canonical walk (router buffers, NIC source queues, `RouterArrive`
+    /// events), each from at least two shards at `Fixed(4)`, so every
+    /// phase of the writer reads more than one shard.
+    fills_every_walk_phase: bool,
 }
 
 impl Case {
@@ -100,6 +107,7 @@ impl Case {
             traffic,
             faults: FaultSchedule::default(),
             cut: None,
+            fills_every_walk_phase: false,
         }
     }
 }
@@ -159,7 +167,8 @@ pub fn tiny() -> AnyTopology {
 
 /// Ten seeded scripts over five fabrics, the three traffic shapes and four
 /// injection gaps; a script with self-sends; a router killed and restored
-/// under traffic; three closed-loop task programs.
+/// under traffic; a congested burst whose cut fills every walk phase; three
+/// closed-loop task programs.
 fn cases() -> Vec<Case> {
     use Slice::*;
     let dragonfly = |p, a, h| -> AnyTopology {
@@ -233,6 +242,17 @@ fn cases() -> Vec<Case> {
         faults: blip,
         cut: Some(90_000),
         ..Case::new(BitIdentical, name, tiny(), Traffic::Script(steady))
+    });
+
+    // Every node's traffic four groups on at one packet a nanosecond: by
+    // the cut the NICs queue, the routers buffer and links carry packets
+    // on every shard of four.
+    let burst = script(&tiny(), Pattern::Adversarial(4), 4_000, 1, 5);
+    let name = "congested ADV+4 burst";
+    cases.push(Case {
+        cut: Some(3_000),
+        fills_every_walk_phase: true,
+        ..Case::new(BitIdentical, name, tiny(), Traffic::Script(burst))
     });
 
     // Node `i` sends `messages` to node `i + hop`, then receives as many
@@ -402,6 +422,10 @@ fn assert_same(case: &Case, cell: &str, want: &impl Serialize, got: &impl Serial
 pub fn run(slice: Slice) {
     let cases = cases();
     assert!(cases.iter().any(|c| c.slice == slice), "{slice:?}: no case");
+    assert!(
+        cases.iter().any(|c| c.fills_every_walk_phase),
+        "some case's cut must fill every phase of the canonical walk"
+    );
     for (i, case) in cases.iter().enumerate().filter(|(_, c)| c.slice == slice) {
         let reference = drained(case, "reference", start(case, MODES[0]), 0);
         assert_bites(case, &reference);
@@ -419,6 +443,15 @@ pub fn run(slice: Slice) {
                 "case {}, {cell}: the cut must fall mid-run, inside any fault window",
                 case.name
             );
+            if case.fills_every_walk_phase && mode.0 == Fixed(4) {
+                let phases = walk_phases(&at.checkpoint, &case.topo);
+                assert!(
+                    phases.iter().all(|shards| shards.len() >= 2),
+                    "case {}, {cell}: router buffers, NIC queues and links hold packets \
+                     of the shards {phases:?}; each phase must hold some of two or more",
+                    case.name
+                );
+            }
             if mode == take {
                 taken = Some((at.checkpoint.clone(), engine.merged_observer(), before));
             }
@@ -448,6 +481,27 @@ pub fn run(slice: Slice) {
         let got = drained(case, &cell, resumed, before);
         assert_same(case, &cell, &reference, &got);
     }
+}
+
+/// The shards of a four-shard plan whose packets a cut snapshot holds, per
+/// walk phase: router buffers, NIC source queues, `RouterArrive` events.
+fn walk_phases(ck: &EngineCheckpoint, topo: &AnyTopology) -> [BTreeSet<usize>; 3] {
+    let cfg = config((Fixed(4), true));
+    let lookahead = topo.min_cross_domain_latency(cfg.local_latency_ns, cfg.global_latency_ns);
+    let plan = ShardPlan::new(topo, 4, lookahead);
+    let shard = &ck.shard;
+    let of_node = |n: usize| plan.shard_of_router(topo.router_of_node(NodeId::from_index(n)));
+    let routers = (shard.routers.iter().enumerate())
+        .filter(|(_, r)| r.buffered_packets() > 0)
+        .map(|(r, _)| plan.shard_of_router(RouterId::from_index(r)));
+    let nics = (shard.nics.iter().enumerate())
+        .filter(|(_, nic)| !nic.source_queue.is_empty())
+        .map(|(n, _)| of_node(n));
+    let links = shard.queue.events.iter().filter_map(|ev| match ev.kind {
+        EventKind::RouterArrive { router, .. } => Some(plan.shard_of_router(router)),
+        _ => None,
+    });
+    [routers.collect(), nics.collect(), links.collect()]
 }
 
 /// One engine in `mode` stepped through `run_until` windows ending at

@@ -649,7 +649,7 @@ fn assert_refused(spec: &ExperimentSpec, bad: &RunCheckpoint, what: &str, clue: 
 
 #[test]
 fn a_snapshot_with_an_injection_marker_is_refused_not_restored() {
-    // Merge strips the `TrafficArrival` markers from every snapshot and
+    // The writer leaves the `TrafficArrival` markers out of every snapshot and
     // restore regenerates them from the pending injections, so a snapshot
     // that holds one is damaged.
     use dragonfly_engine::event::{Event, EventKind};
@@ -665,6 +665,156 @@ fn a_snapshot_with_an_injection_marker_is_refused_not_restored() {
         first.time
     );
     assert_refused(&common::congested_spec(), &bad, "a marker", &clue);
+}
+
+#[test]
+fn a_snapshot_with_damaged_event_fault_or_retry_ids_is_refused_not_restored() {
+    // Only the arena's refs were checked: an event naming a router outside
+    // the topology panicked inside the restore, a fault cursor past the
+    // schedule panicked on resume, and a retry entry for no node resumed
+    // silently. Each is refused now, naming the entry and the field, and
+    // restore keeps the fault schedule the engine was built with.
+    use dragonfly_engine::event::EventKind;
+    use dragonfly_engine::fault::{CompiledFault, FaultOp};
+    use dragonfly_engine::sync::QueuedInjection;
+    use dragonfly_engine::workload::workload_packet_id;
+    use dragonfly_topology::ids::{NodeId, Port, RouterId};
+    let spec = common::congested_spec();
+    let good = common::congested_snapshot();
+    let shard = &good.engine.shard;
+    let (routers, nodes) = (shard.routers.len(), shard.nics.len());
+    let (i, ev) = (shard.queue.events.iter().enumerate())
+        .find(|(_, ev)| matches!(ev.kind, EventKind::SwitchAttempt { .. }))
+        .expect("a head packet waits to switch");
+    let EventKind::SwitchAttempt { router, port, vc } = ev.kind else {
+        unreachable!()
+    };
+    let radix = shard.routers[router.index()].num_ports();
+    let vcs = shard.routers[router.index()].num_vcs();
+    let at = |kind: &str| format!("event {i} ({kind} at {} ns): ", ev.time);
+    let injection = |src: u32, dst: u32, id: u64| QueuedInjection {
+        time: good.engine.now + 1,
+        src: NodeId(src),
+        dst: NodeId(dst),
+        id,
+    };
+    let next_id = good.engine.next_packet_id;
+    type Damage = Box<dyn Fn(&mut RunCheckpoint)>;
+    let event = move |kind: EventKind| -> Damage {
+        Box::new(move |bad| bad.engine.shard.queue.events[i].kind = kind)
+    };
+    let pending = |first: QueuedInjection, then: QueuedInjection| -> Damage {
+        Box::new(move |bad| bad.engine.shard.pending_injections.extend([first, then]))
+    };
+    let retry = |id: u64| -> Damage {
+        Box::new(move |bad| {
+            bad.engine.shard.retry_counts.insert(id, 1);
+        })
+    };
+    let kill = CompiledFault {
+        at_ns: 10_000,
+        ops: vec![FaultOp::RouterDown {
+            router: RouterId(1),
+        }],
+    };
+    let outside_nodes = |field: &str| format!("{field} = 5000, outside the {nodes} nodes");
+    let cases: Vec<(&str, Damage, String)> = vec![
+        (
+            "a router outside the topology",
+            event(EventKind::SwitchAttempt {
+                router: RouterId(1_000_000),
+                port,
+                vc,
+            }),
+            format!(
+                "{}router = 1000000, outside the {routers} routers",
+                at("SwitchAttempt")
+            ),
+        ),
+        (
+            "a port the router lacks",
+            event(EventKind::OutputAttempt {
+                router,
+                port: Port(radix as u16),
+            }),
+            format!(
+                "{}port = {radix}, outside the {radix} ports of its router",
+                at("OutputAttempt")
+            ),
+        ),
+        (
+            "a VC the engine does not run",
+            event(EventKind::CreditArrive {
+                router,
+                port,
+                vc: vcs as u8,
+            }),
+            format!("{}vc = {vcs}, outside the {vcs} VCs", at("CreditArrive")),
+        ),
+        (
+            "a node outside the topology",
+            event(EventKind::NicTryInject {
+                node: NodeId(5_000),
+            }),
+            format!("{}{}", at("NicTryInject"), outside_nodes("node")),
+        ),
+        (
+            "a drop notice for no destination",
+            event(EventKind::DropNotice {
+                node: NodeId(3),
+                dst: NodeId(5_000),
+                id: workload_packet_id(NodeId(3), 0),
+            }),
+            format!("{}{}", at("DropNotice"), outside_nodes("dst")),
+        ),
+        (
+            "an injection from no node",
+            pending(injection(5_000, 1, next_id), injection(2, 1, next_id + 1)),
+            format!(
+                "pending_injections[{}]: {}",
+                shard.pending_injections.len(),
+                outside_nodes("src")
+            ),
+        ),
+        (
+            "injections out of id order",
+            pending(injection(2, 1, next_id + 1), injection(3, 1, next_id)),
+            format!(
+                "pending_injections[{}]: id = {next_id}, not above the one before",
+                shard.pending_injections.len() + 1
+            ),
+        ),
+        (
+            "a retry entry for an injector id",
+            retry(12_345),
+            format!("retry_counts key 12345: not a workload packet id of one of the {nodes} nodes"),
+        ),
+        (
+            "a retry entry for no node",
+            retry(workload_packet_id(NodeId(5_000), 0)),
+            format!(
+                "retry_counts key {}: not a workload packet id of one of the {nodes} nodes",
+                workload_packet_id(NodeId(5_000), 0)
+            ),
+        ),
+        (
+            "a fault the engine was not built with",
+            Box::new(move |bad| bad.engine.shard.faults.push(kill.clone())),
+            "faults[0] = Some(CompiledFault { at_ns: 10000, ops: [RouterDown { router: \
+             RouterId(1) }] }), this engine installed None"
+                .to_string(),
+        ),
+        (
+            "a fault cursor past the schedule",
+            Box::new(|bad| bad.engine.shard.fault_cursor = 5),
+            "fault_cursor = 5, past the 0 fault entries".to_string(),
+        ),
+    ];
+    for (what, damage, clue) in cases {
+        let mut bad = good.clone();
+        damage(&mut bad);
+        assert_refused(&spec, &bad, what, &clue);
+    }
 }
 
 #[test]
