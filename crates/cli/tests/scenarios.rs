@@ -176,7 +176,7 @@ fn checkpoint_dump_prints_a_snapshot_as_json() {
     assert_eq!(
         tree.get("version"),
         Some(&serde_json::Value::Str(
-            "qadaptive-checkpoint-v4".to_string()
+            "qadaptive-checkpoint-v5".to_string()
         ))
     );
     assert!(tree.get("engine").is_some() && tree.get("collector").is_some());
@@ -383,8 +383,9 @@ fn misshapen_router_section_fails_resume_with_exit_1_naming_the_file() {
 }
 
 /// A NIC source queue pointing outside the arena panicked with an index
-/// out of bounds half-way through the resume; it is refused the same way,
-/// naming the NIC and the field.
+/// out of bounds half-way through the resume. A NIC now counts its queued
+/// messages in the backlog section, and a count the backlog does not hold
+/// is refused the same way, naming the section and the field.
 #[test]
 fn damaged_nic_section_fails_resume_with_exit_1_naming_the_file() {
     use dragonfly_sim::checkpoint::RunCheckpoint;
@@ -396,9 +397,8 @@ fn damaged_nic_section_fails_resume_with_exit_1_naming_the_file() {
     let scenario = dir.join("scenario.toml");
     std::fs::write(&scenario, ck.spec.to_toml()).unwrap();
     let snapshot = dir.join("bad-nic.ckpt");
-    ck.engine.shard.nics[0]
-        .source_queue
-        .push_back(dragonfly_engine::PacketRef(1_000_000));
+    let messages = ck.engine.shard.backlog.len();
+    ck.engine.shard.nics[0].queued += 1;
     ck.save(&snapshot).unwrap();
     let output = Command::new(env!("CARGO_BIN_EXE_qadaptive-cli"))
         .args([
@@ -414,7 +414,10 @@ fn damaged_nic_section_fails_resume_with_exit_1_naming_the_file() {
     assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
     assert!(
         stderr.contains(snapshot.to_str().unwrap())
-            && stderr.contains("NIC 0: source_queue holds packet ref 1000000, outside the arena"),
+            && stderr.contains(&format!(
+                "nics: the queued counts sum to {}, the backlog holds {messages} messages",
+                messages + 1
+            )),
         "{stderr}"
     );
 }

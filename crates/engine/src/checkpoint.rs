@@ -3,10 +3,13 @@
 //!
 //! A checkpoint is a complete, serialisable snapshot of the simulation
 //! state between two [`crate::Engine::run_until`] calls: router buffers,
-//! NIC queues, the packet arena, the pending event set (with its sequence
-//! counters, so tie-breaking stays identical), the fault schedule cursor,
-//! closed-loop task state, and the mutable state of every routing agent
-//! and of the traffic injector (RNG streams, Q-tables, heap positions).
+//! the fabric packets, the NIC backlog, the pending event set (with its
+//! sequence counters, so tie-breaking stays identical), the fault schedule
+//! cursor, closed-loop task counters, and the mutable state of every
+//! routing agent and of the traffic injector (RNG streams, Q-tables, heap
+//! positions). It stores state, not derivations: a packet's fields that
+//! the topology gives, a queued message's packet and a rank's compiled
+//! program are rebuilt at restore, not written.
 //!
 //! Restoring a checkpoint into a freshly built engine — same topology,
 //! configuration, routing algorithm, injector kind and seed — resumes the
@@ -23,30 +26,38 @@
 //! mail delivered, so the union of the shard states is a globally
 //! consistent cut. The snapshot holds entity state in global id order, one
 //! event set in `(time, key, seq)` order re-sequenced `0..n`, summed
-//! counters, the pending injections in id order, and one packed arena:
-//! exactly the packets the **canonical walk** meets, slot `i` the `i`-th.
+//! counters, the pending injections in id order, and three sections of
+//! their own:
+//!
+//! * the **arena** ([`ArenaCheckpoint`]): the fabric packets as columns,
+//!   exactly the packets the **canonical walk** meets, slot `i` the `i`-th;
+//! * the **backlog** ([`BacklogCheckpoint`]): the `(id, dst, created_ns)`
+//!   of every message queued at a NIC, in global node order, oldest first,
+//!   each NIC's [`NicState::queued`] saying how many are its;
+//! * the **tasks**: each rank's counters ([`NodeTask`]), without its
+//!   program, which restore keeps from the spec.
+//!
 //! The walk, which `Engine::checkpoint` writes by and `Shard::restore`
 //! reads by, never changes without a format-version bump:
 //!
 //! 1. every router buffer, in global router order — per router the input
 //!    cells, then the output cells, in `(port, vc)` order
 //!    ([`crate::router::RouterState::map_packet_refs`]);
-//! 2. then every NIC source queue, in global node order, oldest first;
-//! 3. then the packet of every `RouterArrive` event, in event order.
+//! 2. then the packet of every `RouterArrive` event, in event order.
 //!
 //! The writer visits the shards in ascending order, whose router and node
-//! ranges ascend ([`crate::sync::ShardPlan`]), so one pass per phase follows
-//! the walk; each packet is read from the shard that holds it — for an
-//! event, `owner_shard`. One code path gives every shard count the
-//! single-shard bytes. Restore reads the canonical form in place: each
-//! shard of **any** target plan takes its share — its router and node
-//! ranges, the events (`owner_shard`) and pending injections it owns, its
-//! retry entries (`retry_owner`) — straight from the borrowed snapshot
-//! into the fresh engine's own routers, agents, NICs, queue and arena,
-//! following the walk over its share, so a restore holds the snapshot and
-//! the engine it fills, nothing more. A snapshot taken at `shards = N`
-//! therefore resumes bit-identically at `shards = M` for any `M`, pipeline
-//! on or off.
+//! ranges ascend ([`crate::sync::ShardPlan`]), so one pass follows phase 1
+//! and the node order of the backlog together; each packet of phase 2 is
+//! read from the shard that holds it, `owner_shard`. One code path gives
+//! every shard count the single-shard bytes. Restore reads the canonical
+//! form in place: each shard of **any** target plan takes its share — its
+//! router and node ranges, its NICs' stretch of the backlog, the events
+//! (`owner_shard`) and pending injections it owns, its retry entries
+//! (`retry_owner`) — straight from the borrowed snapshot into the fresh
+//! engine's own routers, agents, NICs, backlog, queue and arena, following
+//! the walk over its share, so a restore holds the snapshot and the engine
+//! it fills, nothing more. A snapshot taken at `shards = N` therefore
+//! resumes bit-identically at `shards = M` for any `M`, pipeline on or off.
 //!
 //! Event keys are content-derived and embed the owning entity, so two
 //! events from different shards can never tie on `(time, key)`, and
@@ -69,8 +80,7 @@
 use crate::event::{EventKind, SchedulerCheckpoint};
 use crate::fault::CompiledFault;
 use crate::injector::Injection;
-use crate::nic::NicState;
-use crate::packet::PacketState;
+use crate::nic::{NicState, Queued};
 use crate::router::RouterState;
 use crate::sync::{QueuedInjection, ShardPlan};
 use crate::time::SimTime;
@@ -127,15 +137,158 @@ pub struct InjectorCheckpoint {
     pub counters: Vec<u64>,
 }
 
-/// The packet arena: exactly the packets the canonical walk reaches, in
-/// walk order, each in its wire form ([`PacketState`]), with no free list —
-/// one packet per message queued at a NIC among them ([`crate::nic`]).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// The fabric packets of a snapshot, one column per field a [`Packet`]
+/// stores and cannot derive: exactly the packets the canonical walk meets,
+/// in walk order, entry `i` of every column the `i`-th (the slot a
+/// [`PacketRef`] in a router buffer or a `RouterArrive` event names). Ids,
+/// ports and routes are stored as the packet stores them: `u32::MAX` and
+/// `u16::MAX` mean none, and `flags` holds the route mode, the `via` kind
+/// and the route bits ([`crate::packet`]). Restore derives `dst_router`,
+/// `dst_group` and `src_slot` again from `dst` and `src`.
+///
+/// [`Packet`]: crate::packet::Packet
+/// [`PacketRef`]: crate::arena::PacketRef
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ArenaCheckpoint {
-    /// The packets, one per slot.
-    pub slots: Vec<PacketState>,
-    /// The free list, bottom of the stack first.
-    pub free: Vec<u32>,
+    /// Packet ids.
+    pub id: Vec<u64>,
+    /// Generating nodes.
+    pub src: Vec<NodeId>,
+    /// Destination nodes.
+    pub dst: Vec<NodeId>,
+    /// Generation times.
+    pub created_ns: Vec<SimTime>,
+    /// Injection times.
+    pub injected_ns: Vec<SimTime>,
+    /// Times of the previous router's forwarding decision.
+    pub last_decision_ns: Vec<SimTime>,
+    /// Previous routers.
+    pub last_router: Vec<u32>,
+    /// The output ports the previous routers used.
+    pub last_out_port: Vec<u16>,
+    /// Valiant intermediate groups or routers.
+    pub via: Vec<u32>,
+    /// Output ports of the decisions cached at the current routers.
+    pub pending_port: Vec<u16>,
+    /// VCs of those decisions.
+    pub pending_vc: Vec<u8>,
+    /// Router-to-router hops taken.
+    pub hops: Vec<u8>,
+    /// Current virtual channels.
+    pub vc: Vec<u8>,
+    /// Route mode, `via` kind and route bits.
+    pub flags: Vec<u8>,
+}
+
+impl ArenaCheckpoint {
+    /// Empty columns with room for exactly `n` packets.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Self {
+            id: Vec::with_capacity(n),
+            src: Vec::with_capacity(n),
+            dst: Vec::with_capacity(n),
+            created_ns: Vec::with_capacity(n),
+            injected_ns: Vec::with_capacity(n),
+            last_decision_ns: Vec::with_capacity(n),
+            last_router: Vec::with_capacity(n),
+            last_out_port: Vec::with_capacity(n),
+            via: Vec::with_capacity(n),
+            pending_port: Vec::with_capacity(n),
+            pending_vc: Vec::with_capacity(n),
+            hops: Vec::with_capacity(n),
+            vc: Vec::with_capacity(n),
+            flags: Vec::with_capacity(n),
+        }
+    }
+
+    /// Packets held: the length of the `id` column.
+    pub fn len(&self) -> usize {
+        self.id.len()
+    }
+
+    /// Whether no packet is held.
+    pub fn is_empty(&self) -> bool {
+        self.id.is_empty()
+    }
+
+    /// Every column's name and length, `id` first.
+    pub(crate) fn column_lens(&self) -> [(&'static str, usize); 14] {
+        [
+            ("id", self.id.len()),
+            ("src", self.src.len()),
+            ("dst", self.dst.len()),
+            ("created_ns", self.created_ns.len()),
+            ("injected_ns", self.injected_ns.len()),
+            ("last_decision_ns", self.last_decision_ns.len()),
+            ("last_router", self.last_router.len()),
+            ("last_out_port", self.last_out_port.len()),
+            ("via", self.via.len()),
+            ("pending_port", self.pending_port.len()),
+            ("pending_vc", self.pending_vc.len()),
+            ("hops", self.hops.len()),
+            ("vc", self.vc.len()),
+            ("flags", self.flags.len()),
+        ]
+    }
+}
+
+/// The messages queued at NICs, one column per field of a backlog record
+/// ([`crate::nic`]): every NIC's messages in global node order, each NIC's
+/// oldest first. [`NicState::queued`] says how many are whose.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct BacklogCheckpoint {
+    /// Packet ids.
+    pub id: Vec<u64>,
+    /// Destination nodes.
+    pub dst: Vec<NodeId>,
+    /// Generation times.
+    pub created_ns: Vec<SimTime>,
+}
+
+impl BacklogCheckpoint {
+    /// Empty columns with room for exactly `n` messages.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Self {
+            id: Vec::with_capacity(n),
+            dst: Vec::with_capacity(n),
+            created_ns: Vec::with_capacity(n),
+        }
+    }
+
+    /// Append one message.
+    pub(crate) fn push(&mut self, msg: Queued) {
+        self.id.push(msg.id);
+        self.dst.push(msg.dst);
+        self.created_ns.push(msg.created_ns);
+    }
+
+    /// Message `i`.
+    pub(crate) fn get(&self, i: usize) -> Queued {
+        Queued {
+            id: self.id[i],
+            dst: self.dst[i],
+            created_ns: self.created_ns[i],
+        }
+    }
+
+    /// Messages held: the length of the `id` column.
+    pub fn len(&self) -> usize {
+        self.id.len()
+    }
+
+    /// Whether no message is held.
+    pub fn is_empty(&self) -> bool {
+        self.id.is_empty()
+    }
+
+    /// Every column's name and length, `id` first.
+    pub(crate) fn column_lens(&self) -> [(&'static str, usize); 3] {
+        [
+            ("id", self.id.len()),
+            ("dst", self.dst.len()),
+            ("created_ns", self.created_ns.len()),
+        ]
+    }
 }
 
 /// Complete mutable state of the simulation in canonical
@@ -164,11 +317,13 @@ pub struct ShardCheckpoint {
     pub routers: Vec<RouterState>,
     /// Mutable agent state, parallel to `routers`.
     pub agents: Vec<AgentCheckpoint>,
-    /// Every NIC's source queue and credit/link state.
+    /// Every NIC's queued-message count and credit/link state.
     pub nics: Vec<NicState>,
+    /// The messages queued at the NICs.
+    pub backlog: BacklogCheckpoint,
     /// The pending event set with its sequence counters.
     pub queue: SchedulerCheckpoint,
-    /// The packet arena.
+    /// The fabric packets.
     pub arena: ArenaCheckpoint,
     /// The compiled (already quantized) fault schedule.
     pub faults: Vec<CompiledFault>,
@@ -178,7 +333,7 @@ pub struct ShardCheckpoint {
     pub retry_counts: BTreeMap<u64, u32>,
     /// Injections distributed by the coordinator but not yet materialised.
     pub pending_injections: VecDeque<QueuedInjection>,
-    /// Closed-loop task state per owned node (empty when no workload).
+    /// Closed-loop task counters per node (empty when no workload).
     pub tasks: Vec<Option<NodeTask>>,
     /// Whether a workload was installed.
     pub has_tasks: bool,

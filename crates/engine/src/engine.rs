@@ -432,15 +432,17 @@ impl<O: ShardObserver> Engine<O> {
     /// fit this engine; every router, node, port and VC an event, pending
     /// injection or retry entry names exists, no event is a marker and the
     /// injections ascend by id; the fault schedule is the installed one, the
-    /// cursor inside it; the canonical walk meets every arena slot once (no
-    /// free list), each a packet its NIC generates or this engine can hold
-    /// ([`crate::packet::Packet::from_state`]); and the tasks fit the
-    /// installed workload: one per node exactly when one is installed, each
-    /// running the compiled program, `pc` inside it, `avail` counters
-    /// ascending by existing sources. Callers restoring a snapshot they did
-    /// not just take ask first; `restore` panics on (or silently
-    /// mis-restores) what this refuses. The error names the router, NIC,
-    /// event, node or entry and the field.
+    /// cursor inside it; the snapshot's packet columns are of equal length,
+    /// the canonical walk meets every slot once, and each is a packet this
+    /// engine can hold ([`crate::packet::Packet::from_columns`]); the NICs'
+    /// queued counts add up to the backlog's columns, each record one its
+    /// NIC could have generated; and the tasks fit the installed workload:
+    /// one per node exactly when one is installed, each `pc` inside the
+    /// program compiled for it, `avail` counters ascending by existing
+    /// sources. Callers restoring a snapshot they did not just take ask
+    /// first; `restore` panics on (or silently mis-restores) what this
+    /// refuses. The error names the router, NIC, event, node or entry and
+    /// the field.
     pub fn check_restorable(&self, ck: &crate::checkpoint::EngineCheckpoint) -> Result<(), String> {
         let (routers, nodes) = (self.topo.num_routers(), self.topo.num_nodes());
         let shard = &ck.shard;
@@ -470,7 +472,7 @@ impl<O: ShardObserver> Engine<O> {
         for s in &self.shards {
             s.check_tasks(shard)?;
         }
-        self.check_arena(shard)
+        self.check_packets(ck)
     }
 
     /// The id half of [`Engine::check_restorable`].
@@ -535,24 +537,34 @@ impl<O: ShardObserver> Engine<O> {
         }
     }
 
-    /// The arena half of [`Engine::check_restorable`].
-    fn check_arena(&self, shard: &crate::checkpoint::ShardCheckpoint) -> Result<(), String> {
-        let slots = &shard.arena.slots;
-        if !shard.arena.free.is_empty() {
+    /// The packet half of [`Engine::check_restorable`]: the fabric packets
+    /// and the backlog.
+    fn check_packets(&self, ck: &crate::checkpoint::EngineCheckpoint) -> Result<(), String> {
+        let shard = &ck.shard;
+        let (arena, backlog) = (&shard.arena, &shard.backlog);
+        let (packets, messages) = (arena.len(), backlog.len());
+        if let Some((column, n)) = arena.column_lens().into_iter().find(|&(_, n)| n != packets) {
             return Err(format!(
-                "the arena's free list holds {} slots, a snapshot's holds none",
-                shard.arena.free.len()
+                "arena: the {column} column holds {n} packets, the id column {packets}"
             ));
         }
-        let mut held = vec![false; slots.len()];
+        if let Some((column, n)) = backlog
+            .column_lens()
+            .into_iter()
+            .find(|&(_, n)| n != messages)
+        {
+            return Err(format!(
+                "backlog: the {column} column holds {n} messages, the id column {messages}"
+            ));
+        }
+        let mut held = vec![false; packets];
         let mut hold = |r: crate::arena::PacketRef, owner: &dyn Fn() -> String| match held
             .get_mut(r.index())
         {
             None => Err(format!(
-                "{} holds packet ref {}, outside the arena's {} slots",
+                "{} holds packet ref {}, outside the arena's {packets} slots",
                 owner(),
                 r.0,
-                slots.len()
             )),
             Some(true) => Err(format!(
                 "{} holds arena slot {}, which the walk already met",
@@ -567,7 +579,7 @@ impl<O: ShardObserver> Engine<O> {
         // A packet in a router buffer or on a link becomes a run-time packet
         // again at restore.
         let fabric = |pref: crate::arena::PacketRef, owner: &dyn Fn() -> String| {
-            Packet::from_state(&slots[pref.index()], &self.topo, &self.cfg)
+            Packet::from_columns(arena, pref.index(), &self.topo, &self.cfg)
                 .map(drop)
                 .map_err(|e| format!("{}, arena slot {}: {e}", owner(), pref.0))
         };
@@ -578,24 +590,6 @@ impl<O: ShardObserver> Engine<O> {
                 fabric(pref, &owner)?;
             }
         }
-        for (n, nic) in shard.nics.iter().enumerate() {
-            if nic.credits > self.cfg.vc_buffer_packets {
-                return Err(format!(
-                    "NIC {n}: credits = {}, above vc_buffer_packets = {}",
-                    nic.credits, self.cfg.vc_buffer_packets
-                ));
-            }
-            for &pref in &nic.source_queue {
-                hold(pref, &|| format!("NIC {n}: source_queue"))?;
-                crate::nic::queued_of(
-                    &self.topo,
-                    &self.cfg,
-                    NodeId::from_index(n),
-                    &slots[pref.index()],
-                )
-                .map_err(|e| format!("NIC {n}: source_queue {e}"))?;
-            }
-        }
         for (i, ev) in shard.queue.events.iter().enumerate() {
             if let crate::event::EventKind::RouterArrive { packet, .. } = ev.kind {
                 let owner = || format!("event {i} (RouterArrive at {} ns): packet", ev.time);
@@ -603,12 +597,32 @@ impl<O: ShardObserver> Engine<O> {
                 fabric(packet, &owner)?;
             }
         }
-        match held.iter().position(|&h| !h) {
-            Some(slot) => Err(format!(
-                "arena slot {slot} is held by no router, NIC or event"
-            )),
-            None => Ok(()),
+        if let Some(slot) = held.iter().position(|&h| !h) {
+            return Err(format!("arena slot {slot} is held by no router or event"));
         }
+        let queued = (shard.nics.iter()).fold(0usize, |sum, nic| sum.saturating_add(nic.queued));
+        if queued != messages {
+            return Err(format!(
+                "nics: the queued counts sum to {queued}, the backlog holds {messages} messages"
+            ));
+        }
+        let (nodes, next_id) = (self.topo.num_nodes(), ck.next_packet_id);
+        let mut first = 0;
+        for (n, nic) in shard.nics.iter().enumerate() {
+            if nic.credits > self.cfg.vc_buffer_packets {
+                return Err(format!(
+                    "NIC {n}: credits = {}, above vc_buffer_packets = {}",
+                    nic.credits, self.cfg.vc_buffer_packets
+                ));
+            }
+            let src = NodeId::from_index(n);
+            for i in first..first + nic.queued {
+                crate::nic::check_queued(backlog.get(i), src, nodes, shard.now, next_id)
+                    .map_err(|e| format!("NIC {n}: backlog[{i}]: {e}"))?;
+            }
+            first += nic.queued;
+        }
+        Ok(())
     }
 
     /// Replace this freshly built engine's state with a checkpoint's. The

@@ -97,14 +97,14 @@
 //!   NIC and the topology. `adv_qadp_1056`'s arena held 41.4 MB of 104-byte
 //!   packets, nearly all of it backlog, and its heap peak was 57.9 MB; with
 //!   the backlog as records the arena held 7.5 MB and the backlog 8.5 MB.
-//!   Snapshots still carry the backlog as packets, byte for byte.
+//!   Snapshots carry the records too, as three columns.
 //! * **A packet is one cache line** ([`packet`]): 64 bytes aligned to 64,
 //!   where it was 104 bytes over two or three lines. It keeps its times,
 //!   ids, packed route state and the two Q-table indices every decision
 //!   reads; `src_router`, `src_group` and the size derive from `src` and
 //!   the configuration. `adv_qadp_1056`'s arena went 7.5 → 4.5 MB (seed
-//!   21, end of run). Snapshots keep the 104-byte form
-//!   ([`packet::PacketState`]), byte for byte.
+//!   21, end of run). Snapshots store the 14 fields a packet cannot
+//!   derive, one column each ([`checkpoint::ArenaCheckpoint`]).
 //! * **A router is two flat arrays and a link pool** ([`router`]): one
 //!   24-byte cell per `(port, vc)` (both FIFOs as head/tail indices,
 //!   output length, credits, wait-list link), one 24-byte record per port,
@@ -279,10 +279,14 @@
 //! The engine can snapshot its complete mutable state between runs at
 //! **any shard count and window grid**
 //! ([`engine::Engine::checkpoint`] / [`engine::Engine::restore`], state
-//! shapes in [`checkpoint`]): router buffers, NIC queues, the packet
-//! arena, the pending event set *with its sequence counters* (so
-//! tie-breaks replay identically), fault cursor, task programs, agent
-//! RNG/Q-table state and the injector position. Snapshots are taken
+//! shapes in [`checkpoint`]): router buffers, the fabric packets as
+//! columns, the NIC backlog as records, the pending event set *with its
+//! sequence counters* (so tie-breaks replay identically), fault cursor,
+//! task counters, agent RNG/Q-table state and the injector position. A
+//! snapshot stores state, not derivations: no field the topology gives,
+//! no packet for a message that has not been injected, no compiled
+//! program (a snapshot of a closed-loop job does not grow with its repeat
+//! count). Snapshots are taken
 //! between runs, which is a globally consistent cut (a run delivers all
 //! cross-shard mail before it returns), and are written in one walk over
 //! the shards in a canonical **single-shard-equivalent form**, the same
@@ -291,8 +295,8 @@
 //! pipeline on or off. Restore
 //! reads the canonical form in place: each shard takes its share straight
 //! from the borrowed snapshot and writes it into the fresh engine's own
-//! routers, agent tables, NICs, queue and arena, and a task keeps the
-//! program compiled from the spec and takes only its counters, so a
+//! routers, agent tables, NICs, backlog, queue and arena, and a task keeps
+//! the program compiled from the spec and takes the saved counters, so a
 //! restore holds the snapshot and the engine, never a copy of either.
 //! Restoring into a freshly built engine resumes **bit-for-bit**: the
 //! resumed run is indistinguishable from the uninterrupted one, which
@@ -337,7 +341,7 @@ pub use engine::{Engine, EngineStats, MemoryBreakdown, ShardDrain};
 pub use fault::{CompiledFault, FaultOp, FaultSchedule};
 pub use injector::{Injection, TrafficInjector};
 pub use observer::{ShardObserver, SimObserver};
-pub use packet::{Packet, PacketState, RouteInfo, RouteMode, Via};
+pub use packet::{Packet, RouteMode, Via};
 pub use routing::{
     Decision, FeedbackMsg, RouterAgent, RouterCtx, RoutingAlgorithm, DEAD_PORT_PENALTY_NS,
 };

@@ -36,33 +36,35 @@
 //! peak rose by 56 KB over the arena-held backlog, with 1,024 it falls by
 //! 17.5 KB. A fresh pool owns nothing.
 //!
+//! [`Packet`]: crate::packet::Packet
+//! [`Packet::new`]: crate::packet::Packet::new
+//!
 //! # The wire form
 //!
-//! Snapshots keep their bytes: [`NicState`] is the former run-time struct,
-//! field for field, with its source queue of arena handles.
-//! `Engine::checkpoint` writes each queued message as the [`PacketState`] of
-//! the packet [`Packet::new`] builds, into the arena slot the canonical
-//! walk gives it, and points the source queue there. `Shard::restore`
-//! reads each NIC's source queue in the canonical snapshot in place and
-//! turns the states it points at straight back into records of the fresh
-//! engine's backlog (`queued_of` refuses one the NIC could not have
-//! generated); they never enter the restored arena.
+//! A snapshot stores the backlog as it is held: the `(id, dst, created_ns)`
+//! of every queued message, one column each, in global node order and
+//! oldest first per NIC ([`crate::checkpoint::BacklogCheckpoint`]), and per
+//! NIC a [`NicState`] whose `queued` count says how many of them are its.
+//! `Engine::checkpoint` copies the records; no packet is built for a
+//! message that has not been injected. `Shard::restore` pushes each NIC's
+//! share back into the fresh engine's backlog, after
+//! `Engine::check_restorable` has refused a record the NIC could not have
+//! generated ([`check_queued`]).
 
-use crate::arena::{Chunked, PacketRef};
+use crate::arena::Chunked;
 use crate::config::EngineConfig;
-use crate::packet::{Packet, PacketState, RouteInfo};
 use crate::time::SimTime;
+use crate::workload::workload_source;
 use dragonfly_topology::ids::NodeId;
-use dragonfly_topology::AnyTopology;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
-/// A node's injection state as snapshots store it: the layout the run-time
-/// NIC had while its source queue held arena handles.
+/// A node's injection state as snapshots store it: the NIC's counters and
+/// link state, and how many messages of the snapshot's backlog are its.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NicState {
-    /// Queued packets, oldest first (handles into the snapshot's arena).
-    pub source_queue: VecDeque<PacketRef>,
+    /// Messages queued at this NIC: the next this many records of the
+    /// snapshot's backlog, oldest first.
+    pub queued: usize,
     /// Free slots in the router's host-port input buffer (VC 0).
     pub credits: usize,
     /// When the node-to-router link finishes serialising its current packet.
@@ -141,7 +143,7 @@ impl Nic {
     }
 
     /// This NIC's counters and link state from its wire form, with nothing
-    /// queued yet (the caller pushes the source queue's messages).
+    /// queued yet (the caller pushes its share of the backlog).
     pub(crate) fn from_wire(wire: &NicState) -> Self {
         Self {
             head: NIL,
@@ -155,10 +157,10 @@ impl Nic {
         }
     }
 
-    /// The wire form of this NIC, given its source queue.
-    pub(crate) fn to_wire(&self, source_queue: VecDeque<PacketRef>) -> NicState {
+    /// The wire form of this NIC.
+    pub(crate) fn to_wire(&self) -> NicState {
         NicState {
-            source_queue,
+            queued: self.backlog(),
             credits: self.credits as usize,
             link_free_at: self.link_free_at,
             retry_pending: self.retry_pending,
@@ -293,52 +295,46 @@ impl Backlog {
     }
 }
 
-/// The message `src`'s NIC queued as `state`, or why `state` is not one
-/// that NIC generated: the checks of [`Packet::from_state`], then the
-/// fields of a packet no router has touched yet, as [`Packet::new`] builds
-/// it (the error names the packet and the field).
-pub(crate) fn queued_of(
-    topo: &AnyTopology,
-    cfg: &EngineConfig,
+/// Whether `msg`, a snapshot's record of a message queued at `src`'s NIC,
+/// is one that NIC could have generated before the cut at `now`, in a
+/// system of `nodes` nodes whose injector has handed out the ids below
+/// `next_id`: a destination that exists, a workload id of `src` or an
+/// injector id already handed out, and a generation time not after the cut.
+/// The error names the message and the column.
+pub(crate) fn check_queued(
+    msg: Queued,
     src: NodeId,
-    state: &PacketState,
-) -> Result<Queued, String> {
-    let s = state;
-    let not_generated = |field: &str| {
-        Err(format!(
-            "packet {} has a {field} that NIC {} does not generate",
-            s.id,
-            src.index()
-        ))
-    };
-    if s.src != src {
-        return not_generated("src");
+    nodes: usize,
+    now: SimTime,
+    next_id: u64,
+) -> Result<(), String> {
+    let id = msg.id;
+    let refuse = |what: String| Err(format!("message {id} has {what}"));
+    if msg.dst.index() >= nodes {
+        return refuse(format!("dst = {}, outside the {nodes} nodes", msg.dst.0));
     }
-    Packet::from_state(s, topo, cfg)?;
-    for (field, fresh) in [
-        ("injected_ns", s.injected_ns == s.created_ns),
-        ("hops", s.hops == 0),
-        ("vc", s.vc == 0),
-        ("route", s.route == RouteInfo::default()),
-        ("last_router", s.last_router.is_none()),
-        ("last_out_port", s.last_out_port.is_none()),
-        ("last_decision_ns", s.last_decision_ns == s.created_ns),
-        ("pending_decision", s.pending_decision.is_none()),
-    ] {
-        if !fresh {
-            return not_generated(field);
+    match workload_source(id) {
+        Some(node) if node != src.index() as u64 => {
+            return refuse(format!("id = {id}, a workload id of node {node}"));
         }
+        None if id >= next_id => {
+            return refuse(format!(
+                "id = {id}, not handed out yet (next_packet_id = {next_id})"
+            ));
+        }
+        _ => {}
     }
-    Ok(Queued {
-        id: s.id,
-        dst: s.dst,
-        created_ns: s.created_ns,
-    })
+    if msg.created_ns > now {
+        let created = msg.created_ns;
+        return refuse(format!("created_ns = {created}, after the cut at {now} ns"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     fn message(id: u64) -> Queued {
         Queued {
@@ -371,14 +367,46 @@ mod tests {
 
     #[test]
     fn the_packet_a_nic_builds_is_one_it_generated() {
-        let topo: AnyTopology =
-            dragonfly_topology::Dragonfly::new(dragonfly_topology::DragonflyConfig::tiny()).into();
-        let cfg = EngineConfig::paper(5);
-        for id in 0..72 {
-            let msg = message(id);
-            let src = NodeId((id * 5 % 72) as u32);
-            let state = Packet::new(&topo, id, src, msg.dst, msg.created_ns).to_state(&topo, &cfg);
-            assert_eq!(queued_of(&topo, &cfg, src, &state), Ok(msg));
+        use crate::workload::workload_packet_id;
+        // What a NIC generates passes; a record it could not have generated
+        // is refused by the column that gives it away.
+        let src = NodeId(5);
+        let check = |msg| check_queued(msg, src, 72, 1_000, 100);
+        let workload = workload_packet_id(src, 3);
+        for id in [0, 99, workload] {
+            let msg = Queued {
+                id,
+                dst: NodeId(71),
+                created_ns: 1_000,
+            };
+            assert_eq!(check(msg), Ok(()), "id {id}");
+        }
+        let other = workload_packet_id(NodeId(6), 3);
+        for (msg, clue) in [
+            (
+                (7, NodeId(72), 10),
+                "message 7 has dst = 72, outside the 72 nodes".to_string(),
+            ),
+            (
+                (100, NodeId(1), 10),
+                "message 100 has id = 100, not handed out yet (next_packet_id = 100)".to_string(),
+            ),
+            (
+                (other, NodeId(1), 10),
+                format!("message {other} has id = {other}, a workload id of node 6"),
+            ),
+            (
+                (7, NodeId(1), 1_001),
+                "message 7 has created_ns = 1001, after the cut at 1000 ns".to_string(),
+            ),
+        ] {
+            let (id, dst, created_ns) = msg;
+            let msg = Queued {
+                id,
+                dst,
+                created_ns,
+            };
+            assert_eq!(check(msg), Err(clue));
         }
     }
 

@@ -37,18 +37,21 @@
 //!
 //! # The wire form
 //!
-//! Snapshots keep their bytes. [`PacketState`] is the former 104-byte
-//! run-time struct, field for field, with the same serde. Fabric packets and
-//! NIC-queued messages are written as one ([`Packet::to_state`]) and read
-//! back through one conversion ([`Packet::from_state`]), which refuses a
-//! state whose derived fields disagree with `src`, `dst` and the
-//! configuration, or whose ids or VCs this engine cannot hold.
+//! A snapshot stores the fields above that it cannot derive, as columns
+//! ([`crate::checkpoint::ArenaCheckpoint`]): `id`, `src`, `dst`, the three
+//! times, the last router and port, `via`, the pending port and VC, `hops`,
+//! `vc` and the flags, each raw, sentinels included. [`Packet::push_to`]
+//! appends a packet to them, and [`Packet::from_columns`] reads one back:
+//! it derives `dst_router`, `dst_group` and `src_slot` again and refuses a
+//! node, router, domain or VC the engine does not have, and a flags byte
+//! with bits no packet sets or naming two `via` kinds.
 
+use crate::arena::PacketRef;
+use crate::checkpoint::ArenaCheckpoint;
 use crate::config::EngineConfig;
 use crate::time::SimTime;
 use dragonfly_topology::ids::{GroupId, NodeId, Port, RouterId};
 use dragonfly_topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// No router and no Valiant target.
 const NO_ID: u32 = u32::MAX;
@@ -62,13 +65,20 @@ const VIA_ROUTER: u8 = 1 << 2;
 const REACHED_INTERMEDIATE: u8 = 1 << 3;
 const INT_GROUP_DECISION_DONE: u8 = 1 << 4;
 const PAR_REEVALUATED: u8 = 1 << 5;
+/// Every bit a packet's flags may hold.
+const ROUTE_BITS: u8 = VALIANT
+    | VIA_GROUP
+    | VIA_ROUTER
+    | REACHED_INTERMEDIATE
+    | INT_GROUP_DECISION_DONE
+    | PAR_REEVALUATED;
 
 /// Which routing mode a packet is currently committed to.
 ///
 /// Minimal/non-minimal selection happens at the source router (and, for
 /// PAR and Q-adaptive, possibly at one more router); afterwards the mode is
 /// recorded here so downstream routers know how to forward the packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteMode {
     /// Forward along the unique minimal path to the destination.
     Minimal,
@@ -84,44 +94,6 @@ pub enum Via {
     Group(GroupId),
     /// An intermediate router (VALn/UGALn/PAR-style paths).
     Router(RouterId),
-}
-
-/// Adaptive/Valiant routing bookkeeping as one value: what
-/// [`Packet::route`] decodes and the wire form stores.
-///
-/// Routing agents read and update it through [`Packet`]'s accessors; the
-/// engine itself never interprets it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RouteInfo {
-    /// Minimal or Valiant.
-    pub mode: RouteMode,
-    /// Valiant intermediate group (for VALg/UGALg-style paths and
-    /// Q-adaptive packets that left their source group non-minimally).
-    pub intermediate_group: Option<GroupId>,
-    /// Valiant intermediate router (for VALn/UGALn/PAR-style paths).
-    pub intermediate_router: Option<RouterId>,
-    /// Set once the packet has reached its intermediate group/router and
-    /// switched to the minimal leg.
-    pub reached_intermediate: bool,
-    /// Q-adaptive: the first router visited in an intermediate group has
-    /// already made its (possibly rerouting) decision.
-    pub int_group_decision_done: bool,
-    /// PAR: a source-group router has already re-evaluated the minimal
-    /// decision (PAR only allows one such re-evaluation).
-    pub par_reevaluated: bool,
-}
-
-impl Default for RouteInfo {
-    fn default() -> Self {
-        Self {
-            mode: RouteMode::Minimal,
-            intermediate_group: None,
-            intermediate_router: None,
-            reached_intermediate: false,
-            int_group_decision_done: false,
-            par_reevaluated: false,
-        }
-    }
 }
 
 /// A single-flit packet travelling through the network (see the module
@@ -312,25 +284,6 @@ impl Packet {
         self.flags |= PAR_REEVALUATED;
     }
 
-    /// The routing bookkeeping as one value.
-    pub fn route(&self) -> RouteInfo {
-        let via = self.via();
-        RouteInfo {
-            mode: self.route_mode(),
-            intermediate_group: match via {
-                Some(Via::Group(g)) => Some(g),
-                _ => None,
-            },
-            intermediate_router: match via {
-                Some(Via::Router(r)) => Some(r),
-                _ => None,
-            },
-            reached_intermediate: self.reached_intermediate(),
-            int_group_decision_done: self.int_group_decision_done(),
-            par_reevaluated: self.par_reevaluated(),
-        }
-    }
-
     /// The previous router and the output port it used for this packet
     /// (the Q-table column its feedback updates); `None` at the source
     /// router.
@@ -363,172 +316,102 @@ impl Packet {
         };
     }
 
-    /// This packet's wire form.
-    pub fn to_state(&self, topo: &impl Topology, cfg: &EngineConfig) -> PacketState {
-        let src_router = self.src_router(topo);
-        PacketState {
-            id: self.id,
-            src: self.src,
-            dst: self.dst,
-            src_router,
-            dst_router: self.dst_router,
-            dst_group: self.dst_group(),
-            src_group: topo.domain_of_router(src_router),
-            src_slot: self.src_slot,
-            size_bytes: cfg.packet_bytes,
-            created_ns: self.created_ns,
-            injected_ns: self.injected_ns,
-            hops: self.hops,
-            vc: self.vc,
-            route: self.route(),
-            last_router: (self.last_router != NO_ID).then_some(RouterId(self.last_router)),
-            last_out_port: (self.last_out_port != NO_PORT).then_some(Port(self.last_out_port)),
-            last_decision_ns: self.last_decision_ns,
-            pending_decision: self.pending_decision(),
-        }
+    /// Append this packet to the snapshot columns `arena`; its slot is the
+    /// returned ref.
+    pub(crate) fn push_to(&self, arena: &mut ArenaCheckpoint) -> PacketRef {
+        let slot = PacketRef(u32::try_from(arena.len()).expect("u32 packet refs"));
+        arena.id.push(self.id);
+        arena.src.push(self.src);
+        arena.dst.push(self.dst);
+        arena.created_ns.push(self.created_ns);
+        arena.injected_ns.push(self.injected_ns);
+        arena.last_decision_ns.push(self.last_decision_ns);
+        arena.last_router.push(self.last_router);
+        arena.last_out_port.push(self.last_out_port);
+        arena.via.push(self.via);
+        arena.pending_port.push(self.pending_port);
+        arena.pending_vc.push(self.pending_vc);
+        arena.hops.push(self.hops);
+        arena.vc.push(self.vc);
+        arena.flags.push(self.flags);
+        slot
     }
 
-    /// The packet `state` describes, or why this engine could hold no such
-    /// packet: a node, router or domain outside the topology, a derived
-    /// field that disagrees with `src`, `dst` or the configuration, a VC the
-    /// engine does not run, a port that is the none sentinel, or a route
-    /// with two intermediate targets. The error names the packet and the
-    /// field.
-    pub fn from_state(
-        state: &PacketState,
+    /// The packet in slot `i` of the snapshot columns `arena`, whose
+    /// columns are of equal length, or why this engine could hold no such
+    /// packet: a node, router or domain outside the topology, a VC the
+    /// engine does not run, or a flags byte with bits no packet sets, naming
+    /// two `via` kinds, or none for a `via` that is set. The error names the
+    /// packet and the column.
+    pub(crate) fn from_columns(
+        arena: &ArenaCheckpoint,
+        i: usize,
         topo: &impl Topology,
         cfg: &EngineConfig,
     ) -> Result<Self, String> {
-        let s = state;
-        let refuse = |what: String| Err(format!("packet {} has {what}", s.id));
-        let (nodes, routers) = (topo.num_nodes(), topo.num_routers());
-        for (field, node) in [("src", s.src), ("dst", s.dst)] {
+        let id = arena.id[i];
+        let refuse = |what: String| Err(format!("packet {id} has {what}"));
+        let (nodes, routers, domains) = (topo.num_nodes(), topo.num_routers(), topo.num_domains());
+        let (src, dst) = (arena.src[i], arena.dst[i]);
+        for (column, node) in [("src", src), ("dst", dst)] {
             if node.index() >= nodes {
-                return refuse(format!("{field} = {}, outside the {nodes} nodes", node.0));
+                return refuse(format!("{column} = {}, outside the {nodes} nodes", node.0));
             }
         }
-        let mut packet = Packet::new(topo, s.id, s.src, s.dst, s.created_ns);
-        let src_router = packet.src_router(topo);
-        for (field, have, want, basis) in [
-            ("src_router", s.src_router.0, src_router.0, "src"),
-            (
-                "src_group",
-                s.src_group.0,
-                topo.domain_of_router(src_router).0,
-                "src",
-            ),
-            ("src_slot", s.src_slot.into(), packet.src_slot.into(), "src"),
-            ("dst_router", s.dst_router.0, packet.dst_router.0, "dst"),
-            ("dst_group", s.dst_group.0, packet.dst_group().0, "dst"),
-            ("size_bytes", s.size_bytes, cfg.packet_bytes, "config"),
-        ] {
-            if have != want {
-                return refuse(format!("{field} = {have}, its {basis} gives {want}"));
-            }
+        let (flags, via) = (arena.flags[i], arena.via[i]);
+        if flags & !ROUTE_BITS != 0 {
+            return refuse(format!("flags = {flags:#04x}, with bits no packet sets"));
         }
-        let pending = s.pending_decision;
+        let refused_via = match flags & (VIA_GROUP | VIA_ROUTER) {
+            0 if via != NO_ID => Some(format!("via = {via}, with no via kind in its flags")),
+            VIA_GROUP if via as usize >= domains => {
+                Some(format!("via = {via}, outside the {domains} domains"))
+            }
+            VIA_ROUTER if via as usize >= routers => {
+                Some(format!("via = {via}, outside the {routers} routers"))
+            }
+            kinds if kinds == VIA_GROUP | VIA_ROUTER => {
+                Some(format!("flags = {flags:#04x}, naming two via kinds"))
+            }
+            _ => None,
+        };
+        if let Some(what) = refused_via {
+            return refuse(what);
+        }
+        let last_router = arena.last_router[i];
+        if last_router != NO_ID && last_router as usize >= routers {
+            return refuse(format!(
+                "last_router = {last_router}, outside the {routers} routers"
+            ));
+        }
+        let pending_port = arena.pending_port[i];
         let vcs = [
-            ("vc", Some(s.vc)),
-            ("pending_decision VC", pending.map(|d| d.1)),
+            ("vc", Some(arena.vc[i])),
+            (
+                "pending_vc",
+                (pending_port != NO_PORT).then_some(arena.pending_vc[i]),
+            ),
         ];
-        for (field, vc) in vcs {
+        for (column, vc) in vcs {
             if let Some(vc) = vc.filter(|&vc| usize::from(vc) >= cfg.num_vcs) {
                 let vcs = cfg.num_vcs;
-                return refuse(format!("{field} = {vc}, the engine runs {vcs} VCs"));
+                return refuse(format!("{column} = {vc}, the engine runs {vcs} VCs"));
             }
         }
-        let ports = [
-            ("last_out_port", s.last_out_port),
-            ("pending_decision port", pending.map(|d| d.0)),
-        ];
-        for (field, port) in ports {
-            if port == Some(Port(NO_PORT)) {
-                return refuse(format!("{field} = {NO_PORT}, beyond every radix"));
-            }
-        }
-        let ids = [
-            ("last_router", s.last_router),
-            ("intermediate_router", s.route.intermediate_router),
-        ];
-        for (field, router) in ids {
-            if let Some(r) = router.filter(|r| r.index() >= routers) {
-                return refuse(format!("{field} = {}, outside the {routers} routers", r.0));
-            }
-        }
-        let domains = topo.num_domains();
-        let (kind, via) = match (s.route.intermediate_group, s.route.intermediate_router) {
-            (None, None) => (0, NO_ID),
-            (Some(g), None) if g.index() >= domains => {
-                return refuse(format!(
-                    "intermediate_group = {}, outside the {domains} domains",
-                    g.0
-                ))
-            }
-            (Some(g), None) => (VIA_GROUP, g.0),
-            (None, Some(r)) => (VIA_ROUTER, r.0),
-            (Some(_), Some(_)) => {
-                return refuse("both an intermediate_group and an intermediate_router".into())
-            }
-        };
-        let bit = |set: bool, bit: u8| if set { bit } else { 0 };
-        packet.flags = bit(s.route.mode == RouteMode::Valiant, VALIANT)
-            | kind
-            | bit(s.route.reached_intermediate, REACHED_INTERMEDIATE)
-            | bit(s.route.int_group_decision_done, INT_GROUP_DECISION_DONE)
-            | bit(s.route.par_reevaluated, PAR_REEVALUATED);
-        packet.via = via;
-        packet.last_router = s.last_router.map_or(NO_ID, |r| r.0);
-        packet.last_out_port = s.last_out_port.map_or(NO_PORT, |p| p.0);
-        packet.set_pending_decision(s.pending_decision);
-        packet.injected_ns = s.injected_ns;
-        packet.last_decision_ns = s.last_decision_ns;
-        packet.hops = s.hops;
-        packet.vc = s.vc;
-        Ok(packet)
+        Ok(Self {
+            injected_ns: arena.injected_ns[i],
+            last_decision_ns: arena.last_decision_ns[i],
+            last_router,
+            via,
+            last_out_port: arena.last_out_port[i],
+            pending_port,
+            hops: arena.hops[i],
+            vc: arena.vc[i],
+            pending_vc: arena.pending_vc[i],
+            flags,
+            ..Packet::new(topo, id, src, dst, arena.created_ns[i])
+        })
     }
-}
-
-/// A packet as snapshots store it: the 104-byte layout the run-time
-/// [`Packet`] had before it was packed, field for field, with the derived
-/// fields written out.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PacketState {
-    /// Unique, monotonically increasing id.
-    pub id: u64,
-    /// Generating compute node.
-    pub src: NodeId,
-    /// Destination compute node.
-    pub dst: NodeId,
-    /// Router the source node is attached to.
-    pub src_router: RouterId,
-    /// Router the destination node is attached to.
-    pub dst_router: RouterId,
-    /// Group of the destination node.
-    pub dst_group: GroupId,
-    /// Group of the source node.
-    pub src_group: GroupId,
-    /// Host-port slot of the source node on its router.
-    pub src_slot: u8,
-    /// Packet size in bytes.
-    pub size_bytes: u32,
-    /// Time the message was generated at the node.
-    pub created_ns: SimTime,
-    /// Time the packet left the NIC and entered the router fabric.
-    pub injected_ns: SimTime,
-    /// Router-to-router hops taken so far.
-    pub hops: u8,
-    /// Current virtual channel.
-    pub vc: u8,
-    /// Adaptive/Valiant routing state.
-    pub route: RouteInfo,
-    /// The previous router on the path (None while at the source router).
-    pub last_router: Option<RouterId>,
-    /// The output port the previous router used to forward this packet.
-    pub last_out_port: Option<Port>,
-    /// The time the previous router made its forwarding decision.
-    pub last_decision_ns: SimTime,
-    /// Routing decision cached at the current router.
-    pub pending_decision: Option<(Port, u8)>,
 }
 
 #[cfg(test)]
@@ -587,11 +470,12 @@ mod tests {
 
     #[test]
     fn default_route_info_is_minimal() {
-        let r = RouteInfo::default();
-        assert_eq!(r.mode, RouteMode::Minimal);
-        assert!(r.intermediate_group.is_none());
-        assert!(!r.reached_intermediate);
-        assert_eq!(packet().route(), r, "a fresh packet routes minimally");
+        let p = packet();
+        assert_eq!((p.route_mode(), p.via()), (RouteMode::Minimal, None));
+        assert!(!p.reached_intermediate());
+        assert!(!p.int_group_decision_done());
+        assert!(!p.par_reevaluated());
+        assert_eq!(p.flags, 0, "a fresh packet routes minimally");
     }
 
     #[test]
@@ -683,6 +567,8 @@ mod tests {
 
     #[test]
     fn packet_to_state_to_packet_is_the_identity_on_every_fabric() {
+        // Through the snapshot columns and back: the columns hold the fields
+        // the packet stores, raw, and the derived ones come back from them.
         let cfg = EngineConfig::paper(5);
         let fabrics: [AnyTopology; 3] = [
             Dragonfly::new(DragonflyConfig::small()).into(),
@@ -691,23 +577,26 @@ mod tests {
         ];
         for topo in &fabrics {
             let mut x = 21;
-            for i in 0..2_000 {
-                let p = random_packet(topo, &cfg, &mut x);
-                let state = p.to_state(topo, &cfg);
-                // The derived fields are what the NIC used to store.
-                let src_router = topo.router_of_node(p.src);
-                let dst_router = topo.router_of_node(p.dst);
-                assert_eq!(state.src_router, src_router);
-                assert_eq!(state.dst_router, dst_router);
-                assert_eq!(state.src_group, topo.domain_of_router(src_router));
-                assert_eq!(state.dst_group, topo.domain_of_router(dst_router));
-                assert_eq!(state.src_slot as usize, topo.node_slot(p.src));
-                assert_eq!(state.size_bytes, cfg.packet_bytes);
-                let back = Packet::from_state(&state, topo, &cfg)
-                    .unwrap_or_else(|e| panic!("{} packet {i}: {e}", topo.kind_name()));
-                assert_eq!(back, p, "{} packet {i}", topo.kind_name());
-                assert_eq!(back.to_state(topo, &cfg), state);
+            let mut columns = ArenaCheckpoint::default();
+            let packets: Vec<Packet> = (0..2_000)
+                .map(|_| random_packet(topo, &cfg, &mut x))
+                .collect();
+            for (i, p) in packets.iter().enumerate() {
+                assert_eq!(p.push_to(&mut columns), PacketRef(i as u32));
+                assert_eq!(
+                    (columns.via[i], columns.flags[i], columns.last_router[i]),
+                    (p.via, p.flags, p.last_router)
+                );
             }
+            assert!(columns.column_lens().iter().all(|&(_, n)| n == 2_000));
+            let mut again = ArenaCheckpoint::default();
+            for (i, p) in packets.iter().enumerate() {
+                let back = Packet::from_columns(&columns, i, topo, &cfg)
+                    .unwrap_or_else(|e| panic!("{} packet {i}: {e}", topo.kind_name()));
+                assert_eq!(&back, p, "{} packet {i}", topo.kind_name());
+                back.push_to(&mut again);
+            }
+            assert_eq!(again, columns, "{}", topo.kind_name());
         }
     }
 
@@ -715,57 +604,64 @@ mod tests {
     fn a_state_this_engine_cannot_hold_is_refused_by_field() {
         let topo = tiny();
         let cfg = EngineConfig::paper(5);
-        let good = packet().to_state(&topo, &cfg);
-        type Damage = fn(&mut PacketState);
-        let cases: [(Damage, &str); 12] = [
-            (|s| s.src = NodeId(72), "src = 72, outside the 72 nodes"),
+        let mut good = ArenaCheckpoint::default();
+        let mut p = packet();
+        p.set_pending_decision(Some((Port(3), 1)));
+        p.push_to(&mut good);
+        Packet::from_columns(&good, 0, &topo, &cfg).expect("the good one reads back");
+        type Damage = fn(&mut ArenaCheckpoint);
+        let cases: [(Damage, &str); 11] = [
+            (|s| s.src[0] = NodeId(72), "src = 72, outside the 72 nodes"),
+            (|s| s.dst[0] = NodeId(90), "dst = 90, outside the 72 nodes"),
+            (|s| s.vc[0] = 5, "vc = 5, the engine runs 5 VCs"),
             (
-                |s| s.dst_group = GroupId(2),
-                "dst_group = 2, its dst gives 1",
+                |s| s.pending_vc[0] = 7,
+                "pending_vc = 7, the engine runs 5 VCs",
             ),
             (
-                |s| s.dst_router = RouterId(4),
-                "dst_router = 4, its dst gives 5",
-            ),
-            (|s| s.src_slot = 1, "src_slot = 1, its src gives 0"),
-            (
-                |s| s.src_router = RouterId(1),
-                "src_router = 1, its src gives 0",
-            ),
-            (
-                |s| s.src_group = GroupId(3),
-                "src_group = 3, its src gives 0",
-            ),
-            (
-                |s| s.size_bytes = 64,
-                "size_bytes = 64, its config gives 128",
-            ),
-            (|s| s.vc = 5, "vc = 5, the engine runs 5 VCs"),
-            (
-                |s| s.pending_decision = Some((Port(NO_PORT), 0)),
-                "pending_decision port = 65535",
-            ),
-            (
-                |s| s.last_router = Some(RouterId(36)),
+                |s| s.last_router[0] = 36,
                 "last_router = 36, outside the 36 routers",
             ),
             (
-                |s| s.route.intermediate_group = Some(GroupId(9)),
-                "intermediate_group = 9, outside the 9 domains",
+                |s| s.flags[0] = 1 << 6,
+                "flags = 0x40, with bits no packet sets",
+            ),
+            (
+                |s| s.flags[0] = VALIANT | VIA_GROUP | VIA_ROUTER,
+                "flags = 0x07, naming two via kinds",
             ),
             (
                 |s| {
-                    s.route.intermediate_group = Some(GroupId(2));
-                    s.route.intermediate_router = Some(RouterId(9));
+                    s.flags[0] = VALIANT | VIA_GROUP;
+                    s.via[0] = 9;
                 },
-                "both an intermediate_group and an intermediate_router",
+                "via = 9, outside the 9 domains",
+            ),
+            (
+                |s| {
+                    s.flags[0] = VALIANT | VIA_ROUTER;
+                    s.via[0] = 36;
+                },
+                "via = 36, outside the 36 routers",
+            ),
+            (|s| s.via[0] = 2, "via = 2, with no via kind in its flags"),
+            (
+                |s| {
+                    s.flags[0] = VALIANT;
+                    s.via[0] = 2;
+                },
+                "via = 2, with no via kind in its flags",
             ),
         ];
         for (damage, clue) in cases {
             let mut bad = good.clone();
             damage(&mut bad);
-            let err = Packet::from_state(&bad, &topo, &cfg).expect_err(clue);
-            assert!(err.starts_with(&format!("packet 1 has {clue}")), "{err}");
+            let err = Packet::from_columns(&bad, 0, &topo, &cfg).expect_err(clue);
+            assert_eq!(err, format!("packet 1 has {clue}"));
         }
+        // Without a pending port, the pending VC is not read.
+        let mut idle = good.clone();
+        (idle.pending_port[0], idle.pending_vc[0]) = (NO_PORT, 0);
+        Packet::from_columns(&idle, 0, &topo, &cfg).expect("no pending decision");
     }
 }

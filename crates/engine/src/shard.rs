@@ -17,13 +17,15 @@
 //! upstream/downstream interactions that can cross a shard boundary.
 
 use crate::arena::{PacketArena, PacketRef};
-use crate::checkpoint::{owner_shard, retry_owner, ShardCheckpoint};
+use crate::checkpoint::{
+    owner_shard, retry_owner, ArenaCheckpoint, BacklogCheckpoint, ShardCheckpoint,
+};
 use crate::config::EngineConfig;
 use crate::event::{Event, EventKind, EventQueue, Scheduler};
 use crate::fault::{CompiledFault, FaultOp};
-use crate::nic::{self, Backlog, Nic, Queued};
+use crate::nic::{Backlog, Nic, Queued};
 use crate::observer::ShardObserver;
-use crate::packet::{Packet, PacketState};
+use crate::packet::Packet;
 use crate::router::{RouterState, Waiter};
 use crate::routing::{Decision, FeedbackMsg, RouterAgent, RouterCtx, RoutingAlgorithm};
 use crate::sync::{QueuedInjection, ShardMsg, ShardPlan};
@@ -35,12 +37,6 @@ use dragonfly_topology::ports::PortKind;
 use dragonfly_topology::topology::Neighbor;
 use dragonfly_topology::{AnyTopology, Topology};
 use std::collections::{BTreeMap, VecDeque};
-
-/// Append `packet` to the canonical arena `slots`, returning its ref.
-fn push_slot(slots: &mut Vec<PacketState>, packet: PacketState) -> PacketRef {
-    slots.push(packet);
-    PacketRef(u32::try_from(slots.len() - 1).expect("u32 packet refs"))
-}
 
 /// Per-shard simulation state and event handlers.
 pub struct Shard<O: ShardObserver> {
@@ -90,9 +86,10 @@ pub struct Shard<O: ShardObserver> {
     /// across windows so the per-window mailbox drain allocates nothing
     /// at steady state.
     inbox_buf: Vec<ShardMsg>,
-    /// Closed-loop task state per owned node (parallel to `nics`; empty
-    /// unless a workload was installed).
-    tasks: Vec<Option<NodeTask>>,
+    /// Closed-loop program and task state per owned node (parallel to
+    /// `nics`; empty unless a workload was installed). Snapshots store the
+    /// task state, not the program.
+    tasks: Vec<Option<(NodeProgram, NodeTask)>>,
     /// Whether any task program was installed (gates the per-delivery
     /// `TaskRecv` notification, so open-loop runs are untouched).
     has_tasks: bool,
@@ -281,8 +278,9 @@ impl<O: ShardObserver> Shard<O> {
 
     /// The canonical snapshot of `shards`, every shard of one engine in
     /// ascending order, cut at the window boundary `now`: one canonical walk
-    /// ([`crate::checkpoint`]), a queued message written as the packet its
-    /// NIC builds. Each list is allocated once, at its final length.
+    /// ([`crate::checkpoint`]) over the fabric packets, the backlog records
+    /// copied in node order. Each list is allocated once, at its final
+    /// length.
     pub(crate) fn canonical_checkpoint(shards: &[Self], now: SimTime) -> ShardCheckpoint {
         let sum = |count: fn(&Self) -> usize| shards.iter().map(count).sum::<usize>();
         let first = &shards[0];
@@ -291,27 +289,32 @@ impl<O: ShardObserver> Shard<O> {
             faults: first.faults.clone(),
             fault_cursor: first.fault_cursor,
             has_tasks: first.has_tasks,
+            arena: ArenaCheckpoint::with_capacity(sum(|s| s.arena.live_count())),
+            backlog: BacklogCheckpoint::with_capacity(sum(|s| s.backlog.len())),
             ..ShardCheckpoint::default()
         };
         ck.routers.reserve_exact(sum(|s| s.routers.len()));
         ck.agents.reserve_exact(sum(|s| s.agents.len()));
         ck.nics.reserve_exact(sum(|s| s.nics.len()));
-        ck.arena.slots.reserve_exact(sum(Self::resident));
         ck.queue.events.reserve_exact(sum(|s| s.queue.len()));
         let pending = sum(|s| s.pending_injections.len());
         ck.pending_injections.reserve_exact(pending);
         ck.tasks.reserve_exact(sum(|s| s.tasks.len()));
-        // Walk phase 1, router buffers; the rest of each shard's state rides
-        // along.
+        // Walk phase 1, router buffers; the rest of each shard's state, the
+        // backlog in node order among it, rides along.
         for s in shards {
             debug_assert!(s.outboxes.iter().all(Vec::is_empty), "mail in an outbox");
             debug_assert_eq!(s.fault_cursor, first.fault_cursor, "fault cursors diverged");
             for router in &s.routers {
                 let mut state = router.clone();
-                state.map_packet_refs(&mut |r| push_slot(&mut ck.arena.slots, s.packet_state(r)));
+                state.map_packet_refs(&mut |r| s.arena.get(r).push_to(&mut ck.arena));
                 ck.routers.push(state);
             }
             ck.agents.extend(s.agents.iter().map(|a| a.save_state()));
+            for nic in &s.nics {
+                s.backlog.iter(nic).for_each(|msg| ck.backlog.push(msg));
+                ck.nics.push(nic.to_wire());
+            }
             (ck.generated, ck.injected) = (ck.generated + s.generated, ck.injected + s.injected);
             (ck.delivered, ck.dropped) = (ck.delivered + s.delivered, ck.dropped + s.dropped);
             ck.retransmits += s.retransmits;
@@ -320,21 +323,13 @@ impl<O: ShardObserver> Shard<O> {
             // Each shard retries the ids of its own source nodes, ascending.
             ck.retry_counts.extend(&s.retry_counts);
             ck.pending_injections.extend(&s.pending_injections);
-            ck.tasks.extend(s.tasks.iter().cloned());
+            let counters = s
+                .tasks
+                .iter()
+                .map(|t| t.as_ref().map(|(_, task)| task.clone()));
+            ck.tasks.extend(counters);
         }
-        // Walk phase 2, NIC source queues.
-        for s in shards {
-            for (n, nic) in s.nics.iter().enumerate() {
-                let src = NodeId::from_index(s.node_base + n);
-                let mut refs = VecDeque::with_capacity(nic.backlog());
-                for msg in s.backlog.iter(nic) {
-                    let packet = s.packet_of(src, msg).to_state(&s.topo, &s.cfg);
-                    refs.push_back(push_slot(&mut ck.arena.slots, packet));
-                }
-                ck.nics.push(nic.to_wire(refs));
-            }
-        }
-        // Walk phase 3, `RouterArrive` events. Restore regenerates the
+        // Walk phase 2, `RouterArrive` events. Restore regenerates the
         // `TrafficArrival` markers from the pending injections. Entity-embedding
         // keys make cross-shard `(time, key)` ties impossible, so the order is
         // total and re-sequencing by position reproduces the single-shard
@@ -346,7 +341,7 @@ impl<O: ShardObserver> Shard<O> {
             ev.seq = seq as u64;
             let owner = owner_shard(&ev.kind, &first.plan, &first.topo);
             if let (EventKind::RouterArrive { packet, .. }, Some(owner)) = (&mut ev.kind, owner) {
-                *packet = push_slot(&mut ck.arena.slots, shards[owner].packet_state(*packet));
+                *packet = shards[owner].arena.get(*packet).push_to(&mut ck.arena);
             }
         }
         ck.queue.next_seq = events.len() as u64;
@@ -355,18 +350,14 @@ impl<O: ShardObserver> Shard<O> {
         ck
     }
 
-    /// The wire form of packet `r` of this shard's arena.
-    fn packet_state(&self, r: PacketRef) -> PacketState {
-        self.arena.get(r).to_state(&self.topo, &self.cfg)
-    }
-
     /// Write this shard's share of the canonical snapshot `ck` into this
     /// freshly built shard, reading `ck` in place. The shard must have been
     /// constructed from the same `(topology, config, algorithm, seed, plan)`
     /// tuple, workload and fault schedule — everything the checkpoint does
     /// not store is reconstructed by [`Shard::new`], a task keeps the
-    /// program it was installed with, the installed schedule stays, and the
-    /// topology liveness mask is re-derived by replaying its applied prefix.
+    /// program it was installed with and takes the saved counters, the
+    /// installed schedule stays, and the topology liveness mask is
+    /// re-derived by replaying its applied prefix.
     ///
     /// The share is the shard's router and node ranges, the events and
     /// pending injections it owns and its retry entries. The global counters
@@ -376,14 +367,14 @@ impl<O: ShardObserver> Shard<O> {
     /// restored one. The canonical walk ([`crate::checkpoint`]) runs over
     /// the share, reading slots where the writer put them: each router
     /// buffer's packet, then each owned `RouterArrive` event's, takes the
-    /// next arena slot of this shard ([`Packet::from_state`]), and each
-    /// NIC's queued packets become backlog records again.
+    /// next arena slot of this shard ([`Packet::from_columns`]), and each
+    /// NIC's records of the backlog go back into this shard's backlog.
     ///
     /// # Panics
     ///
-    /// If a NIC packet is not one its NIC generates, or another packet is
-    /// not one this engine can hold ([`crate::Engine::check_restorable`]
-    /// refuses both first, and a schedule other than the installed one).
+    /// If a packet is not one this engine can hold, or the NIC counts and
+    /// the backlog disagree ([`crate::Engine::check_restorable`] refuses
+    /// both first, and a schedule other than the installed one).
     pub fn restore(&mut self, ck: &ShardCheckpoint) {
         self.now = ck.now;
         if self.id == 0 {
@@ -392,12 +383,12 @@ impl<O: ShardObserver> Shard<O> {
             (self.dropped, self.retransmits) = (ck.dropped, ck.retransmits);
         }
         let routers = self.router_base..self.router_base + self.routers.len();
-        let (topo, cfg, slots) = (&self.topo, &self.cfg, &ck.arena.slots);
+        let (topo, cfg, columns) = (&self.topo, &self.cfg, &ck.arena);
         let arena = &mut self.arena;
         *arena = PacketArena::new();
         let mut fabric = |pref: PacketRef| {
             arena.alloc(
-                Packet::from_state(&slots[pref.index()], topo, cfg)
+                Packet::from_columns(columns, pref.index(), topo, cfg)
                     .unwrap_or_else(|e| panic!("arena: {e}")),
             )
         };
@@ -409,15 +400,14 @@ impl<O: ShardObserver> Shard<O> {
             agent.load_state(state);
         }
         self.backlog = Backlog::new();
-        for (n, nic) in self.nics.iter_mut().enumerate() {
-            let src = NodeId::from_index(self.node_base + n);
-            let wire = &ck.nics[src.index()];
+        let mut record = ck.nics[..self.node_base].iter().map(|n| n.queued).sum();
+        let wires = &ck.nics[self.node_base..self.node_base + self.nics.len()];
+        for (nic, wire) in self.nics.iter_mut().zip(wires) {
             *nic = Nic::from_wire(wire);
-            for &pref in &wire.source_queue {
-                let msg = nic::queued_of(topo, cfg, src, &slots[pref.index()])
-                    .unwrap_or_else(|e| panic!("NIC {}: source_queue {e}", src.index()));
-                self.backlog.push_back(nic, msg);
+            for i in record..record + wire.queued {
+                self.backlog.push_back(nic, ck.backlog.get(i));
             }
+            record += wire.queued;
         }
         // A fresh engine may already hold bootstrap events (workload start
         // markers); the checkpointed queue replaces them wholesale.
@@ -479,8 +469,8 @@ impl<O: ShardObserver> Shard<O> {
                 .push(inj.time.max(ck.now), EventKind::TrafficArrival);
         }
         for (n, task) in self.tasks.iter_mut().enumerate() {
-            if let (Some(task), Some(Some(saved))) = (task, ck.tasks.get(self.node_base + n)) {
-                task.resume_from(saved);
+            if let (Some((_, task)), Some(Some(saved))) = (task, ck.tasks.get(self.node_base + n)) {
+                task.clone_from(saved);
             }
         }
     }
@@ -507,8 +497,8 @@ impl<O: ShardObserver> Shard<O> {
 
     /// Whether the tasks of `ck` fit this shard's nodes: a task section
     /// exactly when a workload is installed, one entry per node, and each
-    /// saved task one [`NodeTask::check_saved`] takes. The error names the
-    /// node and the field.
+    /// saved task one that fits the program compiled for its node
+    /// ([`NodeTask::check_fits`]). The error names the node and the field.
     pub(crate) fn check_tasks(&self, ck: &ShardCheckpoint) -> Result<(), String> {
         let nodes = self.topo.num_nodes();
         let want = if self.has_tasks { nodes } else { 0 };
@@ -522,7 +512,7 @@ impl<O: ShardObserver> Shard<O> {
         for (n, task) in self.tasks.iter().enumerate() {
             let node = self.node_base + n;
             match (task, &ck.tasks[node]) {
-                (Some(task), Some(saved)) => task.check_saved(saved, nodes),
+                (Some((program, _)), Some(saved)) => saved.check_fits(program.len(), nodes),
                 (None, None) => Ok(()),
                 (_, saved) => Err(format!(
                     "the snapshot has {} task, this engine {}",
@@ -835,16 +825,16 @@ impl<O: ShardObserver> Shard<O> {
                 self.agents[r].feedback(&msg);
             }
             EventKind::TaskWake { node } => {
-                let n = self.nlocal(node);
-                if let Some(task) = self.tasks[n].as_mut() {
-                    debug_assert_eq!(task.resume_at.unwrap_or(self.now), self.now);
+                let (n, now) = (self.nlocal(node), self.now);
+                if let Some(task) = self.task_mut(n) {
+                    debug_assert_eq!(task.resume_at.unwrap_or(now), now);
                     task.resume_at = None;
                 }
                 self.advance_task(node);
             }
             EventKind::TaskRecv { node, src } => {
                 let n = self.nlocal(node);
-                if let Some(task) = self.tasks[n].as_mut() {
+                if let Some(task) = self.task_mut(n) {
                     task.record_delivery(src);
                 }
                 self.advance_task(node);
@@ -931,7 +921,7 @@ impl<O: ShardObserver> Shard<O> {
         }
         self.has_tasks = true;
         let n = self.nlocal(node);
-        self.tasks[n] = Some(NodeTask::new(ops));
+        self.tasks[n] = Some((ops, NodeTask::default()));
         self.queue.push(0, EventKind::TaskWake { node });
     }
 
@@ -939,8 +929,13 @@ impl<O: ShardObserver> Shard<O> {
     pub fn tasks_finished(&self) -> u64 {
         self.tasks
             .iter()
-            .filter(|t| t.as_ref().is_some_and(|t| t.done))
+            .filter(|t| t.as_ref().is_some_and(|(_, t)| t.done))
             .count() as u64
+    }
+
+    /// The task state of owned node `n`, if it runs a program.
+    fn task_mut(&mut self, n: usize) -> Option<&mut NodeTask> {
+        self.tasks[n].as_mut().map(|(_, task)| task)
     }
 
     /// Execute ops of `node`'s program until it blocks (`Recv` short of
@@ -952,7 +947,7 @@ impl<O: ShardObserver> Shard<O> {
         let n = self.nlocal(node);
         loop {
             let op = {
-                let Some(task) = self.tasks[n].as_mut() else {
+                let Some((program, task)) = self.tasks[n].as_mut() else {
                     return;
                 };
                 if task.done || task.resume_at.is_some() {
@@ -960,12 +955,9 @@ impl<O: ShardObserver> Shard<O> {
                     // the pending wake.
                     return;
                 }
-                if task.pc >= task.ops.len() {
-                    task.done = true;
-                    None
-                } else {
-                    Some(task.ops[task.pc])
-                }
+                let op = program.get(task.pc).copied();
+                task.done = op.is_none();
+                op
             };
             let Some(op) = op else {
                 self.observer.task_rank_finished(node, self.now);
@@ -975,7 +967,7 @@ impl<O: ShardObserver> Shard<O> {
                 Op::Compute { delay_ns } => {
                     let at = self.now + delay_ns;
                     {
-                        let task = self.tasks[n].as_mut().expect("checked above");
+                        let task = self.task_mut(n).expect("checked above");
                         task.pc += 1;
                         task.resume_at = Some(at);
                     }
@@ -986,7 +978,7 @@ impl<O: ShardObserver> Shard<O> {
                     for _ in 0..messages {
                         self.workload_send(node, dst);
                     }
-                    self.tasks[n].as_mut().expect("checked above").pc += 1;
+                    self.task_mut(n).expect("checked above").pc += 1;
                 }
                 Op::Recv {
                     from,
@@ -995,7 +987,7 @@ impl<O: ShardObserver> Shard<O> {
                 } => {
                     let now = self.now;
                     let (consumed, waited) = {
-                        let task = self.tasks[n].as_mut().expect("checked above");
+                        let task = self.task_mut(n).expect("checked above");
                         if task.try_consume(from, messages) {
                             task.pc += 1;
                             (true, task.blocked_since.take().map(|since| now - since))
@@ -1012,7 +1004,7 @@ impl<O: ShardObserver> Shard<O> {
                     }
                 }
                 Op::Phase { index } => {
-                    self.tasks[n].as_mut().expect("checked above").pc += 1;
+                    self.task_mut(n).expect("checked above").pc += 1;
                     self.observer.task_phase_completed(node, index, self.now);
                 }
             }
@@ -1026,7 +1018,7 @@ impl<O: ShardObserver> Shard<O> {
         debug_assert_ne!(src, dst, "lowerings never emit self-sends");
         let n = self.nlocal(src);
         let seq = {
-            let task = self.tasks[n].as_mut().expect("sending node has a task");
+            let task = self.task_mut(n).expect("sending node has a task");
             let seq = task.next_send_seq;
             task.next_send_seq += 1;
             seq

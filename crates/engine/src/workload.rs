@@ -49,7 +49,7 @@ pub(crate) fn workload_source(id: u64) -> Option<u64> {
 }
 
 /// One primitive step of a node's task program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Busy the node for `delay_ns` (no network activity); the program
     /// resumes via a `TaskWake` event.
@@ -89,11 +89,12 @@ pub enum Op {
 /// The straight-line program of one node.
 pub type NodeProgram = Vec<Op>;
 
-/// Runtime state of one node's program (owned by its shard).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Runtime state of one node's program (owned by its shard), and what a
+/// snapshot stores of it: the counters, not the program. The shard keeps
+/// the program it was installed with beside it, and a restored shard keeps
+/// the one it compiled from the spec.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct NodeTask {
-    /// The compiled program.
-    pub(crate) ops: NodeProgram,
     /// Index of the next op to execute.
     pub(crate) pc: usize,
     /// Per-source delivered-but-unconsumed message counts, sorted by
@@ -112,41 +113,22 @@ pub struct NodeTask {
 }
 
 impl NodeTask {
-    /// Fresh state for a compiled program.
-    pub fn new(ops: NodeProgram) -> Self {
-        Self {
-            ops,
-            pc: 0,
-            avail: Vec::new(),
-            resume_at: None,
-            blocked_since: None,
-            next_send_seq: 0,
-            done: false,
+    /// Whether this task, a snapshot's, can resume on a program of `ops`
+    /// ops in a system of `nodes` nodes: a `pc` within the program, and
+    /// `avail` strictly ascending by existing sources. The error names the
+    /// field.
+    pub(crate) fn check_fits(&self, ops: usize, nodes: usize) -> Result<(), String> {
+        if self.pc > ops {
+            return Err(format!("pc = {}, beyond the program's {ops} ops", self.pc));
         }
-    }
-
-    /// Whether `saved`, a snapshot's state of this task, can resume on this
-    /// program in a system of `nodes` nodes: the same program, a `pc` within
-    /// it, and `avail` strictly ascending by existing sources. The error
-    /// names the field.
-    pub(crate) fn check_saved(&self, saved: &NodeTask, nodes: usize) -> Result<(), String> {
-        let (ops, pc) = (&saved.ops, saved.pc);
-        let len = self.ops.len().max(ops.len());
-        if let Some(i) = (0..len).find(|&i| self.ops.get(i) != ops.get(i)) {
-            let (got, want) = (ops.get(i), self.ops.get(i));
-            return Err(format!("ops[{i}] = {got:?}, the spec compiles {want:?}"));
-        }
-        if pc > ops.len() {
-            return Err(format!("pc = {pc}, beyond the program's {} ops", ops.len()));
-        }
-        for (i, &(src, _)) in saved.avail.iter().enumerate() {
+        for (i, &(src, _)) in self.avail.iter().enumerate() {
             let node = src.index();
             if node >= nodes {
                 return Err(format!(
                     "avail[{i}] names node {node}, outside the {nodes} nodes"
                 ));
             }
-            if i > 0 && saved.avail[i - 1].0 >= src {
+            if i > 0 && self.avail[i - 1].0 >= src {
                 return Err(format!(
                     "avail[{i}] names node {node}, not above avail[{}]'s",
                     i - 1
@@ -154,17 +136,6 @@ impl NodeTask {
             }
         }
         Ok(())
-    }
-
-    /// Take `saved`'s run-time state, keeping this task's program (which
-    /// [`NodeTask::check_saved`] found equal to `saved`'s).
-    pub(crate) fn resume_from(&mut self, saved: &NodeTask) {
-        self.pc = saved.pc;
-        self.avail.clone_from(&saved.avail);
-        self.resume_at = saved.resume_at;
-        self.blocked_since = saved.blocked_since;
-        self.next_send_seq = saved.next_send_seq;
-        self.done = saved.done;
     }
 
     /// Record one delivered message from `src`.
@@ -207,7 +178,7 @@ mod tests {
 
     #[test]
     fn recv_counters_consume_cumulatively() {
-        let mut t = NodeTask::new(vec![]);
+        let mut t = NodeTask::default();
         let src = NodeId(7);
         assert!(!t.try_consume(src, 1));
         t.record_delivery(src);

@@ -538,11 +538,8 @@ fn a_restore_costs_what_it_rebuilds() {
             assert!(source.has_pending_events(), "{what}: the cut is mid-run");
             let ck = source.checkpoint();
             drop(source);
-            assert!(
-                ck.shard.arena.slots.len() > 200,
-                "{what}: the snapshot holds {} packets",
-                ck.shard.arena.slots.len()
-            );
+            let held = ck.shard.arena.len() + ck.shard.backlog.len();
+            assert!(held > 200, "{what}: the snapshot holds {held} packets");
             let router = (ck.shard.routers.iter())
                 .map(|r| size_of::<RouterState>() + r.memory_bytes())
                 .max()
@@ -583,11 +580,10 @@ fn a_checkpoint_costs_what_it_writes() {
             let peak = PEAK.load(Relaxed) - before;
             let left = live().saturating_sub(before);
             let shard = &ck.shard;
+            let held = shard.arena.len() + shard.backlog.len();
             assert!(
-                shard.arena.slots.len() > 200
-                    && shard.nics.iter().any(|n| n.source_queue.len() > 1),
-                "{what}: the snapshot holds {} packets; some NIC must queue two or more",
-                shard.arena.slots.len()
+                held > 200 && shard.nics.iter().any(|n| n.queued > 1),
+                "{what}: the snapshot holds {held} packets; some NIC must queue two or more"
             );
             let router = (shard.routers.iter())
                 .map(|r| size_of::<RouterState>() + r.memory_bytes())

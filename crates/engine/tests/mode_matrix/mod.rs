@@ -91,10 +91,10 @@ struct Case {
     /// Where the split cell cuts; `None` is halfway through the reference
     /// run. The faulted case cuts between the kill and the restore.
     cut: Option<SimTime>,
-    /// Whether the cut snapshot holds packets in all three phases of the
-    /// canonical walk (router buffers, NIC source queues, `RouterArrive`
-    /// events), each from at least two shards at `Fixed(4)`, so every
-    /// phase of the writer reads more than one shard.
+    /// Whether the cut snapshot holds packets in both phases of the
+    /// canonical walk (router buffers, `RouterArrive` events) and in the
+    /// NIC backlog, each from at least two shards at `Fixed(4)`, so every
+    /// part of the writer reads more than one shard.
     fills_every_walk_phase: bool,
 }
 
@@ -484,7 +484,7 @@ pub fn run(slice: Slice) {
 }
 
 /// The shards of a four-shard plan whose packets a cut snapshot holds, per
-/// walk phase: router buffers, NIC source queues, `RouterArrive` events.
+/// place: router buffers, the NIC backlog, `RouterArrive` events.
 fn walk_phases(ck: &EngineCheckpoint, topo: &AnyTopology) -> [BTreeSet<usize>; 3] {
     let cfg = config((Fixed(4), true));
     let lookahead = topo.min_cross_domain_latency(cfg.local_latency_ns, cfg.global_latency_ns);
@@ -495,7 +495,7 @@ fn walk_phases(ck: &EngineCheckpoint, topo: &AnyTopology) -> [BTreeSet<usize>; 3
         .filter(|(_, r)| r.buffered_packets() > 0)
         .map(|(r, _)| plan.shard_of_router(RouterId::from_index(r)));
     let nics = (shard.nics.iter().enumerate())
-        .filter(|(_, nic)| !nic.source_queue.is_empty())
+        .filter(|(_, nic)| nic.queued > 0)
         .map(|(n, _)| of_node(n));
     let links = shard.queue.events.iter().filter_map(|ev| match ev.kind {
         EventKind::RouterArrive { router, .. } => Some(plan.shard_of_router(router)),

@@ -201,11 +201,9 @@ mod tests {
         let mut p = Packet::new(&topo, 0, NodeId(0), NodeId(40), 0);
         p.commit_valiant(Some(Via::Group(GroupId(5))));
         assert_eq!(p.route_mode(), RouteMode::Valiant);
-        assert_eq!(p.route().intermediate_group, Some(GroupId(5)));
-        assert_eq!(p.route().intermediate_router, None);
+        assert_eq!(p.via(), Some(Via::Group(GroupId(5))));
         p.commit_valiant(Some(Via::Router(RouterId(17))));
-        assert_eq!(p.route().intermediate_router, Some(RouterId(17)));
-        assert_eq!(p.route().intermediate_group, None);
+        assert_eq!(p.via(), Some(Via::Router(RouterId(17))));
         assert!(!p.reached_intermediate());
     }
 }

@@ -2,11 +2,11 @@
 //! into typed values with no tree in between.
 //!
 //! [`to_vec`] is a `serde::Emitter` and [`from_slice`] a `serde::Source`:
-//! the derived impls of the snapshot types push packets, Q-rows, events
-//! and NIC queues straight into the bytes and pull them straight out, so a
-//! checkpoint costs about what it stores (the writer holds the stream
-//! once, at most doubled by `Vec` growth; the reader holds the decoded
-//! value and nothing else).
+//! the derived impls of the snapshot types push packet columns, Q-rows,
+//! events and the backlog straight into the bytes and pull them straight
+//! out, so a checkpoint costs about what it stores (the writer holds the
+//! stream once, at most doubled by `Vec` growth; the reader holds the
+//! decoded value and nothing else).
 //!
 //! # Format
 //!

@@ -16,8 +16,8 @@
 //! A file is one `QADBIN` stream (the private `binary` module of this
 //! crate holds the format): the magic, the key dictionary, then the
 //! snapshot tagged [`CHECKPOINT_VERSION`]. [`RunCheckpoint::to_binary`]
-//! walks the typed snapshot once and writes packets, Q-rows, events and
-//! NIC queues straight into the bytes; [`RunCheckpoint::from_binary`]
+//! walks the typed snapshot once and writes packet columns, Q-rows, events
+//! and the backlog straight into the bytes; [`RunCheckpoint::from_binary`]
 //! fills the typed structs straight from them. No `serde::Value` tree of
 //! the snapshot is built in either direction, so a checkpoint costs about
 //! what it stores; [`RunCheckpoint::to_json`] (`qadaptive-cli checkpoint
@@ -36,7 +36,7 @@ use std::path::Path;
 
 /// Format tag stored in every checkpoint file; the only one this build
 /// writes or reads. Bump when any serialized layout changes incompatibly.
-pub const CHECKPOINT_VERSION: &str = "qadaptive-checkpoint-v4";
+pub const CHECKPOINT_VERSION: &str = "qadaptive-checkpoint-v5";
 
 /// A complete, self-contained snapshot of a running experiment.
 #[derive(Debug, Clone, Serialize, Deserialize)]

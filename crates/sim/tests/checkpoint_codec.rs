@@ -2,22 +2,28 @@
 //! streaming codec still mean what they meant, and damaged ones are
 //! refused cleanly by the typed reader.
 //!
-//! `tests/data/*.ckpt` were written by the commit before the streaming
-//! writer (the tree encoder, `qadaptive-cli run … --checkpoint-every …`),
-//! each next to the report of the same run left uninterrupted by that
-//! commit's binary:
+//! `tests/data/*.ckpt` hold four real cuts, each next to the report of the
+//! same run left uninterrupted:
 //!
 //! * `qadp_tiny` — Q-adaptive under ADV+1 at load 0.3 on the 72-node
 //!   system, cut at 2,500 ns with 1,193 packets queued in router buffers;
 //! * `allreduce_tiny` — closed-loop AllReduce under UGALg, cut
 //!   mid-collective at 5,994 ns.
 //!
-//! `paged_qadp_tiny` and `paged_qrouting_tiny` were written by the commit
-//! before the lazy Q-table's unit became the row (`run …
+//! The two were first written by the commit before the streaming writer
+//! (the tree encoder, `qadaptive-cli run … --checkpoint-every …`).
+//! `paged_qadp_tiny` and `paged_qrouting_tiny` were first written by the
+//! commit before the lazy Q-table's unit became the row (`run …
 //! --checkpoint-every 700`, ADV+1 at load 0.3 on the 72-node system,
 //! `qtable_page_rows_threshold = 0`): their `q_rows` are page-granular — a
 //! router that had learned anything lists its whole page, page-mates at
 //! their init values — and nine routers had not yet learned anything.
+//!
+//! When the format became `qadaptive-checkpoint-v5` (fabric packets as
+//! columns, the NIC backlog as records, ranks without programs), each file
+//! was converted content for content: decoded by the v4 reader, rewritten
+//! by the v5 writer. Every cut, Q-row list and counter is the one first
+//! written, so each still resumes to its `.report.json`.
 //!
 //! The differential half — streaming writer against tree encoder on every
 //! snapshot the mode matrix resumes — rides on its split cells' round trips

@@ -11,6 +11,8 @@
 //!   stream itself, at most doubled by `Vec` growth — no tree);
 //! * `from_binary` peaks at most the decoded snapshot + 1 × the stream
 //!   above what was live, and leaves no `Vec` with spare capacity;
+//! * a fabric packet costs its 14 stored fields and a queued message its
+//!   three, on the wire and decoded, not a packet state of 104 bytes;
 //! * no single damaged byte makes `from_binary` panic, or reserve more
 //!   than the bytes of the file could hold elements.
 //!
@@ -20,7 +22,7 @@
 
 mod common;
 
-use dragonfly_engine::packet::PacketState;
+use dragonfly_engine::AgentCheckpoint;
 use dragonfly_routing::RoutingSpec;
 use dragonfly_sim::builder::Simulation;
 use dragonfly_sim::checkpoint::RunCheckpoint;
@@ -105,8 +107,8 @@ fn congested_snapshot() -> RunCheckpoint {
     let ck = sim.snapshot();
     let shard = &ck.engine.shard;
     assert!(
-        shard.arena.slots.len() > 1_000 && shard.nics.iter().any(|n| !n.source_queue.is_empty()),
-        "the snapshot must hold queued packets"
+        shard.arena.len() > 500 && shard.backlog.len() > 500,
+        "the snapshot must hold packets in the fabric and messages at the NICs"
     );
     ck
 }
@@ -140,8 +142,53 @@ fn a_checkpoint_costs_what_it_stores() {
     // Q-table is 161,840 values per agent, and spare capacity there is
     // what the benchmark's checkpoint heap peak would be made of.
     let shard = &back.engine.shard;
-    assert_eq!(shard.arena.slots.capacity(), shard.arena.slots.len());
-    assert_eq!(shard.arena.free.capacity(), shard.arena.free.len());
+    let (arena, backlog) = (&shard.arena, &shard.backlog);
+    let capacities = [
+        ("arena.id", arena.id.capacity(), arena.len()),
+        ("arena.src", arena.src.capacity(), arena.len()),
+        ("arena.dst", arena.dst.capacity(), arena.len()),
+        ("arena.created_ns", arena.created_ns.capacity(), arena.len()),
+        (
+            "arena.injected_ns",
+            arena.injected_ns.capacity(),
+            arena.len(),
+        ),
+        (
+            "arena.last_decision_ns",
+            arena.last_decision_ns.capacity(),
+            arena.len(),
+        ),
+        (
+            "arena.last_router",
+            arena.last_router.capacity(),
+            arena.len(),
+        ),
+        (
+            "arena.last_out_port",
+            arena.last_out_port.capacity(),
+            arena.len(),
+        ),
+        ("arena.via", arena.via.capacity(), arena.len()),
+        (
+            "arena.pending_port",
+            arena.pending_port.capacity(),
+            arena.len(),
+        ),
+        ("arena.pending_vc", arena.pending_vc.capacity(), arena.len()),
+        ("arena.hops", arena.hops.capacity(), arena.len()),
+        ("arena.vc", arena.vc.capacity(), arena.len()),
+        ("arena.flags", arena.flags.capacity(), arena.len()),
+        ("backlog.id", backlog.id.capacity(), backlog.len()),
+        ("backlog.dst", backlog.dst.capacity(), backlog.len()),
+        (
+            "backlog.created_ns",
+            backlog.created_ns.capacity(),
+            backlog.len(),
+        ),
+    ];
+    for (column, capacity, len) in capacities {
+        assert_eq!(capacity, len, "{column}");
+    }
     assert_eq!(shard.queue.events.capacity(), shard.queue.events.len());
     assert_eq!(shard.agents.capacity(), shard.agents.len());
     assert_eq!(shard.nics.capacity(), shard.nics.len());
@@ -150,13 +197,57 @@ fn a_checkpoint_costs_what_it_stores() {
         assert_eq!(agent.q_values.capacity(), agent.q_values.len());
         assert_eq!(agent.counters.capacity(), agent.counters.len());
     }
-    for nic in &shard.nics {
-        assert_eq!(nic.source_queue.capacity(), nic.source_queue.len());
-    }
     let injector = &back.engine.injector;
     assert_eq!(injector.heap.capacity(), injector.heap.len());
     assert_eq!(injector.residual.capacity(), injector.residual.len());
     assert_eq!(back.to_binary(), bytes);
+}
+
+#[test]
+fn a_queued_message_costs_a_record_not_a_packet() {
+    // What one more fabric packet and one more queued message add to the
+    // stream and to the decoded snapshot, counted as the difference between
+    // the congested snapshot and the same snapshot without them. A fabric
+    // packet is its 14 stored fields, a queued message its three.
+    let _one_at_a_time = MEASURING.lock().unwrap();
+    let ck = congested_snapshot();
+    let shard = &ck.engine.shard;
+    let (packets, messages) = (shard.arena.len(), shard.backlog.len());
+    let cost = |ck: &RunCheckpoint| {
+        let bytes = ck.to_binary();
+        let (_, _, decoded) = measured(|| RunCheckpoint::from_binary(&bytes).expect("decodes"));
+        (bytes.len(), decoded)
+    };
+    let (bytes, heap) = cost(&ck);
+    let mut without = ck.clone();
+    without.engine.shard.arena = Default::default();
+    let (fabric_bytes, fabric_heap) = cost(&without);
+    without.engine.shard.backlog = Default::default();
+    let (backlog_bytes, backlog_heap) = cost(&without);
+    let per = |total: usize, rest: usize, n: usize| (total - rest) as f64 / n as f64;
+    let per_packet = (
+        per(bytes, fabric_bytes, packets),
+        per(heap, fabric_heap, packets),
+    );
+    let per_message = (
+        per(fabric_bytes, backlog_bytes, messages),
+        per(fabric_heap, backlog_heap, messages),
+    );
+    // Measured: 25.6 B and 56 B per fabric packet (3,757 of them), 5.1 B and
+    // 20 B per queued message (1,807). A packet's 56 B are its columns'
+    // element sizes and a message's 20 its record's fields, so decoding
+    // wastes nothing. As the 104-byte packet state of the previous format,
+    // the same snapshot spent 79.9 B on the wire and 104 B decoded per fabric
+    // packet, and 80.2 B and 108 B per queued message.
+    let bounds = [
+        ("stream bytes per fabric packet", per_packet.0, 32.0),
+        ("decoded bytes per fabric packet", per_packet.1, 56.0),
+        ("stream bytes per queued message", per_message.0, 8.0),
+        ("decoded bytes per queued message", per_message.1, 20.0),
+    ];
+    for (what, cost, bound) in bounds {
+        assert!(cost <= bound, "{what}: {cost:.1}, bound {bound}");
+    }
 }
 
 #[test]
@@ -168,8 +259,9 @@ fn no_damaged_byte_buys_memory_or_a_panic() {
     // file's size allows: a count is checked against the bytes left
     // before anything is reserved for it (and a run-length total against
     // the expansion budget), so the worst a flipped count can ask for is
-    // one element of the largest snapshot type — a packet — per byte of
-    // file.
+    // one element of the largest type a snapshot's sequences hold — an
+    // agent section, 112 B; a router section is 88, an event 80, a packet
+    // column entry at most 8 — per byte of file.
     let good = common::smallest_snapshot().to_binary();
     let (_, _, decoded) = measured(|| RunCheckpoint::from_binary(&good).expect("decodes"));
     let mut bad = good.clone();
@@ -178,7 +270,7 @@ fn no_damaged_byte_buys_memory_or_a_panic() {
         let (result, peak, _) = measured(|| RunCheckpoint::from_binary(&bad).map(drop));
         bad[i] = good[i];
         assert!(
-            peak <= decoded + good.len() * std::mem::size_of::<PacketState>(),
+            peak <= decoded + good.len() * std::mem::size_of::<AgentCheckpoint>(),
             "byte {i} flipped: decode peaked {peak} B for a {} B file",
             good.len()
         );

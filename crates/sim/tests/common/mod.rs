@@ -101,7 +101,7 @@ pub fn congested_snapshot() -> RunCheckpoint {
     let ck = sim.snapshot();
     let shard = &ck.engine.shard;
     assert!(
-        shard.nics.iter().any(|n| !n.source_queue.is_empty())
+        !shard.backlog.is_empty()
             && shard.routers.iter().any(|r| r.buffered_packets() > 0)
             && shard
                 .queue
@@ -123,7 +123,7 @@ pub fn smallest_snapshot() -> RunCheckpoint {
     let ck = sim.snapshot();
     let shard = &ck.engine.shard;
     assert!(
-        shard.arena.slots.len() > shard.arena.free.len() && !shard.queue.events.is_empty(),
+        !shard.arena.is_empty() && !shard.queue.events.is_empty(),
         "the snapshot must hold packets in flight"
     );
     ck
