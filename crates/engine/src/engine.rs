@@ -119,6 +119,9 @@ pub struct MemoryBreakdown {
     /// The cross-shard mail grid: the retained capacity of its `N × N`
     /// mailboxes (empty between runs, but each keeps its high-water mark).
     pub mailboxes: usize,
+    /// The closed-loop task table: a slot per node, and each node's
+    /// compiled program (its straight-line runs and loop bodies).
+    pub programs: usize,
 }
 
 impl std::fmt::Display for MemoryBreakdown {
@@ -128,14 +131,15 @@ impl std::fmt::Display for MemoryBreakdown {
             f,
             "tables {:.2} MB, arena {:.2} MB, NIC backlog {:.2} MB, \
              event queues {:.2} MB, router state {:.2} MB, NIC state {:.2} MB, \
-             mailboxes {:.2} MB",
+             mailboxes {:.2} MB, programs {:.2} MB",
             mb(self.tables),
             mb(self.arena),
             mb(self.backlog),
             mb(self.event_queues),
             mb(self.router_state),
             mb(self.nic_state),
-            mb(self.mailboxes)
+            mb(self.mailboxes),
+            mb(self.programs)
         )
     }
 }
@@ -291,14 +295,14 @@ impl<O: ShardObserver> Engine<O> {
         self.shards[0].observer_mut()
     }
 
-    /// Clone-and-merge the per-shard observers into one aggregate view
-    /// (shards are absorbed in ascending shard order, so the result is
-    /// deterministic and identical to a single-shard run for observers
-    /// that accumulate order-independently).
+    /// Merge the per-shard observers into one aggregate view: a clone of
+    /// shard 0's absorbing the others in ascending shard order, so the
+    /// result is deterministic and identical to a single-shard run for
+    /// observers that accumulate order-independently.
     pub fn merged_observer(&self) -> O {
         let mut merged = self.shards[0].observer().clone();
         for shard in &self.shards[1..] {
-            merged.absorb(shard.observer().clone());
+            merged.absorb(shard.observer());
         }
         merged
     }
@@ -308,7 +312,7 @@ impl<O: ShardObserver> Engine<O> {
         let mut shards = self.shards.into_iter();
         let mut merged = shards.next().expect("at least one shard").into_observer();
         for shard in shards {
-            merged.absorb(shard.into_observer());
+            merged.absorb(&shard.into_observer());
         }
         merged
     }
@@ -333,8 +337,9 @@ impl<O: ShardObserver> Engine<O> {
     }
 
     /// [`Engine::memory_bytes`] by owner, plus what it does not count: the
-    /// event queues and the router and NIC state. Summed over shards;
-    /// `tables + arena + backlog + mailboxes` is `memory_bytes()`.
+    /// event queues, the router and NIC state and the task programs. Summed
+    /// over shards; `tables + arena + backlog + mailboxes` is
+    /// `memory_bytes()`.
     pub fn memory_breakdown(&self) -> MemoryBreakdown {
         let mut heap = MemoryBreakdown {
             mailboxes: self.mail.memory_bytes(),
@@ -1127,6 +1132,7 @@ mod tests {
                         Op::Phase { index: 0 },
                     ]
                 })
+                .map(crate::workload::NodeProgram::from)
                 .collect();
             engine.install_workload(programs);
             let (end, _) = engine.run_to_drain(10_000_000);
@@ -1284,6 +1290,7 @@ mod tests {
                         },
                     ]
                 })
+                .map(crate::workload::NodeProgram::from)
                 .collect();
             engine.install_workload(programs);
             let (end, _) = engine.run_to_drain(100_000_000);

@@ -220,13 +220,15 @@
 //!
 //! ## Closed-loop task programs (delivery-triggered wakeups)
 //!
-//! Besides open-loop injector traffic, every node can run a straight-line
-//! task program ([`workload::Op`]: compute delays, asynchronous sends,
-//! counting receives, phase markers) installed via
-//! [`engine::Engine::install_workload`]. Execution is *closed-loop*: a
-//! `Recv` op blocks its node until the network has actually delivered the
-//! counted messages, so generation reacts to backpressure instead of
-//! following a rate.
+//! Besides open-loop injector traffic, every node can run a task program
+//! ([`workload::NodeProgram`]: straight-line runs and loops of
+//! [`workload::Op`]s — compute delays, asynchronous sends, counting
+//! receives, phase markers) installed via
+//! [`engine::Engine::install_workload`]. A loop is one body however often
+//! it runs, and a task's position is its index in the unrolled program.
+//! Execution is *closed-loop*: a `Recv` op blocks its node until the
+//! network has actually delivered the counted messages, so generation
+//! reacts to backpressure instead of following a rate.
 //!
 //! Delivery-triggered wakeups preserve the determinism contract by
 //! construction:

@@ -80,8 +80,10 @@ pub trait SimObserver: Send {
 /// order-independent form — integer sums, histograms, sample multisets —
 /// rather than order-sensitive floating-point folds.
 pub trait ShardObserver: SimObserver + Clone + Send {
-    /// Fold another shard's observations into this one.
-    fn absorb(&mut self, other: Self);
+    /// Fold another shard's observations into this one. It is borrowed,
+    /// so merging the live shards' observers copies nothing of theirs but
+    /// what the merged result keeps.
+    fn absorb(&mut self, other: &Self);
 }
 
 /// An observer that ignores everything.
@@ -91,7 +93,7 @@ pub struct NullObserver;
 impl SimObserver for NullObserver {}
 
 impl ShardObserver for NullObserver {
-    fn absorb(&mut self, _other: Self) {}
+    fn absorb(&mut self, _other: &Self) {}
 }
 
 /// An observer that just counts events — convenient in tests.
@@ -144,7 +146,7 @@ impl SimObserver for CountingObserver {
 }
 
 impl ShardObserver for CountingObserver {
-    fn absorb(&mut self, other: Self) {
+    fn absorb(&mut self, other: &Self) {
         self.generated += other.generated;
         self.injected += other.injected;
         self.delivered += other.delivered;

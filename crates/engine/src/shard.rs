@@ -254,6 +254,13 @@ impl<O: ShardObserver> Shard<O> {
                 .map(RouterState::memory_bytes)
                 .sum::<usize>();
         heap.nic_state += self.nics.capacity() * size_of::<Nic>();
+        heap.programs += self.tasks.capacity() * size_of::<Option<(NodeProgram, NodeTask)>>()
+            + self
+                .tasks
+                .iter()
+                .flatten()
+                .map(|(program, _)| program.memory_bytes())
+                .sum::<usize>();
     }
 
     /// Generated packets this shard holds: in the arena (router buffers
@@ -955,7 +962,7 @@ impl<O: ShardObserver> Shard<O> {
                     // the pending wake.
                     return;
                 }
-                let op = program.get(task.pc).copied();
+                let op = program.op_at(task.pc);
                 task.done = op.is_none();
                 op
             };

@@ -1,10 +1,11 @@
 //! Execution-level closed-loop task programs.
 //!
 //! A workload front-end (the `dragonfly-workload` crate) lowers collective
-//! and mini-app descriptions to one [`NodeProgram`] per node: a straight-
-//! line list of [`Op`]s executed by the owning [`crate::shard::Shard`].
-//! The engine knows nothing about collectives — only about these four
-//! primitive ops — which keeps the determinism argument local:
+//! and mini-app descriptions to one [`NodeProgram`] per node: straight-line
+//! runs of [`Op`]s and loops, each loop one body executed `times` times,
+//! run by the owning [`crate::shard::Shard`]. The engine knows nothing
+//! about collectives — only about these four primitive ops — which keeps
+//! the determinism argument local:
 //!
 //! * every op transition fires from a shard-local event ([`TaskWake`] /
 //!   [`TaskRecv`], see [`crate::event::EventKind`]) with a content-derived
@@ -12,6 +13,14 @@
 //! * `Send` posts packets at the node's own NIC (same code path as
 //!   injector traffic), and deliveries land in the shard that owns the
 //!   destination node, so no new cross-shard channel exists.
+//!
+//! A program is addressed as the flat op sequence it unrolls to: a task's
+//! `pc` counts unrolled ops, and [`NodeProgram::op_at`] finds the op of
+//! any `pc` in its loop body. So a loop costs one body in memory however
+//! often it runs, and a task, or a snapshot of one, is the same as if the
+//! program had been unrolled. A `Phase` op in a loop body holds its
+//! first-iteration index; the iteration's index is derived from it and
+//! clamped below [`MAX_PHASES`] here, in [`NodeProgram::op_at`].
 //!
 //! [`TaskWake`]: crate::event::EventKind::TaskWake
 //! [`TaskRecv`]: crate::event::EventKind::TaskRecv
@@ -30,8 +39,10 @@ pub const WORKLOAD_ID_BIT: u64 = 1 << 63;
 /// Bits reserved for the per-node send sequence inside a workload packet
 /// id. The RL-feedback event key truncates packet ids to 36 bits, so the
 /// source node occupies bits 20..36 — unique for systems below 65,536
-/// nodes and up to ~1M sends per node, the same exhaustion class as the
-/// injector's 36-bit id space.
+/// nodes and up to 2^20 sends per node, the same exhaustion class as the
+/// injector's 36-bit id space. A program that sends more would wrap into
+/// the next node's ids; `WorkloadSpec::compile` refuses it
+/// ([`NodeProgram::sends`]).
 pub const WORKLOAD_SEQ_BITS: u32 = 20;
 
 /// The deterministic id of the `seq`-th workload packet sent by `node`.
@@ -81,13 +92,153 @@ pub enum Op {
     /// Marker: reaching this op completes phase `index` for this rank
     /// (reported through the observer; purely observational).
     Phase {
-        /// Phase slot, already clamped by the front-end.
+        /// Phase slot, below [`MAX_PHASES`]. In a loop body it is the slot
+        /// of the first iteration; iteration `k` completes slot
+        /// `min(index + k × phase_step, MAX_PHASES − 1)`, which
+        /// [`NodeProgram::op_at`] returns.
         index: u32,
     },
 }
 
-/// The straight-line program of one node.
-pub type NodeProgram = Vec<Op>;
+/// Phase indices reported to observers are clamped below this bound, so
+/// per-phase metric vectors stay small for arbitrarily long workloads.
+pub const MAX_PHASES: u32 = 32;
+
+/// The program of one node: straight-line runs and loops, addressed by
+/// the index of an op in the sequence they unroll to.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NodeProgram {
+    /// In program order; a straight-line run is a segment with
+    /// `times = 1`. No segment is empty.
+    segments: Vec<Segment>,
+    /// Unrolled length: where the next segment would start.
+    len: usize,
+}
+
+/// One body of ops executed `times` times, starting at unrolled index
+/// `start`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Segment {
+    start: usize,
+    body: Vec<Op>,
+    times: u64,
+    /// How far each iteration moves the phase slots of the body's `Phase`
+    /// ops.
+    phase_step: u32,
+}
+
+impl NodeProgram {
+    /// Append `op` to the program's trailing straight-line run.
+    pub fn push(&mut self, op: Op) {
+        match self.segments.last_mut() {
+            Some(last) if last.times == 1 => last.body.push(op),
+            _ => self.segments.push(Segment {
+                start: self.len,
+                body: vec![op],
+                times: 1,
+                phase_step: 0,
+            }),
+        }
+        self.len += 1;
+    }
+
+    /// Append a loop: `body` executed `times` times, its `Phase` ops moved
+    /// on by `phase_step` slots per iteration. An empty body or a zero
+    /// count appends nothing; a body run once is a straight-line run.
+    pub fn push_loop(&mut self, mut body: Vec<Op>, times: u64, phase_step: u32) {
+        if body.is_empty() || times == 0 {
+            return;
+        }
+        body.shrink_to_fit();
+        let unrolled = usize::try_from(times)
+            .ok()
+            .and_then(|t| t.checked_mul(body.len()))
+            .and_then(|n| n.checked_add(self.len))
+            .expect("an unrolled program fits in usize");
+        self.segments.push(Segment {
+            start: self.len,
+            body,
+            times,
+            phase_step,
+        });
+        self.len = unrolled;
+    }
+
+    /// Number of ops executed from start to end (loops unrolled).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the program executes no op.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The op executed at unrolled index `pc`, `None` past the end.
+    #[inline]
+    pub fn op_at(&self, pc: usize) -> Option<Op> {
+        if pc >= self.len {
+            return None;
+        }
+        let seg = &self.segments[self.segments.partition_point(|s| s.start <= pc) - 1];
+        let offset = pc - seg.start;
+        let op = seg.body[offset % seg.body.len()];
+        match op {
+            Op::Phase { index } if seg.times > 1 => {
+                let iteration = (offset / seg.body.len()) as u64;
+                let slot = iteration
+                    .saturating_mul(u64::from(seg.phase_step))
+                    .saturating_add(u64::from(index));
+                Some(Op::Phase {
+                    index: slot.min(u64::from(MAX_PHASES - 1)) as u32,
+                })
+            }
+            _ => Some(op),
+        }
+    }
+
+    /// Every op in execution order, loops unrolled.
+    pub fn ops(&self) -> impl Iterator<Item = Op> + '_ {
+        (0..self.len).map(|pc| self.op_at(pc).expect("pc below len"))
+    }
+
+    /// Packets the program sends from start to end, saturating.
+    pub fn sends(&self) -> u64 {
+        self.segments
+            .iter()
+            .map(|seg| {
+                let per_iteration: u64 = seg
+                    .body
+                    .iter()
+                    .map(|op| match op {
+                        Op::Send { messages, .. } => u64::from(*messages),
+                        _ => 0,
+                    })
+                    .sum();
+                per_iteration.saturating_mul(seg.times)
+            })
+            .fold(0, u64::saturating_add)
+    }
+
+    /// Heap bytes at retained capacity: the segment list and the bodies.
+    pub fn memory_bytes(&self) -> usize {
+        self.segments.capacity() * std::mem::size_of::<Segment>()
+            + self
+                .segments
+                .iter()
+                .map(|seg| seg.body.capacity() * std::mem::size_of::<Op>())
+                .sum::<usize>()
+    }
+}
+
+/// A straight-line program.
+impl From<Vec<Op>> for NodeProgram {
+    fn from(ops: Vec<Op>) -> Self {
+        let mut program = Self::default();
+        program.push_loop(ops, 1, 0);
+        program
+    }
+}
 
 /// Runtime state of one node's program (owned by its shard), and what a
 /// snapshot stores of it: the counters, not the program. The shard keeps
@@ -174,6 +325,30 @@ mod tests {
         // The 36-bit truncation used by the RL-feedback key stays unique
         // across nodes below 2^16.
         assert_ne!(a & 0xF_FFFF_FFFF, b & 0xF_FFFF_FFFF);
+    }
+
+    #[test]
+    fn a_loop_is_addressed_as_its_unrolled_ops() {
+        let send = Op::Send {
+            dst: NodeId(3),
+            messages: 2,
+        };
+        let compute = Op::Compute { delay_ns: 5 };
+        let phase = |index| Op::Phase { index };
+        let mut program = NodeProgram::from(vec![phase(0)]);
+        program.push_loop(vec![send, phase(1), compute, phase(2)], 20, 2);
+        program.push(compute);
+        assert_eq!((program.len(), program.sends()), (1 + 4 * 20 + 1, 40));
+        // Iteration k completes slots 1 + 2k and 2 + 2k, clamped below
+        // MAX_PHASES from iteration 15 on.
+        let slot = |k: u32, first: u32| (first + 2 * k).min(MAX_PHASES - 1);
+        let mut want = vec![phase(0)];
+        for k in 0..20 {
+            want.extend([send, phase(slot(k, 1)), compute, phase(slot(k, 2))]);
+        }
+        want.push(compute);
+        assert_eq!(program.ops().collect::<Vec<_>>(), want);
+        assert_eq!(program.op_at(want.len()), None);
     }
 
     #[test]

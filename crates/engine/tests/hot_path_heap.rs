@@ -517,7 +517,8 @@ fn exchange_programs() -> Vec<NodeProgram> {
                         Op::Compute { delay_ns: 20 },
                     ]
                 })
-                .collect()
+                .collect::<Vec<_>>()
+                .into()
         })
         .collect()
 }

@@ -281,16 +281,22 @@ fn cases() -> Vec<Case> {
                 let skew = compute(50 + (i as u64 % 7) * 10);
                 let (ring, pair) = (exchange(i, 1, 2, false), exchange(i, 36, 1, true));
                 let tail = [compute(25), phase(1)];
-                [&[skew][..], &ring, &[phase(0)], &pair, &tail].concat()
+                [&[skew][..], &ring, &[phase(0)], &pair, &tail]
+                    .concat()
+                    .into()
             },
         ),
         (ProgramsAcrossGrids, "two skewed rounds", &|i| {
             let skew = compute((i as u64 % 11) * 37);
             let (ring, back) = (exchange(i, 1, 2, false), exchange(i, 71, 1, true));
-            [&[skew][..], &ring, &[phase(0)], &back, &[phase(1)]].concat()
+            [&[skew][..], &ring, &[phase(0)], &back, &[phase(1)]]
+                .concat()
+                .into()
         }),
         (ProgramsAcrossShards, "ring barrier", &|i| {
-            [&[compute(50)][..], &exchange(i, 1, 2, true), &[phase(0)]].concat()
+            [&[compute(50)][..], &exchange(i, 1, 2, true), &[phase(0)]]
+                .concat()
+                .into()
         }),
     ];
     for (slice, name, program) in programs {
@@ -395,10 +401,13 @@ fn assert_bites(case: &Case, reference: &Outcome) {
             assert_eq!(reference.delivered, script.len() as u64, "{name}: drains");
         }
         Traffic::Programs(programs) => {
-            let sends = programs.iter().flatten().map(|op| match op {
-                Op::Send { messages, .. } => u64::from(*messages),
-                _ => 0,
-            });
+            let sends = programs
+                .iter()
+                .flat_map(NodeProgram::ops)
+                .map(|op| match op {
+                    Op::Send { messages, .. } => u64::from(messages),
+                    _ => 0,
+                });
             assert_eq!(reference.delivered, sends.sum::<u64>(), "{name}: drains");
             assert_eq!(reference.tasks_finished, 72, "{name}: every rank finishes");
         }

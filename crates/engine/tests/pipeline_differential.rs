@@ -58,8 +58,8 @@ impl SimObserver for DeliveringThreads {
 }
 
 impl ShardObserver for DeliveringThreads {
-    fn absorb(&mut self, other: Self) {
-        self.0.extend(other.0);
+    fn absorb(&mut self, other: &Self) {
+        self.0.extend_from_slice(&other.0);
     }
 }
 

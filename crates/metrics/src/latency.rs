@@ -4,10 +4,13 @@
 //! and the 95th/99th percentiles. [`LatencyStats`] offers two accumulation
 //! modes behind one API:
 //!
-//! * **Exact** (the default): every sample is retained in nanoseconds and a
-//!   sorted copy is built lazily when a quantile is first requested.
-//!   Memory grows linearly with delivered packets — fine for the ~1k-node
-//!   smoke runs and required by the mode matrices.
+//! * **Exact** (the default): every sample is retained in nanoseconds, and
+//!   the first quantile query sorts them in place (a later `record` or
+//!   `merge` marks them unsorted again). Memory is the samples and nothing
+//!   else, one `u64` per delivered packet — fine for the ~1k-node smoke
+//!   runs and required by the mode matrices. The report queries a merged
+//!   clone of the shards' collectors, never a live one, so a snapshot
+//!   keeps the samples in delivery order.
 //! * **Streaming** ([`LatencyStats::streaming`]): samples land in a
 //!   log-binned HDR-style sketch with [`MANTISSA_BITS`] mantissa bits per
 //!   octave (64 sub-buckets, ≤ 1/64 ≈ 1.6 % relative bucket width), fixed
@@ -70,8 +73,9 @@ pub fn bucket_width_ns(value: u64) -> u64 {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LatencyStats {
     samples: Vec<u64>,
+    /// Exact mode: `samples` is in ascending order.
     #[serde(skip)]
-    sorted: Option<Vec<u64>>,
+    sorted: bool,
     sum: u128,
     /// Streaming mode: samples are folded into `bins` and dropped.
     #[serde(default)]
@@ -128,7 +132,7 @@ impl LatencyStats {
             self.count += 1;
         } else {
             self.samples.push(latency_ns);
-            self.sorted = None;
+            self.sorted = false;
         }
     }
 
@@ -162,13 +166,13 @@ impl LatencyStats {
         self.mean_ns() / 1_000.0
     }
 
+    /// The exact-mode samples in ascending order, sorted in place.
     fn sorted(&mut self) -> &[u64] {
-        if self.sorted.is_none() {
-            let mut v = self.samples.clone();
-            v.sort_unstable();
-            self.sorted = Some(v);
+        if !self.sorted {
+            self.samples.sort_unstable();
+            self.sorted = true;
         }
-        self.sorted.as_deref().unwrap()
+        &self.samples
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1) using nearest-rank interpolation;
@@ -271,9 +275,9 @@ impl LatencyStats {
     ///   integer sum/count and min/max folds — order-independent, so any
     ///   shard partition of a delivery stream merges to the bit-identical
     ///   unpartitioned sketch.
-    /// * exact ← exact: merges the two **sorted runs** in O(n + m) and
-    ///   keeps the result as the sorted cache (no clone-and-resort on the
-    ///   next quantile query).
+    /// * exact ← exact: the other side's samples are appended, into room
+    ///   reserved for exactly them, and the next quantile query sorts the
+    ///   whole set once.
     /// * streaming ← exact: the other side's samples are folded into the
     ///   sketch. The reverse (exact ← streaming) panics — a sketch cannot
     ///   reconstruct its samples. Sharded runs never mix modes: every
@@ -309,42 +313,17 @@ impl LatencyStats {
             !other.streaming,
             "cannot merge a streaming sketch into exact-mode LatencyStats"
         );
-        // Build both sorted runs, then merge them linearly.
-        self.sorted();
-        let mut theirs = other.sorted.clone().unwrap_or_else(|| {
-            let mut v = other.samples.clone();
-            v.sort_unstable();
-            v
-        });
-        let mine = self.sorted.take().unwrap_or_default();
-        let mut merged = Vec::with_capacity(mine.len() + theirs.len());
-        let (mut i, mut j) = (0, 0);
-        while i < mine.len() && j < theirs.len() {
-            if mine[i] <= theirs[j] {
-                merged.push(mine[i]);
-                i += 1;
-            } else {
-                merged.push(theirs[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&mine[i..]);
-        merged.extend_from_slice(&theirs[j..]);
-        theirs.clear();
+        self.samples.reserve_exact(other.samples.len());
         self.samples.extend_from_slice(&other.samples);
-        self.sorted = Some(merged);
+        self.sorted = false;
         self.sum += other.sum;
     }
 
     /// Heap footprint of this collection in bytes (the `memory_bytes`
-    /// rollup unit): retained samples plus the sorted cache in exact mode,
-    /// the fixed-size bin array in streaming mode.
+    /// rollup unit): the retained samples in exact mode, the fixed-size bin
+    /// array in streaming mode.
     pub fn memory_bytes(&self) -> usize {
-        let mut bytes = self.samples.capacity() * std::mem::size_of::<u64>();
-        if let Some(sorted) = &self.sorted {
-            bytes += sorted.capacity() * std::mem::size_of::<u64>();
-        }
-        bytes + self.bins.capacity() * std::mem::size_of::<u64>()
+        (self.samples.capacity() + self.bins.capacity()) * std::mem::size_of::<u64>()
     }
 }
 
@@ -427,8 +406,8 @@ mod tests {
 
     #[test]
     fn exact_merge_after_quantile_queries_stays_sorted() {
-        // Both sides have warm sorted caches; the merged cache must be the
-        // merged sorted run, not a stale or unsorted vector.
+        // Both sides are sorted in place; the merged set must be sorted
+        // again on the next query, not read as a stale run.
         let mut a = stats(&[5, 1, 9]);
         let mut b = stats(&[4, 8, 2]);
         assert_eq!(a.median_ns(), 5);
@@ -442,6 +421,21 @@ mod tests {
         let mut c = stats(&[100, 50]);
         c.merge(&stats(&[75]));
         assert_eq!(c.median_ns(), 75);
+    }
+
+    #[test]
+    fn an_exact_query_sorts_the_samples_in_place() {
+        let values: Vec<u64> = (0..1_000u64).map(|i| i * 7_919 % 1_009).collect();
+        let mut s = stats(&values);
+        let bytes = s.memory_bytes();
+        let mut oracle = values.clone();
+        oracle.sort_unstable();
+        for q in [0.0, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0] {
+            let rank = ((oracle.len() - 1) as f64 * q).round() as usize;
+            assert_eq!(s.quantile_ns(q), oracle[rank], "q={q}");
+        }
+        assert_eq!(s.memory_bytes(), bytes, "no sorted copy");
+        assert_eq!(s.samples, oracle);
     }
 
     #[test]

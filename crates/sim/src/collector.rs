@@ -134,7 +134,7 @@ impl MetricsCollector {
 }
 
 impl ShardObserver for MetricsCollector {
-    fn absorb(&mut self, other: Self) {
+    fn absorb(&mut self, other: &Self) {
         debug_assert_eq!(self.window_start_ns, other.window_start_ns);
         debug_assert_eq!(self.window_end_ns, other.window_end_ns);
         self.latency.merge(&other.latency);
@@ -143,9 +143,9 @@ impl ShardObserver for MetricsCollector {
         self.generated_in_window += other.generated_in_window;
         self.generated_total += other.generated_total;
         self.delivered_total += other.delivered_total;
-        match (self.series.as_mut(), other.series) {
-            (Some(mine), Some(theirs)) => mine.merge(&theirs),
-            (None, Some(theirs)) => self.series = Some(theirs),
+        match (self.series.as_mut(), &other.series) {
+            (Some(mine), Some(theirs)) => mine.merge(theirs),
+            (None, Some(theirs)) => self.series = Some(theirs.clone()),
             _ => {}
         }
         // Max / min / elementwise-max / sum: all order-independent, so
@@ -163,7 +163,7 @@ impl ShardObserver for MetricsCollector {
         self.dropped_total += other.dropped_total;
         self.retransmits_total += other.retransmits_total;
         self.gave_up_total += other.gave_up_total;
-        self.gave_up_pairs.extend(other.gave_up_pairs);
+        self.gave_up_pairs.extend(&other.gave_up_pairs);
     }
 }
 
@@ -271,7 +271,7 @@ mod tests {
         b.task_phase_completed(NodeId(1), 1, 300);
         b.task_rank_finished(NodeId(1), 350);
         b.task_blocked_wait(NodeId(1), 25, true);
-        a.absorb(b);
+        a.absorb(&b);
         assert_eq!(a.ranks_finished, 2);
         assert_eq!(a.job_end_max_ns, 400);
         assert_eq!(a.job_end_min_ns, 350);
@@ -289,7 +289,7 @@ mod tests {
         b.packet_dropped(&packet(0, 1), 15);
         b.message_gave_up(NodeId(1), NodeId(2), 35); // same pair, other shard
         b.message_gave_up(NodeId(3), NodeId(4), 40);
-        a.absorb(b);
+        a.absorb(&b);
         assert_eq!(a.dropped_total, 2);
         assert_eq!(a.retransmits_total, 1);
         assert_eq!(a.gave_up_total, 3);
@@ -320,7 +320,7 @@ mod tests {
         }
         let mut merged = shards.pop().unwrap();
         for s in shards {
-            merged.absorb(s);
+            merged.absorb(&s);
         }
         assert_eq!(
             serde_json::to_string(&merged.latency).unwrap(),

@@ -19,9 +19,13 @@
 //! The third leg of a cycle, `Engine::restore`, reads the decoded snapshot
 //! in place and copies none of it; its gate is the engine's
 //! `hot_path_heap.rs::a_restore_costs_what_it_rebuilds`.
+//!
+//! The same counters bound what a report costs: the merged collector and
+//! small change, the samples sorted in place rather than copied.
 
 mod common;
 
+use dragonfly_engine::config::ShardKind;
 use dragonfly_engine::AgentCheckpoint;
 use dragonfly_routing::RoutingSpec;
 use dragonfly_sim::builder::Simulation;
@@ -288,5 +292,46 @@ fn no_damaged_byte_buys_memory_or_a_panic() {
                 "byte {i} flipped: the error does not say where: {e}"
             );
         }
+    }
+}
+
+#[test]
+fn a_report_holds_one_copy_of_the_samples() {
+    // `report()` merges the shards' collectors into one clone, which
+    // absorbs the other shards' borrowed samples into room reserved for
+    // them, and sorts its samples in place to answer the quantiles. Above
+    // what was live, it holds that clone and small change: no sorted copy
+    // of the samples beside it, and no clone of another shard's collector.
+    let _one_at_a_time = MEASURING.lock().unwrap();
+    for shards in [ShardKind::Single, ShardKind::Fixed(2)] {
+        let spec = common::in_mode(
+            ExperimentSpec {
+                name: "report-heap".to_string(),
+                traffic: TrafficSpec::UniformRandom,
+                load: Some(0.5),
+                warmup_ns: 2_000,
+                measure_ns: 60_000,
+                seed: Some(5),
+                ..ExperimentSpec::new(DragonflyConfig::tiny())
+            },
+            shards,
+            false,
+        );
+        let mut sim = Simulation::start(&spec).expect("valid spec");
+        sim.advance_to(spec.total_ns());
+        let merged = sim.snapshot().collector;
+        let (samples, bytes) = (merged.latency.count(), merged.memory_bytes());
+        drop(merged);
+        assert!(
+            samples > 20_000,
+            "{shards:?}: {samples} samples, too few to tell"
+        );
+        let (report, peak, _) = measured(|| sim.report());
+        assert_eq!(report.packets_delivered, samples as u64);
+        assert!(
+            peak <= bytes + 64 * 1024,
+            "{shards:?}: report() peaked {peak} B above live for a {bytes} B merged \
+             collector of {samples} samples (bound: it + 64 KiB)"
+        );
     }
 }

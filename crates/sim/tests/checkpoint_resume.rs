@@ -144,6 +144,13 @@ fn snapshot_restore_snapshot_is_a_fixpoint() {
     run(Slice::LateCongestedSnapshot);
 }
 
+/// A `repeat` runs as one loop body per rank: a cut inside it resumes, in
+/// every mode, to the uninterrupted run.
+#[test]
+fn a_looped_job_resumes_mid_loop() {
+    run(Slice::ResumeMidLoop);
+}
+
 #[test]
 fn resume_under_a_different_spec_is_rejected() {
     let spec = openloop_spec(RoutingSpec::UgalG, 44);

@@ -133,6 +133,8 @@ pub enum Slice {
     CongestedSnapshot,
     /// `checkpoint_resume::snapshot_restore_snapshot_is_a_fixpoint`
     LateCongestedSnapshot,
+    /// `checkpoint_resume::a_looped_job_resumes_mid_loop`
+    ResumeMidLoop,
 }
 
 struct Case {
@@ -186,11 +188,15 @@ const OPEN_FAULTS_CUT_NS: u64 = 15_000;
 /// Mid-collective: every closed-loop case here runs for 2.4 µs or more.
 const CLOSED_LOOP_CUT_NS: u64 = 1_500;
 
+/// Mid-loop: the looped case runs twelve iterations in 66 µs, so this is
+/// in the fourth.
+const MID_LOOP_CUT_NS: u64 = 20_000;
+
 /// The case list: the three fabrics × UGAL-G and Q-adaptive × open loop
 /// (UR, ADV), closed loop (all-reduce, halo + barrier) and faults (link
 /// loss and a router kill, open and closed loop); the paper lineup under
-/// 5 % link loss; streaming metrics; a congested cut; seeded draws; last,
-/// the workloads of four tests that no case above fits.
+/// 5 % link loss; streaming metrics; a congested cut; seeded draws; the
+/// workloads of four tests that no case above fits; last, a looped job.
 fn cases() -> Vec<Case> {
     use Slice::*;
     let qadp = RoutingSpec::QAdaptive(QAdaptiveParams::paper_1056());
@@ -334,6 +340,25 @@ fn cases() -> Vec<Case> {
     add(ResumeBeforeTheKill, faulted, Some(11_000));
     let congested = common::congested_spec();
     add(LateCongestedSnapshot, congested, Some(7_500));
+    // A loop with a loop unrolled in its body, three phases an iteration:
+    // the cut lands mid-loop, and the phases pass the 32 slots a report
+    // keeps.
+    let looped = WorkloadSpec::Repeat {
+        times: 12,
+        body: Box::new(WorkloadSpec::Sequence(vec![
+            WorkloadSpec::Repeat {
+                times: 2,
+                body: Box::new(WorkloadSpec::HaloExchange {
+                    phases: 1,
+                    messages: 2,
+                    compute_ns: 100,
+                }),
+            },
+            allreduce.clone(),
+        ])),
+    };
+    let spec = closed_loop(fabrics[0], qadp, &looped);
+    add(ResumeMidLoop, spec, Some(MID_LOOP_CUT_NS));
     cases
 }
 

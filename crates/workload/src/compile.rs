@@ -11,16 +11,24 @@
 //! Offered *intensity* scales collective message counts (`max(1,
 //! ceil(m × intensity))`) so load sweeps can reuse one spec; barrier
 //! messages stay at one packet — a barrier's cost is latency, not volume.
+//!
+//! A program is straight-line runs and loops ([`NodeProgram`]). The
+//! outermost `repeat` on each path lowers its body once, into one loop per
+//! rank of its communicator; a `repeat` inside a loop body is unrolled
+//! within that body. So a program costs one iteration of a job however
+//! many it runs. Every `Phase` op holds the slot its first execution
+//! completes, clamped below [`MAX_PHASES`] as it is allocated here; a loop
+//! also records how many slots one iteration allocates, and the engine
+//! derives (and clamps) the slot of every later iteration from it
+//! ([`NodeProgram::op_at`]). A node may send at most
+//! 2^[`WORKLOAD_SEQ_BITS`] packets, or its workload packet ids would wrap
+//! into the next node's; `compile` refuses a spec that sends more.
 
 use crate::spec::{usable_axes, WorkloadSpec};
-use dragonfly_engine::workload::{NodeProgram, Op};
+use dragonfly_engine::workload::{NodeProgram, Op, MAX_PHASES, WORKLOAD_SEQ_BITS};
 use dragonfly_topology::ids::NodeId;
 use dragonfly_topology::{AnyTopology, Topology};
 use dragonfly_traffic::grid::Grid3D;
-
-/// Phase indices reported to observers are clamped below this bound, so
-/// per-phase metric vectors stay small for arbitrarily long workloads.
-pub const MAX_PHASES: u32 = 32;
 
 /// A contiguous rank → node mapping.
 #[derive(Debug, Clone, Copy)]
@@ -37,7 +45,9 @@ impl Comm {
 }
 
 impl WorkloadSpec {
-    /// Validate against `topo` and lower to one program per node.
+    /// Validate against `topo` and lower to one program per node. A node
+    /// that would send more packets than its workload ids can number is
+    /// refused by name.
     ///
     /// `intensity` scales collective message counts (1.0 = the spec's
     /// literal counts); it plays the role the offered-load dial plays for
@@ -51,13 +61,7 @@ impl WorkloadSpec {
         }
         let grid = Grid3D::for_system(topo);
         let axes = usable_axes(&grid);
-        let mut lowering = Lowering {
-            grid,
-            axes,
-            intensity,
-            programs: vec![Vec::new(); topo.num_nodes()],
-            next_phase: 0,
-        };
+        let mut lowering = Lowering::new(grid, axes, intensity, topo.num_nodes());
         lowering.lower(
             self,
             Comm {
@@ -65,6 +69,16 @@ impl WorkloadSpec {
                 len: topo.num_nodes(),
             },
         );
+        let most = 1u64 << WORKLOAD_SEQ_BITS;
+        for (node, program) in lowering.programs.iter().enumerate() {
+            let sends = program.sends();
+            if sends > most {
+                return Err(format!(
+                    "node {node} sends {sends} packets, more than the {most} \
+                     workload packet ids a node has"
+                ));
+            }
+        }
         Ok(lowering.programs)
     }
 }
@@ -75,12 +89,63 @@ struct Lowering {
     axes: Vec<usize>,
     intensity: f64,
     programs: Vec<NodeProgram>,
+    /// While a loop body is lowered, every node's body so far (empty for
+    /// the nodes outside the loop's communicator).
+    bodies: Option<Vec<Vec<Op>>>,
     next_phase: u32,
+    /// Unroll every `repeat`, as a program without loops would run: the
+    /// oracle the loops are tested against.
+    #[cfg(test)]
+    unroll: bool,
 }
 
 impl Lowering {
+    fn new(grid: Grid3D, axes: Vec<usize>, intensity: f64, nodes: usize) -> Self {
+        Self {
+            grid,
+            axes,
+            intensity,
+            programs: vec![NodeProgram::default(); nodes],
+            bodies: None,
+            next_phase: 0,
+            #[cfg(test)]
+            unroll: false,
+        }
+    }
+
     fn push(&mut self, node: NodeId, op: Op) {
-        self.programs[node.index()].push(op);
+        match &mut self.bodies {
+            Some(bodies) => bodies[node.index()].push(op),
+            None => self.programs[node.index()].push(op),
+        }
+    }
+
+    /// Whether a `repeat` met now is unrolled rather than lowered to a
+    /// loop: inside a loop body it is.
+    fn unrolls(&self) -> bool {
+        #[cfg(test)]
+        if self.unroll {
+            return true;
+        }
+        self.bodies.is_some()
+    }
+
+    /// The outermost `repeat` on a path: `body` lowered once, into one
+    /// loop of `times` iterations per rank of `comm`. Phase slots advance
+    /// as if the body had been lowered `times` times.
+    fn lower_loop(&mut self, body: &WorkloadSpec, times: u32, comm: Comm) {
+        let first_phase = self.next_phase;
+        self.bodies = Some(vec![Vec::new(); self.programs.len()]);
+        self.lower(body, comm);
+        let mut bodies = self.bodies.take().expect("set above");
+        let phase_step = self.next_phase - first_phase;
+        let next = u64::from(first_phase) + u64::from(times) * u64::from(phase_step);
+        self.next_phase = next.min(u64::from(u32::MAX)) as u32;
+        for rank in 0..comm.len {
+            let node = comm.node(rank).index();
+            let body = std::mem::take(&mut bodies[node]);
+            self.programs[node].push_loop(body, u64::from(times), phase_step);
+        }
     }
 
     /// Collective message count under the current intensity.
@@ -156,11 +221,12 @@ impl Lowering {
                     self.lower(part, comm);
                 }
             }
-            WorkloadSpec::Repeat { times, body } => {
+            WorkloadSpec::Repeat { times, body } if self.unrolls() => {
                 for _ in 0..*times {
                     self.lower(body, comm);
                 }
             }
+            WorkloadSpec::Repeat { times, body } => self.lower_loop(body, *times, comm),
             WorkloadSpec::Mix(parts) => {
                 let (n, k) = (comm.len, parts.len());
                 let mut start = comm.start;
@@ -429,14 +495,14 @@ mod tests {
         let mut sent: HashMap<(usize, usize), u64> = HashMap::new();
         let mut expected: HashMap<(usize, usize), u64> = HashMap::new();
         for (i, program) in programs.iter().enumerate() {
-            for op in program {
+            for op in program.ops() {
                 match op {
                     Op::Send { dst, messages } => {
                         assert_ne!(dst.index(), i, "node {i} sends to itself");
-                        *sent.entry((i, dst.index())).or_default() += *messages as u64;
+                        *sent.entry((i, dst.index())).or_default() += messages as u64;
                     }
                     Op::Recv { from, messages, .. } => {
-                        *expected.entry((from.index(), i)).or_default() += *messages as u64;
+                        *expected.entry((from.index(), i)).or_default() += messages as u64;
                     }
                     _ => {}
                 }
@@ -447,9 +513,9 @@ mod tests {
 
     fn send_total(program: &NodeProgram) -> u64 {
         program
-            .iter()
+            .ops()
             .map(|op| match op {
-                Op::Send { messages, .. } => *messages as u64,
+                Op::Send { messages, .. } => messages as u64,
                 _ => 0,
             })
             .sum()
@@ -457,9 +523,9 @@ mod tests {
 
     fn recv_total(program: &NodeProgram) -> u64 {
         program
-            .iter()
+            .ops()
             .map(|op| match op {
-                Op::Recv { messages, .. } => *messages as u64,
+                Op::Recv { messages, .. } => messages as u64,
                 _ => 0,
             })
             .sum()
@@ -517,12 +583,12 @@ mod tests {
         let rounds = (topo.num_nodes() as f64).log2().ceil() as u64;
         for program in &programs {
             assert_eq!(send_total(program), rounds);
-            for op in program {
+            for op in program.ops() {
                 if let Op::Send { messages, .. } = op {
-                    assert_eq!(*messages, 1);
+                    assert_eq!(messages, 1);
                 }
                 if let Op::Recv { barrier, .. } = op {
-                    assert!(*barrier);
+                    assert!(barrier);
                 }
             }
         }
@@ -571,14 +637,14 @@ mod tests {
             // along y (size 4 → two neighbours): 3 × 4 messages total.
             assert_eq!(send_total(program), (1 + 2) * 4);
             let computes = program
-                .iter()
+                .ops()
                 .filter(|op| matches!(op, Op::Compute { .. }))
                 .count();
             assert_eq!(computes, 2);
             let phases: Vec<u32> = program
-                .iter()
+                .ops()
                 .filter_map(|op| match op {
-                    Op::Phase { index } => Some(*index),
+                    Op::Phase { index } => Some(index),
                     _ => None,
                 })
                 .collect();
@@ -635,7 +701,7 @@ mod tests {
         .unwrap();
         assert_matched(&mix_only);
         for (i, program) in mix_only.iter().enumerate() {
-            for op in program {
+            for op in program.ops() {
                 if let Op::Send { dst, .. } = op {
                     assert_eq!(
                         i < half,
@@ -657,14 +723,158 @@ mod tests {
         };
         let programs = spec.compile(&topo, 1.0).unwrap();
         let max_index = programs[0]
-            .iter()
+            .ops()
             .filter_map(|op| match op {
-                Op::Phase { index } => Some(*index),
+                Op::Phase { index } => Some(index),
                 _ => None,
             })
             .max()
             .unwrap();
         assert_eq!(max_index, MAX_PHASES - 1);
+    }
+
+    /// `spec` lowered with every `repeat` unrolled: each node's ops in
+    /// execution order, as a program without loops holds them.
+    fn unrolled(spec: &WorkloadSpec, topo: &AnyTopology) -> Vec<Vec<Op>> {
+        let grid = Grid3D::for_system(topo);
+        let axes = usable_axes(&grid);
+        let mut lowering = Lowering {
+            unroll: true,
+            ..Lowering::new(grid, axes, 1.0, topo.num_nodes())
+        };
+        let len = topo.num_nodes();
+        lowering.lower(spec, Comm { start: 0, len });
+        lowering
+            .programs
+            .iter()
+            .map(|p| p.ops().collect())
+            .collect()
+    }
+
+    fn halo(phases: u32) -> WorkloadSpec {
+        WorkloadSpec::HaloExchange {
+            phases,
+            messages: 2,
+            compute_ns: 50,
+        }
+    }
+
+    fn repeat(times: u32, body: WorkloadSpec) -> WorkloadSpec {
+        WorkloadSpec::Repeat {
+            times,
+            body: Box::new(body),
+        }
+    }
+
+    #[test]
+    fn loops_run_exactly_as_their_unrolled_programs() {
+        use WorkloadSpec::{AllReduce, AllToAll, Barrier, Mix, Sequence};
+        let topo = tiny();
+        let specs = [
+            (
+                "repeat inside sequence",
+                Sequence(vec![
+                    Barrier,
+                    repeat(3, Sequence(vec![halo(2), AllReduce { messages: 1 }])),
+                    halo(1),
+                    repeat(2, Barrier),
+                ]),
+            ),
+            (
+                "nested repeat",
+                repeat(4, Sequence(vec![repeat(3, halo(1)), Barrier])),
+            ),
+            (
+                "mix inside repeat",
+                repeat(
+                    5,
+                    Mix(vec![
+                        Sequence(vec![AllToAll { messages: 1 }, AllReduce { messages: 2 }]),
+                        repeat(2, Barrier),
+                        WorkloadSpec::Compute { ns: 70 },
+                    ]),
+                ),
+            ),
+            (
+                "phases past MAX_PHASES",
+                Sequence(vec![
+                    repeat(MAX_PHASES - 3, WorkloadSpec::Compute { ns: 10 }),
+                    repeat(7, Sequence(vec![halo(2), repeat(2, Barrier)])),
+                ]),
+            ),
+            (
+                "a repeat run once",
+                Sequence(vec![repeat(1, halo(1)), Barrier]),
+            ),
+        ];
+        for (what, spec) in specs {
+            let programs = spec.compile(&topo, 1.0).unwrap();
+            let oracle = unrolled(&spec, &topo);
+            assert_matched(&programs);
+            for (node, (program, want)) in programs.iter().zip(&oracle).enumerate() {
+                assert_eq!(program.len(), want.len(), "{what}: node {node}'s length");
+                for (pc, want) in want.iter().enumerate() {
+                    assert_eq!(
+                        program.op_at(pc),
+                        Some(*want),
+                        "{what}: node {node}, pc {pc}"
+                    );
+                }
+                assert_eq!(program.op_at(want.len()), None, "{what}: node {node} ends");
+            }
+            if what == "phases past MAX_PHASES" {
+                let last = oracle[0].iter().rev().find_map(|op| match op {
+                    Op::Phase { index } => Some(*index),
+                    _ => None,
+                });
+                assert_eq!(last, Some(MAX_PHASES - 1), "the slots do pass the clamp");
+            }
+        }
+    }
+
+    #[test]
+    fn a_program_does_not_grow_with_the_repeat_count() {
+        let topo = tiny();
+        let heap = |times| {
+            let spec = repeat(
+                times,
+                WorkloadSpec::Sequence(vec![halo(3), WorkloadSpec::AllReduce { messages: 2 }]),
+            );
+            let programs = spec.compile(&topo, 1.0).unwrap();
+            let ops: usize = programs.iter().map(NodeProgram::len).sum();
+            let bytes: usize = programs.iter().map(NodeProgram::memory_bytes).sum();
+            (ops, bytes)
+        };
+        let (two, two_bytes) = heap(2);
+        let (many, many_bytes) = heap(200);
+        assert_eq!(many, two * 100, "the unrolled lengths scale with the count");
+        assert_eq!(many_bytes, two_bytes, "the heap does not");
+    }
+
+    #[test]
+    fn a_node_that_would_wrap_its_packet_ids_is_refused() {
+        let topo = tiny();
+        // The root of a scatter sends 71 × 14,800 = 1,050,800 packets, past
+        // the 2^20 ids of a node: its last ids would be node 1's.
+        let scatter = WorkloadSpec::Scatter {
+            root: 0,
+            messages: 14_800,
+        };
+        let err = scatter.compile(&topo, 1.0).unwrap_err();
+        assert!(err.contains("node 0 sends 1050800 packets"), "{err}");
+        // The count multiplies a loop's body by its iterations: 2^10 ×
+        // 2^10 sends along the two-point x axis is exactly every id a node
+        // has, and one iteration more is one too many.
+        let x_axis = WorkloadSpec::HaloExchange {
+            phases: 1,
+            messages: 1 << 10,
+            compute_ns: 0,
+        };
+        let halo_x = |times| repeat(times, x_axis.clone());
+        let programs = halo_x(1 << 10).compile(&topo, 1.0).unwrap();
+        assert_eq!(programs[5].sends(), 1 << WORKLOAD_SEQ_BITS);
+        let err = halo_x((1 << 10) + 1).compile(&topo, 1.0).unwrap_err();
+        assert!(err.contains("node 0 sends 1049600 packets"), "{err}");
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!
 //! Combinators compose over *communicators* (contiguous node ranges):
 //! `sequence` runs parts back to back on the same communicator, `repeat`
-//! iterates a body, and `mix` splits the communicator into one contiguous
-//! chunk per part so different job types run side by side.
+//! iterates a body (compiled once, as a loop), and `mix` splits the
+//! communicator into one contiguous chunk per part so different job types
+//! run side by side.
 //!
 //! The engine executes the result *closed-loop* — a `Recv` op blocks its
 //! node until the fabric has delivered the counted messages — so job
@@ -37,4 +38,5 @@
 pub mod compile;
 pub mod spec;
 
+pub use dragonfly_engine::workload::MAX_PHASES;
 pub use spec::{WorkloadKindInfo, WorkloadSpec};
