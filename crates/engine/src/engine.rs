@@ -122,6 +122,9 @@ pub struct MemoryBreakdown {
     /// The closed-loop task table: a slot per node, and each node's
     /// compiled program (its straight-line runs and loop bodies).
     pub programs: usize,
+    /// What the shards' observers report through
+    /// [`ShardObserver::memory_bytes`], summed without merging them.
+    pub observers: usize,
 }
 
 impl std::fmt::Display for MemoryBreakdown {
@@ -131,7 +134,7 @@ impl std::fmt::Display for MemoryBreakdown {
             f,
             "tables {:.2} MB, arena {:.2} MB, NIC backlog {:.2} MB, \
              event queues {:.2} MB, router state {:.2} MB, NIC state {:.2} MB, \
-             mailboxes {:.2} MB, programs {:.2} MB",
+             mailboxes {:.2} MB, programs {:.2} MB, observers {:.2} MB",
             mb(self.tables),
             mb(self.arena),
             mb(self.backlog),
@@ -139,7 +142,8 @@ impl std::fmt::Display for MemoryBreakdown {
             mb(self.router_state),
             mb(self.nic_state),
             mb(self.mailboxes),
-            mb(self.programs)
+            mb(self.programs),
+            mb(self.observers)
         )
     }
 }
@@ -337,9 +341,9 @@ impl<O: ShardObserver> Engine<O> {
     }
 
     /// [`Engine::memory_bytes`] by owner, plus what it does not count: the
-    /// event queues, the router and NIC state and the task programs. Summed
-    /// over shards; `tables + arena + backlog + mailboxes` is
-    /// `memory_bytes()`.
+    /// event queues, the router and NIC state, the task programs and the
+    /// observers. Summed over shards; `tables + arena + backlog +
+    /// mailboxes` is `memory_bytes()`.
     pub fn memory_breakdown(&self) -> MemoryBreakdown {
         let mut heap = MemoryBreakdown {
             mailboxes: self.mail.memory_bytes(),

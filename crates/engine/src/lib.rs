@@ -121,7 +121,8 @@
 //!   per-window critical path.
 //!
 //! [`engine::Engine::memory_breakdown`] says where the heap is — tables,
-//! arena, NIC backlog, event queues, router state, NIC state, mailboxes — and
+//! arena, NIC backlog, event queues, router state, NIC state, mailboxes,
+//! task programs, observers — and
 //! `qadaptive-cli run` prints it on stderr under its `perf:` line.
 //!
 //! ## Sharded execution: one window loop
@@ -216,7 +217,7 @@
 //! p99, sketch quantile) is computed once, at reporting time, from
 //! identical integers. This is what lets `shards = 1` vs `shards = N`
 //! stay bit-for-bit even with bounded-memory streaming sketches in place
-//! of exact sample vectors.
+//! of exact sample stores.
 //!
 //! ## Closed-loop task programs (delivery-triggered wakeups)
 //!

@@ -84,6 +84,13 @@ pub trait ShardObserver: SimObserver + Clone + Send {
     /// so merging the live shards' observers copies nothing of theirs but
     /// what the merged result keeps.
     fn absorb(&mut self, other: &Self);
+
+    /// Heap this observer holds, in bytes: a side channel like
+    /// `Engine::memory_bytes`, summed over shards by
+    /// [`crate::engine::Engine::memory_breakdown`]. 0 unless overridden.
+    fn memory_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// An observer that ignores everything.

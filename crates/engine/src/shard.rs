@@ -261,6 +261,7 @@ impl<O: ShardObserver> Shard<O> {
                 .flatten()
                 .map(|(program, _)| program.memory_bytes())
                 .sum::<usize>();
+        heap.observers += self.observer.memory_bytes();
     }
 
     /// Generated packets this shard holds: in the arena (router buffers

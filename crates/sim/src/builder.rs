@@ -23,6 +23,7 @@ use crate::fault::{compile_faults, FaultSpecEntry};
 use crate::injector::PatternInjector;
 use crate::spec::{ExperimentSpec, MetricsMode, SpecError};
 use dragonfly_engine::injector::{EmptyInjector, TrafficInjector};
+use dragonfly_engine::observer::ShardObserver;
 use dragonfly_engine::time::SimTime;
 use dragonfly_engine::Engine;
 use dragonfly_metrics::report::SimulationReport;
@@ -125,13 +126,19 @@ impl Simulation {
     /// Rebuild the engine of `spec` and restore `checkpoint` into it, after
     /// checking that the checkpoint was taken from the same experiment
     /// (execution-mode knobs may differ, see
-    /// [`ExperimentSpec::result_identity`]). The continued run is
+    /// [`ExperimentSpec::result_identity`]) and that its engine section and
+    /// its collector fit what the spec builds. The continued run is
     /// bit-for-bit identical to an uninterrupted one.
     pub fn resume(spec: &ExperimentSpec, checkpoint: &RunCheckpoint) -> Result<Self, SpecError> {
         checkpoint.check_spec_matches(spec)?;
         let mut sim = Self::start(spec)?;
         sim.engine
             .check_restorable(&checkpoint.engine)
+            .and_then(|()| {
+                checkpoint
+                    .collector
+                    .check_fits(&sim.engine.merged_observer())
+            })
             .map_err(|e| SpecError(format!("checkpoint cannot be restored: {e}")))?;
         sim.engine.restore(&checkpoint.engine);
         sim.engine.seed_observer(checkpoint.collector.clone());
@@ -174,7 +181,7 @@ impl Simulation {
         let nodes = engine.topology().num_nodes();
         // Merge the per-shard collectors (a single-shard engine merges
         // trivially); quantile queries need the merged sample set anyway.
-        let mut collector = engine.merged_observer();
+        let collector = engine.merged_observer();
         let memory_bytes = (engine.memory_bytes() + collector.memory_bytes()) as u64;
         let window_ns = collector.window_ns();
         let throughput = collector.throughput.normalized(

@@ -69,7 +69,7 @@ impl MetricsCollector {
     }
 
     /// Collect over `[window_start_ns, window_end_ns)` with the log-binned
-    /// streaming latency sketch instead of the exact sample vector: memory
+    /// streaming latency sketch instead of the exact sample store: memory
     /// stays a few KB no matter how many packets are delivered, quantiles
     /// are within one sketch bucket (≲ 1.6% relative) of exact, and shard
     /// merges are integer bin additions — bit-for-bit order independent.
@@ -117,15 +117,37 @@ impl MetricsCollector {
         self.window_end_ns.saturating_sub(self.window_start_ns)
     }
 
-    /// Heap footprint of the collected metrics in bytes: latency storage
-    /// (sketch bins in streaming mode, the sample vector in exact mode),
-    /// the hop histogram and the optional time series. In streaming mode
-    /// the total is bounded by sketch size and simulated time — never by
-    /// the number of delivered packets.
-    pub fn memory_bytes(&self) -> usize {
-        self.latency.memory_bytes()
-            + self.hops.memory_bytes()
-            + self.series.as_ref().map_or(0, |s| s.memory_bytes())
+    /// Check that this collector, read from a snapshot, is one the spec
+    /// builds: `fresh` is the collector `Simulation::start` built from it.
+    /// Merging a sketch into exact samples panics and another window
+    /// reports other numbers, so a damaged collector is refused, naming
+    /// the field and both values.
+    pub(crate) fn check_fits(&self, fresh: &Self) -> Result<(), String> {
+        let fields = |c: &Self| {
+            let mode = if c.latency.is_streaming() {
+                "Streaming"
+            } else {
+                "Exact"
+            };
+            let series = match &c.series {
+                Some(s) => format!("{} ns bins", s.bin_width_ns()),
+                None => "none".to_string(),
+            };
+            [
+                ("collector.latency", mode.to_string()),
+                ("collector.window_start_ns", c.window_start_ns.to_string()),
+                ("collector.window_end_ns", c.window_end_ns.to_string()),
+                ("collector.series", series),
+            ]
+        };
+        for ((field, ours), (_, spec)) in fields(self).into_iter().zip(fields(fresh)) {
+            if ours != spec {
+                return Err(format!(
+                    "`{field}` is {ours} in the snapshot but {spec} under the spec"
+                ));
+            }
+        }
+        Ok(())
     }
 
     fn in_window(&self, t: SimTime) -> bool {
@@ -164,6 +186,22 @@ impl ShardObserver for MetricsCollector {
         self.retransmits_total += other.retransmits_total;
         self.gave_up_total += other.gave_up_total;
         self.gave_up_pairs.extend(&other.gave_up_pairs);
+    }
+
+    /// Heap footprint of the collected metrics in bytes: latency storage
+    /// (sketch bins in streaming mode; in exact mode 4 B per sample in the
+    /// window plus at most one 64 KiB chunk being filled), the hop
+    /// histogram and the optional time series. In streaming mode the total
+    /// is bounded by sketch size and simulated time — never by the number
+    /// of delivered packets. Exact samples frozen into chunks are shared
+    /// between a collector and its clones (a snapshot's, the report's
+    /// merged one); each owner counts them, so two owners' figures do not
+    /// add up to the heap. A side channel outside the bit-for-bit
+    /// contract, like `Engine::memory_bytes`.
+    fn memory_bytes(&self) -> usize {
+        self.latency.memory_bytes()
+            + self.hops.memory_bytes()
+            + self.series.as_ref().map_or(0, |s| s.memory_bytes())
     }
 }
 

@@ -39,6 +39,36 @@ use dragonfly_sim::builder::Simulation;
 use dragonfly_sim::checkpoint::{RunCheckpoint, CHECKPOINT_VERSION};
 use dragonfly_sim::spec::ExperimentSpec;
 
+#[test]
+fn wide_latency_samples_round_trip_in_delivery_order() {
+    // A sample of 2^32 ns or more is a marker in its chunk and a value
+    // beside it; on the wire it is the sample, in its place, in the bytes
+    // the tree encoder writes.
+    use serde::{Serialize, Value};
+    let mut ck = smallest_snapshot();
+    let added = [
+        (1u64 << 32) + 1,
+        7,
+        u64::from(u32::MAX),
+        u64::MAX,
+        3,
+        1 << 40,
+    ];
+    for v in added {
+        ck.collector.latency.record(v);
+    }
+    let samples = |ck: &RunCheckpoint| match ck.collector.latency.to_value().get("samples") {
+        Some(Value::Seq(items)) => items.clone(),
+        other => panic!("exact samples are a sequence, not {other:?}"),
+    };
+    let before = samples(&ck);
+    let tail: Vec<Value> = added.iter().map(|&v| Value::Int(v.into())).collect();
+    assert_eq!(before[before.len() - added.len()..], tail[..]);
+    let back = through_the_file_encoding(&ck);
+    assert_eq!(samples(&back), before);
+    assert_eq!(back.collector.latency.max_ns(), u64::MAX);
+}
+
 fn fixture(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/data")

@@ -20,12 +20,15 @@
 //! in place and copies none of it; its gate is the engine's
 //! `hot_path_heap.rs::a_restore_costs_what_it_rebuilds`.
 //!
-//! The same counters bound what a report costs: the merged collector and
-//! small change, the samples sorted in place rather than copied.
+//! The same counters bound what a report costs: the merged collector
+//! shares the shards' frozen sample chunks, so above what was live it holds
+//! at most one owned chunk per shard and small change, and its quantiles
+//! are selected in place.
 
 mod common;
 
 use dragonfly_engine::config::ShardKind;
+use dragonfly_engine::observer::ShardObserver;
 use dragonfly_engine::AgentCheckpoint;
 use dragonfly_routing::RoutingSpec;
 use dragonfly_sim::builder::Simulation;
@@ -295,30 +298,37 @@ fn no_damaged_byte_buys_memory_or_a_panic() {
     }
 }
 
+/// Uniform random traffic at load 0.5 on the 72-node system with exact
+/// latency samples, run to the end of a `measure_ns` window.
+fn finished_exact_run(shards: ShardKind, measure_ns: u64) -> Simulation {
+    let spec = common::in_mode(
+        ExperimentSpec {
+            name: "report-heap".to_string(),
+            traffic: TrafficSpec::UniformRandom,
+            load: Some(0.5),
+            warmup_ns: 2_000,
+            measure_ns,
+            seed: Some(5),
+            ..ExperimentSpec::new(DragonflyConfig::tiny())
+        },
+        shards,
+        false,
+    );
+    let mut sim = Simulation::start(&spec).expect("valid spec");
+    sim.advance_to(spec.total_ns());
+    sim
+}
+
 #[test]
 fn a_report_holds_one_copy_of_the_samples() {
     // `report()` merges the shards' collectors into one clone, which
-    // absorbs the other shards' borrowed samples into room reserved for
-    // them, and sorts its samples in place to answer the quantiles. Above
-    // what was live, it holds that clone and small change: no sorted copy
-    // of the samples beside it, and no clone of another shard's collector.
+    // absorbs the other shards' borrowed samples, and selects its
+    // quantiles in place. Above what was live, it holds at most that
+    // clone and small change: no sorted copy of the samples beside it,
+    // and no clone of another shard's collector.
     let _one_at_a_time = MEASURING.lock().unwrap();
     for shards in [ShardKind::Single, ShardKind::Fixed(2)] {
-        let spec = common::in_mode(
-            ExperimentSpec {
-                name: "report-heap".to_string(),
-                traffic: TrafficSpec::UniformRandom,
-                load: Some(0.5),
-                warmup_ns: 2_000,
-                measure_ns: 60_000,
-                seed: Some(5),
-                ..ExperimentSpec::new(DragonflyConfig::tiny())
-            },
-            shards,
-            false,
-        );
-        let mut sim = Simulation::start(&spec).expect("valid spec");
-        sim.advance_to(spec.total_ns());
+        let mut sim = finished_exact_run(shards, 60_000);
         let merged = sim.snapshot().collector;
         let (samples, bytes) = (merged.latency.count(), merged.memory_bytes());
         drop(merged);
@@ -332,6 +342,50 @@ fn a_report_holds_one_copy_of_the_samples() {
             peak <= bytes + 64 * 1024,
             "{shards:?}: report() peaked {peak} B above live for a {bytes} B merged \
              collector of {samples} samples (bound: it + 64 KiB)"
+        );
+    }
+}
+
+#[test]
+fn a_report_copies_no_samples() {
+    // The merged collector shares the shards' frozen sample chunks and
+    // copies only the chunk each shard is filling, at most 64 KiB: above
+    // what was live, `report()` peaks at 64 KiB per shard and 64 KiB more
+    // for everything else, however many samples there are.
+    let _one_at_a_time = MEASURING.lock().unwrap();
+    for (shards, n) in [(ShardKind::Single, 1), (ShardKind::Fixed(2), 2)] {
+        let sim = finished_exact_run(shards, 60_000);
+        let (report, peak, _) = measured(|| sim.report());
+        let samples = report.packets_delivered as usize;
+        let bound = 64 * 1024 * (n + 1);
+        assert!(
+            samples * 4 > bound,
+            "{shards:?}: {samples} samples, too few to tell a copy of them"
+        );
+        assert!(
+            peak <= bound,
+            "{shards:?}: report() peaked {peak} B above live for {samples} samples \
+             (bound: 64 KiB x {})",
+            n + 1
+        );
+    }
+}
+
+#[test]
+fn the_heap_breakdown_names_the_observers() {
+    // `observers` sums what each shard's collector holds, without merging:
+    // 4 B per sample in the window, plus per shard at most the unused rest
+    // of the chunk it is filling (64 KiB) and its hop histogram.
+    let _one_at_a_time = MEASURING.lock().unwrap();
+    for (shards, n) in [(ShardKind::Single, 1), (ShardKind::Fixed(2), 2)] {
+        let mut sim = finished_exact_run(shards, 60_000);
+        let observers = sim.memory_breakdown().observers;
+        let merged = sim.snapshot().collector;
+        let samples = 4 * merged.latency.count();
+        let bound = samples + n * (64 * 1024 + merged.hops.memory_bytes());
+        assert!(
+            (samples..=bound).contains(&observers),
+            "{shards:?}: observers hold {observers} B, not in [{samples}, {bound}]"
         );
     }
 }

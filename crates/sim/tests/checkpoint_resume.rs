@@ -722,6 +722,60 @@ fn assert_refused(spec: &ExperimentSpec, bad: &RunCheckpoint, what: &str, clue: 
 }
 
 #[test]
+fn a_snapshot_whose_collector_disagrees_with_its_spec_is_refused_not_restored() {
+    // The spec decides the collector: its latency mode, its window and its
+    // time series. A snapshot whose collector says otherwise (a damaged
+    // `streaming` flag, a shifted window) is refused naming the field:
+    // exact samples under a streaming spec made a sharded `report()` panic
+    // in the merge, and at one shard reported exact quantiles.
+    use dragonfly_metrics::timeseries::TimeSeries;
+    use dragonfly_sim::spec::{MetricsMode, MetricsSpec};
+    let exact = common::congested_spec();
+    let streaming = ExperimentSpec {
+        metrics: Some(MetricsSpec {
+            mode: MetricsMode::Streaming,
+        }),
+        ..exact.clone()
+    };
+    let cut = |spec: &ExperimentSpec| {
+        let mut sim = Simulation::start(spec).expect("valid spec");
+        assert!(
+            sim.advance_to(common::CONGESTED_CUT_NS),
+            "the cut is mid-run"
+        );
+        sim.snapshot()
+    };
+    let (exact_ck, streaming_ck) = (cut(&exact), cut(&streaming));
+    assert!(exact_ck.collector.latency.count() > 0, "the window is open");
+
+    let mut bad = streaming_ck.clone();
+    bad.collector = exact_ck.collector.clone();
+    let clue = "`collector.latency` is Exact in the snapshot but Streaming under the spec";
+    assert_refused(&streaming, &bad, "exact samples, streaming spec", clue);
+    let mut bad = exact_ck.clone();
+    bad.collector = streaming_ck.collector.clone();
+    let clue = "`collector.latency` is Streaming in the snapshot but Exact under the spec";
+    assert_refused(&exact, &bad, "a sketch, exact spec", clue);
+
+    let mut bad = exact_ck.clone();
+    bad.collector.window_start_ns += 1;
+    let clue = "`collector.window_start_ns` is 3001 in the snapshot but 3000 under the spec";
+    assert_refused(&exact, &bad, "a later window start", clue);
+    let mut bad = exact_ck.clone();
+    bad.collector.window_end_ns -= 1;
+    let clue = "`collector.window_end_ns` is 8999 in the snapshot but 9000 under the spec";
+    assert_refused(&exact, &bad, "an earlier window end", clue);
+    let mut bad = exact_ck.clone();
+    bad.collector.series = Some(TimeSeries::new(500));
+    let clue = "`collector.series` is 500 ns bins in the snapshot but none under the spec";
+    assert_refused(&exact, &bad, "a series the spec lacks", clue);
+
+    for (spec, ck) in [(&exact, &exact_ck), (&streaming, &streaming_ck)] {
+        Simulation::resume(spec, &through_the_file_encoding(ck)).expect("the cut resumes");
+    }
+}
+
+#[test]
 fn a_snapshot_with_an_injection_marker_is_refused_not_restored() {
     // The writer leaves the `TrafficArrival` markers out of every snapshot and
     // restore regenerates them from the pending injections, so a snapshot
