@@ -17,8 +17,8 @@
 
 use dragonfly_metrics::report::SimulationReport;
 use dragonfly_sim::convergence::ConvergenceResult;
-use dragonfly_sim::spec::{budget_workers, ExperimentSpec, SweepSpec};
-use dragonfly_sim::sweep::{run_specs_parallel, SweepResult};
+use dragonfly_sim::spec::{ExperimentSpec, SweepSpec};
+use dragonfly_sim::sweep::SweepResult;
 use std::path::{Path, PathBuf};
 
 /// Bump when the cached JSON schema or the simulation semantics change in
@@ -142,7 +142,7 @@ pub fn run_sweep_cached(
         .collect();
     if !misses.is_empty() {
         let todo: Vec<ExperimentSpec> = misses.iter().map(|&i| points[i].clone()).collect();
-        let fresh = run_specs_parallel(&todo, budget_workers(threads, sweep.shards_per_point()));
+        let fresh = sweep.run_points(&todo, threads);
         for (&index, report) in misses.iter().zip(fresh) {
             cache.store_report(&keys[index], &report);
             reports[index] = Some(report);

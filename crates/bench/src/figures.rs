@@ -880,10 +880,10 @@ pub fn run_plan(plan: FigurePlan, args: &BenchArgs) -> FigureResult {
         } => {
             let mut results = Vec::new();
             for (title, mut sweep) in panels {
-                // Multi-core hosts shard (and pipeline, the engine
-                // default) the paper runs out of the box; identical
+                // Without `--shards` the engine default (`Auto`) shards
+                // the points on the cores the sweep leaves free; identical
                 // results, so cached points stay valid.
-                apply_engine_overrides(&mut sweep.engine, args.effective_shards(), args.pipeline);
+                apply_engine_overrides(&mut sweep.engine, args.shards, args.pipeline);
                 println!("\n{title} ({} simulations)...", sweep.len());
                 let (result, hits) = run_sweep_cached(&sweep, args.threads, cache.as_ref());
                 if hits > 0 {
@@ -900,7 +900,7 @@ pub fn run_plan(plan: FigurePlan, args: &BenchArgs) -> FigureResult {
         FigurePlan::Convergence { runs, curve } => {
             let mut results = Vec::new();
             for (title, mut spec) in runs {
-                apply_engine_overrides(&mut spec.engine, args.effective_shards(), args.pipeline);
+                apply_engine_overrides(&mut spec.engine, args.shards, args.pipeline);
                 println!("\n{title} (simulating {} us)...", spec.total_ns() / 1_000);
                 let (result, hit) = run_convergence_cached(&spec, cache.as_ref());
                 if hit {

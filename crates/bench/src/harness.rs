@@ -27,13 +27,13 @@ pub struct BenchArgs {
     /// Base seed.
     pub seed: u64,
     /// Conservative-parallel shard override applied to every simulation
-    /// of the figure (`None` = the multi-core default, see
-    /// [`BenchArgs::effective_shards`]).
+    /// of the figure (`None` = the engine default, `Auto`: one shard per
+    /// CPU, which a sweep divides between its points).
     pub shards: Option<ShardKind>,
     /// Window-grid override for sharded runs (`None` = the engine default,
-    /// which is on: half-lookahead windows, one window of slack;
-    /// `--no-pipeline` runs lockstep lookahead windows). Results are
-    /// bit-for-bit identical either way.
+    /// lockstep lookahead windows; `--pipeline` runs half-lookahead
+    /// windows with one window of slack). Results are bit-for-bit
+    /// identical either way.
     pub pipeline: Option<bool>,
     /// Serve unchanged simulation points from this result-cache directory
     /// (see `dragonfly_bench::cache`).
@@ -58,21 +58,6 @@ impl Default for BenchArgs {
 }
 
 impl BenchArgs {
-    /// The shard override figure runs actually apply: an explicit
-    /// `--shards` wins; otherwise multi-core hosts default to `Auto` so
-    /// the big 1,056/2,550-node paper runs shard (and, with the engine
-    /// default, pipeline) out of the box. Single-core hosts keep the
-    /// sequential engine. Results are identical either way — the cache
-    /// key strips the shard/pipeline fields for exactly that reason.
-    pub fn effective_shards(&self) -> Option<ShardKind> {
-        self.shards.or_else(|| {
-            let cpus = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            (cpus > 1).then_some(ShardKind::Auto)
-        })
-    }
-
     /// Warmup time per simulation point. Q-adaptive needs a learning period
     /// before the measurement window (the paper observes convergence within
     /// 200–500 µs), so even quick mode warms up for 120 µs.
@@ -229,24 +214,16 @@ mod tests {
 
     #[test]
     fn effective_shards_defaults_to_auto_on_multi_core_hosts() {
-        let explicit = BenchArgs {
-            shards: Some(ShardKind::Fixed(2)),
-            ..BenchArgs::default()
-        };
-        assert_eq!(
-            explicit.effective_shards(),
-            Some(ShardKind::Fixed(2)),
-            "an explicit --shards always wins"
-        );
-        let defaulted = BenchArgs::default();
-        let cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if cpus > 1 {
-            assert_eq!(defaulted.effective_shards(), Some(ShardKind::Auto));
-        } else {
-            assert_eq!(defaulted.effective_shards(), None);
-        }
+        // No `--shards` leaves the engine default in force, and that
+        // default is `Auto`: a multi-core host shards, a single-core one
+        // resolves to the sequential loop.
+        assert_eq!(BenchArgs::default().shards, None);
+        let mut engine = None;
+        apply_engine_overrides(&mut engine, BenchArgs::default().shards, None);
+        let resolved = engine.unwrap_or_default().shards;
+        assert_eq!(resolved, ShardKind::Auto);
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(resolved.resolve(64, 300), cpus.min(64));
     }
 
     #[test]
@@ -257,11 +234,11 @@ mod tests {
         apply_engine_overrides(&mut engine, None, Some(false));
         let cfg = engine.unwrap();
         assert!(!cfg.pipeline);
-        assert_eq!(cfg.shards, ShardKind::Single);
+        assert_eq!(cfg.shards, ShardKind::Auto, "the engine default");
         let mut engine = Some(cfg);
-        apply_engine_overrides(&mut engine, Some(ShardKind::Auto), None);
+        apply_engine_overrides(&mut engine, Some(ShardKind::Single), None);
         let cfg = engine.unwrap();
-        assert_eq!(cfg.shards, ShardKind::Auto);
+        assert_eq!(cfg.shards, ShardKind::Single);
         assert!(!cfg.pipeline, "earlier --no-pipeline survives --shards");
     }
 

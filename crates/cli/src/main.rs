@@ -190,9 +190,10 @@ fn usage() -> String {
          \n\
          `run` takes a single-experiment spec, `sweep` a grid spec — see\n\
          scenarios/README.md for the file format. `--shards` runs each\n\
-         simulation on N conservative-parallel cores (figure runs default\n\
-         to `auto` on multi-core hosts) and `--no-pipeline` runs the\n\
-         shards in lockstep on lookahead windows instead of one window\n\
+         simulation on N conservative-parallel cores (every run defaults\n\
+         to `auto`, one per CPU; a sweep gives its points the cores first;\n\
+         `single` is the sequential loop); sharded runs go in lockstep on\n\
+         lookahead windows, and `--pipeline` lets them run one window\n\
          apart on half-lookahead ones; results are bit-for-bit identical\n\
          for every combination. `figure --cache-dir`\n\
          reuses results of unchanged points across invocations — shard\n\

@@ -561,7 +561,7 @@ mod tests {
             11,
         );
         engine.run_to_drain(10_000_000);
-        let obs = engine.observer();
+        let obs = engine.merged_observer();
         assert_eq!(obs.delivered, 50);
         assert!(
             obs.mean_hops() <= 3.0 + 1e-9,

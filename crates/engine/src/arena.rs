@@ -14,9 +14,11 @@
 //!
 //! **Storage is chunked** (`Chunked`, shared with the NIC backlog). Slot
 //! `i` lives at offset `i % CHUNK_SLOTS` of chunk `i / CHUNK_SLOTS`; a chunk
-//! is a fixed 4,096-slot block (256 KB at 64 B per packet) allocated once
+//! is a fixed 1,024-slot block (64 KB at 64 B per packet) allocated once
 //! and never resized. Growing the arena allocates one more chunk and moves
-//! no packet. One contiguous `Vec<Packet>` instead doubles: while the arena
+//! no packet. Every shard has an arena, so a chunk is also what a shard's
+//! partly filled last block may cost over the one-shard run: 4,096-slot
+//! chunks made that 256 KB a shard. One contiguous `Vec<Packet>` instead doubles: while the arena
 //! also held the NIC backlog, `adv_qadp_1056` passed 262,144 queued packets
 //! and the old 27.3 MB and the new 54.5 MB copy of the same packets were
 //! live together — 82 MB of that run's 112 MB heap peak — and an
@@ -118,7 +120,7 @@ impl<T, const SHIFT: u32> Chunked<T, SHIFT> {
 }
 
 /// log2 of [`CHUNK_SLOTS`].
-const CHUNK_SHIFT: u32 = 12;
+const CHUNK_SHIFT: u32 = 10;
 
 /// Slots per storage chunk (see the module docs).
 pub const CHUNK_SLOTS: usize = 1 << CHUNK_SHIFT;

@@ -530,7 +530,7 @@ mod tests {
 
         let mut first = faulted_engine();
         first.run_until(90_000);
-        let obs = *first.observer();
+        let obs = first.merged_observer();
         let ck = first.checkpoint();
 
         let mut resumed = faulted_engine_with(ShardKind::Fixed(2), true);
@@ -547,7 +547,7 @@ mod tests {
         let mut reference = faulted_engine();
         reference.run_to_drain(2_000_000);
         let ref_stats = reference.stats();
-        let ref_obs = *reference.observer();
+        let ref_obs = reference.merged_observer();
         assert!(ref_stats.dropped > 0, "the router kill must actually bite");
         assert!(ref_stats.delivered > 0);
 
@@ -566,12 +566,12 @@ mod tests {
         resumed.restore(&back);
         // The engine checkpoint deliberately excludes the observer (the
         // sim layer snapshots its collector separately); carry it over.
-        *resumed.observer_mut() = *first.observer();
+        resumed.seed_observer(first.merged_observer());
         resumed.run_to_drain(2_000_000);
 
         assert_eq!(resumed.stats(), ref_stats, "stats diverged after resume");
         assert_eq!(resumed.now(), reference.now(), "finish time diverged");
-        assert_eq!(*resumed.observer(), ref_obs, "observer diverged");
+        assert_eq!(resumed.merged_observer(), ref_obs, "observer diverged");
     }
 
     #[test]
@@ -585,7 +585,7 @@ mod tests {
         resumed.restore(&ck);
         resumed.run_to_drain(2_000_000);
         assert_eq!(resumed.stats(), reference.stats());
-        assert_eq!(*resumed.observer(), *reference.observer());
+        assert_eq!(resumed.merged_observer(), reference.merged_observer());
     }
 
     #[test]
@@ -598,21 +598,21 @@ mod tests {
         let mut leg = faulted_engine();
         leg.run_until(60_000);
         let ck1 = leg.checkpoint();
-        let obs1 = *leg.observer();
+        let obs1 = leg.merged_observer();
 
         let mut leg2 = faulted_engine();
         leg2.restore(&ck1);
-        *leg2.observer_mut() = obs1;
+        leg2.seed_observer(obs1);
         leg2.run_until(300_000);
         let ck2 = leg2.checkpoint();
-        let obs2 = *leg2.observer();
+        let obs2 = leg2.merged_observer();
 
         let mut leg3 = faulted_engine();
         leg3.restore(&ck2);
-        *leg3.observer_mut() = obs2;
+        leg3.seed_observer(obs2);
         leg3.run_to_drain(2_000_000);
 
         assert_eq!(leg3.stats(), reference.stats());
-        assert_eq!(*leg3.observer(), *reference.observer());
+        assert_eq!(leg3.merged_observer(), reference.merged_observer());
     }
 }

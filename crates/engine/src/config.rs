@@ -1,8 +1,18 @@
-//! Engine configuration: link/router timing, buffer sizes and packet size.
+//! Engine configuration: link/router timing, buffer sizes and packet size,
+//! and how many threads run them.
 //!
 //! Defaults follow Section 5.1 of the paper: 128 B single-flit packets,
 //! 20-packet VC buffers, 4 GB/s links, 30 ns local and 300 ns global link
 //! latency (a 1:10 ratio).
+//!
+//! Execution defaults to [`ShardKind::Auto`]: a run is partitioned into one
+//! conservative-parallel shard per available CPU (capped at the locality
+//! domains, and one shard when the lookahead is zero) in lockstep windows.
+//! Every shard count and grid gives the same report bit for bit, and
+//! a sharded run costs the one-shard heap — cross-shard mail costs what its
+//! events carry and is freed once delivered (see [`crate::sync`]) — so
+//! the default is the fastest way through a run, not a trade.
+//! `ShardKind::Single` (`--shards single`) selects the sequential loop.
 
 use crate::time::SimTime;
 use dragonfly_topology::paths::HopKind;
@@ -17,15 +27,16 @@ use serde::{Deserialize, Serialize};
 /// [`crate::sync`]). Because events are ordered by a content-derived key
 /// rather than push order, **every shard count produces bit-for-bit
 /// identical simulation output** — this knob only trades wall-clock speed
-/// against thread usage.
+/// against thread usage. The default is `Auto`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ShardKind {
     /// One shard, no threads: the classic sequential event loop.
-    #[default]
     Single,
     /// Exactly `n` shards (clamped to the number of groups).
     Fixed(usize),
-    /// One shard per available CPU, capped at the number of groups.
+    /// One shard per available CPU, capped at the number of groups (the
+    /// default).
+    #[default]
     Auto,
 }
 
@@ -44,12 +55,18 @@ impl ShardKind {
         let requested = match self {
             ShardKind::Single => 1,
             ShardKind::Fixed(n) => n,
-            ShardKind::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            ShardKind::Auto => available_cpus(),
         };
         requested.clamp(1, num_domains.max(1))
     }
+}
+
+/// The host's available parallelism, asked once per process: on Linux
+/// the answer reads the cgroup quota files, a few hundred microseconds
+/// that every engine build (and so every checkpoint cycle) would pay.
+fn available_cpus() -> usize {
+    static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Timing, sizing and flow-control parameters of the simulated hardware.
@@ -76,16 +93,19 @@ pub struct EngineConfig {
     /// algorithm (MIN 2, VALg 3, VALn/UGALn 4, PAR 5, Q-adaptive 5).
     pub num_vcs: usize,
     /// Conservative-parallel shard count (identical results for every
-    /// value; `Single` is the sequential default).
+    /// value; the default `Auto` takes one shard per available CPU, and
+    /// `Single` is the sequential loop).
     #[serde(default)]
     pub shards: ShardKind,
-    /// Which window grid a sharded run uses (default `true`): half-lookahead
-    /// windows with a gate that lets a shard run one window ahead of the
-    /// slowest, or (`false`) lookahead windows in lockstep — see
+    /// Which window grid a sharded run uses (default `false`): lookahead
+    /// windows in lockstep, or (`true`) half-lookahead windows with a gate
+    /// that lets a shard run one window ahead of the slowest — see
     /// [`crate::sync`]. Both run the same loop, one worker per shard, and
     /// results are **bit-for-bit identical** either way (pinned by the mode
-    /// matrices' pipeline axis). Ignored when `shards` resolves to 1
-    /// or the lookahead is under 2 ns.
+    /// matrices' pipeline axis). Lockstep is the default because its heap
+    /// peak repeats: how much mail is in flight on the half-window grid
+    /// depends on how far one shard runs ahead of the other. Ignored when
+    /// `shards` resolves to 1 or the lookahead is under 2 ns.
     #[serde(default = "default_pipeline")]
     pub pipeline: bool,
     /// How often a NIC retransmits a closed-loop workload message whose
@@ -117,10 +137,10 @@ pub struct EngineConfig {
     pub qtable_page_rows_threshold: usize,
 }
 
-/// Serde default for [`EngineConfig::pipeline`]: scenario files that
-/// predate the field get the (result-identical) pipelined engine.
+/// Serde default for [`EngineConfig::pipeline`]: scenario files without
+/// the field get the (result-identical) lockstep grid.
 fn default_pipeline() -> bool {
-    true
+    false
 }
 
 /// Serde default for [`EngineConfig::max_retries`].
@@ -338,20 +358,24 @@ mod tests {
         let cfg = EngineConfig::paper(3);
         assert_eq!(cfg.num_vcs, 3);
         assert_eq!(cfg.vc_buffer_packets, 20);
-        assert_eq!(cfg.shards, ShardKind::Single);
-        assert!(cfg.pipeline, "pipelined execution is the default");
+        assert_eq!(
+            cfg.shards,
+            ShardKind::Auto,
+            "every run uses the host's cores"
+        );
+        assert!(!cfg.pipeline, "lockstep windows are the default");
     }
 
     #[test]
-    fn pipeline_defaults_to_true_for_pre_pipeline_configs() {
+    fn pipeline_defaults_to_lockstep_for_pre_pipeline_configs() {
         // A serialized EngineConfig from before the field existed must
-        // deserialize with pipelining on (the result-identical default).
+        // deserialize with the result-identical default grid, lockstep.
         let legacy = r#"{"packet_bytes":128,"link_bytes_per_ns":4.0,
             "local_latency_ns":30,"global_latency_ns":300,"host_latency_ns":10,
             "router_latency_ns":100,"vc_buffer_packets":20,
             "output_queue_packets":20,"num_vcs":5}"#;
         let parsed: EngineConfig = serde_json::from_str(legacy).unwrap();
-        assert!(parsed.pipeline);
+        assert!(!parsed.pipeline);
         assert_eq!(parsed, EngineConfig::default());
     }
 

@@ -11,8 +11,8 @@
 //! past the cap, or when an idle worker's audit finds nothing to do
 //! within the next `AUDIT_HORIZON_WINDOWS` windows; between epochs the
 //! world is stopped and all mail is delivered. With `shards = Single`
-//! (the default) this is the sequential event loop: one worker, the
-//! caller, no threads. See [`crate::sync`] for the grid, the gate and
+//! (or `Auto` on one CPU) this is the sequential event loop: one worker,
+//! the caller, no threads. See [`crate::sync`] for the grid, the gate and
 //! why there is no work stealing, and the crate-level documentation for
 //! the determinism contract. The engine is generic over the
 //! [`ShardObserver`] so that callers can retrieve their metric collectors
@@ -116,9 +116,14 @@ pub struct MemoryBreakdown {
     pub router_state: usize,
     /// The per-node NIC records.
     pub nic_state: usize,
-    /// The cross-shard mail grid: the retained capacity of its `N × N`
-    /// mailboxes (empty between runs, but each keeps its high-water mark).
+    /// Cross-shard mail wherever it sits: in the grid's mailboxes and in
+    /// the shards' outboxes. Zero between runs: every buffer of mail is
+    /// freed once it is delivered.
     pub mailboxes: usize,
+    /// The largest window of mail one shard has posted to another so far
+    /// (what a window in flight costs; not part of `memory_bytes`, and
+    /// zero when no packet, credit or feedback ever crossed a shard).
+    pub largest_mail_window: usize,
     /// The closed-loop task table: a slot per node, and each node's
     /// compiled program (its straight-line runs and loop bodies).
     pub programs: usize,
@@ -134,7 +139,8 @@ impl std::fmt::Display for MemoryBreakdown {
             f,
             "tables {:.2} MB, arena {:.2} MB, NIC backlog {:.2} MB, \
              event queues {:.2} MB, router state {:.2} MB, NIC state {:.2} MB, \
-             mailboxes {:.2} MB, programs {:.2} MB, observers {:.2} MB",
+             mailboxes {:.2} MB (largest window {:.2} MB), programs {:.2} MB, \
+             observers {:.2} MB",
             mb(self.tables),
             mb(self.arena),
             mb(self.backlog),
@@ -142,6 +148,7 @@ impl std::fmt::Display for MemoryBreakdown {
             mb(self.router_state),
             mb(self.nic_state),
             mb(self.mailboxes),
+            mb(self.largest_mail_window),
             mb(self.programs),
             mb(self.observers)
         )
@@ -330,8 +337,8 @@ impl<O: ShardObserver> Engine<O> {
     /// Heap footprint of the simulation state in bytes, rolled up across
     /// shards: every routing agent's Q-table storage, every shard's packet
     /// arena and NIC backlog pool (so every generated but undelivered
-    /// packet is counted) and the cross-shard mail grid at its retained
-    /// capacity. What exists only inside a run (the window gate, staged
+    /// packet is counted) and the cross-shard mail in flight (none between
+    /// runs). What exists only inside a run (the window gate, staged
     /// injections) is not state. The metrics side (sketches, time series)
     /// is accounted separately by the observer — see
     /// `MetricsCollector::memory_bytes` in `dragonfly-sim`.
@@ -347,6 +354,7 @@ impl<O: ShardObserver> Engine<O> {
     pub fn memory_breakdown(&self) -> MemoryBreakdown {
         let mut heap = MemoryBreakdown {
             mailboxes: self.mail.memory_bytes(),
+            largest_mail_window: self.mail.largest_batch_bytes(),
             ..MemoryBreakdown::default()
         };
         for shard in &self.shards {
@@ -713,7 +721,7 @@ impl<O: ShardObserver> Engine<O> {
             // in the grid, so the origin below sees every event and a run
             // leaves no mail behind.
             for shard in &mut self.shards {
-                shard.deliver_from_grid(&self.mail);
+                shard.deliver_from_grid(&self.mail, u64::MAX);
             }
             let origin = self
                 .shards
@@ -848,29 +856,33 @@ impl<O: ShardObserver> Epoch<'_, O> {
         processed
     }
 
-    /// Shard `s`'s window `w`: feed, drain the mail, run, post the mail,
-    /// then publish the window as finished — after the post, which is
-    /// what makes window-`w` mail visible before any shard opens
-    /// `w + lag`.
+    /// Shard `s`'s window `w`: feed, take the mail of windows up to
+    /// `w − lag`, run, post the mail, then publish the window as finished
+    /// — after the post, which is what makes window-`w` mail visible
+    /// before any shard opens `w + lag`.
     fn run_window(&self, s: usize, w: u64) -> u64 {
         let mut shard = self.cells[s].lock();
         let end_incl = self.gate.end_incl_of(w);
         self.feed(&mut shard, s, end_incl);
-        shard.deliver_from_grid(self.mail);
+        if let Some(due) = w.checked_sub(self.gate.lag()) {
+            shard.deliver_from_grid(self.mail, due);
+        }
         let processed = shard.run_window(end_incl);
-        shard.flush_outboxes(self.mail);
+        shard.flush_outboxes(self.mail, w);
         self.gate.complete(s, w);
         processed
     }
 
-    /// Hand shard `s` what other workers staged for it, then advance the
-    /// cursor to `end_incl`: `s`'s own injections go straight in, the
-    /// others' are staged for their owners. Every shard thereby accepts
-    /// its injections in injector order; with one shard nothing is staged.
+    /// Hand shard `s` what other workers staged for it up to `end_incl`,
+    /// then advance the cursor to `end_incl`: `s`'s own injections go
+    /// straight in, the others' are staged for their owners. Every shard
+    /// thereby accepts its injections in injector order, each window's
+    /// whichever worker pumped them; with one shard nothing is staged.
     fn feed(&self, shard: &mut Shard<O>, s: usize, end_incl: SimTime) {
         let mut guard = self.feeder.lock();
         let f = &mut *guard;
-        for q in f.inboxes[s].drain(..) {
+        let due = f.inboxes[s].partition_point(|q| q.time <= end_incl);
+        for q in f.inboxes[s].drain(..due) {
             shard.accept_injection(q);
         }
         while let Some(injection) = f.pending.filter(|i| i.time <= end_incl) {

@@ -81,7 +81,7 @@
 //!   peak, for ~29,000 pending events that now take 2.1 MB. Nothing is
 //!   pre-sized from the entity count any more
 //!   (`EventQueue::for_config_with_entities` is `for_config`).
-//! * **The arena grows by 4,096-packet chunks (256 KB) and never moves a
+//! * **The arena grows by 1,024-packet chunks (64 KB) and never moves a
 //!   packet.** One contiguous `Vec<Packet>` doubled: at the 262,144th
 //!   queued packet of `adv_qadp_1056` (when the arena still held the NIC
 //!   backlog) the old 27.3 MB and the new 54.5 MB block were live
@@ -113,12 +113,14 @@
 //!   — 6,936 × 21.7 KB = 151 MB of the 110,976-node workload's 196 MB
 //!   heap peak, cloned again by every snapshot. Snapshots keep the old
 //!   layout as their wire form, byte for byte.
-//! * **Mailbox draining reuses buffers.** A window drains cross-shard
-//!   mail directly from the [`sync::MailGrid`] into a per-shard scratch
-//!   buffer that lives for the whole run (`Shard::deliver_from_grid`),
-//!   instead of collecting each window's mail into a fresh `Vec` — at
-//!   half-lookahead window granularity the allocator was on the
-//!   per-window critical path.
+//! * **Mail costs what is in flight** ([`sync::Mail`]): one column per
+//!   kind of message (a 16-byte head beside each 64-byte packet, a head per
+//!   credit, records for feedback and drop notices), grown in fixed 4 KiB
+//!   blocks that move from outbox to mailbox to receiver by swap and are
+//!   freed as they are delivered. Three buffers of 128-byte messages kept
+//!   at their high-water mark made a sharded run's heap 16–80 % larger
+//!   than the sequential run's; now it is within a few per cent either
+//!   way, and sharding is the default.
 //!
 //! [`engine::Engine::memory_breakdown`] says where the heap is — tables,
 //! arena, NIC backlog, event queues, router state, NIC state, mailboxes,
@@ -127,7 +129,8 @@
 //!
 //! ## Sharded execution: one window loop
 //!
-//! One simulation can run across several cores ([`config::ShardKind`]):
+//! One simulation runs across the host's cores, by default one shard per
+//! available CPU ([`config::ShardKind`], `Auto`):
 //! routers are partitioned by **locality domain** — the topology's
 //! sharding unit: Dragonfly groups, fat-tree pods (plus their slice of
 //! the core switches), HyperX rows — into shards ([`sync::ShardPlan`]).
@@ -150,15 +153,18 @@
 //! one worker per shard, the calling thread being worker 0. Shard `s` may
 //! start window `w` once every shard has finished window `w − lag`; mail
 //! sent in window `w` fires at or after the start of window `w + lag`
-//! (`lag · W ≤ L`), and every window starts by draining the shard's whole
-//! inbound mail, so mail is always in time.
+//! (`lag · W ≤ L`), and every window `w` starts by taking the shard's mail
+//! of windows up to `w − lag`, so mail is always in time — and taken at the
+//! same window in every run.
 //!
 //! * One shard: `(max(L, 1024), 1)`. The window only sets how much
 //!   traffic is fed at a time; no thread is spawned.
-//! * Sharded, [`config::EngineConfig::pipeline`] on (the default) and `L ≥
+//! * Sharded, [`config::EngineConfig::pipeline`] on and `L ≥
 //!   2`: `(L/2, 2)`. A shard may run one window ahead of the slowest, so
 //!   one shard's compute overlaps its neighbours' compute and mail.
-//! * Otherwise `(L, 1)`: lockstep.
+//! * Otherwise `(L, 1)`: lockstep, the default, because its heap peak
+//!   repeats from run to run; on the half-window grid the mail in flight
+//!   depends on how far one shard ran ahead.
 //!
 //! **No work stealing.** Worker `s` runs only shard `s`'s windows, in
 //! order; a closed gate is waited out by spinning, then yielding, and a

@@ -31,8 +31,8 @@
 //! A `VecDeque` per NIC would cost 32 bytes for every NIC, queued or not
 //! (3.6 MB of headers at 110,976 nodes), and a doubling copy on every
 //! backlog that grows; one pool per shard grows by a chunk and never moves
-//! a record. Chunks are 1,024 records, not the arena's 4,096, because most
-//! workloads queue little: with 4,096-record chunks `ur_ugal_1056`'s heap
+//! a record. Chunks are 1,024 records because most workloads queue
+//! little: with 4,096-record chunks `ur_ugal_1056`'s heap
 //! peak rose by 56 KB over the arena-held backlog, with 1,024 it falls by
 //! 17.5 KB. A fresh pool owns nothing.
 //!

@@ -28,7 +28,7 @@ use crate::observer::ShardObserver;
 use crate::packet::Packet;
 use crate::router::{RouterState, Waiter};
 use crate::routing::{Decision, FeedbackMsg, RouterAgent, RouterCtx, RoutingAlgorithm};
-use crate::sync::{QueuedInjection, ShardMsg, ShardPlan};
+use crate::sync::{Mail, MailGrid, QueuedInjection, ShardPlan};
 use crate::time::SimTime;
 use crate::workload::{workload_packet_id, NodeProgram, NodeTask, Op, WORKLOAD_ID_BIT};
 use dragonfly_topology::ids::{NodeId, Port, RouterId};
@@ -80,12 +80,9 @@ pub struct Shard<O: ShardObserver> {
     /// `TrafficArrival` marker events.
     pending_injections: VecDeque<QueuedInjection>,
     /// Cross-shard messages produced in the current window, per
-    /// destination shard (`outboxes[self.id]` stays empty).
-    outboxes: Vec<Vec<ShardMsg>>,
-    /// Reusable drain buffer for inbound mail: retains its capacity
-    /// across windows so the per-window mailbox drain allocates nothing
-    /// at steady state.
-    inbox_buf: Vec<ShardMsg>,
+    /// destination shard (`outboxes[self.id]` stays empty). Posting one
+    /// moves its blocks into the grid, so between windows they own nothing.
+    outboxes: Vec<Mail>,
     /// Closed-loop program and task state per owned node (parallel to
     /// `nics`; empty unless a workload was installed). Snapshots store the
     /// task state, not the program.
@@ -154,8 +151,7 @@ impl<O: ShardObserver> Shard<O> {
             fault_cursor: 0,
             retry_counts: BTreeMap::new(),
             pending_injections: VecDeque::new(),
-            outboxes: (0..num_shards).map(|_| Vec::new()).collect(),
-            inbox_buf: Vec::new(),
+            outboxes: (0..num_shards).map(|_| Mail::default()).collect(),
             tasks: Vec::new(),
             has_tasks: false,
         }
@@ -233,7 +229,16 @@ impl<O: ShardObserver> Shard<O> {
     /// not with the number of packets delivered, which is what keeps long
     /// scale runs in bounded memory.
     pub fn memory_bytes(&self) -> usize {
-        self.table_bytes() + self.arena.memory_bytes() + self.backlog.memory_bytes()
+        self.table_bytes()
+            + self.arena.memory_bytes()
+            + self.backlog.memory_bytes()
+            + self.mail_bytes()
+    }
+
+    /// Heap held by the mail in this shard's outboxes (none between
+    /// windows).
+    fn mail_bytes(&self) -> usize {
+        self.outboxes.iter().map(Mail::memory_bytes).sum()
     }
 
     fn table_bytes(&self) -> usize {
@@ -246,6 +251,7 @@ impl<O: ShardObserver> Shard<O> {
         heap.tables += self.table_bytes();
         heap.arena += self.arena.memory_bytes();
         heap.backlog += self.backlog.memory_bytes();
+        heap.mailboxes += self.mail_bytes();
         heap.event_queues += self.queue.memory_bytes();
         heap.router_state += self.routers.capacity() * size_of::<RouterState>()
             + self
@@ -311,7 +317,7 @@ impl<O: ShardObserver> Shard<O> {
         // Walk phase 1, router buffers; the rest of each shard's state, the
         // backlog in node order among it, rides along.
         for s in shards {
-            debug_assert!(s.outboxes.iter().all(Vec::is_empty), "mail in an outbox");
+            debug_assert!(s.outboxes.iter().all(Mail::is_empty), "mail in an outbox");
             debug_assert_eq!(s.fault_cursor, first.fault_cursor, "fault cursors diverged");
             for router in &s.routers {
                 let mut state = router.clone();
@@ -551,65 +557,18 @@ impl<O: ShardObserver> Shard<O> {
         self.pending_injections.push_back(injection);
     }
 
-    /// Drain and deliver everything the mail grid holds for this shard,
-    /// reusing the shard's inbox buffer so the steady-state window drain
-    /// is allocation-free. Packets are re-allocated into this shard's
-    /// arena here — the handle translation point.
-    pub fn deliver_from_grid(&mut self, grid: &crate::sync::MailGrid) {
-        let mut buf = std::mem::take(&mut self.inbox_buf);
-        grid.collect_into(self.id, &mut buf);
-        for msg in buf.drain(..) {
-            match msg {
-                ShardMsg::RouterArrive {
-                    time,
-                    router,
-                    port,
-                    vc,
-                    packet,
-                } => {
-                    let pref = self.arena.alloc(packet);
-                    self.queue.push(
-                        time,
-                        EventKind::RouterArrive {
-                            router,
-                            port,
-                            vc,
-                            packet: pref,
-                        },
-                    );
-                }
-                ShardMsg::CreditArrive {
-                    time,
-                    router,
-                    port,
-                    vc,
-                } => {
-                    self.queue
-                        .push(time, EventKind::CreditArrive { router, port, vc });
-                }
-                ShardMsg::RlFeedback { time, router, msg } => {
-                    self.queue.push(time, EventKind::RlFeedback { router, msg });
-                }
-                ShardMsg::DropNotice {
-                    time,
-                    node,
-                    dst,
-                    id,
-                } => {
-                    self.queue
-                        .push(time, EventKind::DropNotice { node, dst, id });
-                }
-            }
-        }
-        self.inbox_buf = buf;
+    /// Take and deliver the mail the grid holds for this shard from
+    /// windows up to `through`. The mail's blocks are freed as they are
+    /// read, so no inbox outlives the drain.
+    pub fn deliver_from_grid(&mut self, grid: &MailGrid, through: u64) {
+        grid.take(self.id, through)
+            .deliver(&mut self.arena, &mut self.queue);
     }
 
-    /// Move this window's outboxes into the shared mail grid.
-    pub fn flush_outboxes(&mut self, grid: &crate::sync::MailGrid) {
-        for dst in 0..self.outboxes.len() {
-            if dst != self.id {
-                grid.post(self.id, dst, &mut self.outboxes[dst]);
-            }
+    /// Move the outboxes of window `window` into the shared mail grid.
+    pub fn flush_outboxes(&mut self, grid: &MailGrid, window: u64) {
+        for (dst, outbox) in self.outboxes.iter_mut().enumerate() {
+            grid.post(self.id, dst, window, outbox);
         }
     }
 
@@ -753,41 +712,19 @@ impl<O: ShardObserver> Shard<O> {
         }
     }
 
-    /// Schedule an event on a router that may live in another shard.
+    /// Schedule a credit, RL feedback or drop notice on a router that may
+    /// live in another shard.
     #[inline]
-    fn send_to_router(&mut self, dst: RouterId, time: SimTime, make: impl FnOnce() -> ShardMsg) {
+    fn send_to_router(&mut self, dst: RouterId, time: SimTime, kind: EventKind) {
         let shard = self.plan.shard_of_router(dst);
         if shard == self.id {
-            match make() {
-                ShardMsg::CreditArrive {
-                    time,
-                    router,
-                    port,
-                    vc,
-                } => self
-                    .queue
-                    .push(time, EventKind::CreditArrive { router, port, vc }),
-                ShardMsg::RlFeedback { time, router, msg } => {
-                    self.queue.push(time, EventKind::RlFeedback { router, msg })
-                }
-                ShardMsg::DropNotice {
-                    time,
-                    node,
-                    dst,
-                    id,
-                } => self
-                    .queue
-                    .push(time, EventKind::DropNotice { node, dst, id }),
-                ShardMsg::RouterArrive { .. } => {
-                    unreachable!("local RouterArrive events are pushed directly")
-                }
-            }
+            self.queue.push(time, kind);
         } else {
             debug_assert!(
                 time >= self.now + self.plan.lookahead(),
                 "cross-shard message inside the lookahead window"
             );
-            self.outboxes[shard].push(make());
+            self.outboxes[shard].push_event(time, kind);
         }
     }
 
@@ -902,12 +839,7 @@ impl<O: ShardObserver> Shard<O> {
             // delay models the timeout a real NIC needs to detect loss.
             let src_router = self.topo.router_of_node(src);
             let at = self.now + self.plan.lookahead().max(1);
-            self.send_to_router(src_router, at, || ShardMsg::DropNotice {
-                time: at,
-                node: src,
-                dst,
-                id,
-            });
+            self.send_to_router(src_router, at, EventKind::DropNotice { node: src, dst, id });
         }
         self.arena.free(pref);
     }
@@ -1282,11 +1214,14 @@ impl<O: ShardObserver> Shard<O> {
             };
             let latency = self.input_link_latency(router, port);
             let at = self.now + latency;
-            self.send_to_router(up_router, at, || ShardMsg::RlFeedback {
-                time: at,
-                router: up_router,
-                msg,
-            });
+            self.send_to_router(
+                up_router,
+                at,
+                EventKind::RlFeedback {
+                    router: up_router,
+                    msg,
+                },
+            );
         }
 
         // 3. Update per-packet bookkeeping and enqueue on the output side.
@@ -1413,13 +1348,7 @@ impl<O: ShardObserver> Shard<O> {
                     );
                     let packet = self.arena.get(pref).clone();
                     self.arena.free(pref);
-                    self.outboxes[dst_shard].push(ShardMsg::RouterArrive {
-                        time: at,
-                        router: down_router,
-                        port: down_port,
-                        vc,
-                        packet,
-                    });
+                    self.outboxes[dst_shard].push_packet(at, down_router, down_port, vc, packet);
                 }
             }
         }
@@ -1482,12 +1411,12 @@ impl<O: ShardObserver> Shard<O> {
                 };
                 let latency = self.input_link_latency(router, port);
                 let at = self.now + latency;
-                self.send_to_router(up_router, at, || ShardMsg::CreditArrive {
-                    time: at,
+                let credit = EventKind::CreditArrive {
                     router: up_router,
                     port: up_port,
                     vc,
-                });
+                };
+                self.send_to_router(up_router, at, credit);
             }
         }
     }

@@ -29,14 +29,29 @@
 //! * otherwise `(L, 1)` — lockstep.
 //!
 //! Mail sent while running window `w` fires at `≥ start(w) + L ≥
-//! start(w + lag)`, because `lag · W ≤ L`. Its sender posts it before
-//! publishing that `w` is finished, and the receiver drains its whole
-//! inbound mail at the start of every window, which the gate holds back
-//! until the sender has finished `w`. So mail always arrives before the
-//! window it fires in. It may arrive earlier (a drain picks up whatever
-//! has been posted, including mail from a sender that is ahead); early
-//! delivery is harmless because events sort by content key, never by
-//! arrival.
+//! start(w + lag)`, because `lag · W ≤ L`. Its sender posts it, as the
+//! batch of window `w`, before publishing that `w` is finished, and the
+//! receiver takes the batches of windows up to `w − lag` at the start of
+//! its window `w`, which the gate holds back until every sender has
+//! finished `w − lag`. So mail always arrives before the window it fires
+//! in. A batch that is already there but not yet due stays in the mailbox:
+//! what a shard takes at each of its windows, and so what its queue and
+//! arena hold, is the same in every run, however far ahead a sender ran.
+//!
+//! ## Mail
+//!
+//! A message costs what its event carries ([`Mail`]): a packet arrival is
+//! a 16-byte head beside its 64-byte packet, a credit a head, RL feedback
+//! and drop notices records of their own, each kind a column that grows
+//! in fixed 4 KiB blocks. A window's outbox moves into the mailbox, and
+//! due mail out of it, by swapping blocks, and the receiver frees each
+//! block as it delivers it, so an empty outbox or mailbox owns nothing. A
+//! sharded run's heap therefore holds the mail in flight and no high-water
+//! buffers: one message enum carrying the cache-line-aligned packet by
+//! value cost 128 B a message, credits included, kept at its high-water
+//! mark three times over (outbox, mailbox, inbox) — 1.05 MB a shard on
+//! `ur_ugal_1056`, which made the sharded run's heap peak 16–80 % above the
+//! sequential run's.
 //!
 //! ## One worker per shard, no stealing
 //!
@@ -65,18 +80,20 @@
 //! content-derived key (see [`crate::event::event_key`]), so a message
 //! sorts into the destination queue exactly where the single-queue engine
 //! would have processed it. Injections are handed out by one cursor in
-//! injector order and every shard accepts its own in that order, so
-//! `shards = 1` and `shards = N` produce bit-for-bit identical outputs on
-//! either grid.
+//! injector order and every shard accepts its own in that order, each
+//! window's at the start of that window, so `shards = 1` and `shards = N`
+//! produce bit-for-bit identical outputs on either grid.
 
+use crate::arena::PacketArena;
+use crate::event::{EventKind, EventQueue, Scheduler};
 use crate::packet::Packet;
 use crate::routing::FeedbackMsg;
 use crate::time::SimTime;
-use dragonfly_topology::ids::{Port, RouterId};
+use dragonfly_topology::ids::{NodeId, Port, RouterId};
 use dragonfly_topology::{AnyTopology, Topology};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Sentinel for "no pending event".
 pub const NO_EVENT: SimTime = SimTime::MAX;
@@ -170,76 +187,234 @@ impl ShardPlan {
     }
 }
 
-/// A cross-shard message, timestamped with its (future) firing time.
-///
-/// `RouterArrive` carries the packet **by value**: the sender frees its
-/// arena slot when the packet leaves the shard and the receiver allocates
-/// a fresh slot on delivery, so [`crate::arena::PacketRef`] handles never
-/// cross a shard boundary un-translated.
-#[derive(Debug, Clone)]
-pub enum ShardMsg {
-    /// A packet crossing a global link into another shard.
-    RouterArrive {
-        /// Firing time at the destination router.
-        time: SimTime,
-        /// Destination router.
-        router: RouterId,
-        /// Input port on the destination router.
-        port: Port,
-        /// Virtual channel of the arrival.
-        vc: u8,
-        /// The packet itself, extracted from the sender's arena.
-        packet: Packet,
-    },
-    /// A credit returning upstream across a global link.
-    CreditArrive {
-        /// Firing time at the upstream router.
-        time: SimTime,
-        /// Upstream router receiving the credit.
-        router: RouterId,
-        /// Output port of the upstream router the credit belongs to.
-        port: Port,
-        /// Virtual channel of the credit.
-        vc: u8,
-    },
-    /// RL feedback returning upstream across a global link.
-    RlFeedback {
-        /// Firing time at the upstream router.
-        time: SimTime,
-        /// Upstream router whose agent receives the feedback.
-        router: RouterId,
-        /// The feedback payload.
-        msg: FeedbackMsg,
-    },
-    /// A workload packet was dropped in another shard; the source NIC's
-    /// shard decides whether to retransmit (see
-    /// [`crate::event::EventKind::DropNotice`]).
-    DropNotice {
-        /// Firing time at the source node's shard.
-        time: SimTime,
-        /// The packet's source node (owned by the receiving shard).
-        node: dragonfly_topology::ids::NodeId,
-        /// The packet's destination node.
-        dst: dragonfly_topology::ids::NodeId,
-        /// The workload packet id.
-        id: u64,
-    },
+/// Bytes in one block of a mail column (see [`Blocks`]).
+const MAIL_BLOCK_BYTES: usize = 4 * 1024;
+
+/// A list that grows in fixed blocks of [`MAIL_BLOCK_BYTES`], each
+/// allocated once at full size, and is only ever appended to and drained
+/// whole. Its heap is what it holds plus at most one partly filled block
+/// per batch appended to it: no doubling, and nothing kept once drained.
+#[derive(Debug)]
+struct Blocks<T> {
+    blocks: Vec<Vec<T>>,
 }
 
-impl ShardMsg {
-    /// The simulated time at which the message fires.
-    pub fn time(&self) -> SimTime {
-        match self {
-            ShardMsg::RouterArrive { time, .. }
-            | ShardMsg::CreditArrive { time, .. }
-            | ShardMsg::RlFeedback { time, .. }
-            | ShardMsg::DropNotice { time, .. } => *time,
+impl<T> Default for Blocks<T> {
+    fn default() -> Self {
+        Self { blocks: Vec::new() }
+    }
+}
+
+impl<T> Blocks<T> {
+    /// Elements per block (every kind of message is far smaller than a
+    /// block).
+    const SLOTS: usize = MAIL_BLOCK_BYTES / std::mem::size_of::<T>();
+
+    #[inline]
+    fn push(&mut self, value: T) {
+        match self.blocks.last_mut() {
+            Some(block) if block.len() < block.capacity() => block.push(value),
+            _ => {
+                let mut block = Vec::with_capacity(Self::SLOTS);
+                block.push(value);
+                self.blocks.push(block);
+            }
         }
     }
 
-    /// Whether the message carries a packet (used for drain accounting).
-    pub fn carries_packet(&self) -> bool {
-        matches!(self, ShardMsg::RouterArrive { .. })
+    /// Move `other`'s blocks behind this list's: a swap when this list is
+    /// empty, never a copy of an element.
+    fn append(&mut self, other: &mut Self) {
+        if self.blocks.is_empty() {
+            std::mem::swap(self, other);
+        } else {
+            self.blocks.append(&mut other.blocks);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.blocks.iter().map(Vec::len).sum()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.blocks.is_empty()
+    }
+
+    /// Every element in order, each block freed as soon as it is read.
+    fn drain(self) -> impl Iterator<Item = T> {
+        self.blocks.into_iter().flatten()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.blocks
+            .iter()
+            .map(|b| b.capacity() * size_of::<T>())
+            .sum::<usize>()
+            + self.blocks.capacity() * size_of::<Vec<T>>()
+    }
+}
+
+/// Where and when a cross-shard packet or credit fires: 16 B.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Head {
+    time: SimTime,
+    router: RouterId,
+    port: Port,
+    vc: u8,
+}
+
+/// A drop notice on its way to the source node's shard (see
+/// [`EventKind::DropNotice`]).
+#[derive(Debug, Clone, Copy)]
+struct DropNote {
+    time: SimTime,
+    node: NodeId,
+    dst: NodeId,
+    id: u64,
+}
+
+/// Cross-shard mail: one column per kind of message, so each costs what
+/// its event carries — a packet arrival is a 16-byte [`Head`] beside its
+/// 64-byte [`Packet`], a credit a `Head`, RL feedback its time, router and
+/// [`FeedbackMsg`], a drop notice a 24-byte record. Every column grows in
+/// fixed blocks and owns nothing once drained.
+///
+/// Packets travel **by value**: the sender frees its arena slot when the
+/// packet leaves the shard and the receiver allocates a fresh slot on
+/// delivery, so [`crate::arena::PacketRef`] handles never cross a shard
+/// boundary un-translated.
+#[derive(Debug, Default)]
+pub struct Mail {
+    arrivals: Blocks<Head>,
+    /// The packets of `arrivals`, in the same order.
+    packets: Blocks<Packet>,
+    credits: Blocks<Head>,
+    feedback: Blocks<(SimTime, RouterId, FeedbackMsg)>,
+    drops: Blocks<DropNote>,
+}
+
+impl Mail {
+    /// A packet arriving at `router`'s input `port` on `vc` at `time`.
+    #[inline]
+    pub fn push_packet(
+        &mut self,
+        time: SimTime,
+        router: RouterId,
+        port: Port,
+        vc: u8,
+        packet: Packet,
+    ) {
+        self.arrivals.push(Head {
+            time,
+            router,
+            port,
+            vc,
+        });
+        self.packets.push(packet);
+    }
+
+    /// A credit, RL feedback or drop notice firing at `time`.
+    ///
+    /// # Panics
+    ///
+    /// On any other kind of event: packets go by [`Mail::push_packet`],
+    /// and nothing else crosses a shard.
+    #[inline]
+    pub fn push_event(&mut self, time: SimTime, kind: EventKind) {
+        match kind {
+            EventKind::CreditArrive { router, port, vc } => self.credits.push(Head {
+                time,
+                router,
+                port,
+                vc,
+            }),
+            EventKind::RlFeedback { router, msg } => self.feedback.push((time, router, msg)),
+            EventKind::DropNotice { node, dst, id } => self.drops.push(DropNote {
+                time,
+                node,
+                dst,
+                id,
+            }),
+            other => unreachable!("{other:?} never crosses a shard"),
+        }
+    }
+
+    /// Move `other`'s messages behind these (blocks are moved, not copied).
+    pub fn append(&mut self, other: &mut Mail) {
+        self.arrivals.append(&mut other.arrivals);
+        self.packets.append(&mut other.packets);
+        self.credits.append(&mut other.credits);
+        self.feedback.append(&mut other.feedback);
+        self.drops.append(&mut other.drops);
+    }
+
+    /// Whether no message is held.
+    pub fn is_empty(&self) -> bool {
+        self.arrivals.is_empty()
+            && self.credits.is_empty()
+            && self.feedback.is_empty()
+            && self.drops.is_empty()
+    }
+
+    /// Packets held (used for drain accounting).
+    pub fn packets(&self) -> usize {
+        self.packets.len()
+    }
+
+    /// Heap held by the columns in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.arrivals.memory_bytes()
+            + self.packets.memory_bytes()
+            + self.credits.memory_bytes()
+            + self.feedback.memory_bytes()
+            + self.drops.memory_bytes()
+    }
+
+    /// Push every message into `queue` as the event it carries, packets
+    /// into fresh `arena` slots (the handle translation point), freeing
+    /// each block as soon as it is read. The order of delivery does not
+    /// matter: events sort by content key.
+    pub fn deliver(self, arena: &mut PacketArena, queue: &mut EventQueue) {
+        for (head, packet) in self.arrivals.drain().zip(self.packets.drain()) {
+            let packet = arena.alloc(packet);
+            let Head {
+                time,
+                router,
+                port,
+                vc,
+            } = head;
+            queue.push(
+                time,
+                EventKind::RouterArrive {
+                    router,
+                    port,
+                    vc,
+                    packet,
+                },
+            );
+        }
+        for Head {
+            time,
+            router,
+            port,
+            vc,
+        } in self.credits.drain()
+        {
+            queue.push(time, EventKind::CreditArrive { router, port, vc });
+        }
+        for (time, router, msg) in self.feedback.drain() {
+            queue.push(time, EventKind::RlFeedback { router, msg });
+        }
+        for DropNote {
+            time,
+            node,
+            dst,
+            id,
+        } in self.drops.drain()
+        {
+            queue.push(time, EventKind::DropNotice { node, dst, id });
+        }
     }
 }
 
@@ -251,24 +426,34 @@ pub struct QueuedInjection {
     /// Generation time at the source node.
     pub time: SimTime,
     /// Generating node (owned by the receiving shard).
-    pub src: dragonfly_topology::ids::NodeId,
+    pub src: NodeId,
     /// Destination node (any shard).
-    pub dst: dragonfly_topology::ids::NodeId,
+    pub dst: NodeId,
     /// Pre-assigned global packet id.
     pub id: u64,
 }
 
-/// The `N × N` cross-shard mailbox fabric: one buffer per `(src, dst)`
-/// pair.
+/// The batches one shard has posted to another and the receiver has not
+/// taken yet, each with the window it was sent in, in window order.
+type Mailbox = Mutex<Vec<(u64, Mail)>>;
+
+/// The `N × N` cross-shard mailbox fabric: one mailbox per `(src, dst)`
+/// pair, holding the [`Mail`] of each window the sender has posted and the
+/// receiver not yet taken.
 ///
-/// Shard `src` appends to `boxes[src][dst]` at the end of each window;
-/// shard `dst` drains its whole column at the start of each window. A
-/// post and a drain of the same box may race; a post that misses a drain
-/// waits for the receiver's next one, which the window gate guarantees is
-/// still in time (see the module docs).
+/// Shard `src` moves its outbox into `boxes[src][dst]` at the end of each
+/// window `w`, as the batch of `w`; shard `dst` takes the batches of
+/// windows up to `w − lag` at the start of its window `w`, which the gate
+/// guarantees have all been posted (see the module docs). Both moves swap
+/// blocks, so an empty mailbox owns nothing. A batch posted early waits
+/// for its turn even if the receiver could see it: what a shard has taken
+/// at each of its windows is then the same in every run, and so is what
+/// its queue and arena hold.
 #[derive(Debug, Default)]
 pub struct MailGrid {
-    boxes: Vec<Vec<Mutex<Vec<ShardMsg>>>>,
+    boxes: Vec<Vec<Mailbox>>,
+    /// The heap of the largest batch posted so far, in bytes.
+    largest_batch: AtomicUsize,
 }
 
 impl MailGrid {
@@ -278,23 +463,37 @@ impl MailGrid {
             boxes: (0..n)
                 .map(|_| (0..n).map(|_| Default::default()).collect())
                 .collect(),
+            largest_batch: AtomicUsize::new(0),
         }
     }
 
-    /// Append `msgs` to the `src → dst` mailbox (cheap vector splice).
-    pub fn post(&self, src: usize, dst: usize, msgs: &mut Vec<ShardMsg>) {
-        if !msgs.is_empty() {
-            self.boxes[src][dst].lock().append(msgs);
+    /// Move `mail`, sent in window `window`, into the `src → dst` mailbox,
+    /// leaving it empty. A sender posts its windows in order.
+    pub fn post(&self, src: usize, dst: usize, window: u64, mail: &mut Mail) {
+        if !mail.is_empty() {
+            self.largest_batch
+                .fetch_max(mail.memory_bytes(), Ordering::Relaxed);
+            let mut mailbox = self.boxes[src][dst].lock();
+            debug_assert!(mailbox.last().is_none_or(|&(w, _)| w < window));
+            mailbox.push((window, std::mem::take(mail)));
         }
     }
 
-    /// Take everything addressed to `dst`, in ascending sender order,
-    /// appending into a caller-provided buffer so a shard's inbox buffer
-    /// is reused across windows instead of allocated per drain.
-    pub fn collect_into(&self, dst: usize, out: &mut Vec<ShardMsg>) {
+    /// Take the mail addressed to `dst` that was sent in windows up to
+    /// `through`, in ascending sender order.
+    pub fn take(&self, dst: usize, through: u64) -> Mail {
+        let mut inbox = Mail::default();
         for row in &self.boxes {
-            out.append(&mut row[dst].lock());
+            let mut mailbox = row[dst].lock();
+            let due = mailbox.partition_point(|&(w, _)| w <= through);
+            for (_, mut mail) in mailbox.drain(..due) {
+                inbox.append(&mut mail);
+            }
+            if mailbox.is_empty() {
+                *mailbox = Vec::new();
+            }
         }
+        inbox
     }
 
     /// Packets currently travelling to `dst` inside mailboxes.
@@ -302,11 +501,8 @@ impl MailGrid {
         self.boxes
             .iter()
             .map(|row| {
-                row[dst]
-                    .lock()
-                    .iter()
-                    .filter(|m| m.carries_packet())
-                    .count() as u64
+                let mailbox = row[dst].lock();
+                mailbox.iter().map(|(_, m)| m.packets() as u64).sum::<u64>()
             })
             .sum()
     }
@@ -321,14 +517,26 @@ impl MailGrid {
         self.boxes.iter().all(|row| row[dst].lock().is_empty())
     }
 
-    /// Heap footprint of the grid in bytes: the retained capacity of
-    /// every mailbox (a mailbox keeps its high-water mark between
-    /// windows). Part of the engine's `memory_bytes` rollup.
+    /// The heap of the largest batch one shard has posted to another in
+    /// one window so far, in bytes: the same in every run of a partition
+    /// and grid, and zero when no mail ever crossed a shard.
+    pub fn largest_batch_bytes(&self) -> usize {
+        self.largest_batch.load(Ordering::Relaxed)
+    }
+
+    /// Heap held by the mail in the grid, in bytes (none between runs: an
+    /// empty mailbox owns nothing). Part of the engine's `memory_bytes`
+    /// rollup.
     pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
         self.boxes
             .iter()
             .flatten()
-            .map(|b| b.lock().capacity() * std::mem::size_of::<ShardMsg>())
+            .map(|b| {
+                let mailbox = b.lock();
+                mailbox.capacity() * size_of::<(u64, Mail)>()
+                    + mailbox.iter().map(|(_, m)| m.memory_bytes()).sum::<usize>()
+            })
             .sum()
     }
 }
@@ -394,6 +602,13 @@ impl WindowGate {
     #[inline]
     pub fn end_incl_of(&self, w: u64) -> SimTime {
         self.start_of(w + 1).saturating_sub(1).min(self.t_cap)
+    }
+
+    /// How many windows the fastest shard may run ahead of the slowest,
+    /// plus one (1 = lockstep).
+    #[inline]
+    pub fn lag(&self) -> u64 {
+        self.lag
     }
 
     /// The next window index shard `s` will execute.
@@ -517,71 +732,112 @@ mod tests {
         ShardPlan::new(&topo, 2, 0);
     }
 
-    fn collect(grid: &MailGrid, dst: usize) -> Vec<ShardMsg> {
-        let mut out = Vec::new();
-        grid.collect_into(dst, &mut out);
-        out
+    /// What `grid` holds for `dst`, delivered: the events in queue order
+    /// and the arena the packets landed in.
+    fn deliver(grid: &MailGrid, dst: usize) -> (Vec<crate::event::Event>, PacketArena) {
+        deliver_through(grid, dst, u64::MAX)
+    }
+
+    /// [`deliver`], of the mail sent in windows up to `through`.
+    fn deliver_through(
+        grid: &MailGrid,
+        dst: usize,
+        through: u64,
+    ) -> (Vec<crate::event::Event>, PacketArena) {
+        let (mut arena, mut queue) = (
+            PacketArena::new(),
+            EventQueue::for_config(&crate::config::EngineConfig::default()),
+        );
+        grid.take(dst, through).deliver(&mut arena, &mut queue);
+        (std::iter::from_fn(|| queue.pop()).collect(), arena)
+    }
+
+    fn feedback_msg() -> FeedbackMsg {
+        FeedbackMsg {
+            packet_id: 7,
+            src: NodeId(0),
+            dst: NodeId(9),
+            dst_router: RouterId(4),
+            dst_group: dragonfly_topology::ids::GroupId(1),
+            src_slot: 0,
+            port: Port(5),
+            reward_ns: 10.0,
+            downstream_estimate_ns: 20.0,
+        }
+    }
+
+    fn credit_at(time: SimTime) -> Mail {
+        let mut mail = Mail::default();
+        let (router, port, vc) = (RouterId(1), Port(2), 0);
+        mail.push_event(time, EventKind::CreditArrive { router, port, vc });
+        mail
+    }
+
+    fn packet_arrive_at(time: SimTime) -> Mail {
+        let mut mail = Mail::default();
+        let packet = Packet::new(
+            &dragonfly_topology::Dragonfly::new(DragonflyConfig::tiny()),
+            7,
+            NodeId(0),
+            NodeId(9),
+            0,
+        );
+        mail.push_packet(time, RouterId(4), Port(1), 0, packet);
+        mail
     }
 
     #[test]
     fn mailboxes_deliver_and_count_packets() {
         let grid = MailGrid::new(2);
-        let mut out = vec![
-            ShardMsg::CreditArrive {
-                time: 400,
+        assert_eq!(grid.memory_bytes(), 0);
+        let mut out = credit_at(400);
+        let msg = feedback_msg();
+        out.push_event(
+            350,
+            EventKind::RlFeedback {
                 router: RouterId(1),
-                port: Port(2),
-                vc: 0,
+                msg,
             },
-            ShardMsg::RlFeedback {
-                time: 350,
-                router: RouterId(1),
-                msg: FeedbackMsg {
-                    packet_id: 7,
-                    src: NodeId(0),
-                    dst: NodeId(9),
-                    dst_router: RouterId(4),
-                    dst_group: dragonfly_topology::ids::GroupId(1),
-                    src_slot: 0,
-                    port: Port(5),
-                    reward_ns: 10.0,
-                    downstream_estimate_ns: 20.0,
-                },
+        );
+        out.push_event(
+            500,
+            EventKind::DropNotice {
+                node: NodeId(3),
+                dst: NodeId(9),
+                id: 11,
             },
-        ];
-        grid.post(0, 1, &mut out);
-        assert!(out.is_empty(), "post splices the batch out");
+        );
+        let batch = out.memory_bytes();
+        assert_eq!(grid.largest_batch_bytes(), 0);
+        grid.post(0, 1, 0, &mut out);
+        assert_eq!(grid.largest_batch_bytes(), batch);
+        assert!(out.is_empty(), "post moves the batch out");
+        assert_eq!(
+            out.memory_bytes(),
+            0,
+            "and leaves the outbox owning nothing"
+        );
         assert!(!grid.is_empty());
         assert!(!grid.is_empty_for(1));
         assert!(grid.is_empty_for(0), "nothing is addressed to shard 0");
-        assert_eq!(grid.packets_bound_for(1), 0, "no RouterArrive queued");
-        assert_eq!(collect(&grid, 1).len(), 2);
+        assert_eq!(grid.packets_bound_for(1), 0, "no packet queued");
+        assert!(grid.memory_bytes() > 0);
+        let (events, _) = deliver(&grid, 1);
+        let times: Vec<SimTime> = events.iter().map(|e| e.time).collect();
+        assert_eq!(times, [350, 400, 500]);
+        assert!(
+            matches!(events[0].kind, EventKind::RlFeedback { msg, .. } if msg == feedback_msg())
+        );
+        assert!(matches!(
+            events[2].kind,
+            EventKind::DropNotice {
+                node: NodeId(3),
+                id: 11,
+                ..
+            }
+        ));
         assert!(grid.is_empty());
-    }
-
-    fn credit_at(time: SimTime) -> ShardMsg {
-        ShardMsg::CreditArrive {
-            time,
-            router: RouterId(1),
-            port: Port(2),
-            vc: 0,
-        }
-    }
-
-    fn packet_arrive_at(time: SimTime) -> ShardMsg {
-        ShardMsg::RouterArrive {
-            time,
-            router: RouterId(4),
-            port: Port(1),
-            vc: 0,
-            packet: Packet::new(
-                &dragonfly_topology::Dragonfly::new(DragonflyConfig::tiny()),
-                7,
-                NodeId(0),
-                NodeId(9),
-                0,
-            ),
-        }
+        assert_eq!(grid.memory_bytes(), 0, "a drained mailbox owns nothing");
     }
 
     #[test]
@@ -592,15 +848,25 @@ mod tests {
         // transit, neither lost nor duplicated — until the receiver's next
         // drain, which the gate still holds before the mail's window.
         let grid = MailGrid::new(2);
-        assert!(collect(&grid, 1).is_empty(), "drain ran first");
-        grid.post(0, 1, &mut vec![packet_arrive_at(900)]); // racing post
-        assert_eq!(grid.packets_bound_for(1), 1, "still counted in transit");
+        assert!(deliver(&grid, 1).0.is_empty(), "drain ran first");
+        grid.post(0, 1, 3, &mut packet_arrive_at(900)); // racing post
+        grid.post(0, 1, 4, &mut packet_arrive_at(950)); // and the next window's
+        assert_eq!(grid.packets_bound_for(1), 2, "still counted in transit");
         assert!(!grid.is_empty_for(1));
-        let late = collect(&grid, 1); // the next drain
+        // The receiver's window 5 at lag 2 takes window 3's mail only, even
+        // though window 4's is already there: what a drain takes does not
+        // depend on how far ahead the sender ran.
+        let (late, arena) = deliver_through(&grid, 1, 3);
         assert_eq!(late.len(), 1);
-        assert_eq!(late[0].time(), 900);
+        assert_eq!(late[0].time, 900);
+        assert_eq!(arena.live_count(), 1, "the packet took a receiver slot");
+        assert_eq!(grid.packets_bound_for(1), 1);
+        let (next, _) = deliver_through(&grid, 1, 4);
+        assert_eq!(next.len(), 1);
+        assert_eq!(next[0].time, 950);
         assert!(grid.is_empty());
         assert_eq!(grid.packets_bound_for(1), 0);
+        assert_eq!(grid.memory_bytes(), 0, "a drained mailbox owns nothing");
     }
 
     #[test]
@@ -612,14 +878,53 @@ mod tests {
         let grid = MailGrid::new(3);
         let window = 150; // L/2 for the paper's 300 ns global latency
         let boundary = 4 * window; // start of window 4
-        grid.post(2, 0, &mut vec![packet_arrive_at(boundary)]);
-        grid.post(1, 0, &mut vec![credit_at(boundary - 1)]);
-        let got = collect(&grid, 0);
+        grid.post(2, 0, 2, &mut packet_arrive_at(boundary));
+        grid.post(1, 0, 2, &mut credit_at(boundary - 1));
+        let (got, _) = deliver(&grid, 0);
         assert_eq!(got.len(), 2);
-        // Ascending sender order: shard 1's credit, then shard 2's packet.
-        assert_eq!(got[0].time(), boundary - 1);
-        assert_eq!(got[1].time(), boundary);
-        assert!(got[1].carries_packet());
+        assert_eq!(got[0].time, boundary - 1);
+        assert!(matches!(got[0].kind, EventKind::CreditArrive { .. }));
+        assert_eq!(got[1].time, boundary);
+        assert!(matches!(
+            got[1].kind,
+            EventKind::RouterArrive {
+                router: RouterId(4),
+                port: Port(1),
+                vc: 0,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn mail_grows_in_blocks_and_costs_what_it_carries() {
+        // A packet arrival costs its 16-byte head and its 64-byte packet, a
+        // credit its head: never the 128 B of a message enum that carries a
+        // cache-line-aligned packet by value.
+        assert_eq!(std::mem::size_of::<Head>(), 16);
+        assert_eq!(std::mem::size_of::<DropNote>(), 24);
+        // One sender's window, pushed one by one: at most one partly filled
+        // block per column, and the block table.
+        let mut outbox = Mail::default();
+        let packet = Packet::new(
+            &dragonfly_topology::Dragonfly::new(DragonflyConfig::tiny()),
+            7,
+            NodeId(0),
+            NodeId(9),
+            0,
+        );
+        for i in 0..3_000 {
+            let (router, port, vc) = (RouterId(1), Port(2), 0);
+            outbox.push_event(i, EventKind::CreditArrive { router, port, vc });
+            outbox.push_packet(i, RouterId(4), Port(1), 0, packet.clone());
+        }
+        assert_eq!(outbox.packets(), 3_000);
+        let carried = 3_000 * (16 + 64 + 16);
+        let slack = outbox.memory_bytes() - carried;
+        assert!(
+            slack <= 3 * (MAIL_BLOCK_BYTES + 1_024),
+            "3,000 arrivals and credits carry {slack} B of slack"
+        );
     }
 
     #[test]

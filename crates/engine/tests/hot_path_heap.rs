@@ -603,3 +603,46 @@ fn a_checkpoint_costs_what_it_writes() {
         );
     }
 }
+
+#[test]
+fn a_sharded_run_costs_the_single_shard_heap() {
+    // Cross-shard mail costs what its events carry and is freed once
+    // delivered, so a run split across two shards may hold above the
+    // sequential run only what a second shard needs of its own: a
+    // partly filled arena chunk and backlog chunk, a calendar wheel's
+    // bucket table, and the mail of the windows in flight. One message
+    // type carrying the 64-byte-aligned packet by value, kept at its
+    // high-water mark in an outbox, a mailbox and an inbox, held that
+    // mail three times over, 128 B a credit, for the whole run.
+    let _one_at_a_time = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
+    let wheel = EventQueue::for_config(&EngineConfig::paper(3)).memory_bytes();
+    let allowance = CHUNK_SLOTS * size_of::<Packet>() + CHUNK_RECORDS * 24 + wheel + 64 * 1024;
+    let mut peaks = Vec::new();
+    for shards in [ShardKind::Single, ShardKind::Fixed(2)] {
+        let before = live();
+        PEAK.store(before, Relaxed);
+        let mut engine = restore_subject(shards, None);
+        engine.run_until(40_000);
+        let peak = PEAK.load(Relaxed) - before;
+        assert!(
+            engine.stats().delivered > 1_000,
+            "{shards:?}: the run moved traffic"
+        );
+        let heap = engine.memory_breakdown();
+        assert_eq!(
+            heap.mailboxes, 0,
+            "{shards:?}: a mailbox, outbox or inbox owns heap"
+        );
+        assert_eq!(
+            heap.largest_mail_window > 0,
+            shards != ShardKind::Single,
+            "{shards:?}: mail crosses shards only when there are two"
+        );
+        peaks.push(peak);
+    }
+    let (single, sharded) = (peaks[0], peaks[1]);
+    assert!(
+        sharded <= single + allowance,
+        "two shards peaked at {sharded} B, one at {single} B (allowance {allowance} B)"
+    );
+}

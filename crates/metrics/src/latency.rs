@@ -6,7 +6,7 @@
 //!
 //! * **Exact** (the default): every sample is retained, 4 B each, in
 //!   delivery order. A sample is a `u32` of nanoseconds in an append-only
-//!   store of `CHUNK`-sample (64 KiB) chunks: full chunks are frozen and
+//!   store of `CHUNK`-sample (16 KiB) chunks: full chunks are frozen and
 //!   shared by reference count, and only the chunk being filled is owned,
 //!   so a push touches no atomic. A sample of `u32::MAX` ns or more is
 //!   stored as the marker `u32::MAX` and its value in a side list, so the
@@ -37,8 +37,10 @@ use std::sync::Arc;
 /// bounding the relative bucket width at 1/64.
 pub const MANTISSA_BITS: u32 = 6;
 
-/// Samples per exact-mode chunk: 16,384 `u32`s, 64 KiB.
-const CHUNK: usize = 1 << 14;
+/// Samples per exact-mode chunk: 4,096 `u32`s, 16 KiB. Every shard fills a
+/// chunk of its own, and a report or snapshot copies each shard's, so the
+/// chunk is per-shard slack.
+const CHUNK: usize = 1 << 12;
 
 /// Bits of one digit of the exact-mode radix selection.
 const RADIX_BITS: u32 = 11;
@@ -522,7 +524,7 @@ impl LatencyStats {
     ///   unpartitioned sketch.
     /// * exact ← exact: the other side's samples follow this side's; its
     ///   frozen chunks are shared, not copied, and only its owned chunk
-    ///   (at most 64 KiB) is copied.
+    ///   (at most 16 KiB) is copied.
     /// * streaming ← exact: the other side's samples are folded into the
     ///   sketch. The reverse (exact ← streaming) panics — a sketch cannot
     ///   reconstruct its samples. Sharded runs never mix modes: every

@@ -108,7 +108,7 @@ mod tests {
             5,
         );
         engine.run_to_drain(50_000_000);
-        let obs = engine.observer();
+        let obs = engine.merged_observer();
         assert_eq!(obs.delivered, 300);
         assert!(obs.mean_hops() <= 3.0 + 1e-9);
     }

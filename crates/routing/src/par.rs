@@ -207,7 +207,7 @@ mod tests {
             23,
         );
         engine.run_to_drain(200_000_000);
-        let obs = engine.observer();
+        let obs = engine.merged_observer();
         assert_eq!(obs.delivered, 800);
         assert!(obs.mean_hops() <= 7.0);
     }
@@ -233,7 +233,7 @@ mod tests {
             29,
         );
         engine.run_to_drain(200_000_000);
-        let obs = engine.observer();
+        let obs = engine.merged_observer();
         assert_eq!(obs.delivered, 200);
         assert!(obs.mean_hops() <= 3.05, "got {}", obs.mean_hops());
     }

@@ -353,7 +353,7 @@ mod tests {
             31,
         );
         engine.run_to_drain(200_000_000);
-        let obs = engine.observer();
+        let obs = engine.merged_observer();
         assert_eq!(obs.delivered, 500);
         assert!(obs.mean_hops() <= (2 + 3) as f64);
     }
@@ -387,7 +387,7 @@ mod tests {
             37,
         );
         engine.run_to_drain(100_000_000);
-        let obs = engine.observer();
+        let obs = engine.merged_observer();
         assert_eq!(obs.delivered, 200);
         assert!(obs.mean_hops() <= 3.0 + 1e-9);
     }

@@ -275,7 +275,7 @@ mod tests {
             17,
         );
         engine.run_to_drain(200_000_000);
-        *engine.observer()
+        engine.merged_observer()
     }
 
     #[test]

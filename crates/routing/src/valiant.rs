@@ -190,7 +190,7 @@ mod tests {
             13,
         );
         engine.run_to_drain(100_000_000);
-        *engine.observer()
+        engine.merged_observer()
     }
 
     #[test]

@@ -190,7 +190,7 @@ impl ShardObserver for MetricsCollector {
 
     /// Heap footprint of the collected metrics in bytes: latency storage
     /// (sketch bins in streaming mode; in exact mode 4 B per sample in the
-    /// window plus at most one 64 KiB chunk being filled), the hop
+    /// window plus at most one 16 KiB chunk being filled), the hop
     /// histogram and the optional time series. In streaming mode the total
     /// is bounded by sketch size and simulated time — never by the number
     /// of delivered packets. Exact samples frozen into chunks are shared

@@ -34,7 +34,7 @@ use crate::builder::Simulation;
 use crate::checkpoint::RunCheckpoint;
 use crate::fault::FaultSpecEntry;
 use crate::sweep::{run_specs_parallel, SweepResult};
-use dragonfly_engine::config::EngineConfig;
+use dragonfly_engine::config::{EngineConfig, ShardKind};
 use dragonfly_engine::time::SimTime;
 use dragonfly_metrics::report::SimulationReport;
 use dragonfly_metrics::timeseries::TimeSeries;
@@ -646,41 +646,57 @@ impl SweepSpec {
         points
     }
 
-    /// The number of intra-run shards (threads) each point of this sweep
-    /// will use, from the shared engine override.
-    pub fn shards_per_point(&self) -> usize {
-        match self.engine {
-            // Mirror Engine::new exactly: the lookahead is the topology's
-            // minimum cross-domain link latency, not bare global latency,
-            // so the thread-budget split always agrees with the shard
-            // count the engine actually resolves.
-            Some(engine) => {
-                let lookahead = self
-                    .topology
-                    .build()
-                    .min_cross_domain_latency(engine.local_latency_ns, engine.global_latency_ns);
-                engine
-                    .shards
-                    .resolve(self.topology.num_domains(), lookahead)
-            }
-            None => 1,
+    /// The shards each of `points` concurrent runs of this sweep uses on a
+    /// budget of `threads` (0 = one per available CPU): what the engine
+    /// override, or the engine default, resolves to. A sweep fills the
+    /// cores with points first, so `Auto` shards a point only when there
+    /// are fewer points than threads, on the threads the points leave
+    /// free; `Single` and `Fixed(n)` are taken as given.
+    pub fn shards_per_point(&self, threads: usize, points: usize) -> usize {
+        let engine = self.engine.unwrap_or_default();
+        // Mirror Engine::new exactly: the lookahead is the topology's
+        // minimum cross-domain link latency, not bare global latency, so
+        // the thread-budget split always agrees with the shard count the
+        // engine actually resolves.
+        let lookahead = self
+            .topology
+            .build()
+            .min_cross_domain_latency(engine.local_latency_ns, engine.global_latency_ns);
+        let resolved = engine
+            .shards
+            .resolve(self.topology.num_domains(), lookahead);
+        match engine.shards {
+            ShardKind::Auto => resolved.min(thread_budget(threads) / points.max(1)).max(1),
+            ShardKind::Single | ShardKind::Fixed(_) => resolved,
         }
     }
 
-    /// Run every point in parallel across `threads` workers
-    /// (0 = one per available CPU).
-    ///
-    /// When the engine override shards individual runs, the thread budget
-    /// is split between the two levels of parallelism: `threads` is
-    /// divided by the per-run shard count so `sweep workers × shards`
-    /// stays within the requested budget.
+    /// Run every point in parallel on a budget of `threads` (0 = one per
+    /// available CPU); see [`SweepSpec::run_points`].
     pub fn run_parallel(&self, threads: usize) -> SweepResult {
         SweepResult {
-            reports: run_specs_parallel(
-                &self.points(),
-                budget_workers(threads, self.shards_per_point()),
-            ),
+            reports: self.run_points(&self.points(), threads),
         }
+    }
+
+    /// Run `points` (this sweep's, or some of them) on a budget of
+    /// `threads`, divided between concurrent points and the shards of each
+    /// ([`SweepSpec::shards_per_point`]), so that `sweep workers × shards`
+    /// stays within the budget. Each point runs at the shard count the
+    /// split gives it; reports do not depend on it.
+    pub fn run_points(&self, points: &[ExperimentSpec], threads: usize) -> Vec<SimulationReport> {
+        let shards = self.shards_per_point(threads, points.len());
+        let pinned: Vec<ExperimentSpec> = points
+            .iter()
+            .map(|point| ExperimentSpec {
+                engine: Some(EngineConfig {
+                    shards: ShardKind::Fixed(shards),
+                    ..point.engine.unwrap_or_default()
+                }),
+                ..point.clone()
+            })
+            .collect();
+        run_specs_parallel(&pinned, budget_workers(threads, shards))
     }
 
     // -- serialisation front-ends -------------------------------------------
@@ -743,19 +759,21 @@ fn spec_from_tree<T: Deserialize>(tree: &serde::Value) -> Result<T, SpecError> {
     Ok(T::from_value(tree)?)
 }
 
+/// A thread budget: `threads`, or one per available CPU when it is 0.
+fn thread_budget(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(4, |n| n.get())
+    } else {
+        threads
+    }
+}
+
 /// Split a sweep-level thread budget between inter-run workers and
 /// intra-run shards: with `shards_per_run`-way sharded points, only
 /// `budget / shards_per_run` points should run concurrently (0 = one per
 /// available CPU, resolved before dividing).
 pub fn budget_workers(threads: usize, shards_per_run: usize) -> usize {
-    let budget = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        threads
-    };
-    (budget / shards_per_run.max(1)).max(1)
+    (thread_budget(threads) / shards_per_run.max(1)).max(1)
 }
 
 /// The checks both spec kinds share: `[engine]` overrides the hardware
@@ -1132,10 +1150,10 @@ mod tests {
         from_toml: fn(&str) -> Result<T, SpecError>,
         from_json: fn(&str) -> Result<T, SpecError>,
     ) {
-        assert!(toml.contains("pipeline = true") && json.contains("\"pipeline\""));
+        assert!(toml.contains("pipeline = false") && json.contains("\"pipeline\""));
         from_toml(toml).expect("the unedited TOML parses");
         from_json(json).expect("the unedited JSON parses");
-        let typo = from_toml(&toml.replace("pipeline = true", "pipline = true")).unwrap_err();
+        let typo = from_toml(&toml.replace("pipeline = false", "pipline = true")).unwrap_err();
         assert!(typo.0.contains("unknown [engine] key `pipline`"), "{typo}");
         assert!(
             typo.0.contains("pipeline") && typo.0.contains("qtable_page_rows_threshold"),
@@ -1143,8 +1161,8 @@ mod tests {
         );
         let typo = from_json(&json.replace("\"pipeline\"", "\"pipline\"")).unwrap_err();
         assert!(typo.0.contains("unknown [engine] key `pipline`"), "{typo}");
-        let retired = "pipeline = true\nscheduler = \"BinaryHeap\"";
-        let retired = from_toml(&toml.replace("pipeline = true", retired)).unwrap_err();
+        let retired = "pipeline = false\nscheduler = \"BinaryHeap\"";
+        let retired = from_toml(&toml.replace("pipeline = false", retired)).unwrap_err();
         assert!(
             retired.0.contains("unknown [engine] key `scheduler`"),
             "{retired}"
@@ -1219,13 +1237,62 @@ mod tests {
         assert_eq!(budget_workers(8, 3), 2);
         assert_eq!(budget_workers(2, 4), 1, "never starves the sweep");
         assert!(budget_workers(0, 1) >= 1, "0 resolves to the CPU count");
+        // The default engine (`Auto`): the cores go to points first. With
+        // at least as many points as threads each point runs one shard;
+        // with fewer, a point takes the threads the others leave free, up
+        // to what `Auto` resolves to on this host.
         let mut sweep = sample_sweep();
-        assert_eq!(sweep.shards_per_point(), 1);
+        assert_eq!(sweep.engine, None);
+        let auto = ShardKind::Auto.resolve(sweep.topology.num_domains(), 300);
+        assert_eq!(sweep.shards_per_point(8, 8), 1);
+        assert_eq!(sweep.shards_per_point(8, 100), 1);
+        assert_eq!(sweep.shards_per_point(8, 4), auto.min(2));
+        assert_eq!(sweep.shards_per_point(8, 1), auto.min(8));
+        assert_eq!(
+            budget_workers(8, sweep.shards_per_point(8, 4)),
+            8 / auto.min(2),
+            "workers x shards stays within the budget"
+        );
+        let cpus = thread_budget(0);
+        assert_eq!(
+            sweep.shards_per_point(0, cpus),
+            1,
+            "a sweep of a point per CPU never oversubscribes"
+        );
+        // An explicit count is taken as given, whatever the point count.
         sweep.engine = Some(dragonfly_engine::EngineConfig {
-            shards: dragonfly_engine::config::ShardKind::Fixed(2),
+            shards: ShardKind::Fixed(2),
             ..Default::default()
         });
-        assert_eq!(sweep.shards_per_point(), 2);
+        assert_eq!(sweep.shards_per_point(8, 100), 2);
+        sweep.engine = Some(dragonfly_engine::EngineConfig {
+            shards: ShardKind::Single,
+            ..Default::default()
+        });
+        assert_eq!(sweep.shards_per_point(8, 1), 1);
+    }
+
+    #[test]
+    fn a_default_engine_sweep_matches_its_sequential_twin() {
+        // Points pinned to the shard count of the split report what the
+        // sequential engine reports; two threads a point shard them on any
+        // multi-core host.
+        let mut sweep = sample_sweep();
+        sweep.warmup_ns = 2_000;
+        sweep.measure_ns = 4_000;
+        let sharded = sweep.run_parallel(2 * sweep.len());
+        sweep.engine = Some(dragonfly_engine::EngineConfig {
+            shards: ShardKind::Single,
+            ..Default::default()
+        });
+        let sequential = sweep.run_parallel(1);
+        assert_eq!(sharded.reports.len(), sweep.len());
+        for (a, b) in sharded.reports.iter().zip(&sequential.reports) {
+            assert_eq!(a.packets_delivered, b.packets_delivered);
+            assert_eq!(a.mean_latency_us, b.mean_latency_us);
+            assert_eq!(a.p99_latency_us, b.p99_latency_us);
+            assert_eq!(a.events_processed, b.events_processed);
+        }
     }
 
     #[test]

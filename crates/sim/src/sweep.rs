@@ -122,9 +122,10 @@ pub struct SweepOutput {
 }
 
 /// Run a batch of experiments on `workers` threads (a count from
-/// [`crate::spec::budget_workers`]), preserving input order. This is the
-/// execution engine behind [`crate::spec::SweepSpec::run_parallel`] and
-/// the figure cache's miss path.
+/// [`crate::spec::budget_workers`]), preserving input order; each runs at
+/// the shard count its own spec resolves to. This is the execution engine
+/// behind [`crate::spec::SweepSpec::run_points`], which pins that count
+/// so that workers × shards fits the thread budget.
 pub fn run_specs_parallel(specs: &[ExperimentSpec], workers: usize) -> Vec<SimulationReport> {
     let next_job = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<SimulationReport>>> = Mutex::new(vec![None; specs.len()]);

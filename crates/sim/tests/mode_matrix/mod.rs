@@ -417,7 +417,7 @@ fn finish(mut sim: Simulation, end_ns: u64, init: &[AgentCheckpoint]) -> Outcome
     Outcome {
         report: sim.report(),
         engine: spelled_dense(engine, init).to_value(),
-        crossed_shards: sim.memory_breakdown().mailboxes > 0,
+        crossed_shards: sim.memory_breakdown().largest_mail_window > 0,
         series: sim.into_series().to_value(),
     }
 }

@@ -79,7 +79,7 @@ fn pipeline_flag_round_trips_through_scenario_files() {
     )
     .unwrap();
     assert!(
-        legacy.engine.unwrap().pipeline,
-        "scenario files without the key default to the pipelined engine"
+        !legacy.engine.unwrap().pipeline,
+        "scenario files without the key default to lockstep windows"
     );
 }

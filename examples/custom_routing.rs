@@ -127,7 +127,7 @@ fn evaluate(algo: &dyn RoutingAlgorithm) -> CountingObserver {
         3,
     );
     engine.run_to_drain(10_000_000);
-    *engine.observer()
+    engine.merged_observer()
 }
 
 fn main() {
